@@ -6,18 +6,12 @@ throughput of the hot building blocks: AES, the functional ORAM access,
 the DRAM channel service loop, and the event engine.
 """
 
-import os
 import random
 
-from repro.bob.channel import BobChannel
-from repro.core.delegator import OramSequencer
-from repro.core.link_kernel import link_classes
 from repro.crypto.aes import AES128
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType
 from repro.oram.config import OramConfig
-from repro.oram.controller import OramController
-from repro.oram.layout import OramLayout
 from repro.oram.path_oram import PathOram
 from repro.sim.engine import Engine
 
@@ -61,65 +55,6 @@ def test_dram_channel_throughput(benchmark):
         return eng.now
 
     benchmark(service_burst)
-
-
-def _link_pacer_run(kernel, n_periods=400):
-    """``n_periods`` pacer round trips through the secure-link pipeline.
-
-    The ORAM tree is the smallest legal one (one fetched level), so the
-    run isolates what the link kernel macro-steps: pacer slot issue,
-    72 B down-transfer, SD service, up-transfer, CPU decrypt hop.  The
-    legacy/kernel rows are same-run siblings -- the wall-time gap is the
-    link+pacer win, attributable separately from the DRAM kernel's.
-    """
-    prior = os.environ.get("DORAM_LINK")
-    os.environ["DORAM_LINK"] = "kernel" if kernel else "legacy"
-    try:
-        eng = Engine()
-    finally:
-        if prior is None:
-            del os.environ["DORAM_LINK"]
-        else:
-            os.environ["DORAM_LINK"] = prior
-    frontend_cls, backend_cls, delegator_cls = link_classes(eng)
-    subs = [Channel(eng, "micro0.0")]
-    bob = BobChannel(eng, 0, subs)
-    delegator = delegator_cls(eng, bob, {})
-    cfg = OramConfig(leaf_level=2, treetop_levels=2, subtree_levels=3)
-    layout = OramLayout(cfg, home_targets=[(0, 0)])
-    controller = OramController(eng, cfg, layout, delegator.sink, seed=1)
-    delegator.sequencer = OramSequencer(controller)
-    backend = backend_cls(eng, bob, delegator)
-    frontend = frontend_cls(eng, backend, t_cycles=50)
-    done = [0]
-
-    def count(_time):
-        done[0] += 1
-        if done[0] >= n_periods:
-            eng.stop()
-
-    for _ in range(n_periods):
-        frontend.issue(OpType.READ, done[0], 0, count)
-        if not frontend.can_accept(OpType.READ):
-            break
-    # Refill as responses drain the queue.
-    def refill():
-        while frontend.can_accept(OpType.READ):
-            frontend.issue(OpType.READ, 0, 0, count)
-        frontend.notify_on_space(refill)
-
-    frontend.notify_on_space(refill)
-    frontend.start()
-    eng.run()
-    return eng.raw_events_dispatched
-
-
-def test_link_pacer_roundtrip_legacy(benchmark):
-    benchmark(_link_pacer_run, False)
-
-
-def test_link_pacer_roundtrip_kernel(benchmark):
-    benchmark(_link_pacer_run, True)
 
 
 def test_event_engine_dispatch(benchmark):

@@ -128,10 +128,10 @@ def run_engine_only(total_events=300_000, actors=16):
     return eng.events_dispatched, wall, eng.raw_events_dispatched
 
 
-def run_channel_only(n_requests=60_000, channel_cls=Channel):
+def run_channel_only(n_requests=60_000):
     """One saturated DRAM channel under a deterministic access mix."""
     eng = Engine()
-    channel = channel_cls(eng, "bench0")
+    channel = Channel(eng, "bench0")
     num_banks = len(channel.banks)
     state = {"issued": 0}
 
@@ -160,7 +160,8 @@ def run_channel_only(n_requests=60_000, channel_cls=Channel):
     return eng.events_dispatched, wall, eng.raw_events_dispatched
 
 
-def run_long_idle(periodic=None, n_cores=1, accesses_per_core=6000, mpki=0.5):
+def run_long_idle(periodic="lazy", n_cores=1, accesses_per_core=6000,
+                  mpki=0.5):
     """A sparse trace-driven core: the idle fast-forward stress case.
 
     At MPKI 0.5 the core spends ~500 pipeline cycles between LLC
@@ -193,27 +194,16 @@ def run_long_idle(periodic=None, n_cores=1, accesses_per_core=6000, mpki=0.5):
     return eng.events_dispatched, wall, eng.raw_events_dispatched
 
 
-def run_fig9_segment(periodic=None, dram=None, link=None):
+def run_fig9_segment(periodic="lazy"):
     """Whole-system runs over a Fig. 9 scheme segment."""
-    if periodic:
-        os.environ["DORAM_PERIODIC"] = periodic
-    else:
-        os.environ.pop("DORAM_PERIODIC", None)
-    if dram:
-        os.environ["DORAM_DRAM"] = dram
-    else:
-        os.environ.pop("DORAM_DRAM", None)
-    if link:
-        os.environ["DORAM_LINK"] = link
-    else:
-        os.environ.pop("DORAM_LINK", None)
     trace_length = _fig9_trace_length()
     events = 0
     raw_events = 0
     per_scheme = {}
     started = time.perf_counter()
     for scheme in FIG9_SCHEMES:
-        result = run_scheme(scheme, FIG9_BENCHMARK, trace_length)
+        result = run_scheme(scheme, FIG9_BENCHMARK, trace_length,
+                            periodic=periodic)
         events += result.events
         raw_events += result.raw_events
         per_scheme[scheme] = result.events
@@ -229,18 +219,8 @@ def test_simcore_throughput(benchmark):
     events, wall, raw = _best_of(run_engine_only)
     _append("engine_only", events, wall, events_dispatched=raw)
 
-    # Per-backend siblings, same machine (the PR-4 eager/lazy pairing
-    # convention): the legacy channel is the oracle row, the SoA batch
-    # kernel the candidate.  CI's perf smoke judges the kernel against
-    # its same-run legacy sibling, never across hosts.
-    from repro.dram.kernel import KernelChannel
-
     events, wall, raw = _best_of(run_channel_only)
-    _append("channel_only", events, wall, events_dispatched=raw,
-            dram="legacy")
-    events, wall, raw = _best_of(run_channel_only, 60_000, KernelChannel)
-    _append("channel_only", events, wall, events_dispatched=raw,
-            dram="kernel")
+    _append("channel_only", events, wall, events_dispatched=raw)
 
     events, wall, raw = _best_of(run_long_idle, "eager")
     _append("long_idle", events, wall, events_dispatched=raw,
@@ -255,47 +235,14 @@ def test_simcore_throughput(benchmark):
         run_fig9_segment, "eager"
     )
     _append("fig9_segment", events, wall, events_dispatched=raw,
-            config="eager", dram="legacy", link="legacy",
-            schemes=list(FIG9_SCHEMES),
+            config="eager", schemes=list(FIG9_SCHEMES),
             per_scheme_events=per_scheme, trace_length=trace_length)
 
     (events, wall, raw, per_scheme, trace_length) = benchmark.pedantic(
         lambda: _best_of(run_fig9_segment), rounds=1, iterations=1,
     )
     _append("fig9_segment", events, wall, events_dispatched=raw,
-            config="lazy", dram="legacy", link="legacy",
-            schemes=list(FIG9_SCHEMES),
-            per_scheme_events=per_scheme, trace_length=trace_length)
-
-    # The backend-kernel siblings (lazy periodic mode, where chaining
-    # and pipeline fusion are live).  Results are byte-identical to the
-    # legacy rows -- the conformance suites pin that -- so ``events``
-    # matches and only wall time and the raw dispatch census may
-    # differ.  One axis at a time (the ratio gates in
-    # tools/check_kernel_perf.py judge each against the pure-legacy
-    # sibling above), plus the combined row for the trajectory.
-    events, wall, raw, per_scheme, trace_length = _best_of(
-        run_fig9_segment, None, "kernel"
-    )
-    _append("fig9_segment", events, wall, events_dispatched=raw,
-            config="lazy", dram="kernel", link="legacy",
-            schemes=list(FIG9_SCHEMES),
-            per_scheme_events=per_scheme, trace_length=trace_length)
-
-    events, wall, raw, per_scheme, trace_length = _best_of(
-        run_fig9_segment, None, None, "kernel"
-    )
-    _append("fig9_segment", events, wall, events_dispatched=raw,
-            config="lazy", dram="legacy", link="kernel",
-            schemes=list(FIG9_SCHEMES),
-            per_scheme_events=per_scheme, trace_length=trace_length)
-
-    events, wall, raw, per_scheme, trace_length = _best_of(
-        run_fig9_segment, None, "kernel", "kernel"
-    )
-    _append("fig9_segment", events, wall, events_dispatched=raw,
-            config="lazy", dram="kernel", link="kernel",
-            schemes=list(FIG9_SCHEMES),
+            config="lazy", schemes=list(FIG9_SCHEMES),
             per_scheme_events=per_scheme, trace_length=trace_length)
 
 

@@ -118,65 +118,6 @@ class SerialLink:
         engine._push((arrive, seq, deliver, arrive if arg is _ARRIVAL_TIME else arg))
         return arrive
 
-    def send_tail(self, nbytes: int, deliver: Callable[[object], None],
-                  tag: str = "pkt", arg: object = _ARRIVAL_TIME) -> int:
-        """:meth:`send` for callers in tail position.
-
-        Identical contract, but when the delivery event would be the
-        engine's strictly-next event -- batch-kernel mode, nothing queued
-        or kernel-held at or before ``arrive``, no fault plan rerouting
-        the packet, and ``arrive`` inside any bounded-run window -- the
-        delivery runs here as one synthesized occurrence (advancing
-        ``engine.now`` to ``arrive``) instead of a push/pop round-trip.
-        Callers must do no further scheduling after this returns (tail
-        position), or a later push could have ordered before the
-        delivery in the unfused schedule.  Stats, the trace event, and
-        wire occupancy are identical to :meth:`send`.
-        """
-        engine = self.engine
-        if (
-            not engine.batch_inline_ok
-            or engine._stopped
-            or self._faults is not None
-        ):
-            return self.send(nbytes, deliver, tag, arg)
-        ser = self._ser_cache.get(nbytes)
-        if ser is None:
-            ser = self._ser_cache[nbytes] = self.params.serialization(nbytes)
-        now = engine.now
-        start = self._busy_until
-        if now > start:
-            start = now
-        busy = start + ser
-        self._busy_until = busy
-        arrive = busy + self._latency
-        self._packets.value += 1
-        self._bytes.value += nbytes
-        tracer = self._tracer
-        if tracer.enabled:
-            # The link's own tracer is independent of the engine-level
-            # trace gated into batch_inline_ok; the packet event is
-            # emitted at send time either way, so fusing the delivery
-            # leaves the trace byte-identical to :meth:`send`.
-            tracer.complete(
-                "link", tag, self.name, start, ser,
-                {"bytes": nbytes, "sent": now, "arrive": arrive},
-            )
-        until = engine._run_until
-        nxt = engine.peek_time()
-        if (nxt is None or nxt > arrive) and (until is None
-                                              or arrive <= until):
-            engine._synthesized += 1
-            engine.now = arrive
-            deliver(arrive if arg is _ARRIVAL_TIME else arg)
-            return arrive
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine._push(
-            (arrive, seq, deliver, arrive if arg is _ARRIVAL_TIME else arg)
-        )
-        return arrive
-
     def _send_faulty(self, nbytes: int, deliver, tag: str, arg,
                      ser: int, now: int) -> int:
         """:meth:`send` with the injection site consulted per packet.

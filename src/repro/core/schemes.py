@@ -179,15 +179,16 @@ def run_scheme(
     tracer=None,
     snapshot_interval_ns: Optional[float] = None,
     faults=None,
+    periodic: str = "lazy",
     **overrides,
 ) -> SimResult:
     """Build and simulate one named scheme.
 
-    ``tracer`` / ``snapshot_interval_ns`` / ``faults`` are forwarded to
-    :func:`build_and_run`; all other keyword ``overrides`` go to
-    :class:`SystemConfig`.
+    ``tracer`` / ``snapshot_interval_ns`` / ``faults`` / ``periodic`` are
+    forwarded to :func:`build_and_run`; all other keyword ``overrides``
+    go to :class:`SystemConfig`.
     """
     config = make_config(scheme, benchmark, trace_length, **overrides)
     return build_and_run(config, max_events=max_events, tracer=tracer,
                          snapshot_interval_ns=snapshot_interval_ns,
-                         faults=faults)
+                         faults=faults, periodic=periodic)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop as _heappop
 from typing import Callable, Deque, Iterator, Optional
 
 from repro.dram.commands import OpType
@@ -106,32 +105,7 @@ class _PendingOp:
 
     def __call__(self, time: int) -> None:
         self.complete = time
-        core = self.core
-        engine = core.engine
-        # Batch-kernel mode (DORAM_DRAM=kernel, lazy periodic, no
-        # per-dispatch trace): when the wake this completion would push
-        # is the engine's next event anyway -- nothing else queued or
-        # kernel-held at ``time`` (completions fire at ``engine.now``) --
-        # run it here as one synthesized occurrence instead of paying a
-        # push/pop round-trip.  The guard replicates _schedule_wake's
-        # dedup (fuse only when it would actually push) and skips fusion
-        # while the engine is stopped (the pushed wake would never have
-        # dispatched).  Order is unchanged: any queued same-tick event
-        # carries an older seq than the wake would get, and peek_time()
-        # folds in kernel-held events, so fusion only fires when the
-        # wake is strictly next.
-        if (
-            engine.batch_inline_ok
-            and not engine._stopped
-            and (core._wake_pending_at is None
-                 or core._wake_pending_at > time)
-        ):
-            nxt = engine.peek_time()
-            if nxt is None or nxt > time:
-                engine._synthesized += 1
-                core._wake()
-                return
-        core._schedule_wake(time)
+        self.core._schedule_wake(time)
 
 
 class Core:
@@ -144,7 +118,7 @@ class Core:
         "_pending", "finished", "finish_time", "_wake_pending_at",
         "_waiting_for_space", "_rob_size", "_fetch_width", "_retire_width",
         "_loads_retired", "_stores_retired", "_loads_issued",
-        "_stores_issued", "_load_to_use", "_crunch_ok", "_equeue",
+        "_stores_issued", "_load_to_use", "_crunch_ok",
     )
 
     def __init__(
@@ -197,11 +171,6 @@ class Core:
         self._crunch_ok = (
             engine.lazy_periodic and not engine._tracer.enabled
         )
-        # Direct heap reference for the wake-chain guard (None under the
-        # wheel scheduler, which falls back to peek_time()).  Probing
-        # ``heap[0]`` raw treats a cancelled-but-unpopped head as live --
-        # a conservative "don't chain", which is always safe.
-        self._equeue = engine._queue if engine._wheel is None else None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -232,29 +201,6 @@ class Core:
         engine._push((time, seq, self._wake, _NO_ARG))
 
     def _wake(self) -> None:
-        """Run wake passes, chaining inline while this core is next.
-
-        Each :meth:`_wake_pass` decides the core's next wake time.  In
-        batch-kernel mode, when that wake is strictly earlier than the
-        engine's next queued event (and inside any bounded-run window),
-        the pass returns it instead of pushing and the loop executes it
-        here as one synthesized occurrence -- the dominant case in
-        memory-bound phases, where paced retirement wakes land between
-        DRAM events.  ``_crunch`` still handles the quiescent-gap case
-        (it skips the full pass per iteration); this loop is the
-        cheap-guard complement that needs no quiescence precondition
-        because each chained wake re-checks the queue head.
-        """
-        engine = self.engine
-        wake_pass = self._wake_pass
-        while True:
-            chained = wake_pass()
-            if chained is None:
-                return
-            engine._synthesized += 1
-            engine.now = chained
-
-    def _wake_pass(self) -> Optional[int]:
         """Advance retirement, fetch/issue, then re-arm the next wake.
 
         One fused pass: half of every whole-system run's dispatches are
@@ -266,13 +212,10 @@ class Core:
         wakes -- and the wake this pass decides on is pushed exactly
         where the unfused code pushed it (before any finish callback),
         preserving engine sequence order.
-
-        Returns the next wake time instead of pushing it when the
-        caller may run it inline (see :meth:`_wake`), else ``None``.
         """
         self._wake_pending_at = None
         if self.finished:
-            return None
+            return
         engine = self.engine
         now = engine.now
         pending = self._pending
@@ -428,39 +371,11 @@ class Core:
                 # would save (skipping is always census-safe: the wakes
                 # are simply dispatched like eager mode would).
                 wake_at = self._crunch(wake_at)
-            if (
-                wake_at > now
-                and engine.batch_inline_ok
-                and not engine._stopped
-            ):
-                # Wake chaining (batch-kernel mode): if this wake is
-                # strictly next engine-wide, hand it to _wake's loop to
-                # run inline.  Strictly-after ``now`` so a no-progress
-                # same-tick pass can never spin; strict queue-head
-                # comparison because a same-tick queued event carries an
-                # older seq and must dispatch first.
-                until = engine._run_until
-                if until is None or wake_at <= until:
-                    q = self._equeue
-                    if q is not None:
-                        # Drain cancel tombstones like the dispatcher
-                        # would: a dead head must not suppress the
-                        # chain, or the raw dispatch count becomes
-                        # sensitive to unrelated cancellations.
-                        cancelled = engine._cancelled_seqs
-                        while q and cancelled and q[0][1] in cancelled:
-                            cancelled.remove(_heappop(q)[1])
-                        if not q or q[0][0] > wake_at:
-                            return wake_at
-                    else:
-                        nxt = engine.peek_time()
-                        if nxt is None or nxt > wake_at:
-                            return wake_at
             self._wake_pending_at = wake_at
             seq = engine._seq
             engine._seq = seq + 1
             engine._push((wake_at, seq, self._wake, _NO_ARG))
-            return None
+            return
         if (
             self._trace_exhausted
             and mem_op is None
@@ -469,7 +384,7 @@ class Core:
         ):
             self._check_finished()
         if self.finished:
-            return None
+            return
         # Nothing else will wake us if the only remaining work is paced
         # retirement of instructions behind an already-completed head op
         # (e.g. a store, or a load whose data arrived this tick).
@@ -484,29 +399,10 @@ class Core:
                 target = pace_done if pace_done > complete else complete
                 if target < now:
                     target = now
-                if (
-                    target > now
-                    and engine.batch_inline_ok
-                    and not engine._stopped
-                ):
-                    until = engine._run_until
-                    if until is None or target <= until:
-                        q = self._equeue
-                        if q is not None:
-                            cancelled = engine._cancelled_seqs
-                            while q and cancelled and q[0][1] in cancelled:
-                                cancelled.remove(_heappop(q)[1])
-                            if not q or q[0][0] > target:
-                                return target
-                        else:
-                            nxt = engine.peek_time()
-                            if nxt is None or nxt > target:
-                                return target
                 self._wake_pending_at = target
                 seq = engine._seq
                 engine._seq = seq + 1
                 engine._push((target, seq, self._wake, _NO_ARG))
-        return None
 
     # ------------------------------------------------------------------
     # Gap crunching (lazy periodic mode)

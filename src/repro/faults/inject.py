@@ -10,8 +10,8 @@ most one RNG draw per rule) per packet or read completion.
 
 Determinism: each site owns an independent seeded stream (see
 :func:`repro.faults.plan.site_rng`), and all decisions are made in model
-event order, so a plan reproduces the same fault schedule on every
-backend combination (heap/wheel x eager/lazy).
+event order, so a plan reproduces the same fault schedule in both
+periodic modes (eager/lazy).
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ and returns a :class:`ScenarioResult` with per-tenant SLO metrics.
 Determinism contract (DESIGN.md §11): the result's
 :meth:`ScenarioResult.to_json_dict` payload, its :meth:`ScenarioResult.
 report_digest`, and the event-trace digest are all bit-identical across
-runs, scheduler backends (heap/wheel), and periodic modes (eager/lazy)
-for the same config -- pinned by ``tests/scenarios`` and the extended
-census-invariance suite.
+runs and periodic modes (eager/lazy) for the same config -- pinned by
+``tests/scenarios`` and the census-invariance suite.
 """
 
 from __future__ import annotations
@@ -166,6 +165,7 @@ def build_scenario(
     config: ScenarioConfig,
     tracer=None,
     faults=None,
+    periodic: str = "lazy",
 ) -> Dict[str, object]:
     """Instantiate the scenario machine without running it.
 
@@ -178,8 +178,11 @@ def build_scenario(
     protocol, exactly as ``build_and_run`` does for single-app runs.  An
     armed controller with an *empty* plan leaves the run bit-identical
     to ``faults=None`` (recovery framing is schedule-neutral).
+
+    ``periodic`` is the engine's periodic mode (:class:`Engine`); the
+    result is identical in both modes.
     """
-    engine = Engine(tracer=tracer)
+    engine = Engine(tracer=tracer, periodic=periodic)
     if faults is not None:
         faults.bind(engine, tracer)
     geometry = DeviceGeometry()
@@ -220,21 +223,9 @@ def build_scenario(
     normal_bobs = {
         ch: bob for ch, bob in bobs.items() if ch not in secure_set
     }
-    # Link-pipeline classes (DORAM_LINK).  Fault-armed runs always take
-    # the legacy per-packet classes: recovery frames, NAKs and
-    # armed-empty plans are pinned against the per-packet schedule (same
-    # fallback rule as ``build_and_run``).
-    if faults is None:
-        from repro.core.link_kernel import link_classes
-
-        frontend_cls, backend_cls, delegator_cls = link_classes(engine)
-    else:
-        frontend_cls = OramFrontend
-        backend_cls = DelegatorBackend
-        delegator_cls = SecureDelegator
     delegators: Dict[int, SecureDelegator] = {}
     for sc in sorted(secure_set):
-        delegators[sc] = delegator_cls(
+        delegators[sc] = SecureDelegator(
             engine, bobs[sc], normal_bobs,
             process_ns=config.sd_process_ns,
             app_id=_SD_APP_ID_BASE + sc,
@@ -308,11 +299,11 @@ def build_scenario(
             )
             backend = FailoverBackend(session)
         else:
-            backend = backend_cls(
+            backend = DelegatorBackend(
                 engine, bobs[sc], delegators[sc],
                 controller=controllers[tenant_id],
             )
-        frontend = frontend_cls(
+        frontend = OramFrontend(
             engine, backend, t_cycles=config.t_cycles,
             name=f"oram_fe{tenant_id}", tracer=tracer,
         )
@@ -407,9 +398,14 @@ def run_scenario(
     max_events: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     faults=None,
+    periodic: str = "lazy",
 ) -> ScenarioResult:
-    """Build, simulate, and report one multi-tenant scenario."""
-    parts = build_scenario(config, tracer=tracer, faults=faults)
+    """Build, simulate, and report one multi-tenant scenario.
+
+    ``periodic`` is forwarded to :func:`build_scenario`.
+    """
+    parts = build_scenario(config, tracer=tracer, faults=faults,
+                           periodic=periodic)
     engine: Engine = parts["engine"]
     sources: List[TenantSource] = parts["sources"]
     frontends: List[OramFrontend] = parts["frontends"]

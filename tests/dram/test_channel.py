@@ -4,6 +4,7 @@ import pytest
 
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType, TrafficClass
+from repro.dram.compliance import ProtocolChecker
 from repro.dram.scheduler import SharePolicy
 from repro.dram.timing import ChannelParams, DDR3_1600 as T
 from repro.sim.engine import Engine
@@ -176,3 +177,96 @@ class TestStatsAndSharing:
             ch.enqueue(read(col=i))
         eng.run()
         assert 0.0 < ch.utilization() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Scheduler edge cases, pinned against absolute JEDEC timing
+# ---------------------------------------------------------------------------
+
+NUM_BANKS = 8
+
+EDGE_CASE_PARAMS = ChannelParams(read_queue_depth=8, write_queue_depth=8,
+                                 write_drain_hi=6, write_drain_lo=2)
+
+
+def _replay(ops, *, periodic="lazy", page_policy="open"):
+    """Run one request mix through a fresh channel; return its command log.
+
+    ``ops`` is a list of ``(gap, bank, row, is_write, secure)`` tuples;
+    arrivals are cumulative.  The mixes here never fill a queue.
+    """
+    eng = Engine(periodic=periodic)
+    channel = Channel(eng, "ch0", params=EDGE_CASE_PARAMS,
+                      page_policy=page_policy)
+    log = channel.start_command_log()
+    now = 0
+    for gap, bank, row, is_write, secure in ops:
+        now += gap
+        req = MemRequest(
+            OpType.WRITE if is_write else OpType.READ, 0, 0,
+            bank=bank % NUM_BANKS, row=row,
+            traffic=TrafficClass.SECURE if secure else TrafficClass.NORMAL,
+        )
+        eng.at(now, lambda r=req: channel.enqueue(r))
+    eng.run()
+    return log
+
+
+class TestSchedulerEdgeCases:
+    def test_tfaw_at_exactly_four_acts(self):
+        # Five back-to-back closed-bank reads on five distinct banks: the
+        # first four ACTs pace at tRRD, the fifth must wait for the full
+        # tFAW window -- exactly, not one tick more.
+        log = _replay([(0, b, 0, False, False) for b in range(5)])
+        times = [c.time for c in log if c.kind == "ACT"]
+        assert len(times) == 5
+        for a, b in zip(times, times[1:4]):
+            assert b - a == T.tRRD
+        assert times[4] - times[0] == T.tFAW
+        assert ProtocolChecker(T, NUM_BANKS).check(log) == []
+
+    def test_twtr_write_to_read_turnaround_tie(self):
+        # The read arrives one tick after the (opportunistic) write
+        # enters service, so the turnaround order is forced to WR -> RD
+        # and the read's CAS lands on the tWTR fence.
+        log = _replay([(0, 0, 0, True, False), (1, 1, 0, False, False)])
+        cmds = [c for c in log if c.kind in ("WR", "RD")]
+        assert [c.kind for c in cmds] == ["WR", "RD"]
+        wr, rd = cmds
+        # JEDEC: READ CAS >= WRITE data end + tWTR.
+        assert rd.time >= wr.time + T.tCWL + T.tBURST + T.tWTR
+
+    def test_trtp_read_to_precharge_tie(self):
+        # Close-page policy precharges immediately after each access;
+        # the PRE after a read is fenced by tRTP (and tRAS) exactly.
+        log = _replay([(0, 0, 0, False, False), (0, 0, 1, False, False)],
+                      page_policy="close")
+        rd = next(c for c in log if c.kind == "RD")
+        pre = next(c for c in log if c.kind == "PRE" and c.time > rd.time)
+        assert pre.time >= rd.time + T.tRTP
+        act = next(c for c in log if c.kind == "ACT")
+        assert pre.time >= act.time + T.tRAS
+        assert ProtocolChecker(T, NUM_BANKS).check(log) == []
+
+    def test_same_cycle_refresh_vs_demand_ordering(self):
+        # A demand arriving exactly at the tREFI deadline: the service
+        # slot and the refresh due-time coincide on the same cycle, and
+        # the (time, seq) tie resolves refresh catch-up first, then the
+        # demand access.
+        log = _replay([(T.tREFI, 0, 0, False, False),
+                       (0, 1, 1, False, False)])
+        assert log[0].kind == "REF"
+        first_access = next(c for c in log if c.kind != "REF")
+        assert first_access.time >= log[0].time + T.tRFC
+        assert ProtocolChecker(T, NUM_BANKS).check(log) == []
+
+    def test_refresh_catchup_batch_matches_oracle(self):
+        # Idle for several tREFI windows, then a burst: the closed-form
+        # catch-up must book the same back-dated REF series as the eager
+        # one-refresh-per-window oracle.
+        ops = [(4 * T.tREFI + 17, b % 4, b % 3, b % 2 == 0, False)
+               for b in range(6)]
+        log = _replay(ops)
+        assert log == _replay(ops, periodic="eager")
+        assert len([c for c in log if c.kind == "REF"]) >= 4
+        assert ProtocolChecker(T, NUM_BANKS).check(log) == []

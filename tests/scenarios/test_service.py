@@ -3,8 +3,8 @@
 The acceptance bar for the scenario layer: >= 8 concurrent tenants under
 open-loop Poisson arrivals, per-tenant p50/p99/p999 + goodput in the
 report, and byte-identical reports and trace digests for equal seeds
-across scheduler backends.  The short-horizon variants here stay in
-tier-1; an extended heap-vs-wheel pass runs under ``-m slow``.
+across runs and periodic modes.  The short-horizon variants here stay
+in tier-1; an extended eager-vs-lazy pass runs under ``-m slow``.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.scenarios import (
     ScenarioConfig,
     ScenarioResult,
     format_report,
-    golden_scenario_config,
     run_scenario,
 )
 from repro.sim.engine import ns
@@ -96,35 +95,23 @@ class TestDeterminism:
         assert back.to_json_dict() == state
         assert back.report_digest() == eight.report_digest()
 
-    def test_heap_wheel_trace_identical(self, monkeypatch):
-        digests = {}
-        for sched in ("heap", "wheel"):
-            monkeypatch.setenv("DORAM_SCHED", sched)
-            tracer = Tracer()
-            result = run_scenario(golden_scenario_config(), tracer=tracer)
-            digests[sched] = (
-                result.report_digest(), trace_digest(tracer.events),
-            )
-        assert digests["heap"] == digests["wheel"]
-
 
 @pytest.mark.slow
 class TestDeterminismExtended:
     """The acceptance-criteria run at full depth: 8 tenants, longer
-    horizon, report + trace digests across heap/wheel."""
+    horizon, report + trace digests across periodic modes."""
 
-    def _run(self, monkeypatch, sched):
-        monkeypatch.setenv("DORAM_SCHED", sched)
+    def _run(self, periodic):
         tracer = Tracer()
         result = run_scenario(
             _config(horizon_ns=100_000.0, write_fraction=0.2,
                     slo_target_ns=1_500.0), tracer=tracer,
+            periodic=periodic,
         )
         return result.report_digest(), trace_digest(tracer.events)
 
-    def test_eight_tenants_heap_wheel_byte_identical(self, monkeypatch):
-        assert self._run(monkeypatch, "heap") == \
-            self._run(monkeypatch, "wheel")
+    def test_eight_tenants_eager_lazy_byte_identical(self):
+        assert self._run("lazy") == self._run("eager")
 
 
 class TestGovernor:

@@ -9,17 +9,19 @@ dispatch-per-occurrence engine exactly.  This suite pins that equivalence
 at every observable layer:
 
 * whole-system :class:`SimResult` payloads (fig9 schemes, both periodic
-  modes, both scheduler backends) are byte-identical;
-* golden trace digests match across eager/lazy and heap/wheel;
+  modes) are byte-identical;
+* golden trace digests match across eager/lazy;
 * the *implied DRAM command stream* -- the PRE/ACT/RD/WR/REF sequence the
   protocol referee replays -- is identical even when idle gaps force
   multi-window refresh catch-up, and still passes the referee;
 * channel StatSet snapshots (refresh counters included) are identical;
 * :class:`PeriodicStream`'s closed forms agree with one-at-a-time
   eager consumption;
-* the multi-tenant golden *scenario* (open-loop service layer, PR 6)
-  produces the committed report and trace digests under every
-  ``sched x periodic`` combination.
+* the multi-tenant golden *scenario* (open-loop service layer) produces
+  the committed report and trace digests in both periodic modes.
+
+Every run passes its mode explicitly (``periodic=``); nothing here
+reads or writes the process environment.
 """
 
 import json
@@ -89,24 +91,15 @@ class TestPeriodicStream:
 # Whole-system equivalence (fig9 segment)
 # ---------------------------------------------------------------------------
 
-def _fig9(scheme, monkeypatch, periodic=None, sched=None):
-    if periodic:
-        monkeypatch.setenv("DORAM_PERIODIC", periodic)
-    else:
-        monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-    if sched:
-        monkeypatch.setenv("DORAM_SCHED", sched)
-    else:
-        monkeypatch.delenv("DORAM_SCHED", raising=False)
-    return run_scheme(scheme, "libq", TRACE_LENGTH)
+def _fig9(scheme, periodic="lazy"):
+    return run_scheme(scheme, "libq", TRACE_LENGTH, periodic=periodic)
 
 
 @pytest.mark.parametrize("scheme", FIG9_SCHEMES)
 class TestFig9CensusInvariance:
-    def test_simresult_identical_and_census_preserved(self, scheme,
-                                                      monkeypatch):
-        eager = _fig9(scheme, monkeypatch, periodic="eager")
-        lazy = _fig9(scheme, monkeypatch)
+    def test_simresult_identical_and_census_preserved(self, scheme):
+        eager = _fig9(scheme, periodic="eager")
+        lazy = _fig9(scheme)
         # The serialized payload -- every metric, stat, and the logical
         # event census -- must be byte-identical.
         assert lazy.to_json_dict() == eager.to_json_dict()
@@ -116,43 +109,28 @@ class TestFig9CensusInvariance:
         assert eager.raw_events == eager.events
         assert lazy.raw_events < eager.raw_events
 
-    def test_wheel_backend_identical(self, scheme, monkeypatch):
-        heap = _fig9(scheme, monkeypatch)
-        wheel = _fig9(scheme, monkeypatch, sched="wheel")
-        assert wheel.to_json_dict() == heap.to_json_dict()
-
 
 class TestGoldenDigestInvariance:
     """One scheme end-to-end with tracing on: the canonical event trace
     itself (not just aggregates) is mode-independent."""
 
-    def _digest(self, monkeypatch, periodic=None, sched=None):
-        if periodic:
-            monkeypatch.setenv("DORAM_PERIODIC", periodic)
-        else:
-            monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-        if sched:
-            monkeypatch.setenv("DORAM_SCHED", sched)
-        else:
-            monkeypatch.delenv("DORAM_SCHED", raising=False)
-        _result, trace = run_traced("doram")
+    def _digest(self, periodic):
+        _result, trace = run_traced("doram", periodic=periodic)
         return trace_digest(trace.events)
 
-    def test_eager_lazy_wheel_digests_agree(self, monkeypatch):
-        lazy = self._digest(monkeypatch)
-        assert self._digest(monkeypatch, periodic="eager") == lazy
-        assert self._digest(monkeypatch, sched="wheel") == lazy
+    def test_eager_lazy_digests_agree(self):
+        assert self._digest("eager") == self._digest("lazy")
 
 
 # ---------------------------------------------------------------------------
 # Refresh catch-up vs the protocol referee
 # ---------------------------------------------------------------------------
 
-def _bursty_channel(periodic, channel_cls=Channel):
+def _bursty_channel(periodic):
     """A channel fed short bursts separated by multi-tREFI idle gaps, so
     the first service after each gap owes several refresh windows."""
     eng = Engine(periodic=periodic)
-    channel = channel_cls(eng, "ch0")
+    channel = Channel(eng, "ch0")
     log = channel.start_command_log()
     num_banks = channel.params.num_banks
 
@@ -176,7 +154,7 @@ def _bursty_channel(periodic, channel_cls=Channel):
 class TestRefreshCatchUpInvariance:
     def test_command_streams_identical_and_compliant(self):
         eng_eager, ch_eager, log_eager = _bursty_channel("eager")
-        eng_lazy, ch_lazy, log_lazy = _bursty_channel(None)
+        eng_lazy, ch_lazy, log_lazy = _bursty_channel("lazy")
 
         refs = [c for c in log_eager if c.kind == "REF"]
         assert len(refs) >= 7, "gaps failed to force refresh catch-up"
@@ -190,7 +168,7 @@ class TestRefreshCatchUpInvariance:
 
     def test_stats_and_census_identical(self):
         eng_eager, ch_eager, _ = _bursty_channel("eager")
-        eng_lazy, ch_lazy, _ = _bursty_channel(None)
+        eng_lazy, ch_lazy, _ = _bursty_channel("lazy")
         assert ch_lazy.stats.as_dict() == ch_eager.stats.as_dict()
         assert ch_lazy.rank.refreshes == ch_eager.rank.refreshes
         assert eng_lazy.events_dispatched == eng_eager.events_dispatched
@@ -201,292 +179,6 @@ class TestRefreshCatchUpInvariance:
             eng_lazy.raw_events_dispatched + eng_lazy.events_synthesized
             == eng_lazy.events_dispatched
         )
-
-
-# ---------------------------------------------------------------------------
-# Struct-of-arrays batch kernel (PR 7): same census contract, third axis
-# ---------------------------------------------------------------------------
-
-def _fig9_dram(scheme, monkeypatch, dram=None, periodic=None, sched=None):
-    if dram:
-        monkeypatch.setenv("DORAM_DRAM", dram)
-    else:
-        monkeypatch.delenv("DORAM_DRAM", raising=False)
-    return _fig9(scheme, monkeypatch, periodic=periodic, sched=sched)
-
-
-@pytest.mark.parametrize("scheme", FIG9_SCHEMES)
-class TestKernelBackendCensusInvariance:
-    """``DORAM_DRAM=kernel`` joins heap/wheel x eager/lazy as a third
-    equivalence axis: the batch kernel may fold chained service slots
-    into single dispatches (booked as synthesized), but every payload
-    byte and the logical census must match the legacy oracle."""
-
-    def test_kernel_payload_identical_to_legacy(self, scheme, monkeypatch):
-        legacy = _fig9_dram(scheme, monkeypatch)
-        kernel = _fig9_dram(scheme, monkeypatch, dram="kernel")
-        assert kernel.to_json_dict() == legacy.to_json_dict()
-        assert kernel.events == legacy.events
-        # The chain loop must actually fire: fewer raw dispatches than
-        # the legacy lazy engine, with the difference booked as
-        # synthesized events (otherwise the kernel is dead code).
-        assert kernel.raw_events < legacy.raw_events
-
-    def test_kernel_invariant_across_engine_modes(self, scheme, monkeypatch):
-        lazy = _fig9_dram(scheme, monkeypatch, dram="kernel")
-        eager = _fig9_dram(scheme, monkeypatch, dram="kernel",
-                           periodic="eager")
-        wheel = _fig9_dram(scheme, monkeypatch, dram="kernel", sched="wheel")
-        assert eager.to_json_dict() == lazy.to_json_dict()
-        assert wheel.to_json_dict() == lazy.to_json_dict()
-        # Eager periodic mode turns the chain gate off: the kernel then
-        # dispatches one event per occurrence, the census oracle.
-        assert eager.raw_events == eager.events
-
-
-class TestKernelGoldenDigest:
-    def test_traced_kernel_run_matches_legacy_digest(self, monkeypatch):
-        """Tracing disables the chain gate (every event must hit the
-        dispatch loop for the trace), yet the kernel's SoA service math
-        must still produce the identical canonical event stream."""
-        monkeypatch.delenv("DORAM_DRAM", raising=False)
-        _res, trace = run_traced("doram")
-        legacy_digest = trace_digest(trace.events)
-        monkeypatch.setenv("DORAM_DRAM", "kernel")
-        _res, trace = run_traced("doram")
-        assert trace_digest(trace.events) == legacy_digest
-
-
-class TestKernelRefreshCatchUp:
-    def test_kernel_catchup_streams_match_all_oracles(self):
-        from repro.dram.kernel import KernelChannel
-
-        eng_eager, ch_eager, log_eager = _bursty_channel("eager")
-        eng_k, ch_k, log_k = _bursty_channel(None, channel_cls=KernelChannel)
-        eng_ke, ch_ke, log_ke = _bursty_channel("eager",
-                                                channel_cls=KernelChannel)
-        # Kernel lazy == kernel eager == legacy eager, REF windows and all.
-        assert log_k == log_eager
-        assert log_ke == log_eager
-        checker = ProtocolChecker(T, ch_eager.params.num_banks)
-        assert checker.check(log_k) == []
-        assert ch_k.stats.as_dict() == ch_eager.stats.as_dict()
-        assert ch_k.rank.refreshes == ch_eager.rank.refreshes
-        assert eng_k.events_dispatched == eng_eager.events_dispatched
-        assert eng_k.now == eng_eager.now
-        # Chained service slots were folded into synthesized dispatches.
-        assert eng_k.raw_events_dispatched < eng_k.events_dispatched
-        assert (
-            eng_k.raw_events_dispatched + eng_k.events_synthesized
-            == eng_k.events_dispatched
-        )
-
-
-class TestKernelFaultInvariance:
-    """Fault-plan bit-flips land on the same reads at the same times
-    under the kernel backend: the flip site sits on the completion
-    boundary, which the kernel preserves exactly."""
-
-    def _armed(self, monkeypatch, dram=None):
-        from repro.faults import DramFault, FaultController, FaultPlan
-
-        if dram:
-            monkeypatch.setenv("DORAM_DRAM", dram)
-        else:
-            monkeypatch.delenv("DORAM_DRAM", raising=False)
-        monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-        monkeypatch.delenv("DORAM_SCHED", raising=False)
-        plan = FaultPlan(seed=7, dram=(DramFault(channel="ch*", rate=0.01),))
-        return run_scheme("doram", "libq", TRACE_LENGTH,
-                          faults=FaultController(plan))
-
-    def test_flips_identical_under_kernel(self, monkeypatch):
-        legacy = self._armed(monkeypatch)
-        kernel = self._armed(monkeypatch, dram="kernel")
-        assert kernel.fault_summary == legacy.fault_summary
-        assert kernel.fault_summary["faults"]["dram_flips"] > 0
-        assert kernel.to_json_dict() == legacy.to_json_dict()
-        assert kernel.events == legacy.events
-
-
-# ---------------------------------------------------------------------------
-# Link-pipeline macro-stepping kernel (PR 8): fourth axis
-# ---------------------------------------------------------------------------
-
-def _fig9_link(scheme, monkeypatch, link=None, dram=None, periodic=None,
-               sched=None):
-    if link:
-        monkeypatch.setenv("DORAM_LINK", link)
-    else:
-        monkeypatch.delenv("DORAM_LINK", raising=False)
-    return _fig9_dram(scheme, monkeypatch, dram=dram, periodic=periodic,
-                      sched=sched)
-
-
-@pytest.mark.parametrize("scheme", FIG9_SCHEMES)
-class TestLinkKernelCensusInvariance:
-    """``DORAM_LINK=kernel`` joins link x dram x sched x periodic: the
-    pipeline kernel fuses pacer-period hops into synthesized occurrences
-    but every payload byte and the logical census must match the
-    per-packet legacy oracle."""
-
-    def test_link_kernel_payload_identical_to_legacy(self, scheme,
-                                                     monkeypatch):
-        legacy = _fig9_link(scheme, monkeypatch)
-        kernel = _fig9_link(scheme, monkeypatch, link="kernel")
-        assert kernel.to_json_dict() == legacy.to_json_dict()
-        assert kernel.events == legacy.events
-        # Fusion must actually fire (emit gaps, link deliveries, SD and
-        # CPU hops), or the kernel is dead code.
-        assert kernel.raw_events < legacy.raw_events
-
-    def test_link_kernel_invariant_across_engine_modes(self, scheme,
-                                                       monkeypatch):
-        lazy = _fig9_link(scheme, monkeypatch, link="kernel")
-        eager = _fig9_link(scheme, monkeypatch, link="kernel",
-                           periodic="eager")
-        wheel = _fig9_link(scheme, monkeypatch, link="kernel", sched="wheel")
-        assert eager.to_json_dict() == lazy.to_json_dict()
-        assert wheel.to_json_dict() == lazy.to_json_dict()
-        # Eager periodic mode turns batch_inline_ok off: the kernel
-        # classes then run the literal legacy code paths, one dispatch
-        # per occurrence (the census oracle).
-        assert eager.raw_events == eager.events
-
-    def test_link_and_dram_kernels_compose(self, scheme, monkeypatch):
-        """Both kernels together: the pipeline chain hands off into the
-        DRAM chain loop and back without moving a payload byte, and
-        elides at least as much as either kernel alone."""
-        legacy = _fig9_link(scheme, monkeypatch)
-        link_only = _fig9_link(scheme, monkeypatch, link="kernel")
-        dram_only = _fig9_link(scheme, monkeypatch, dram="kernel")
-        both = _fig9_link(scheme, monkeypatch, link="kernel", dram="kernel")
-        assert both.to_json_dict() == legacy.to_json_dict()
-        assert both.events == legacy.events
-        assert both.raw_events < link_only.raw_events
-        # Composition must never lose elisions.  It rarely *gains* on
-        # fig9: the paper's write-phase/response overlap (Section III-B)
-        # and the dense NS-core wakes keep the queue occupied, so the
-        # pipeline sites lose the strictly-next race here -- the win
-        # regime is the NS-free service layer (see
-        # TestScenarioCensusInvariance and the link-kernel oracle suite,
-        # where the sites demonstrably fire).
-        assert both.raw_events <= dram_only.raw_events
-        # Combined with the wheel scheduler as well (the CI matrix).
-        both_wheel = _fig9_link(scheme, monkeypatch, link="kernel",
-                                dram="kernel", sched="wheel")
-        assert both_wheel.to_json_dict() == legacy.to_json_dict()
-
-
-class TestLinkKernelGoldenDigest:
-    def test_traced_link_kernel_run_matches_legacy_digest(self, monkeypatch):
-        """Tracing the default categories leaves the engine category off,
-        so fusion stays active -- every fused site must emit its
-        component-level event at the identical time, keeping the
-        canonical stream byte-identical."""
-        monkeypatch.delenv("DORAM_LINK", raising=False)
-        _res, trace = run_traced("doram")
-        legacy_digest = trace_digest(trace.events)
-        monkeypatch.setenv("DORAM_LINK", "kernel")
-        _res, trace = run_traced("doram")
-        assert trace_digest(trace.events) == legacy_digest
-        monkeypatch.setenv("DORAM_DRAM", "kernel")
-        _res, trace = run_traced("doram")
-        assert trace_digest(trace.events) == legacy_digest
-        monkeypatch.delenv("DORAM_DRAM", raising=False)
-
-
-class TestLinkKernelFaultFallback:
-    """Armed runs must force per-packet stepping with zero digest drift:
-    the system builder refuses the kernel classes whenever a fault
-    controller exists, even for an empty plan."""
-
-    def _armed(self, monkeypatch, link=None):
-        from repro.faults import FaultController, FaultPlan, LinkFault
-
-        if link:
-            monkeypatch.setenv("DORAM_LINK", link)
-        else:
-            monkeypatch.delenv("DORAM_LINK", raising=False)
-        monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-        monkeypatch.delenv("DORAM_SCHED", raising=False)
-        plan = FaultPlan(
-            seed=7,
-            link=(LinkFault(kind="drop", link="bob0.up", tag="raw",
-                            packets=(3, 17)),),
-        )
-        return run_scheme("doram", "libq", TRACE_LENGTH,
-                          faults=FaultController(plan))
-
-    def test_recovery_nak_path_identical_under_link_kernel(self,
-                                                           monkeypatch):
-        """Dropped frames exercise the NAK/retransmission protocol; with
-        DORAM_LINK=kernel every logical observable -- payload, fault
-        summary, event census -- must match the legacy armed run.  (Raw
-        dispatch counts legitimately differ: the engine-level wake/send
-        fusion stays on under the kernel axis even when the pipeline
-        classes fall back to per-packet stepping.)"""
-        legacy = self._armed(monkeypatch)
-        kernel = self._armed(monkeypatch, link="kernel")
-        assert kernel.fault_summary == legacy.fault_summary
-        assert kernel.fault_summary["faults"]["link_drops"] > 0
-        assert kernel.fault_summary["sdlink0"]["retransmissions"] > 0
-        assert kernel.to_json_dict() == legacy.to_json_dict()
-        assert kernel.events == legacy.events
-
-    def test_armed_empty_plan_forces_per_packet_stepping(self, monkeypatch):
-        from repro.faults import FaultController, FaultPlan
-
-        monkeypatch.setenv("DORAM_LINK", "kernel")
-        monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-        monkeypatch.delenv("DORAM_SCHED", raising=False)
-        bare = run_scheme("doram", "libq", TRACE_LENGTH)
-        armed = run_scheme("doram", "libq", TRACE_LENGTH,
-                           faults=FaultController(FaultPlan()))
-        monkeypatch.delenv("DORAM_LINK", raising=False)
-        legacy = run_scheme("doram", "libq", TRACE_LENGTH)
-        # Logical observables never move...
-        assert armed.to_json_dict() == bare.to_json_dict()
-        assert armed.events == bare.events
-        assert legacy.to_json_dict() == bare.to_json_dict()
-        # ...and the armed run can never elide more than the bare kernel
-        # run: arming only *removes* fusion sites (pipeline classes fall
-        # back to per-packet stepping; engine-level fusion remains).
-        # The class-level fallback itself is pinned structurally by
-        # test_armed_runs_never_construct_kernel_classes, because on
-        # fig9 the write-phase overlap already masks the pipeline sites,
-        # making the two counts equal here.
-        assert bare.raw_events <= armed.raw_events
-
-    def test_armed_runs_never_construct_kernel_classes(self, monkeypatch):
-        """Structural pin for the fallback rule: with a fault controller
-        attached (even an empty plan) the system builder must not
-        instantiate any link-kernel class -- recovery frames and NAKs
-        are pinned against the per-packet schedule."""
-        import repro.core.link_kernel as link_kernel
-        from repro.faults import FaultController, FaultPlan
-
-        def _boom(*_args, **_kwargs):
-            raise AssertionError("kernel class constructed in armed run")
-
-        monkeypatch.setattr(
-            link_kernel.KernelSecureDelegator, "__init__", _boom
-        )
-        monkeypatch.setattr(
-            link_kernel.KernelDelegatorBackend, "__init__", _boom
-        )
-        monkeypatch.setattr(
-            link_kernel.KernelOramFrontend, "_on_response", _boom
-        )
-        monkeypatch.setenv("DORAM_LINK", "kernel")
-        monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-        monkeypatch.delenv("DORAM_SCHED", raising=False)
-        # Must complete without touching the poisoned classes.
-        run_scheme("doram", "libq", TRACE_LENGTH,
-                   faults=FaultController(FaultPlan()))
-        # Control: the bare run does use them.
-        with pytest.raises(AssertionError, match="kernel class"):
-            run_scheme("doram", "libq", TRACE_LENGTH)
 
 
 # ---------------------------------------------------------------------------
@@ -502,67 +194,34 @@ with open(os.path.normpath(_GOLDEN_PATH)) as _fp:
 
 
 class TestScenarioCensusInvariance:
-    """The golden 4-tenant scenario pinned across heap/wheel x eager/lazy.
+    """The golden 4-tenant scenario pinned in both periodic modes.
 
     The service layer keeps every component on the poll-free side of the
     census contract (no NS cores, drain via ``engine.stop()``), so the
     full SLO report, the logical event census, *and* the canonical event
-    trace must be identical in all four engine configurations -- and
-    must match the committed goldens (regen via tools/regen_goldens.py
-    after intentional changes).
+    trace must be identical in both modes -- and must match the
+    committed goldens (regen via tools/regen_goldens.py after
+    intentional changes).
     """
 
-    def _run(self, monkeypatch, periodic=None, sched=None):
+    def _run(self, periodic):
         from repro.obs.tracer import Tracer
         from repro.scenarios import golden_scenario_config, run_scenario
 
-        if periodic:
-            monkeypatch.setenv("DORAM_PERIODIC", periodic)
-        else:
-            monkeypatch.delenv("DORAM_PERIODIC", raising=False)
-        if sched:
-            monkeypatch.setenv("DORAM_SCHED", sched)
-        else:
-            monkeypatch.delenv("DORAM_SCHED", raising=False)
         tracer = Tracer()
-        result = run_scenario(golden_scenario_config(), tracer=tracer)
+        result = run_scenario(golden_scenario_config(), tracer=tracer,
+                              periodic=periodic)
         return result, trace_digest(tracer.events)
 
-    @pytest.mark.parametrize("periodic,sched", [
-        (None, None),
-        ("eager", None),
-        (None, "wheel"),
-        ("eager", "wheel"),
-    ])
-    def test_matches_committed_goldens(self, periodic, sched, monkeypatch):
-        result, digest = self._run(monkeypatch, periodic, sched)
+    @pytest.mark.parametrize("periodic", ["lazy", "eager"])
+    def test_matches_committed_goldens(self, periodic):
+        result, digest = self._run(periodic)
         assert result.report_digest() == _SCENARIO_GOLDEN["report"]
         assert digest == _SCENARIO_GOLDEN["trace"]
 
-    def test_census_and_report_identical_across_modes(self, monkeypatch):
-        lazy, _ = self._run(monkeypatch)
-        eager, _ = self._run(monkeypatch, periodic="eager")
+    def test_census_and_report_identical_across_modes(self):
+        lazy, _ = self._run("lazy")
+        eager, _ = self._run("eager")
         assert lazy.to_json_dict() == eager.to_json_dict()
         assert lazy.events == eager.events
         assert lazy.end_time == eager.end_time
-
-    def test_link_kernel_matches_committed_goldens(self, monkeypatch):
-        """The service layer shares one SD across tenants, so the link
-        kernel's hop FIFO sees real contention here; the committed
-        report and trace digests still must not move."""
-        monkeypatch.delenv("DORAM_LINK", raising=False)
-        legacy_result, _ = self._run(monkeypatch)
-        monkeypatch.setenv("DORAM_LINK", "kernel")
-        result, digest = self._run(monkeypatch)
-        assert result.report_digest() == _SCENARIO_GOLDEN["report"]
-        assert digest == _SCENARIO_GOLDEN["trace"]
-        # The NS-free scenario is the pipeline kernel's win regime: the
-        # fused sites must actually elide dispatches here (fig9's
-        # write-phase overlap masks them; this layer does not).
-        assert result.raw_events < legacy_result.raw_events
-        monkeypatch.setenv("DORAM_DRAM", "kernel")
-        result, digest = self._run(monkeypatch, sched="wheel")
-        assert result.report_digest() == _SCENARIO_GOLDEN["report"]
-        assert digest == _SCENARIO_GOLDEN["trace"]
-        monkeypatch.delenv("DORAM_DRAM", raising=False)
-        monkeypatch.delenv("DORAM_LINK", raising=False)

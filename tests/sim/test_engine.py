@@ -141,3 +141,38 @@ class TestRunControl:
         assert eng.peek_time() is None
         eng.at(42, lambda: None)
         assert eng.peek_time() == 42
+
+    def test_run_until_past_bound_rejected(self):
+        # A bound before ``now`` would move simulated time backwards.
+        eng = Engine()
+        fired = []
+        eng.at(10, lambda: fired.append(10))
+        eng.at(20, lambda: fired.append(20))
+        eng.run(until=15)
+        assert eng.now == 15
+        with pytest.raises(ValueError, match="until"):
+            eng.run(until=5)
+        assert eng.now == 15
+        assert eng.pending == 1
+        eng.run()
+        assert fired == [10, 20]
+
+    def test_run_until_before_stop_point_rejected(self):
+        eng = Engine()
+        eng.at(3, eng.stop)
+        eng.at(7, lambda: None)
+        eng.run()
+        assert eng.now == 3
+        with pytest.raises(ValueError, match="until"):
+            eng.run(until=1)
+        assert eng.now == 3
+        assert eng.pending == 1
+
+    def test_run_until_now_is_allowed(self):
+        eng = Engine()
+        fired = []
+        eng.at(5, lambda: fired.append(5))
+        eng.run(until=5)
+        eng.run(until=5)
+        assert fired == [5]
+        assert eng.now == 5

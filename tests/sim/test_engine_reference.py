@@ -114,45 +114,10 @@ def run_program(engine_cls, plan):
     return fired, eng.events_dispatched
 
 
-def wheel_engine():
-    return Engine(scheduler="wheel")
-
-
-def small_bucket_wheel_engine():
-    """A wheel whose buckets are one tick wide: every push crosses
-    bucket boundaries, stressing the advance/spill machinery."""
-    import os
-
-    os.environ["DORAM_WHEEL_BUCKET"] = "1"
-    try:
-        return Engine(scheduler="wheel")
-    finally:
-        del os.environ["DORAM_WHEEL_BUCKET"]
-
-
 @settings(max_examples=200, deadline=None)
 @given(plan=steps)
 def test_engine_matches_reference_scheduler(plan):
     got = run_program(Engine, plan)
-    want = run_program(ReferenceEngine, plan)
-    assert got == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(plan=steps)
-def test_wheel_backend_matches_reference_scheduler(plan):
-    # The timing-wheel backend must be observationally identical to the
-    # heap: same dispatch order, same counts, same cancellation
-    # semantics.
-    got = run_program(wheel_engine, plan)
-    want = run_program(ReferenceEngine, plan)
-    assert got == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(plan=steps)
-def test_degenerate_wheel_matches_reference_scheduler(plan):
-    got = run_program(small_bucket_wheel_engine, plan)
     want = run_program(ReferenceEngine, plan)
     assert got == want
 

@@ -37,6 +37,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["perf", "doram", "--sort", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        "run doram --sched heap",
+        "run doram --periodic eager",
+        "run doram --dram legacy",
+        "run doram --link legacy",
+        "serve --sched heap",
+        "serve --periodic eager",
+        "serve --dram legacy",
+        "serve --link legacy",
+        "perf doram --dram legacy",
+        "perf doram --link legacy",
+    ])
+    def test_backend_flags_are_gone(self, argv):
+        # One simulator path: there is no backend or periodic-mode flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv.split())
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -255,14 +272,10 @@ class TestServeCommand:
         assert "p999" in out
         assert "report digest" in out
 
-    def test_serve_digest_and_json(self, capsys, tmp_path, monkeypatch):
-        # Seed the env vars via monkeypatch so its teardown undoes the
-        # os.environ writes cmd_serve makes for --sched/--periodic.
-        monkeypatch.setenv("DORAM_SCHED", "heap")
-        monkeypatch.setenv("DORAM_PERIODIC", "lazy")
+    def test_serve_digest_and_json(self, capsys, tmp_path):
         report = tmp_path / "slo.json"
         code = main(["serve", "--tenants", "2", "--leaf-level", "12",
-                     "--horizon-us", "10", "--sched", "wheel",
+                     "--horizon-us", "10",
                      "--digest", "--json", str(report)])
         assert code == 0
         out = capsys.readouterr().out

@@ -3,8 +3,8 @@
 ``tools/bench_trajectory.py`` guards the two append-only measurement
 files (``BENCH_sweep.json``, ``BENCH_sim.json``): malformed rows,
 out-of-order timestamps, and duplicate label+workload+config identities
-are refused before they land, so the ratio gates in
-``tools/check_kernel_perf.py`` always compare well-formed siblings.
+are refused before they land, so sibling rows always compare
+well-formed measurements.
 """
 
 import json
@@ -23,8 +23,6 @@ def _fig9_row(**overrides):
         "label": "test",
         "workload": "fig9_segment",
         "config": "lazy",
-        "dram": "legacy",
-        "link": "legacy",
         "events": 1000,
         "events_per_s": 500,
         "events_dispatched": 900,
@@ -54,8 +52,14 @@ class TestValidate:
             bench_trajectory.validate(row, [])
 
     def test_none_value_counts_as_missing(self):
-        with pytest.raises(ValueError, match="dram"):
-            bench_trajectory.validate(_fig9_row(dram=None), [])
+        with pytest.raises(ValueError, match="config"):
+            bench_trajectory.validate(_fig9_row(config=None), [])
+
+    def test_backend_columns_are_not_required(self):
+        # One simulator path: rows no longer name a DRAM or link backend.
+        row = _fig9_row()
+        assert "dram" not in row and "link" not in row
+        bench_trajectory.validate(row, [])
 
     def test_unknown_workload_needs_only_base_keys(self):
         bench_trajectory.validate(
@@ -81,18 +85,23 @@ class TestValidate:
             bench_trajectory.validate(_fig9_row(), [row])
 
     def test_sibling_rows_are_not_duplicates(self):
-        # The same label re-measured on a different backend axis is the
-        # sibling-pair convention, not a duplicate.
-        legacy = _fig9_row()
-        bench_trajectory.validate(_fig9_row(link="kernel"), [legacy])
-        bench_trajectory.validate(_fig9_row(dram="kernel"), [legacy])
-        bench_trajectory.validate(_fig9_row(label="other"), [legacy])
+        # The same label re-measured in another configuration is the
+        # sibling-pair convention, not a duplicate.  Committed rows from
+        # the removed backends keep their ``dram``/``link`` columns in
+        # the identity, so they stay distinct from each other.
+        lazy = _fig9_row()
+        bench_trajectory.validate(_fig9_row(config="eager"), [lazy])
+        bench_trajectory.validate(_fig9_row(label="other"), [lazy])
+        legacy = _fig9_row(dram="legacy", link="legacy")
+        bench_trajectory.validate(
+            _fig9_row(dram="kernel", link="legacy"), [legacy]
+        )
 
     def test_historical_rows_are_not_judged(self):
-        # Pre-link-axis rows lack the ``link`` key entirely; they stay
-        # in the file and only the *new* record must satisfy the schema.
-        old = _fig9_row()
-        del old["link"]
+        # Rows predating a schema key lack it entirely; they stay in the
+        # file and only the *new* record must satisfy the schema.
+        old = _fig9_row(label="old")
+        del old["per_scheme_events"]
         bench_trajectory.validate(_fig9_row(), [old])
 
 

@@ -14,11 +14,10 @@ importable form.  Writes are atomic (tmp + ``os.replace``) and a
 corrupt or missing file restarts the trajectory instead of crashing.
 
 ``benchmarks/bench_simcore.py`` reuses :func:`append` for
-``BENCH_sim.json``, whose rows the ratio gates in
-``tools/check_kernel_perf.py`` machine-compare.  To keep that file
-comparable, :func:`validate` rejects malformed appends before they land:
-every record needs the base keys, workload rows need their per-workload
-schema (:data:`WORKLOAD_KEYS`), timestamps must be monotonic within the
+``BENCH_sim.json``.  To keep that file comparable, :func:`validate`
+rejects malformed appends before they land: every record needs the base
+keys, workload rows need their per-workload schema
+(:data:`WORKLOAD_KEYS`), timestamps must be monotonic within the
 trajectory, and a workload row whose identity (label + workload +
 config/backend axes) already exists is refused -- re-measuring means
 choosing a fresh label, never silently shadowing a committed sibling.
@@ -54,19 +53,16 @@ BASE_KEYS = ("label", "wall_s")
 
 #: Extra required keys per ``workload`` (the BENCH_sim.json rows).  A
 #: workload not listed here only needs :data:`BASE_KEYS` -- the schema
-#: constrains the rows the perf gates consume, it does not enumerate
+#: constrains the rows the benchmarks append, it does not enumerate
 #: every experiment anyone may ever record.
 WORKLOAD_KEYS = {
     "engine_only": ("events", "events_per_s", "events_dispatched"),
-    "channel_only": ("events", "events_per_s", "events_dispatched",
-                     "dram"),
+    "channel_only": ("events", "events_per_s", "events_dispatched"),
     "long_idle": ("events", "events_per_s", "events_dispatched",
                   "config"),
     "fig9_segment": ("events", "events_per_s", "events_dispatched",
-                     "config", "dram", "link", "schemes",
-                     "per_scheme_events", "trace_length"),
-    "link_pacer": ("events", "events_per_s", "events_dispatched",
-                   "link"),
+                     "config", "schemes", "per_scheme_events",
+                     "trace_length"),
     "explore": ("config", "trace_length", "grid_points", "simulated",
                 "sim_fraction", "des_points_skipped_frac", "budget_frac",
                 "rounds", "frontier_size", "latency_err_mean",
@@ -79,8 +75,10 @@ WORKLOAD_KEYS = {
                     "invariants_ok"),
 }
 
-#: What makes two workload rows "the same measurement": the sibling
-#: matchers in ``check_kernel_perf`` key on exactly these columns.
+#: What makes two workload rows "the same measurement".  ``dram`` and
+#: ``link`` name the DRAM and link backends of committed rows measured
+#: before the simulator had one path; they stay in the identity so
+#: those sibling rows remain distinct.
 IDENTITY_KEYS = ("label", "workload", "config", "dram", "link")
 
 
@@ -107,7 +105,7 @@ def validate(record: Dict[str, object],
     """Reject a malformed or duplicate append (raises ``ValueError``).
 
     Only the *new* record is judged; historical rows predating a schema
-    key (e.g. ``link`` before the link-kernel axis existed) stay valid.
+    key stay valid.
     """
     workload = record.get("workload")
     missing = _missing(record, required_keys(record))
@@ -165,8 +163,8 @@ def check(path: str) -> List[str]:
     trajectory fails loudly.
 
     Schema keys are *grandfathered* the same way appends were: rows
-    appended before a workload key existed (e.g. ``link`` before the
-    link-kernel axis) were valid then and stay valid now.  A replay
+    appended before a workload key existed were valid then and stay
+    valid now.  A replay
     cannot date individual rows, so the rule is monotone instead: once
     any row of a workload satisfies the full current schema, every
     later row of that workload must too -- and the *newest* row of
