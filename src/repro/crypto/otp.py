@@ -35,6 +35,13 @@ from repro.crypto.aes import AES128
 from repro.crypto.mac import mac_tag, mac_verify
 from repro.sim.stats import StatSet
 
+#: AES blocks of keystream each sequence number owns: sequence number
+#: ``n`` uses counters ``[n * _BLOCKS_PER_SEQ, (n + 1) * _BLOCKS_PER_SEQ)``.
+_BLOCKS_PER_SEQ = 64
+#: Longest pad one sequence number can cover without reusing the next
+#: one's counters (a two-time pad).
+MAX_PAD_BYTES = 16 * _BLOCKS_PER_SEQ
+
 #: Pads kept per stream awaiting their :meth:`OtpStream.pad_for` pickup.
 #: Consumption is in-order, so the live window is tiny; the bound only
 #: guards against a sender whose receiver never drains.
@@ -43,6 +50,14 @@ _PAD_CACHE_LIMIT = 1024
 
 class OtpMismatch(RuntimeError):
     """Authentication or integrity failure on a sealed packet."""
+
+
+def _check_pad_length(length: int) -> None:
+    if not 1 <= length <= MAX_PAD_BYTES:
+        raise ValueError(
+            f"pad length {length} outside 1..{MAX_PAD_BYTES}: longer pads "
+            "would reuse the next sequence number's keystream"
+        )
 
 
 class OtpStream:
@@ -57,15 +72,17 @@ class OtpStream:
     def next_pad(self, length: int) -> Tuple[int, bytes]:
         """Return ``(seq_num, pad)`` and advance the sequence number.
 
-        Each sequence number gets a disjoint counter range (pads never
-        overlap for packets up to 1 KB).  The pad is cached for a later
-        :meth:`pad_for` of the same sequence number.
+        Each sequence number gets a disjoint counter range, so pads never
+        overlap; a ``length`` outside ``1..MAX_PAD_BYTES`` raises
+        ``ValueError``.  The pad is cached for a later :meth:`pad_for` of
+        the same sequence number.
         """
+        _check_pad_length(length)
         seq = self.seq_num
         self.seq_num += 1
         pad = self._pad_cache.get(seq)
         if pad is None or len(pad) != length:
-            pad = self._aes.keystream(self._nonce, seq * 64, length)
+            pad = self._generate(seq, length)
         if len(self._pad_cache) < _PAD_CACHE_LIMIT:
             self._pad_cache[seq] = pad
         return seq, pad
@@ -73,13 +90,12 @@ class OtpStream:
     def pregenerate(self, count: int, length: int) -> None:
         """Fill the cache for the next ``count`` sequence numbers --
         the paper's off-critical-path pad generation."""
+        _check_pad_length(length)
         start = self.seq_num
         cache = self._pad_cache
         for seq in range(start, start + count):
             if seq not in cache and len(cache) < _PAD_CACHE_LIMIT:
-                cache[seq] = self._aes.keystream(
-                    self._nonce, seq * 64, length
-                )
+                cache[seq] = self._generate(seq, length)
 
     def pad_for(self, seq: int, length: int) -> bytes:
         """Pad for a known sequence number (receiver side).
@@ -87,14 +103,18 @@ class OtpStream:
         Pops the cached pad when the sender half of this stream already
         generated it; recomputes otherwise.
         """
+        _check_pad_length(length)
         pad = self._pad_cache.pop(seq, None)
         if pad is not None and len(pad) == length:
             return pad
-        return self._aes.keystream(self._nonce, seq * 64, length)
+        return self._generate(seq, length)
 
     def cached_pad(self, seq: int) -> bool:
         """True when ``seq``'s pad is sitting in the cache."""
         return seq in self._pad_cache
+
+    def _generate(self, seq: int, length: int) -> bytes:
+        return self._aes.keystream(self._nonce, seq * _BLOCKS_PER_SEQ, length)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -1,14 +1,11 @@
 """DRAM bank state machine.
 
 A bank tracks its open row and the JEDEC timestamps needed to decide when
-the *data burst* of the next access can start.  The channel asks the bank
-two questions:
-
-* :meth:`earliest_data_start` -- if I scheduled this request now, when could
-  its data appear on the bus?  (Used by FR-FCFS to prefer row hits and by
-  the channel to overlap bank preparation with the current burst.)
-* :meth:`commit` -- the request was selected; advance the state machine and
-  return the actual data-start time.
+the *data burst* of the next access can start.  The channel's service
+loop picks a request with FR-FCFS (probing :attr:`Bank.open_row` for row
+hits), then calls :meth:`Bank.commit`, which advances the state machine
+and returns the actual data-start time; under the close-page policy
+:meth:`Bank.close_after_access` follows.
 
 The model back-dates PRECHARGE/ACTIVATE preparation as early as the bank
 and rank constraints allow (but never before the request's arrival), which
@@ -16,9 +13,8 @@ captures the command/data overlap a real FR-FCFS controller achieves
 without simulating individual command slots.
 
 Both classes carry ``__slots__`` and cache the JEDEC parameters they use
-as plain instance attributes: ``commit``/``_plan`` run once per serviced
-request, and the indirection through the timing dataclass was measurable
-there.
+as plain instance attributes: ``commit`` runs once per serviced request,
+and the indirection through the timing dataclass was measurable there.
 """
 
 from __future__ import annotations
@@ -95,15 +91,6 @@ class Bank:
             return "closed"
         return "hit" if self.open_row == row else "conflict"
 
-    def earliest_data_start(self, req: MemRequest, earliest: int) -> int:
-        """Earliest data-burst start for ``req``, preparing from ``earliest``.
-
-        Does not mutate state.  ``earliest`` is the first tick preparation
-        commands may be considered (normally the request arrival time).
-        """
-        start, _act, _pre = self._plan(req, earliest)
-        return start
-
     def commit(self, req: MemRequest, earliest: int, floor: int = 0) -> Tuple[int, str]:
         """Schedule ``req``; returns ``(data_start, outcome)``.
 
@@ -112,9 +99,8 @@ class Bank:
         fences are computed from the *actual* burst time.  ``outcome`` is
         ``"hit"``, ``"closed"`` or ``"conflict"`` for row-buffer statistics.
         """
-        # Fused copy of :meth:`_plan` plus the state advance -- this runs
-        # once per serviced request, and the separate call re-branched on
-        # the row classification computed here.
+        # Plan and state advance in one pass, with the RankTimers checks
+        # inlined -- this runs once per serviced request.
         row = req.row
         open_row = self.open_row
         is_write = req.is_write
@@ -223,49 +209,6 @@ class Bank:
         if self.record_commands:
             self.last_commands.append(("PRE", pre_time, None))
         return pre_time
-
-    # ------------------------------------------------------------------
-    def _plan(
-        self, req: MemRequest, earliest: int
-    ) -> Tuple[int, int, Optional[int]]:
-        """Compute ``(data_start, act_time, pre_time)`` without mutating
-        state.  ``pre_time`` is ``None`` unless a row-buffer conflict
-        forces a PRECHARGE first."""
-        is_write = req.is_write
-        cas = self._tCWL if is_write else self._tCL
-        open_row = self.open_row
-
-        if open_row == req.row:  # hit (open_row is never None here then)
-            # Column command directly; tRCD already satisfied if the row
-            # has been open long enough.
-            col = self._act_time + self._tRCD
-            if col < earliest:
-                col = earliest
-            if not is_write:
-                ready = self.rank.read_ready(earliest)
-                if ready > col:
-                    col = ready
-            return col + cas, self._act_time, None
-
-        act_ready = self._act_ready
-        if open_row is not None:  # conflict
-            pre = self._pre_ready
-            if pre < earliest:
-                pre = earliest
-            act_lb = pre + self._tRP
-            if act_lb < act_ready:
-                act_lb = act_ready
-        else:  # closed
-            pre = None
-            act_lb = act_ready if act_ready > earliest else earliest
-
-        act = self.rank.activate_slot(act_lb)
-        col = act + self._tRCD
-        if not is_write:
-            ready = self.rank.read_ready(earliest)
-            if ready > col:
-                col = ready
-        return col + cas, act, pre
 
 
 class RankTimers:

@@ -1,8 +1,14 @@
-"""AES-128 against FIPS-197 and structural properties."""
+"""AES-128 against FIPS-197, SP 800-38A, the byte-wise reference, and
+structural properties."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.aes import AES128, INV_SBOX, SBOX, gf_mul
+from tests.crypto import aes_reference as ref
+
+_blocks = st.binary(min_size=16, max_size=16)
 
 
 class TestGaloisField:
@@ -37,6 +43,11 @@ class TestSbox:
 
     def test_no_fixed_points(self):
         assert all(SBOX[i] != i for i in range(256))
+
+    def test_matches_exhaustive_inverse_scan(self):
+        # The log/antilog derivation against the 255x255 inverse search.
+        assert SBOX == ref.SBOX
+        assert INV_SBOX == [ref.SBOX.index(v) for v in range(256)]
 
 
 class TestCipher:
@@ -95,3 +106,60 @@ class TestKeystream:
     def test_prefix_property(self):
         aes = AES128(b"k" * 16)
         assert aes.keystream(3, 0, 64)[:32] == aes.keystream(3, 0, 32)
+
+    def test_nist_sp800_38a_f51_ctr_aes128(self):
+        # SP 800-38A F.5.1: initial counter block f0f1..feff, whose low
+        # 8 bytes never carry into the high 8 over these four blocks.
+        key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+        plaintext = bytes.fromhex(
+            "6bc1bee22e409f96e93d7e117393172a"
+            "ae2d8a571e03ac9c9eb76fac45af8e51"
+            "30c81c46a35ce411e5fbc1191a0a52ef"
+            "f69f2445df4f9b17ad2b417be66c3710"
+        )
+        ciphertext = bytes.fromhex(
+            "874d6191b620e3261bef6864990db6ce"
+            "9806f66b7970fdff8617187bb9fffdff"
+            "5ae4df3edbd5d35e5b4f09020db03eab"
+            "1e031dda2fbe03d1792170a0f3009cee"
+        )
+        pad = AES128(key).keystream(0xF0F1F2F3F4F5F6F7, 0xF8F9FAFBFCFDFEFF, 64)
+        assert bytes(p ^ k for p, k in zip(plaintext, pad)) == ciphertext
+
+    def test_counter_wraps_at_2_64(self):
+        aes = AES128(b"k" * 16)
+        nonce = 0x0123456789ABCDEE  # even: a carry into bit 64 would show
+        blocks = [
+            aes.encrypt_block(nonce.to_bytes(8, "big") + c.to_bytes(8, "big"))
+            for c in (2**64 - 2, 2**64 - 1, 0, 1)
+        ]
+        assert aes.keystream(nonce, 2**64 - 2, 64) == b"".join(blocks)
+        # Counters and nonces are taken modulo 2^64.
+        assert aes.keystream(nonce, 2**64 + 5, 40) == aes.keystream(nonce, 5, 40)
+        assert aes.keystream(nonce + 2**64, 3, 40) == aes.keystream(nonce, 3, 40)
+
+
+class TestAgainstReference:
+    """The T-table cipher against the byte-wise FIPS-197 reference."""
+
+    def test_reference_passes_fips197_appendix_c(self):
+        assert ref.encrypt_block(TestCipher.KEY, TestCipher.PT) == TestCipher.CT
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=_blocks, block=_blocks)
+    def test_encrypt_block_matches(self, key, block):
+        assert AES128(key).encrypt_block(block) == ref.encrypt_block(key, block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=_blocks,
+        nonce=st.integers(min_value=0, max_value=2**72),
+        counter=st.one_of(
+            st.integers(min_value=0, max_value=2**72),
+            st.integers(min_value=2**64 - 4, max_value=2**64 - 1),
+        ),
+        length=st.integers(min_value=0, max_value=160),
+    )
+    def test_keystream_matches(self, key, nonce, counter, length):
+        assert (AES128(key).keystream(nonce, counter, length)
+                == ref.keystream(key, nonce, counter, length))

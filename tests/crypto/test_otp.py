@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.crypto.otp import OtpEngine, OtpMismatch, OtpStream, xor_bytes
+from repro.crypto.aes import AES128
+from repro.crypto.otp import (
+    MAX_PAD_BYTES,
+    OtpEngine,
+    OtpMismatch,
+    OtpStream,
+    xor_bytes,
+)
 
 
 def engine_pair():
@@ -49,6 +56,29 @@ class TestOtpStream:
         seq, _ = stream.next_pad(8)
         fresh = OtpStream(b"K" * 16, 1)
         assert stream.pad_for(seq, 72) == fresh.pad_for(seq, 72)
+
+    @pytest.mark.parametrize("length", [0, -1, MAX_PAD_BYTES + 1, 1040])
+    def test_pad_length_outside_counter_range_rejected(self, length):
+        # A pad longer than one sequence number's counter range would
+        # reuse the next sequence number's keystream: a two-time pad.
+        stream = OtpStream(b"K" * 16, 1)
+        with pytest.raises(ValueError, match="pad length"):
+            stream.next_pad(length)
+        with pytest.raises(ValueError, match="pad length"):
+            stream.pregenerate(1, length)
+        with pytest.raises(ValueError, match="pad length"):
+            stream.pad_for(0, length)
+        assert stream.seq_num == 0
+        assert not stream.cached_pad(0)
+
+    def test_longest_pads_tile_the_keystream(self):
+        # Full-length pads of consecutive sequence numbers are adjacent,
+        # disjoint slices of one CTR keystream.
+        stream = OtpStream(b"K" * 16, 1)
+        pads = [stream.next_pad(MAX_PAD_BYTES)[1] for _ in range(2)]
+        assert b"".join(pads) == AES128(b"K" * 16).keystream(
+            1, 0, 2 * MAX_PAD_BYTES
+        )
 
     def test_pregenerate_matches_next_pad(self):
         warm = OtpStream(b"K" * 16, 1)

@@ -248,6 +248,20 @@ class TestSchedulerEdgeCases:
         assert pre.time >= act.time + T.tRAS
         assert ProtocolChecker(T, NUM_BANKS).check(log) == []
 
+    def test_trtp_binds_on_open_page_conflict(self):
+        # Open page: a second read hits the open row tRAS after the
+        # first, so by the time a third read to another row forces a
+        # PRECHARGE, tRAS has long expired and only tRTP fences it.
+        log = _replay([(0, 0, 0, False, False),
+                       (T.tRAS, 0, 0, False, False),
+                       (1, 0, 1, False, False)])
+        reads = [c for c in log if c.kind == "RD"]
+        pre = next(c for c in log if c.kind == "PRE")
+        act = next(c for c in log if c.kind == "ACT")
+        assert pre.time - act.time > T.tRAS
+        assert pre.time == reads[1].time + T.tRTP
+        assert ProtocolChecker(T, NUM_BANKS).check(log) == []
+
     def test_same_cycle_refresh_vs_demand_ordering(self):
         # A demand arriving exactly at the tREFI deadline: the service
         # slot and the refresh due-time coincide on the same cycle, and
