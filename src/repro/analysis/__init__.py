@@ -7,8 +7,12 @@
 * :mod:`~repro.analysis.experiments` -- one driver per paper table/figure,
   shared by the CLI and the benchmark harness (results are memoised per
   process so Figs. 9, 11 and 13 reuse each other's runs);
+* :mod:`~repro.analysis.sweep` -- run-points, the content-addressed
+  result store and :func:`~repro.analysis.sweep.run_sweep`, the one
+  sweep entry point (serial in-process, or a work-queue drain);
 * :mod:`~repro.analysis.workqueue` -- lease-arbitrated multi-worker
-  drains of one shared sweep (``doram sweep --queue/--join``);
+  drains of one sweep, private for ``workers > 1`` or shared through a
+  queue directory (``doram sweep --queue/--join``);
 * :mod:`~repro.analysis.model` -- the closed-form queueing approximation
   of the D-ORAM pipeline plus its per-family calibration;
 * :mod:`~repro.analysis.explore` -- analytical triage + selective
@@ -23,12 +27,7 @@ from repro.analysis.metrics import (
 from repro.analysis.profiling import ProfileResult, profile_ratio
 from repro.analysis import experiments
 from repro.analysis.model import CalibratedModel, DoramModel, fit_families
-from repro.analysis.workqueue import (
-    DrainResult,
-    QueueStats,
-    WorkQueue,
-    run_queue_sweep,
-)
+from repro.analysis.workqueue import DrainResult, QueueStats, WorkQueue
 from repro.analysis.explore import ExploreResult, build_grid, explore
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "DrainResult",
     "QueueStats",
     "WorkQueue",
-    "run_queue_sweep",
     "ExploreResult",
     "build_grid",
     "explore",

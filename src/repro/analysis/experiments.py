@@ -13,9 +13,9 @@ Two execution paths share the same drivers:
   missing point through :func:`cached_run` (an in-process memo).
 * **Sweep** -- :func:`figure_points` declares every run a figure needs
   as :class:`~repro.analysis.sweep.RunPoint` objects;
-  :func:`run_figures` executes them through the parallel, resumable
-  sweep runner, primes the memo with the results, and then evaluates
-  the drivers, which find every run already cached.
+  :func:`run_figures` executes them through the resumable sweep runner
+  (serial, or a work-queue drain), primes the memo with the results,
+  and then evaluates the drivers, which find every run already cached.
 
 Scale: the paper simulates 500 M-instruction traces; the default here is
 ``DORAM_TRACE_LENGTH`` memory accesses per core (env-overridable, read
@@ -497,17 +497,19 @@ def run_figures(
     figures: Sequence[str],
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: Optional[int] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     store: Optional[ResultStore] = None,
     resume: bool = True,
     progress: Optional[Callable[[str], None]] = None,
     timeout_s: Optional[float] = None,
+    queue: Optional[str] = None,
 ) -> Tuple[Dict[str, object], SweepResult]:
     """Sweep every point the figures need, then evaluate their drivers.
 
-    Returns ``({figure: driver_output}, sweep_result)``.  The drivers
-    consume the primed memo, so after the sweep they are pure
-    arithmetic -- no simulation happens on the calling thread.
+    Returns ``({figure: driver_output}, sweep_result)``.  The sweep
+    options mean what they mean to
+    :func:`~repro.analysis.sweep.run_sweep`.  The drivers consume the
+    primed memo, so after the sweep they are pure arithmetic.
 
     Raises :class:`~repro.analysis.sweep.SweepFailure` if any point
     failed even after the sweep's bounded retry: the drivers need every
@@ -518,7 +520,7 @@ def run_figures(
     points = points_for_figures(figures, benchmarks, trace_length)
     sweep_result = run_sweep(
         points, workers=workers, store=store, resume=resume,
-        progress=progress, timeout_s=timeout_s,
+        progress=progress, timeout_s=timeout_s, queue=queue,
     )
     if sweep_result.failed:
         raise SweepFailure(sweep_result)

@@ -14,8 +14,9 @@ explore loop spends the DES budget only where the analytical model
    the *band* (not dominated by more than ``band_frac`` in both
    metrics), plus a seeded exploration sample of the rest (insurance
    against model blind spots);
-4. **Simulate** the selection -- through the distributed work queue
-   when ``queue_root``/``workers`` ask for it -- then **refit** and
+4. **Simulate** the selection -- through ``run_sweep``, which drains
+   the shared work queue ``queue_root/batch-NNN`` when ``queue_root``
+   is set -- then **refit** and
    repeat until the predicted frontier is fully sim-confirmed, the
    budget (``budget_frac`` of the grid) is spent, or ``max_rounds``
    passes elapse;
@@ -304,34 +305,26 @@ def _default_measure(
     timeout_s: Optional[float],
     progress: Optional[Callable[[str], None]],
 ) -> MeasureFn:
-    """Simulate through the work queue (multi-process) or run_sweep.
+    """Simulate each batch through ``run_sweep``.
 
-    Each batch declares its own queue directory (``batch-NNN`` under
-    ``queue_root``): a work-queue manifest pins one point set, and
-    successive explore rounds submit different ones.
+    With ``queue_root`` each batch declares its own shared queue
+    directory (``batch-NNN`` under ``queue_root``): a work-queue
+    manifest pins one point set, and successive explore rounds submit
+    different ones.
     """
     batches = [0]
 
     def _measure(points: Sequence[RunPoint]):
         if not points:
             return {}, {}
-        if queue_root is not None and workers > 1:
-            from repro.analysis.workqueue import run_queue_sweep
-
-            batch_root = os.path.join(
-                queue_root, f"batch-{batches[0]:03d}"
-            )
+        queue = None
+        if queue_root is not None:
+            queue = os.path.join(queue_root, f"batch-{batches[0]:03d}")
             batches[0] += 1
-            sweep, _queue = run_queue_sweep(
-                list(points), batch_root, workers=workers,
-                store_root=(store.root if store is not None else "store"),
-                timeout_s=timeout_s, progress=progress,
-            )
-        else:
-            sweep = run_sweep(
-                list(points), workers=workers, store=store,
-                timeout_s=timeout_s, progress=progress,
-            )
+        sweep = run_sweep(
+            list(points), workers=workers, store=store,
+            timeout_s=timeout_s, progress=progress, queue=queue,
+        )
         measured = {
             point: metrics_from_payload(payload)
             for point, payload in sweep.payloads.items()
@@ -389,8 +382,8 @@ def explore(
     simulating at most ``budget_frac`` of them.
 
     ``measure`` abstracts the simulator (tests substitute synthetic
-    ground truth); the default runs through ``run_sweep`` or, with
-    ``queue_root`` and ``workers > 1``, the distributed work queue.
+    ground truth); the default runs through ``run_sweep``, draining a
+    shared work queue per batch under ``queue_root`` when it is set.
     """
     points = dedup_points(points)
     if not points:

@@ -1,4 +1,4 @@
-"""Parallel, resumable experiment sweeps with an on-disk result store.
+"""Resumable experiment sweeps with an on-disk result store.
 
 Every paper exhibit is a set of *independent* simulations -- one
 ``run_scheme`` call per ``(scheme, benchmark, trace-segment, config
@@ -18,19 +18,15 @@ This module provides the three pieces the figure drivers build on:
   sweep leaves only complete entries and the next invocation resumes
   where it died instead of re-simulating.
 
-* :func:`run_sweep` -- fan-out over a :class:`ProcessPoolExecutor`.
-  Each worker runs one point and returns the *serialized* payload
-  (:meth:`SimResult.to_json_dict` + optionally the PR-1 trace digest);
-  the parent persists and returns them.  The simulator is deterministic
-  given a config, and payloads are exact-integer state, so a parallel
-  sweep is bit-identical to a serial one -- enforced by
+* :func:`run_sweep` -- the one sweep entry point.  ``workers=1`` runs
+  the store misses serially in-process (the reference execution);
+  ``workers > 1`` or ``queue=DIR`` drains them through a
+  :class:`~repro.analysis.workqueue.WorkQueue`.  Every path returns the
+  *serialized* payload (:meth:`SimResult.to_json_dict` + optionally the
+  PR-1 trace digest); the simulator is deterministic given a config,
+  and payloads are exact-integer state, so a parallel sweep is
+  bit-identical to a serial one -- enforced by
   ``tests/analysis/test_sweep.py``.
-
-Environment knobs:
-
-* ``DORAM_SWEEP_WORKERS`` -- default worker count (else ``os.cpu_count``).
-* ``DORAM_SWEEP_STORE``   -- default store directory
-  (else ``.doram-sweep/`` under the current directory).
 """
 
 from __future__ import annotations
@@ -38,10 +34,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -53,23 +49,8 @@ from repro.core.system import SimResult
 #: garbage.
 STORE_SCHEMA_VERSION = 1
 
-#: Default on-disk store location (env: ``DORAM_SWEEP_STORE``).
-DEFAULT_STORE_ENV = "DORAM_SWEEP_STORE"
+#: Default on-disk store location.
 DEFAULT_STORE_DIR = ".doram-sweep"
-
-#: Default worker count (env: ``DORAM_SWEEP_WORKERS``).
-WORKERS_ENV = "DORAM_SWEEP_WORKERS"
-
-
-def default_store_path() -> str:
-    return os.environ.get(DEFAULT_STORE_ENV, "").strip() or DEFAULT_STORE_DIR
-
-
-def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
 
 
 def canonical_json(payload: object) -> str:
@@ -163,7 +144,7 @@ class ResultStore:
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
-        self.root = root if root is not None else default_store_path()
+        self.root = root if root is not None else DEFAULT_STORE_DIR
         os.makedirs(self.root, exist_ok=True)
 
     def path_for(self, key: str) -> str:
@@ -383,12 +364,12 @@ def _run_with_deadline_worker_thread(
 
     ``interrupt_main`` and signals cannot reach a non-main thread, so
     the point runs in a fresh daemon thread and the caller waits with a
-    deadline (the ``concurrent.futures``-style join).  On expiry the
-    runaway thread is *abandoned*, not killed -- Python offers no safe
-    cross-thread interrupt -- so the caller (the work-queue drain or a
-    threaded embedder) gets control back immediately while the zombie
-    finishes or dies with the process.  Fresh thread per budgeted call:
-    an abandoned worker must never wedge a shared pool slot.
+    deadline (a thread join with a timeout).  On expiry the runaway
+    thread is *abandoned*, not killed -- Python offers no safe
+    cross-thread interrupt -- so the caller (a threaded embedder) gets
+    control back immediately while the zombie finishes or dies with the
+    process.  Fresh thread per budgeted call: an abandoned worker must
+    never wedge a shared slot.
     """
     box: Dict[str, object] = {}
 
@@ -420,9 +401,8 @@ def execute_point(
 ) -> Dict[str, object]:
     """Simulate one point and return its serialized payload.
 
-    Runs in worker processes; must stay importable at module top level
-    (``ProcessPoolExecutor`` pickles the function reference, not the
-    closure).  ``with_digest`` additionally runs the PR-1 tracer and
+    The serial loop and every work-queue drain run points through this
+    one call.  ``with_digest`` additionally runs the PR-1 tracer and
     embeds the sha256 trace digest, so equivalence tests can compare
     event-level behaviour across worker layouts, not just aggregates.
 
@@ -431,13 +411,12 @@ def execute_point(
     sweep machinery -- store, retry, timeout -- is point-kind agnostic.
 
     ``timeout_s`` arms a wall-clock budget and raises
-    :class:`PointTimeout` when it expires.  Pool futures cannot be
-    cancelled once running, so the budget is enforced from *inside*
-    this call, and -- unlike the original ``SIGALRM`` implementation --
-    it works anywhere: on the main thread a watchdog timer interrupts
-    the simulation between bytecodes; off the main thread (work-queue
-    drain loops, threaded embedders) the point runs in a sidecar thread
-    joined with a deadline.
+    :class:`PointTimeout` when it expires.  The budget is enforced from
+    *inside* this call, and it works on any thread: on the main thread
+    (the serial loop, every drain worker) a watchdog timer interrupts
+    the simulation between bytecodes; off the main thread (threaded
+    embedders) the point runs in a sidecar thread joined with a
+    deadline.
     """
     if timeout_s is None:
         return _run_point(point, with_digest)
@@ -504,31 +483,62 @@ def _failure_reason(exc: BaseException) -> str:
 
 def run_sweep(
     points: Iterable[RunPoint],
-    workers: Optional[int] = None,
+    workers: int = 1,
     store: Optional[ResultStore] = None,
     resume: bool = True,
     with_digest: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     timeout_s: Optional[float] = None,
+    queue: Optional[str] = None,
 ) -> SweepResult:
-    """Execute every point, in parallel, resuming from the store.
+    """Execute every point, resuming from the store.
+
+    ``workers <= 1`` runs the store misses serially in-process: the
+    reference execution the equivalence tests compare against.
+    ``workers > 1`` drains them through a private work queue in a
+    temporary directory (see :func:`~repro.analysis.workqueue.drain_local`),
+    which is removed afterwards, also on error.  The drain writes each
+    point into ``store`` as it finishes, so an interrupted sweep keeps
+    its finished points, as the serial loop does.  With ``store=None``
+    or ``resume=False`` it writes into its own store instead, and each
+    payload is then recorded into ``store`` exactly as the serial loop
+    does.
+
+    ``queue=DIR`` declares every point in the shared work queue ``DIR``
+    (re-declaring the same sweep is idempotent) and drains it with
+    ``workers`` local workers -- in-process when ``workers <= 1`` --
+    while workers on other hosts may join the same directory.  The
+    drain writes into ``store``, or into ``DIR/store`` when there is
+    none.  Joiners resume from that shared store, so ``resume=False``
+    cannot be honoured there and raises :class:`ValueError`.
 
     ``resume=False`` ignores (but still refreshes) existing store
-    entries.  ``workers`` defaults to ``DORAM_SWEEP_WORKERS`` or the
-    CPU count; ``workers <= 1`` runs serially in-process, which the
-    equivalence tests use as the reference execution.
-
-    ``timeout_s`` bounds each point's wall clock (see
-    :func:`execute_point`).  A point that times out or raises gets
-    exactly one more attempt; if that also fails, the sweep *keeps
-    going* and records the point in :attr:`SweepResult.failed` instead
-    of hanging or tearing down the pool -- the caller decides whether a
-    partial sweep is fatal.
+    entries.  ``timeout_s`` bounds each point's wall clock (see
+    :func:`execute_point`).  On every path a point that times out or
+    raises gets exactly one more attempt; if that also fails, the sweep
+    *keeps going* and records the point in :attr:`SweepResult.failed`
+    instead of hanging -- the caller decides whether a partial sweep is
+    fatal.
     """
+    if queue is not None and not resume:
+        raise ValueError(
+            "resume=False cannot be honoured with a shared queue: its "
+            "workers resume from the shared store"
+        )
     points = dedup_points(points)
-    if workers is None:
-        workers = default_workers()
     started = time.monotonic()
+    work_queue = None
+    if queue is not None:
+        from repro.analysis.workqueue import WorkQueue
+
+        work_queue = WorkQueue.create(
+            queue, points,
+            store_root=(os.path.abspath(store.root) if store is not None
+                        else "store"),
+            with_digest=with_digest, timeout_s=timeout_s,
+        )
+        if store is None:
+            store = work_queue.store
     payloads: Dict[RunPoint, Dict[str, object]] = {}
     failed: Dict[RunPoint, str] = {}
     retried = 0
@@ -551,84 +561,63 @@ def run_sweep(
         if store is not None:
             store.put(keys[point], payload)
 
-    if todo:
-        if workers <= 1 or len(todo) == 1:
-            for i, point in enumerate(todo):
+    if todo and (queue is not None or (workers > 1 and len(todo) > 1)):
+        from repro.analysis.workqueue import (
+            POLL_INTERVAL_S,
+            PRIVATE_POLL_INTERVAL_S,
+            WorkQueue,
+            drain_local,
+        )
+
+        # The drain writes each point into ``store`` as it finishes, so
+        # an interrupted sweep keeps its finished points.  It counts any
+        # store file as done, so resume=False needs a store of its own.
+        direct = store is not None and resume
+        if direct:
+            # Drop the misses' torn files so their points re-run, as
+            # the serial loop would.
+            for point in todo:
+                if keys[point] in store and store.get(keys[point]) is None:
+                    store.delete(keys[point])
+        private_root = None
+        try:
+            if work_queue is None:
+                private_root = tempfile.mkdtemp(prefix="doram-sweep-")
+                work_queue = WorkQueue.create(
+                    private_root, todo,
+                    store_root=(os.path.abspath(store.root) if direct
+                                else "store"),
+                    with_digest=with_digest, timeout_s=timeout_s,
+                )
+            drained, failed, retried = drain_local(
+                work_queue, min(workers, len(todo)), progress,
+                POLL_INTERVAL_S if private_root is None
+                else PRIVATE_POLL_INTERVAL_S,
+            )
+        finally:
+            if private_root is not None:
+                shutil.rmtree(private_root, ignore_errors=True)
+        if direct:
+            payloads.update(drained)
+        else:
+            for point, payload in drained.items():
+                _record(point, payload)
+    else:
+        for i, point in enumerate(todo):
+            if progress:
+                progress(f"run {i + 1}/{len(todo)}: {point.label}")
+            try:
+                payload = execute_point(point, with_digest, timeout_s)
+            except Exception as exc:  # noqa: BLE001 - retry once
+                retried += 1
                 if progress:
-                    progress(f"run {i + 1}/{len(todo)}: {point.label}")
+                    progress(f"retry {point.label}: {_failure_reason(exc)}")
                 try:
                     payload = execute_point(point, with_digest, timeout_s)
-                except Exception as exc:  # noqa: BLE001 - retry once
-                    retried += 1
-                    if progress:
-                        progress(
-                            f"retry {point.label}: {_failure_reason(exc)}"
-                        )
-                    try:
-                        payload = execute_point(
-                            point, with_digest, timeout_s
-                        )
-                    except Exception as exc2:  # noqa: BLE001
-                        failed[point] = _failure_reason(exc2)
-                        continue
-                _record(point, payload)
-        else:
-            attempts = {point: 1 for point in todo}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(execute_point, point, with_digest,
-                                timeout_s): point
-                    for point in todo
-                }
-                pending = set(futures)
-                done_count = 0
-                while pending:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for future in done:
-                        point = futures[future]
-                        try:
-                            payload = future.result()
-                        except Exception as exc:  # noqa: BLE001
-                            if attempts[point] <= 1:
-                                attempts[point] += 1
-                                retried += 1
-                                if progress:
-                                    progress(
-                                        f"retry {point.label}: "
-                                        f"{_failure_reason(exc)}"
-                                    )
-                                try:
-                                    retry = pool.submit(
-                                        execute_point, point,
-                                        with_digest, timeout_s,
-                                    )
-                                except Exception as submit_exc:  # noqa: BLE001
-                                    # Pool already broken: record and
-                                    # keep draining what is left.
-                                    failed[point] = _failure_reason(
-                                        submit_exc
-                                    )
-                                else:
-                                    futures[retry] = point
-                                    pending.add(retry)
-                                    continue
-                            else:
-                                failed[point] = _failure_reason(exc)
-                            done_count += 1
-                            if progress:
-                                progress(
-                                    f"failed {done_count}/{len(todo)}: "
-                                    f"{point.label}: {failed[point]}"
-                                )
-                            continue
-                        _record(point, payload)
-                        done_count += 1
-                        if progress:
-                            progress(
-                                f"done {done_count}/{len(todo)}: "
-                                f"{point.label}"
-                            )
+                except Exception as exc2:  # noqa: BLE001
+                    failed[point] = _failure_reason(exc2)
+                    continue
+            _record(point, payload)
 
     return SweepResult(
         payloads=payloads,

@@ -1,16 +1,19 @@
-"""Distributed work-queue drains of one shared sweep.
+"""Work-queue drains of one shared sweep -- the parallel sweep executor.
 
 PR 2's :class:`~repro.analysis.sweep.ResultStore` already makes a sweep
 *resumable*: every finished point is one content-addressed file, written
 atomically.  This module makes the same store *drainable by N workers at
-once* -- N processes today, N hosts sharing a filesystem tomorrow --
-with no coordinator process:
+once* -- local processes, or hosts sharing a filesystem -- with no
+coordinator process.  Every parallel sweep runs through it:
+:func:`~repro.analysis.sweep.run_sweep` drains a private queue in a
+temporary directory for ``workers > 1``, or the shared queue ``DIR`` for
+``queue=DIR`` (:func:`drain_local`).
 
 * A **queue directory** holds one ``manifest.json`` (the declared point
   list plus execution options, written once by whoever creates the
-  sweep) next to a ``leases/`` directory and the result store.  Any
-  worker that can read the manifest can join the drain
-  (``doram sweep --join DIR --worker-id w3``).
+  sweep) next to ``leases/``, ``failed/`` and ``workers/`` directories
+  and the result store.  Any worker that can read the manifest can join
+  the drain (``doram sweep --join DIR --worker-id w3``).
 
 * **Lease files** arbitrate point claims: a worker claims a point by
   ``O_CREAT | O_EXCL``-creating ``leases/<key>.lease`` -- the one
@@ -51,12 +54,12 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.sweep import (
     ResultStore,
     RunPoint,
-    SweepResult,
+    _failure_reason,
     canonical_json,
     dedup_points,
     execute_point,
@@ -81,8 +84,16 @@ DEFAULT_LEASE_TTL_S = 30.0
 #: shared attempt markers instead of per-process counters).
 DEFAULT_MAX_ATTEMPTS = 2
 
-#: Idle backoff while waiting on points leased by other workers.
+#: Idle backoff while waiting on points leased by other workers.  An
+#: idle pass stats each foreign lease about four times, and on a shared
+#: queue every idle worker on every host polls, so the default is slow.
 POLL_INTERVAL_S = 0.2
+
+#: Idle backoff of a private drain, which only this host's workers
+#: join: an idle pass touches at most ``workers - 1`` foreign leases,
+#: and a worker with nothing left to claim sees the last point finish
+#: up to one interval late, so the interval is short.
+PRIVATE_POLL_INTERVAL_S = 0.02
 
 
 class WorkQueueError(RuntimeError):
@@ -107,12 +118,22 @@ def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
         raise
 
 
+def _read_json(path: str) -> Optional[Dict[str, object]]:
+    """A JSON file's content, or ``None`` if it is missing or torn."""
+    try:
+        with open(path) as fp:
+            return json.load(fp)
+    except (OSError, ValueError):
+        return None
+
+
 #: Non-RunPoint sweep axes a manifest can round-trip, keyed by the
 #: ``kind`` tag their ``to_manifest`` emits.  Values are lazy import
 #: targets so the queue layer never pays for (or cycles with) the
 #: heavier point modules.
 _POINT_KINDS: Dict[str, Tuple[str, str]] = {
     "chaos": ("repro.faults.campaign", "FaultPoint"),
+    "scenario": ("repro.scenarios.sweep", "ScenarioPoint"),
 }
 
 
@@ -420,11 +441,7 @@ class WorkQueue:
         })
 
     def failure(self, key: str) -> Optional[Dict[str, object]]:
-        try:
-            with open(self._failed_marker(key)) as fp:
-                return json.load(fp)
-        except (OSError, ValueError):
-            return None
+        return _read_json(self._failed_marker(key))
 
     def clear_failure(self, key: str) -> None:
         """Forget a permanent failure (and its attempts) so the point
@@ -467,6 +484,10 @@ class WorkQueue:
             "updated": time.time(),
         })
 
+    def worker_status(self, owner: str) -> Optional[Dict[str, object]]:
+        """The status ``owner`` last published, or ``None``."""
+        return _read_json(self._worker_status_path(owner))
+
     # -- observability -----------------------------------------------------
     def stats(self) -> QueueStats:
         """Drain progress: done / leased / pending / failed counts plus
@@ -492,13 +513,10 @@ class WorkQueue:
         except OSError:
             names = []
         for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(worker_dir, name)) as fp:
-                    workers.append(json.load(fp))
-            except (OSError, ValueError):
-                continue
+            if name.endswith(".json"):
+                status = _read_json(os.path.join(worker_dir, name))
+                if status is not None:
+                    workers.append(status)
         total = len(self.points)
         return QueueStats(
             total=total,
@@ -611,7 +629,7 @@ class WorkQueue:
                         point, self.with_digest, self.timeout_s
                     )
                 except Exception as exc:  # noqa: BLE001 - bounded retry
-                    reason = f"{type(exc).__name__}: {exc}"
+                    reason = _failure_reason(exc)
                     attempts = self.record_attempt(key, owner, reason)
                     if attempts >= self.max_attempts:
                         self.mark_failed(key, owner, reason)
@@ -633,12 +651,13 @@ class WorkQueue:
             beater.join(1.0)
 
     # -- collection --------------------------------------------------------
-    def collect(self) -> SweepResult:
-        """Assemble a :class:`SweepResult` from the store after a drain.
+    def collect(
+        self,
+    ) -> Tuple[Dict[RunPoint, Dict[str, object]], Dict[RunPoint, str]]:
+        """Payloads and permanent failures of the manifest's points,
+        read back from the store and failure markers.
 
-        ``simulated``/``store_hits`` describe the queue outcome from the
-        submitting side: everything present was simulated *somewhere*;
-        per-worker attribution lives in the worker status files.
+        Points still pending or leased appear in neither mapping.
         """
         payloads: Dict[RunPoint, Dict[str, object]] = {}
         failed: Dict[RunPoint, str] = {}
@@ -651,78 +670,68 @@ class WorkQueue:
             marker = self.failure(key)
             if marker is not None:
                 failed[point] = str(marker.get("reason", "unknown"))
-        return SweepResult(
-            payloads=payloads,
-            simulated=len(payloads),
-            store_hits=0,
-            workers=0,
-            wall_s=0.0,
-            store_root=self.store.root,
-            failed=failed,
-        )
+        return payloads, failed
 
 
 # ---------------------------------------------------------------------------
-# Multi-process convenience driver
+# Local drains
 # ---------------------------------------------------------------------------
 
 
-def _drain_entry(root: str, owner: str) -> None:
-    """Worker-process entry point (module-level for picklability)."""
-    queue = WorkQueue.join(root)
-    queue.drain(owner=owner)
+def _drain_entry(root: str, owner: str, progress,
+                 poll_interval_s: float) -> None:
+    """Drain-worker process entry point."""
+    WorkQueue.join(root).drain(owner=owner, progress=progress,
+                               poll_interval_s=poll_interval_s)
 
 
-def run_queue_sweep(
-    points: Sequence[RunPoint],
-    root: str,
-    workers: int = 2,
-    store_root: str = "store",
-    with_digest: bool = False,
-    timeout_s: Optional[float] = None,
-    lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
+def drain_local(
+    queue: WorkQueue,
+    workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[SweepResult, WorkQueue]:
-    """Create (or resume) a queue under ``root`` and drain it with
-    ``workers`` local processes.
+    poll_interval_s: float = POLL_INTERVAL_S,
+) -> Tuple[Dict[RunPoint, Dict[str, object]], Dict[RunPoint, str], int]:
+    """Drain ``queue`` with ``workers`` local workers, then collect it.
 
-    The same queue directory can simultaneously be drained by workers
-    on other hosts via ``WorkQueue.join``; this helper is the
-    single-host ergonomic path behind ``doram sweep --queue``.
+    This process drains in-process beside ``workers - 1`` forked child
+    processes, and every worker reports its own ``done``/``retry``/
+    ``failed`` lines through ``progress``.  Workers on other hosts may
+    drain the same queue meanwhile.  The in-process drain returns only
+    when every point is stored or permanently failed -- a dead child's
+    point is reclaimed once its lease goes stale -- so no heal pass is
+    needed.  Returns :meth:`WorkQueue.collect` plus the retries the
+    local workers performed (children report theirs through their
+    status files).
     """
-    import multiprocessing
+    owner = default_owner()
+    children = [f"{owner}-w{index}" for index in range(1, workers)]
+    procs = []
+    try:
+        if children:
+            import multiprocessing
 
-    queue = WorkQueue.create(
-        root, points, store_root=store_root, with_digest=with_digest,
-        timeout_s=timeout_s, lease_ttl_s=lease_ttl_s,
-    )
-    started = time.monotonic()
-    if workers <= 1:
-        queue.drain(owner=default_owner(), progress=progress)
-    else:
-        procs = []
-        for index in range(workers):
-            proc = multiprocessing.Process(
-                target=_drain_entry,
-                args=(root, f"{default_owner()}-w{index}"),
-                daemon=False,
-            )
-            proc.start()
-            procs.append(proc)
+            # Forked children inherit the loaded simulator and
+            # ``progress`` without pickling either.
+            context = multiprocessing.get_context("fork")
+            for child in children:
+                proc = context.Process(
+                    target=_drain_entry,
+                    args=(queue.root, child, progress, poll_interval_s),
+                )
+                proc.start()
+                procs.append(proc)
+        retried = queue.drain(
+            owner=owner, progress=progress, poll_interval_s=poll_interval_s
+        ).retried
         for proc in procs:
             proc.join()
-        # A worker that crashed outright (non-zero exit) left stale
-        # leases; one serial pass heals anything it abandoned.
-        stats = queue.stats()
-        if stats.pending or stats.leased:
-            ttl = queue.lease_ttl_s
-            try:
-                queue.lease_ttl_s = 0.0
-                queue.drain(owner=f"{default_owner()}-heal",
-                            progress=progress)
-            finally:
-                queue.lease_ttl_s = ttl
-    result = queue.collect()
-    result.workers = workers
-    result.wall_s = time.monotonic() - started
-    return result, queue
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+    for child in children:
+        status = queue.worker_status(child) or {}
+        retried += int(status.get("retried", 0))
+    payloads, failed = queue.collect()
+    return payloads, failed, retried

@@ -22,12 +22,14 @@ Subcommands
                      ``chaos report`` re-renders a drained store
 ``schemes``          list the recognized scheme names
 
-``sweep`` and ``chaos`` additionally speak the distributed work-queue
-protocol: ``--queue DIR`` declares the sweep and drains it with N local
-worker processes, ``--join DIR --worker-id ID`` attaches one extra
-worker (on this or any host sharing the filesystem), and ``--status
-DIR`` prints drain progress (done/leased/pending/failed, per-worker
-throughput).
+``sweep`` and ``chaos`` share their sweep options (one argparse parent)
+and speak the distributed work-queue protocol: ``--queue DIR`` declares
+the sweep and drains it with ``--workers`` local workers, ``--join DIR
+--worker-id ID`` attaches one extra worker (on this or any host sharing
+the filesystem), and ``--status DIR`` prints drain progress
+(done/leased/pending/failed, per-worker throughput).  Without
+``--queue``, ``--workers N > 1`` drains a private queue in a temporary
+directory; ``--workers 1`` runs serially in-process.
 
 Every subcommand validates its scheme/benchmark/plan arguments *before*
 simulating and exits with status 2 and a one-line actionable error on
@@ -352,36 +354,46 @@ def _print_sweep_summary(sweep, store) -> None:
         print(f"store: {store.root} ({len(store)} entries)")
 
 
-def _cmd_sweep_status(queue_dir: str) -> int:
-    """``doram sweep --status DIR``: drain-progress readout."""
-    from repro.analysis.workqueue import WorkQueue, WorkQueueError
-
-    try:
-        queue = WorkQueue.join(queue_dir)
-    except WorkQueueError as exc:
-        return _fail(str(exc))
-    print(f"queue: {queue_dir} (store {queue.store.root})")
-    for line in queue.stats().describe():
-        print(f"  {line}")
-    return 0
+def _progress(args: argparse.Namespace):
+    """``--verbose`` -> a per-point progress printer, else ``None``."""
+    if not args.verbose:
+        return None
+    return lambda msg: print(f"  {msg}", flush=True)
 
 
-def _cmd_sweep_join(queue_dir: str, worker_id: str, verbose: bool) -> int:
-    """``doram sweep --join DIR``: attach one worker to a shared drain."""
+def _sweep_error(args: argparse.Namespace) -> Optional[str]:
+    """Validate the ``--workers`` (and ``--timeout``) sweep options."""
+    if args.workers < 1:
+        return f"--workers must be >= 1 (got {args.workers})"
+    if getattr(args, "timeout", 0.0) < 0:
+        return f"--timeout must be >= 0 (got {args.timeout:g})"
+    return None
+
+
+def _queue_modes(args: argparse.Namespace) -> Optional[int]:
+    """``--status DIR`` / ``--join DIR``, shared by ``sweep`` and
+    ``chaos``: the exit status when one of them ran, else ``None``."""
     from repro.analysis.workqueue import (
         WorkQueue,
         WorkQueueError,
         default_owner,
     )
 
+    if sum(map(bool, (args.queue, args.join, args.status))) > 1:
+        return _fail("--queue, --join and --status are mutually exclusive")
+    if not (args.status or args.join):
+        return None
     try:
-        queue = WorkQueue.join(queue_dir)
+        queue = WorkQueue.join(args.status or args.join)
     except WorkQueueError as exc:
         return _fail(str(exc))
-    owner = worker_id or default_owner()
-    progress = (lambda msg: print(f"  {msg}", flush=True)) if verbose \
-        else None
-    drain = queue.drain(owner=owner, progress=progress)
+    if args.status:
+        print(f"queue: {args.status} (store {queue.store.root})")
+        for line in queue.stats().describe():
+            print(f"  {line}")
+        return 0
+    owner = args.worker_id or default_owner()
+    drain = queue.drain(owner=owner, progress=_progress(args))
     print(f"worker {owner}: {drain.completed} completed, "
           f"{drain.skipped} skipped, {drain.reclaimed} reclaimed, "
           f"{len(drain.failed)} failed in {drain.wall_s:.2f}s")
@@ -389,20 +401,13 @@ def _cmd_sweep_join(queue_dir: str, worker_id: str, verbose: bool) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Parallel, resumable regeneration of one or more figures."""
-    from repro.analysis.sweep import (
-        ResultStore,
-        SweepFailure,
-        default_workers,
-    )
+    """Resumable regeneration of one or more figures."""
+    from repro.analysis.sweep import ResultStore, SweepFailure
+    from repro.analysis.workqueue import WorkQueueError
 
-    modes = [bool(args.queue), bool(args.join), bool(args.status)]
-    if sum(modes) > 1:
-        return _fail("--queue, --join and --status are mutually exclusive")
-    if args.status:
-        return _cmd_sweep_status(args.status)
-    if args.join:
-        return _cmd_sweep_join(args.join, args.worker_id, args.verbose)
+    code = _queue_modes(args)
+    if code is not None:
+        return code
 
     if args.figures == "all":
         names = _EXPERIMENTS
@@ -415,56 +420,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"(known: {', '.join(_EXPERIMENTS)})"
             )
     benchmarks, error = _parse_benchmarks(args.benchmarks)
-    error = error or _validate_point(None, None, args.trace_length)
-    if error is None and args.timeout < 0:
-        error = f"--timeout must be >= 0 (got {args.timeout:g})"
+    error = (error or _validate_point(None, None, args.trace_length)
+             or _sweep_error(args))
+    if error is None and args.queue and args.no_resume:
+        error = ("--no-resume cannot be honoured with --queue: the "
+                 "queue's workers resume from its shared store")
+    if error is None and args.queue and args.store == "none":
+        error = "--queue needs a result store (drop --store none)"
     if error:
         return _fail(error)
-    workers = args.workers if args.workers else default_workers()
     store = ResultStore(args.store) if args.store != "none" else None
-    progress = (lambda msg: print(f"  {msg}", flush=True)) \
-        if args.verbose else None
-
-    if args.queue:
-        if store is None:
-            return _fail("--queue needs a result store "
-                         "(drop --store none)")
-        from repro.analysis.workqueue import run_queue_sweep
-
-        points: List = []
-        for name in names:
-            points.extend(
-                experiments.figure_points(name, benchmarks,
-                                          args.trace_length)
-            )
-        sweep, _queue = run_queue_sweep(
-            points, args.queue, workers=workers,
-            store_root=os.path.abspath(store.root),
-            timeout_s=args.timeout or None, progress=progress,
-        )
-        _print_sweep_summary(sweep, store)
-        if sweep.failed:
-            print(f"sweep: {len(sweep.failed)} point(s) FAILED after "
-                  f"retry:", file=sys.stderr)
-            for point, reason in sweep.failed.items():
-                print(f"  {point.label}: {reason}", file=sys.stderr)
-            return 1
-        # The drain filled the store; the drivers now evaluate against
-        # pure store hits.
-        outputs, _ = experiments.run_figures(
-            names, benchmarks, args.trace_length,
-            workers=1, store=store, resume=True,
-        )
-        for name in names:
-            _print_experiment(name, outputs[name])
-        return 0
 
     try:
         outputs, sweep = experiments.run_figures(
             names, benchmarks, args.trace_length,
-            workers=workers, store=store, resume=not args.no_resume,
-            progress=progress, timeout_s=args.timeout or None,
+            workers=args.workers, store=store, resume=not args.no_resume,
+            progress=_progress(args), timeout_s=args.timeout or None,
+            queue=args.queue or None,
         )
+    except WorkQueueError as exc:
+        return _fail(str(exc))
     except SweepFailure as failure:
         sweep = failure.sweep_result
         _print_sweep_summary(sweep, store)
@@ -536,7 +511,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         apply_overrides,
         format_report,
         run_scenario,
-        run_slo_sweep,
         scenario_grid,
         slo_rows,
     )
@@ -546,6 +520,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"unknown arrival kind {args.arrival!r} "
             f"(known: {', '.join(ARRIVAL_KINDS)})"
         )
+    error = _sweep_error(args)
+    if error:
+        return _fail(error)
     overrides: Dict[str, object] = {
         "num_tenants": args.tenants,
         "arrival.kind": args.arrival,
@@ -579,7 +556,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         faults = FaultController(plan)
 
     if args.sweep_tenants or args.sweep_rates:
-        from repro.analysis.sweep import ResultStore, default_workers
+        from repro.analysis.sweep import ResultStore, run_sweep
 
         tenants = [int(v) for v in args.sweep_tenants.split(",") if v] \
             or [args.tenants]
@@ -589,8 +566,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 if k not in ("num_tenants", "arrival.rate_rps")}
         points = scenario_grid(tenants, rates, base)
         store = ResultStore(args.store) if args.store != "none" else None
-        workers = args.workers if args.workers else default_workers()
-        sweep = run_slo_sweep(points, workers=workers, store=store)
+        sweep = run_sweep(points, workers=args.workers, store=store)
         _print_sweep_summary(sweep, store)
         rows = slo_rows(sweep)
         print(_format_table(
@@ -625,21 +601,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_bench_append(rows, label: str, wall_s: float,
-                        path: str) -> None:
-    from repro.faults.campaign import bench_records
-
-    _tools = os.path.join(
+def _bench_trajectory():
+    """``tools/bench_trajectory.py`` from this checkout."""
+    tools = os.path.join(
         os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))), "tools",
     )
-    if _tools not in sys.path:
-        sys.path.insert(0, _tools)
+    if tools not in sys.path:
+        sys.path.insert(0, tools)
     import bench_trajectory
 
-    for record in bench_records(rows, label, wall_s):
-        bench_trajectory.append(record, path=path)
-    print(f"appended {len(rows)} records to {path}")
+    return bench_trajectory
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -649,17 +621,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.campaign import (
         CampaignError,
         CampaignSpec,
+        bench_records,
         chaos_rows,
         render_markdown,
     )
 
-    modes = [bool(args.queue), bool(args.join), bool(args.status)]
-    if sum(modes) > 1:
-        return _fail("--queue, --join and --status are mutually exclusive")
-    if args.status:
-        return _cmd_sweep_status(args.status)
-    if args.join:
-        return _cmd_sweep_join(args.join, args.worker_id, args.verbose)
+    code = _queue_modes(args)
+    if code is not None:
+        return code
 
     if not args.campaign:
         return _fail("chaos needs --campaign SPEC.json "
@@ -670,20 +639,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, seed=args.seed)
     except CampaignError as exc:
         return _fail(str(exc))
-    if args.timeout < 0:
-        return _fail(f"--timeout must be >= 0 (got {args.timeout:g})")
+    error = _sweep_error(args)
+    if error:
+        return _fail(error)
 
     if args.dry_run:
         print("\n".join(spec.describe()))
         return 0
 
-    from repro.analysis.sweep import ResultStore, default_workers
+    from repro.analysis.sweep import ResultStore, run_sweep
+    from repro.analysis.workqueue import WorkQueueError
 
     points = spec.grid()
     store = ResultStore(args.store) if args.store != "none" else None
-    workers = args.workers if args.workers else default_workers()
-    progress = (lambda msg: print(f"  {msg}", flush=True)) \
-        if args.verbose else None
 
     if args.mode == "report":
         if store is None:
@@ -706,26 +674,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         sweep = None
         wall_s = 0.0
     else:
-        if args.queue:
-            if store is None:
-                return _fail("--queue needs a result store "
-                             "(drop --store none)")
-            from repro.analysis.workqueue import run_queue_sweep
-
-            sweep, _queue = run_queue_sweep(
-                points, args.queue, workers=workers,
-                store_root=os.path.abspath(store.root),
-                with_digest=args.digest,
-                timeout_s=args.timeout or None, progress=progress,
-            )
-        else:
-            from repro.analysis.sweep import run_sweep
-
+        if args.queue and store is None:
+            return _fail("--queue needs a result store (drop --store none)")
+        try:
             sweep = run_sweep(
-                points, workers=workers, store=store,
-                with_digest=args.digest,
-                timeout_s=args.timeout or None, progress=progress,
+                points, workers=args.workers, store=store,
+                with_digest=args.digest, progress=_progress(args),
+                timeout_s=args.timeout or None, queue=args.queue or None,
             )
+        except WorkQueueError as exc:
+            return _fail(str(exc))
         _print_sweep_summary(sweep, store)
         if sweep.failed:
             for point, error in sweep.failed.items():
@@ -756,7 +714,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             fp.write("\n")
         print(f"wrote {args.out}")
     if args.bench_out:
-        _chaos_bench_append(rows, args.label, wall_s, args.bench_out)
+        for record in bench_records(rows, args.label, wall_s):
+            _bench_trajectory().append(record, path=args.bench_out)
+        print(f"appended {len(rows)} records to {args.bench_out}")
     return 1 if violated else 0
 
 
@@ -771,36 +731,38 @@ def cmd_explore(args: argparse.Namespace) -> int:
         explore,
         write_report,
     )
-    from repro.analysis.sweep import ResultStore, default_workers
+    from repro.analysis.sweep import ResultStore
+    from repro.analysis.workqueue import WorkQueueError
 
     if args.grid not in GRID_PRESETS:
         return _fail(f"unknown grid preset {args.grid!r} "
                      f"(known: {', '.join(GRID_PRESETS)})")
-    error = _validate_point(None, args.benchmark, args.trace_length)
+    error = (_validate_point(None, args.benchmark, args.trace_length)
+             or _sweep_error(args))
     if error is None and not 0.0 < args.budget_frac <= 1.0:
         error = f"--budget-frac must be in (0, 1] (got {args.budget_frac:g})"
     if error:
         return _fail(error)
     points = build_grid(args.grid, args.trace_length, args.benchmark)
-    workers = args.workers if args.workers else default_workers()
     store = ResultStore(args.store) if args.store != "none" else None
-    progress = (lambda msg: print(f"  {msg}", flush=True)) \
-        if args.verbose else None
 
     started = _time.monotonic()
-    result = explore(
-        points,
-        store=store,
-        workers=workers,
-        queue_root=args.queue or None,
-        budget_frac=args.budget_frac,
-        anchors_per_family=args.anchors,
-        band_frac=args.band_frac,
-        max_rounds=args.max_rounds,
-        seed=args.seed,
-        timeout_s=args.timeout or None,
-        progress=progress,
-    )
+    try:
+        result = explore(
+            points,
+            store=store,
+            workers=args.workers,
+            queue_root=args.queue or None,
+            budget_frac=args.budget_frac,
+            anchors_per_family=args.anchors,
+            band_frac=args.band_frac,
+            max_rounds=args.max_rounds,
+            seed=args.seed,
+            timeout_s=args.timeout or None,
+            progress=_progress(args),
+        )
+    except WorkQueueError as exc:
+        return _fail(str(exc))
     wall_s = _time.monotonic() - started
 
     print(f"explore: grid={result.grid_points} "
@@ -828,17 +790,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
         if path:
             print(f"wrote {path}")
     if args.bench_out:
-        _tools = os.path.join(
-            os.path.dirname(os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__)))), "tools",
-        )
-        if _tools not in sys.path:
-            sys.path.insert(0, _tools)
-        import bench_trajectory
-
         record = bench_record(result, args.label, args.grid,
                               args.trace_length, wall_s)
-        bench_trajectory.append(record, path=args.bench_out)
+        _bench_trajectory().append(record, path=args.bench_out)
         print(f"appended {args.bench_out}")
     return 1 if result.failed else 0
 
@@ -857,6 +811,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="D-ORAM (HPCA 2018) reproduction harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cpus = os.cpu_count() or 1
+
+    # The sweep options ``sweep`` and ``chaos`` share.
+    sweep_opts = argparse.ArgumentParser(add_help=False)
+    sweep_opts.add_argument("--workers", type=int, default=cpus,
+                            help="local workers (default: the CPU count); "
+                                 ">1 drains a work queue")
+    sweep_opts.add_argument("--timeout", type=float, default=0.0,
+                            help="per-point wall-clock budget in seconds; "
+                                 "a point that exceeds it is retried once, "
+                                 "then reported as failed (0 disables)")
+    sweep_opts.add_argument("--verbose", action="store_true",
+                            help="print per-point progress")
+    sweep_opts.add_argument("--queue", default="",
+                            help="declare the sweep in this work-queue "
+                                 "directory and drain it with --workers "
+                                 "local workers (other hosts may --join)")
+    sweep_opts.add_argument("--join", default="",
+                            help="join an existing work-queue directory "
+                                 "as one worker and drain until done")
+    sweep_opts.add_argument("--worker-id", default="",
+                            help="stable owner id for --join (default: "
+                                 "host-pid)")
+    sweep_opts.add_argument("--status", default="",
+                            help="print a work-queue directory's drain "
+                                 "progress and exit")
 
     p_run = sub.add_parser("run", help="simulate one scheme")
     p_run.add_argument("scheme")
@@ -893,42 +873,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_exp)
 
     p_sweep = sub.add_parser(
-        "sweep",
-        help="regenerate figures via the parallel, resumable sweep runner",
+        "sweep", parents=[sweep_opts],
+        help="regenerate figures via the resumable sweep runner",
     )
     p_sweep.add_argument("--figures", default="all",
                          help="comma-separated figure names (default: all)")
     p_sweep.add_argument("--benchmarks", default="",
                          help="comma-separated benchmark codes (default: all)")
     p_sweep.add_argument("--trace-length", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=0,
-                         help="worker processes (default: "
-                              "$DORAM_SWEEP_WORKERS or the CPU count)")
     p_sweep.add_argument("--store", default=None,
                          help="result-store directory (default: "
-                              "$DORAM_SWEEP_STORE or .doram-sweep; "
-                              "'none' disables the store)")
+                              ".doram-sweep; 'none' disables the store)")
     p_sweep.add_argument("--no-resume", action="store_true",
-                         help="re-simulate every point even if stored")
-    p_sweep.add_argument("--timeout", type=float, default=0.0,
-                         help="per-point wall-clock budget in seconds; a "
-                              "point that exceeds it is retried once, then "
-                              "reported as failed (0 disables)")
-    p_sweep.add_argument("--verbose", action="store_true",
-                         help="print per-point progress")
-    p_sweep.add_argument("--queue", default="",
-                         help="declare the sweep in this work-queue "
-                              "directory and drain it with --workers "
-                              "local processes (other hosts may --join)")
-    p_sweep.add_argument("--join", default="",
-                         help="join an existing work-queue directory as "
-                              "one worker and drain until done")
-    p_sweep.add_argument("--worker-id", default="",
-                         help="stable owner id for --join (default: "
-                              "host-pid)")
-    p_sweep.add_argument("--status", default="",
-                         help="print a work-queue directory's drain "
-                              "progress and exit")
+                         help="re-simulate every point even if stored "
+                              "(not with --queue)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_prof = sub.add_parser("profile", help="T25mix/T33 profiling")
@@ -1008,8 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "runner instead of one scenario")
     p_serve.add_argument("--sweep-rates", default="",
                          help="comma-separated per-tenant rates (req/s)")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="sweep worker processes")
+    p_serve.add_argument("--workers", type=int, default=cpus,
+                         help="sweep workers (default: the CPU count)")
     p_serve.add_argument("--store", default="none",
                          help="sweep result-store directory "
                               "(default: none = no store)")
@@ -1024,8 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="grid preset: smoke, fig9, full")
     p_explore.add_argument("--benchmark", default="li")
     p_explore.add_argument("--trace-length", type=int, default=300)
-    p_explore.add_argument("--workers", type=int, default=0,
-                           help="simulation worker processes")
+    p_explore.add_argument("--workers", type=int, default=cpus,
+                           help="simulation workers (default: the CPU "
+                                "count)")
     p_explore.add_argument("--queue", default="",
                            help="drain simulations through this "
                                 "work-queue directory (enables "
@@ -1056,7 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.set_defaults(func=cmd_explore)
 
     p_chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[sweep_opts],
         help="drain a seeded fault campaign (fault-intensity x scheme x "
              "workload grid) and score availability under faults",
     )
@@ -1076,27 +1035,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--store", default="none",
                          help="result-store directory ('none' disables; "
                               "required for --queue and report mode)")
-    p_chaos.add_argument("--workers", type=int, default=0,
-                         help="worker processes (default: CPU count)")
     p_chaos.add_argument("--digest", action="store_true",
                          help="also capture full event-trace digests "
                               "per point")
-    p_chaos.add_argument("--timeout", type=float, default=0.0,
-                         help="per-point wall-clock budget in seconds "
-                              "(0 disables)")
-    p_chaos.add_argument("--queue", default="",
-                         help="declare the campaign in this work-queue "
-                              "directory and drain it with --workers "
-                              "local processes (other hosts may --join)")
-    p_chaos.add_argument("--join", default="",
-                         help="join an existing work-queue directory as "
-                              "one worker and drain until done")
-    p_chaos.add_argument("--worker-id", default="",
-                         help="stable owner id for --join "
-                              "(default: host-pid)")
-    p_chaos.add_argument("--status", default="",
-                         help="print a work-queue directory's drain "
-                              "progress and exit")
     p_chaos.add_argument("--out", default="",
                          help="write the markdown availability table "
                               "to this file")
@@ -1104,8 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append BENCH_chaos.json records here")
     p_chaos.add_argument("--label", default="local",
                          help="bench record label (default local)")
-    p_chaos.add_argument("--verbose", action="store_true",
-                         help="print per-point progress")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_schemes = sub.add_parser("schemes", help="list schemes/benchmarks")

@@ -36,7 +36,6 @@ from repro.scenarios.service import (
 )
 from repro.scenarios.sweep import (
     ScenarioPoint,
-    run_slo_sweep,
     scenario_grid,
     slo_rows,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "make_stream",
     "merge_streams",
     "run_scenario",
-    "run_slo_sweep",
     "scenario_grid",
     "slo_rows",
 ]

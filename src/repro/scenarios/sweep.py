@@ -1,27 +1,26 @@
 """Scenario sweep points: tenant-count x arrival-rate grids.
 
-A :class:`ScenarioPoint` plugs the service layer into the PR-2 sweep
-runner (:func:`repro.analysis.sweep.run_sweep`): it is picklable and
-hashable, content-addresses itself over the *resolved*
-:class:`~repro.scenarios.config.ScenarioConfig`, and carries its own
+A :class:`ScenarioPoint` plugs the service layer into the sweep runner
+(:func:`repro.analysis.sweep.run_sweep`): it is hashable,
+content-addresses itself over the *resolved*
+:class:`~repro.scenarios.config.ScenarioConfig`, carries its own
 ``execute`` method, which the generalized ``execute_point`` dispatches
-to.  Store entries therefore share the RunPoint machinery -- atomic
-writes, resume, parallel workers, per-point timeouts -- without the
-analysis layer importing the scenario layer.
+to, and round-trips through a work-queue manifest (kind
+``"scenario"``).  Store entries therefore share the RunPoint machinery
+-- atomic writes, resume, queue-drained parallel workers, per-point
+timeouts -- without the analysis layer importing the scenario layer.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.sweep import (
     STORE_SCHEMA_VERSION,
-    ResultStore,
     SweepResult,
     canonical_json,
-    run_sweep,
 )
 from repro.scenarios.config import ScenarioConfig, apply_overrides
 from repro.scenarios.service import ScenarioResult, run_scenario
@@ -78,10 +77,7 @@ class ScenarioPoint:
         result = run_scenario(self.resolved_config(), tracer=tracer)
         payload: Dict[str, object] = {
             "schema": STORE_SCHEMA_VERSION,
-            "point": {
-                "kind": "scenario",
-                "overrides": [list(kv) for kv in self.overrides],
-            },
+            "point": self.to_manifest(),
             "result": result.to_json_dict(),
             "report_digest": result.report_digest(),
         }
@@ -90,6 +86,21 @@ class ScenarioPoint:
 
             payload["trace_digest"] = trace_digest(tracer.events)
         return payload
+
+    # -- work-queue manifests -----------------------------------------
+    def to_manifest(self) -> Dict[str, object]:
+        """The ``"point"`` doc every payload of this point carries."""
+        return {
+            "kind": "scenario",
+            "overrides": [list(kv) for kv in self.overrides],
+        }
+
+    @classmethod
+    def from_manifest(cls, doc: Dict[str, object]) -> "ScenarioPoint":
+        return cls(overrides=tuple(
+            (k, tuple(v) if isinstance(v, list) else v)
+            for k, v in doc["overrides"]
+        ))
 
 
 def scenario_grid(
@@ -107,22 +118,6 @@ def scenario_grid(
         for tenants in tenant_counts
         for rate in rates_rps
     ]
-
-
-def run_slo_sweep(
-    points: Iterable[ScenarioPoint],
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    resume: bool = True,
-    with_digest: bool = False,
-    progress=None,
-    timeout_s: Optional[float] = None,
-) -> SweepResult:
-    """Execute scenario points through the shared sweep runner."""
-    return run_sweep(
-        points, workers=workers, store=store, resume=resume,
-        with_digest=with_digest, progress=progress, timeout_s=timeout_s,
-    )
 
 
 def slo_rows(sweep_result: SweepResult) -> List[Dict[str, object]]:

@@ -296,6 +296,16 @@ class TestRealSimulator:
                         budget_frac=0.5, seed=1)
         assert again.to_json_dict() == result.to_json_dict()
 
+    def test_queue_root_is_honoured_at_one_worker(self, tmp_path):
+        """--queue at --workers 1 drains through the queue (so --join
+        workers can help) instead of silently running serially."""
+        store = ResultStore(str(tmp_path / "store"))
+        result = explore(build_grid("smoke", 150), store=store, workers=1,
+                         queue_root=str(tmp_path / "q"), budget_frac=0.25,
+                         max_rounds=0, seed=1)
+        assert (tmp_path / "q" / "batch-000" / "manifest.json").exists()
+        assert len(store) == result.simulated > 0
+
     def test_queue_mode_multi_round_matches_serial(self, tmp_path):
         """Each explore round submits a *different* point set, so the
         queue path must declare a fresh batch directory per round

@@ -136,6 +136,59 @@ class TestResume:
             assert canonical_json(second.payloads[point]) == \
                 canonical_json(first.payloads[point])
 
+    def test_interrupted_parallel_sweep_keeps_finished_points(
+        self, tmp_path, monkeypatch
+    ):
+        """A workers=2 sweep interrupted part-way has already stored the
+        points it finished, removes its private queue directory, and
+        leaves no drain worker running; the rerun resumes from them."""
+        import multiprocessing
+        import tempfile
+
+        from repro.analysis import workqueue
+
+        points = dedup_points(_fig9_points())
+        reference = run_sweep(points, workers=1, store=None)
+        store = ResultStore(str(tmp_path / "store"))
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        parent = os.getpid()
+        started = []
+        real = workqueue.execute_point
+
+        def interrupt_second_point(point, with_digest=False,
+                                   timeout_s=None):
+            if os.getpid() == parent:
+                started.append(point)
+                if len(started) == 2:
+                    raise KeyboardInterrupt
+            return real(point, with_digest, timeout_s)
+
+        monkeypatch.setattr(workqueue, "execute_point",
+                            interrupt_second_point)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(points, workers=2, store=store)
+        assert not multiprocessing.active_children()
+        assert list(scratch.iterdir()) == []
+
+        stored = set(store.keys())
+        assert started[0].key() in stored
+        by_key = {point.key(): point for point in points}
+        for key in stored:
+            assert canonical_json(store.get(key)) == canonical_json(
+                reference.payloads[by_key[key]]
+            )
+
+        monkeypatch.setattr(workqueue, "execute_point", real)
+        again = run_sweep(points, workers=2, store=store)
+        assert again.store_hits == len(stored)
+        assert again.simulated == len(points) - len(stored)
+        for point in points:
+            assert canonical_json(again.payloads[point]) == \
+                canonical_json(reference.payloads[point])
+
     def test_warm_store_runs_nothing(self, tmp_path, monkeypatch):
         points = _fig9_points()
         store = ResultStore(str(tmp_path / "store"))

@@ -7,13 +7,13 @@ The contract (DESIGN.md "Fault model & recovery", sweep hardening):
   write and rename on a pre-fsync store) counts as a miss and is
   re-simulated, healing the store;
 * ``execute_point(timeout_s=...)`` bounds one point's wall clock from
-  *inside* the process (pool futures cannot be cancelled once running)
-  and raises :class:`~repro.analysis.sweep.PointTimeout`; the deadline
-  works on the main thread (watchdog interrupt), off the main thread
-  (sidecar thread joined with a deadline), and in pool workers;
-* ``run_sweep`` gives a failing point exactly one more attempt, then
-  records it in ``SweepResult.failed`` and keeps going -- a bad point
-  costs its own result, not the sweep;
+  *inside* the process and raises
+  :class:`~repro.analysis.sweep.PointTimeout`; the deadline works on
+  the main thread (watchdog interrupt) and off the main thread (sidecar
+  thread joined with a deadline);
+* ``run_sweep`` gives a failing point exactly one more attempt, serial
+  or drained, then records it in ``SweepResult.failed`` and keeps going
+  -- a bad point costs its own result, not the sweep;
 * ``run_figures`` refuses to evaluate drivers over a partial sweep
   (:class:`~repro.analysis.sweep.SweepFailure`), because the
   ``cached_run`` fallback would silently re-simulate the failed point
@@ -26,6 +26,7 @@ import pytest
 
 from repro.analysis import experiments
 from repro.analysis import sweep as sweep_mod
+from repro.analysis import workqueue as wq_mod
 from repro.analysis.sweep import (
     PointTimeout,
     ResultStore,
@@ -284,22 +285,20 @@ class TestBoundedRetry:
 
 
 # ---------------------------------------------------------------------------
-# Parallel pool path
+# Parallel (work-queue drain) path
 # ---------------------------------------------------------------------------
 
 
 def _failing_execute(point, with_digest=False, timeout_s=None):
-    """Module-level so the pool can pickle it by reference."""
     raise RuntimeError(f"worker refused {point.label}")
 
 
 class TestParallelFailures:
     def test_pool_failures_drain_without_hanging(self, monkeypatch):
-        """Every point failing in workers must terminate the sweep with
-        all failures recorded -- the old code raised on the first
-        ``future.result()`` and lost the rest."""
+        """Every point failing in the drain workers must terminate the
+        sweep with all failures recorded and every retry counted."""
         points = [_point(), RunPoint("doram", "li", LENGTH)]
-        monkeypatch.setattr(sweep_mod, "execute_point", _failing_execute)
+        monkeypatch.setattr(wq_mod, "execute_point", _failing_execute)
         sweep = run_sweep(points, workers=2, store=None)
         assert set(sweep.failed) == set(points)
         assert sweep.retried == len(points)

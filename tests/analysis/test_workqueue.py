@@ -15,7 +15,10 @@ The contract (DESIGN.md "Distributed work-queue sweeps"):
   markers are visible to every worker, so a point never runs more than
   ``max_attempts`` times across the whole drain;
 * an N-worker drain -- including one that lost a worker to SIGKILL --
-  produces a store byte-identical to a serial ``run_sweep``.
+  produces a store byte-identical to a serial ``run_sweep``;
+* ``run_sweep(queue=DIR)`` accounts a drain the way the serial loop
+  does: store hits from the up-front check, simulated = misses minus
+  failures, retries summed over the drain workers.
 """
 
 import os
@@ -27,11 +30,7 @@ import pytest
 
 from repro.analysis import workqueue as wq_mod
 from repro.analysis.sweep import ResultStore, RunPoint, run_sweep
-from repro.analysis.workqueue import (
-    WorkQueue,
-    WorkQueueError,
-    run_queue_sweep,
-)
+from repro.analysis.workqueue import WorkQueue, WorkQueueError
 
 LENGTH = 100
 
@@ -233,7 +232,7 @@ class TestDrain:
         assert result.completed == 1          # only point 1
         assert result.skipped >= 2            # points 0 and 2
         assert ran == [points[1]]             # nothing re-simulated
-        assert queue.collect().payloads.keys() == set(points)
+        assert queue.collect()[0].keys() == set(points)
 
     def test_failure_budget_is_shared_across_workers(self, tmp_path,
                                                      monkeypatch):
@@ -259,8 +258,8 @@ class TestDrain:
         assert second.completed == 0
         assert not second.failed              # A already recorded it
 
-        collected = queue.collect()
-        assert points[0] in collected.failed
+        _payloads, failed = queue.collect()
+        assert points[0] in failed
 
     def test_clear_failure_re_dispatches_the_point(self, tmp_path,
                                                    monkeypatch):
@@ -280,7 +279,7 @@ class TestDrain:
         assert queue.attempt_count(key) == 0
         drain = queue.drain(owner="wA")
         assert drain.completed == 1
-        assert queue.collect().failed == {}
+        assert queue.collect()[1] == {}
 
     def test_stats_readout(self, tmp_path):
         points = _points(4)
@@ -310,9 +309,8 @@ class TestMultiProcess:
         serial_store = ResultStore(str(tmp_path / "serial"))
         run_sweep(points, workers=1, store=serial_store)
 
-        result, queue = run_queue_sweep(
-            points, str(tmp_path / "q"), workers=3
-        )
+        result = run_sweep(points, workers=3, queue=str(tmp_path / "q"))
+        queue = WorkQueue.join(str(tmp_path / "q"))
         assert not result.failed
         assert set(result.payloads) == set(points)
         assert _store_bytes(queue.store) == _store_bytes(serial_store)
@@ -348,3 +346,77 @@ class TestMultiProcess:
         drain = queue.drain(owner="w-resume")
         assert not drain.failed
         assert _store_bytes(queue.store) == _store_bytes(serial_store)
+
+
+# ---------------------------------------------------------------------------
+# run_sweep(queue=...) accounting
+# ---------------------------------------------------------------------------
+
+
+class TestQueueSweepAccounting:
+    def test_warm_rerun_simulates_nothing(self, tmp_path, monkeypatch):
+        """Re-declaring a drained sweep over its full store is all store
+        hits (the merged executor's up-front check), not N simulated."""
+        points = _points(3)
+        store = ResultStore(str(tmp_path / "store"))
+        first = run_sweep(points, store=store, queue=str(tmp_path / "q"))
+        assert (first.simulated, first.store_hits) == (3, 0)
+
+        monkeypatch.setattr(
+            wq_mod, "execute_point",
+            lambda *a, **k: pytest.fail("warm queue must not simulate"),
+        )
+        again = run_sweep(points, store=store, queue=str(tmp_path / "q"))
+        assert (again.simulated, again.store_hits) == (0, 3)
+        assert again.payloads == first.payloads
+
+    def test_first_attempt_failure_counts_one_retry(self, tmp_path,
+                                                    monkeypatch):
+        points = _points(2)
+        flaky = points[1]
+        attempts = []
+        real_execute = wq_mod.execute_point
+
+        def _flaky(point, with_digest=False, timeout_s=None):
+            if point == flaky:
+                attempts.append(point)
+                if len(attempts) == 1:
+                    raise RuntimeError("transient worker wobble")
+            return real_execute(point, with_digest, timeout_s)
+
+        monkeypatch.setattr(wq_mod, "execute_point", _flaky)
+        result = run_sweep(points, queue=str(tmp_path / "q"))
+        assert result.retried == 1
+        assert not result.failed
+        assert result.simulated == 2
+        assert set(result.payloads) == set(points)
+
+    def test_torn_store_entry_is_resimulated(self, tmp_path):
+        points = _points(2)
+        store = ResultStore(str(tmp_path / "store"))
+        run_sweep(points, store=store)
+        healthy = _store_bytes(store)
+        torn = points[0].key()
+        with open(store.path_for(torn), "w") as fp:
+            fp.write("{truncated")
+
+        result = run_sweep(points, store=store, queue=str(tmp_path / "q"))
+        assert (result.simulated, result.store_hits) == (1, 1)
+        assert set(result.payloads) == set(points)
+        assert _store_bytes(store) == healthy
+
+    def test_no_resume_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="resume"):
+            run_sweep(_points(1), resume=False, queue=str(tmp_path / "q"))
+        assert not (tmp_path / "q").exists()
+
+    def test_without_a_store_the_drain_fills_the_queue_store(
+        self, tmp_path
+    ):
+        points = _points(2)
+        serial_store = ResultStore(str(tmp_path / "serial"))
+        run_sweep(points, store=serial_store)
+        result = run_sweep(points, queue=str(tmp_path / "q"))
+        assert result.store_root == str(tmp_path / "q" / "store")
+        assert _store_bytes(ResultStore(result.store_root)) == \
+            _store_bytes(serial_store)

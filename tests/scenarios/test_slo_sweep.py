@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis.report import slo_markdown
-from repro.analysis.sweep import ResultStore, execute_point
+from repro.analysis.sweep import ResultStore, execute_point, run_sweep
+from repro.analysis.workqueue import WorkQueue
 from repro.scenarios import (
     ScenarioConfig,
     ScenarioPoint,
-    run_slo_sweep,
     scenario_grid,
     slo_rows,
 )
@@ -59,6 +59,16 @@ class TestScenarioPoint:
         assert payload["trace_digest"]
         assert payload["result"]["version"] >= 1
 
+    def test_manifest_round_trip_keeps_the_key(self, tmp_path):
+        point = ScenarioPoint(overrides=tuple(FAST.items()) + (
+            ("num_tenants", 2), ("arrival.rate_rps", 2e5),
+        ))
+        assert ScenarioPoint.from_manifest(point.to_manifest()) == point
+        WorkQueue.create(str(tmp_path / "q"), [point])
+        joined = WorkQueue.join(str(tmp_path / "q")).points
+        assert joined == [point]
+        assert joined[0].key() == point.key()
+
     def test_execute_point_dispatches_to_scenario(self):
         # The generalized runner entry: any point with .execute goes
         # through it instead of the RunPoint simulator.
@@ -71,18 +81,18 @@ class TestScenarioPoint:
 class TestSloSweep:
     def test_sweep_then_resume_hits_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        first = run_slo_sweep(_grid(), workers=1, store=store,
+        first = run_sweep(_grid(), workers=1, store=store,
                               timeout_s=300.0)
         assert first.simulated == 2 and first.store_hits == 0
         assert not first.failed
-        again = run_slo_sweep(_grid(), workers=1, store=store,
+        again = run_sweep(_grid(), workers=1, store=store,
                               timeout_s=300.0)
         assert again.simulated == 0 and again.store_hits == 2
         assert {p.key() for p in first.payloads} == \
             {p.key() for p in again.payloads}
 
     def test_slo_rows_complete_and_sorted(self, tmp_path):
-        result = run_slo_sweep(
+        result = run_sweep(
             scenario_grid([2, 1], [3e5, 2e5], base_overrides=FAST),
             workers=1, store=ResultStore(str(tmp_path)), timeout_s=300.0,
         )
@@ -97,7 +107,7 @@ class TestSloSweep:
             assert row["report_digest"]
 
     def test_slo_markdown_renders(self, tmp_path):
-        result = run_slo_sweep(_grid(), workers=1,
+        result = run_sweep(_grid(), workers=1,
                                store=ResultStore(str(tmp_path)),
                                timeout_s=300.0)
         text = slo_markdown(slo_rows(result))
@@ -109,8 +119,8 @@ class TestSloSweep:
 @pytest.mark.slow
 class TestSloSweepParallel:
     def test_two_workers_match_serial(self, tmp_path):
-        serial = run_slo_sweep(_grid(), workers=1, timeout_s=300.0)
-        parallel = run_slo_sweep(_grid(), workers=2, timeout_s=300.0)
+        serial = run_sweep(_grid(), workers=1, timeout_s=300.0)
+        parallel = run_sweep(_grid(), workers=2, timeout_s=300.0)
         serial_digests = {p.key(): pay["report_digest"]
                           for p, pay in serial.payloads.items()}
         parallel_digests = {p.key(): pay["report_digest"]

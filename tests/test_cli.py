@@ -1,8 +1,54 @@
 """CLI: argument parsing and end-to-end command execution."""
 
+import argparse
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+CI_SMOKE_CAMPAIGN = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "campaigns", "ci-smoke.json",
+)
+
+#: Every subcommand's option strings.  ``sweep`` and ``chaos`` declare
+#: their shared sweep options through one argparse parent; this pins
+#: that no flag was added or lost on the way.
+OPTION_STRINGS = {
+    "run": "--benchmark --faults --trace-length",
+    "trace": "--benchmark --categories --chrome --jsonl "
+             "--snapshot-interval-ns --trace-length",
+    "exp": "--benchmarks --trace-length",
+    "sweep": "--benchmarks --figures --join --no-resume --queue --status "
+             "--store --timeout --trace-length --verbose --worker-id "
+             "--workers",
+    "profile": "--trace-length",
+    "perf": "--benchmark --by-component --output --sort --top "
+            "--trace-length",
+    "faults": "--benchmark --dry-run --plan --scheme --seed "
+              "--trace-length",
+    "serve": "--arrival --control-interval-us --digest --faults "
+             "--horizon-us --json --leaf-level --queue-cap --rate --seed "
+             "--slo-target-ns --store --sweep-rates --sweep-tenants "
+             "--tenants --workers --write-fraction",
+    "explore": "--anchors --band-frac --bench-out --benchmark "
+               "--budget-frac --grid --label --max-rounds --out-json "
+               "--out-md --queue --seed --store --timeout --trace-length "
+               "--verbose --workers",
+    "chaos": "--bench-out --campaign --digest --dry-run --join --label "
+             "--out --queue --seed --status --store --timeout --verbose "
+             "--worker-id --workers",
+    "schemes": "",
+    "report": "--benchmarks --output --trace-length",
+}
+
+
+def _subparser(command):
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 class TestParser:
@@ -57,6 +103,30 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_every_subcommand_is_pinned(self):
+        parser = build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert set(sub.choices) == set(OPTION_STRINGS)
+
+    @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+    def test_option_strings_are_pinned(self, command):
+        options = {
+            option
+            for action in _subparser(command)._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        assert options == set(OPTION_STRINGS[command].split())
+
+    @pytest.mark.parametrize("command, store", [
+        ("sweep", None), ("explore", None),
+        ("serve", "none"), ("chaos", "none"),
+    ])
+    def test_sweep_option_defaults(self, command, store):
+        args = build_parser().parse_args([command])
+        assert args.store == store
+        assert args.workers == (os.cpu_count() or 1)
 
 
 class TestExecution:
@@ -154,6 +224,18 @@ class TestValidation:
     def test_sweep_rejects_unknown_figures(self, capsys):
         assert main(["sweep", "--figures", "fig99"]) == 2
         assert "unknown figures" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--figures", "fig9"],
+        ["chaos", "--campaign", CI_SMOKE_CAMPAIGN],
+        ["serve"],
+        ["explore"],
+    ])
+    def test_workers_below_one_are_refused(self, argv, capsys):
+        assert main(argv + ["--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--workers must be >= 1" in err
+        assert err.count("\n") == 1
 
     def test_sweep_rejects_negative_timeout(self, capsys):
         assert main(["sweep", "--figures", "fig9", "--timeout", "-1"]) == 2
@@ -313,6 +395,18 @@ class TestSweepQueueModes:
         assert main(["sweep", "--queue", "a", "--status", "b"]) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_no_resume_with_queue_is_refused(self, capsys, tmp_path):
+        """A queue's workers resume from its shared store, so
+        --no-resume cannot be honoured there."""
+        code = main(["sweep", "--figures", "fig10", "--benchmarks", "li",
+                     "--trace-length", "100", "--workers", "1",
+                     "--queue", str(tmp_path / "q"),
+                     "--store", str(tmp_path / "s"), "--no-resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--no-resume" in err and err.count("\n") == 1
+        assert not (tmp_path / "q").exists()
+
     def test_queue_requires_a_store(self, capsys, tmp_path):
         code = main(["sweep", "--figures", "fig9", "--store", "none",
                      "--queue", str(tmp_path / "q")])
@@ -371,6 +465,23 @@ class TestExploreCommand:
     def test_rejects_unknown_benchmark(self, capsys):
         assert main(["explore", "--benchmark", "zz"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
+
+    def test_queue_manifest_clash_exits_2(self, capsys, tmp_path):
+        """A batch directory that declares another sweep is refused
+        with one line, as sweep and chaos refuse it."""
+        from repro.analysis.sweep import RunPoint
+        from repro.analysis.workqueue import WorkQueue
+
+        queue = tmp_path / "q"
+        WorkQueue.create(str(queue / "batch-000"),
+                         [RunPoint("baseline", "li", 150)])
+        code = main(["explore", "--trace-length", "150",
+                     "--workers", "1", "--store", "none",
+                     "--queue", str(queue)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "already declares a different sweep" in err
+        assert err.count("\n") == 1
 
     def test_smoke_explore_writes_reports_and_bench(
         self, capsys, tmp_path

@@ -4,11 +4,17 @@ There is one simulator path.  The only engine knob, the periodic mode,
 is an argument (``Engine(periodic=...)``, forwarded by ``run_scheme`` and
 ``run_scenario``) that is validated where it enters.  The environment
 variables that once selected a scheduler, periodic mode, DRAM backend or
-link backend must have no effect on a run, whatever their value.
+link backend must have no effect on a run, whatever their value.  The
+same holds for the sweep worker count and store directory: they are
+``--workers``/``--store`` arguments, not ``DORAM_SWEEP_*`` variables.
 """
+
+import os
 
 import pytest
 
+from repro.analysis.sweep import ResultStore
+from repro.cli import build_parser
 from repro.core.schemes import run_scheme
 from repro.scenarios import golden_scenario_config, run_scenario
 from repro.sim.engine import Engine
@@ -60,3 +66,19 @@ def test_engine_rejects_unknown_periodic_mode(mode):
 def test_run_scheme_validates_periodic_mode():
     with pytest.raises(ValueError, match="periodic"):
         run_scheme("doram", "libq", 50, periodic="bogus")
+
+
+def test_sweep_env_vars_change_no_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def _defaults():
+        args = build_parser().parse_args(["sweep"])
+        return args.workers, args.store, ResultStore().root
+
+    monkeypatch.delenv("DORAM_SWEEP_WORKERS", raising=False)
+    monkeypatch.delenv("DORAM_SWEEP_STORE", raising=False)
+    clean = _defaults()
+    assert clean == (os.cpu_count() or 1, None, ".doram-sweep")
+    monkeypatch.setenv("DORAM_SWEEP_WORKERS", "7")
+    monkeypatch.setenv("DORAM_SWEEP_STORE", str(tmp_path / "elsewhere"))
+    assert _defaults() == clean
