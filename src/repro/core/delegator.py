@@ -24,8 +24,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.bob.channel import BobChannel
 from repro.core.config import PACKET_BYTES, SHORT_PACKET_BYTES
-from repro.core.recovery import FaultRecoveryError, Frame, GuardedRead
-from repro.dram.channel import Channel
+from repro.core.recovery import FaultRecoveryError, Frame
+from repro.core.sinks import enqueue_or_hold, issue_split, split_phase
 from repro.dram.commands import MemRequest, OpType, TrafficClass
 from repro.obs.tracer import NULL_TRACER
 from repro.oram.controller import BlockSink, OramController
@@ -257,10 +257,8 @@ class DelegatorSink(BlockSink):
     def __init__(self, delegator: "SecureDelegator") -> None:
         self.delegator = delegator
 
-    def try_issue(self, placement, op, on_complete) -> bool:
-        if placement.remote:
-            return self.delegator.try_remote(placement, op, on_complete)
-        return self.delegator.try_local(placement, op, on_complete)
+    def issue_phase(self, placements, op, on_done):
+        return self.delegator.issue_phase(placements, op, on_done)
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         self.delegator.notify_on_space(callback)
@@ -469,35 +467,42 @@ class SecureDelegator:
         )
 
     # ------------------------------------------------------------------
-    # Local sub-channel traffic
+    # Path traffic: local sub-channels, then split-tree messages
     # ------------------------------------------------------------------
-    def try_local(
+    def issue_phase(
         self,
-        placement: BlockPlacement,
+        placements: List[BlockPlacement],
         op: OpType,
-        on_complete: Callable[[int], None],
-    ) -> bool:
-        sub = self.secure_bob.subchannels[placement.subchannel]
-        if not sub.can_accept(op):
-            return False
-        if self._recovery is not None and op is OpType.READ:
-            # The SD MAC-checks every path block it reads; a transient
-            # flip re-issues the block while the sequencer's read phase
-            # stays open (GuardedRead holds the completion back).
-            guard = GuardedRead(on_complete, self._faults,
-                                self._recovery.block_read_retries)
-            on_complete = guard
-        req = MemRequest(
-            op, placement.channel, placement.subchannel,
-            placement.bank, placement.row, placement.col,
-            self.app_id, TrafficClass.SECURE, 0, on_complete,
+        on_done: Callable[[int], None],
+    ) -> Tuple[List[BlockPlacement], int]:
+        """Issue what fits of a phase; returns ``(stalled, owed)``.
+
+        Local blocks go to the secure sub-channels, one
+        ``enqueue_phase`` per sub-channel (:func:`split_phase`).  Remote
+        (split-tree) blocks are the deepest levels, so they follow every
+        local one in path order; they are sent one message chain each,
+        while the remote window has room.  The SD MAC-checks every path
+        block it reads: with recovery armed, a sub-channel that carries a
+        DRAM fault site gets per-block :class:`GuardedRead` completions,
+        which re-issue a flipped block while the read phase stays open.
+        """
+        subchannels = self.secure_bob.subchannels
+        targets, stalled, remote = split_phase(
+            placements, op, lambda key: subchannels[key[1]]
         )
-        if on_complete.__class__ is GuardedRead:
-            on_complete.reissue = (
-                lambda s=sub, r=req: self._enqueue_or_hold(s, r)
-            )
-        sub.enqueue(req)
-        return True
+        room = self.REMOTE_WINDOW - self._remote_outstanding
+        recovery = self._recovery
+        owed = issue_split(
+            targets, op, on_done, self.app_id,
+            not stalled and len(remote) <= room, self._faults,
+            recovery.block_read_retries if recovery is not None else 0,
+        )
+        for placement in remote:
+            if self.try_remote(placement, op, on_done):
+                owed += 1
+            else:
+                stalled.append(placement)
+        return stalled, owed
 
     # ------------------------------------------------------------------
     # Remote split-tree traffic (Section III-C)
@@ -660,13 +665,7 @@ class SecureDelegator:
             placement.bank, placement.row, placement.col,
             self.app_id, TrafficClass.SECURE, 0, on_complete,
         )
-        self._enqueue_or_hold(sub, req)
-
-    def _enqueue_or_hold(self, sub: Channel, req: MemRequest) -> None:
-        if sub.can_accept(req.op):
-            sub.enqueue(req)
-        else:
-            sub.notify_on_space(lambda: self._enqueue_or_hold(sub, req))
+        enqueue_or_hold(sub, req)
 
     def _remote_done(
         self, on_complete: Callable[[int], None], time: int

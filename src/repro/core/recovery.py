@@ -39,7 +39,7 @@ lands -- the protocol-level "re-issue corrupted path blocks" rule.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bob.channel import BobChannel
 from repro.core.config import PACKET_BYTES
@@ -356,23 +356,33 @@ class BobChannelSink(BlockSink):
         self.faults = faults
         self.retry_limit = retry_limit
 
-    def try_issue(
+    def issue_phase(
         self,
-        placement: BlockPlacement,
+        placements: List[BlockPlacement],
         op: OpType,
-        on_complete: Callable[[int], None],
-    ) -> bool:
-        bob = self.bobs[placement.channel]
-        if not bob.can_accept(op):
-            return False
-        if self.faults is not None and op is OpType.READ:
-            guard = GuardedRead(on_complete, self.faults, self.retry_limit)
-            guard.reissue = lambda: self._reissue(bob, placement, guard)
-            on_complete = guard
-        bob.submit(op, placement.subchannel, placement.bank,
-                   placement.row, placement.col, self.app_id,
-                   TrafficClass.SECURE, on_complete)
-        return True
+        on_done: Callable[[int], None],
+    ) -> Tuple[List[BlockPlacement], int]:
+        """Per-block issue: each block is its own link packet, and reads
+        are MAC-checked (and re-issued) one by one."""
+        stalled = []
+        owed = 0
+        for placement in placements:
+            bob = self.bobs[placement.channel]
+            if not bob.can_accept(op):
+                stalled.append(placement)
+                continue
+            on_complete = on_done
+            if self.faults is not None and op is OpType.READ:
+                guard = GuardedRead(on_done, self.faults, self.retry_limit)
+                guard.reissue = (
+                    lambda b=bob, p=placement, g=guard: self._reissue(b, p, g)
+                )
+                on_complete = guard
+            bob.submit(op, placement.subchannel, placement.bank,
+                       placement.row, placement.col, self.app_id,
+                       TrafficClass.SECURE, on_complete)
+            owed += 1
+        return stalled, owed
 
     def _reissue(self, bob: BobChannel, placement: BlockPlacement,
                  guard: GuardedRead) -> None:

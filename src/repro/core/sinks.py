@@ -7,17 +7,132 @@
 * The D-ORAM delegator's sink lives in :mod:`repro.core.delegator`
   because local sub-channel traffic and remote split-tree messages need
   the delegator's link plumbing.
+
+Both issue a phase with :func:`split_phase` and :func:`issue_split`: the
+phase's channel-local placements are grouped by target channel, each
+target takes the prefix of its blocks that fits its free queue slots --
+what a per-block ``can_accept``/``enqueue`` loop accepts, since nothing
+is serviced while the loop runs -- and each target then gets one
+:meth:`~repro.dram.channel.Channel.enqueue_phase` call.  Targets are
+issued in order of first appearance, so their service kicks take the
+same engine sequence numbers the per-block loop gave them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.core.recovery import GuardedRead
 from repro.dram.channel import Channel
-from repro.dram.commands import MemRequest, OpType, TrafficClass
+from repro.dram.commands import (
+    CompletionGroup,
+    MemRequest,
+    OpType,
+    TrafficClass,
+)
 from repro.oram.controller import BlockSink
 from repro.oram.layout import BlockPlacement
+
+
+def split_phase(
+    placements: List[BlockPlacement],
+    op: OpType,
+    channel_for: Callable[[Tuple[int, int]], Channel],
+) -> Tuple[List[Tuple[Channel, List[BlockPlacement]]],
+           List[BlockPlacement], List[BlockPlacement]]:
+    """Split a phase's placements into ``(targets, stalled, remote)``.
+
+    ``targets`` pairs each local target's channel (``channel_for(key)``
+    of its ``placement.target`` key, looked up once) with the prefix of
+    its blocks that fits the channel's free ``op`` slots, in order of
+    first appearance.  ``stalled`` holds the local placements that did
+    not fit, ``remote`` the split-tree ones; both keep the given order.
+    """
+    groups: Dict[object, List[BlockPlacement]] = {}
+    for placement in placements:
+        key = placement.target
+        blocks = groups.get(key)
+        if blocks is None:
+            groups[key] = [placement]
+        else:
+            blocks.append(placement)
+    remote = groups.pop(None, [])
+    targets = []
+    taken = None
+    for key, blocks in groups.items():
+        channel = channel_for(key)
+        free = channel.free_slots(op)
+        if free < len(blocks):
+            if taken is None:
+                taken = {k: len(b) for k, b in groups.items()}
+            taken[key] = free
+            blocks = blocks[:free]
+        targets.append((channel, blocks))
+    stalled: List[BlockPlacement] = []
+    if taken is not None:
+        # Each target took its first blocks in the given order; what
+        # stalled keeps that order across targets.
+        for placement in placements:
+            key = placement.target
+            if key is not None:
+                if taken[key]:
+                    taken[key] -= 1
+                else:
+                    stalled.append(placement)
+    return targets, stalled, remote
+
+
+def issue_split(
+    targets: Iterable[Tuple[Channel, List[BlockPlacement]]],
+    op: OpType,
+    on_done: Callable[[int], None],
+    app_id: int,
+    share: bool,
+    faults=None,
+    retry_limit: int = 0,
+) -> int:
+    """Queue each target's accepted blocks; returns the completions
+    ``on_done`` is owed.
+
+    With ``share`` (a READ issue that left nothing stalled) each
+    channel's reads complete as one :class:`CompletionGroup`.  With
+    ``faults`` armed, reads on a channel that carries a DRAM fault site
+    are issued per block under :class:`GuardedRead`, which MAC-checks
+    each block and re-issues a flipped one on its own; a channel without
+    a site never flips a burst, so it needs no guard.
+    """
+    owed = 0
+    reading = op is OpType.READ
+    secure = TrafficClass.SECURE
+    for channel, blocks in targets:
+        if not blocks:
+            continue
+        if reading and faults is not None and channel.fault_armed:
+            for p in blocks:
+                guard = GuardedRead(on_done, faults, retry_limit)
+                req = MemRequest(op, p.channel, p.subchannel, p.bank, p.row,
+                                 p.col, app_id, secure, 0, guard)
+                guard.reissue = (
+                    lambda c=channel, r=req: enqueue_or_hold(c, r)
+                )
+                channel.enqueue(req)
+            owed += len(blocks)
+        elif reading and share:
+            channel.enqueue_phase(blocks, op, app_id, secure,
+                                  CompletionGroup(len(blocks), on_done))
+            owed += 1
+        else:
+            channel.enqueue_phase(blocks, op, app_id, secure, on_done)
+            owed += len(blocks)
+    return owed
+
+
+def enqueue_or_hold(channel: Channel, req: MemRequest) -> None:
+    """Enqueue ``req`` now, or as soon as ``channel`` frees a slot."""
+    if channel.can_accept(req.op):
+        channel.enqueue(req)
+    else:
+        channel.notify_on_space(lambda: enqueue_or_hold(channel, req))
 
 
 class DirectChannelSink(BlockSink):
@@ -27,45 +142,28 @@ class DirectChannelSink(BlockSink):
                  app_id: int, faults=None, retry_limit: int = 16) -> None:
         self.channels = channels
         self.app_id = app_id
-        #: Fault controller (``repro.faults``); ``None`` keeps the issue
-        #: path free of per-request guard objects.
+        #: Fault controller (``repro.faults``); reads on channels with a
+        #: DRAM fault site are MAC-checked per block under it.
         self.faults = faults
         self.retry_limit = retry_limit
 
-    def try_issue(
+    def issue_phase(
         self,
-        placement: BlockPlacement,
+        placements: List[BlockPlacement],
         op: OpType,
-        on_complete: Callable[[int], None],
-    ) -> bool:
-        key = (placement.channel, placement.subchannel)
-        channel = self.channels[key]
-        if not channel.can_accept(op):
-            return False
-        if self.faults is not None and op is OpType.READ:
-            # MAC verification on the fetched bucket: a transient flip
-            # re-reads the same block before the read phase completes.
-            guard = GuardedRead(on_complete, self.faults, self.retry_limit)
-            on_complete = guard
-        req = MemRequest(
-            op, placement.channel, placement.subchannel,
-            placement.bank, placement.row, placement.col,
-            self.app_id, TrafficClass.SECURE, 0, on_complete,
+        on_done: Callable[[int], None],
+    ) -> Tuple[List[BlockPlacement], int]:
+        targets, stalled, remote = split_phase(
+            placements, op, self.channels.__getitem__
         )
-        if on_complete.__class__ is GuardedRead:
-            on_complete.reissue = (
-                lambda c=channel, r=req: self._reissue(c, r)
-            )
-        channel.enqueue(req)
-        return True
-
-    def _reissue(self, channel: Channel, req: MemRequest) -> None:
-        if channel.can_accept(req.op):
-            channel.enqueue(req)
-        else:
-            channel.notify_on_space(
-                lambda c=channel, r=req: self._reissue(c, r)
-            )
+        if remote:
+            raise ValueError("direct-attached channels hold no split-tree "
+                             "(remote) blocks")
+        owed = issue_split(
+            targets, op, on_done, self.app_id, not stalled,
+            self.faults, self.retry_limit,
+        )
+        return stalled, owed
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         fired = [False]

@@ -19,7 +19,7 @@ from repro.dram.timing import DDR3Timing, DDR3_1600
 from repro.dram.commands import MemRequest, OpType
 from repro.dram.bank import Bank
 from repro.dram.channel import Channel
-from repro.dram.scheduler import FrFcfsScheduler, SharePolicy
+from repro.dram.scheduler import SharePolicy
 from repro.dram.address_mapping import (
     ChannelInterleaver,
     DeviceGeometry,
@@ -34,7 +34,6 @@ __all__ = [
     "OpType",
     "Bank",
     "Channel",
-    "FrFcfsScheduler",
     "SharePolicy",
     "ChannelInterleaver",
     "DeviceGeometry",

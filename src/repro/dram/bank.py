@@ -85,12 +85,6 @@ class Bank:
         self._tBURST = timing.tBURST
 
     # ------------------------------------------------------------------
-    def classify(self, row: int) -> str:
-        """Row-buffer outcome if ``row`` were accessed next."""
-        if self.open_row is None:
-            return "closed"
-        return "hit" if self.open_row == row else "conflict"
-
     def commit(self, req: MemRequest, earliest: int, floor: int = 0) -> Tuple[int, str]:
         """Schedule ``req``; returns ``(data_start, outcome)``.
 
@@ -216,6 +210,8 @@ class RankTimers:
 
     Tracks the tFAW four-activate window, tRRD activate spacing, the
     write-to-read (tWTR) fence, and the periodic refresh schedule.
+    :meth:`Bank.commit` and ``Channel._service`` apply the fences
+    inline; ``tests/dram/dram_reference.py`` keeps them one per function.
     """
 
     __slots__ = (
@@ -247,53 +243,3 @@ class RankTimers:
         self._tWTR = timing.tWTR
         self._tREFI = timing.tREFI
         self._tRFC = timing.tRFC
-
-    # -- activates ------------------------------------------------------
-    def activate_slot(self, lower_bound: int) -> int:
-        """Earliest ACTIVATE at or after ``lower_bound`` honoring
-        tRRD and tFAW.  Does not record the activate."""
-        t = lower_bound
-        acts = self._acts
-        if acts:
-            fence = acts[-1] + self._tRRD
-            if fence > t:
-                t = fence
-            if len(acts) >= 4:
-                fence = acts[-4] + self._tFAW
-                if fence > t:
-                    t = fence
-        return t
-
-    def note_activate(self, time: int) -> None:
-        acts = self._acts
-        acts.append(time)
-        if len(acts) > 4:
-            del acts[0]
-
-    # -- write-to-read fence ---------------------------------------------
-    def note_write_end(self, time: int) -> None:
-        if time > self._last_write_end:
-            self._last_write_end = time
-
-    def read_ready(self, earliest: int) -> int:
-        """Earliest a READ column command may issue (tWTR after writes)."""
-        fence = self._last_write_end + self._tWTR
-        return fence if fence > earliest else earliest
-
-    # -- refresh ----------------------------------------------------------
-    def refresh_window(self, time: int) -> Optional[Tuple[int, int]]:
-        """If a refresh is due at or before ``time``, return its window.
-
-        The caller must invoke :meth:`complete_refresh` to advance the
-        schedule after stalling for the window.
-        """
-        due = self.refresh.next_due
-        if time >= due:
-            return (due, due + self._tRFC)
-        return None
-
-    def complete_refresh(self) -> None:
-        self.refreshes += 1
-        stream = self.refresh
-        stream.occurrences += 1
-        stream.next_due += self._tREFI

@@ -15,6 +15,17 @@ completion callback when the burst ends.  Bank preparation (PRE/ACT) is
 back-dated as early as JEDEC constraints allow, modeling the command/data
 overlap of a real pipelined controller.
 
+ORAM phases
+-----------
+``enqueue_phase()`` takes one ORAM phase's share of the channel in one
+call: one request per block, in order, behind one service kick -- exactly
+what per-block ``enqueue()`` calls would leave.  Completions that do
+nothing (:func:`~repro.dram.commands.ignore_completion`, and the members
+of a :class:`~repro.dram.commands.CompletionGroup` other than the last
+serviced) take the sequence number their event would have taken and are
+booked in the engine's census instead of pushed when the engine allows
+it (``Engine._ledger``; DESIGN.md section 9a).
+
 FR-FCFS indexing
 ----------------
 Each queue keeps a per-bank ``{row: [requests...]}`` side index, maintained
@@ -23,9 +34,10 @@ the first-ready request is the minimum ``_enq_seq`` over the bucket heads
 -- instead of rescanning the queue window per service.  Queue position
 order equals ``_enq_seq`` order (appends are monotonic, removals preserve
 relative order), so the probe selects exactly the request the windowed
-:class:`FrFcfsScheduler` scan would; the scan remains the fallback for the
-two cases it doesn't cover (queue deeper than the scheduler window, and
-mixed-traffic slots where the share policy filters candidates first).
+first-ready scan (``_scan_pick``) would; the scan remains the fallback
+for the two cases it doesn't cover (queue deeper than the scheduler
+window, and mixed-traffic slots where the share policy filters candidates
+first).
 """
 
 from __future__ import annotations
@@ -33,8 +45,14 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.dram.bank import Bank, RankTimers
-from repro.dram.commands import MemRequest, OpType, TrafficClass
-from repro.dram.scheduler import FrFcfsScheduler, SharePolicy, SingleClassPolicy
+from repro.dram.commands import (
+    CompletionGroup,
+    MemRequest,
+    OpType,
+    TrafficClass,
+    ignore_completion,
+)
+from repro.dram.scheduler import SharePolicy, SingleClassPolicy
 from repro.dram.timing import ChannelParams, DDR3Timing, DDR3_1600, DEFAULT_CHANNEL_PARAMS
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import Engine, _NO_ARG
@@ -74,12 +92,10 @@ class Channel:
         self.banks: List[Bank] = [
             Bank(timing, self.rank) for _ in range(params.num_banks)
         ]
-        self.scheduler = FrFcfsScheduler(params.scheduler_window)
         self.share_policy = share_policy or SingleClassPolicy()
         self._tracer = (tracer if tracer is not None else NULL_TRACER).category(
             "dram"
         )
-        self.scheduler.bind_tracer(self._tracer, name, engine)
 
         self.read_q: List[MemRequest] = []
         self.write_q: List[MemRequest] = []
@@ -175,18 +191,81 @@ class Channel:
         else:
             bucket.append(req)
         if not self._service_scheduled:
-            self._service_scheduled = True
-            # Inline of Engine.at: the kick time is clamped to >= now, so
-            # the past-schedule guard cannot fire.
-            engine = self.engine
-            bus_free = self._bus_free
-            now = engine.now
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._push(
-                (bus_free if bus_free > now else now, seq,
-                 self._service, _NO_ARG)
+            self._kick()
+
+    def free_slots(self, op: OpType) -> int:
+        """Queue entries ``op`` requests may still take right now."""
+        if op is OpType.WRITE:
+            return self._wq_depth - len(self.write_q)
+        return self._rq_depth - len(self.read_q)
+
+    def enqueue_phase(
+        self,
+        blocks,
+        op: OpType,
+        app_id: int,
+        traffic: TrafficClass,
+        on_complete: Callable[[int], None],
+    ) -> None:
+        """Accept a phase's share of this channel: one request per block.
+
+        ``blocks`` are placements (``channel``, ``subchannel``, ``bank``,
+        ``row`` and ``col`` attributes) in issue order, all completing
+        through ``on_complete``.  The queues, the FR-FCFS indexes and the
+        service kick end up exactly as ``enqueue`` of each request in turn
+        would leave them.  The caller sizes ``blocks`` to
+        :meth:`free_slots`; overfilling raises.
+        """
+        if op is OpType.WRITE:
+            queue, indexes, depth = self.write_q, self._wq_index, self._wq_depth
+        else:
+            queue, indexes, depth = self.read_q, self._rq_index, self._rq_depth
+        count = len(blocks)
+        if len(queue) + count > depth:
+            raise RuntimeError(f"{self.name}: {op.value} queue full")
+        num_banks = len(self.banks)
+        now = self.engine.now
+        seq = self._enq_counter
+        for block in blocks:
+            bank = block.bank
+            if not 0 <= bank < num_banks:
+                raise ValueError(f"{self.name}: bank {bank} out of range")
+            row = block.row
+            req = MemRequest(
+                op, block.channel, block.subchannel, bank, row, block.col,
+                app_id, traffic, now, on_complete,
             )
+            req._enq_seq = seq
+            seq += 1
+            queue.append(req)
+            index = indexes[bank]
+            bucket = index.get(row)
+            if bucket is None:
+                index[row] = [req]
+            else:
+                bucket.append(req)
+        self._enq_counter = seq
+        if traffic is TrafficClass.SECURE:
+            if op is OpType.WRITE:
+                self._wq_secure += count
+            else:
+                self._rq_secure += count
+        if count and not self._service_scheduled:
+            self._kick()
+
+    def _kick(self) -> None:
+        """Schedule a service pass (the queue just went from idle)."""
+        self._service_scheduled = True
+        # Inline of Engine.at: the kick time is clamped to >= now, so
+        # the past-schedule guard cannot fire.
+        engine = self.engine
+        bus_free = self._bus_free
+        now = engine.now
+        seq = engine._seq
+        engine._seq = seq + 1
+        engine._push(
+            (bus_free if bus_free > now else now, seq, self._service, _NO_ARG)
+        )
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         """One-shot callback fired the next time any queue entry drains."""
@@ -195,6 +274,11 @@ class Channel:
     def arm_faults(self, site) -> None:
         """Attach a :class:`~repro.faults.inject.DramFaultSite`."""
         self._faults = site
+
+    @property
+    def fault_armed(self) -> bool:
+        """True when a DRAM fault site may flip this channel's reads."""
+        return self._faults is not None
 
     def start_command_log(self) -> list:
         """Record every implied DRAM command (PRE/ACT/RD/WR/REF) from now
@@ -401,7 +485,24 @@ class Channel:
                 self._faults.maybe_flip(on_complete)
             seq = engine._seq
             engine._seq = seq + 1
-            engine._push((finish, seq, on_complete, finish))
+            if on_complete.__class__ is CompletionGroup:
+                # Counted down at service time: only the last member
+                # serviced carries the group's callback.
+                left = on_complete.remaining - 1
+                on_complete.remaining = left
+                on_complete = on_complete.callback if not left \
+                    else ignore_completion
+            entry = (finish, seq, on_complete, finish)
+            ledger = engine._ledger
+            if ledger is not None and on_complete is ignore_completion:
+                # A no-op completion: booked at the seq its event would
+                # have taken and counted as a synthesized occurrence.
+                ledger.append(entry)
+                engine._synthesized += 1
+                if len(ledger) > engine._ledger_cap:
+                    engine.prune_ledger()
+            else:
+                engine._push(entry)
 
         if self._space_waiters:
             self._wake_space_waiters()
@@ -522,8 +623,9 @@ class Channel:
         return req
 
     def _scan_pick(self, queue: List[MemRequest]) -> int:
-        """Inlined :meth:`FrFcfsScheduler.pick` (same decisions and trace
-        events, minus the per-entry ``classify`` call)."""
+        """Windowed first-ready scan: the first row hit among the oldest
+        ``scheduler_window`` requests, else the oldest; an out-of-order
+        pick emits a ``frfcfs_reorder`` trace event."""
         banks = self.banks
         qlen = len(queue)
         limit = qlen if qlen < self._window else self._window

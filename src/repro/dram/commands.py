@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Callable, Optional
 
 
@@ -28,7 +27,31 @@ class TrafficClass(enum.Enum):
     __hash__ = object.__hash__
 
 
-_request_ids = itertools.count()
+def ignore_completion(_time: int) -> None:
+    """No-op completion: for requests whose finish nobody waits on.
+
+    Channels recognize this sentinel and, inside a lazy whole-run loop,
+    book the completion in the engine's census instead of dispatching it
+    (:meth:`repro.sim.engine.Engine.run`).  ORAM write phases use it: a
+    written block is done once the memory system accepts it.
+    """
+
+
+class CompletionGroup:
+    """One completion shared by a set of requests on one channel.
+
+    The channel counts members down as it services them; only the last
+    one serviced schedules ``callback`` (at the time and sequence number
+    its own completion would have had), and the others complete as
+    :func:`ignore_completion`.  Used for an ORAM read phase's share of a
+    sub-channel, whose owner only needs to know when all of it is back.
+    """
+
+    __slots__ = ("remaining", "callback")
+
+    def __init__(self, remaining: int, callback: Callable[[int], None]) -> None:
+        self.remaining = remaining
+        self.callback = callback
 
 
 class MemRequest:
@@ -57,7 +80,6 @@ class MemRequest:
         "traffic",
         "arrival",
         "on_complete",
-        "req_id",
         "is_write",
         "_enq_seq",
     )
@@ -74,7 +96,6 @@ class MemRequest:
         traffic: TrafficClass = TrafficClass.NORMAL,
         arrival: int = 0,
         on_complete: Optional[Callable[[int], None]] = None,
-        req_id: Optional[int] = None,
     ) -> None:
         self.op = op
         self.channel = channel
@@ -91,7 +112,6 @@ class MemRequest:
         self.arrival = arrival
         #: Completion callback, invoked with the finish tick.
         self.on_complete = on_complete
-        self.req_id = next(_request_ids) if req_id is None else req_id
         self.is_write = op is OpType.WRITE
         #: Channel-local FIFO sequence, assigned at enqueue (used by the
         #: indexed FR-FCFS pick to order row hits across banks).
@@ -99,6 +119,6 @@ class MemRequest:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"MemRequest(#{self.req_id} {self.op.value} app={self.app_id} "
+            f"MemRequest({self.op.value} app={self.app_id} "
             f"ch={self.channel}.{self.subchannel} b={self.bank} r={self.row})"
         )

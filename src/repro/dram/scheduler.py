@@ -1,4 +1,4 @@
-"""Request scheduling policies for a memory channel.
+"""Traffic-class share policies for a memory channel.
 
 Two policies from the paper's infrastructure:
 
@@ -6,6 +6,8 @@ Two policies from the paper's infrastructure:
   open-page scheduler: among queued requests, prefer one that hits an open
   row buffer, otherwise take the oldest.  The scan is bounded by a window
   for simulation speed, as real schedulers bound their associative search.
+  :class:`~repro.dram.channel.Channel` runs it inline in its service loop
+  (``_pick_request`` / ``_scan_pick``).
 
 * **Bandwidth preallocation** (:class:`SharePolicy`) -- the cooperative
   Path ORAM sharing technique of Wang et al. [39] that Section IV adopts
@@ -17,65 +19,9 @@ Two policies from the paper's infrastructure:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.dram.bank import Bank
-from repro.dram.commands import MemRequest, TrafficClass
-
-
-class _NullPickTracer:
-    """Disabled-tracing sentinel (mirrors ``repro.obs.tracer.NULL_TRACER``
-    without importing it, keeping the DRAM layer importable standalone)."""
-
-    enabled = False
-
-
-_NULL_PICK_TRACER = _NullPickTracer()
-
-
-class FrFcfsScheduler:
-    """First-ready FCFS pick over a bounded queue window."""
-
-    def __init__(self, window: int = 24) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._tracer = _NULL_PICK_TRACER
-        self._track = ""
-        self._clock = None
-
-    def bind_tracer(self, tracer, track: str, clock) -> None:
-        """Attach a trace sink (``dram`` category).
-
-        ``clock`` is the owning engine (read for ``now``); the scheduler
-        itself stays time-free.  Only out-of-order picks are emitted --
-        an FR-FCFS decision that deviates from FIFO is exactly the
-        reordering a mean-preserving regression could hide.
-        """
-        self._tracer = tracer
-        self._track = track
-        self._clock = clock
-
-    def pick(self, queue: Sequence[MemRequest], banks: Sequence[Bank]) -> int:
-        """Index of the request to service next (queue must be non-empty).
-
-        Prefers, within the scan window, a request whose bank currently has
-        its row open (a row-buffer hit); falls back to the oldest request.
-        """
-        if not queue:
-            raise ValueError("pick() on empty queue")
-        limit = min(len(queue), self.window)
-        for i in range(limit):
-            req = queue[i]
-            if banks[req.bank].classify(req.row) == "hit":
-                if i and self._tracer.enabled:
-                    self._tracer.instant(
-                        "dram", "frfcfs_reorder", self._track,
-                        self._clock.now,
-                        {"index": i, "bank": req.bank, "depth": len(queue)},
-                    )
-                return i
-        return 0
+from repro.dram.commands import TrafficClass
 
 
 class SharePolicy:

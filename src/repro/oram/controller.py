@@ -17,9 +17,9 @@ response's link flight (Section III-B).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.dram.commands import OpType
+from repro.dram.commands import OpType, ignore_completion
 from repro.obs.tracer import NULL_TRACER
 from repro.oram.config import OramConfig
 from repro.oram.layout import BlockPlacement, OramLayout
@@ -31,26 +31,27 @@ from repro.sim.stats import StatSet
 class BlockSink:
     """Where path block accesses go (duck-typed interface).
 
-    ``try_issue`` returns False when the route toward ``placement`` has no
-    capacity right now; the controller will re-pump after
-    ``notify_on_space`` fires.  ``on_complete`` must fire exactly once per
-    accepted block.
+    ``issue_phase`` issues what it can of a phase's pending placements
+    now and returns ``(stalled, outstanding)``: the placements it could
+    not accept (in the order given; the controller re-pumps them after
+    ``notify_on_space`` fires) and the number of completions ``on_done``
+    will receive for the accepted ones.  That is one per accepted block,
+    except that when a READ issue leaves nothing stalled a sink may share
+    one completion among the blocks it queued on one channel
+    (:class:`~repro.dram.commands.CompletionGroup`).  WRITE phases pass
+    :func:`~repro.dram.commands.ignore_completion`.
     """
 
-    def try_issue(
+    def issue_phase(
         self,
-        placement: BlockPlacement,
+        placements: Sequence[BlockPlacement],
         op: OpType,
-        on_complete: Callable[[int], None],
-    ) -> bool:  # pragma: no cover - interface
+        on_done: Callable[[int], None],
+    ) -> Tuple[List[BlockPlacement], int]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:  # pragma: no cover
         raise NotImplementedError
-
-
-def _ignore_completion(_time: int) -> None:
-    """Write-phase blocks complete at handoff; DRAM completion is moot."""
 
 
 class OramController:
@@ -173,36 +174,31 @@ class OramController:
         self._waiting_for_space = False
         if self._phase is None:
             return
-        reading = self._phase == "read"
-        op = OpType.READ if reading else OpType.WRITE
         # Read phase: the response needs every block, so completions are
         # tracked.  Write phase: the protocol's "write phase ongoing" is
         # the engine *issuing* the re-encrypted path; a block is done when
         # the memory system accepts it (queue back-pressure still paces
         # the engine), matching how [32]/[39] stream the write-back.
-        on_done = self._block_done if reading else _ignore_completion
-        # Collect the stalled placements into a fresh list (order kept)
-        # instead of popping mid-list; try_issue never re-enters _pump
-        # synchronously, so iterating the old list is safe.
-        sink = self.sink
-        stalled = []
-        outstanding = 0
-        for placement in self._pending:
-            if sink.try_issue(placement, op, on_done):
-                outstanding += 1
-            else:
-                stalled.append(placement)
-        self._pending = stalled
-        if reading and outstanding:
+        # issue_phase never re-enters _pump synchronously.
+        if self._phase == "read":
+            stalled, outstanding = self.sink.issue_phase(
+                self._pending, OpType.READ, self._block_done
+            )
             self._outstanding += outstanding
-        if self._pending and not self._waiting_for_space:
+        else:
+            stalled, _ = self.sink.issue_phase(
+                self._pending, OpType.WRITE, ignore_completion
+            )
+        self._pending = stalled
+        if stalled and not self._waiting_for_space:
             self._waiting_for_space = True
             self.sink.notify_on_space(self._pump)
         self._maybe_finish()
 
     def _block_done(self, _time: int) -> None:
-        # Runs once per read-phase block; the common case (more blocks
-        # still in flight) must fall through with minimal work.
+        # Runs once per read completion (a block, or one channel's group
+        # of blocks); the common case (more still in flight) must fall
+        # through with minimal work.
         outstanding = self._outstanding - 1
         self._outstanding = outstanding
         if self._pending:

@@ -34,6 +34,9 @@ class BlockPlacement:
 
     ``remote`` is True when the block sits on a normal channel and must
     be reached with explicit cross-channel messages (Section III-C).
+    ``target`` is the ``(channel, subchannel)`` a sink queues a local
+    block on, and ``None`` for a remote one: one key to group a phase by.
+    The layout passes its own target tuples, so placements share them.
 
     A plain ``__slots__`` class rather than a frozen dataclass: one
     placement is built per non-cached path block, and the per-field
@@ -44,12 +47,13 @@ class BlockPlacement:
 
     __slots__ = (
         "bucket", "slot", "channel", "subchannel", "bank", "row", "col",
-        "remote",
+        "remote", "target",
     )
 
     def __init__(self, bucket: int, slot: int, channel: int,
                  subchannel: int, bank: int, row: int, col: int,
-                 remote: bool) -> None:
+                 remote: bool,
+                 target: Optional[Tuple[int, int]] = None) -> None:
         self.bucket = bucket
         self.slot = slot
         self.channel = channel
@@ -58,6 +62,11 @@ class BlockPlacement:
         self.row = row
         self.col = col
         self.remote = remote
+        if remote:
+            target = None
+        elif target is None:
+            target = (channel, subchannel)
+        self.target = target
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -68,10 +77,11 @@ class BlockPlacement:
         )
 
 
-#: Upper bound on memoized placements per layout (dominated by the hot
-#: root levels; ~100 B per entry keeps the worst case around 25 MB).
+#: Upper bound on memoized placements per layout, counted in blocks
+#: (dominated by the hot root levels; ~100 B per placement keeps the
+#: worst case around 25 MB).  The cache is keyed per bucket, so it holds
+#: up to this many blocks over ``bucket_size`` times fewer keys.
 _PLACE_CACHE_LIMIT = 1 << 18
-_PLACE_MISS = object()
 
 
 class OramLayout:
@@ -107,7 +117,7 @@ class OramLayout:
             raise ValueError("home_targets must not be empty")
         self.config = config
         self.tree = TreeGeometry(config)
-        self.home_targets = list(home_targets)
+        self.home_targets = [tuple(target) for target in home_targets]
         self.device = geometry
         self.base_line = base_line
         self.home_levels = (
@@ -125,8 +135,12 @@ class OramLayout:
         self._segment_offsets = self._build_segments()
         # Per-remote-level line-base offsets.
         self._remote_level_bases = self._build_remote_bases()
-        self._place_cache: dict = {}
-        # Hot-path caches: placement construction runs per path block and
+        #: ``bucket -> tuple of its placements`` (empty when cached).
+        self._bucket_cache: dict = {}
+        self._bucket_cache_limit = max(
+            1, _PLACE_CACHE_LIMIT // config.bucket_size
+        )
+        # Hot-path caches: placement construction runs per path bucket and
         # chased these through two dataclasses before.
         self._bucket_size = config.bucket_size
         self._treetop_levels = config.treetop_levels
@@ -227,31 +241,41 @@ class OramLayout:
         """Placement of one block; ``None`` for tree-top-cached buckets."""
         if not 0 <= slot < self._bucket_size:
             raise ValueError(f"slot {slot} out of range")
-        # The mapping is a pure function of (bucket, slot) and placements
-        # are treated as immutable, so memoize: every access recomputes
-        # the same root levels.  The cache is bounded so a huge tree
-        # cannot exhaust memory; once full, cold (deep) buckets are
-        # computed fresh.
-        key = bucket * self._bucket_size + slot
-        cache = self._place_cache
-        placement = cache.get(key, _PLACE_MISS)
-        if placement is not _PLACE_MISS:
-            return placement
+        placements = self.bucket_placements(bucket)
+        return placements[slot] if placements else None
+
+    def bucket_placements(self, bucket: int) -> Tuple[BlockPlacement, ...]:
+        """Placements of a bucket's ``bucket_size`` blocks in slot order;
+        empty for tree-top-cached buckets.
+
+        The mapping is a pure function of the bucket and placements are
+        treated as immutable, so it is memoized per bucket: every access
+        recomputes the same root levels.  The cache is bounded so a huge
+        tree cannot exhaust memory; once full, cold (deep) buckets are
+        computed fresh.
+        """
+        cache = self._bucket_cache
+        placements = cache.get(bucket)
+        if placements is not None:
+            return placements
         level = self.tree.level_of(bucket)
         if level < self._treetop_levels:
-            placement = None
+            placements = ()
         elif level < self.home_levels:
-            placement = self._place_home(bucket, slot, level)
+            placements = self._place_home(bucket, level)
         else:
-            placement = self._place_remote(bucket, slot, level)
-        if len(cache) < _PLACE_CACHE_LIMIT:
-            cache[key] = placement
-        return placement
+            placements = self._place_remote(bucket, level)
+        if len(cache) < self._bucket_cache_limit:
+            cache[bucket] = placements
+        return placements
 
-    def _place_home(self, bucket: int, slot: int, level: int) -> BlockPlacement:
+    def _place_home(self, bucket: int, level: int) -> Tuple[BlockPlacement, ...]:
+        """Slot ``s`` sits on ``home_targets[s % n]`` at line ``base +
+        packed * blocks_per_target + s // n``: one line per ``n`` slots
+        (one per bucket in the paper's Z = 4 over four sub-channels),
+        decoded once and shared by those slots."""
         targets = self.home_targets
         n = len(targets)
-        target = targets[slot % n]
         # Inline of :meth:`packed_index` (the level is already known) and
         # of :func:`decode_line` (the line index is positive by
         # construction: ``base_line`` sits above the NS-App slices).
@@ -264,43 +288,50 @@ class OramLayout:
             + (1 << depth) - 1
             + (bucket - (subtree_root << depth))
         )
-        line = self.base_line + packed * self._blocks_per_target + slot // n
+        line = self.base_line + packed * self._blocks_per_target
         lines_per_row = self._lines_per_row
-        col = line % lines_per_row
-        row_group = line // lines_per_row
         num_banks = self._num_banks
-        return BlockPlacement(
-            bucket, slot, target[0], target[1],
-            row_group % num_banks,
-            (row_group // num_banks) % self._num_rows,
-            col, False,
-        )
+        placements = []
+        for slot in range(self._bucket_size):
+            offset = slot % n
+            if not offset:
+                row_group, col = divmod(line + slot // n, lines_per_row)
+                bank = row_group % num_banks
+                row = (row_group // num_banks) % self._num_rows
+            target = targets[offset]
+            placements.append(BlockPlacement(
+                bucket, slot, target[0], target[1], bank, row, col, False,
+                target,
+            ))
+        return tuple(placements)
 
-    def _place_remote(self, bucket: int, slot: int, level: int) -> BlockPlacement:
+    def _place_remote(self, bucket: int, level: int) -> Tuple[BlockPlacement, ...]:
         n = len(self.remote_targets)
         index_in_level = bucket - (1 << level)
         slot_base, rot_base = self._remote_level_bases[level]
-        if slot == 0:
-            # Fig. 7: first block rotates across the normal channels.
-            target = self.remote_targets[index_in_level % n]
-            line = rot_base + index_in_level // n
-        else:
-            target = self.remote_targets[(slot - 1) % n]
-            line = slot_base + index_in_level
-        bank, row, col = decode_line(line, self.device)
-        return BlockPlacement(
-            bucket, slot, target[0], target[1], bank, row, col, True
-        )
+        placements = []
+        for slot in range(self._bucket_size):
+            if slot == 0:
+                # Fig. 7: first block rotates across the normal channels.
+                target = self.remote_targets[index_in_level % n]
+                line = rot_base + index_in_level // n
+            else:
+                target = self.remote_targets[(slot - 1) % n]
+                line = slot_base + index_in_level
+            bank, row, col = decode_line(line, self.device)
+            placements.append(BlockPlacement(
+                bucket, slot, target[0], target[1], bank, row, col, True
+            ))
+        return tuple(placements)
 
     # ------------------------------------------------------------------
     def path_placements(self, leaf: int) -> List[BlockPlacement]:
-        """Every DRAM block touched by an access to ``leaf``'s path."""
+        """Every DRAM block touched by an access to ``leaf``'s path, bucket
+        by bucket from the root, each bucket in slot order."""
         placements: List[BlockPlacement] = []
+        bucket_placements = self.bucket_placements
         for bucket in self.tree.path_buckets(leaf):
-            for slot in range(self.config.bucket_size):
-                placement = self.place(bucket, slot)
-                if placement is not None:
-                    placements.append(placement)
+            placements.extend(bucket_placements(bucket))
         return placements
 
     # ------------------------------------------------------------------

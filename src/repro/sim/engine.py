@@ -75,6 +75,10 @@ _NO_ARG = object()
 #: Dispatch budget stand-in for "no ``max_events`` bound".
 _NO_LIMIT = 1 << 62
 
+#: Ledger length that triggers pruning of settled bookings (see
+#: :meth:`Engine.prune_ledger`).
+_LEDGER_CAP = 1024
+
 #: A scheduled-event handle: the immutable ``(time, seq, callback, arg)``
 #: heap entry.  ``seq`` is unique per engine, so heap comparison never
 #: reaches the callback, and cancellation tombstones the entry by seq.
@@ -118,7 +122,8 @@ class Engine:
         refresh, the secure engine's emitter, core gap crunching) is
         materialized: ``"lazy"`` (default) lets models fast-forward
         quiescent stretches in closed form, synthesizing the skipped
-        occurrences into the event census; ``"eager"`` forces the
+        occurrences into the event census, and lets channels book no-op
+        completions instead of dispatching them; ``"eager"`` forces the
         one-event-per-occurrence behavior (the census-invariance
         differential oracle).  Any other value raises ``ValueError``.
         """
@@ -134,7 +139,8 @@ class Engine:
         self._seq = 0
         self._events_dispatched = 0
         #: Occurrences of periodic model work that lazy fast-forwarding
-        #: reconstructed without a dispatch.  Added into
+        #: reconstructed without a dispatch, plus booked no-op
+        #: completions (see ``_ledger``).  Added into
         #: :attr:`events_dispatched` so the logical census (and every
         #: serialized SimResult) is identical across periodic modes.
         self._synthesized = 0
@@ -145,6 +151,13 @@ class Engine:
         #: hot path pays a single local check per event.
         self._cancelled_seqs = set()
         self._stopped = False
+        #: Booked no-op completions: the heap entries a model would have
+        #: pushed for completions that do nothing when dispatched.  A list
+        #: only while the whole-run lazy loop runs (``None`` otherwise,
+        #: so every other mode dispatches them); each entry is counted as
+        #: synthesized when booked and settled when :meth:`run` exits.
+        self._ledger: Optional[List[EventHandle]] = None
+        self._ledger_cap = _LEDGER_CAP
         self._tracer = (
             tracer.category("engine") if tracer is not None
             else _NULL_DISPATCH_TRACER
@@ -290,7 +303,13 @@ class Engine:
             # The production shape (whole-run, tracing off): same loop
             # minus the three per-event guards that cannot fire.  The
             # general loop below stays the single source of truth for
-            # `until`/`max_events`/tracing semantics.
+            # `until`/`max_events`/tracing semantics.  In lazy mode this
+            # is also the only loop that lets models book no-op
+            # completions instead of pushing them (settled on exit).
+            ledger = [] if self.lazy_periodic else None
+            self._ledger = ledger
+            drained = False
+            time = seq = 0
             try:
                 while queue:
                     time = queue[0][0]
@@ -309,8 +328,15 @@ class Engine:
                                 return
                         if not queue or queue[0][0] != time:
                             break
+                drained = True
             finally:
                 self._events_dispatched = dispatched
+                self._ledger = None
+                if ledger:
+                    # Stop or exception: (time, seq) is the exit event.
+                    self._settle_ledger(
+                        ledger, None if drained else (time, seq)
+                    )
             return
         try:
             while queue:
@@ -355,6 +381,39 @@ class Engine:
         finally:
             self._events_dispatched = dispatched
 
+    def _settle_ledger(
+        self, ledger: List[EventHandle], exit_event: Optional[Tuple[int, int]]
+    ) -> None:
+        """Leave the queue and clock as if every booking had been pushed.
+
+        ``exit_event`` is the ``(time, seq)`` of the event the run stopped
+        or raised in, or ``None`` when the queue drained.  Bookings after
+        it (same-tick ones with a later seq included) would still be
+        queued: they are un-counted and pushed as the real no-op events
+        they stand for, so a resumed run and :attr:`pending` see them.  A
+        drained run would have dispatched them all, the last one ending
+        it, so ``now`` advances to the latest booked time.
+        """
+        if exit_event is None:
+            last = max(entry[0] for entry in ledger)
+            if last > self.now:
+                self.now = last
+            return
+        late = [entry for entry in ledger if (entry[0], entry[1]) > exit_event]
+        for entry in late:
+            self._push(entry)
+        self._synthesized -= len(late)
+
+    def prune_ledger(self) -> None:
+        """Drop bookings timed before ``now``: they precede every event the
+        run can still exit on, so settling never needs them.  Called by
+        booking models when the ledger outgrows its cap, which doubles
+        past the live bookings so pruning stays amortized O(1)."""
+        ledger = self._ledger
+        now = self.now
+        ledger[:] = [entry for entry in ledger if entry[0] >= now]
+        self._ledger_cap = max(_LEDGER_CAP, 2 * len(ledger))
+
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
@@ -371,9 +430,9 @@ class Engine:
     def events_dispatched(self) -> int:
         """Logical event census: dispatches plus synthesized occurrences.
 
-        Lazy periodic fast-forwarding removes heap events but accounts
-        every occurrence it reconstructs here, so this census (and the
-        SimResult payloads built from it) is identical whichever
+        Lazy periodic fast-forwarding and booked no-op completions remove
+        heap events but account every occurrence here, so this census
+        (and the SimResult payloads built from it) is identical whichever
         ``periodic`` mode ran.  :attr:`raw_events_dispatched` counts
         actual dispatches only.
         """
@@ -386,7 +445,8 @@ class Engine:
 
     @property
     def events_synthesized(self) -> int:
-        """Periodic occurrences reconstructed without a dispatch."""
+        """Occurrences accounted without a dispatch (periodic work and
+        booked completions)."""
         return self._synthesized
 
     def note_synthesized(self, count: int) -> None:

@@ -28,29 +28,34 @@ class TestDirectChannelSink:
     def test_issue_routes_to_placement_channel(self):
         eng, channels, sink = make_sink()
         done = []
-        assert sink.try_issue(placement(channel=2), OpType.READ, done.append)
+        stalled, owed = sink.issue_phase(
+            [placement(channel=2)], OpType.READ, done.append
+        )
+        assert (stalled, owed) == ([], 1)
         eng.run()
         assert channels[(2, 0)].stats.counter("reads_serviced").value == 1
         assert len(done) == 1
 
     def test_traffic_tagged_secure(self):
         eng, channels, sink = make_sink()
-        sink.try_issue(placement(), OpType.READ, lambda t: None)
+        sink.issue_phase([placement()], OpType.READ, lambda t: None)
         eng.run()
         assert channels[(0, 0)].stats.latency(
             "secure_read_latency").count == 1
 
     def test_full_queue_returns_false(self):
         eng, channels, sink = make_sink(depth=2)
-        assert sink.try_issue(placement(row=0), OpType.READ, lambda t: None)
-        assert sink.try_issue(placement(row=1), OpType.READ, lambda t: None)
-        assert not sink.try_issue(placement(row=2), OpType.READ,
-                                  lambda t: None)
+        blocks = [placement(row=row) for row in range(3)]
+        stalled, owed = sink.issue_phase(blocks, OpType.READ, lambda t: None)
+        # The queue takes the first two; a stalled issue keeps one
+        # completion per accepted block.
+        assert stalled == blocks[2:]
+        assert owed == 2
 
     def test_notify_on_space_fires_once(self):
         eng, channels, sink = make_sink(depth=2)
-        sink.try_issue(placement(row=0), OpType.READ, lambda t: None)
-        sink.try_issue(placement(row=1), OpType.READ, lambda t: None)
+        sink.issue_phase([placement(row=0), placement(row=1)], OpType.READ,
+                         lambda t: None)
         woken = []
         sink.notify_on_space(lambda: woken.append(eng.now))
         eng.run()

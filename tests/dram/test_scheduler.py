@@ -1,11 +1,15 @@
 """FR-FCFS and the bandwidth-preallocation share policy."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dram.bank import Bank, RankTimers
+from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType, TrafficClass
-from repro.dram.scheduler import FrFcfsScheduler, SharePolicy, SingleClassPolicy
-from repro.dram.timing import DDR3_1600 as T
+from repro.dram.scheduler import SharePolicy, SingleClassPolicy
+from repro.dram.timing import DDR3_1600 as T, ChannelParams
+from repro.sim.engine import Engine
+from tests.dram.dram_reference import FrFcfsScheduler
 
 
 def req(row, bank=0, traffic=TrafficClass.NORMAL):
@@ -43,6 +47,27 @@ class TestFrFcfs:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             FrFcfsScheduler(window=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    queued=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
+                    min_size=1, max_size=40),
+    open_rows=st.lists(st.one_of(st.none(), st.integers(0, 4)),
+                       min_size=4, max_size=4),
+    window=st.integers(1, 30),
+)
+def test_channel_scan_matches_the_reference(queued, open_rows, window):
+    """``Channel._scan_pick`` inlines the reference scan: same pick for
+    any queue, open-row state and window."""
+    channel = Channel(Engine(), "ch0",
+                      params=ChannelParams(num_banks=4,
+                                           scheduler_window=window))
+    for bank, row in zip(channel.banks, open_rows):
+        bank.open_row = row
+    queue = [req(row, bank=bank) for bank, row in queued]
+    assert channel._scan_pick(queue) == \
+        FrFcfsScheduler(window).pick(queue, channel.banks)
 
 
 class TestSharePolicy:

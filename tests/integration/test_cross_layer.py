@@ -19,10 +19,11 @@ class _CollectingSink:
         self.engine = engine
         self.ops = []
 
-    def try_issue(self, placement, op, on_complete):
-        self.ops.append((op, placement.bucket))
-        self.engine.after(1, lambda: on_complete(self.engine.now))
-        return True
+    def issue_phase(self, placements, op, on_done):
+        for placement in placements:
+            self.ops.append((op, placement.bucket))
+            self.engine.after(1, lambda: on_done(self.engine.now))
+        return [], len(placements)
 
     def notify_on_space(self, callback):
         raise AssertionError("unbounded sink")

@@ -17,10 +17,11 @@ class CountingSink:
         self.reads = []
         self.writes = []
 
-    def try_issue(self, placement, op, on_complete):
-        (self.writes if op is OpType.WRITE else self.reads).append(placement)
-        self.engine.after(10, lambda: on_complete(self.engine.now))
-        return True
+    def issue_phase(self, placements, op, on_done):
+        (self.writes if op is OpType.WRITE else self.reads).extend(placements)
+        for _ in placements:
+            self.engine.after(10, lambda: on_done(self.engine.now))
+        return [], len(placements)
 
     def notify_on_space(self, callback):
         raise AssertionError("unbounded sink never lacks space")

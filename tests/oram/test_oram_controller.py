@@ -25,21 +25,21 @@ class RecordingSink:
         self.issued: List = []
         self._waiters: List = []
 
-    def try_issue(self, placement, op, on_complete) -> bool:
-        if self.inflight >= self.capacity:
-            return False
-        self.inflight += 1
-        self.issued.append((self.engine.now, op, placement))
+    def issue_phase(self, placements, op, on_done):
+        room = max(0, self.capacity - self.inflight)
+        accepted, stalled = placements[:room], list(placements[room:])
+        for placement in accepted:
+            self.inflight += 1
+            self.issued.append((self.engine.now, op, placement))
+            self.engine.after(self.latency, lambda: self._finish(on_done))
+        return stalled, len(accepted)
 
-        def finish():
-            self.inflight -= 1
-            waiters, self._waiters = self._waiters, []
-            for cb in waiters:
-                cb()
-            on_complete(self.engine.now)
-
-        self.engine.after(self.latency, finish)
-        return True
+    def _finish(self, on_done) -> None:
+        self.inflight -= 1
+        waiters, self._waiters = self._waiters, []
+        for cb in waiters:
+            cb()
+        on_done(self.engine.now)
 
     def notify_on_space(self, callback) -> None:
         self._waiters.append(callback)
