@@ -4,9 +4,8 @@ D-ORAM taxes every NS access on the BOB links; this sweep quantifies how
 sensitive the headline result is to that constant.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.bob.link import LinkParams
 from repro.core.schemes import run_scheme
 from repro.sim.engine import ns
@@ -17,13 +16,13 @@ BENCH = "li"
 def test_link_latency(benchmark):
     def sweep():
         base = run_scheme(
-            "baseline", BENCH, experiments.DEFAULT_TRACE_LENGTH
+            "baseline", BENCH, bench_trace_length()
         ).ns_mean_time()
         out = {}
         for one_way_ns in (2.5, 7.5, 25.0):
             params = LinkParams(latency=ns(one_way_ns))
             result = run_scheme(
-                "doram", BENCH, experiments.DEFAULT_TRACE_LENGTH,
+                "doram", BENCH, bench_trace_length(),
                 link_params=params,
             )
             out[f"{2 * one_way_ns:.0f}ns_rt"] = {

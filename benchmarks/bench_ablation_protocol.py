@@ -13,9 +13,8 @@ Two comparisons the paper mentions but does not evaluate:
 
 import random
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 from repro.oram.config import OramConfig
 from repro.oram.path_oram import PathOram
@@ -54,7 +53,7 @@ def test_short_read_merging(benchmark):
         out = {}
         for label, merge in (("separate", False), ("merged", True)):
             result = run_scheme(
-                "doram+2", "li", experiments.DEFAULT_TRACE_LENGTH,
+                "doram+2", "li", bench_trace_length(),
                 merge_short_reads=merge,
             )
             out[label] = {
@@ -78,7 +77,7 @@ def test_fork_path_in_doram(benchmark):
         out = {}
         for label, fork in (("off", False), ("on", True)):
             result = run_scheme(
-                "doram", "li", experiments.DEFAULT_TRACE_LENGTH,
+                "doram", "li", bench_trace_length(),
                 fork_path=fork,
             )
         # Report the last (fork=on) run's skip counter relative to the

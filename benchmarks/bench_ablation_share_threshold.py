@@ -6,9 +6,8 @@ the S-App's expense, and vice versa -- the 50 % point balances the two
 slowdowns, which is exactly why the paper picked it.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 
 BENCH = "li"
@@ -19,7 +18,7 @@ def test_share_threshold(benchmark):
         out = {}
         for share in (0.2, 0.5, 0.8):
             result = run_scheme(
-                "doram", BENCH, experiments.DEFAULT_TRACE_LENGTH,
+                "doram", BENCH, bench_trace_length(),
                 secure_share=share,
             )
             out[f"sec={share}"] = {

@@ -6,9 +6,8 @@ row region); with height 7 a path's blocks per sub-channel fall into ~1
 row per subtree segment.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 from repro.oram.config import OramConfig
 
@@ -21,7 +20,7 @@ def test_subtree_height(benchmark):
         for height in (1, 7):
             oram = OramConfig(subtree_levels=height)
             result = run_scheme(
-                "doram", BENCH, experiments.DEFAULT_TRACE_LENGTH, oram=oram,
+                "doram", BENCH, bench_trace_length(), oram=oram,
             )
             secure_rows = [
                 row for name, row in result.channels.items()

@@ -6,9 +6,8 @@ serializes trees, so per-tenant ORAM latency grows ~linearly while the
 fixed-rate guard keeps the co-runners' cost nearly flat.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 
 BENCH = "li"
@@ -19,7 +18,7 @@ def test_tenant_count(benchmark):
         out = {}
         for tenants in (1, 2, 3):
             result = run_scheme(
-                "doram", BENCH, experiments.DEFAULT_TRACE_LENGTH,
+                "doram", BENCH, bench_trace_length(),
                 num_ns_apps=4, num_s_apps=tenants,
             )
             out[f"{tenants}S"] = {

@@ -5,9 +5,8 @@ but more ORAM traffic; larger t starves the S-App.  This sweep exposes
 the trade-off the paper's t = 50 sits on.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 
 BENCH = "li"
@@ -18,7 +17,7 @@ def test_timing_guard_t(benchmark):
         out = {}
         for t in (0, 50, 400, 2000):
             result = run_scheme(
-                "doram", BENCH, experiments.DEFAULT_TRACE_LENGTH, t_cycles=t,
+                "doram", BENCH, bench_trace_length(), t_cycles=t,
             )
             out[f"t={t}"] = {
                 "ns_time_us": result.ns_mean_ns() / 1000,

@@ -5,9 +5,8 @@ This sweep shows why: each cached level removes Z blocks from every
 path access, cutting ORAM bandwidth demand and thus NS interference.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 from repro.oram.config import OramConfig
 
@@ -20,7 +19,7 @@ def test_treetop_depth(benchmark):
         for levels in (0, 3, 6):
             oram = OramConfig(treetop_levels=levels)
             result = run_scheme(
-                "doram", BENCH, experiments.DEFAULT_TRACE_LENGTH, oram=oram,
+                "doram", BENCH, bench_trace_length(), oram=oram,
             )
             out[f"top{levels}"] = {
                 "blocks/access": oram.blocks_per_phase,

@@ -8,9 +8,8 @@ devices, so the ORAM loses the secure channel's 4x internal sub-channel
 bandwidth.  This bench quantifies both halves of that prediction.
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
-from repro.analysis import experiments
 from repro.core.schemes import run_scheme
 
 BENCH = "li"
@@ -26,7 +25,7 @@ def test_udic_vs_bob(benchmark):
             ("udic/0", "udic", {"c_limit": 0}),
         ):
             result = run_scheme(
-                scheme, BENCH, experiments.DEFAULT_TRACE_LENGTH, **kw
+                scheme, BENCH, bench_trace_length(), **kw
             )
             out[label] = {
                 "ns_time_us": result.ns_mean_ns() / 1000,

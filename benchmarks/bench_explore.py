@@ -2,8 +2,8 @@
 
 Times ``doram explore`` on the smoke grid against the counterfactual
 full sweep of the same grid and records the trajectory in
-``BENCH_explore.json`` (``tools/bench_trajectory.py``'s ``explore``
-workload schema):
+``BENCH_explore.json`` (the ``explore`` workload schema of
+:mod:`repro.analysis.trajectory`):
 
 * **explore** -- anchors + calibrated triage + selective simulation;
   asserted to stay inside the DES budget (``budget_frac`` of the
@@ -18,11 +18,12 @@ front under affine truth) is enforced by
 """
 
 import os
-import sys
 import time
 
+from conftest import bench_label, bench_trace_length
+
+from repro.analysis import trajectory
 from repro.analysis.explore import (
-    DEFAULT_BENCH_PATH,
     bench_record,
     build_grid,
     explore,
@@ -31,19 +32,11 @@ from repro.analysis.explore import (
 )
 from repro.analysis.sweep import ResultStore, run_sweep
 
-_TOOLS = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "tools")
+BENCH_EXPLORE_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_explore.json"
 )
-if _TOOLS not in sys.path:
-    sys.path.insert(0, _TOOLS)
 
-import bench_trajectory  # noqa: E402  (path shim above)
-
-TRACE_LENGTH = int(os.environ.get("DORAM_TRACE_LENGTH", "2500")) // 10
-
-#: Re-measuring an identity (label+workload+config) is refused by the
-#: trajectory schema, so CI must append under its own label.
-LABEL = os.environ.get("DORAM_BENCH_LABEL", "bench")
+TRACE_LENGTH = bench_trace_length() // 10
 
 
 def test_explore_vs_brute_force(benchmark, tmp_path):
@@ -77,7 +70,9 @@ def test_explore_vs_brute_force(benchmark, tmp_path):
         print(f"saving     {brute_wall / explore_wall:.2f}x "
               f"(informal; tracks the skipped fraction)")
 
-    record = bench_record(result, LABEL, "smoke", TRACE_LENGTH,
+    # Re-measuring an identity (label+workload+config) is refused by the
+    # trajectory schema, so CI appends under its own label.
+    record = bench_record(result, bench_label(), "smoke", TRACE_LENGTH,
                           explore_wall)
     record["brute_wall_s"] = round(brute_wall, 3)
-    bench_trajectory.append(record, path=DEFAULT_BENCH_PATH)
+    trajectory.append(record, BENCH_EXPLORE_PATH)

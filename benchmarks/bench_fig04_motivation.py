@@ -5,7 +5,7 @@ time overhead over solo (worst case 5.26x); 7NS-3ch shows 57 % slowdown,
 7NS-4ch 43 %; the secure-memory model lands in between.
 """
 
-from conftest import bench_benchmarks, print_rows
+from conftest import bench_benchmarks, bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
@@ -19,8 +19,10 @@ PAPER = {
 
 def test_fig4(benchmark):
     codes = bench_benchmarks()
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig4(codes), rounds=1, iterations=1
+        lambda: experiments.fig4(codes, trace_length=length),
+        rounds=1, iterations=1,
     )
     summary = {
         scheme: {

@@ -5,14 +5,16 @@ Paper claims: (a)/(b) fewer channels -> longer NS access latency;
 channels (which motivates D-ORAM/c).
 """
 
-from conftest import print_rows
+from conftest import bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
 
 def test_fig8(benchmark):
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig8("libq"), rounds=1, iterations=1
+        lambda: experiments.fig8("libq", trace_length=length),
+        rounds=1, iterations=1,
     )
     print_rows("Fig. 8: NS access latency (ns)", {"libq": data})
 

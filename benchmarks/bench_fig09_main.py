@@ -5,7 +5,7 @@ D-ORAM 0.875, D-ORAM/X 0.775 (the 22.5 % improvement), D-ORAM+1 0.886,
 D-ORAM+1/4 0.814.
 """
 
-from conftest import bench_benchmarks, print_rows
+from conftest import bench_benchmarks, bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
@@ -19,8 +19,10 @@ PAPER_GMEAN = {
 
 def test_fig9(benchmark):
     codes = bench_benchmarks()
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig9(codes), rounds=1, iterations=1
+        lambda: experiments.fig9(codes, trace_length=length),
+        rounds=1, iterations=1,
     )
     print_rows(
         "Fig. 9: normalized NS execution time (Baseline = 1.0)", data,

@@ -4,7 +4,7 @@ Paper claims: relative to D-ORAM, k = 1/2/3 add +1.02 % / +2.01 % /
 +3.29 % NS execution time (capacity grows 4 GB -> 8/16/32 GB).
 """
 
-from conftest import bench_benchmarks, print_rows
+from conftest import bench_benchmarks, bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
@@ -13,8 +13,10 @@ PAPER = {"k1": 1.0102, "k2": 1.0201, "k3": 1.0329}
 
 def test_fig10(benchmark):
     codes = bench_benchmarks()
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig10(codes), rounds=1, iterations=1
+        lambda: experiments.fig10(codes, trace_length=length),
+        rounds=1, iterations=1,
     )
     print_rows(
         "Fig. 10: D-ORAM+k time relative to D-ORAM", data,

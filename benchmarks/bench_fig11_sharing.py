@@ -6,15 +6,17 @@ li, st, ti) prefer large c (use all the bandwidth); 7NS-3ch / 7NS-4ch
 are shown for reference.
 """
 
-from conftest import bench_benchmarks, print_rows
+from conftest import bench_benchmarks, bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
 
 def test_fig11(benchmark):
     codes = bench_benchmarks()
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig11(codes), rounds=1, iterations=1
+        lambda: experiments.fig11(codes, trace_length=length),
+        rounds=1, iterations=1,
     )
     print_rows("Fig. 11: time vs Baseline for c = 0..7", data)
 

@@ -5,15 +5,17 @@ segment) predicts the best sharing category for 14 of 15 benchmarks (the
 one exception, c2, sits at ratio ~1).
 """
 
-from conftest import bench_benchmarks, print_rows
+from conftest import bench_benchmarks, bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
 
 def test_fig12(benchmark):
     codes = bench_benchmarks()
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig12(codes), rounds=1, iterations=1
+        lambda: experiments.fig12(codes, trace_length=length),
+        rounds=1, iterations=1,
     )
     print_rows("Fig. 12: profiled ratio vs best c", data)
 

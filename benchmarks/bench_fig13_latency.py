@@ -4,7 +4,7 @@ Paper claims: with D-ORAM+1 / D-ORAM/4, NS read latency falls to ~70 %
 of Baseline and write latency to ~48 %.
 """
 
-from conftest import bench_benchmarks, print_rows
+from conftest import bench_benchmarks, bench_trace_length, print_rows
 
 from repro.analysis import experiments
 
@@ -13,8 +13,10 @@ PAPER = {"read": 0.70, "write": 0.48}
 
 def test_fig13(benchmark):
     codes = bench_benchmarks()
+    length = bench_trace_length()
     data = benchmark.pedantic(
-        lambda: experiments.fig13(codes), rounds=1, iterations=1
+        lambda: experiments.fig13(codes, trace_length=length),
+        rounds=1, iterations=1,
     )
     print_rows(
         "Fig. 13: NS access latency vs Baseline", data,

@@ -1,7 +1,7 @@
 """Sweep-runner performance: serial vs. parallel vs. warm store.
 
 Times the same Fig. 9 point set three ways and records the trajectory
-in ``BENCH_sweep.json`` (see ``tools/bench_trajectory.py``):
+in ``BENCH_sweep.json`` (see :mod:`repro.analysis.trajectory`):
 
 * **serial** -- ``workers=1``, no store: the reference execution;
 * **parallel** -- a fixed ``workers=2`` (CI's runner size, and what the
@@ -16,21 +16,17 @@ Determinism (parallel == serial bit-for-bit) is enforced by
 """
 
 import os
-import sys
 import time
 
-from conftest import bench_benchmarks
+from conftest import bench_benchmarks, bench_trace_length
 
-from repro.analysis.experiments import default_trace_length, figure_points
+from repro.analysis import trajectory
+from repro.analysis.experiments import figure_points
 from repro.analysis.sweep import ResultStore, run_sweep
 
-_TOOLS = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "tools")
+BENCH_SWEEP_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_sweep.json"
 )
-if _TOOLS not in sys.path:
-    sys.path.insert(0, _TOOLS)
-
-import bench_trajectory  # noqa: E402  (path shim above)
 
 #: Parallel worker count: CI's runner size, fixed so rows compare.
 WORKERS = 2
@@ -38,7 +34,7 @@ WORKERS = 2
 
 def _points():
     codes = list(bench_benchmarks())[:1]
-    return figure_points("fig9", codes, default_trace_length())
+    return figure_points("fig9", codes, bench_trace_length())
 
 
 def _timed(label, **kwargs):
@@ -69,14 +65,14 @@ def test_sweep_throughput(benchmark, tmp_path):
     assert warm.simulated == 0, "warm store must not re-simulate"
     assert warm.store_hits == warm.total == serial.total
 
-    bench_trajectory.append({
+    trajectory.append({
         "label": "bench",
         "figures": ["fig9"],
         "workers": WORKERS,
         "points": parallel.total,
         "simulated": parallel.simulated,
         "wall_s": round(parallel_wall, 3),
-        "trace_length": default_trace_length(),
+        "trace_length": bench_trace_length(),
         "serial_wall_s": round(serial_wall, 3),
         "warm_wall_s": round(warm_wall, 3),
-    })
+    }, BENCH_SWEEP_PATH)

@@ -7,12 +7,16 @@ simulations, not microbenchmarks) and prints the same rows the paper
 plots, next to the paper's reference numbers where the paper states
 them.
 
-Scale knobs (environment):
+Scale knobs (environment), read here and only here -- ``src/`` reads
+no environment, so every bench passes what these return as arguments:
 
 * ``DORAM_TRACE_LENGTH`` -- memory accesses per core per run
   (default 2500; the paper used 500 M instructions);
 * ``DORAM_BENCHMARKS``   -- comma-separated benchmark codes to restrict
-  the workload set (default: all 15 of Table III).
+  the workload set (default: all 15 of Table III);
+* ``DORAM_BENCH_LABEL``  -- the label trajectory rows are appended
+  under (default ``bench``; the schema refuses to re-measure a
+  label+workload+config).
 
 Results are cached in-process, so the whole suite shares runs (Fig. 9
 reuses Fig. 11's sweep, etc.).
@@ -24,6 +28,16 @@ import sys
 _SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 if _SRC not in sys.path:
     sys.path.insert(0, os.path.abspath(_SRC))
+
+
+def bench_trace_length():
+    """Memory accesses per core per run."""
+    return int(os.environ.get("DORAM_TRACE_LENGTH", "2500"))
+
+
+def bench_label():
+    """Label for the trajectory rows the benches append."""
+    return os.environ.get("DORAM_BENCH_LABEL", "bench")
 
 
 def bench_benchmarks():

@@ -6,7 +6,8 @@
   Section III-D / Fig. 12;
 * :mod:`~repro.analysis.experiments` -- one driver per paper table/figure,
   shared by the CLI and the benchmark harness (results are memoised per
-  process so Figs. 9, 11 and 13 reuse each other's runs);
+  process so Figs. 9, 11 and 13 reuse each other's runs; each takes its
+  trace length as an argument);
 * :mod:`~repro.analysis.sweep` -- run-points, the content-addressed
   result store and :func:`~repro.analysis.sweep.run_sweep`, the one
   sweep entry point (serial in-process, or a work-queue drain);
@@ -16,7 +17,10 @@
 * :mod:`~repro.analysis.model` -- the closed-form queueing approximation
   of the D-ORAM pipeline plus its per-family calibration;
 * :mod:`~repro.analysis.explore` -- analytical triage + selective
-  simulation of configuration grids (``doram explore``).
+  simulation of configuration grids (``doram explore``);
+* :mod:`~repro.analysis.trajectory` -- the ``BENCH_*.json`` append
+  rules and ``python -m repro.analysis.trajectory --check``.  It is not
+  imported here, so the ``-m`` form does not import it twice.
 """
 
 from repro.analysis.metrics import (

@@ -17,15 +17,15 @@ Two execution paths share the same drivers:
   (serial, or a work-queue drain), primes the memo with the results,
   and then evaluates the drivers, which find every run already cached.
 
-Scale: the paper simulates 500 M-instruction traces; the default here is
-``DORAM_TRACE_LENGTH`` memory accesses per core (env-overridable, read
-at call time).  The shapes these functions exist to reproduce are stable
+Scale: the paper simulates 500 M-instruction traces; here every function
+takes ``trace_length`` memory accesses per core as an argument (default
+:data:`DEFAULT_TRACE_LENGTH`), so a run's scale is exactly what its
+caller passed.  The shapes these functions exist to reproduce are stable
 in trace length; the integration tests assert that.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
     Sequence, Tuple
 
@@ -52,17 +52,8 @@ from repro.sim.stats import geomean
 from repro.trace.benchmarks import BENCHMARKS
 
 
-def default_trace_length() -> int:
-    """Memory accesses per core per run, resolved from the environment
-    *at call time* so mid-process changes to ``DORAM_TRACE_LENGTH``
-    take effect (regression-tested)."""
-    return int(os.environ.get("DORAM_TRACE_LENGTH", "2500"))
-
-
-#: Import-time snapshot, kept for CLI argparse defaults and backwards
-#: compatibility; runtime resolution goes through
-#: :func:`default_trace_length`.
-DEFAULT_TRACE_LENGTH = default_trace_length()
+#: Memory accesses per core per run when a caller passes no length.
+DEFAULT_TRACE_LENGTH = 2500
 
 #: All Table III benchmark codes, in the paper's order.
 ALL_BENCHMARKS: Tuple[str, ...] = tuple(b.code for b in BENCHMARKS)
@@ -73,7 +64,7 @@ _run_cache: Dict[tuple, SimResult] = {}
 def cached_run(
     scheme: str,
     benchmark: str,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
     segment: int = 0,
     **overrides,
 ) -> SimResult:
@@ -84,11 +75,11 @@ def cached_run(
     every declared point and only simulate here when called without a
     sweep.
     """
-    length = trace_length or default_trace_length()
-    key = (scheme, benchmark, length, segment, tuple(sorted(overrides.items())))
+    key = (scheme, benchmark, trace_length, segment,
+           tuple(sorted(overrides.items())))
     if key not in _run_cache:
         _run_cache[key] = run_scheme(
-            scheme, benchmark, length, segment=segment, **overrides
+            scheme, benchmark, trace_length, segment=segment, **overrides
         )
     return _run_cache[key]
 
@@ -126,7 +117,7 @@ FIG4_SCHEMES = ("baseline", "securemem", "7ns-4ch", "7ns-3ch")
 
 def fig4(
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, float]]:
     """NS-App execution-time slowdown vs. solo (1NS), per scheme.
 
@@ -199,7 +190,7 @@ def table1(leaf_level: int = 23) -> List[Dict[str, float]]:
 
 def fig8(
     benchmark: str = "libq",
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, float]:
     """Latency under channel partitioning and secure-channel contention."""
     solo = cached_run("1ns", benchmark, trace_length)
@@ -238,7 +229,7 @@ def fig8(
 
 def fig11(
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
     c_values: Sequence[int] = tuple(range(8)),
 ) -> Dict[str, Dict[str, float]]:
     """Secure-channel sharing sweep: time vs. Baseline for c = 0..7.
@@ -273,7 +264,7 @@ def fig11(
 
 def fig9(
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, float]]:
     """Normalized execution time: D-ORAM, D-ORAM/X, D-ORAM+1, D-ORAM+1/4.
 
@@ -312,7 +303,7 @@ def fig9(
 
 def fig10(
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
     k_values: Sequence[int] = (1, 2, 3),
 ) -> Dict[str, Dict[str, float]]:
     """Execution time of D-ORAM+k relative to D-ORAM, plus the average
@@ -342,7 +333,7 @@ def fig10(
 
 def fig12(
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, object]]:
     """Per benchmark: profiled ratio (different segment) vs. measured best c.
 
@@ -351,11 +342,10 @@ def fig12(
     """
     codes = _benchmarks(benchmarks)
     sweep = fig11(codes, trace_length)
-    length = trace_length or default_trace_length()
     out: Dict[str, Dict[str, object]] = {}
     for code in codes:
         profile: ProfileResult = profile_ratio(
-            code, trace_length=length, segment=1, runner=cached_run
+            code, trace_length=trace_length, segment=1, runner=cached_run
         )
         best_c = int(sweep[code]["best_c"])
         # The measured preference compares the average of the small-c
@@ -383,7 +373,7 @@ def fig12(
 
 def fig13(
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, float]]:
     """Read/write NS latency of D-ORAM+1 and D-ORAM/4 vs. Baseline."""
     codes = _benchmarks(benchmarks)
@@ -415,7 +405,7 @@ def fig13(
 FIGURE_DRIVERS: Dict[str, Callable] = {
     "fig4": fig4,
     "table1": lambda benchmarks=None, trace_length=None: table1(),
-    "fig8": lambda benchmarks=None, trace_length=None: fig8(
+    "fig8": lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: fig8(
         benchmarks[0] if benchmarks else "libq", trace_length
     ),
     "fig9": fig9,
@@ -447,7 +437,7 @@ _FIGURE_SCHEMES: Dict[str, Tuple[str, ...]] = {
 def figure_points(
     figure: str,
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> List[RunPoint]:
     """Every simulation ``figure`` needs, as declarative run-points.
 
@@ -459,24 +449,23 @@ def figure_points(
         raise ValueError(f"unknown figure {figure!r} "
                          f"(known: {', '.join(ALL_FIGURES)})")
     codes = _benchmarks(benchmarks)
-    length = trace_length or default_trace_length()
     if figure == "fig8":
         code = codes[0] if benchmarks else "libq"
         return [
-            RunPoint(scheme, code, length)
+            RunPoint(scheme, code, trace_length)
             for scheme in ("1ns", "7ns-4ch", "7ns-3ch", "doram")
         ]
     if figure == "fig12":
         from repro.analysis.profiling import PROFILE_SCHEMES
 
-        points = figure_points("fig11", codes, length)
+        points = figure_points("fig11", codes, trace_length)
         points += [
-            RunPoint(scheme, code, length, segment=1)
+            RunPoint(scheme, code, trace_length, segment=1)
             for code in codes for scheme in PROFILE_SCHEMES
         ]
         return points
     return [
-        RunPoint(scheme, code, length)
+        RunPoint(scheme, code, trace_length)
         for code in codes for scheme in _FIGURE_SCHEMES[figure]
     ]
 
@@ -484,7 +473,7 @@ def figure_points(
 def points_for_figures(
     figures: Sequence[str],
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> List[RunPoint]:
     """Deduplicated union of run-points over several figures."""
     points: List[RunPoint] = []
@@ -496,7 +485,7 @@ def points_for_figures(
 def run_figures(
     figures: Sequence[str],
     benchmarks: Optional[Sequence[str]] = None,
-    trace_length: Optional[int] = None,
+    trace_length: int = DEFAULT_TRACE_LENGTH,
     workers: int = 1,
     store: Optional[ResultStore] = None,
     resume: bool = True,

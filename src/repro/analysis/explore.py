@@ -551,12 +551,6 @@ def explore(
 # BENCH_explore.json
 # ---------------------------------------------------------------------------
 
-DEFAULT_BENCH_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "..", "..", "..", "BENCH_explore.json",
-)
-
-
 def bench_record(
     result: ExploreResult,
     label: str,
@@ -564,8 +558,8 @@ def bench_record(
     trace_length: int,
     wall_s: float,
 ) -> Dict[str, object]:
-    """One ``BENCH_explore.json`` row (bench_trajectory's ``explore``
-    workload schema)."""
+    """One ``BENCH_explore.json`` row (the ``explore`` workload schema
+    of :mod:`repro.analysis.trajectory`)."""
     return {
         "label": label,
         "workload": "explore",

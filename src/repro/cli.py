@@ -22,8 +22,13 @@ Subcommands
                      ``chaos report`` re-renders a drained store
 ``schemes``          list the recognized scheme names
 
-``sweep`` and ``chaos`` share their sweep options (one argparse parent)
-and speak the distributed work-queue protocol: ``--queue DIR`` declares
+Each flag that several subcommands take is declared once: an argparse
+parent where its default is the same everywhere, one ``_add_*`` helper
+where the default differs by subcommand.  A run's configuration is
+exactly its arguments; nothing here reads the environment.
+
+``sweep`` and ``chaos`` speak the distributed work-queue protocol
+(``explore`` declares and drains queues too): ``--queue DIR`` declares
 the sweep and drains it with ``--workers`` local workers, ``--join DIR
 --worker-id ID`` attaches one extra worker (on this or any host sharing
 the filesystem), and ``--status DIR`` prints drain progress
@@ -58,7 +63,7 @@ def _fail(message: str) -> int:
 def _validate_point(
     scheme: Optional[str],
     benchmark: Optional[str],
-    trace_length: Optional[int],
+    trace_length: int,
 ) -> Optional[str]:
     """Resolve the full config up front; an error string, or ``None``.
 
@@ -66,7 +71,7 @@ def _validate_point(
     (scheme grammar, k-split vs placement, c-limit range, ...), so a bad
     ``doram+9/99`` fails here instead of mid-build.
     """
-    if trace_length is not None and trace_length <= 0:
+    if trace_length <= 0:
         return f"--trace-length must be positive (got {trace_length})"
     if benchmark is not None:
         try:
@@ -75,10 +80,7 @@ def _validate_point(
             return str(exc.args[0])
     if scheme is not None:
         try:
-            make_config(
-                scheme, benchmark or "libq",
-                trace_length or experiments.DEFAULT_TRACE_LENGTH,
-            )
+            make_config(scheme, benchmark or "libq", trace_length)
         except ValueError as exc:
             return str(exc)
     return None
@@ -262,12 +264,14 @@ def _component_rollup(stats, top: int) -> List[Tuple[str, float, int]]:
 def cmd_perf(args: argparse.Namespace) -> int:
     """Profile one scheme run under cProfile.
 
-    A developer convenience for the hot-path work tracked in
-    ``BENCH_sim.json``: runs the same simulation as ``doram run`` with
-    the profiler attached and prints the top functions.  Note cProfile's
-    per-call overhead inflates small, frequently-called functions
-    relative to the sampling profile -- treat the ranking as a map, not
-    a measurement (see DESIGN.md, "Performance engineering").
+    A developer convenience for the hot-path work that
+    ``benchmarks/e2e`` measures: runs the same simulation as ``doram
+    run`` with the profiler attached and prints the top functions.
+    Note cProfile's per-call overhead inflates small, frequently-called
+    functions relative to the sampling profile -- treat the ranking as
+    a map, not a measurement; ``benchmarks/e2e/run.py --trace 1`` gives
+    the per-layer split without that distortion (see DESIGN.md,
+    "Performance engineering").
     """
     import cProfile
     import pstats
@@ -361,6 +365,13 @@ def _progress(args: argparse.Namespace):
     return lambda msg: print(f"  {msg}", flush=True)
 
 
+def _store(args: argparse.Namespace):
+    """``--store`` -> a result store, or ``None`` for ``--store none``."""
+    from repro.analysis.sweep import ResultStore
+
+    return ResultStore(args.store) if args.store != "none" else None
+
+
 def _sweep_error(args: argparse.Namespace) -> Optional[str]:
     """Validate the ``--workers`` (and ``--timeout``) sweep options."""
     if args.workers < 1:
@@ -402,7 +413,7 @@ def _queue_modes(args: argparse.Namespace) -> Optional[int]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Resumable regeneration of one or more figures."""
-    from repro.analysis.sweep import ResultStore, SweepFailure
+    from repro.analysis.sweep import SweepFailure
     from repro.analysis.workqueue import WorkQueueError
 
     code = _queue_modes(args)
@@ -429,7 +440,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         error = "--queue needs a result store (drop --store none)"
     if error:
         return _fail(error)
-    store = ResultStore(args.store) if args.store != "none" else None
+    store = _store(args)
 
     try:
         outputs, sweep = experiments.run_figures(
@@ -556,16 +567,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
         faults = FaultController(plan)
 
     if args.sweep_tenants or args.sweep_rates:
-        from repro.analysis.sweep import ResultStore, run_sweep
+        from repro.analysis.sweep import run_sweep
 
-        tenants = [int(v) for v in args.sweep_tenants.split(",") if v] \
-            or [args.tenants]
-        rates = [float(v) for v in args.sweep_rates.split(",") if v] \
-            or [args.rate]
+        # Parse the lists and build every grid config before simulating.
+        try:
+            tenants = [int(v) for v in args.sweep_tenants.split(",") if v]
+        except ValueError:
+            return _fail("--sweep-tenants takes comma-separated integers "
+                         f"(got {args.sweep_tenants!r})")
+        try:
+            rates = [float(v) for v in args.sweep_rates.split(",") if v]
+        except ValueError:
+            return _fail("--sweep-rates takes comma-separated numbers "
+                         f"(got {args.sweep_rates!r})")
         base = {k: v for k, v in overrides.items()
                 if k not in ("num_tenants", "arrival.rate_rps")}
-        points = scenario_grid(tenants, rates, base)
-        store = ResultStore(args.store) if args.store != "none" else None
+        points = scenario_grid(tenants or [args.tenants],
+                               rates or [args.rate], base)
+        try:
+            for point in points:
+                point.resolved_config()
+        except (TypeError, ValueError) as exc:
+            return _fail(str(exc))
+        store = _store(args)
         sweep = run_sweep(points, workers=args.workers, store=store)
         _print_sweep_summary(sweep, store)
         rows = slo_rows(sweep)
@@ -601,19 +625,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_trajectory():
-    """``tools/bench_trajectory.py`` from this checkout."""
-    tools = os.path.join(
-        os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))), "tools",
-    )
-    if tools not in sys.path:
-        sys.path.insert(0, tools)
-    import bench_trajectory
-
-    return bench_trajectory
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Seeded fault campaigns: drain, gate invariants, score, report."""
     import dataclasses
@@ -647,11 +658,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print("\n".join(spec.describe()))
         return 0
 
-    from repro.analysis.sweep import ResultStore, run_sweep
+    from repro.analysis.sweep import run_sweep
     from repro.analysis.workqueue import WorkQueueError
 
     points = spec.grid()
-    store = ResultStore(args.store) if args.store != "none" else None
+    store = _store(args)
 
     if args.mode == "report":
         if store is None:
@@ -714,8 +725,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             fp.write("\n")
         print(f"wrote {args.out}")
     if args.bench_out:
+        from repro.analysis.trajectory import append
+
         for record in bench_records(rows, args.label, wall_s):
-            _bench_trajectory().append(record, path=args.bench_out)
+            append(record, args.bench_out)
         print(f"appended {len(rows)} records to {args.bench_out}")
     return 1 if violated else 0
 
@@ -731,7 +744,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         explore,
         write_report,
     )
-    from repro.analysis.sweep import ResultStore
     from repro.analysis.workqueue import WorkQueueError
 
     if args.grid not in GRID_PRESETS:
@@ -744,7 +756,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if error:
         return _fail(error)
     points = build_grid(args.grid, args.trace_length, args.benchmark)
-    store = ResultStore(args.store) if args.store != "none" else None
+    store = _store(args)
 
     started = _time.monotonic()
     try:
@@ -790,9 +802,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
         if path:
             print(f"wrote {path}")
     if args.bench_out:
-        record = bench_record(result, args.label, args.grid,
-                              args.trace_length, wall_s)
-        _bench_trajectory().append(record, path=args.bench_out)
+        from repro.analysis.trajectory import append
+
+        append(bench_record(result, args.label, args.grid,
+                            args.trace_length, wall_s), args.bench_out)
         print(f"appended {args.bench_out}")
     return 1 if result.failed else 0
 
@@ -805,55 +818,92 @@ def cmd_schemes(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+# Flags whose default differs by subcommand get one helper each, not a
+# shared parent: parents share their Action objects, so a per-child
+# ``set_defaults`` on a parent's flag would leak into every sibling.
+def _add_trace_length(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument("--trace-length", type=int, default=default,
+                        help=f"memory accesses per core (default {default})")
+
+
+def _add_benchmark(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument("--benchmark", default=default,
+                        help=f"benchmark code (default {default})")
+
+
+def _add_store(parser: argparse.ArgumentParser,
+               default: Optional[str]) -> None:
+    parser.add_argument("--store", default=default,
+                        help="result-store directory ('none' disables; "
+                             f"default {default or '.doram-sweep'})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doram",
         description="D-ORAM (HPCA 2018) reproduction harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cpus = os.cpu_count() or 1
 
-    # The sweep options ``sweep`` and ``chaos`` share.
-    sweep_opts = argparse.ArgumentParser(add_help=False)
-    sweep_opts.add_argument("--workers", type=int, default=cpus,
-                            help="local workers (default: the CPU count); "
-                                 ">1 drains a work queue")
-    sweep_opts.add_argument("--timeout", type=float, default=0.0,
-                            help="per-point wall-clock budget in seconds; "
-                                 "a point that exceeds it is retried once, "
-                                 "then reported as failed (0 disables)")
-    sweep_opts.add_argument("--verbose", action="store_true",
-                            help="print per-point progress")
-    sweep_opts.add_argument("--queue", default="",
-                            help="declare the sweep in this work-queue "
-                                 "directory and drain it with --workers "
-                                 "local workers (other hosts may --join)")
-    sweep_opts.add_argument("--join", default="",
-                            help="join an existing work-queue directory "
-                                 "as one worker and drain until done")
-    sweep_opts.add_argument("--worker-id", default="",
-                            help="stable owner id for --join (default: "
-                                 "host-pid)")
-    sweep_opts.add_argument("--status", default="",
-                            help="print a work-queue directory's drain "
-                                 "progress and exit")
+    # Flags with one default everywhere, declared once as parents.
+    benchmarks = _parent()
+    benchmarks.add_argument("--benchmarks", default="",
+                            help="comma-separated benchmark codes "
+                                 "(default: all)")
+    faults = _parent()
+    faults.add_argument("--faults", default="",
+                        help="arm a fault-plan JSON file "
+                             "(see examples/faults/)")
+    workers = _parent()
+    workers.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                         help="local workers (default: the CPU count); "
+                              ">1 drains a work queue")
+    drain = _parent(workers)
+    drain.add_argument("--timeout", type=float, default=0.0,
+                       help="per-point wall-clock budget in seconds; a "
+                            "point that exceeds it is retried once, then "
+                            "reported as failed (0 disables)")
+    drain.add_argument("--verbose", action="store_true",
+                       help="print per-point progress")
+    drain.add_argument("--queue", default="",
+                       help="declare the work in this work-queue directory "
+                            "and drain it with --workers local workers "
+                            "(other hosts may join)")
+    # The queue modes ``sweep`` and ``chaos`` share.
+    queue_modes = _parent()
+    queue_modes.add_argument("--join", default="",
+                             help="join an existing work-queue directory "
+                                  "as one worker and drain until done")
+    queue_modes.add_argument("--worker-id", default="",
+                             help="stable owner id for --join (default: "
+                                  "host-pid)")
+    queue_modes.add_argument("--status", default="",
+                             help="print a work-queue directory's drain "
+                                  "progress and exit")
+    bench_out = _parent()
+    bench_out.add_argument("--bench-out", default="",
+                           help="append trajectory records to this "
+                                "BENCH_*.json file")
+    bench_out.add_argument("--label", default="local",
+                           help="bench record label (default local)")
 
-    p_run = sub.add_parser("run", help="simulate one scheme")
+    p_run = sub.add_parser("run", parents=[faults],
+                           help="simulate one scheme")
     p_run.add_argument("scheme")
-    p_run.add_argument("--benchmark", default="libq")
-    p_run.add_argument("--trace-length", type=int,
-                       default=experiments.DEFAULT_TRACE_LENGTH)
-    p_run.add_argument("--faults", default="",
-                       help="arm a fault-plan JSON file "
-                            "(see 'doram faults --dry-run')")
+    _add_benchmark(p_run, "libq")
+    _add_trace_length(p_run, experiments.DEFAULT_TRACE_LENGTH)
     p_run.set_defaults(func=cmd_run)
 
     p_trace = sub.add_parser(
         "trace", help="simulate one scheme with event tracing enabled"
     )
     p_trace.add_argument("scheme")
-    p_trace.add_argument("--benchmark", default="libq")
-    p_trace.add_argument("--trace-length", type=int, default=2000)
+    _add_benchmark(p_trace, "libq")
+    _add_trace_length(p_trace, 2000)
     p_trace.add_argument("--categories", default="",
                          help="comma-separated trace categories "
                               "(default: all except 'engine')")
@@ -865,25 +915,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write Chrome trace_event JSON to this path")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_exp = sub.add_parser("exp", help="regenerate a paper table/figure")
+    p_exp = sub.add_parser("exp", parents=[benchmarks],
+                           help="regenerate a paper table/figure")
     p_exp.add_argument("experiment", choices=_EXPERIMENTS + ("all",))
-    p_exp.add_argument("--benchmarks", default="",
-                       help="comma-separated benchmark codes (default: all)")
-    p_exp.add_argument("--trace-length", type=int, default=None)
+    _add_trace_length(p_exp, experiments.DEFAULT_TRACE_LENGTH)
     p_exp.set_defaults(func=cmd_exp)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[sweep_opts],
+        "sweep", parents=[benchmarks, drain, queue_modes],
         help="regenerate figures via the resumable sweep runner",
     )
     p_sweep.add_argument("--figures", default="all",
                          help="comma-separated figure names (default: all)")
-    p_sweep.add_argument("--benchmarks", default="",
-                         help="comma-separated benchmark codes (default: all)")
-    p_sweep.add_argument("--trace-length", type=int, default=None)
-    p_sweep.add_argument("--store", default=None,
-                         help="result-store directory (default: "
-                              ".doram-sweep; 'none' disables the store)")
+    _add_trace_length(p_sweep, experiments.DEFAULT_TRACE_LENGTH)
+    _add_store(p_sweep, None)
     p_sweep.add_argument("--no-resume", action="store_true",
                          help="re-simulate every point even if stored "
                               "(not with --queue)")
@@ -891,16 +936,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="T25mix/T33 profiling")
     p_prof.add_argument("benchmark")
-    p_prof.add_argument("--trace-length", type=int,
-                        default=experiments.DEFAULT_TRACE_LENGTH)
+    _add_trace_length(p_prof, experiments.DEFAULT_TRACE_LENGTH)
     p_prof.set_defaults(func=cmd_profile)
 
     p_perf = sub.add_parser(
         "perf", help="cProfile one scheme run (hot-path development aid)"
     )
     p_perf.add_argument("scheme")
-    p_perf.add_argument("--benchmark", default="libq")
-    p_perf.add_argument("--trace-length", type=int, default=2000)
+    _add_benchmark(p_perf, "libq")
+    _add_trace_length(p_perf, 2000)
     p_perf.add_argument("--by-component", action="store_true",
                         help="also print cumulative time rolled up per "
                              "repro.* module (--top rows)")
@@ -920,8 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--plan", required=True,
                           help="fault-plan JSON file (see examples/faults/)")
     p_faults.add_argument("--scheme", default="doram")
-    p_faults.add_argument("--benchmark", default="libq")
-    p_faults.add_argument("--trace-length", type=int, default=300)
+    _add_benchmark(p_faults, "libq")
+    _add_trace_length(p_faults, 300)
     p_faults.add_argument("--seed", type=int, default=None,
                           help="override the plan's seed (same schedule "
                                "shape, different draws)")
@@ -930,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.set_defaults(func=cmd_faults)
 
     p_serve = sub.add_parser(
-        "serve",
+        "serve", parents=[faults, workers],
         help="run the multi-tenant open-loop service scenario (SLO report)",
     )
     p_serve.add_argument("--tenants", type=int, default=8,
@@ -953,9 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "admission governor")
     p_serve.add_argument("--control-interval-us", type=float, default=10.0,
                          help="admission-governor cadence in microseconds")
-    p_serve.add_argument("--faults", default="",
-                         help="arm a fault-plan JSON on the scenario "
-                              "fabric (see examples/faults/)")
     p_serve.add_argument("--digest", action="store_true",
                          help="trace the run and print its event digest")
     p_serve.add_argument("--json", default="",
@@ -966,32 +1007,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "runner instead of one scenario")
     p_serve.add_argument("--sweep-rates", default="",
                          help="comma-separated per-tenant rates (req/s)")
-    p_serve.add_argument("--workers", type=int, default=cpus,
-                         help="sweep workers (default: the CPU count)")
-    p_serve.add_argument("--store", default="none",
-                         help="sweep result-store directory "
-                              "(default: none = no store)")
+    _add_store(p_serve, "none")
     p_serve.set_defaults(func=cmd_serve)
 
     p_explore = sub.add_parser(
-        "explore",
+        "explore", parents=[drain, bench_out],
         help="recover the latency/goodput Pareto surface of a config "
              "grid, simulating only the model's predicted frontier band",
     )
     p_explore.add_argument("--grid", default="smoke",
                            help="grid preset: smoke, fig9, full")
-    p_explore.add_argument("--benchmark", default="li")
-    p_explore.add_argument("--trace-length", type=int, default=300)
-    p_explore.add_argument("--workers", type=int, default=cpus,
-                           help="simulation workers (default: the CPU "
-                                "count)")
-    p_explore.add_argument("--queue", default="",
-                           help="drain simulations through this "
-                                "work-queue directory (enables "
-                                "multi-host participation)")
-    p_explore.add_argument("--store", default=None,
-                           help="result-store directory ('none' "
-                                "disables)")
+    _add_benchmark(p_explore, "li")
+    _add_trace_length(p_explore, 300)
+    _add_store(p_explore, None)
     p_explore.add_argument("--budget-frac", type=float, default=0.2,
                            help="max fraction of the grid the DES may "
                                 "simulate (default 0.2)")
@@ -1001,21 +1029,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="predicted-frontier band width")
     p_explore.add_argument("--max-rounds", type=int, default=4)
     p_explore.add_argument("--seed", type=int, default=1)
-    p_explore.add_argument("--timeout", type=float, default=0.0,
-                           help="per-point budget in seconds (0 = none)")
     p_explore.add_argument("--out-json", default="",
                            help="write the Pareto surface JSON here")
     p_explore.add_argument("--out-md", default="",
                            help="write the markdown report here")
-    p_explore.add_argument("--bench-out", default="",
-                           help="append a BENCH_explore.json record here")
-    p_explore.add_argument("--label", default="local",
-                           help="bench record label (default local)")
-    p_explore.add_argument("--verbose", action="store_true")
     p_explore.set_defaults(func=cmd_explore)
 
     p_chaos = sub.add_parser(
-        "chaos", parents=[sweep_opts],
+        "chaos", parents=[drain, queue_modes, bench_out],
         help="drain a seeded fault campaign (fault-intensity x scheme x "
              "workload grid) and score availability under faults",
     )
@@ -1032,29 +1053,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--dry-run", action="store_true",
                          help="print the resolved grid and per-point "
                               "plans without simulating")
-    p_chaos.add_argument("--store", default="none",
-                         help="result-store directory ('none' disables; "
-                              "required for --queue and report mode)")
+    _add_store(p_chaos, "none")
     p_chaos.add_argument("--digest", action="store_true",
                          help="also capture full event-trace digests "
                               "per point")
     p_chaos.add_argument("--out", default="",
                          help="write the markdown availability table "
                               "to this file")
-    p_chaos.add_argument("--bench-out", default="",
-                         help="append BENCH_chaos.json records here")
-    p_chaos.add_argument("--label", default="local",
-                         help="bench record label (default local)")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_schemes = sub.add_parser("schemes", help="list schemes/benchmarks")
     p_schemes.set_defaults(func=cmd_schemes)
 
     p_report = sub.add_parser(
-        "report", help="generate the paper-vs-measured EXPERIMENTS report"
+        "report", parents=[benchmarks],
+        help="generate the paper-vs-measured EXPERIMENTS report",
     )
-    p_report.add_argument("--benchmarks", default="")
-    p_report.add_argument("--trace-length", type=int, default=None)
+    _add_trace_length(p_report, experiments.DEFAULT_TRACE_LENGTH)
     p_report.add_argument("--output", default="",
                           help="write to a file instead of stdout")
     p_report.set_defaults(func=cmd_report)

@@ -661,7 +661,7 @@ def chaos_rows(
 
 def bench_records(rows: List[Dict[str, object]], label: str,
                   wall_s: float) -> List[Dict[str, object]]:
-    """BENCH_chaos.json rows (``tools/bench_trajectory.py`` schema).
+    """BENCH_chaos.json rows (:mod:`repro.analysis.trajectory` schema).
 
     One record per campaign cell; ``recovery_p99_ns`` uses ``-1.0`` as
     the no-recovery-measured sentinel (the schema forbids null values).

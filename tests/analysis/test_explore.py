@@ -12,7 +12,7 @@ The contract (DESIGN.md "Analytical fast-path"):
   simulating a fraction of it;
 * selection is deterministic in the seed, failures are excluded from
   the frontier but reported, and the bench record satisfies
-  ``tools/bench_trajectory.py``'s ``explore`` schema.
+  :mod:`repro.analysis.trajectory`'s ``explore`` schema.
 """
 
 import json
@@ -242,21 +242,14 @@ class TestReports:
         assert "DES skipped" in text
 
     def test_bench_record_satisfies_the_explore_schema(self, tmp_path):
-        import os
-        import sys
-        tools = os.path.join(os.path.dirname(__file__), "..", "..",
-                             "tools")
-        sys.path.insert(0, os.path.abspath(tools))
-        try:
-            import bench_trajectory
-        finally:
-            sys.path.pop(0)
+        from repro.analysis import trajectory
+
         result = self._result()
         record = bench_record(result, "test", "smoke", LENGTH, 1.23)
         out = tmp_path / "BENCH_explore.json"
-        appended = bench_trajectory.append(record, path=str(out))
+        appended = trajectory.append(record, str(out))
         assert appended["workload"] == "explore"
-        assert bench_trajectory.check(str(out)) == []
+        assert trajectory.check(str(out)) == []
 
     def test_metrics_from_payload(self):
         payload = {

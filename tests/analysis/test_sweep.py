@@ -7,8 +7,9 @@ The contract under test (see DESIGN.md "Sweep runner"):
 * the on-disk store makes sweeps resumable: killing a sweep halfway
   loses only the unfinished points, and a warm store re-simulates
   nothing;
-* ``cached_run`` resolves ``DORAM_TRACE_LENGTH`` when called, not when
-  imported (regression: the memo used to bake in the import-time value);
+* the trace length is an argument, never the environment: with
+  ``DORAM_TRACE_LENGTH`` set, ``cached_run`` runs at the length it is
+  passed and ``figure_points`` declares ``DEFAULT_TRACE_LENGTH``;
 * :func:`~repro.analysis.experiments.figure_points` declares *every*
   run its figure driver performs -- primed drivers never simulate.
 """
@@ -269,21 +270,16 @@ class TestResultStore:
 
 
 # ---------------------------------------------------------------------------
-# cached_run env resolution (regression)
+# The trace length is an argument, not the environment
 # ---------------------------------------------------------------------------
 
 
 class TestCachedRunEnv:
-    def test_trace_length_env_resolved_at_call_time(self, monkeypatch):
+    def test_default_length_ignores_env(self, monkeypatch):
         monkeypatch.setenv("DORAM_TRACE_LENGTH", "70")
-        first = cached_run("1ns", "li")
-        assert first.config.trace_length == 70
-        # Changing the env mid-process must reach the next call -- the
-        # old code froze the import-time value into the memo key.
-        monkeypatch.setenv("DORAM_TRACE_LENGTH", "90")
-        second = cached_run("1ns", "li")
-        assert second.config.trace_length == 90
-        assert first is not second
+        points = figure_points("fig9", ["li"])
+        assert {point.trace_length for point in points} == \
+            {experiments.DEFAULT_TRACE_LENGTH}
 
     def test_explicit_length_beats_env(self, monkeypatch):
         monkeypatch.setenv("DORAM_TRACE_LENGTH", "70")

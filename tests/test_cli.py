@@ -1,20 +1,23 @@
 """CLI: argument parsing and end-to-end command execution."""
 
 import argparse
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CI_SMOKE_CAMPAIGN = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "examples", "campaigns", "ci-smoke.json",
+    ROOT, "examples", "campaigns", "ci-smoke.json",
 )
 
-#: Every subcommand's option strings.  ``sweep`` and ``chaos`` declare
-#: their shared sweep options through one argparse parent; this pins
-#: that no flag was added or lost on the way.
+#: Every subcommand's option strings.  Flags several subcommands take
+#: are declared once (an argparse parent, or one helper per flag); this
+#: pins that no flag was added or lost on the way.
 OPTION_STRINGS = {
     "run": "--benchmark --faults --trace-length",
     "trace": "--benchmark --categories --chrome --jsonl "
@@ -42,6 +45,52 @@ OPTION_STRINGS = {
     "schemes": "",
     "report": "--benchmarks --output --trace-length",
 }
+
+CPUS = os.cpu_count() or 1
+
+#: Every subcommand's parsed defaults for the :data:`PINNED_FLAGS` it
+#: takes.  Argparse parents share one ``Action`` per flag, so a
+#: per-subcommand default set on a parent would leak into every
+#: sibling; this table catches that.
+DEFAULTS = {
+    "run": {"trace_length": 2500, "benchmark": "libq"},
+    "trace": {"trace_length": 2000, "benchmark": "libq"},
+    "exp": {"trace_length": 2500, "benchmarks": ""},
+    "sweep": {"trace_length": 2500, "store": None, "benchmarks": "",
+              "workers": CPUS},
+    "profile": {"trace_length": 2500},
+    "perf": {"trace_length": 2000, "benchmark": "libq"},
+    "faults": {"trace_length": 300, "benchmark": "libq"},
+    "serve": {"store": "none", "workers": CPUS},
+    "explore": {"trace_length": 300, "store": None, "benchmark": "li",
+                "workers": CPUS},
+    "chaos": {"store": "none", "workers": CPUS},
+    "schemes": {},
+    "report": {"trace_length": 2500, "benchmarks": ""},
+}
+
+PINNED_FLAGS = ("--trace-length", "--store", "--benchmark", "--benchmarks",
+                "--workers")
+
+#: The required positionals/options that let each subcommand parse.
+_REQUIRED = {"run": ["doram"], "trace": ["doram"], "exp": ["fig9"],
+             "profile": ["li"], "perf": ["doram"],
+             "faults": ["--plan", "plan.json"]}
+
+
+def parsed_defaults():
+    """``{command: {dest: parsed default}}`` for :data:`PINNED_FLAGS`."""
+    out = {}
+    for command in OPTION_STRINGS:
+        args = build_parser().parse_args(
+            [command] + _REQUIRED.get(command, [])
+        )
+        options = {option for action in _subparser(command)._actions
+                   for option in action.option_strings}
+        dests = [flag[2:].replace("-", "_") for flag in PINNED_FLAGS
+                 if flag in options]
+        out[command] = {dest: getattr(args, dest) for dest in dests}
+    return out
 
 
 def _subparser(command):
@@ -127,6 +176,23 @@ class TestParser:
         args = build_parser().parse_args([command])
         assert args.store == store
         assert args.workers == (os.cpu_count() or 1)
+
+    def test_defaults_are_pinned(self):
+        assert parsed_defaults() == DEFAULTS
+
+    def test_defaults_ignore_the_environment(self):
+        # A fresh interpreter, so nothing could have been read at import
+        # time before the variable was set.
+        env = dict(os.environ, DORAM_TRACE_LENGTH="77",
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.join(ROOT, "src"), ROOT]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import json, tests.test_cli as t; "
+             "print(json.dumps(t.parsed_defaults()))"],
+            cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert json.loads(out) == DEFAULTS
 
 
 class TestExecution:
@@ -377,6 +443,19 @@ class TestServeCommand:
         code = main(["serve", "--tenants", "0", "--leaf-level", "12"])
         assert code == 2
         assert "num_tenants" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--sweep-tenants", "x"], "--sweep-tenants takes"),
+        (["--sweep-rates", "1e5,abc"], "--sweep-rates takes"),
+        (["--sweep-tenants", "0"], "num_tenants"),
+    ])
+    def test_serve_sweep_lists_fail_fast(self, flags, message, capsys):
+        code = main(["serve", "--leaf-level", "12", "--workers", "1",
+                     "--store", "none"] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("doram: error:") and message in err
+        assert err.count("\n") == 1
 
     def test_serve_sweep_grid(self, capsys):
         code = main(["serve", "--leaf-level", "12", "--horizon-us", "10",

@@ -1,4 +1,8 @@
-"""Configuration is explicit: the simulator reads no backend environment.
+"""Configuration is explicit: ``src/`` reads no environment.
+
+No file under ``src/`` touches ``os.environ``, ``getenv``, ``putenv`` or
+``sys.path``: a run's configuration is exactly its arguments, and the
+package imports the same from a checkout or an installed copy.
 
 There is one simulator path.  The only engine knob, the periodic mode,
 is an argument (``Engine(periodic=...)``, forwarded by ``run_scheme`` and
@@ -10,6 +14,7 @@ same holds for the sweep worker count and store directory: they are
 """
 
 import os
+import re
 
 import pytest
 
@@ -18,6 +23,24 @@ from repro.cli import build_parser
 from repro.core.schemes import run_scheme
 from repro.scenarios import golden_scenario_config, run_scenario
 from repro.sim.engine import Engine
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def test_src_reads_no_environment_and_no_import_path():
+    pattern = re.compile(r"os\.environ|getenv|putenv|sys\.path")
+    hits = []
+    for root, _dirs, files in os.walk(SRC):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fp:
+                    hits += [f"{os.path.relpath(path, SRC)}:{n}"
+                             for n, line in enumerate(fp, 1)
+                             if pattern.search(line)]
+    assert hits == []
+
 
 #: Variables that selected the removed backends and the periodic mode.
 RETIRED_VARS = ("DORAM_SCHED", "DORAM_PERIODIC", "DORAM_DRAM",
