@@ -29,7 +29,7 @@ from repro.dram.address_mapping import (
     DeviceGeometry,
     decode_line,
 )
-from repro.dram.channel import Channel
+from repro.dram.channel import Channel, LaneGroup
 from repro.dram.commands import MemRequest, OpType, TrafficClass
 from repro.dram.scheduler import SharePolicy, SingleClassPolicy
 from repro.obs.snapshot import StatsSampler
@@ -347,6 +347,12 @@ def build_bob_fabric(
     ``secure_policy`` is applied to every sub-channel of a secure
     channel (the bandwidth-preallocation scheduler); ``None`` gives all
     sub-channels the single-class policy.
+
+    With a lazy engine, the sub-channels of each secure channel with at
+    least two form one :class:`~repro.dram.channel.LaneGroup`: they are
+    simulated once while their request streams stay identical, and
+    split for good when they diverge.  ``periodic="eager"`` forms none,
+    so it stays the per-lane oracle.
     """
     channels: Dict[Tuple[int, int], Channel] = {}
     bobs: Dict[int, BobChannel] = {}
@@ -366,6 +372,8 @@ def build_bob_fabric(
             )
             subs.append(sub)
             channels[(ch, i)] = sub
+        if is_secure and nsub >= 2 and engine.lazy_periodic:
+            LaneGroup(subs)
         bobs[ch] = BobChannel(engine, ch, subs, link_params, tracer=tracer)
     return channels, bobs
 

@@ -30,14 +30,35 @@ FR-FCFS indexing
 ----------------
 Each queue keeps a per-bank ``{row: [requests...]}`` side index, maintained
 on enqueue/dequeue.  A pick then probes each bank's open row directly --
-the first-ready request is the minimum ``_enq_seq`` over the bucket heads
--- instead of rescanning the queue window per service.  Queue position
-order equals ``_enq_seq`` order (appends are monotonic, removals preserve
-relative order), so the probe selects exactly the request the windowed
-first-ready scan (``_scan_pick``) would; the scan remains the fallback
-for the two cases it doesn't cover (queue deeper than the scheduler
-window, and mixed-traffic slots where the share policy filters candidates
-first).
+the queue's first row hit is the minimum ``_enq_seq`` over the bucket
+heads -- instead of rescanning the queue window per service.  Queue
+position order equals ``_enq_seq`` order (appends are monotonic, removals
+preserve relative order), so the probe selects exactly the request the
+windowed first-ready scan (``_scan_pick``) would: the hit when its
+``_enq_seq`` is at most that of the window's last request, else the
+head.  The scan remains only for traced mixed-traffic slots, where the
+share policy filters candidates first.
+
+One service chain
+-----------------
+A channel has at most one pending ``_service`` event.  ``_service``
+keeps ``_service_scheduled`` set while it wakes space waiters, so a
+waiter that enqueues here joins the chain instead of kicking a second
+one, and clears it only when nothing is left to serve.
+
+Lane groups
+-----------
+The sub-channels of a secure BOB channel receive identical request
+streams while only the delegator's ORAM traffic reaches them: every
+bucket puts one block at the same bank, row and column on each.  A
+:class:`LaneGroup` simulates such lockstep sub-channels ("lanes") once:
+the leader (lane 0) queues, picks, commits and times each request, and
+then produces for every follower the seqs, completions, statistics,
+trace events and census that the follower's own service would have
+produced.  The group splits for good (:meth:`LaneGroup.wake`) the moment
+an input could make the lanes differ, or anything could observe one
+lane's dispatch at a time.  DESIGN.md section 9a has the exactness
+argument.
 """
 
 from __future__ import annotations
@@ -152,6 +173,11 @@ class Channel:
         self._tREFI = timing.tREFI
         self._tRFC = timing.tRFC
         self._refreshes_counter = self.stats.counter("refreshes")
+        #: The live :class:`LaneGroup` this channel is a lane of, if any.
+        self._group: Optional[LaneGroup] = None
+        #: Args of the ``frfcfs_reorder`` event the last traced pick
+        #: emitted; a lane group's leader repeats it for its followers.
+        self._reorder: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Front-end interface
@@ -164,6 +190,8 @@ class Channel:
 
     def enqueue(self, req: MemRequest) -> None:
         """Accept a request.  Raises if the target queue is full."""
+        if self._group is not None:
+            self._group.wake()
         bank = req.bank
         if not 0 <= bank < len(self.banks):
             raise ValueError(f"{self.name}: bank {bank} out of range")
@@ -214,8 +242,16 @@ class Channel:
         through ``on_complete``.  The queues, the FR-FCFS indexes and the
         service kick end up exactly as ``enqueue`` of each request in turn
         would leave them.  The caller sizes ``blocks`` to
-        :meth:`free_slots`; overfilling raises.
+        :meth:`free_slots`; overfilling raises.  Like :meth:`enqueue`,
+        it wakes a live lane group first: a group takes mirrored shares
+        only through :meth:`LaneGroup.enqueue_phases`.
         """
+        if self._group is not None:
+            self._group.wake()
+        self._enqueue_blocks(blocks, op, app_id, traffic, on_complete)
+
+    def _enqueue_blocks(self, blocks, op, app_id, traffic, on_complete) -> None:
+        """The body of :meth:`enqueue_phase`, also a lane group's hand-off."""
         if op is OpType.WRITE:
             queue, indexes, depth = self.write_q, self._wq_index, self._wq_depth
         else:
@@ -269,10 +305,16 @@ class Channel:
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         """One-shot callback fired the next time any queue entry drains."""
+        if self._group is not None:
+            # The first lane to drain would re-pump before the others
+            # have serviced: from here on the lanes diverge.
+            self._group.wake()
         self._space_waiters.append(callback)
 
     def arm_faults(self, site) -> None:
         """Attach a :class:`~repro.faults.inject.DramFaultSite`."""
+        if self._group is not None:
+            self._group.wake()
         self._faults = site
 
     @property
@@ -289,6 +331,10 @@ class Channel:
         self.command_log = []
         for bank in self.banks:
             bank.record_commands = True
+        if self._group is not None:
+            # The leader's banks commit for every lane of a live group.
+            for bank in self._group.leader.banks:
+                bank.record_commands = True
         return self.command_log
 
     @property
@@ -299,10 +345,18 @@ class Channel:
     # Service loop
     # ------------------------------------------------------------------
     def _service(self) -> None:
-        self._service_scheduled = False
+        # ``_service_scheduled`` stays set until the chain ends (see the
+        # module docstring, "One service chain").
+        group = self._group
+        if group is not None and self.engine._ledger is None:
+            # Outside the untraced whole-run lazy loop every lane
+            # dispatches its own service (and bookings are off).
+            group.wake()
+            group = None
         read_q = self.read_q
         write_q = self.write_q
         if not (read_q or write_q):
+            self._service_scheduled = False
             return
         engine = self.engine
         now = engine.now
@@ -348,12 +402,12 @@ class Channel:
             self._refreshes_counter.value += count
             if count > 1:
                 engine._synthesized += count - 1
-            self._service_scheduled = True
+            resume = max(now, self._bus_free)
             seq = engine._seq
             engine._seq = seq + 1
-            engine._push(
-                (max(now, self._bus_free), seq, self._service, _NO_ARG)
-            )
+            engine._push((resume, seq, self._service, _NO_ARG))
+            if group is not None:
+                group.follow_refresh(first, count, resume)
             return
 
         # Queue choice: write-drain hysteresis, plus a starvation bound
@@ -509,10 +563,13 @@ class Channel:
         # Decide the next request when the bus frees so bursts can chain
         # back-to-back.
         if read_q or write_q:
-            self._service_scheduled = True
             seq = engine._seq
             engine._seq = seq + 1
             engine._push((data_start, seq, self._service, _NO_ARG))
+        else:
+            self._service_scheduled = False
+        if group is not None:
+            group.follow(req, bank, data_start, outcome, latency, on_complete)
 
     def _pick_request(self, queue: List[MemRequest]) -> MemRequest:
         """Arbitrate traffic classes, then FR-FCFS within the class."""
@@ -572,11 +629,13 @@ class Channel:
             # _enq_seq, so both pick it; index 0 never emits a reorder.
             req = r0
             del queue[0]
-        elif qlen <= self._window:
-            # Indexed first-ready probe: the whole queue is inside the
-            # scan window, so the minimum-_enq_seq open-row bucket head
-            # is exactly the scan's first hit (queue position order ==
-            # _enq_seq order); no hit -> oldest (queue head).
+        else:
+            # Indexed first-ready probe: the minimum-_enq_seq open-row
+            # bucket head is the queue's first row hit (queue position
+            # order == _enq_seq order).  The windowed scan reaches it
+            # exactly when it sits among the oldest `window` requests,
+            # i.e. its _enq_seq is at most queue[window - 1]'s; otherwise
+            # (or with no hit) the scan takes the oldest, the queue head.
             req = None
             best_seq = _NO_PICK
             for bank_idx, bank in enumerate(self.banks):
@@ -588,26 +647,19 @@ class Channel:
                         if head._enq_seq < best_seq:
                             best_seq = head._enq_seq
                             req = head
-            if req is None:
+            window = self._window
+            if req is None or (
+                qlen > window and best_seq > queue[window - 1]._enq_seq
+            ):
                 req = queue[0]
                 del queue[0]
             elif self._tracer.enabled:
                 i = queue.index(req)
                 if i:
-                    self._tracer.instant(
-                        "dram", "frfcfs_reorder", self.name,
-                        self.engine.now,
-                        {"index": i, "bank": req.bank, "depth": qlen},
-                    )
+                    self._trace_reorder(i, req.bank, qlen)
                 del queue[i]
             else:
                 queue.remove(req)
-        else:
-            # Queue deeper than the scan window: the bounded scan may
-            # legitimately miss a hit the full index would see, so defer
-            # to it for bit-identical decisions.
-            req = queue[self._scan_pick(queue)]
-            queue.remove(req)
 
         index = indexes[req.bank]
         bucket = index[req.row]
@@ -633,13 +685,17 @@ class Channel:
             r = queue[i]
             if banks[r.bank].open_row == r.row:
                 if i and self._tracer.enabled:
-                    self._tracer.instant(
-                        "dram", "frfcfs_reorder", self.name,
-                        self.engine.now,
-                        {"index": i, "bank": r.bank, "depth": qlen},
-                    )
+                    self._trace_reorder(i, r.bank, qlen)
                 return i
         return 0
+
+    def _trace_reorder(self, index: int, bank: int, depth: int) -> None:
+        """Emit a ``frfcfs_reorder`` event (an out-of-order pick)."""
+        args = {"index": index, "bank": bank, "depth": depth}
+        self._tracer.instant(
+            "dram", "frfcfs_reorder", self.name, self.engine.now, args
+        )
+        self._reorder = args
 
     def _wake_space_waiters(self) -> None:
         if not self._space_waiters:
@@ -660,3 +716,320 @@ class Channel:
         total = hits + self.stats.counter("row_closed").value + \
             self.stats.counter("row_conflict").value
         return hits / total if total else 0.0
+
+
+class LaneGroup:
+    """Lockstep sub-channels simulated once (module docstring, "Lane groups").
+
+    ``lanes`` are freshly built channels of one BOB channel, lane ``i``
+    being its sub-channel ``i``, built alike (engine, timing, params,
+    page policy, tracer).  Lane 0 leads: it holds the queues and runs
+    every service.  The followers' ``read_q``/``write_q`` are the
+    leader's lists, so ``free_slots``, ``can_accept`` and ``queued``
+    answer as their own would; their statistics, ``_busy_ticks``,
+    refresh counters, trace events, command logs and completion seqs are
+    kept by the leader's services (:meth:`follow`), so ``stats``,
+    ``utilization()`` and ``row_hit_rate()`` answer as their own would
+    too.  A follower holds no requests and schedules no service while
+    the group is live.
+    """
+
+    def __init__(self, lanes: List[Channel]) -> None:
+        if len(lanes) < 2:
+            raise ValueError("a lane group needs at least two lanes")
+        leader = lanes[0]
+        for lane in lanes:
+            if (lane.engine is not leader.engine
+                    or lane.timing != leader.timing
+                    or lane.params != leader.params
+                    or lane.page_policy != leader.page_policy
+                    or lane._tracer is not leader._tracer):
+                raise ValueError(f"{lane.name}: lanes must be built alike")
+            if (lane._enq_counter or lane._group is not None
+                    or lane._faults is not None or lane._space_waiters):
+                raise ValueError(f"{lane.name}: lanes must be fresh")
+        self.lanes = list(lanes)
+        self.leader = leader
+        self.followers = self.lanes[1:]
+        #: Seqs of the followers' pending services, taken right behind
+        #: the leader's and valid while it is scheduled; pushed (at
+        #: ``_pending_time``) only if the group wakes.
+        self._pending: List[int] = []
+        self._pending_time = 0
+        for lane in self.lanes:
+            lane._group = self
+        if any(lane.command_log is not None for lane in self.lanes):
+            # The leader's banks commit for every lane.
+            for bank in leader.banks:
+                bank.record_commands = True
+        for lane in self.followers:
+            lane.read_q = leader.read_q
+            lane.write_q = leader.write_q
+        leader.engine._lane_groups.append(self)
+
+    # ------------------------------------------------------------------
+    # Hand-off
+    # ------------------------------------------------------------------
+    def enqueue_phases(self, shares, op: OpType, app_id: int,
+                       traffic: TrafficClass, completions) -> bool:
+        """Queue a phase's mirrored shares, ``shares[i]`` for lane ``i``.
+
+        The shares mirror when they have equal lengths and equal
+        ``bank``, ``row`` and ``col`` at each position, the traffic is
+        ``SECURE`` (a single class, so no lane consults its share policy,
+        which sub-channels may share), and ``completions`` are one
+        callable or :class:`CompletionGroup`\\ s with one callback and
+        count.  Then the leader queues one request per block and every
+        lane that would have kicked its service takes its kick seq, in
+        lane order.  Otherwise the group wakes, nothing is queued, and
+        the call returns False: the caller issues one
+        :meth:`Channel.enqueue_phase` per lane.
+        """
+        if not _mirrored(shares, traffic, completions):
+            self.wake()
+            return False
+        leader = self.leader
+        kick = bool(shares[0]) and not leader._service_scheduled
+        leader._enqueue_blocks(shares[0], op, app_id, traffic, completions[0])
+        if kick:
+            # The followers' kicks, right behind the leader's.
+            engine = leader.engine
+            seq = engine._seq
+            engine._seq = seq + len(self.followers)
+            self._pending = list(range(seq, engine._seq))
+            self._pending_time = max(leader._bus_free, engine.now)
+        return True
+
+    # ------------------------------------------------------------------
+    # The followers' side of one group service
+    # ------------------------------------------------------------------
+    def follow(self, req: MemRequest, bank: Bank, data_start: int,
+               outcome: str, latency: int, on_complete) -> None:
+        """Account the followers' services of the slot the leader just
+        served, in lane order: statistics, trace events (the leader's
+        ``frfcfs_reorder``, if any, then the burst), command log, the
+        completion's seq (pushed or booked like the leader's
+        ``on_complete``, ``None`` for none), then the next service's.
+        ``bank`` is the leader's committed bank; its ``last_commands``
+        are every lane's."""
+        leader = self.leader
+        engine = leader.engine
+        followers = self.followers
+        # The followers' dispatches of this slot.
+        engine._synthesized += len(followers)
+        is_write = req.is_write
+        secure = req.traffic is TrafficClass.SECURE
+        idx = (2 if is_write else 0) + (1 if secure else 0)
+        tburst = leader._tBURST
+        finish = data_start + tburst
+        ledger = engine._ledger
+        book = on_complete is ignore_completion
+        chained = leader._service_scheduled
+        tracer = leader._tracer
+        traced = tracer.enabled
+        if traced:
+            reorder = leader._reorder
+            leader._reorder = None
+        pending = []
+        for lane in followers:
+            if lane.command_log is not None:
+                from repro.dram.compliance import DramCommand
+
+                lane.command_log.extend(
+                    DramCommand(t, kind, req.bank, row)
+                    for kind, t, row in bank.last_commands
+                )
+            lane._busy_ticks += tburst
+            lat_kind, lat_cls, served = lane._lat_by_req[idx]
+            lat_kind.count += 1
+            lat_kind.total += latency
+            bound = lat_kind.min
+            if bound is None or latency < bound:
+                lat_kind.min = latency
+            bound = lat_kind.max
+            if bound is None or latency > bound:
+                lat_kind.max = latency
+            lat_cls.count += 1
+            lat_cls.total += latency
+            bound = lat_cls.min
+            if bound is None or latency < bound:
+                lat_cls.min = latency
+            bound = lat_cls.max
+            if bound is None or latency > bound:
+                lat_cls.max = latency
+            lane._row_counters[outcome].value += 1
+            served.value += 1
+            if traced:
+                if reorder is not None:
+                    tracer.instant("dram", "frfcfs_reorder", lane.name,
+                                   engine.now, dict(reorder))
+                tracer.complete(
+                    "dram", "write" if is_write else "read", lane.name,
+                    data_start, tburst,
+                    {
+                        "bank": req.bank,
+                        "row": req.row,
+                        "outcome": outcome,
+                        "app": req.app_id,
+                        "cls": req.traffic.value,
+                        "lat": latency,
+                    },
+                )
+            if on_complete is not None:
+                seq = engine._seq
+                engine._seq = seq + 1
+                entry = (finish, seq, on_complete, finish)
+                if book:
+                    ledger.append(entry)
+                    engine._synthesized += 1
+                    if len(ledger) > engine._ledger_cap:
+                        engine.prune_ledger()
+                else:
+                    engine._push(entry)
+            if chained:
+                seq = engine._seq
+                engine._seq = seq + 1
+                pending.append(seq)
+        if chained:
+            self._pending = pending
+            self._pending_time = data_start
+
+    def follow_refresh(self, first: int, count: int, resume: int) -> None:
+        """The followers' side of a refresh service: ``count`` windows
+        from ``first`` each, then the next service at ``resume``."""
+        leader = self.leader
+        engine = leader.engine
+        followers = self.followers
+        # Each follower's dispatch, plus its count - 1 batched windows.
+        engine._synthesized += len(followers) * count
+        tREFI = leader._tREFI
+        tRFC = leader._tRFC
+        tracer = leader._tracer
+        pending = []
+        for lane in followers:
+            log = lane.command_log
+            if log is not None:
+                from repro.dram.compliance import DramCommand
+
+                start = first
+                for _ in range(count):
+                    log.append(DramCommand(start, "REF", -1, None,
+                                           start + tRFC))
+                    start += tREFI
+            if tracer.enabled:
+                tracer.complete_series("dram", "refresh", lane.name, first,
+                                       tREFI, count, tRFC)
+            lane.rank.refreshes += count
+            lane._refreshes_counter.value += count
+            seq = engine._seq
+            engine._seq = seq + 1
+            pending.append(seq)
+        self._pending = pending
+        self._pending_time = resume
+
+    # ------------------------------------------------------------------
+    # Wake
+    # ------------------------------------------------------------------
+    def wake(self) -> None:
+        """Split for good into independent channels.
+
+        Each follower gets a clone of the leader's state -- the queues
+        (its own requests, with its own coordinates and its own
+        :class:`CompletionGroup`\\ s at the leader's remaining counts),
+        the FR-FCFS indexes, the banks, the rank timers and refresh
+        stream, the bus and drain state -- and its pending service is
+        pushed at its own seq.
+        """
+        leader = self.leader
+        engine = leader.engine
+        for lane in self.lanes:
+            lane._group = None
+        engine._lane_groups.remove(self)
+        for bank in leader.banks:
+            bank.record_commands = leader.command_log is not None
+        scheduled = leader._service_scheduled
+        for subchannel, lane in enumerate(self.followers, 1):
+            _clone_lane(leader, lane, subchannel)
+            lane._service_scheduled = scheduled
+            if scheduled:
+                engine._push((self._pending_time, self._pending[subchannel - 1],
+                              lane._service, _NO_ARG))
+
+
+def _mirrored(shares, traffic: TrafficClass, completions) -> bool:
+    """Whether per-lane phase shares mirror (:meth:`LaneGroup.enqueue_phases`)."""
+    if traffic is not TrafficClass.SECURE:
+        return False
+    size = len(shares[0])
+    first = completions[0]
+    grouped = first.__class__ is CompletionGroup
+    for blocks, done in zip(shares, completions):
+        if len(blocks) != size:
+            return False
+        if grouped:
+            if (done.__class__ is not CompletionGroup
+                    or done.callback is not first.callback
+                    or done.remaining != first.remaining):
+                return False
+        elif done is not first:
+            return False
+    for column in zip(*shares):
+        lead = column[0]
+        bank = lead.bank
+        row = lead.row
+        col = lead.col
+        for block in column:
+            if block.bank != bank or block.row != row or block.col != col:
+                return False
+    return True
+
+
+def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:
+    """Give ``lane`` (sub-channel ``subchannel``) the leader's state."""
+    twins: Dict[CompletionGroup, CompletionGroup] = {}
+
+    def twin(req: MemRequest) -> MemRequest:
+        done = req.on_complete
+        if done.__class__ is CompletionGroup:
+            copy = twins.get(done)
+            if copy is None:
+                copy = twins[done] = CompletionGroup(done.remaining,
+                                                     done.callback)
+            done = copy
+        clone = MemRequest(req.op, req.channel, subchannel, req.bank,
+                           req.row, req.col, req.app_id, req.traffic,
+                           req.arrival, done)
+        clone._enq_seq = req._enq_seq
+        return clone
+
+    lane.read_q = [twin(req) for req in leader.read_q]
+    lane.write_q = [twin(req) for req in leader.write_q]
+    for queue, indexes in ((lane.read_q, lane._rq_index),
+                           (lane.write_q, lane._wq_index)):
+        for req in queue:
+            bucket = indexes[req.bank].get(req.row)
+            if bucket is None:
+                indexes[req.bank][req.row] = [req]
+            else:
+                bucket.append(req)
+    lane._enq_counter = leader._enq_counter
+    lane._rq_secure = leader._rq_secure
+    lane._wq_secure = leader._wq_secure
+    lane._draining = leader._draining
+    lane._bus_free = leader._bus_free
+    lane._last_op = leader._last_op
+    recording = lane.command_log is not None
+    for mine, theirs in zip(lane.banks, leader.banks):
+        mine.open_row = theirs.open_row
+        mine._act_time = theirs._act_time
+        mine._pre_ready = theirs._pre_ready
+        mine._act_ready = theirs._act_ready
+        mine.hits = theirs.hits
+        mine.misses = theirs.misses
+        mine.conflicts = theirs.conflicts
+        mine.record_commands = recording
+    rank = lane.rank
+    rank._acts = list(leader.rank._acts)
+    rank._last_write_end = leader.rank._last_write_end
+    rank.refresh.next_due = leader.rank.refresh.next_due
+    rank.refresh.occurrences = leader.rank.refresh.occurrences

@@ -158,6 +158,11 @@ class Engine:
         #: synthesized when booked and settled when :meth:`run` exits.
         self._ledger: Optional[List[EventHandle]] = None
         self._ledger_cap = _LEDGER_CAP
+        #: Live lane groups (``repro.dram.channel.LaneGroup``): lockstep
+        #: channels that run their lanes' services in one dispatch.
+        #: Each has a ``wake()`` that splits it into per-lane events; the
+        #: whole-run loop calls it on a stop or an exception.
+        self._lane_groups: List = []
         self._tracer = (
             tracer.category("engine") if tracer is not None
             else _NULL_DISPATCH_TRACER
@@ -332,6 +337,11 @@ class Engine:
             finally:
                 self._events_dispatched = dispatched
                 self._ledger = None
+                if not drained:
+                    # A resumed run and `pending` must see every lane's
+                    # own pending events.
+                    for group in list(self._lane_groups):
+                        group.wake()
                 if ledger:
                     # Stop or exception: (time, seq) is the exit event.
                     self._settle_ledger(

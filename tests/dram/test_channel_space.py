@@ -88,3 +88,20 @@ class TestNotifyOnSpace:
         assert state["issued"] == 5
         assert len(done) == 5
         assert done == sorted(done)
+
+
+class TestOneServiceChain:
+    def test_waiter_enqueue_joins_the_running_chain(self):
+        """A waiter that enqueues into this channel from inside
+        ``_service`` must not kick a second service chain: the channel
+        would decide FR-FCFS twice per slot until its queue emptied."""
+        eng, ch = make_channel(read_queue_depth=1)
+        done = []
+        ch.enqueue(read(row=1, cb=done.append))
+        ch.notify_on_space(lambda: ch.enqueue(read(row=2, cb=done.append)))
+        assert eng.step()  # the first service, which wakes the waiter
+        chains = [entry for entry in eng._queue if entry[2] == ch._service]
+        assert len(chains) == 1
+        eng.run()
+        assert len(done) == 2 and not ch.queued
+        assert not ch._service_scheduled

@@ -70,6 +70,33 @@ def test_channel_scan_matches_the_reference(queued, open_rows, window):
         FrFcfsScheduler(window).pick(queue, channel.banks)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), window=st.integers(1, 24))
+def test_indexed_pick_matches_the_reference(data, window):
+    """``Channel._pick_request`` (the side-index probe, deep queues
+    included) picks what the reference windowed scan picks, request by
+    request as the queue drains, for any open rows."""
+    depth = 3 * window
+    queued = data.draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4)),
+        min_size=1, max_size=depth,
+    ))
+    channel = Channel(Engine(), "ch0", params=ChannelParams(
+        num_banks=4, scheduler_window=window, read_queue_depth=depth))
+    for bank, row in queued:
+        channel.enqueue(req(row, bank=bank))
+    for bank in channel.banks:
+        bank.open_row = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    reference = FrFcfsScheduler(window)
+    queue = channel.read_q
+    while queue:
+        expected = queue[reference.pick(list(queue), channel.banks)]
+        picked = channel._pick_request(queue)
+        assert picked is expected
+        # The pick's row opens, as its commit would leave it.
+        channel.banks[picked.bank].open_row = picked.row
+
+
 class TestSharePolicy:
     def test_5050_alternates(self):
         policy = SharePolicy()
