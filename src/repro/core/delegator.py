@@ -1,11 +1,13 @@
 """The secure delegator (SD) and the access sequencer (Section III-B).
 
 The SD lives next to the secure channel's simple controller.  Triggered by
-an encrypted 72 B packet from the processor, it runs the Path ORAM
-protocol against the untrusted sub-channels, returns a 72 B response when
-the read phase completes, and overlaps the write phase with whatever the
-processor does next.  A request arriving during the write phase is
-buffered and serviced right after it (the paper's timing-control rule).
+an encrypted 72 B request frame from the processor (the CPU end is a
+:class:`~repro.core.recovery.SecureLinkSession`, the only CPU<->SD path),
+it runs the Path ORAM protocol against the untrusted sub-channels,
+returns a 72 B response frame when the read phase completes, and
+overlaps the write phase with whatever the processor does next.  A
+request arriving during the write phase is buffered and serviced right
+after it (the paper's timing-control rule).
 
 With a split tree (D-ORAM+k) some path blocks live on normal channels.
 The SD cannot reach them directly -- it emits explicit messages that the
@@ -14,7 +16,9 @@ packet up the secure link, a forwarded short read down the target normal
 link, the 72 B data response back up the normal link and down the secure
 link.  Writes ship the 72 B block the same way without a return trip.
 These are the "extra messages" of Table I, and the delegator counts them
-so the reproduction can check itself against that table.
+so the reproduction can check itself against that table.  Each block's
+message chain is one :class:`_RemoteOp`, which also carries the chain's
+end-to-end integrity check.
 """
 
 from __future__ import annotations
@@ -25,7 +29,12 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.bob.channel import BobChannel
 from repro.core.config import PACKET_BYTES, SHORT_PACKET_BYTES
 from repro.core.recovery import FaultRecoveryError, Frame
-from repro.core.sinks import enqueue_or_hold, issue_split, split_phase
+from repro.core.sinks import (
+    enqueue_or_hold,
+    issue_split,
+    notify_once,
+    split_phase,
+)
 from repro.dram.commands import MemRequest, OpType, TrafficClass
 from repro.obs.tracer import NULL_TRACER
 from repro.oram.controller import BlockSink, OramController
@@ -110,21 +119,33 @@ class OramSequencer:
             self._start(controller, block_id, respond)
 
 
-class _SdResponder:
-    """One armed request's SD-side lifecycle: submit, then respond.
+class _SdSession:
+    """The SD's record of one session: the sequence numbers it has
+    completed and is serving, for the retransmission protocol."""
 
-    Mirrors the disarmed path exactly -- the submit closure in
-    :meth:`SecureDelegator.receive_request` and the response send in
-    ``_DelegatorOp`` stage 1 -- while recording the per-session
-    completed-sequence state the retransmission protocol needs.
+    __slots__ = ("done_seq", "active_seq")
+
+    def __init__(self) -> None:
+        self.done_seq = 0
+        self.active_seq = 0
+
+
+class _SdResponder:
+    """One request's SD-side lifecycle: submit, then respond.
+
+    :meth:`start` runs once the processing delay has elapsed and queues
+    the access on the sequencer; the call at the end of the read phase
+    records the completion and ships the response frame up the link.
     """
 
-    __slots__ = ("delegator", "session", "seq", "block_id")
+    __slots__ = ("delegator", "session", "state", "seq", "block_id")
 
-    def __init__(self, delegator: "SecureDelegator", session, seq: int,
+    def __init__(self, delegator: "SecureDelegator", session,
+                 state: _SdSession, seq: int,
                  block_id: Optional[int]) -> None:
         self.delegator = delegator
         self.session = session
+        self.state = state
         self.seq = seq
         self.block_id = block_id
 
@@ -136,34 +157,39 @@ class _SdResponder:
 
     def __call__(self, _time: int) -> None:
         """Read phase finished: cache completion, respond up the link."""
-        delegator = self.delegator
-        state = delegator._session_state(self.session)
-        state["done_seq"] = self.seq
-        state["active_seq"] = 0
-        delegator._send_frame(
+        state = self.state
+        state.done_seq = self.seq
+        state.active_seq = 0
+        self.delegator._send_frame(
             Frame(Frame.RESP, self.seq, self.block_id, 0, self.session)
         )
 
 
 class _RemoteOp:
-    """Fault-aware split-tree message chain (armed runs only).
+    """One split-tree block's message chain (Section III-C), one object.
 
-    Stage-for-stage identical to the closure chain
-    (``_forward_read`` / ``_return_read`` / ``_forward_write``), plus
-    end-to-end integrity: any hop may mark the op corrupt (a ``remote``
+    Reads: short read up the secure link, forwarded down the target
+    normal link, the DRAM read, the 72 B block up the normal link and
+    down the secure link.  Writes: the 72 B block up the secure link and
+    down the normal link, then the DRAM write.  The op is every hop's
+    delivery callback and the DRAM completion, advancing a stage each
+    time.  A merged read (``merge_short_reads``) enters at the DRAM
+    stage, after its coalesced packet has crossed both links.
+
+    End-to-end integrity: any hop may mark the op corrupt (a ``remote``
     link packet fault or a DRAM read flip), and the MAC check where the
-    block is consumed re-runs the whole message sequence, bounded by
-    ``remote_retries``.  Packet drops are not absorbable here -- there
-    is no per-hop ack to recover them -- so the injector counts them as
-    uninjectable and delivers normally.
+    block is consumed re-runs the whole message sequence, bounded by the
+    plan's ``remote_retries``.  Packet drops are not absorbable here --
+    there is no per-hop ack to recover them -- so the injector counts
+    them as uninjectable and delivers normally.
     """
 
     __slots__ = ("delegator", "bob", "placement", "op", "on_complete",
-                 "stage", "corrupt", "attempts", "limit")
+                 "stage", "corrupt", "attempts")
 
     def __init__(self, delegator: "SecureDelegator", bob: BobChannel,
                  placement: BlockPlacement, op: OpType,
-                 on_complete: Callable[[int], None], limit: int) -> None:
+                 on_complete: Callable[[int], None]) -> None:
         self.delegator = delegator
         self.bob = bob
         self.placement = placement
@@ -172,7 +198,6 @@ class _RemoteOp:
         self.stage = 0
         self.corrupt = False
         self.attempts = 1
-        self.limit = limit
 
     def link_fault(self, kind: str) -> bool:
         if kind == "corrupt":
@@ -187,10 +212,11 @@ class _RemoteOp:
     def _restart(self) -> None:
         delegator = self.delegator
         self.attempts += 1
-        if self.attempts > self.limit:
+        limit = delegator._faults.recovery.remote_retries
+        if self.attempts > limit:
             raise FaultRecoveryError(
                 f"remote {self.op.name.lower()} chain corrupted "
-                f"{self.limit} times; retry bound exhausted"
+                f"{limit} times; retry bound exhausted"
             )
         self.corrupt = False
         self.stage = 0
@@ -214,9 +240,7 @@ class _RemoteOp:
                 self.bob.send_down(SHORT_PACKET_BYTES, self, tag="remote")
             elif stage == 1:
                 self.stage = 2
-                delegator._remote_dram(
-                    self.bob, self.placement, OpType.READ, self
-                )
+                delegator._remote_dram(self)
             elif stage == 2:
                 # DRAM read done: 72 B block back up the normal link.
                 self.stage = 3
@@ -244,9 +268,7 @@ class _RemoteOp:
                     self._restart()
                     return
                 self.stage = 2
-                delegator._remote_dram(
-                    self.bob, self.placement, OpType.WRITE, self
-                )
+                delegator._remote_dram(self)
             else:
                 delegator._remote_done(self.on_complete, time)
 
@@ -280,12 +302,18 @@ class SecureDelegator:
         name: str = "sd",
         merge_short_reads: bool = False,
         tracer=None,
+        faults=None,
     ) -> None:
         """``merge_short_reads`` enables the paper's footnote-1 future
         work: short read packets destined for the same normal channel
         within one ORAM access are coalesced into a single packet per
         hop (one address list instead of 4k separate headers), cutting
-        the split-tree message count on both links."""
+        the split-tree message count on both links.
+
+        ``faults`` (a :class:`~repro.faults.inject.FaultController`)
+        attaches a plan: its delegator site (if any) supplies stall
+        windows and the crash point, and its DRAM sites make path reads
+        MAC-checked per block.  The protocol is the same without one."""
         self.engine = engine
         self.secure_bob = secure_bob
         self.normal_bobs = normal_bobs
@@ -303,14 +331,12 @@ class SecureDelegator:
         self._remote_outstanding = 0
         self._space_waiters: List[Callable[[], None]] = []
         self.merge_short_reads = merge_short_reads
-        #: Pending read batches per channel: [(placement, cb), ...].
-        self._merge_buffers: Dict[int, List] = {}
+        #: Pending merged reads per normal channel, in issue order.
+        self._merge_buffers: Dict[int, List[_RemoteOp]] = {}
         self._merge_flush_scheduled = False
-        #: Recovery-protocol state, populated by :meth:`arm_recovery`.
-        self._recovery = None
-        self._faults = None
-        self._sd_site = None
-        self._frame_state: Dict[object, Dict[str, object]] = {}
+        self._faults = faults
+        self._sd_site = faults.sd_site() if faults is not None else None
+        self._sessions: Dict[object, _SdSession] = {}
         self._stall_buffer: Deque = deque()
         self._stall_wake_scheduled = False
 
@@ -321,22 +347,12 @@ class SecureDelegator:
         return sequencer.pending if sequencer is not None else 0
 
     # ------------------------------------------------------------------
-    # Recovery protocol (armed only when a fault plan is attached)
+    # Request entry (frames from the processor)
     # ------------------------------------------------------------------
-    def arm_recovery(self, faults) -> None:
-        """Enable the frame endpoint (``repro.core.recovery`` protocol).
-
-        ``faults`` is the run's :class:`~repro.faults.inject.FaultController`;
-        its delegator site (if any) supplies stall windows and the crash
-        point.  With recovery armed but no faults firing, the frame path
-        is schedule-identical to :meth:`receive_request`.
-        """
-        self._recovery = faults.recovery
-        self._faults = faults
-        self._sd_site = faults.sd_site()
-
-    def receive_frame(self, frame) -> None:
-        """Down-link delivery target for recovery-protocol frames."""
+    def receive_frame(self, frame: Frame) -> None:
+        """Down-link delivery target for the session's request frames."""
+        if self.sequencer is None:
+            raise RuntimeError("delegator not wired to a controller")
         site = self._sd_site
         if site is not None:
             verdict = site.blocked(self.engine.now)
@@ -365,17 +381,11 @@ class SecureDelegator:
             # Re-check: the next window (or the crash) may already rule.
             self.receive_frame(frame)
 
-    def _session_state(self, session) -> Dict[str, object]:
-        state = self._frame_state.get(session)
-        if state is None:
-            state = self._frame_state[session] = {
-                "done_seq": 0, "active_seq": 0, "done_resp": None,
-            }
-        return state
-
-    def _process_frame(self, frame) -> None:
+    def _process_frame(self, frame: Frame) -> None:
         session = frame.session
-        state = self._session_state(session)
+        state = self._sessions.get(session)
+        if state is None:
+            state = self._sessions[session] = _SdSession()
         if frame.corrupt:
             # MAC verification failed: answer with a NAK after the
             # usual decrypt/verify processing delay.
@@ -392,7 +402,8 @@ class SecureDelegator:
         if frame.kind != Frame.REQ:
             self._faults.count("sd_unexpected_frames")
             return
-        if frame.seq == state["done_seq"]:
+        seq = frame.seq
+        if seq == state.done_seq:
             # Retransmission of a completed request (our response was
             # lost or garbled): replay the cached response, don't re-run
             # the ORAM access.
@@ -400,16 +411,16 @@ class SecureDelegator:
             self.engine.after(
                 self.process_ticks,
                 lambda: self._send_frame(
-                    Frame(Frame.RESP, frame.seq, frame.block_id, 0, session)
+                    Frame(Frame.RESP, seq, frame.block_id, 0, session)
                 ),
             )
             return
-        if frame.seq == state["active_seq"]:
+        if seq == state.active_seq:
             # Retransmission of the request we are already serving; the
             # response under way will answer it.
             self._faults.count("sd_duplicate_inflight")
             return
-        state["active_seq"] = frame.seq
+        state.active_seq = seq
         self.stats.counter("requests").add()
         if self._tracer.enabled:
             self._tracer.instant(
@@ -419,9 +430,8 @@ class SecureDelegator:
                     "queued": int(self.sequencer.busy),
                 },
             )
-        responder = _SdResponder(self, session, frame.seq, frame.block_id)
-        # Decrypt + authenticate + position-map consultation (same delay
-        # and event shape as receive_request).
+        responder = _SdResponder(self, session, state, seq, frame.block_id)
+        # Decrypt + authenticate + position-map consultation.
         self.engine.after(self.process_ticks, responder.start)
 
     def _send_frame(self, frame) -> None:
@@ -431,39 +441,6 @@ class SecureDelegator:
             return
         self.secure_bob.send_up(
             PACKET_BYTES, frame.session._frame_arrived, arg=frame
-        )
-
-    # ------------------------------------------------------------------
-    # Request entry (packets from the processor)
-    # ------------------------------------------------------------------
-    def receive_request(
-        self,
-        block_id: Optional[int],
-        respond: Callable[[int], None],
-        controller=None,
-    ) -> None:
-        """A decrypted request packet is ready for processing.
-
-        ``respond(t)`` is invoked when the read phase finishes; the caller
-        (the CPU-side backend) ships the response packet up the link.
-        ``controller`` selects the target tree when the SD hosts several
-        S-Apps (defaults to the primary).
-        """
-        if self.sequencer is None:
-            raise RuntimeError("delegator not wired to a controller")
-        self.stats.counter("requests").add()
-        if self._tracer.enabled:
-            self._tracer.instant(
-                "sd", "request", self.name, self.engine.now,
-                {
-                    "real": int(block_id is not None),
-                    "queued": int(self.sequencer.busy),
-                },
-            )
-        # Decrypt + authenticate + position-map consultation.
-        self.engine.after(
-            self.process_ticks,
-            lambda: self.sequencer.submit(block_id, respond, controller),
         )
 
     # ------------------------------------------------------------------
@@ -482,20 +459,18 @@ class SecureDelegator:
         (split-tree) blocks are the deepest levels, so they follow every
         local one in path order; they are sent one message chain each,
         while the remote window has room.  The SD MAC-checks every path
-        block it reads: with recovery armed, a sub-channel that carries a
-        DRAM fault site gets per-block :class:`GuardedRead` completions,
-        which re-issue a flipped block while the read phase stays open.
+        block it reads: a sub-channel that carries a DRAM fault site
+        gets per-block :class:`GuardedRead` completions, which re-issue a
+        flipped block while the read phase stays open.
         """
         subchannels = self.secure_bob.subchannels
         targets, stalled, remote = split_phase(
             placements, op, lambda key: subchannels[key[1]]
         )
         room = self.REMOTE_WINDOW - self._remote_outstanding
-        recovery = self._recovery
         owed = issue_split(
             targets, op, on_done, self.app_id,
             not stalled and len(remote) <= room, self._faults,
-            recovery.block_read_retries if recovery is not None else 0,
         )
         for placement in remote:
             if self.try_remote(placement, op, on_done):
@@ -524,6 +499,7 @@ class SecureDelegator:
                 self.name, self.engine.now,
                 {"ch": placement.channel, "bucket": placement.bucket},
             )
+        chain = _RemoteOp(self, bob, placement, op, on_complete)
         if op is OpType.READ:
             self.stats.counter("remote_read_blocks").add()
             self.stats.counter(f"ch{placement.channel}_reads").add()
@@ -533,137 +509,60 @@ class SecureDelegator:
                 # issue burst settles (same-tick event).
                 self._merge_buffers.setdefault(
                     placement.channel, []
-                ).append((placement, on_complete))
+                ).append(chain)
                 if not self._merge_flush_scheduled:
                     self._merge_flush_scheduled = True
                     self.engine.after(0, self._flush_merged)
                 return True
             self.stats.counter("remote_short_reads").add()
-            if self._recovery is not None:
-                # Armed: the chain is an inspectable op object so link
-                # and DRAM faults can mark it and retries are bounded.
-                self.secure_bob.send_up(
-                    SHORT_PACKET_BYTES,
-                    _RemoteOp(self, bob, placement, OpType.READ,
-                              on_complete, self._recovery.remote_retries),
-                    tag="remote",
-                )
-                return True
             # SD -> CPU (short read, up the secure link) ...
-            self.secure_bob.send_up(
-                SHORT_PACKET_BYTES,
-                lambda _t: self._forward_read(bob, placement, on_complete),
-                tag="remote",
-            )
+            self.secure_bob.send_up(SHORT_PACKET_BYTES, chain, tag="remote")
         else:
             self.stats.counter("remote_writes").add()
             self.stats.counter(f"ch{placement.channel}_writes").add()
-            if self._recovery is not None:
-                self.secure_bob.send_up(
-                    PACKET_BYTES,
-                    _RemoteOp(self, bob, placement, OpType.WRITE,
-                              on_complete, self._recovery.remote_retries),
-                    tag="remote",
-                )
-                return True
             # SD -> CPU (72 B write packet carrying the block) ...
-            self.secure_bob.send_up(
-                PACKET_BYTES,
-                lambda _t: self._forward_write(bob, placement, on_complete),
-                tag="remote",
-            )
+            self.secure_bob.send_up(PACKET_BYTES, chain, tag="remote")
         return True
 
     def _flush_merged(self) -> None:
         """Ship one coalesced read packet per buffered normal channel."""
         self._merge_flush_scheduled = False
         buffers, self._merge_buffers = self._merge_buffers, {}
-        for channel, entries in sorted(buffers.items()):
-            bob = self.normal_bobs[channel]
+        for channel, chains in sorted(buffers.items()):
             # Header + one extra 8 B address per additional block.
-            nbytes = SHORT_PACKET_BYTES + 8 * (len(entries) - 1)
+            nbytes = SHORT_PACKET_BYTES + 8 * (len(chains) - 1)
             self.stats.counter("remote_short_reads").add()
             if self._tracer.enabled:
                 self._tracer.instant(
                     "sd", "merged_read", self.name, self.engine.now,
-                    {"ch": channel, "blocks": len(entries), "bytes": nbytes},
+                    {"ch": channel, "blocks": len(chains), "bytes": nbytes},
                 )
             self.secure_bob.send_up(
-                nbytes,
-                lambda _t, b=bob, e=entries, n=nbytes:
-                    self._forward_merged(b, e, n),
-                tag="remote",
+                nbytes, self._forward_merged, tag="remote",
+                arg=(self.normal_bobs[channel], chains, nbytes),
             )
 
-    def _forward_merged(self, bob: BobChannel, entries, nbytes: int) -> None:
-        """CPU forwards the coalesced packet; blocks fan out at DRAM."""
-        def arrived(_t: int) -> None:
-            for placement, on_complete in entries:
-                self._remote_dram(
-                    bob, placement, OpType.READ,
-                    lambda t2, cb=on_complete: self._return_read(bob, cb),
-                )
+    def _forward_merged(self, packet) -> None:
+        """The CPU forwards the coalesced packet down the normal link."""
+        bob, chains, nbytes = packet
+        bob.send_down(nbytes, self._fetch_merged, tag="remote", arg=chains)
 
-        bob.send_down(nbytes, arrived, tag="remote")
+    def _fetch_merged(self, chains: List[_RemoteOp]) -> None:
+        """The packet reached the target controller: each block's chain
+        continues from its DRAM read."""
+        for chain in chains:
+            chain.stage = 2
+            self._remote_dram(chain)
 
-    def _forward_read(
-        self,
-        bob: BobChannel,
-        placement: BlockPlacement,
-        on_complete: Callable[[int], None],
-    ) -> None:
-        # ... CPU -> normal channel (short read, down its link) ...
-        bob.send_down(
-            SHORT_PACKET_BYTES,
-            lambda _t: self._remote_dram(
-                bob, placement, OpType.READ,
-                lambda t2: self._return_read(bob, on_complete),
-            ),
-            tag="remote",
-        )
-
-    def _return_read(
-        self, bob: BobChannel, on_complete: Callable[[int], None]
-    ) -> None:
-        # ... DRAM read done: normal channel -> CPU (72 B response) ...
-        bob.send_up(
-            PACKET_BYTES,
-            lambda _t: self.secure_bob.send_down(
-                PACKET_BYTES,
-                lambda t2: self._remote_done(on_complete, t2),
-                tag="remote",
-            ),
-            tag="remote",
-        )
-
-    def _forward_write(
-        self,
-        bob: BobChannel,
-        placement: BlockPlacement,
-        on_complete: Callable[[int], None],
-    ) -> None:
-        bob.send_down(
-            PACKET_BYTES,
-            lambda _t: self._remote_dram(
-                bob, placement, OpType.WRITE,
-                lambda t2: self._remote_done(on_complete, t2),
-            ),
-            tag="remote",
-        )
-
-    def _remote_dram(
-        self,
-        bob: BobChannel,
-        placement: BlockPlacement,
-        op: OpType,
-        on_complete: Callable[[int], None],
-    ) -> None:
-        """Queue the block access at the normal channel's sub-channel."""
-        sub = bob.subchannels[placement.subchannel]
+    def _remote_dram(self, chain: _RemoteOp) -> None:
+        """Queue the chain's block access at the normal channel's
+        sub-channel; the chain is the access's completion."""
+        placement = chain.placement
+        sub = chain.bob.subchannels[placement.subchannel]
         req = MemRequest(
-            op, placement.channel, placement.subchannel,
+            chain.op, placement.channel, placement.subchannel,
             placement.bank, placement.row, placement.col,
-            self.app_id, TrafficClass.SECURE, 0, on_complete,
+            self.app_id, TrafficClass.SECURE, 0, chain,
         )
         enqueue_or_hold(sub, req)
 
@@ -677,16 +576,9 @@ class SecureDelegator:
     # ------------------------------------------------------------------
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         """One-shot wake when local queues or the remote window free up."""
-        fired = [False]
-
-        def once() -> None:
-            if not fired[0]:
-                fired[0] = True
-                callback()
-
-        for sub in self.secure_bob.subchannels:
-            sub.notify_on_space(once)
-        self._space_waiters.append(once)
+        self._space_waiters.append(
+            notify_once(self.secure_bob.subchannels, callback)
+        )
 
     def _wake_waiters(self) -> None:
         if not self._space_waiters:

@@ -5,12 +5,14 @@ frontend queues its LLC misses and emits exactly one ORAM request every
 ``t`` cycles after the previous response (a dummy when the queue is
 empty), per Section III-B.  Emission goes to a *backend*:
 
-* :class:`DelegatorBackend` -- D-ORAM: seal a 72 B packet, ship it down
-  the secure channel's serial link to the SD, receive the 72 B response
-  on the up link.
+* :class:`~repro.core.recovery.SecureLinkSession` -- D-ORAM: a 72 B
+  request frame down the secure channel's serial link to the SD, the
+  72 B response frame back on the up link (the one CPU<->SD protocol,
+  which also survives an attached fault plan).
 * :class:`OnChipBackend` -- the Path ORAM baseline: the engine and ORAM
   controller are on the processor; the "response" is the read phase
-  completing at the on-chip controller.
+  completing at the on-chip controller.  A failed-over session's
+  host-side engine is one too.
 
 Either way, the S-App load completes at the response, and stores complete
 when accepted (the ORAM write happens obliviously later).
@@ -21,9 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
-from repro.bob.channel import BobChannel
-from repro.core.config import PACKET_BYTES
-from repro.core.delegator import OramSequencer, SecureDelegator
+from repro.core.delegator import OramSequencer
 from repro.core.timing_guard import RequestPacer
 from repro.cpu.core import MemoryPort
 from repro.dram.commands import OpType
@@ -65,78 +65,6 @@ class _DelayedResponse:
     def __call__(self, time: int) -> None:
         when = time + self.delay
         self.engine.call_at(when, self.on_response, when)
-
-
-class DelegatorBackend(OramBackend):
-    """Packets over the secure BOB link to the SD."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        secure_bob: BobChannel,
-        delegator: SecureDelegator,
-        cpu_process_ns: float = 2.0,
-        controller: Optional[OramController] = None,
-    ) -> None:
-        """``controller`` binds this backend to one tree when the SD
-        hosts several S-Apps; ``None`` uses the SD's primary tree."""
-        self.engine = engine
-        self.secure_bob = secure_bob
-        self.delegator = delegator
-        self.cpu_process_ticks = ns(cpu_process_ns)
-        self.controller = controller
-
-    @property
-    def num_user_blocks(self) -> int:
-        if self.controller is not None:
-            return self.controller.config.num_user_blocks
-        assert self.delegator.sequencer is not None
-        return self.delegator.sequencer.controller.config.num_user_blocks
-
-    def submit(
-        self, block_id: Optional[int], on_response: Callable[[int], None]
-    ) -> None:
-        # CPU -> SD request packet (OTP-sealed, fixed 72 B); the op
-        # object carries itself through the three stages.
-        self.secure_bob.send_down(
-            PACKET_BYTES, _DelegatorOp(self, block_id, on_response)
-        )
-
-
-class _DelegatorOp:
-    """One D-ORAM operation's round trip, one allocation.
-
-    Stage 0: request packet arrives at the SD -> hand to the delegator.
-    Stage 1: the ORAM read finishes -> response packet up the link.
-    Stage 2: response arrives at the CPU -> ``on_response`` after the
-    CPU-side decrypt/check delay.  Each stage is invoked exactly once,
-    in order, so a single callable with a stage counter replaces the
-    four closures the submit path used to allocate.
-    """
-
-    __slots__ = ("backend", "block_id", "on_response", "stage")
-
-    def __init__(self, backend: DelegatorBackend, block_id, on_response) -> None:
-        self.backend = backend
-        self.block_id = block_id
-        self.on_response = on_response
-        self.stage = 0
-
-    def __call__(self, time: int) -> None:
-        backend = self.backend
-        stage = self.stage
-        if stage == 0:
-            self.stage = 1
-            backend.delegator.receive_request(
-                self.block_id, self, backend.controller
-            )
-        elif stage == 1:
-            # SD -> CPU response packet; decrypt/check at the CPU side.
-            self.stage = 2
-            backend.secure_bob.send_up(PACKET_BYTES, self)
-        else:
-            when = time + backend.cpu_process_ticks
-            backend.engine.call_at(when, self.on_response, when)
 
 
 class OnChipBackend(OramBackend):

@@ -1,15 +1,18 @@
-"""Secure-link recovery: framing, retransmission, watchdog, failover.
+"""The CPU<->SD secure-link protocol: framing, retransmission, failover.
 
-The happy-path D-ORAM protocol (:class:`~repro.core.frontend.DelegatorBackend`)
-assumes every 72 B packet crosses the BOB link intact.  The threat model
-does not: the link and the DIMMs are untrusted, so packets may be
-corrupted (MAC verification fails at the receiver), dropped, or delayed.
-This module adds the machinery that survives that -- armed only when a
-:class:`~repro.faults.plan.FaultPlan` is attached to a run, and built so
-that with no faults firing it is schedule-identical to the plain backend
-(bit-identical golden digests; see ``tests/faults/test_empty_plan_identity``).
+Every delegated S-App talks to its secure delegator (SD) through one
+:class:`SecureLinkSession`: a 72 B request :class:`Frame` down the
+secure BOB link, the SD's 72 B response frame back up.  That is the only
+CPU<->SD path, with or without a :class:`~repro.faults.plan.FaultPlan`.
+With no plan attached nothing can lose or garble a frame, so the session
+arms no deadline timer and the exchange is the bare Section III-B round
+trip: request down, SD processing, ORAM read phase, response up,
+``cpu_process`` later the S-App sees it.
 
-Protocol (stop-and-wait, one outstanding request per S-App session):
+The link and the DIMMs are untrusted, though, so an attached plan may
+corrupt (MAC verification fails at the receiver), drop, or delay
+packets.  The session survives that (stop-and-wait, one outstanding
+request per S-App session):
 
 * Every CPU->SD request carries a session sequence number.  The SD caches
   the last completed response per session, so a retransmitted request is
@@ -21,14 +24,17 @@ Protocol (stop-and-wait, one outstanding request per S-App session):
   (real or dummy) request would have used and the wire stays a
   deterministic function of observable arrivals (no new timing channel;
   audited by :func:`repro.obs.leakage.check_recovery_discipline`).
-* A request unanswered for ``deadline_ns`` retransmits at exactly
-  ``sent + deadline`` -- again deterministic from the wire.
+* A request unanswered for its deadline retransmits at exactly
+  ``sent + deadline`` -- again deterministic from the wire.  The
+  deadline is ``deadline_ns`` times the number of sessions sharing the
+  SD: the SD serves requests FIFO, so a healthy response may wait behind
+  every other session's request.
 * ``watchdog_misses`` consecutive deadline expiries (no up-link frame at
   all: the SD's heartbeat is its response stream) declare the SD dead.
   The session fails over to a host-side baseline Path ORAM engine built
   on demand, which walks the same tree through the normal-traffic BOB
-  path; the failover is recorded in stats and the ``fault`` trace
-  category.
+  path (:class:`~repro.core.sinks.BobChannelSink`); the failover is
+  recorded in stats and the ``fault`` trace category.
 
 :class:`GuardedRead` is the DRAM leg of the same story: a transient
 read bit-flip is detected by the per-bucket MAC, and the block is
@@ -39,14 +45,11 @@ lands -- the protocol-level "re-issue corrupted path blocks" rule.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.bob.channel import BobChannel
 from repro.core.config import PACKET_BYTES
-from repro.dram.commands import OpType, TrafficClass
-from repro.faults.plan import RecoveryParams
-from repro.oram.controller import BlockSink, OramController
-from repro.oram.layout import BlockPlacement
+from repro.oram.controller import OramController
 from repro.sim.engine import Engine, ns
 from repro.sim.stats import StatSet
 
@@ -58,10 +61,9 @@ class FaultRecoveryError(RuntimeError):
 class Frame:
     """One secure-link frame: request, response, or NAK.
 
-    Frames are the fault-aware unit of the armed link protocol: the
-    injector calls :meth:`link_fault` on them, and a fresh object is
-    allocated per transmission (never reused across retransmissions, so
-    a corruption mark can't leak into a later clean send).
+    The injector calls :meth:`link_fault` on frames, and a fresh object
+    is allocated per transmission (never reused across retransmissions,
+    so a corruption mark can't leak into a later clean send).
     """
 
     __slots__ = ("kind", "seq", "block_id", "attempt", "session", "corrupt")
@@ -99,18 +101,16 @@ class GuardedRead:
     through ``reissue`` instead of delivering garbage upward.  The inner
     callback (the ORAM controller's block accounting) only ever sees
     clean reads, so the read phase stays open until a verified copy
-    lands.
+    lands.  The re-issue bound is the plan's ``block_read_retries``.
     """
 
-    __slots__ = ("inner", "reissue", "faults", "limit", "attempts", "corrupt")
+    __slots__ = ("inner", "reissue", "faults", "attempts", "corrupt")
 
-    def __init__(self, inner: Callable[[int], None], faults,
-                 limit: int) -> None:
+    def __init__(self, inner: Callable[[int], None], faults) -> None:
         self.inner = inner
         #: Set by the issue site right after the MemRequest exists.
         self.reissue: Optional[Callable[[], None]] = None
         self.faults = faults
-        self.limit = limit
         self.attempts = 0
         self.corrupt = False
 
@@ -122,10 +122,11 @@ class GuardedRead:
         if self.corrupt:
             self.corrupt = False
             self.attempts += 1
-            if self.attempts > self.limit:
+            limit = self.faults.recovery.block_read_retries
+            if self.attempts > limit:
                 raise FaultRecoveryError(
                     f"block read failed MAC verification {self.attempts} "
-                    f"times; retry bound {self.limit} exhausted"
+                    f"times; retry bound {limit} exhausted"
                 )
             self.faults.count("block_rereads")
             self.faults.trace("block_reread", "dram",
@@ -136,7 +137,17 @@ class GuardedRead:
 
 
 class SecureLinkSession:
-    """CPU-side endpoint of the recovery protocol for one S-App tree."""
+    """CPU-side endpoint of the secure link for one S-App tree.
+
+    The fixed-rate frontend's backend: :meth:`submit` carries one
+    request to the SD and back, and survives the SD's failover.
+    ``faults`` (a :class:`~repro.faults.inject.FaultController`) attaches
+    the plan whose faults the session must survive; without one no
+    deadline timer is armed, since nothing can lose a frame.
+    ``sd_sessions`` is the number of sessions sharing the SD (the
+    deadline scales with it).  ``fallback_factory`` builds the
+    host-side backend at failover.
+    """
 
     def __init__(
         self,
@@ -144,9 +155,9 @@ class SecureLinkSession:
         secure_bob: BobChannel,
         delegator,
         controller: OramController,
-        params: RecoveryParams,
-        faults,
-        fallback_factory: Callable[[], object],
+        faults=None,
+        fallback_factory: Optional[Callable[[], object]] = None,
+        sd_sessions: int = 1,
         cpu_process_ns: float = 2.0,
         name: str = "sdlink",
     ) -> None:
@@ -154,18 +165,22 @@ class SecureLinkSession:
         self.secure_bob = secure_bob
         self.delegator = delegator
         self.controller = controller
-        self.params = params
         self.faults = faults
         self.fallback_factory = fallback_factory
         self.cpu_process_ticks = ns(cpu_process_ns)
         self.name = name
         self.stats = StatSet(name)
-        faults.register_stats(name, self.stats)
-        #: Bound by the system builder once the frontend (and so the
-        #: pacer) exists; supplies the fixed-rate slot width ``t``.
+        #: Per-attempt response deadline; ``None`` arms no timer.
+        self.deadline_ticks: Optional[int] = None
+        if faults is not None:
+            faults.register_stats(name, self.stats)
+            self.deadline_ticks = ns(
+                faults.recovery.deadline_ns * sd_sessions
+            )
+        #: Bound once the frontend (and so the pacer) exists; supplies
+        #: the fixed-rate slot width ``t``.
         self.pacer = None
         self.t_ticks = 0
-        self.deadline_ticks = params.deadline_ticks
         self._seq = 0
         self._attempt = 0
         self._awaiting = False
@@ -184,6 +199,10 @@ class SecureLinkSession:
     @property
     def failed(self) -> bool:
         return self._failed
+
+    @property
+    def num_user_blocks(self) -> int:
+        return self.controller.config.num_user_blocks
 
     # ------------------------------------------------------------------
     # Request side
@@ -211,10 +230,11 @@ class SecureLinkSession:
         self.secure_bob.send_down(
             PACKET_BYTES, self.delegator.receive_frame, arg=frame
         )
-        self._deadline_handle = self.engine.call_at(
-            self.engine.now + self.deadline_ticks,
-            self._deadline_fired, self._seq,
-        )
+        if self.deadline_ticks is not None:
+            self._deadline_handle = self.engine.call_at(
+                self.engine.now + self.deadline_ticks,
+                self._deadline_fired, self._seq,
+            )
 
     # ------------------------------------------------------------------
     # Response side (up-link delivery callback)
@@ -260,7 +280,7 @@ class SecureLinkSession:
             return
         self._cancel_deadline()
         self._attempt += 1
-        if self._attempt > self.params.max_attempts:
+        if self._attempt > self.faults.recovery.max_attempts:
             self._failover("retry bound")
             return
         self.engine.call_at(
@@ -284,11 +304,12 @@ class SecureLinkSession:
         self.stats.counter("timeouts").add()
         self.faults.trace("timeout", self.name,
                           {"seq": seq, "misses": self._misses})
-        if self._misses >= self.params.watchdog_misses:
+        recovery = self.faults.recovery
+        if self._misses >= recovery.watchdog_misses:
             self._failover("watchdog")
             return
         self._attempt += 1
-        if self._attempt > self.params.max_attempts:
+        if self._attempt > recovery.max_attempts:
             self._failover("retry bound")
             return
         # Retransmit exactly at deadline expiry: sent_k = sent_{k-1} + D,
@@ -318,90 +339,3 @@ class SecureLinkSession:
         if on_response is not None:
             # The in-flight request is replayed on the host-side engine.
             self._fallback.submit(self._block_id, on_response)
-
-
-class FailoverBackend:
-    """Frontend backend that rides a session (and survives its failover).
-
-    Duck-typed to :class:`repro.core.frontend.OramBackend` (not a
-    subclass, to keep this module importable from the delegator layer).
-    """
-
-    def __init__(self, session: SecureLinkSession) -> None:
-        self.session = session
-
-    @property
-    def num_user_blocks(self) -> int:
-        return self.session.controller.config.num_user_blocks
-
-    def submit(self, block_id: Optional[int],
-               on_response: Callable[[int], None]) -> None:
-        self.session.submit(block_id, on_response)
-
-
-class BobChannelSink(BlockSink):
-    """Host-side block sink for failover under the BOB architecture.
-
-    The fallback Path ORAM engine runs on the processor, so its path
-    blocks cross the serial links as ordinary traffic
-    (:meth:`BobChannel.submit`), tagged ``SECURE`` for the schedulers.
-    Reads are MAC-verified at the host via :class:`GuardedRead` --
-    failover must not give up the DRAM-flip protection.
-    """
-
-    def __init__(self, bobs: Dict[int, BobChannel], app_id: int,
-                 faults=None, retry_limit: int = 16) -> None:
-        self.bobs = bobs
-        self.app_id = app_id
-        self.faults = faults
-        self.retry_limit = retry_limit
-
-    def issue_phase(
-        self,
-        placements: List[BlockPlacement],
-        op: OpType,
-        on_done: Callable[[int], None],
-    ) -> Tuple[List[BlockPlacement], int]:
-        """Per-block issue: each block is its own link packet, and reads
-        are MAC-checked (and re-issued) one by one."""
-        stalled = []
-        owed = 0
-        for placement in placements:
-            bob = self.bobs[placement.channel]
-            if not bob.can_accept(op):
-                stalled.append(placement)
-                continue
-            on_complete = on_done
-            if self.faults is not None and op is OpType.READ:
-                guard = GuardedRead(on_done, self.faults, self.retry_limit)
-                guard.reissue = (
-                    lambda b=bob, p=placement, g=guard: self._reissue(b, p, g)
-                )
-                on_complete = guard
-            bob.submit(op, placement.subchannel, placement.bank,
-                       placement.row, placement.col, self.app_id,
-                       TrafficClass.SECURE, on_complete)
-            owed += 1
-        return stalled, owed
-
-    def _reissue(self, bob: BobChannel, placement: BlockPlacement,
-                 guard: GuardedRead) -> None:
-        if bob.can_accept(OpType.READ):
-            bob.submit(OpType.READ, placement.subchannel, placement.bank,
-                       placement.row, placement.col, self.app_id,
-                       TrafficClass.SECURE, guard)
-        else:
-            bob.notify_on_space(
-                lambda: self._reissue(bob, placement, guard)
-            )
-
-    def notify_on_space(self, callback: Callable[[], None]) -> None:
-        fired = [False]
-
-        def once() -> None:
-            if not fired[0]:
-                fired[0] = True
-                callback()
-
-        for bob in self.bobs.values():
-            bob.notify_on_space(once)

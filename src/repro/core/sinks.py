@@ -4,15 +4,19 @@
   accesses enqueue straight into the processor's four parallel channels
   (tagged ``SECURE`` so the bandwidth-preallocation scheduler can fence
   them from NS traffic).
+* :class:`BobChannelSink` -- the failover engine under the BOB
+  architecture: block accesses cross the serial links as ordinary
+  traffic, one packet per block.
 * The D-ORAM delegator's sink lives in :mod:`repro.core.delegator`
   because local sub-channel traffic and remote split-tree messages need
   the delegator's link plumbing.
 
-Both issue a phase with :func:`split_phase` and :func:`issue_split`: the
-phase's channel-local placements are grouped by target channel, each
-target takes the prefix of its blocks that fits its free queue slots --
-what a per-block ``can_accept``/``enqueue`` loop accepts, since nothing
-is serviced while the loop runs -- and each target then gets one
+The direct and delegator sinks issue a phase with :func:`split_phase`
+and :func:`issue_split`: the phase's channel-local placements are
+grouped by target channel, each target takes the prefix of its blocks
+that fits its free queue slots -- what a per-block
+``can_accept``/``enqueue`` loop accepts, since nothing is serviced while
+the loop runs -- and each target then gets one
 :meth:`~repro.dram.channel.Channel.enqueue_phase` call.  Targets are
 issued in order of first appearance, so their service kicks take the
 same engine sequence numbers the per-block loop gave them.
@@ -20,8 +24,9 @@ same engine sequence numbers the per-block loop gave them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
+from repro.bob.channel import BobChannel
 from repro.core.recovery import GuardedRead
 from repro.dram.channel import Channel
 from repro.dram.commands import (
@@ -89,7 +94,6 @@ def issue_split(
     app_id: int,
     share: bool,
     faults=None,
-    retry_limit: int = 0,
 ) -> int:
     """Queue each target's accepted blocks; returns the completions
     ``on_done`` is owed.
@@ -126,7 +130,7 @@ def issue_split(
             continue
         if reading and faults is not None and channel.fault_armed:
             for p in blocks:
-                guard = GuardedRead(on_done, faults, retry_limit)
+                guard = GuardedRead(on_done, faults)
                 req = MemRequest(op, p.channel, p.subchannel, p.bank, p.row,
                                  p.col, app_id, secure, 0, guard)
                 guard.reissue = (
@@ -166,17 +170,38 @@ def enqueue_or_hold(channel: Channel, req: MemRequest) -> None:
         channel.notify_on_space(lambda: enqueue_or_hold(channel, req))
 
 
+def notify_once(
+    targets: Iterable, callback: Callable[[], None]
+) -> Callable[[], None]:
+    """Register one space wake with every target; the first to fire
+    runs ``callback``, the rest do nothing.
+
+    Targets register in iteration order.  Returns the shared wrapper so
+    a caller can add it to waiter lists of its own.
+    """
+    fired = False
+
+    def once() -> None:
+        nonlocal fired
+        if not fired:
+            fired = True
+            callback()
+
+    for target in targets:
+        target.notify_on_space(once)
+    return once
+
+
 class DirectChannelSink(BlockSink):
     """Issues ORAM blocks into directly attached DRAM channels."""
 
     def __init__(self, channels: Dict[Tuple[int, int], Channel],
-                 app_id: int, faults=None, retry_limit: int = 16) -> None:
+                 app_id: int, faults=None) -> None:
         self.channels = channels
         self.app_id = app_id
         #: Fault controller (``repro.faults``); reads on channels with a
         #: DRAM fault site are MAC-checked per block under it.
         self.faults = faults
-        self.retry_limit = retry_limit
 
     def issue_phase(
         self,
@@ -191,18 +216,68 @@ class DirectChannelSink(BlockSink):
             raise ValueError("direct-attached channels hold no split-tree "
                              "(remote) blocks")
         owed = issue_split(
-            targets, op, on_done, self.app_id, not stalled,
-            self.faults, self.retry_limit,
+            targets, op, on_done, self.app_id, not stalled, self.faults,
         )
         return stalled, owed
 
     def notify_on_space(self, callback: Callable[[], None]) -> None:
-        fired = [False]
+        notify_once(self.channels.values(), callback)
 
-        def once() -> None:
-            if not fired[0]:
-                fired[0] = True
-                callback()
 
-        for channel in self.channels.values():
-            channel.notify_on_space(once)
+class BobChannelSink(BlockSink):
+    """Host-side block sink for failover under the BOB architecture.
+
+    The fallback Path ORAM engine runs on the processor, so its path
+    blocks cross the serial links as ordinary traffic
+    (:meth:`BobChannel.submit`), tagged ``SECURE`` for the schedulers.
+    Reads are MAC-verified at the host via :class:`GuardedRead` --
+    failover must not give up the DRAM-flip protection.
+    """
+
+    def __init__(self, bobs: Dict[int, BobChannel], app_id: int,
+                 faults=None) -> None:
+        self.bobs = bobs
+        self.app_id = app_id
+        self.faults = faults
+
+    def issue_phase(
+        self,
+        placements: List[BlockPlacement],
+        op: OpType,
+        on_done: Callable[[int], None],
+    ) -> Tuple[List[BlockPlacement], int]:
+        """Per-block issue: each block is its own link packet, and reads
+        are MAC-checked (and re-issued) one by one."""
+        stalled = []
+        owed = 0
+        for placement in placements:
+            bob = self.bobs[placement.channel]
+            if not bob.can_accept(op):
+                stalled.append(placement)
+                continue
+            on_complete = on_done
+            if self.faults is not None and op is OpType.READ:
+                guard = GuardedRead(on_done, self.faults)
+                guard.reissue = (
+                    lambda b=bob, p=placement, g=guard: self._reissue(b, p, g)
+                )
+                on_complete = guard
+            bob.submit(op, placement.subchannel, placement.bank,
+                       placement.row, placement.col, self.app_id,
+                       TrafficClass.SECURE, on_complete)
+            owed += 1
+        return stalled, owed
+
+    def _reissue(self, bob: BobChannel, placement: BlockPlacement,
+                 guard: GuardedRead) -> None:
+        if bob.can_accept(OpType.READ):
+            bob.submit(OpType.READ, placement.subchannel, placement.bank,
+                       placement.row, placement.col, self.app_id,
+                       TrafficClass.SECURE, guard)
+        else:
+            bob.notify_on_space(
+                lambda: self._reissue(bob, placement, guard)
+            )
+
+    def notify_on_space(self, callback: Callable[[], None]) -> None:
+        notify_once(self.bobs.values(), callback)

@@ -16,13 +16,9 @@ from repro.bob.channel import BobChannel
 from repro.core.channel_sharing import sharing_targets
 from repro.core.config import SystemConfig
 from repro.core.delegator import OramSequencer, SecureDelegator
-from repro.core.frontend import DelegatorBackend, OnChipBackend, OramFrontend
-from repro.core.recovery import (
-    BobChannelSink,
-    FailoverBackend,
-    SecureLinkSession,
-)
-from repro.core.sinks import DirectChannelSink
+from repro.core.frontend import OnChipBackend, OramFrontend
+from repro.core.recovery import SecureLinkSession
+from repro.core.sinks import BobChannelSink, DirectChannelSink
 from repro.cpu.core import Core, MemoryPort
 from repro.dram.address_mapping import (
     ChannelInterleaver,
@@ -378,6 +374,55 @@ def build_bob_fabric(
     return channels, bobs
 
 
+def build_delegated_frontend(
+    engine: Engine,
+    bobs: Dict[int, BobChannel],
+    delegator: SecureDelegator,
+    controller: OramController,
+    index: int,
+    *,
+    seed: int,
+    fallback_app_id: int,
+    fork_path: bool,
+    sd_sessions: int,
+    t_cycles: int,
+    fallbacks: List[OramController],
+    faults=None,
+    tracer=None,
+) -> OramFrontend:
+    """One delegated S-App's CPU side, wired the same way by both builders.
+
+    The S-App's fixed-rate frontend ``oram_fe{index}`` rides the secure
+    link session ``sdlink{index}`` to ``delegator``, one of the
+    ``sd_sessions`` sessions sharing it.  Only if the session fails over
+    does it build the host-side engine ``oram{index}.fb``: the same tree
+    as ``controller``, walked over the normal BOB path with ``seed`` and
+    ``fork_path``, its blocks tagged ``fallback_app_id``; its controller
+    is appended to ``fallbacks``.  ``faults`` attaches a fault plan.
+    The caller starts the frontend: start order fixes engine sequence
+    numbers.
+    """
+    def make_fallback() -> OnChipBackend:
+        fb_ctrl = OramController(
+            engine, controller.config, controller.layout,
+            BobChannelSink(bobs, app_id=fallback_app_id, faults=faults),
+            seed=seed, name=f"oram{index}.fb", fork_path=fork_path,
+            tracer=tracer,
+        )
+        fallbacks.append(fb_ctrl)
+        return OnChipBackend(engine, fb_ctrl)
+
+    session = SecureLinkSession(
+        engine, delegator.secure_bob, delegator, controller,
+        faults=faults, fallback_factory=make_fallback,
+        sd_sessions=sd_sessions, name=f"sdlink{index}",
+    )
+    frontend = OramFrontend(engine, session, t_cycles=t_cycles,
+                            name=f"oram_fe{index}", tracer=tracer)
+    session.bind_pacer(frontend.pacer)
+    return frontend
+
+
 def _ns_allowed_channels(config: SystemConfig, app: int) -> Tuple[int, ...]:
     """Channel set for NS-App ``app`` under the scheme's policies."""
     base = config.ns_channels or tuple(range(config.num_channels))
@@ -404,10 +449,10 @@ def build_and_run(config: SystemConfig,
     :attr:`SimResult.snapshots`.
 
     ``faults`` (a :class:`repro.faults.FaultController`, single-run)
-    arms the fault-injection sites and the secure-link recovery
-    protocol.  A controller whose plan is empty leaves the run
-    bit-identical to ``faults=None`` (same trace digest, same
-    serialized result) -- the recovery framing is schedule-neutral.
+    arms the fault-injection sites and attaches the plan to the
+    secure-link sessions, which then arm their response deadlines.  A
+    controller whose plan is empty leaves the run bit-identical to
+    ``faults=None`` (same trace digest, same serialized result).
 
     ``periodic`` is the engine's periodic mode (:class:`Engine`):
     ``"eager"`` is the dispatch-per-occurrence census oracle, and the
@@ -447,20 +492,7 @@ def build_and_run(config: SystemConfig,
         )
 
     if faults is not None:
-        for key in sorted(channels):
-            channel = channels[key]
-            site = faults.dram_site(channel.name)
-            if site is not None:
-                channel.arm_faults(site)
-            if faults.capture_commands:
-                faults.command_logs[channel.name] = \
-                    channel.start_command_log()
-        for ch in sorted(bobs):
-            bob = bobs[ch]
-            for link in (bob.down, bob.up):
-                site = faults.link_site(link.name)
-                if site is not None:
-                    link.arm_faults(site)
+        faults.arm_fabric(channels, bobs)
 
     # -- NS-App ports -------------------------------------------------------
     ns_ports: Dict[int, MemoryPort] = {}
@@ -496,13 +528,8 @@ def build_and_run(config: SystemConfig,
                     home_targets=[(ch, 0) for ch in range(config.num_channels)],
                     geometry=geometry,
                 )
-                if faults is not None:
-                    sink = DirectChannelSink(
-                        channels, app_id=s_app_id, faults=faults,
-                        retry_limit=faults.recovery.block_read_retries,
-                    )
-                else:
-                    sink = DirectChannelSink(channels, app_id=s_app_id)
+                sink = DirectChannelSink(channels, app_id=s_app_id,
+                                         faults=faults)
                 controller = OramController(engine, ocfg, layout, sink,
                                             seed=config.seed,
                                             fork_path=config.fork_path,
@@ -525,7 +552,7 @@ def build_and_run(config: SystemConfig,
                     engine, secure_bob, normal_bobs,
                     process_ns=config.sd_process_ns, app_id=s_app_id,
                     merge_short_reads=config.merge_short_reads,
-                    tracer=tracer,
+                    tracer=tracer, faults=faults,
                 )
                 remote_targets = [(ch, 0) for ch in sorted(normal_bobs)]
                 # Remote footprint per tree (split levels, per channel).
@@ -562,49 +589,17 @@ def build_and_run(config: SystemConfig,
                     )
                     controllers.append(ctrl)
                 delegator.sequencer = OramSequencer(controllers[0])
-                if faults is not None:
-                    delegator.arm_recovery(faults)
                 for s_index, ctrl in enumerate(controllers):
-                    session = None
-                    if faults is not None:
-                        # Recovery-protocol endpoint; the fallback (a
-                        # host-side Path ORAM over the normal BOB path)
-                        # is only built if the watchdog ever fires, so
-                        # a fault-free run allocates nothing extra.
-                        def _make_fallback(ctrl=ctrl, s_index=s_index):
-                            fb_sink = BobChannelSink(
-                                bobs, app_id=s_app_id, faults=faults,
-                                retry_limit=(
-                                    faults.recovery.block_read_retries
-                                ),
-                            )
-                            fb_ctrl = OramController(
-                                engine, ctrl.config, ctrl.layout, fb_sink,
-                                seed=config.seed + 31 * s_index,
-                                name=f"oram{s_index}.fb",
-                                fork_path=config.fork_path,
-                                tracer=tracer,
-                            )
-                            fallback_controllers.append(fb_ctrl)
-                            return OnChipBackend(engine, fb_ctrl)
-
-                        session = SecureLinkSession(
-                            engine, secure_bob, delegator, ctrl,
-                            faults.recovery, faults,
-                            fallback_factory=_make_fallback,
-                            name=f"sdlink{s_index}",
-                        )
-                        backend = FailoverBackend(session)
-                    else:
-                        backend = DelegatorBackend(
-                            engine, secure_bob, delegator, controller=ctrl
-                        )
-                    frontend = OramFrontend(
-                        engine, backend, t_cycles=config.t_cycles,
-                        name=f"oram_fe{s_index}", tracer=tracer,
+                    frontend = build_delegated_frontend(
+                        engine, bobs, delegator, ctrl, s_index,
+                        seed=config.seed + 31 * s_index,
+                        fallback_app_id=s_app_id,
+                        fork_path=config.fork_path,
+                        sd_sessions=config.num_s_apps,
+                        t_cycles=config.t_cycles,
+                        fallbacks=fallback_controllers,
+                        faults=faults, tracer=tracer,
                     )
-                    if session is not None:
-                        session.bind_pacer(frontend.pacer)
                     frontend.start()
                     frontends.append(frontend)
                     s_ports.append(frontend)

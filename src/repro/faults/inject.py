@@ -1,9 +1,11 @@
 """Fault injection: binding a :class:`FaultPlan` to one simulation.
 
 A :class:`FaultController` is single-run: the system builder calls
-:meth:`FaultController.bind` with the engine/tracer, asks for per-site
-injectors (:meth:`link_site`, :meth:`dram_site`, :meth:`sd_site`), and
-components arm themselves only when a site actually has rules for them.
+:meth:`FaultController.bind` with the engine/tracer and
+:meth:`FaultController.arm_fabric` with the channels and links, and the
+delegator asks for its site (:meth:`sd_site`); per-site injectors
+(:meth:`link_site`, :meth:`dram_site`) arm a component only when a site
+actually has rules for it.
 A link or channel with no matching rule keeps its ``_faults`` hook at
 ``None`` and pays nothing; an armed site costs one rule scan (plus at
 most one RNG draw per rule) per packet or read completion.
@@ -248,6 +250,28 @@ class FaultController:
         if self._sd_site is None:
             self._sd_site = SdFaultSite(self)
         return self._sd_site
+
+    def arm_fabric(self, channels: Dict, bobs: Dict) -> None:
+        """Arm every DRAM channel and serial link the plan names.
+
+        ``channels`` maps ``(channel, subchannel)`` keys to DRAM
+        channels, ``bobs`` channel ids to BOB channels (empty for the
+        direct-attached architecture).  With ``capture_commands`` each
+        channel also starts the command log the compliance referee reads.
+        """
+        for key in sorted(channels):
+            channel = channels[key]
+            site = self.dram_site(channel.name)
+            if site is not None:
+                channel.arm_faults(site)
+            if self.capture_commands:
+                self.command_logs[channel.name] = channel.start_command_log()
+        for ch in sorted(bobs):
+            bob = bobs[ch]
+            for link in (bob.down, bob.up):
+                site = self.link_site(link.name)
+                if site is not None:
+                    link.arm_faults(site)
 
     # ------------------------------------------------------------------
     # Bookkeeping shared by sites and recovery components

@@ -124,13 +124,15 @@ def check_fault_invariants(
             report.violations.append(f"dram {name}: {violation}")
 
     # 3. Secure-link timing discipline (delegated schemes only -- the
-    # on-chip baseline has no secure link to audit).
+    # on-chip baseline has no secure link to audit).  Each session's
+    # deadline scales with the sessions sharing the SD.
     if result.config.oram_placement == "delegated":
         for violation in check_recovery_discipline(
             tracer.events,
             secure_channel=result.config.secure_channel,
             t_cycles=result.config.t_cycles,
-            deadline_ns=plan.recovery.deadline_ns,
+            deadline_ns=(plan.recovery.deadline_ns
+                         * result.config.num_s_apps),
         ):
             report.violations.append(f"link: {violation}")
 

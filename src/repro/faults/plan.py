@@ -242,9 +242,11 @@ class RecoveryParams:
     """Constants of the secure-link recovery protocol.
 
     ``deadline_ns`` is the per-attempt response deadline at the CPU
-    endpoint; a request unanswered for that long is retransmitted at
-    exactly ``sent + deadline`` (a deterministic function of the wire,
-    so the retry adds no timing channel).  ``watchdog_misses``
+    endpoint, per session sharing the SD (a session's deadline is
+    ``deadline_ns`` times their number); a request unanswered for that
+    long is retransmitted at exactly ``sent + deadline`` (a
+    deterministic function of the wire, so the retry adds no timing
+    channel).  ``watchdog_misses``
     consecutive deadline expiries declare the SD dead and trigger
     failover to the host-side baseline Path ORAM engine.
     ``block_read_retries`` bounds per-block DRAM re-reads after a MAC
@@ -252,9 +254,10 @@ class RecoveryParams:
     corrupted split-tree message chain.
     """
 
-    #: A D-ORAM response normally lands ~1-2 us after the request, so
-    #: 5 us is several missed slots -- late enough to never fire on a
-    #: healthy link, early enough to recover inside short runs.
+    #: With one session on the SD a D-ORAM response normally lands
+    #: ~1-2 us after the request, so 5 us is several missed slots --
+    #: late enough to never fire on a healthy link, early enough to
+    #: recover inside short runs.
     deadline_ns: float = 5000.0
     watchdog_misses: int = 4
     block_read_retries: int = 16
@@ -275,10 +278,6 @@ class RecoveryParams:
             raise FaultPlanError("remote_retries must be >= 1")
         if self.max_attempts < 2:
             raise FaultPlanError("max_attempts must be >= 2")
-
-    @property
-    def deadline_ticks(self) -> int:
-        return ns(self.deadline_ns)
 
 
 @dataclass(frozen=True)

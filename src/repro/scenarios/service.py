@@ -23,13 +23,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.metrics import SLO_QUANTILES, latency_quantiles_ns
 from repro.core.delegator import OramSequencer, SecureDelegator
-from repro.core.frontend import DelegatorBackend, OnChipBackend, OramFrontend
-from repro.core.recovery import (
-    BobChannelSink,
-    FailoverBackend,
-    SecureLinkSession,
-)
-from repro.core.system import build_bob_fabric
+from repro.core.frontend import OramFrontend
+from repro.core.system import build_bob_fabric, build_delegated_frontend
 from repro.dram.address_mapping import DeviceGeometry
 from repro.dram.commands import TrafficClass
 from repro.dram.scheduler import SharePolicy
@@ -174,10 +169,10 @@ def build_scenario(
     a pure function of the config).
 
     ``faults`` (a :class:`repro.faults.FaultController`, single-run) arms
-    link/DRAM fault sites and the per-tenant secure-link recovery
-    protocol, exactly as ``build_and_run`` does for single-app runs.  An
-    armed controller with an *empty* plan leaves the run bit-identical
-    to ``faults=None`` (recovery framing is schedule-neutral).
+    link/DRAM fault sites and attaches the plan to the per-tenant
+    secure-link sessions, exactly as ``build_and_run`` does for
+    single-app runs.  An armed controller with an *empty* plan leaves the
+    run bit-identical to ``faults=None``.
 
     ``periodic`` is the engine's periodic mode (:class:`Engine`); the
     result is identical in both modes.
@@ -204,20 +199,7 @@ def build_scenario(
     )
 
     if faults is not None:
-        for key in sorted(channels):
-            channel = channels[key]
-            site = faults.dram_site(channel.name)
-            if site is not None:
-                channel.arm_faults(site)
-            if faults.capture_commands:
-                faults.command_logs[channel.name] = \
-                    channel.start_command_log()
-        for ch in sorted(bobs):
-            bob = bobs[ch]
-            for link in (bob.down, bob.up):
-                site = faults.link_site(link.name)
-                if site is not None:
-                    link.arm_faults(site)
+        faults.arm_fabric(channels, bobs)
 
     secure_set = frozenset(config.secure_channels)
     normal_bobs = {
@@ -231,6 +213,7 @@ def build_scenario(
             app_id=_SD_APP_ID_BASE + sc,
             name=f"sd{sc}",
             tracer=tracer,
+            faults=faults,
         )
 
     # One ORAM tree per tenant, stacked per channel so regions never
@@ -259,9 +242,6 @@ def build_scenario(
         first_controller.setdefault(sc, ctrl)
     for sc, ctrl in first_controller.items():
         delegators[sc].sequencer = OramSequencer(ctrl)
-    if faults is not None:
-        for sc in sorted(secure_set):
-            delegators[sc].arm_recovery(faults)
 
     horizon = ns(config.horizon_ns)
     sources: List[TenantSource] = []
@@ -272,43 +252,17 @@ def build_scenario(
     monitor = _DrainMonitor(engine, sources)
     for tenant_id in range(config.num_tenants):
         sc = config.secure_channel_of(tenant_id)
-        session = None
-        if faults is not None:
-            ctrl = controllers[tenant_id]
-
-            def _make_fallback(ctrl=ctrl, tenant_id=tenant_id, sc=sc):
-                # Host-side Path ORAM over the normal BOB path; built
-                # lazily, only if the watchdog ever fires.
-                fb_sink = BobChannelSink(
-                    bobs, app_id=_SD_APP_ID_BASE + sc, faults=faults,
-                    retry_limit=faults.recovery.block_read_retries,
-                )
-                fb_ctrl = OramController(
-                    engine, ctrl.config, ctrl.layout, fb_sink,
-                    seed=config.seed + 31 * tenant_id,
-                    name=f"oram{tenant_id}.fb",
-                    tracer=tracer,
-                )
-                return OnChipBackend(engine, fb_ctrl)
-
-            session = SecureLinkSession(
-                engine, bobs[sc], delegators[sc], ctrl,
-                faults.recovery, faults,
-                fallback_factory=_make_fallback,
-                name=f"sdlink{tenant_id}",
-            )
-            backend = FailoverBackend(session)
-        else:
-            backend = DelegatorBackend(
-                engine, bobs[sc], delegators[sc],
-                controller=controllers[tenant_id],
-            )
-        frontend = OramFrontend(
-            engine, backend, t_cycles=config.t_cycles,
-            name=f"oram_fe{tenant_id}", tracer=tracer,
+        frontend = build_delegated_frontend(
+            engine, bobs, delegators[sc], controllers[tenant_id], tenant_id,
+            seed=config.seed + 31 * tenant_id,
+            fallback_app_id=_SD_APP_ID_BASE + sc,
+            fork_path=False,
+            sd_sessions=len(config.tenants_on(sc)),
+            t_cycles=config.t_cycles,
+            # The SLO report carries no per-engine stats.
+            fallbacks=[],
+            faults=faults, tracer=tracer,
         )
-        if session is not None:
-            session.bind_pacer(frontend.pacer)
         frontends.append(frontend)
         stream = make_stream(
             config.arrival, derive_seed(config.seed, tenant_id)

@@ -1,4 +1,9 @@
-"""Secure delegator: sequencing, buffering, remote messaging."""
+"""Secure delegator: sequencing, buffering, remote messaging.
+
+Requests reach the SD the one way they do in a whole-system run: as
+frames from a :class:`SecureLinkSession` at the CPU end of the secure
+link.
+"""
 
 from typing import List, Optional
 
@@ -6,18 +11,25 @@ import pytest
 
 from repro.bob.channel import BobChannel
 from repro.core.delegator import OramSequencer, SecureDelegator
+from repro.core.recovery import Frame, SecureLinkSession
+from repro.core.schemes import run_scheme
 from repro.dram.channel import Channel
 from repro.dram.commands import OpType
+from repro.dram.timing import ChannelParams
+from repro.faults import DramFault, FaultController, FaultPlan
 from repro.oram.config import OramConfig
 from repro.oram.controller import OramController
 from repro.oram.layout import OramLayout
 from repro.sim.engine import Engine
 
 
-def build_doram(split_k=0, leaf_level=9, merge_short_reads=False):
-    """A secure BOB channel with SD + three normal BOB channels."""
+def build_doram(split_k=0, leaf_level=9, merge_short_reads=False,
+                params=ChannelParams()):
+    """A secure BOB channel with SD + three normal BOB channels;
+    ``params`` shapes the secure sub-channels."""
     eng = Engine()
-    secure_subs = [Channel(eng, f"ch0.{i}") for i in range(4)]
+    secure_subs = [Channel(eng, f"ch0.{i}", params=params)
+                   for i in range(4)]
     secure_bob = BobChannel(eng, 0, secure_subs)
     normal_bobs = {
         ch: BobChannel(eng, ch, [Channel(eng, f"ch{ch}.0")])
@@ -38,34 +50,58 @@ def build_doram(split_k=0, leaf_level=9, merge_short_reads=False):
     return eng, sd, controller, secure_bob, normal_bobs
 
 
+def session_for(sd: SecureDelegator) -> SecureLinkSession:
+    """The CPU end of the secure link to ``sd``'s primary tree."""
+    return SecureLinkSession(sd.engine, sd.secure_bob, sd,
+                             sd.sequencer.controller)
+
+
 class TestSequencer:
     def test_response_fires_after_read_phase(self):
         eng, sd, ctrl, *_ = build_doram()
         responses: List[int] = []
-        sd.receive_request(0, responses.append)
+        session_for(sd).submit(0, responses.append)
         eng.run()
         assert len(responses) == 1
         assert ctrl.stats.latency("read_phase").count == 1
 
     def test_write_phase_follows_response(self):
         eng, sd, ctrl, *_ = build_doram()
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         assert ctrl.stats.latency("write_phase").count == 1
 
     def test_request_during_write_phase_is_buffered(self):
-        eng, sd, ctrl, *_ = build_doram()
+        # The write phase ends once the memory system has accepted the
+        # whole path, so two-deep write queues make it outlast the
+        # response's round trip.
+        eng, sd, ctrl, *_ = build_doram(
+            leaf_level=12,
+            params=ChannelParams(write_queue_depth=2, write_drain_hi=1,
+                                 write_drain_lo=0),
+        )
+        session = session_for(sd)
         order: List[str] = []
+        phase_at_arrival: List[Optional[str]] = []
+        submit = sd.sequencer.submit
+
+        def recording_submit(*args):
+            phase_at_arrival.append(ctrl.phase)
+            submit(*args)
+
+        sd.sequencer.submit = recording_submit
 
         def first_response(t: int) -> None:
             order.append("resp1")
-            # Inject the second request immediately: the write phase of
-            # access 1 is still ongoing, so it must buffer.
-            sd.receive_request(1, lambda t2: order.append("resp2"))
+            # Send the second request as soon as the first response
+            # lands: access 1's write phase is still under way when it
+            # reaches the SD, so it must buffer.
+            session.submit(1, lambda t2: order.append("resp2"))
 
-        sd.receive_request(0, first_response)
+        session.submit(0, first_response)
         eng.run()
         assert order == ["resp1", "resp2"]
+        assert phase_at_arrival == [None, "write"]
         assert ctrl.stats.counter("real_accesses").value == 2
         assert ctrl.stats.latency("write_phase").count == 2
 
@@ -74,12 +110,13 @@ class TestSequencer:
         subs = [Channel(eng, "s0")]
         bob = BobChannel(eng, 0, subs)
         sd = SecureDelegator(eng, bob, {})
+        session = SecureLinkSession(eng, bob, sd, controller=None)
         with pytest.raises(RuntimeError, match="not wired"):
-            sd.receive_request(0, lambda t: None)
+            sd.receive_frame(Frame(Frame.REQ, 1, 0, 1, session))
 
     def test_dummy_requests_processed(self):
         eng, sd, ctrl, *_ = build_doram()
-        sd.receive_request(None, lambda t: None)
+        session_for(sd).submit(None, lambda t: None)
         eng.run()
         assert ctrl.stats.counter("dummy_accesses").value == 1
 
@@ -87,7 +124,7 @@ class TestSequencer:
 class TestLocalTraffic:
     def test_blocks_stripe_over_four_subchannels(self):
         eng, sd, ctrl, secure_bob, _ = build_doram()
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         counts = [
             sub.stats.counter("reads_serviced").value
@@ -98,7 +135,7 @@ class TestLocalTraffic:
 
     def test_no_remote_traffic_without_split(self):
         eng, sd, ctrl, _, normal_bobs = build_doram(split_k=0)
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         assert sd.stats.counter("remote_short_reads").value == 0
         for bob in normal_bobs.values():
@@ -108,7 +145,7 @@ class TestLocalTraffic:
 class TestRemoteTraffic:
     def test_split_generates_table1_messages(self):
         eng, sd, ctrl, secure_bob, normal_bobs = build_doram(split_k=1)
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         # k=1: 4 relocated blocks -> 4 short reads + 4 writes via SD.
         assert sd.stats.counter("remote_short_reads").value == 4
@@ -116,7 +153,7 @@ class TestRemoteTraffic:
 
     def test_remote_blocks_hit_normal_channels(self):
         eng, sd, ctrl, _, normal_bobs = build_doram(split_k=1)
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         serviced = sum(
             bob.subchannels[0].stats.counter("reads_serviced").value
@@ -126,21 +163,22 @@ class TestRemoteTraffic:
 
     def test_remote_messages_cross_both_links(self):
         eng, sd, ctrl, secure_bob, normal_bobs = build_doram(split_k=1)
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
-        # Secure channel up: 4 short reads + 4 write packets + 1 response
-        # path is via backend (not used here); down: 4 data responses.
-        assert secure_bob.stats.counter("raw_up").value == 8
-        assert secure_bob.stats.counter("raw_down").value == 4
+        # Secure channel up: 4 short reads + 4 write packets + the SD's
+        # response frame; down: the session's request frame + 4 data
+        # responses.
+        assert secure_bob.stats.counter("raw_up").value == 9
+        assert secure_bob.stats.counter("raw_down").value == 5
 
     def test_remote_read_latency_exceeds_local(self):
         eng_l, sd_l, ctrl_l, *_ = build_doram(split_k=0)
-        sd_l.receive_request(0, lambda t: None)
+        session_for(sd_l).submit(0, lambda t: None)
         eng_l.run()
         local_read = ctrl_l.stats.latency("read_phase").mean
 
         eng_r, sd_r, ctrl_r, *_ = build_doram(split_k=1)
-        sd_r.receive_request(0, lambda t: None)
+        session_for(sd_r).submit(0, lambda t: None)
         eng_r.run()
         remote_read = ctrl_r.stats.latency("read_phase").mean
         # Four extra link round trips stretch the read phase.
@@ -148,7 +186,7 @@ class TestRemoteTraffic:
 
     def test_per_channel_rotation_counts(self):
         eng, sd, ctrl, _, _ = build_doram(split_k=2)
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         total_reads = sum(
             sd.stats.counter(f"ch{ch}_reads").value for ch in (1, 2, 3)
@@ -192,6 +230,25 @@ class TestShortReadMerging:
     def _run(merge):
         parts = build_doram(split_k=2, merge_short_reads=merge)
         eng, sd = parts[0], parts[1]
-        sd.receive_request(0, lambda t: None)
+        session_for(sd).submit(0, lambda t: None)
         eng.run()
         return parts
+
+    def test_flips_on_merged_reads_are_mac_checked(self):
+        """A merged read's blocks complete through their message chains,
+        so a DRAM flip on a normal channel is caught by the SD's MAC
+        check and the chain re-runs -- exactly as without merging."""
+        plan = FaultPlan(dram=(DramFault(channel="ch1*", rate=0.05),),
+                         seed=1)
+        summaries = {}
+        for merge in (False, True):
+            result = run_scheme("doram+2", "libq", 300,
+                                merge_short_reads=merge,
+                                faults=FaultController(plan))
+            summaries[merge] = result.fault_summary["faults"]
+        # The NS-App reads nothing verifies stay unprotected.
+        assert summaries[True] == {
+            "dram_flips": 2, "remote_retries": 2,
+            "dram_flips_unprotected": 23,
+        }
+        assert summaries[True] == summaries[False]

@@ -16,9 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bob.link import LinkParams
-from repro.core.recovery import BobChannelSink
 from repro.core.schemes import run_scheme
-from repro.core.sinks import enqueue_or_hold, issue_split, split_phase
+from repro.core.sinks import (
+    BobChannelSink,
+    enqueue_or_hold,
+    issue_split,
+    split_phase,
+)
 from repro.core.system import build_bob_fabric
 from repro.dram.channel import Channel, LaneGroup
 from repro.dram.commands import MemRequest, OpType, ignore_completion

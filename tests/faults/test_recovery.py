@@ -10,6 +10,7 @@ not just the outcome.
 
 import pytest
 
+from repro.core.recovery import SecureLinkSession
 from repro.core.schemes import run_scheme
 from repro.faults import (
     DelegatorFault,
@@ -19,6 +20,7 @@ from repro.faults import (
     LinkFault,
     RecoveryParams,
 )
+from repro.sim.engine import Engine
 
 LENGTH = 300
 
@@ -161,3 +163,52 @@ class TestBoundedRecovery:
         run_scheme("doram", "libq", LENGTH, faults=controller)
         with pytest.raises(RuntimeError):
             run_scheme("doram", "libq", LENGTH, faults=controller)
+
+
+class TestDeadlineArming:
+    """Only an attached plan can lose a frame, so only then does a
+    session arm its response deadline.  A deadline timer takes an engine
+    seq, so without a plan arming one would shift every later event's
+    seq for a timer that could only ever be cancelled."""
+
+    @staticmethod
+    def _deadline_timers(monkeypatch, faults):
+        """``(armed, cancelled)`` deadline events of one doram run."""
+        armed, cancelled = [], []
+        init, cancel = Engine.__init__, Engine.cancel
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            push = self._push
+
+            def recording_push(entry):
+                if (getattr(entry[2], "__func__", None)
+                        is SecureLinkSession._deadline_fired):
+                    armed.append(entry)
+                push(entry)
+
+            self._push = recording_push
+
+        def recording_cancel(self, handle):
+            cancelled.append(handle)
+            return cancel(self, handle)
+
+        monkeypatch.setattr(Engine, "__init__", recording_init)
+        monkeypatch.setattr(Engine, "cancel", recording_cancel)
+        run_scheme("doram", "libq", LENGTH, faults=faults)
+        return armed, cancelled
+
+    def test_no_plan_arms_no_deadline(self, monkeypatch):
+        armed, cancelled = self._deadline_timers(monkeypatch, None)
+        assert armed == []
+        assert cancelled == []
+
+    def test_attached_plan_arms_one_per_attempt(self, monkeypatch):
+        """The control: the recorder sees the timers an empty plan arms,
+        and each answered request cancels its own."""
+        armed, cancelled = self._deadline_timers(
+            monkeypatch, FaultController(FaultPlan())
+        )
+        assert armed
+        assert set(cancelled) <= set(armed)
+        assert len(armed) - len(cancelled) <= 1  # the last in flight

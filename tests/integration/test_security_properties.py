@@ -88,20 +88,22 @@ class TestTimingChannel:
         controller = OramController(eng, cfg, layout, sd.sink, seed=seed)
         sd.sequencer = OramSequencer(controller)
 
-        from repro.core.frontend import DelegatorBackend, OramFrontend
+        from repro.core.frontend import OramFrontend
+        from repro.core.recovery import SecureLinkSession
         from repro.dram.commands import OpType
 
-        backend = DelegatorBackend(eng, bob, sd)
-        frontend = OramFrontend(eng, backend, t_cycles=50)
+        session = SecureLinkSession(eng, bob, sd, controller)
+        frontend = OramFrontend(eng, session, t_cycles=50)
+        session.bind_pacer(frontend.pacer)
 
         times = []
-        original = backend.submit
+        original = session.submit
 
         def tracked(block_id, on_response):
             times.append(eng.now)
             original(block_id, on_response)
 
-        backend.submit = tracked
+        session.submit = tracked
         frontend.start()
         for block in real_blocks:
             eng.after(100, lambda b=block: frontend.issue(

@@ -22,7 +22,7 @@ import pytest
 from repro.faults import DramFault, FaultPlan, LinkFault
 from repro.faults.inject import FaultController
 from repro.oram.config import OramConfig
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.scenarios import ArrivalSpec, ScenarioConfig, run_scenario
 
 ORAM = OramConfig(leaf_level=12)
 HORIZON_NS = 20_000.0
@@ -82,6 +82,28 @@ class TestArmedEmpty:
         # One recovery session per tenant was armed (and stayed quiet).
         sessions = [k for k in armed.fault_summary if k.startswith("sdlink")]
         assert len(sessions) == 3
+
+    def test_backlogged_delegator_is_not_a_dead_one(self):
+        """32 tenants share one SD, which serves their requests FIFO, so
+        a healthy response can wait behind 31 others -- longer than one
+        flat ``deadline_ns``.  The deadline scales with the sessions on
+        the SD, so an empty plan still fires no timeout and stays
+        bit-identical to the bare run."""
+        config = ScenarioConfig(
+            num_tenants=32, horizon_ns=HORIZON_NS, oram=ORAM, seed=3,
+            arrival=ArrivalSpec(rate_rps=400_000.0),
+        )
+        bare = run_scenario(config)
+        armed = run_scenario(config, faults=FaultController(FaultPlan()))
+        assert armed.report_digest() == bare.report_digest()
+        assert armed.raw_events == bare.raw_events
+        assert armed.fault_summary["faults"] == {}
+        timeouts = sum(
+            stats.get("timeouts", 0)
+            for name, stats in armed.fault_summary.items()
+            if name.startswith("sdlink")
+        )
+        assert timeouts == 0
 
 
 class TestLinkFaults:
