@@ -4,10 +4,14 @@
   means (the paper's summary statistics);
 * :mod:`~repro.analysis.profiling` -- the T25mix/T33 latency profiling of
   Section III-D / Fig. 12;
-* :mod:`~repro.analysis.experiments` -- one driver per paper table/figure,
-  shared by the CLI and the benchmark harness (results are memoised per
-  process so Figs. 9, 11 and 13 reuse each other's runs; each takes its
+* :mod:`~repro.analysis.experiments` -- the experiment registry: one
+  record per paper exhibit and per ablation (title, the paper's
+  numbers, run-points, driver, table, checks), which ``doram exp``,
+  ``sweep`` and ``report`` loop over (runs are memoised per process so
+  Figs. 9, 11 and 13 reuse each other's runs; each driver takes its
   trace length as an argument);
+* :mod:`~repro.analysis.report` -- renders the registry's tables and
+  checks as EXPERIMENTS.md;
 * :mod:`~repro.analysis.sweep` -- run-points, the content-addressed
   result store and :func:`~repro.analysis.sweep.run_sweep`, the one
   sweep entry point (serial in-process, or a work-queue drain);

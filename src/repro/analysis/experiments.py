@@ -1,36 +1,35 @@
-"""One driver per paper table/figure.
+"""The experiment registry: every paper exhibit and ablation, declared once.
 
-Each function reproduces the data behind one exhibit of Section V (or the
-motivation figure) and returns plain dictionaries that the CLI and the
-pytest-benchmark harness print.  Runs are memoised per process, keyed on
-the full configuration, because the figures overlap heavily -- Fig. 9's
-D-ORAM/X is the best point of Fig. 11's c sweep, Fig. 13 reuses Fig. 9's
-runs, and so on.
+:data:`EXPERIMENTS` holds one :class:`Experiment` per Section V exhibit
+(:data:`ALL_FIGURES`) and per design-choice ablation
+(:data:`ALL_ABLATIONS`): its title, the numbers the paper states, the
+run-points it needs, its driver, its one table and its named
+:class:`Check` s.  ``doram exp``, ``sweep`` and ``report`` loop over it
+and regenerate through :func:`run_figures`: :func:`figure_points`
+declares every run as a :class:`~repro.analysis.sweep.RunPoint`, the
+sweep runner executes them (serial, or a work-queue drain) and primes
+the :func:`cached_run` memo, and the drivers then find every run cached.
+Called directly, a driver simulates any missing run through that memo;
+the exhibits overlap heavily (Fig. 9's D-ORAM/X is the best point of
+Fig. 11's c sweep, Fig. 13 reuses Fig. 9's runs, and the ablations share
+their defaults' runs).
 
-Two execution paths share the same drivers:
-
-* **Serial fallback** -- calling a ``fig*`` function directly runs any
-  missing point through :func:`cached_run` (an in-process memo).
-* **Sweep** -- :func:`figure_points` declares every run a figure needs
-  as :class:`~repro.analysis.sweep.RunPoint` objects;
-  :func:`run_figures` executes them through the resumable sweep runner
-  (serial, or a work-queue drain), primes the memo with the results,
-  and then evaluates the drivers, which find every run already cached.
-
-Scale: the paper simulates 500 M-instruction traces; here every function
-takes ``trace_length`` memory accesses per core as an argument (default
-:data:`DEFAULT_TRACE_LENGTH`), so a run's scale is exactly what its
-caller passed.  The shapes these functions exist to reproduce are stable
-in trace length; the integration tests assert that.
+Scale: the paper simulates 500 M-instruction traces; every driver takes
+``trace_length`` memory accesses per core as an argument (default
+:data:`DEFAULT_TRACE_LENGTH`).  The shapes the drivers exist to
+reproduce are stable in trace length; the integration tests assert that.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Sequence, Tuple
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, \
+    Sequence, Tuple, Union
 
 from repro.analysis.metrics import summarize_best_worst_gmean
-from repro.analysis.profiling import ProfileResult, profile_ratio
+from repro.analysis.profiling import (PROFILE_SCHEMES, ProfileResult,
+                                     profile_ratio)
 from repro.analysis.sweep import (
     ResultStore,
     RunPoint,
@@ -48,6 +47,7 @@ from repro.core.tree_split import (
 )
 from repro.oram.config import OramConfig
 from repro.oram.layout import OramLayout
+from repro.sim.engine import ns
 from repro.sim.stats import geomean
 from repro.trace.benchmarks import BENCHMARKS
 
@@ -109,7 +109,7 @@ def _benchmarks(benchmarks: Optional[Sequence[str]]) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Fig. 4 -- motivation: NS-App degradation under co-run scenarios
+# Paper exhibits: one driver each (their titles live in the registry)
 # ---------------------------------------------------------------------------
 
 FIG4_SCHEMES = ("baseline", "securemem", "7ns-4ch", "7ns-3ch")
@@ -139,10 +139,6 @@ def fig4(
         out[scheme] = rows
     return out
 
-
-# ---------------------------------------------------------------------------
-# Table I -- tree-split space distribution and extra messages
-# ---------------------------------------------------------------------------
 
 
 def table1(leaf_level: int = 23) -> List[Dict[str, float]]:
@@ -183,13 +179,15 @@ def table1(leaf_level: int = 23) -> List[Dict[str, float]]:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Fig. 8 -- channel access-latency balance
-# ---------------------------------------------------------------------------
+
+#: Fig. 8's benchmark when no ``--benchmarks`` are given (the paper's
+#: libquantum; ``libq`` is an alias of the same trace).
+FIG8_BENCHMARK = "li"
+FIG8_SCHEMES = ("1ns", "7ns-4ch", "7ns-3ch", "doram")
 
 
 def fig8(
-    benchmark: str = "libq",
+    benchmark: str = FIG8_BENCHMARK,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, float]:
     """Latency under channel partitioning and secure-channel contention."""
@@ -222,9 +220,9 @@ def fig8(
     }
 
 
-# ---------------------------------------------------------------------------
-# Fig. 9 -- headline: normalized NS execution time per scheme
-# ---------------------------------------------------------------------------
+
+def _c_sweep(row: Mapping[str, float]) -> List[float]:
+    return [row[f"c{c}"] for c in range(8)]
 
 
 def fig11(
@@ -276,29 +274,15 @@ def fig9(
     out: Dict[str, Dict[str, float]] = {}
     for code in codes:
         base = cached_run("baseline", code, trace_length).ns_mean_time()
-        row = {
-            "baseline": 1.0,
-            "doram": cached_run("doram", code, trace_length).ns_mean_time() / base,
-            "doram_x": min(
-                sweep[code][f"c{c}"] for c in range(8)
-            ),
-            "doram+1": cached_run("doram+1", code, trace_length).ns_mean_time() / base,
-            "doram+1/4": cached_run(
-                "doram+1/4", code, trace_length
-            ).ns_mean_time() / base,
-        }
-        out[code] = row
-    gmean_row = {
-        key: geomean([out[code][key] for code in codes])
-        for key in ("baseline", "doram", "doram_x", "doram+1", "doram+1/4")
-    }
-    out["gmean"] = gmean_row
+        row = out[code] = {"baseline": 1.0, "doram": sweep[code]["c7"],
+                           "doram_x": min(_c_sweep(sweep[code]))}
+        for scheme in ("doram+1", "doram+1/4"):
+            row[scheme] = (cached_run(scheme, code, trace_length)
+                           .ns_mean_time() / base)
+    out["gmean"] = {key: geomean([out[code][key] for code in codes])
+                    for key in out[codes[0]]}
     return out
 
-
-# ---------------------------------------------------------------------------
-# Fig. 10 -- tree-expansion overhead (k = 1..3)
-# ---------------------------------------------------------------------------
 
 
 def fig10(
@@ -325,10 +309,6 @@ def fig10(
     out["gmean"] = avg_row
     return out
 
-
-# ---------------------------------------------------------------------------
-# Fig. 12 -- profiling-guided c selection
-# ---------------------------------------------------------------------------
 
 
 def fig12(
@@ -366,10 +346,6 @@ def fig12(
     return out
 
 
-# ---------------------------------------------------------------------------
-# Fig. 13 -- NS access-latency reduction
-# ---------------------------------------------------------------------------
-
 
 def fig13(
     benchmarks: Optional[Sequence[str]] = None,
@@ -398,40 +374,417 @@ def fig13(
 
 
 # ---------------------------------------------------------------------------
-# Sweep integration: declared run-points per figure
+# Ablations -- the design choices of Sections III-IV and VI, one sweep each
 # ---------------------------------------------------------------------------
 
-#: Figure name -> driver callable (``table1`` takes no benchmarks).
-FIGURE_DRIVERS: Dict[str, Callable] = {
-    "fig4": fig4,
-    "table1": lambda benchmarks=None, trace_length=None: table1(),
-    "fig8": lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: fig8(
-        benchmarks[0] if benchmarks else "libq", trace_length
+#: The benchmark every ablation runs (libquantum; ``libq`` is its alias).
+ABLATION_BENCHMARK = "li"
+
+#: ``(row label, scheme, overrides)``; a default value is declared as no
+#: override at all, so identical configurations share one run-point.
+Variant = Tuple[str, str, Dict[str, object]]
+
+
+def _secure_rows(result: SimResult) -> List[Dict[str, float]]:
+    return [row for name, row in result.channels.items()
+            if name.startswith("ch0")]
+
+
+#: Ablation table columns: ``column(result, reference_result)``.
+_COLUMNS: Dict[str, Callable[[SimResult, Optional[SimResult]], object]] = {
+    "vs_baseline": lambda r, base: r.ns_mean_time() / base.ns_mean_time(),
+    "read_lat_ns": lambda r, _base: r.read_latency_ns(),
+    "ns_time_us": lambda r, _base: r.ns_mean_ns() / 1000,
+    "oram_resp_ns": lambda r, _base: r.s_app.get("oram_response_ns", 0.0),
+    "rowhit": lambda r, _base: sum(
+        row["row_hit_rate"] for row in _secure_rows(r)) / 4,
+    "accesses": lambda r, _base: int(r.s_app["oram_accesses"]),
+    "oram_accesses": lambda r, _base: r.s_app["oram_accesses"],
+    "real_frac": lambda r, _base: r.s_app["oram_real_fraction"],
+    "blocks/access": lambda r, _base: r.config.oram.blocks_per_phase,
+    "short_pkts": lambda r, _base: float(r.s_app["remote_short_reads"]),
+    "rds_per_access": lambda r, _base: sum(
+        row["secure_reads"] for row in _secure_rows(r)
+    ) / r.s_app["oram_accesses"],
+}
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge}
+
+
+def _compare(column: str, a: str, op: str, b: str, factor: float = 1.0):
+    """Predicate over an ablation's rows:
+    ``out[a][column] <op> factor * out[b][column]``."""
+    return lambda out: _OPS[op](out[a][column], factor * out[b][column])
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+#: A rendered table: ``(headers, rows)``; floats print with 3 decimals.
+Table = Tuple[List[object], List[List[object]]]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named shape claim: ``claim`` text plus a predicate over the
+    experiment's output, rendered ``Shape (<claim>): REPRODUCED`` or
+    ``Shape (<claim>): NOT reproduced``."""
+
+    claim: str
+    holds: Callable[[Any], bool]
+
+
+#: A line under an experiment's table: a check, or prose ``note(output)``.
+Note = Union[Check, Callable[[Any], str]]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper exhibit or ablation.
+
+    ``points(benchmarks, trace_length)`` declares every simulation that
+    ``driver(benchmarks, trace_length)`` performs; ``table(output)`` is
+    the one table it shows; ``notes`` are the lines under that table.
+    """
+
+    name: str
+    title: str
+    #: What the paper states about it, or ``""``.
+    paper: str
+    points: Callable[[Optional[Sequence[str]], int], List[RunPoint]]
+    driver: Callable[[Optional[Sequence[str]], int], Any]
+    table: Callable[[Any], Table]
+    notes: Tuple[Note, ...] = ()
+
+    def verdicts(self, output: Any) -> List[Tuple[str, bool]]:
+        """Every note's line and whether it holds (prose always does)."""
+        lines = []
+        for note in self.notes:
+            if isinstance(note, Check):
+                ok = bool(note.holds(output))
+                state = "REPRODUCED" if ok else "NOT reproduced"
+                lines.append((f"Shape ({note.claim}): {state}", ok))
+            else:
+                lines.append((note(output), True))
+        return lines
+
+
+def _keyed(data: Mapping[str, Mapping[str, object]]) -> Table:
+    columns = list(next(iter(data.values())))
+    return (["row"] + columns,
+            [[key] + list(row.values()) for key, row in data.items()])
+
+
+def _grid(schemes: Sequence[str]):
+    """Points of a driver that runs ``schemes`` on every benchmark."""
+    return lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: [
+        RunPoint(scheme, code, trace_length)
+        for code in _benchmarks(benchmarks) for scheme in schemes
+    ]
+
+
+def fig8_benchmark(benchmarks: Optional[Sequence[str]]) -> str:
+    """The first benchmark given, else :data:`FIG8_BENCHMARK`."""
+    return benchmarks[0] if benchmarks else FIG8_BENCHMARK
+
+
+#: Fig. 11's c sweep (c = 7 admits every NS-App: plain D-ORAM).
+_FIG11_SCHEMES = (("baseline",) + tuple(f"doram/{c}" for c in range(7))
+                  + ("doram", "7ns-3ch", "7ns-4ch"))
+
+
+def _fig12_points(benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH):
+    return _grid(_FIG11_SCHEMES)(benchmarks, trace_length) + [
+        RunPoint(scheme, code, trace_length, segment=1)
+        for code in _benchmarks(benchmarks) for scheme in PROFILE_SCHEMES
+    ]
+
+
+def _fig4_shape(out) -> bool:
+    base, three, four = (out[scheme]["gmean"]
+                         for scheme in ("baseline", "7ns-3ch", "7ns-4ch"))
+    return base > 1.4 and base > three >= four * 0.98 > 1.0
+
+
+def _fig12_confident(out) -> bool:
+    confident = [r for r in out.values() if abs(r["ratio"] - 1.0) > 0.05]
+    return sum(r["agrees"] for r in confident) >= len(confident) * 0.6
+
+
+def _ablation(
+    name: str, title: str, paper: str, variants: Sequence[Variant],
+    columns: Sequence[str], notes: Sequence[Note],
+    reference: Optional[str] = None,
+) -> Experiment:
+    """An ablation on :data:`ABLATION_BENCHMARK`: one table row per
+    variant, one :data:`_COLUMNS` entry per column; ``reference`` is
+    the scheme a column normalizes by."""
+    runs = ([(reference, {})] if reference else []) + [
+        (scheme, overrides) for _label, scheme, overrides in variants
+    ]
+
+    def points(_benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH):
+        return [
+            RunPoint(scheme, ABLATION_BENCHMARK, trace_length,
+                     overrides=tuple(overrides.items()))
+            for scheme, overrides in runs
+        ]
+
+    def driver(_benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH):
+        ref = (cached_run(reference, ABLATION_BENCHMARK, trace_length)
+               if reference else None)
+        out = {}
+        for label, scheme, overrides in variants:
+            result = cached_run(scheme, ABLATION_BENCHMARK, trace_length,
+                                **overrides)
+            out[label] = {col: _COLUMNS[col](result, ref) for col in columns}
+        return out
+
+    return Experiment(name, title, paper, points, driver, _keyed,
+                      tuple(notes))
+
+
+_FIGURES = (
+    Experiment(
+        "fig4", "Fig. 4 — motivation: co-run degradation vs solo",
+        "Paper: 1S7NS (Path ORAM) averages +90.6 % NS execution time "
+        "(worst 5.26x); 7NS-3ch ~+57 %; 7NS-4ch ~+43 %; secure memory in "
+        "between.",
+        _grid(("1ns",) + FIG4_SCHEMES), fig4,
+        lambda out: _keyed({scheme: {k: rows[k] for k in
+                                     ("best", "worst", "gmean")}
+                            for scheme, rows in out.items()}),
+        (Check("ORAM co-run ≫ partition > clean co-run > solo",
+               _fig4_shape),),
     ),
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-}
-
-ALL_FIGURES: Tuple[str, ...] = tuple(FIGURE_DRIVERS)
-
-#: Scheme sets per figure; mirrors what each driver's body requests
-#: through :func:`cached_run`.
-_FIG11_SCHEMES = (
-    ("baseline",)
-    + tuple(f"doram/{c}" for c in range(7))
-    + ("doram", "7ns-3ch", "7ns-4ch")
+    Experiment(
+        "table1", "Table I — tree-split space shares & extra messages", "",
+        lambda benchmarks=None, trace_length=None: [],
+        lambda benchmarks=None, trace_length=None: table1(),
+        lambda rows: (
+            ["k", "paper secure", "model secure", "layout secure",
+             "paper normal", "model normal", "extra msgs (ch0)"],
+            [[r["k"], r["paper_secure"], r["secure_share"],
+              r["layout_secure"], r["paper_normal"], r["normal_share"],
+              int(r["extra_secure_msgs"])] for r in rows]),
+        (Check("exact match, analytic + measured layout",
+               lambda rows: all(
+                   abs(r["secure_share"] - r["paper_secure"]) < 1e-3
+                   and abs(r["layout_normal"] - r["paper_normal"]) <= 0.01
+                   for r in rows)),),
+    ),
+    Experiment(
+        "fig8", "Fig. 8 — channel access-latency balance", "",
+        lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: [
+            RunPoint(scheme, fig8_benchmark(benchmarks), trace_length)
+            for scheme in FIG8_SCHEMES],
+        lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: fig8(
+            fig8_benchmark(benchmarks), trace_length),
+        lambda out: (["quantity", "latency (ns)"],
+                     [[key, value] for key, value in out.items()]),
+        (Check("fewer channels slower; secure channel slowest under D-ORAM",
+               lambda o: (o["solo_read_ns"] < o["ns4ch_read_ns"]
+                          <= o["ns3ch_read_ns"] * 1.02
+                          and o["doram_secure_ch_read_ns"]
+                          > o["doram_normal_ch_read_ns"])),),
+    ),
+    Experiment(
+        "fig9", "Fig. 9 — normalized NS execution time (headline)",
+        "Paper gmeans vs Baseline=1.0: D-ORAM 0.875, D-ORAM/X 0.775, "
+        "D-ORAM+1 0.886, D-ORAM+1/4 0.814.",
+        _grid(_FIG11_SCHEMES + ("doram+1", "doram+1/4")), fig9, _keyed,
+        (Check("D-ORAM wins; tuning helps; +1 costs little",
+               lambda o: (o["gmean"]["doram"] < 1.0
+                          and o["gmean"]["doram_x"] <= o["gmean"]["doram"]
+                          and o["gmean"]["doram+1"] < 1.0)),
+         Check("D-ORAM+1 ≥ 0.97 × D-ORAM: the split buys capacity, "
+               "not speed",
+               lambda o: o["gmean"]["doram+1"]
+               >= o["gmean"]["doram"] * 0.97),
+         lambda o: "Measured gmeans: " + ", ".join(
+             f"{name} {o['gmean'][key]:.3f}" for name, key in (
+                 ("D-ORAM", "doram"), ("D-ORAM/X", "doram_x"),
+                 ("D-ORAM+1", "doram+1"), ("D-ORAM+1/4", "doram+1/4")))),
+    ),
+    Experiment(
+        "fig10", "Fig. 10 — tree expansion overhead",
+        "Paper: k=1/2/3 add +1.02 %/+2.01 %/+3.29 % over D-ORAM.",
+        _grid(("doram", "doram+1", "doram+2", "doram+3")), fig10,
+        lambda out: _keyed({"gmean": out["gmean"]}),
+        (Check("small overhead for exponential capacity",
+               lambda o: all(0.95 < o["gmean"][f"k{k}"] < 1.25
+                             for k in (1, 2, 3))),
+         Check("k1 ≤ 1.05 × k3: the shallowest split is not the costliest",
+               lambda o: o["gmean"]["k1"] <= o["gmean"]["k3"] * 1.05)),
+    ),
+    Experiment(
+        "fig11", "Fig. 11 — secure-channel sharing sweep", "",
+        _grid(_FIG11_SCHEMES), fig11, _keyed,
+        (lambda _out: "Shape: best c is workload-dependent (paper: "
+                      "bl/c2/mu prefer small c; le/li/st/ti prefer large).",
+         Check("every c sweep dips below 1.05 × Baseline",
+               lambda o: all(min(_c_sweep(r)) < 1.05 for r in o.values())),
+         Check("best_c is each sweep's argmin",
+               lambda o: all(r[f"c{int(r['best_c'])}"] == min(_c_sweep(r))
+                             for r in o.values()))),
+    ),
+    Experiment(
+        "fig12", "Fig. 12 — profiling rule vs measured best c", "",
+        _fig12_points, fig12, _keyed,
+        (lambda o: (f"Rule agreement: {sum(r['agrees'] for r in o.values())}"
+                    f"/{len(o)} (paper: 14/15, with the one miss at ratio "
+                    f"≈ 1)."),
+         Check("the rule agrees on ≥ 60 % of benchmarks with "
+               "|ratio − 1| > 0.05", _fig12_confident)),
+    ),
+    Experiment(
+        "fig13", "Fig. 13 — NS access latency vs Baseline",
+        "Paper: reads fall to ~70 % of Baseline, writes to ~48 %.",
+        _grid(("baseline", "doram+1", "doram/4")), fig13, _keyed,
+        (Check("both op types faster on average",
+               lambda o: (o["gmean"]["doram/4_read"] < 1.0
+                          and o["gmean"]["doram/4_write"] < 1.0)),
+         Check("D-ORAM+1 reads faster on average",
+               lambda o: o["gmean"]["doram+1_read"] < 1.0)),
+    ),
 )
-_FIGURE_SCHEMES: Dict[str, Tuple[str, ...]] = {
-    "fig4": ("1ns",) + FIG4_SCHEMES,
-    "table1": (),
-    "fig9": _FIG11_SCHEMES + ("doram+1", "doram+1/4"),
-    "fig10": ("doram", "doram+1", "doram+2", "doram+3"),
-    "fig11": _FIG11_SCHEMES,
-    "fig13": ("baseline", "doram+1", "doram/4"),
+
+_ABLATIONS = (
+    _ablation(
+        "link",
+        "Ablation — BOB link round-trip latency (D-ORAM vs Baseline, li)",
+        "Paper: 15 ns per round trip for the link bus and BOB control "
+        "(Section IV, citing [10]).",
+        [(f"{2 * one_way:.0f}ns_rt", "doram",
+          {} if one_way == 7.5 else {"link_params.latency": ns(one_way)})
+         for one_way in (2.5, 7.5, 25.0)],
+        ("vs_baseline", "read_lat_ns"),
+        [Check("slower links raise NS read latency: 5 ns < 50 ns round trip",
+               _compare("read_lat_ns", "5ns_rt", "<", "50ns_rt")),
+         Check("D-ORAM beats Baseline at the paper's 15 ns",
+               lambda o: o["15ns_rt"]["vs_baseline"] < 1.0)],
+        reference="baseline",
+    ),
+    _ablation(
+        "share", "Ablation — secure-channel bandwidth share (D-ORAM, li)",
+        "Paper: bandwidth preallocation [39] gives the ORAM 50 % of the "
+        "secure channel's slots (Section IV).",
+        [(f"sec={share}", "doram",
+          {} if share == 0.5 else {"secure_share": share})
+         for share in (0.2, 0.5, 0.8)],
+        ("ns_time_us", "oram_resp_ns"),
+        [Check("more ORAM slots never slow the ORAM: sec=0.8 ≤ 1.1 × "
+               "sec=0.2",
+               _compare("oram_resp_ns", "sec=0.8", "<=", "sec=0.2", 1.10))],
+    ),
+    _ablation(
+        "subtree",
+        "Ablation — subtree layout height (secure sub-channels, li)",
+        "Paper: 7-level subtrees [32] turn a path access into row-buffer "
+        "hits (Section IV).",
+        [("h=1", "doram", {"oram.subtree_levels": 1}),
+         ("h=7", "doram", {})],
+        ("rowhit", "oram_resp_ns", "ns_time_us"),
+        [Check("7-level subtrees hit rows more than level order",
+               _compare("rowhit", "h=7", ">", "h=1"))],
+    ),
+    _ablation(
+        "tenants", "Ablation — protected tenants per SD (4 NS-Apps, li)",
+        "Not evaluated in the paper: Section III-C motivates the tree "
+        "split with two S-Apps; one SD serializes their trees.",
+        [(f"{n}S", "doram",
+          dict(num_ns_apps=4, **({} if n == 1 else {"num_s_apps": n})))
+         for n in (1, 2, 3)],
+        ("ns_time_us", "oram_resp_ns", "accesses"),
+        [Check("SD serialization: 2S ORAM latency > 1.3 × 1S",
+               _compare("oram_resp_ns", "2S", ">", "1S", 1.3)),
+         Check("3S ORAM latency > 2S",
+               _compare("oram_resp_ns", "3S", ">", "2S")),
+         Check("co-runners at 3S stay within 1.5 × 1S",
+               _compare("ns_time_us", "3S", "<", "1S", 1.5))],
+    ),
+    _ablation(
+        "gap", "Ablation — fixed-rate request gap t (D-ORAM, li)",
+        "Paper: Section III-B picks t = 50.",
+        [(f"t={t}", "doram", {} if t == 50 else {"t_cycles": t})
+         for t in (0, 50, 400, 2000)],
+        ("ns_time_us", "oram_accesses", "real_frac"),
+        [Check("a larger t issues fewer ORAM accesses: t=2000 < t=0",
+               _compare("oram_accesses", "t=2000", "<", "t=0")),
+         Check("a larger t pads less: real fraction t=2000 ≥ t=0",
+               _compare("real_frac", "t=2000", ">=", "t=0"))],
+    ),
+    _ablation(
+        "treetop", "Ablation — tree-top cache depth (D-ORAM, li)",
+        "Paper: the top 3 levels are cached on chip [32], so 21 of 24 "
+        "levels are fetched per access (Section IV).",
+        [(f"top{levels}", "doram",
+          {} if levels == 3 else {"oram.treetop_levels": levels})
+         for levels in (0, 3, 6)],
+        ("blocks/access", "ns_time_us", "oram_resp_ns"),
+        [Check("more cached levels shorten ORAM responses: top6 < top0",
+               _compare("oram_resp_ns", "top6", "<", "top0")),
+         Check("caching never costs co-runners more than 5 %",
+               _compare("ns_time_us", "top6", "<=", "top0", 1.05))],
+    ),
+    _ablation(
+        "udic",
+        "Ablation — delegation substrate: BOB vs on-DIMM bridge (li)",
+        "Paper (Section III-F): an on-DIMM bridge (UDIC [11]) can host "
+        "the delegator but tends to introduce higher overhead.",
+        [("baseline", "baseline", {}), ("doram", "doram", {}),
+         ("udic", "udic", {}), ("udic/0", "udic", {"c_limit": 0})],
+        ("ns_time_us", "oram_resp_ns"),
+        [Check("UDIC's ORAM responses > 1.5 × D-ORAM's",
+               _compare("oram_resp_ns", "udic", ">", "doram", 1.5)),
+         Check("UDIC slows co-runners more than D-ORAM",
+               _compare("ns_time_us", "udic", ">", "doram")),
+         Check("UDIC/0 beats Baseline for co-runners",
+               _compare("ns_time_us", "udic/0", "<", "baseline")),
+         Check("UDIC/0's ORAM responses > 1.5 × D-ORAM's",
+               _compare("oram_resp_ns", "udic/0", ">", "doram", 1.5))],
+    ),
+    _ablation(
+        "merge", "Ablation — split-tree short-read merging (D-ORAM+2, li)",
+        "Paper (footnote 1): merging the split tree's short read packets "
+        "is future work.",
+        [("separate", "doram+2", {}),
+         ("merged", "doram+2", {"merge_short_reads": True})],
+        ("ns_time_us", "oram_resp_ns", "short_pkts"),
+        [Check("merging at least halves the short-read packets",
+               _compare("short_pkts", "merged", "<", "separate", 0.5)),
+         Check("merging keeps ORAM responses within 5 %",
+               _compare("oram_resp_ns", "merged", "<=", "separate", 1.05))],
+    ),
+    _ablation(
+        "fork", "Ablation — Fork Path read merging (D-ORAM, li)",
+        "Paper (Section VI): Fork Path [44] is related work, not "
+        "evaluated.",
+        [("fork_off", "doram", {}),
+         ("fork_on", "doram", {"fork_path": True})],
+        ("ns_time_us", "oram_resp_ns", "rds_per_access"),
+        [Check("Fork Path cuts secure reads per access",
+               _compare("rds_per_access", "fork_on", "<", "fork_off"))],
+    ),
+)
+
+#: Every registered experiment, by name: exhibits first, then ablations.
+EXPERIMENTS: Dict[str, Experiment] = {
+    exp.name: exp for exp in _FIGURES + _ABLATIONS
 }
+
+#: The paper's Section V exhibits (and Fig. 4's motivation), in order.
+ALL_FIGURES: Tuple[str, ...] = tuple(exp.name for exp in _FIGURES)
+
+#: The design-choice ablations, in order.
+ALL_ABLATIONS: Tuple[str, ...] = tuple(exp.name for exp in _ABLATIONS)
+
+
+# ---------------------------------------------------------------------------
+# Sweep integration
+# ---------------------------------------------------------------------------
 
 
 def figure_points(
@@ -439,35 +792,16 @@ def figure_points(
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> List[RunPoint]:
-    """Every simulation ``figure`` needs, as declarative run-points.
+    """Every simulation experiment ``figure`` needs, as run-points.
 
     The companion test suite cross-checks these declarations against
     the drivers: priming a sweep of exactly these points must leave the
     driver zero simulations to run.
     """
-    if figure not in FIGURE_DRIVERS:
-        raise ValueError(f"unknown figure {figure!r} "
-                         f"(known: {', '.join(ALL_FIGURES)})")
-    codes = _benchmarks(benchmarks)
-    if figure == "fig8":
-        code = codes[0] if benchmarks else "libq"
-        return [
-            RunPoint(scheme, code, trace_length)
-            for scheme in ("1ns", "7ns-4ch", "7ns-3ch", "doram")
-        ]
-    if figure == "fig12":
-        from repro.analysis.profiling import PROFILE_SCHEMES
-
-        points = figure_points("fig11", codes, trace_length)
-        points += [
-            RunPoint(scheme, code, trace_length, segment=1)
-            for code in codes for scheme in PROFILE_SCHEMES
-        ]
-        return points
-    return [
-        RunPoint(scheme, code, trace_length)
-        for code in codes for scheme in _FIGURE_SCHEMES[figure]
-    ]
+    if figure not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {figure!r} "
+                         f"(known: {', '.join(EXPERIMENTS)})")
+    return EXPERIMENTS[figure].points(benchmarks, trace_length)
 
 
 def points_for_figures(
@@ -475,7 +809,7 @@ def points_for_figures(
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> List[RunPoint]:
-    """Deduplicated union of run-points over several figures."""
+    """Deduplicated union of run-points over several experiments."""
     points: List[RunPoint] = []
     for figure in figures:
         points.extend(figure_points(figure, benchmarks, trace_length))
@@ -493,9 +827,9 @@ def run_figures(
     timeout_s: Optional[float] = None,
     queue: Optional[str] = None,
 ) -> Tuple[Dict[str, object], SweepResult]:
-    """Sweep every point the figures need, then evaluate their drivers.
+    """Sweep every point the experiments need, then evaluate their drivers.
 
-    Returns ``({figure: driver_output}, sweep_result)``.  The sweep
+    Returns ``({name: driver_output}, sweep_result)``.  The sweep
     options mean what they mean to
     :func:`~repro.analysis.sweep.run_sweep`.  The drivers consume the
     primed memo, so after the sweep they are pure arithmetic.
@@ -515,7 +849,7 @@ def run_figures(
         raise SweepFailure(sweep_result)
     prime_cache(sweep_result.results())
     outputs = {
-        figure: FIGURE_DRIVERS[figure](benchmarks, trace_length)
+        figure: EXPERIMENTS[figure].driver(benchmarks, trace_length)
         for figure in figures
     }
     return outputs, sweep_result

@@ -1,11 +1,11 @@
 """Append-only benchmark trajectories (``BENCH_*.json``) and their schema.
 
 A trajectory is a JSON array of records, one per measurement, that
-builds a history across commits: ``BENCH_sweep.json``
-(``benchmarks/bench_sweep.py``), ``BENCH_explore.json``
+builds a history across commits: ``BENCH_explore.json``
 (:func:`repro.analysis.explore.bench_record`) and ``BENCH_chaos.json``
-(:func:`repro.faults.campaign.bench_records`).  ``BENCH_sim.json`` is
-frozen history.  :func:`append` writes atomically (tmp +
+(:func:`repro.faults.campaign.bench_records`).  ``BENCH_sim.json`` and
+``BENCH_sweep.json`` are frozen history; ``--check`` still replays
+them.  :func:`append` writes atomically (tmp +
 ``os.replace``), and a corrupt or missing file restarts the trajectory
 instead of crashing.
 

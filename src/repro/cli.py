@@ -5,8 +5,9 @@ Subcommands
 ``run SCHEME``       simulate one configuration and print its summary
 ``trace SCHEME``     run with event tracing on; write JSONL and/or Chrome
                      ``trace_event`` JSON (open in https://ui.perfetto.dev)
-``exp EXPERIMENT``   regenerate a paper table/figure (fig4, table1, fig8,
-                     fig9, fig10, fig11, fig12, fig13, or ``all``)
+``exp EXPERIMENT``   regenerate a paper exhibit or ablation from the
+                     experiment registry (or ``all``) and print its
+                     checks; exit 1 if one fails
 ``profile BENCH``    print the T25mix/T33 profiling decision for a benchmark
 ``perf SCHEME``      cProfile one scheme run and print the hottest functions
 ``faults``           arm a fault plan and run the invariant harness
@@ -113,19 +114,6 @@ def _format_table(headers: List[str], rows: List[List[str]]) -> str:
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(r) for r in rows)
     return "\n".join(lines)
-
-
-def _print_keyed(title: str, data: Dict[str, Dict[str, object]]) -> None:
-    print(f"\n== {title} ==")
-    first = next(iter(data.values()))
-    headers = ["bench"] + list(first.keys())
-    rows = []
-    for key, row in data.items():
-        rows.append([key] + [
-            f"{v:.3f}" if isinstance(v, float) else str(v)
-            for v in row.values()
-        ])
-    print(_format_table(headers, rows))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -303,49 +291,74 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPERIMENTS = (
-    "fig4", "table1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-)
-
-_EXPERIMENT_TITLES = {
-    "fig4": "Fig. 4: NS slowdown vs solo (per scheme)",
-    "fig9": "Fig. 9: normalized NS execution time",
-    "fig10": "Fig. 10: D-ORAM+k vs D-ORAM",
-    "fig11": "Fig. 11: secure-channel sharing sweep",
-    "fig12": "Fig. 12: profiled ratio vs best c",
-    "fig13": "Fig. 13: NS access latency vs Baseline",
-}
-
-
 def _print_experiment(name: str, output) -> None:
-    """Render one driver's output (shared by ``exp`` and ``sweep``)."""
-    if name == "table1":
-        headers = list(output[0].keys())
-        print("\n== Table I: tree-split space/messages ==")
-        print(_format_table(
-            headers,
-            [[f"{v:.3f}" if isinstance(v, float) else str(v)
-              for v in r.values()] for r in output],
-        ))
-    elif name == "fig8":
-        print("\n== Fig. 8: channel access latency (ns) ==")
-        for key, value in output.items():
-            print(f"  {key:<26}: {value:.1f}")
-    else:
-        _print_keyed(_EXPERIMENT_TITLES[name], output)
+    """Print one experiment's table and verdicts (``exp`` and ``sweep``)."""
+    exp = experiments.EXPERIMENTS[name]
+    print(f"\n== {exp.title} ==")
+    if exp.paper:
+        print(exp.paper)
+    headers, rows = exp.table(output)
+    print(_format_table(headers, [
+        [f"{v:.3f}" if isinstance(v, float) else str(v) for v in row]
+        for row in rows
+    ]))
+    for text, _ok in exp.verdicts(output):
+        print(text)
 
 
-def cmd_exp(args: argparse.Namespace) -> int:
-    names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+def _experiment_names(arg: str) -> Tuple[Tuple[str, ...], Optional[str]]:
+    """``all`` or comma-separated registry names -> (names, error)."""
+    if arg == "all":
+        return tuple(experiments.EXPERIMENTS), None
+    names = tuple(name.strip() for name in arg.split(","))
+    unknown = set(names) - set(experiments.EXPERIMENTS)
+    if unknown:
+        return names, (f"unknown figures: {', '.join(sorted(unknown))} "
+                       f"(known: {', '.join(experiments.EXPERIMENTS)})")
+    return names, None
+
+
+def _sweep_failed(sweep, store) -> int:
+    """Report a sweep's failed points on stderr; exit status 1."""
+    _print_sweep_summary(sweep, store)
+    print(f"sweep: {len(sweep.failed)} point(s) FAILED after retry:",
+          file=sys.stderr)
+    for point, reason in sweep.failed.items():
+        print(f"  {point.label}: {reason}", file=sys.stderr)
+    return 1
+
+
+def _regenerate(args: argparse.Namespace, names, show) -> int:
+    """Regenerate ``names`` serially with no store, ``show(outputs,
+    benchmarks)`` them, and exit 1 if a point or a check failed."""
+    from repro.analysis.sweep import SweepFailure
+
     benchmarks, error = _parse_benchmarks(args.benchmarks)
     error = error or _validate_point(None, None, args.trace_length)
     if error:
         return _fail(error)
-    length = args.trace_length
-    for name in names:
-        output = experiments.FIGURE_DRIVERS[name](benchmarks, length)
-        _print_experiment(name, output)
-    return 0
+    try:
+        outputs, _sweep = experiments.run_figures(
+            names, benchmarks, args.trace_length)
+    except SweepFailure as failure:
+        return _sweep_failed(failure.sweep_result, None)
+    show(outputs, benchmarks)
+    failed = [text for name, output in outputs.items()
+              for text, ok in experiments.EXPERIMENTS[name].verdicts(output)
+              if not ok]
+    for text in failed:
+        print(f"doram: check failed: {text}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def cmd_exp(args: argparse.Namespace) -> int:
+    """Regenerate experiments and print them; exit 1 if a check fails."""
+    names = _experiment_names(args.experiment)[0]
+
+    def show(outputs, _benchmarks):
+        for name in names:
+            _print_experiment(name, outputs[name])
+    return _regenerate(args, names, show)
 
 
 def _print_sweep_summary(sweep, store) -> None:
@@ -420,16 +433,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if code is not None:
         return code
 
-    if args.figures == "all":
-        names = _EXPERIMENTS
-    else:
-        names = tuple(name.strip() for name in args.figures.split(","))
-        unknown = set(names) - set(_EXPERIMENTS)
-        if unknown:
-            return _fail(
-                f"unknown figures: {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(_EXPERIMENTS)})"
-            )
+    names, error = _experiment_names(args.figures)
+    if error:
+        return _fail(error)
     benchmarks, error = _parse_benchmarks(args.benchmarks)
     error = (error or _validate_point(None, None, args.trace_length)
              or _sweep_error(args))
@@ -452,13 +458,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except WorkQueueError as exc:
         return _fail(str(exc))
     except SweepFailure as failure:
-        sweep = failure.sweep_result
-        _print_sweep_summary(sweep, store)
-        print(f"sweep: {len(sweep.failed)} point(s) FAILED after retry:",
-              file=sys.stderr)
-        for point, reason in sweep.failed.items():
-            print(f"  {point.label}: {reason}", file=sys.stderr)
-        return 1
+        return _sweep_failed(failure.sweep_result, store)
     _print_sweep_summary(sweep, store)
     for name in names:
         _print_experiment(name, outputs[name])
@@ -496,20 +496,19 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import generate_report
+    """Regenerate every experiment into the markdown report; exit 1 if a
+    check fails."""
+    from repro.analysis.report import render_report
 
-    benchmarks, error = _parse_benchmarks(args.benchmarks)
-    error = error or _validate_point(None, None, args.trace_length)
-    if error:
-        return _fail(error)
-    text = generate_report(benchmarks, args.trace_length)
-    if args.output:
-        with open(args.output, "w") as fp:
-            fp.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return 0
+    def show(outputs, benchmarks):
+        text = render_report(outputs, benchmarks, args.trace_length)
+        if args.output:
+            with open(args.output, "w") as fp:
+                fp.write(text)
+            print(f"wrote {args.output}")
+        else:
+            print(text)
+    return _regenerate(args, tuple(experiments.EXPERIMENTS), show)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -915,9 +914,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write Chrome trace_event JSON to this path")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_exp = sub.add_parser("exp", parents=[benchmarks],
-                           help="regenerate a paper table/figure")
-    p_exp.add_argument("experiment", choices=_EXPERIMENTS + ("all",))
+    p_exp = sub.add_parser(
+        "exp", parents=[benchmarks],
+        help="regenerate a paper exhibit or ablation and check it",
+    )
+    p_exp.add_argument("experiment",
+                       choices=tuple(experiments.EXPERIMENTS) + ("all",))
     _add_trace_length(p_exp, experiments.DEFAULT_TRACE_LENGTH)
     p_exp.set_defaults(func=cmd_exp)
 
@@ -926,7 +928,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate figures via the resumable sweep runner",
     )
     p_sweep.add_argument("--figures", default="all",
-                         help="comma-separated figure names (default: all)")
+                         help="comma-separated experiment names "
+                              "(default: all)")
     _add_trace_length(p_sweep, experiments.DEFAULT_TRACE_LENGTH)
     _add_store(p_sweep, None)
     p_sweep.add_argument("--no-resume", action="store_true",

@@ -174,7 +174,7 @@ class _RemoteOp:
     down the normal link, then the DRAM write.  The op is every hop's
     delivery callback and the DRAM completion, advancing a stage each
     time.  A merged read (``merge_short_reads``) enters at the DRAM
-    stage, after its coalesced packet has crossed both links.
+    stage, after its :class:`_MergedRead` packet has crossed both links.
 
     End-to-end integrity: any hop may mark the op corrupt (a ``remote``
     link packet fault or a DRAM read flip), and the MAC check where the
@@ -271,6 +271,42 @@ class _RemoteOp:
                 delegator._remote_dram(self)
             else:
                 delegator._remote_done(self.on_complete, time)
+
+
+class _MergedRead:
+    """One coalesced short-read packet (``merge_short_reads``): up the
+    secure link, down the target normal link, then each carried
+    :class:`_RemoteOp` continues from its DRAM read.  A ``corrupt`` hop
+    marks every carried chain, so each block's MAC check re-runs it;
+    drops are not absorbable, as for :class:`_RemoteOp`."""
+
+    __slots__ = ("delegator", "bob", "chains", "nbytes", "stage")
+
+    def __init__(self, delegator: "SecureDelegator", bob: BobChannel,
+                 chains: List[_RemoteOp]) -> None:
+        self.delegator = delegator
+        self.bob = bob
+        self.chains = chains
+        # Header + one extra 8 B address per additional block.
+        self.nbytes = SHORT_PACKET_BYTES + 8 * (len(chains) - 1)
+        self.stage = 0
+
+    def link_fault(self, kind: str) -> bool:
+        if kind == "corrupt":
+            for chain in self.chains:
+                chain.corrupt = True
+            return True
+        return False
+
+    def __call__(self, _time: int) -> None:
+        if self.stage == 0:
+            # Reached the CPU: forward down the target normal link.
+            self.stage = 1
+            self.bob.send_down(self.nbytes, self, tag="remote")
+            return
+        for chain in self.chains:
+            chain.stage = 2
+            self.delegator._remote_dram(chain)
 
 
 class DelegatorSink(BlockSink):
@@ -529,30 +565,15 @@ class SecureDelegator:
         self._merge_flush_scheduled = False
         buffers, self._merge_buffers = self._merge_buffers, {}
         for channel, chains in sorted(buffers.items()):
-            # Header + one extra 8 B address per additional block.
-            nbytes = SHORT_PACKET_BYTES + 8 * (len(chains) - 1)
+            packet = _MergedRead(self, self.normal_bobs[channel], chains)
             self.stats.counter("remote_short_reads").add()
             if self._tracer.enabled:
                 self._tracer.instant(
                     "sd", "merged_read", self.name, self.engine.now,
-                    {"ch": channel, "blocks": len(chains), "bytes": nbytes},
+                    {"ch": channel, "blocks": len(chains),
+                     "bytes": packet.nbytes},
                 )
-            self.secure_bob.send_up(
-                nbytes, self._forward_merged, tag="remote",
-                arg=(self.normal_bobs[channel], chains, nbytes),
-            )
-
-    def _forward_merged(self, packet) -> None:
-        """The CPU forwards the coalesced packet down the normal link."""
-        bob, chains, nbytes = packet
-        bob.send_down(nbytes, self._fetch_merged, tag="remote", arg=chains)
-
-    def _fetch_merged(self, chains: List[_RemoteOp]) -> None:
-        """The packet reached the target controller: each block's chain
-        continues from its DRAM read."""
-        for chain in chains:
-            chain.stage = 2
-            self._remote_dram(chain)
+            self.secure_bob.send_up(packet.nbytes, packet, tag="remote")
 
     def _remote_dram(self, chain: _RemoteOp) -> None:
         """Queue the chain's block access at the normal channel's

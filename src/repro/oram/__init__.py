@@ -23,7 +23,6 @@ from repro.oram.stash import Stash, StashOverflow
 from repro.oram.protocol import ProtocolState
 from repro.oram.path_oram import PathOram
 from repro.oram.layout import OramLayout, BlockPlacement
-from repro.oram.ring_oram import RingOram, RingParams
 from repro.oram.recursive import RecursivePathOram
 
 __all__ = [
@@ -37,7 +36,5 @@ __all__ = [
     "PathOram",
     "OramLayout",
     "BlockPlacement",
-    "RingOram",
-    "RingParams",
     "RecursivePathOram",
 ]

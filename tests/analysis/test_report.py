@@ -1,15 +1,44 @@
-"""Report generator (tiny scale)."""
+"""Report generator and the registry's checks (tiny scale)."""
+
+import contextlib
+import io
 
 import pytest
 
 from repro.analysis import experiments
 from repro.analysis.report import generate_report
+from repro.cli import main
 
 
 @pytest.fixture(scope="module")
-def report_text():
+def exp_all():
+    """``doram exp all`` at li/400: ``(exit status, stdout)``.  Its sweep
+    primes the run memo, so the report below simulates nothing."""
     experiments.clear_cache()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["exp", "all", "--benchmarks", "li",
+                       "--trace-length", "400"])
+    return status, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def report_text(exp_all):
     return generate_report(benchmarks=("li",), trace_length=400)
+
+
+class TestChecksEnforced:
+    def test_exp_all_regenerates_and_every_check_holds(self, exp_all):
+        status, out = exp_all
+        assert status == 0
+        for exp in experiments.EXPERIMENTS.values():
+            assert exp.title in out
+        assert "NOT reproduced" not in out
+        assert out.count("REPRODUCED") == sum(
+            isinstance(note, experiments.Check)
+            for exp in experiments.EXPERIMENTS.values()
+            for note in exp.notes
+        )
 
 
 class TestReport:
@@ -30,6 +59,9 @@ class TestReport:
         section = report_text.split("## Table I")[1].split("##")[0]
         assert "REPRODUCED" in section
         assert "NOT reproduced" not in section
+
+    def test_engine_detail_reads_fig8_benchmark(self, report_text):
+        assert "## S-App engine detail (D-ORAM, li)" in report_text
 
     def test_markdown_tables_well_formed(self, report_text):
         for line in report_text.splitlines():

@@ -11,7 +11,8 @@ The contract under test (see DESIGN.md "Sweep runner"):
   ``DORAM_TRACE_LENGTH`` set, ``cached_run`` runs at the length it is
   passed and ``figure_points`` declares ``DEFAULT_TRACE_LENGTH``;
 * :func:`~repro.analysis.experiments.figure_points` declares *every*
-  run its figure driver performs -- primed drivers never simulate.
+  run each registered experiment's driver performs -- primed drivers
+  never simulate.
 """
 
 import json
@@ -22,8 +23,7 @@ import pytest
 from repro.analysis import experiments
 from repro.analysis import sweep as sweep_mod
 from repro.analysis.experiments import (
-    ALL_FIGURES,
-    FIGURE_DRIVERS,
+    EXPERIMENTS,
     cached_run,
     clear_cache,
     figure_points,
@@ -294,8 +294,9 @@ class TestCachedRunEnv:
 
 class TestFigureCoverage:
     def test_primed_drivers_never_simulate(self, monkeypatch):
-        """figure_points must declare every run each driver performs."""
-        points = points_for_figures(ALL_FIGURES, BENCH, LENGTH)
+        """figure_points must declare every run each registered
+        experiment's driver performs, exhibits and ablations alike."""
+        points = points_for_figures(list(EXPERIMENTS), BENCH, LENGTH)
         sweep = run_sweep(points, workers=1, store=None)
         prime_cache(sweep.results())
         monkeypatch.setattr(
@@ -304,8 +305,8 @@ class TestFigureCoverage:
                 f"undeclared simulation: {a} {k}"
             ),
         )
-        for figure in ALL_FIGURES:
-            FIGURE_DRIVERS[figure](BENCH, LENGTH)
+        for experiment in EXPERIMENTS.values():
+            experiment.driver(BENCH, LENGTH)
 
     def test_run_figures_outputs_match_serial_drivers(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
@@ -317,6 +318,13 @@ class TestFigureCoverage:
         assert json.dumps(outputs["fig9"], sort_keys=True) == \
             json.dumps(direct, sort_keys=True)
         assert sweep.simulated == len(_fig9_points())
+
+    def test_fig8_runs_the_first_benchmark_else_li(self):
+        # ``libq`` is an alias of ``li``: declaring both would simulate
+        # the same trace twice in a default sweep.
+        assert {p.benchmark for p in figure_points("fig8")} == {"li"}
+        assert {p.benchmark for p in figure_points("fig8", ["mu", "li"])} \
+            == {"mu"}
 
     def test_points_deduplicate_across_figures(self):
         # fig9 subsumes fig11's runs; the union must not double-declare.

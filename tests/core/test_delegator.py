@@ -16,7 +16,7 @@ from repro.core.schemes import run_scheme
 from repro.dram.channel import Channel
 from repro.dram.commands import OpType
 from repro.dram.timing import ChannelParams
-from repro.faults import DramFault, FaultController, FaultPlan
+from repro.faults import DramFault, FaultController, FaultPlan, LinkFault
 from repro.oram.config import OramConfig
 from repro.oram.controller import OramController
 from repro.oram.layout import OramLayout
@@ -252,3 +252,35 @@ class TestShortReadMerging:
             "dram_flips_unprotected": 23,
         }
         assert summaries[True] == summaries[False]
+
+    @staticmethod
+    def _merged_faults(link, **rule):
+        plan = FaultPlan(link=(LinkFault(kind="corrupt", link=link,
+                                         tag="remote", **rule),), seed=1)
+        result = run_scheme("doram+2", "libq", 300, merge_short_reads=True,
+                            faults=FaultController(plan))
+        return result.fault_summary["faults"]
+
+    def test_corrupt_merged_packets_are_injectable(self):
+        """A corrupt merged packet marks every chain it carries; none
+        sails through as uninjectable."""
+        faults = self._merged_faults("bob0.up", rate=0.05)
+        assert faults.get("uninjectable", 0) == 0
+        assert faults["link_corrupts"] > 0
+        assert faults["remote_retries"] >= faults["link_corrupts"]
+
+    @pytest.mark.parametrize("link", ["bob0.up", "bob1.down"])
+    def test_corrupt_merged_packet_is_caught_at_either_hop(self, link):
+        """The first ``remote`` packet on the secure link's up direction
+        and on a normal link's down direction is a merged short read;
+        corrupting it re-runs each block's chain at its MAC check."""
+        faults = self._merged_faults(link, packets=(0,))
+        assert faults.get("uninjectable", 0) == 0
+        assert faults["link_corrupts"] == 1
+        assert faults["remote_retries"] >= 1
+
+    def test_armed_empty_plan_on_merged_run_is_bit_identical(self):
+        bare = run_scheme("doram+2", "libq", 300, merge_short_reads=True)
+        armed = run_scheme("doram+2", "libq", 300, merge_short_reads=True,
+                           faults=FaultController(FaultPlan()))
+        assert armed.to_json_dict() == bare.to_json_dict()

@@ -1,6 +1,7 @@
 """CLI: argument parsing and end-to-end command execution."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.analysis import experiments
 from repro.cli import build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -258,6 +260,37 @@ class TestExecution:
         assert main(["trace", "doram", "--trace-length", "300",
                      "--categories", "dram,nope"]) == 2
         assert "unknown trace categories" in capsys.readouterr().err
+
+
+class TestExperimentChecks:
+    """``doram exp`` and ``doram report`` enforce the registry's checks
+    (``tests/analysis/test_report.py`` runs ``exp all`` at li/400)."""
+
+    @pytest.fixture
+    def table1_only(self, monkeypatch):
+        """Shrink the registry to Table I (no simulation); returns a
+        switch that appends a check that cannot hold."""
+        table1 = experiments.EXPERIMENTS["table1"]
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {"table1": table1})
+
+        def force_failure():
+            forced = dataclasses.replace(table1, notes=table1.notes + (
+                experiments.Check("forced false", lambda _rows: False),
+            ))
+            monkeypatch.setitem(experiments.EXPERIMENTS, "table1", forced)
+        return force_failure
+
+    @pytest.mark.parametrize("argv", [["exp", "table1"], ["exp", "all"],
+                                      ["report"]],
+                             ids=["exp-table1", "exp-all", "report"])
+    def test_a_failed_check_exits_1(self, argv, table1_only, capsys):
+        assert main(argv) == 0
+        assert "NOT reproduced" not in capsys.readouterr().out
+        table1_only()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Shape (forced false): NOT reproduced" in captured.out
+        assert "check failed: Shape (forced false)" in captured.err
 
 
 class TestValidation:

@@ -2,7 +2,8 @@
 
 No file under ``src/`` touches ``os.environ``, ``getenv``, ``putenv`` or
 ``sys.path``: a run's configuration is exactly its arguments, and the
-package imports the same from a checkout or an installed copy.
+package imports the same from a checkout or an installed copy.  Neither
+does a benchmark script outside ``benchmarks/e2e``.
 
 There is one simulator path.  The only engine knob, the periodic mode,
 is an argument (``Engine(periodic=...)``, forwarded by ``run_scheme`` and
@@ -24,22 +25,39 @@ from repro.core.schemes import run_scheme
 from repro.scenarios import golden_scenario_config, run_scenario
 from repro.sim.engine import Engine
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+
+_ENV_READ = re.compile(r"os\.environ|getenv|putenv|sys\.path")
+
+
+def _env_reads(paths):
+    hits = []
+    for path in paths:
+        with open(path) as fp:
+            hits += [f"{os.path.relpath(path, ROOT)}:{n}"
+                     for n, line in enumerate(fp, 1)
+                     if _ENV_READ.search(line)]
+    return hits
 
 
 def test_src_reads_no_environment_and_no_import_path():
-    pattern = re.compile(r"os\.environ|getenv|putenv|sys\.path")
-    hits = []
-    for root, _dirs, files in os.walk(SRC):
-        for name in files:
-            if name.endswith(".py"):
-                path = os.path.join(root, name)
-                with open(path) as fp:
-                    hits += [f"{os.path.relpath(path, SRC)}:{n}"
-                             for n, line in enumerate(fp, 1)
-                             if pattern.search(line)]
-    assert hits == []
+    assert _env_reads(
+        os.path.join(root, name)
+        for root, _dirs, files in os.walk(SRC)
+        for name in files if name.endswith(".py")
+    ) == []
+
+
+def test_benchmark_scripts_read_no_environment():
+    """Outside the ``e2e`` harness (which records the host's settings),
+    a benchmark script's scale is its own constants; the repo root's
+    ``conftest.py`` puts ``src/`` on the path."""
+    assert _env_reads(
+        os.path.join(BENCHMARKS, name)
+        for name in sorted(os.listdir(BENCHMARKS)) if name.endswith(".py")
+    ) == []
 
 
 #: Variables that selected the removed backends and the periodic mode.
