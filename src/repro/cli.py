@@ -497,17 +497,35 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Regenerate every experiment into the markdown report; exit 1 if a
-    check fails."""
-    from repro.analysis.report import render_report
+    check fails.  ``--output`` rewrites only the marked part of a file
+    that exists (read before simulating; a new file gets the marks), and
+    exits 2 before simulating when that file has no marks."""
+    from repro.analysis.report import (
+        REPORT_BEGIN,
+        REPORT_END,
+        render_report,
+        splice_report,
+    )
+
+    if args.output:
+        try:
+            with open(args.output) as fp:
+                document = fp.read()
+        except FileNotFoundError:
+            document = f"{REPORT_BEGIN}\n{REPORT_END}\n"
+        try:
+            splice_report(document, "")
+        except ValueError as exc:
+            return _fail(f"--output {args.output}: {exc}")
 
     def show(outputs, benchmarks):
         text = render_report(outputs, benchmarks, args.trace_length)
-        if args.output:
-            with open(args.output, "w") as fp:
-                fp.write(text)
-            print(f"wrote {args.output}")
-        else:
+        if not args.output:
             print(text)
+            return
+        with open(args.output, "w") as fp:
+            fp.write(splice_report(document, text))
+        print(f"wrote {args.output}")
     return _regenerate(args, tuple(experiments.EXPERIMENTS), show)
 
 

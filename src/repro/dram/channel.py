@@ -24,7 +24,7 @@ nothing (:func:`~repro.dram.commands.ignore_completion`, and the members
 of a :class:`~repro.dram.commands.CompletionGroup` other than the last
 serviced) take the sequence number their event would have taken and are
 booked in the engine's census instead of pushed when the engine allows
-it (``Engine._ledger``; DESIGN.md section 9a).
+it (``Engine.book``; DESIGN.md section 9a).
 
 FR-FCFS indexing
 ----------------
@@ -53,12 +53,14 @@ streams while only the delegator's ORAM traffic reaches them: every
 bucket puts one block at the same bank, row and column on each.  A
 :class:`LaneGroup` simulates such lockstep sub-channels ("lanes") once:
 the leader (lane 0) queues, picks, commits and times each request, and
-then produces for every follower the seqs, completions, statistics,
-trace events and census that the follower's own service would have
-produced.  The group splits for good (:meth:`LaneGroup.wake`) the moment
-an input could make the lanes differ, or anything could observe one
-lane's dispatch at a time.  DESIGN.md section 9a has the exactness
-argument.
+then produces for every follower the seqs, completions, trace events
+and census that the follower's own service would have produced.  The
+followers' statistics are the leader's objects while the group is live,
+and a slot's seqs and no-op completions are taken and booked in one
+step, so a slot costs the same for 2 lanes as for 16.  The group splits
+for good (:meth:`LaneGroup.wake`) the moment an input could make the
+lanes differ, or anything could observe one lane's dispatch at a time.
+DESIGN.md section 9a has the exactness argument.
 """
 
 from __future__ import annotations
@@ -134,34 +136,17 @@ class Channel:
         self._service_scheduled = False
         self._space_waiters: List[Callable[[], None]] = []
 
-        self.stats = StatSet(name)
+        self._bind_stats(StatSet(name))
         self._busy_ticks = 0
         # Hot-path accelerators: cached params/timing ints, pre-bound stat
-        # recorders (avoids per-request f-string keys and dict lookups),
-        # and per-queue secure-class counters (skips class scans when
-        # traffic is homogeneous).
+        # recorders (``_bind_stats``), and per-queue secure-class counters
+        # (skips class scans when traffic is homogeneous).
         self._rq_depth = params.read_queue_depth
         self._wq_depth = params.write_queue_depth
         self._window = params.scheduler_window
         self._tBURST = timing.tBURST
         self._tRTW = timing.tRTW
         self._close_page = page_policy == "close"
-        #: Indexed ``2*is_write + is_secure`` -> (kind latency stat,
-        #: class latency stat, serviced counter) objects; ``_service``
-        #: updates their fields inline rather than paying two method
-        #: calls per serviced request.
-        self._lat_by_req = []
-        for is_write, kind in ((False, "read"), (True, "write")):
-            for traffic in (TrafficClass.NORMAL, TrafficClass.SECURE):
-                self._lat_by_req.append((
-                    self.stats.latency(f"{kind}_latency"),
-                    self.stats.latency(f"{traffic.value}_{kind}_latency"),
-                    self.stats.counter(f"{kind}s_serviced"),
-                ))
-        self._row_counters = {
-            outcome: self.stats.counter(f"row_{outcome}")
-            for outcome in ("hit", "closed", "conflict")
-        }
         self._rq_secure = 0
         self._wq_secure = 0
         # Refresh census plumbing: the rank's deadline stream (eager mode
@@ -172,12 +157,32 @@ class Channel:
         self._refresh_stream.eager = not engine.lazy_periodic
         self._tREFI = timing.tREFI
         self._tRFC = timing.tRFC
-        self._refreshes_counter = self.stats.counter("refreshes")
         #: The live :class:`LaneGroup` this channel is a lane of, if any.
         self._group: Optional[LaneGroup] = None
         #: Args of the ``frfcfs_reorder`` event the last traced pick
         #: emitted; a lane group's leader repeats it for its followers.
         self._reorder: Optional[dict] = None
+
+    def _bind_stats(self, stats: StatSet) -> None:
+        """Make ``stats`` this channel's statistics and pre-bind the
+        objects ``_service`` updates inline (avoiding per-request
+        f-string keys, dict lookups and method calls)."""
+        self.stats = stats
+        #: Indexed ``2*is_write + is_secure`` -> (kind latency stat,
+        #: class latency stat, serviced counter) objects.
+        self._lat_by_req = []
+        for is_write, kind in ((False, "read"), (True, "write")):
+            for traffic in (TrafficClass.NORMAL, TrafficClass.SECURE):
+                self._lat_by_req.append((
+                    stats.latency(f"{kind}_latency"),
+                    stats.latency(f"{traffic.value}_{kind}_latency"),
+                    stats.counter(f"{kind}s_serviced"),
+                ))
+        self._row_counters = {
+            outcome: stats.counter(f"row_{outcome}")
+            for outcome in ("hit", "closed", "conflict")
+        }
+        self._refreshes_counter = stats.counter("refreshes")
 
     # ------------------------------------------------------------------
     # Front-end interface
@@ -546,17 +551,13 @@ class Channel:
                 on_complete.remaining = left
                 on_complete = on_complete.callback if not left \
                     else ignore_completion
-            entry = (finish, seq, on_complete, finish)
-            ledger = engine._ledger
-            if ledger is not None and on_complete is ignore_completion:
+            if engine._ledger is None or on_complete is not ignore_completion:
+                engine._push((finish, seq, on_complete, finish))
+            elif group is None:
                 # A no-op completion: booked at the seq its event would
                 # have taken and counted as a synthesized occurrence.
-                ledger.append(entry)
-                engine._synthesized += 1
-                if len(ledger) > engine._ledger_cap:
-                    engine.prune_ledger()
-            else:
-                engine._push(entry)
+                engine.book(finish, seq, on_complete)
+            # (A live group's follow() books every lane's at once.)
 
         if self._space_waiters:
             self._wake_space_waiters()
@@ -708,8 +709,13 @@ class Channel:
     # Analysis helpers
     # ------------------------------------------------------------------
     def utilization(self) -> float:
-        """Fraction of elapsed time the data bus carried bursts."""
-        return self._busy_ticks / self.engine.now if self.engine.now else 0.0
+        """Fraction of elapsed time the data bus carried bursts (a live
+        lane group's bus time is the leader's)."""
+        now = self.engine.now
+        if not now:
+            return 0.0
+        owner = self if self._group is None else self._group.leader
+        return owner._busy_ticks / now
 
     def row_hit_rate(self) -> float:
         hits = self.stats.counter("row_hit").value
@@ -726,12 +732,18 @@ class LaneGroup:
     page policy, tracer).  Lane 0 leads: it holds the queues and runs
     every service.  The followers' ``read_q``/``write_q`` are the
     leader's lists, so ``free_slots``, ``can_accept`` and ``queued``
-    answer as their own would; their statistics, ``_busy_ticks``,
-    refresh counters, trace events, command logs and completion seqs are
-    kept by the leader's services (:meth:`follow`), so ``stats``,
-    ``utilization()`` and ``row_hit_rate()`` answer as their own would
-    too.  A follower holds no requests and schedules no service while
-    the group is live.
+    answer as their own would.  Their statistics are the leader's
+    objects -- the ``StatSet`` with its counters and latencies, and the
+    pre-bound ``_lat_by_req``, ``_row_counters`` and
+    ``_refreshes_counter`` -- and ``utilization()`` reads the leader's
+    bus time, so ``stats``, ``utilization()`` and ``row_hit_rate()``
+    answer as their own would too: fresh lanes start equal and stay
+    equal while the group is live.  The leader's services take the
+    followers' seqs, book or push their completions, and write their
+    ``rank.refreshes``, trace events and command logs
+    (:meth:`follow`).  A follower holds no requests and schedules no
+    service while the group is live; :meth:`wake` gives it its own state
+    and its own copies of the statistics, under its own names.
     """
 
     def __init__(self, lanes: List[Channel]) -> None:
@@ -754,7 +766,7 @@ class LaneGroup:
         #: Seqs of the followers' pending services, taken right behind
         #: the leader's and valid while it is scheduled; pushed (at
         #: ``_pending_time``) only if the group wakes.
-        self._pending: List[int] = []
+        self._pending: range = range(0)
         self._pending_time = 0
         for lane in self.lanes:
             lane._group = self
@@ -765,6 +777,9 @@ class LaneGroup:
         for lane in self.followers:
             lane.read_q = leader.read_q
             lane.write_q = leader.write_q
+            # Fresh lanes' statistics are equal, and stay equal while the
+            # group is live: share the leader's objects until wake().
+            lane._bind_stats(leader.stats)
         leader.engine._lane_groups.append(self)
 
     # ------------------------------------------------------------------
@@ -796,7 +811,7 @@ class LaneGroup:
             engine = leader.engine
             seq = engine._seq
             engine._seq = seq + len(self.followers)
-            self._pending = list(range(seq, engine._seq))
+            self._pending = range(seq, engine._seq)
             self._pending_time = max(leader._bus_free, engine.now)
         return True
 
@@ -805,33 +820,58 @@ class LaneGroup:
     # ------------------------------------------------------------------
     def follow(self, req: MemRequest, bank: Bank, data_start: int,
                outcome: str, latency: int, on_complete) -> None:
-        """Account the followers' services of the slot the leader just
-        served, in lane order: statistics, trace events (the leader's
-        ``frfcfs_reorder``, if any, then the burst), command log, the
-        completion's seq (pushed or booked like the leader's
-        ``on_complete``, ``None`` for none), then the next service's.
-        ``bank`` is the leader's committed bank; its ``last_commands``
-        are every lane's."""
+        """The followers' side of the slot the leader just served.
+
+        Their statistics are the leader's objects, already updated.  In
+        lane order, each follower takes its completion's seq (if
+        ``on_complete`` is not ``None``), then its next service's (if the
+        leader chained one), as the leader just did: so the slot's seqs,
+        the leader's first, form one arithmetic progression, and the
+        followers' are taken in one step.  A no-op completion is one
+        booking (:meth:`Engine.book`) for every lane, the leader's
+        included; any other is pushed once per follower.  Command logs
+        and (traced) the leader's ``frfcfs_reorder``, if any, then the
+        burst are written per lane.  ``bank`` is the leader's committed
+        bank; its ``last_commands`` are every lane's.
+        """
         leader = self.leader
         engine = leader.engine
         followers = self.followers
+        n = len(followers)
         # The followers' dispatches of this slot.
-        engine._synthesized += len(followers)
-        is_write = req.is_write
-        secure = req.traffic is TrafficClass.SECURE
-        idx = (2 if is_write else 0) + (1 if secure else 0)
-        tburst = leader._tBURST
-        finish = data_start + tburst
-        ledger = engine._ledger
-        book = on_complete is ignore_completion
-        chained = leader._service_scheduled
+        engine._synthesized += n
+        if bank.record_commands or leader._tracer.enabled:
+            self._log_and_trace(req, bank, data_start, outcome, latency)
+        stride = (on_complete is not None) + leader._service_scheduled
+        seq = engine._seq
+        end = seq + n * stride
+        engine._seq = end
+        if on_complete is not None:
+            finish = data_start + leader._tBURST
+            if on_complete is ignore_completion:
+                # The leader's completion seq is one stride back.
+                engine.book(finish, seq - stride, on_complete, n + 1, stride)
+            else:
+                push = engine._push
+                for owed in range(seq, end, stride):
+                    push((finish, owed, on_complete, finish))
+            seq += 1
+        if leader._service_scheduled:
+            self._pending = range(seq, end, stride)
+            self._pending_time = data_start
+
+    def _log_and_trace(self, req: MemRequest, bank: Bank, data_start: int,
+                       outcome: str, latency: int) -> None:
+        """The followers' command-log entries and trace events of a slot."""
+        leader = self.leader
         tracer = leader._tracer
         traced = tracer.enabled
         if traced:
             reorder = leader._reorder
             leader._reorder = None
-        pending = []
-        for lane in followers:
+            tburst = leader._tBURST
+            burst = "write" if req.is_write else "read"
+        for lane in self.followers:
             if lane.command_log is not None:
                 from repro.dram.compliance import DramCommand
 
@@ -839,33 +879,12 @@ class LaneGroup:
                     DramCommand(t, kind, req.bank, row)
                     for kind, t, row in bank.last_commands
                 )
-            lane._busy_ticks += tburst
-            lat_kind, lat_cls, served = lane._lat_by_req[idx]
-            lat_kind.count += 1
-            lat_kind.total += latency
-            bound = lat_kind.min
-            if bound is None or latency < bound:
-                lat_kind.min = latency
-            bound = lat_kind.max
-            if bound is None or latency > bound:
-                lat_kind.max = latency
-            lat_cls.count += 1
-            lat_cls.total += latency
-            bound = lat_cls.min
-            if bound is None or latency < bound:
-                lat_cls.min = latency
-            bound = lat_cls.max
-            if bound is None or latency > bound:
-                lat_cls.max = latency
-            lane._row_counters[outcome].value += 1
-            served.value += 1
             if traced:
                 if reorder is not None:
                     tracer.instant("dram", "frfcfs_reorder", lane.name,
-                                   engine.now, dict(reorder))
+                                   leader.engine.now, dict(reorder))
                 tracer.complete(
-                    "dram", "write" if is_write else "read", lane.name,
-                    data_start, tburst,
+                    "dram", burst, lane.name, data_start, tburst,
                     {
                         "bank": req.bank,
                         "row": req.row,
@@ -875,38 +894,23 @@ class LaneGroup:
                         "lat": latency,
                     },
                 )
-            if on_complete is not None:
-                seq = engine._seq
-                engine._seq = seq + 1
-                entry = (finish, seq, on_complete, finish)
-                if book:
-                    ledger.append(entry)
-                    engine._synthesized += 1
-                    if len(ledger) > engine._ledger_cap:
-                        engine.prune_ledger()
-                else:
-                    engine._push(entry)
-            if chained:
-                seq = engine._seq
-                engine._seq = seq + 1
-                pending.append(seq)
-        if chained:
-            self._pending = pending
-            self._pending_time = data_start
 
     def follow_refresh(self, first: int, count: int, resume: int) -> None:
         """The followers' side of a refresh service: ``count`` windows
-        from ``first`` each, then the next service at ``resume``."""
+        from ``first`` each, then the next service at ``resume``.  The
+        refresh counter is shared; ``rank.refreshes``, command logs and
+        trace events stay per lane."""
         leader = self.leader
         engine = leader.engine
         followers = self.followers
+        n = len(followers)
         # Each follower's dispatch, plus its count - 1 batched windows.
-        engine._synthesized += len(followers) * count
+        engine._synthesized += n * count
         tREFI = leader._tREFI
         tRFC = leader._tRFC
         tracer = leader._tracer
-        pending = []
         for lane in followers:
+            lane.rank.refreshes += count
             log = lane.command_log
             if log is not None:
                 from repro.dram.compliance import DramCommand
@@ -919,12 +923,9 @@ class LaneGroup:
             if tracer.enabled:
                 tracer.complete_series("dram", "refresh", lane.name, first,
                                        tREFI, count, tRFC)
-            lane.rank.refreshes += count
-            lane._refreshes_counter.value += count
-            seq = engine._seq
-            engine._seq = seq + 1
-            pending.append(seq)
-        self._pending = pending
+        seq = engine._seq
+        engine._seq = seq + n
+        self._pending = range(seq, seq + n)
         self._pending_time = resume
 
     # ------------------------------------------------------------------
@@ -937,7 +938,8 @@ class LaneGroup:
         (its own requests, with its own coordinates and its own
         :class:`CompletionGroup`\\ s at the leader's remaining counts),
         the FR-FCFS indexes, the banks, the rank timers and refresh
-        stream, the bus and drain state -- and its pending service is
+        stream, the bus and drain state, and a copy of the statistics
+        and bus time under its own name -- and its pending service is
         pushed at its own seq.
         """
         leader = self.leader
@@ -1013,6 +1015,8 @@ def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:
             else:
                 bucket.append(req)
     lane._enq_counter = leader._enq_counter
+    lane._bind_stats(leader.stats.copy(lane.name))
+    lane._busy_ticks = leader._busy_ticks
     lane._rq_secure = leader._rq_secure
     lane._wq_secure = leader._wq_secure
     lane._draining = leader._draining

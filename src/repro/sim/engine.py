@@ -76,13 +76,19 @@ _NO_ARG = object()
 _NO_LIMIT = 1 << 62
 
 #: Ledger length that triggers pruning of settled bookings (see
-#: :meth:`Engine.prune_ledger`).
+#: :meth:`Engine.book`).
 _LEDGER_CAP = 1024
 
 #: A scheduled-event handle: the immutable ``(time, seq, callback, arg)``
 #: heap entry.  ``seq`` is unique per engine, so heap comparison never
 #: reaches the callback, and cancellation tombstones the entry by seq.
 EventHandle = Tuple[int, int, Callable, object]
+
+#: A ledger booking ``(time, seq, callback, count, stride)``: ``count``
+#: no-op completions at ``time`` whose events would have taken the seqs
+#: ``seq, seq + stride, ...`` -- each one the heap entry
+#: ``(time, s, callback, time)`` (see :meth:`Engine.book`).
+Booking = Tuple[int, int, Callable[[int], None], int, int]
 
 
 def _callback_label(callback: Callable[..., None]) -> str:
@@ -151,12 +157,13 @@ class Engine:
         #: hot path pays a single local check per event.
         self._cancelled_seqs = set()
         self._stopped = False
-        #: Booked no-op completions: the heap entries a model would have
-        #: pushed for completions that do nothing when dispatched.  A list
-        #: only while the whole-run lazy loop runs (``None`` otherwise,
-        #: so every other mode dispatches them); each entry is counted as
-        #: synthesized when booked and settled when :meth:`run` exits.
-        self._ledger: Optional[List[EventHandle]] = None
+        #: Booked no-op completions (see :meth:`book`): runs of the heap
+        #: entries a model would have pushed for completions that do
+        #: nothing when dispatched.  A list only while the whole-run lazy
+        #: loop runs (``None`` otherwise, so every other mode dispatches
+        #: them); each completion is counted as synthesized when booked
+        #: and settled when :meth:`run` exits.
+        self._ledger: Optional[List[Booking]] = None
         self._ledger_cap = _LEDGER_CAP
         #: Live lane groups (``repro.dram.channel.LaneGroup``): lockstep
         #: channels that run their lanes' services in one dispatch.
@@ -391,38 +398,62 @@ class Engine:
         finally:
             self._events_dispatched = dispatched
 
+    def book(self, time: int, seq: int, callback: Callable[[int], None],
+             count: int = 1, stride: int = 1) -> None:
+        """Book ``count`` no-op completions instead of pushing them.
+
+        Only valid while :attr:`_ledger` is a list (the untraced whole-run
+        lazy loop; callers check).  The model has already taken the seqs
+        ``seq, seq + stride, ...`` that the ``count`` events
+        ``(time, s, callback, time)`` would have had; each completion
+        counts as one synthesized event now, and the booking stands for
+        all of them when :meth:`run` settles the ledger.  Bookings timed
+        before ``now`` are pruned once the ledger outgrows its cap, which
+        doubles past the live bookings so pruning stays amortized O(1).
+        """
+        ledger = self._ledger
+        ledger.append((time, seq, callback, count, stride))
+        self._synthesized += count
+        if len(ledger) > self._ledger_cap:
+            now = self.now
+            ledger[:] = [booking for booking in ledger if booking[0] >= now]
+            self._ledger_cap = max(_LEDGER_CAP, 2 * len(ledger))
+
     def _settle_ledger(
-        self, ledger: List[EventHandle], exit_event: Optional[Tuple[int, int]]
+        self, ledger: List[Booking], exit_event: Optional[Tuple[int, int]]
     ) -> None:
-        """Leave the queue and clock as if every booking had been pushed.
+        """Leave the queue and clock as if every booked completion had
+        been pushed.
 
         ``exit_event`` is the ``(time, seq)`` of the event the run stopped
-        or raised in, or ``None`` when the queue drained.  Bookings after
-        it (same-tick ones with a later seq included) would still be
-        queued: they are un-counted and pushed as the real no-op events
-        they stand for, so a resumed run and :attr:`pending` see them.  A
-        drained run would have dispatched them all, the last one ending
-        it, so ``now`` advances to the latest booked time.
+        or raised in, or ``None`` when the queue drained.  Completions
+        after it (same-tick ones with a later seq included) would still
+        be queued: they are un-counted and pushed as the real no-op
+        events they stand for, so a resumed run and :attr:`pending` see
+        them.  A drained run would have dispatched them all, the last one
+        ending it, so ``now`` advances to the latest booked time.  A
+        booking of ``count`` completions settles exactly as ``count``
+        one-completion bookings would.
         """
         if exit_event is None:
-            last = max(entry[0] for entry in ledger)
+            last = max(booking[0] for booking in ledger)
             if last > self.now:
                 self.now = last
             return
-        late = [entry for entry in ledger if (entry[0], entry[1]) > exit_event]
-        for entry in late:
-            self._push(entry)
-        self._synthesized -= len(late)
-
-    def prune_ledger(self) -> None:
-        """Drop bookings timed before ``now``: they precede every event the
-        run can still exit on, so settling never needs them.  Called by
-        booking models when the ledger outgrows its cap, which doubles
-        past the live bookings so pruning stays amortized O(1)."""
-        ledger = self._ledger
-        now = self.now
-        ledger[:] = [entry for entry in ledger if entry[0] >= now]
-        self._ledger_cap = max(_LEDGER_CAP, 2 * len(ledger))
+        exit_time, exit_seq = exit_event
+        push = self._push
+        late = 0
+        for time, seq, callback, count, stride in ledger:
+            if time < exit_time:
+                continue
+            end = seq + count * stride
+            if time == exit_time and seq <= exit_seq:
+                # Same tick: only the seqs after the exit event's are owed.
+                seq += ((exit_seq - seq) // stride + 1) * stride
+            for owed in range(seq, end, stride):
+                push((time, owed, callback, time))
+                late += 1
+        self._synthesized -= late
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""

@@ -219,6 +219,23 @@ class StatSet:
             )
         return stat
 
+    def copy(self, owner: str) -> "StatSet":
+        """An independent copy under ``owner``'s names: every stat, with
+        its values, in creation order."""
+        out = StatSet(owner)
+        for name, counter in self._counters.items():
+            out.counter(name).value = counter.value
+        for name, stat in self._latencies.items():
+            mine = out.latency(name)
+            mine.count, mine.total = stat.count, stat.total
+            mine.min, mine.max = stat.min, stat.max
+        for name, hist in self._histograms.items():
+            mine = out.histogram(name, hist.bucket_width)
+            mine.count = hist.count
+            mine._dense = list(hist._dense)
+            mine._sparse = dict(hist._sparse)
+        return out
+
     def as_dict(self) -> Dict[str, float]:
         """Flatten to ``{name: value}`` for reporting.
 

@@ -34,7 +34,7 @@ from repro.obs.tracer import ALL_CATEGORIES, Tracer
 from repro.oram.config import OramConfig
 from repro.oram.layout import BlockPlacement, OramLayout
 from repro.scenarios import golden_scenario_config, run_scenario
-from repro.scenarios.config import ScenarioConfig
+from repro.scenarios.config import ScenarioConfig, apply_overrides
 from repro.sim.engine import Engine, ns
 
 GOLDEN_LENGTH = 300
@@ -83,8 +83,9 @@ def test_golden_schemes_match_the_per_lane_oracle(scheme, wakes):
         assert not any(in_loop)
 
 
-def test_golden_scenario_matches_the_per_lane_oracle(wakes):
-    lazy_faults, eager_faults = _capture(), _capture()
+def test_golden_scenario_matches_the_per_lane_oracle(wakes, capture=True):
+    lazy_faults, eager_faults = (_capture(), _capture()) if capture \
+        else (None, None)
     lazy = run_scenario(golden_scenario_config(), faults=lazy_faults)
     assert not any(wakes)
     eager = run_scenario(golden_scenario_config(), faults=eager_faults,
@@ -92,9 +93,42 @@ def test_golden_scenario_matches_the_per_lane_oracle(wakes):
     assert lazy.to_json_dict() == eager.to_json_dict()
     assert lazy.events == eager.events
     assert lazy.end_time == eager.end_time
-    assert lazy_faults.command_logs == eager_faults.command_logs
+    if capture:
+        assert lazy_faults.command_logs == eager_faults.command_logs
     # Liveness: the followers' dispatches are gone.  Without groups the
     # phase path alone leaves about 0.54 x events raw.
+    assert lazy.raw_events < 0.3 * lazy.events
+
+
+def test_golden_scenario_without_logs_matches_the_per_lane_oracle(wakes):
+    """Without command logs the followers take the path ``serve`` takes;
+    the 20 us horizon spans two refresh windows, so ``follow_refresh``
+    runs too."""
+    test_golden_scenario_matches_the_per_lane_oracle(wakes, capture=False)
+
+
+#: The e2e ``serve`` workload's overrides (``benchmarks/e2e/workloads.py``,
+#: ``SERVE_OVERRIDES``), cut to leaf level 16 and a 250 us horizon.
+SERVE_SHAPE = {
+    "num_tenants": 8,
+    "arrival.rate_rps": 50_000.0,
+    "horizon_ns": 250_000.0,
+    "write_fraction": 0.25,
+    "slo_target_ns": 4000.0,
+    "oram.leaf_level": 16,
+    "seed": 1,
+}
+
+
+def test_serve_shape_matches_the_per_lane_oracle():
+    """Eight governed tenants with writes for 250 us: the random
+    scenarios below stop at four tenants and 4 us."""
+    config = apply_overrides(ScenarioConfig(), SERVE_SHAPE)
+    lazy = run_scenario(config)
+    eager = run_scenario(config, periodic="eager")
+    assert lazy.to_json_dict() == eager.to_json_dict()
+    assert lazy.events == eager.events
+    assert lazy.end_time == eager.end_time
     assert lazy.raw_events < 0.3 * lazy.events
 
 
@@ -178,7 +212,7 @@ class Rig:
     them: a read phase, then a write phase, every ``GAP_NS``."""
 
     def __init__(self, periodic, lanes=4, depth=64, tracer=None, phases=16,
-                 seed=3):
+                 seed=3, log=True):
         self.engine = engine = Engine(tracer=tracer, periodic=periodic)
         _channels, bobs = build_bob_fabric(
             engine, num_channels=2, secure_channels=(0,),
@@ -192,7 +226,10 @@ class Rig:
         )
         self.bobs = bobs
         self.lanes = bobs[0].subchannels
-        self.logs = [lane.start_command_log() for lane in self.lanes]
+        #: Every lane's command log, or ``None`` (no lane logs: the
+        #: followers take the path ``serve`` takes).
+        self.logs = [lane.start_command_log() for lane in self.lanes] \
+            if log else None
         self.layout = OramLayout(
             OramConfig(leaf_level=10),
             home_targets=[(0, i) for i in range(lanes)],
@@ -243,7 +280,7 @@ class Rig:
                  lane.row_hit_rate(), lane.rank.refreshes)
                 for lane in self.lanes
             ],
-            "logs": [list(log) for log in self.logs],
+            "logs": [list(log) for log in self.logs or ()],
             "done": list(self.done),
         }
 
@@ -283,6 +320,48 @@ def test_untriggered_group_stays_live(wakes):
         0.5 * eager.engine.raw_events_dispatched
 
 
+def _stat_objects(lane):
+    """Every statistic object ``_service`` or a query touches on ``lane``."""
+    return ([stat for triple in lane._lat_by_req for stat in triple]
+            + list(lane._row_counters.values()) + [lane._refreshes_counter]
+            + list(lane.stats._counters.values())
+            + list(lane.stats._latencies.values()))
+
+
+@pytest.mark.parametrize("lanes", [2, 4])
+def test_follower_cost_does_not_grow_with_lanes(lanes, monkeypatch):
+    """While the group is live a follower has no statistic object of its
+    own to write (they are the leader's) and no bus time of its own, and
+    each slot's no-op completions are one ledger booking of all lanes."""
+    counts = []
+    book = Engine.book
+
+    def recording_book(self, time, seq, callback, count=1, stride=1):
+        counts.append(count)
+        book(self, time, seq, callback, count, stride)
+
+    monkeypatch.setattr(Engine, "book", recording_book)
+    lazy, eager = _pair(lanes=lanes, log=False)
+    leader = lazy.lanes[0]
+
+    def shared():
+        assert lazy.live
+        for lane in lazy.lanes[1:]:
+            assert lane.stats is leader.stats
+            assert all(mine is theirs for mine, theirs in
+                       zip(_stat_objects(lane), _stat_objects(leader)))
+            assert lane._busy_ticks == 0
+
+    lazy.at(MID_PHASE_NS, shared)
+    eager.at(MID_PHASE_NS, lambda: None)  # the same event census
+    for rig in (lazy, eager):
+        rig.engine.run()
+    shared()
+    assert leader._busy_ticks > 0
+    assert counts and all(count == lanes for count in counts)
+    assert lazy.outcome() == eager.outcome()
+
+
 def test_traced_lanes_emit_per_lane():
     digests = []
     for periodic in ("lazy", "eager"):
@@ -296,7 +375,7 @@ def test_traced_lanes_emit_per_lane():
     assert digests[0] == digests[1]
 
 
-def test_follower_queries_match_while_live():
+def test_follower_queries_match_while_live(log=True):
     """Queue, utilization, row-hit and stat queries on a live group's
     followers answer as their own channels would, and wake nothing."""
     seen = {True: [], False: []}
@@ -310,7 +389,7 @@ def test_follower_queries_match_while_live():
             for lane in rig.lanes
         ]))
 
-    lazy, eager = _pair()
+    lazy, eager = _pair(log=log)
     for rig in (lazy, eager):
         for time_ns in (MID_PHASE_NS, 9 * GAP_NS + 3):
             rig.at(time_ns, lambda rig=rig: probe(rig))
@@ -320,6 +399,11 @@ def test_follower_queries_match_while_live():
         [queries for _live, queries in seen[False]]
     assert all(queries[3][0] > 0 for _live, queries in seen[True])
     assert lazy.live
+
+
+def test_follower_queries_match_while_live_without_logs():
+    """No lane logs commands: the path ``serve`` takes."""
+    test_follower_queries_match_while_live(log=False)
 
 
 # -- wake triggers ----------------------------------------------------------
@@ -400,6 +484,11 @@ def test_trigger_wakes_the_group(name, wakes):
     assert lazy.outcome() == eager.outcome()
     if tag is not None:
         assert any(entry[0] == tag for entry in lazy.done)
+    # The wake gave every follower its own statistics, under its name.
+    for lane in lazy.lanes:
+        assert lane.stats.owner == lane.name
+        assert all(stat.name.startswith(lane.name + ".")
+                   for stat in _stat_objects(lane))
 
 
 def test_three_lanes_never_mirror(wakes):
@@ -487,8 +576,8 @@ def test_engine_trace_category_wakes():
 
 # -- early exit from the whole-run loop --------------------------------------
 
-def test_stop_wakes_so_pending_and_resume_match(wakes):
-    lazy, eager = _pair()
+def test_stop_wakes_so_pending_and_resume_match(wakes, log=True):
+    lazy, eager = _pair(log=log)
     for rig in (lazy, eager):
         rig.at(MID_PHASE_NS, rig.engine.stop)
         rig.engine.run()
@@ -499,11 +588,15 @@ def test_stop_wakes_so_pending_and_resume_match(wakes):
     assert lazy.outcome() == eager.outcome()
 
 
-def test_exception_wakes_so_pending_and_resume_match():
+def test_stop_without_logs_wakes_so_pending_and_resume_match(wakes):
+    test_stop_wakes_so_pending_and_resume_match(wakes, log=False)
+
+
+def test_exception_wakes_so_pending_and_resume_match(log=True):
     def boom():
         raise KeyError("boom")
 
-    lazy, eager = _pair()
+    lazy, eager = _pair(log=log)
     for rig in (lazy, eager):
         rig.at(MID_PHASE_NS, boom)
         with pytest.raises(KeyError):
@@ -513,3 +606,7 @@ def test_exception_wakes_so_pending_and_resume_match():
     _finish(lazy)
     _finish(eager)
     assert lazy.outcome() == eager.outcome()
+
+
+def test_exception_without_logs_wakes_so_pending_and_resume_match():
+    test_exception_wakes_so_pending_and_resume_match(log=False)

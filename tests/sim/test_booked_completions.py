@@ -6,7 +6,9 @@ nothing (``ignore_completion``, and the non-last members of a
 event would have taken and counts as one synthesized event.  When
 ``Engine.run`` exits, the ledger is settled so the engine looks exactly
 as if the events had been pushed.  ``periodic="eager"`` dispatches every
-one of them and is the oracle here.
+one of them and is the oracle here.  A lane group books a slot's
+completions on every lane as one booking of several seqs; its oracle is
+the same completions booked one at a time.
 """
 
 import pytest
@@ -191,3 +193,125 @@ class TestLedgerPruning:
             runs[periodic] = (eng.events_dispatched, eng.now, peak[0])
         assert runs["lazy"][:2] == runs["eager"][:2]
         assert runs["lazy"][2] <= 1025
+
+
+def _noop(time):
+    """A completion that does nothing (the kind that is booked)."""
+
+
+#: A run of RUN_COUNT completions at RUN_FINISH, every other seq; the
+#: seqs between them belong to real events at the same tick.
+RUN_COUNT = 4
+RUN_FINISH = 100
+
+
+def _run_booking_engine(as_run, exit_at):
+    """A lazy engine that books RUN_COUNT completions at RUN_FINISH, as
+    one run booking or as RUN_COUNT single ones, each seq followed by a
+    real same-tick event's.  ``exit_at`` is where the run leaves the
+    loop: ``None`` (drain), ``("stop", i)``/``("raise", i)`` in the i-th
+    real event, or ``("stop", "early")`` in an event before RUN_FINISH."""
+    eng = Engine()
+    fired = []
+
+    def real(i):
+        def fire():
+            fired.append((i, eng.now))
+            if exit_at == ("stop", i):
+                eng.stop()
+            elif exit_at == ("raise", i):
+                raise KeyError("boom")
+        return fire
+
+    def setup():
+        seqs = []
+        for i in range(RUN_COUNT):
+            seqs.append(eng._seq)
+            eng._seq += 1
+            eng.at(RUN_FINISH, real(i))
+        if as_run:
+            eng.book(RUN_FINISH, seqs[0], _noop, RUN_COUNT, 2)
+        else:
+            for seq in seqs:
+                eng.book(RUN_FINISH, seq, _noop)
+
+    eng.at(0, setup)
+    if exit_at == ("stop", "early"):
+        eng.at(RUN_FINISH // 2, eng.stop)
+    return eng, fired
+
+
+def _settled(eng, fired):
+    """The engine's state: queued ``(time, seq, is a booked completion)``
+    entries, pending, events, synthesized, raw, now, real events fired."""
+    queue = [(time, seq, callback is _noop)
+             for time, seq, callback, _arg in sorted(eng._queue)]
+    return (queue, eng.pending, eng.events_dispatched,
+            eng.events_synthesized, eng.raw_events_dispatched, eng.now,
+            list(fired))
+
+
+class TestRunBookings:
+    """A booking of k completions settles exactly as its k expanded
+    one-completion bookings: the late entries pushed, ``pending``,
+    ``events`` and ``now`` at exit, and a resumed run."""
+
+    @pytest.mark.parametrize("exit_at", [
+        None, ("stop", 1), ("stop", 3), ("stop", "early"), ("raise", 0),
+        ("raise", 2),
+    ], ids=["drain", "stop-mid-run", "stop-after-run", "stop-before-run",
+            "raise-first", "raise-mid-run"])
+    def test_settles_like_its_expanded_bookings(self, exit_at):
+        outcomes = []
+        for as_run in (True, False):
+            eng, fired = _run_booking_engine(as_run, exit_at)
+            if exit_at is not None and exit_at[0] == "raise":
+                with pytest.raises(KeyError):
+                    eng.run()
+            else:
+                eng.run()
+            at_exit = _settled(eng, fired)
+            eng.run()
+            outcomes.append((at_exit, _settled(eng, fired)))
+        assert outcomes[0] == outcomes[1]
+        (queue, pending, events, synthesized, raw, now, _), resumed = \
+            outcomes[0]
+        owed = {None: 0, ("stop", 1): 2, ("stop", 3): 0,
+                ("stop", "early"): 4, ("raise", 0): 3,
+                ("raise", 2): 1}[exit_at]
+        # The owed completions are back on the heap as real events,
+        # un-counted until dispatched.
+        assert sum(noop for _time, _seq, noop in queue) == owed
+        assert synthesized == RUN_COUNT - owed
+        if exit_at is None:
+            assert now == RUN_FINISH and pending == 0
+        # Resumed, every event counts once: the setup, the real events,
+        # the completions and any early stop.
+        assert resumed[2] == 1 + 2 * RUN_COUNT + (exit_at == ("stop", "early"))
+        assert resumed[5] == RUN_FINISH
+
+    def test_pruning_keeps_a_run_until_it_is_due(self):
+        """Past its cap the ledger drops the bookings timed before
+        ``now``, runs included, and each still counts every completion."""
+        eng = Engine()
+        ledgers = []
+
+        def book(time, count):
+            seq = eng._seq
+            eng._seq += count
+            eng._ledger_cap = 0  # prune at this booking
+            eng.book(time, seq, _noop, count)
+            ledgers.append([(at, first, n) for at, first, _callback, n,
+                            _stride in eng._ledger])
+
+        eng.at(0, lambda: book(10, 2))
+        eng.at(10, lambda: book(30, 1))
+        eng.at(20, lambda: book(30, 3))
+        eng.run()
+        assert ledgers == [
+            [(10, 3, 2)],
+            [(10, 3, 2), (30, 5, 1)],
+            [(30, 5, 1), (30, 6, 3)],
+        ]
+        assert eng.events_synthesized == 6
+        assert eng.now == 30

@@ -122,6 +122,28 @@ class TestStatSet:
         stats = StatSet("ch0")
         assert stats.counter("reads").name == "ch0.reads"
 
+    def test_copy_is_independent_and_renamed(self):
+        """A lane group's wake gives each follower this copy."""
+        stats = StatSet("ch0.0")
+        stats.latency("lat").record(10)
+        stats.counter("hits").add(3)
+        stats.histogram("depth", 2).record(5)
+        stats.histogram("depth", 2).record(-3)
+        copy = stats.copy("ch0.1")
+        assert copy.as_dict() == stats.as_dict()
+        assert list(copy.as_dict()) == list(stats.as_dict())
+        assert copy.histogram("depth", 2).buckets == \
+            stats.histogram("depth", 2).buckets
+        assert copy.owner == "ch0.1"
+        assert copy.latency("lat").name == "ch0.1.lat"
+        assert copy.histogram("depth").name == "ch0.1.depth"
+        copy.counter("hits").add(1)
+        copy.latency("lat").record(50)
+        copy.histogram("depth").record(5)
+        assert stats.as_dict()["hits"] == 3
+        assert stats.as_dict()["lat.max"] == 10
+        assert stats.as_dict()["depth.count"] == 2
+
 
 class TestGeomean:
     def test_basic(self):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.analysis import experiments
+from repro.analysis.report import REPORT_BEGIN, REPORT_END
 from repro.cli import build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -291,6 +292,42 @@ class TestExperimentChecks:
         captured = capsys.readouterr()
         assert "Shape (forced false): NOT reproduced" in captured.out
         assert "check failed: Shape (forced false)" in captured.err
+
+    def test_report_output_rewrites_only_the_marked_part(self, table1_only,
+                                                         tmp_path):
+        """EXPERIMENTS.md keeps hand-written sections around the report."""
+        path = tmp_path / "EXPERIMENTS.md"
+        path.write_text(f"# kept above\n{REPORT_BEGIN}\nstale report\n"
+                        f"{REPORT_END}\n## kept below\ntext\n")
+        assert main(["report", "--output", str(path)]) == 0
+        text = path.read_text()
+        assert text.startswith(f"# kept above\n{REPORT_BEGIN}\n"
+                               "# EXPERIMENTS")
+        assert text.endswith(f"{REPORT_END}\n## kept below\ntext\n")
+        assert "stale report" not in text
+        assert "## Table I" in text
+        # Regenerating again changes nothing.
+        assert main(["report", "--output", str(path)]) == 0
+        assert path.read_text() == text
+
+    def test_report_output_without_marks_exits_2_untouched(self, table1_only,
+                                                           tmp_path, capsys):
+        path = tmp_path / "EXPERIMENTS.md"
+        path.write_text("# hand-written only\n")
+        assert main(["report", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("doram: error: --output")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert path.read_text() == "# hand-written only\n"
+
+    def test_report_output_to_a_new_file_is_marked(self, table1_only,
+                                                   tmp_path):
+        path = tmp_path / "report.md"
+        assert main(["report", "--output", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == REPORT_BEGIN and lines[-1] == REPORT_END
+        assert "# EXPERIMENTS — paper vs. measured" in lines
 
 
 class TestValidation:
