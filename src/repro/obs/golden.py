@@ -7,6 +7,11 @@ timing behaviour -- DRAM command order, link packet times, ORAM phase
 boundaries -- so a cross-PR regression that preserves aggregate means but
 reorders events still flips the digest and fails the suite loudly.
 
+A payload pin is the sha256 of one untraced run's canonical
+``SimResult.to_json_dict()`` at the same workload, for every scheme in
+:data:`~repro.core.schemes.SCHEMES`: it pins what each scheme reports,
+in either periodic mode, without committing a trace.
+
 When a timing change is *intentional*, regenerate the committed digests
 with ``python tools/regen_goldens.py`` and include the updated
 ``tests/obs/golden_digests.json`` in the same commit, explaining the
@@ -15,6 +20,8 @@ change in its message (see README "Observability").
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.obs.export import trace_digest
@@ -49,6 +56,18 @@ def golden_digest(scheme: str) -> str:
     """The trace digest of one golden run."""
     _result, tracer = run_traced(scheme)
     return trace_digest(tracer.events)
+
+
+def payload_digest(scheme: str, periodic: str = "lazy") -> str:
+    """sha256 of the canonical ``SimResult.to_json_dict()`` of one
+    untraced run at the golden workload."""
+    from repro.core.schemes import run_scheme
+
+    result = run_scheme(scheme, GOLDEN_BENCHMARK, GOLDEN_TRACE_LENGTH,
+                        periodic=periodic)
+    payload = json.dumps(result.to_json_dict(), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def compute_golden_digests(

@@ -1,6 +1,7 @@
 """Golden-trace regression suite.
 
-Two properties per pinned scheme:
+Two properties per pinned scheme, plus one payload pin per name in
+``SCHEMES`` (see ``TestPayloadPins``):
 
 1. **Determinism** -- two fresh runs of the same configuration produce
    byte-identical canonical traces (same sha256 digest).
@@ -17,11 +18,13 @@ import os
 
 import pytest
 
+from repro.core.schemes import SCHEMES
 from repro.obs.export import trace_digest
 from repro.obs.golden import (
     GOLDEN_BENCHMARK,
     GOLDEN_SCHEMES,
     GOLDEN_TRACE_LENGTH,
+    payload_digest,
     run_traced,
 )
 
@@ -77,6 +80,27 @@ class TestGoldenTraces:
         # The default capture still sees every instrumented layer.
         cats = {e.cat for e in tracer.events}
         assert {"dram", "link", "oram", "sd"} <= cats
+
+
+class TestPayloadPins:
+    """Every scheme's untraced result at the golden workload is pinned
+    across commits: the lazy run must reproduce the committed digest of
+    its canonical ``SimResult.to_json_dict()``, and the eager run (the
+    census and lane-group oracle) the same digest."""
+
+    def test_every_scheme_is_pinned(self):
+        assert set(_GOLDEN["payloads"]) == set(SCHEMES)
+
+    @pytest.mark.parametrize("periodic", ["lazy", "eager"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_payload_matches_committed_pin(self, scheme, periodic):
+        assert payload_digest(scheme, periodic) == \
+            _GOLDEN["payloads"][scheme], (
+                f"{scheme} ({periodic}): the run's result changed. If "
+                "intentional, run `python tools/regen_goldens.py` and "
+                "commit the updated golden_digests.json with an "
+                "explanation."
+            )
 
 
 class TestEngineCategory:

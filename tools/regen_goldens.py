@@ -9,7 +9,9 @@ and commit the updated ``tests/obs/golden_digests.json`` together with
 the change that moved the digests, explaining why in the commit message.
 Each scheme is run twice and must self-agree before anything is written;
 a mismatch means nondeterminism crept into the model and there is
-nothing sane to pin.
+nothing sane to pin.  Besides the traced golden schemes' trace digests
+and the golden scenario's, it records every ``SCHEMES`` name's payload
+pin: the digest of its untraced lazy run's canonical result.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.obs.golden import (  # noqa: E402  (path shim above)
+from repro.core.schemes import SCHEMES  # noqa: E402  (path shim above)
+from repro.obs.golden import (  # noqa: E402
     GOLDEN_BENCHMARK,
     GOLDEN_SCHEMES,
     GOLDEN_TRACE_LENGTH,
     golden_digest,
+    payload_digest,
 )
 from repro.scenarios import golden_scenario_digests  # noqa: E402
 
@@ -47,6 +51,15 @@ def main() -> int:
             return 1
         digests[scheme] = first
         print(f"{scheme:<12} {first}")
+    payloads = {}
+    for scheme in SCHEMES:
+        first = payload_digest(scheme)
+        if first != payload_digest(scheme):
+            print(f"FATAL: {scheme}'s payload is nondeterministic",
+                  file=sys.stderr)
+            return 1
+        payloads[scheme] = first
+        print(f"payload.{scheme:<10} {first}")
     scenario = golden_scenario_digests()
     if scenario != golden_scenario_digests():
         print("FATAL: golden scenario is nondeterministic", file=sys.stderr)
@@ -57,6 +70,7 @@ def main() -> int:
         "benchmark": GOLDEN_BENCHMARK,
         "trace_length": GOLDEN_TRACE_LENGTH,
         "digests": digests,
+        "payloads": payloads,
         "scenario": scenario,
     }
     with open(os.path.normpath(OUT_PATH), "w") as fp:
