@@ -28,16 +28,37 @@ it (``Engine.book``; DESIGN.md section 9a).
 
 FR-FCFS indexing
 ----------------
-Each queue keeps a per-bank ``{row: [requests...]}`` side index, maintained
-on enqueue/dequeue.  A pick then probes each bank's open row directly --
-the queue's first row hit is the minimum ``_enq_seq`` over the bucket
-heads -- instead of rescanning the queue window per service.  Queue
-position order equals ``_enq_seq`` order (appends are monotonic, removals
-preserve relative order), so the probe selects exactly the request the
-windowed first-ready scan (``_scan_pick``) would: the hit when its
-``_enq_seq`` is at most that of the window's last request, else the
-head.  The scan remains only for traced mixed-traffic slots, where the
-share policy filters candidates first.
+Each queue (reads, writes) is two FIFO lists in ``_enq_seq`` order, one
+per traffic class (:class:`_ClassQueue`), and each list keeps its own
+per-bank ``{row: [requests...]}`` side index, maintained on enqueue and
+dequeue.  A slot picks in one path.  When both classes wait, the share
+policy picks the class (:meth:`SharePolicy.pick_between`, the older
+head's class first); then the pick runs within that class's list alone:
+depth-1 pop, head row hit, else an indexed probe of each bank's open row
+-- the list's first row hit is the minimum ``_enq_seq`` over the bucket
+heads -- instead of a rescan of the window.  List order equals
+``_enq_seq`` order (appends are monotonic, removals preserve relative
+order), so the probe selects exactly the request the windowed
+first-ready scan over the class's requests (the reference
+``FrFcfsScheduler``) would: the hit when its ``_enq_seq`` is at most
+that of the list's ``window``-th request, else the head.  A class's list
+is exactly the requests of that class in queue order, and the scan
+counted only those against the window, so a contended pick is the same
+decision as before, with the same traced index and depth.  The picked
+request is always the head of its row bucket.
+
+Statistics
+----------
+A serviced request updates one statistic: its (op, class) latency, e.g.
+``secure_read_latency``.  Everything else is derived when read
+(:attr:`Channel.stats`, :meth:`Channel.utilization`,
+:meth:`Channel.row_hit_rate`): ``read_latency``/``write_latency`` merge
+the two class latencies and their counts are ``reads_serviced``/
+``writes_serviced``; ``row_hit``/``row_closed``/``row_conflict`` sum the
+banks' own counts (:meth:`Bank.commit`); ``refreshes`` is the rank's
+count; and the bus carried one ``tBURST`` per serviced request.  Sums
+and merges of what was recorded are exactly what recording each value
+everywhere would have left.
 
 One service chain
 -----------------
@@ -84,6 +105,34 @@ from repro.sim.stats import StatSet
 #: Larger than any real ``_enq_seq``; sentinel for the bucket-head probe.
 _NO_PICK = 1 << 62
 
+_NORMAL = TrafficClass.NORMAL
+_SECURE = TrafficClass.SECURE
+
+
+class _ClassQueue:
+    """One traffic class's requests in one queue, oldest first (module
+    docstring, "FR-FCFS indexing"), with the per-bank row index, the
+    ``(bank, row index)`` pairs the probe walks, and the one latency
+    statistic a serviced request of this op and class records."""
+
+    __slots__ = ("reqs", "index", "probe", "latency")
+
+    def __init__(self, banks: List[Bank]) -> None:
+        self.reqs: List[MemRequest] = []
+        self.index: List[Dict[int, List[MemRequest]]] = [{} for _ in banks]
+        self.probe = list(zip(banks, self.index))
+        self.latency = None
+
+    def add(self, req: MemRequest) -> None:
+        """Append ``req`` (the youngest) and index it."""
+        self.reqs.append(req)
+        index = self.index[req.bank]
+        bucket = index.get(req.row)
+        if bucket is None:
+            index[req.row] = [req]
+        else:
+            bucket.append(req)
+
 
 class Channel:
     """A DRAM channel with one rank of banks and a shared data bus."""
@@ -120,15 +169,13 @@ class Channel:
             "dram"
         )
 
-        self.read_q: List[MemRequest] = []
-        self.write_q: List[MemRequest] = []
-        #: Per-bank ``{row: [requests]}`` side indexes (see module docstring).
-        self._rq_index: List[Dict[int, List[MemRequest]]] = [
-            {} for _ in range(params.num_banks)
-        ]
-        self._wq_index: List[Dict[int, List[MemRequest]]] = [
-            {} for _ in range(params.num_banks)
-        ]
+        #: Each queue as its (NORMAL, SECURE) class lists, indexable by
+        #: ``traffic is SECURE`` (module docstring, "FR-FCFS indexing").
+        self._reads = (_ClassQueue(self.banks), _ClassQueue(self.banks))
+        self._writes = (_ClassQueue(self.banks), _ClassQueue(self.banks))
+        #: Requests queued per queue (both classes).
+        self._rq_len = 0
+        self._wq_len = 0
         self._enq_counter = 0
         self._draining = False
         self._bus_free = 0
@@ -137,22 +184,20 @@ class Channel:
         self._space_waiters: List[Callable[[], None]] = []
 
         self._bind_stats(StatSet(name))
-        self._busy_ticks = 0
-        # Hot-path accelerators: cached params/timing ints, pre-bound stat
-        # recorders (``_bind_stats``), and per-queue secure-class counters
-        # (skips class scans when traffic is homogeneous).
+        # Hot-path accelerators: cached params/timing ints.
         self._rq_depth = params.read_queue_depth
         self._wq_depth = params.write_queue_depth
         self._window = params.scheduler_window
+        self._drain_hi = params.write_drain_hi
+        self._drain_lo = params.write_drain_lo
+        self._write_timeout = params.write_timeout
         self._tBURST = timing.tBURST
         self._tRTW = timing.tRTW
         self._close_page = page_policy == "close"
-        self._rq_secure = 0
-        self._wq_secure = 0
         # Refresh census plumbing: the rank's deadline stream (eager mode
         # pins it to one window per service dispatch, the pre-lazy
-        # census), plus cached tREFI/tRFC and the refresh counter so the
-        # catch-up path does closed-form batches without dict lookups.
+        # census), plus cached tREFI/tRFC so the catch-up path does
+        # closed-form batches without dict lookups.
         self._refresh_stream = self.rank.refresh
         self._refresh_stream.eager = not engine.lazy_periodic
         self._tREFI = timing.tREFI
@@ -164,34 +209,58 @@ class Channel:
         self._reorder: Optional[dict] = None
 
     def _bind_stats(self, stats: StatSet) -> None:
-        """Make ``stats`` this channel's statistics and pre-bind the
-        objects ``_service`` updates inline (avoiding per-request
-        f-string keys, dict lookups and method calls)."""
-        self.stats = stats
-        #: Indexed ``2*is_write + is_secure`` -> (kind latency stat,
-        #: class latency stat, serviced counter) objects.
-        self._lat_by_req = []
-        for is_write, kind in ((False, "read"), (True, "write")):
-            for traffic in (TrafficClass.NORMAL, TrafficClass.SECURE):
-                self._lat_by_req.append((
-                    stats.latency(f"{kind}_latency"),
-                    stats.latency(f"{traffic.value}_{kind}_latency"),
-                    stats.counter(f"{kind}s_serviced"),
-                ))
-        self._row_counters = {
-            outcome: stats.counter(f"row_{outcome}")
-            for outcome in ("hit", "closed", "conflict")
-        }
-        self._refreshes_counter = stats.counter("refreshes")
+        """Make ``stats`` this channel's statistics: each class queue
+        records into its (op, class) latency, and the derived entries
+        exist in the export order (module docstring, "Statistics")."""
+        self._stats = stats
+        for kind, queues in (("read", self._reads), ("write", self._writes)):
+            stats.latency(f"{kind}_latency")
+            for traffic, queue in zip((_NORMAL, _SECURE), queues):
+                queue.latency = stats.latency(
+                    f"{traffic.value}_{kind}_latency")
+        for name in ("reads_serviced", "writes_serviced", "row_hit",
+                     "row_closed", "row_conflict", "refreshes"):
+            stats.counter(name)
+
+    @property
+    def stats(self) -> StatSet:
+        """This channel's statistics, the derived ones brought up to date
+        (a live lane group's followers read the leader's).  The same
+        :class:`StatSet` object on every read."""
+        lane = self if self._group is None else self._group.leader
+        stats = lane._stats
+        (normal_r, secure_r), (normal_w, secure_w) = lane._reads, lane._writes
+        reads = stats.latency("read_latency")
+        reads.set_merged(normal_r.latency, secure_r.latency)
+        writes = stats.latency("write_latency")
+        writes.set_merged(normal_w.latency, secure_w.latency)
+        stats.counter("reads_serviced").value = reads.count
+        stats.counter("writes_serviced").value = writes.count
+        hits, closed, conflicts = lane._row_outcomes()
+        stats.counter("row_hit").value = hits
+        stats.counter("row_closed").value = closed
+        stats.counter("row_conflict").value = conflicts
+        stats.counter("refreshes").value = lane.rank.refreshes
+        return stats
+
+    def _row_outcomes(self):
+        """``(hits, closed, conflicts)`` summed over the banks."""
+        hits = closed = conflicts = 0
+        for bank in self.banks:
+            hits += bank.hits
+            closed += bank.misses
+            conflicts += bank.conflicts
+        return hits, closed, conflicts
 
     # ------------------------------------------------------------------
     # Front-end interface
     # ------------------------------------------------------------------
     def can_accept(self, op: OpType) -> bool:
         """Queue-space check; front ends must test before ``enqueue``."""
+        lane = self if self._group is None else self._group.leader
         if op is OpType.WRITE:
-            return len(self.write_q) < self._wq_depth
-        return len(self.read_q) < self._rq_depth
+            return lane._wq_len < self._wq_depth
+        return lane._rq_len < self._rq_depth
 
     def enqueue(self, req: MemRequest) -> None:
         """Accept a request.  Raises if the target queue is full."""
@@ -205,32 +274,25 @@ class Channel:
         self._enq_counter = seq + 1
         req._enq_seq = seq
         if req.is_write:
-            if len(self.write_q) >= self._wq_depth:
+            if self._wq_len >= self._wq_depth:
                 raise RuntimeError(f"{self.name}: write queue full")
-            self.write_q.append(req)
-            index = self._wq_index[bank]
-            if req.traffic is TrafficClass.SECURE:
-                self._wq_secure += 1
+            self._wq_len += 1
+            queue = self._writes[req.traffic is _SECURE]
         else:
-            if len(self.read_q) >= self._rq_depth:
+            if self._rq_len >= self._rq_depth:
                 raise RuntimeError(f"{self.name}: read queue full")
-            self.read_q.append(req)
-            index = self._rq_index[bank]
-            if req.traffic is TrafficClass.SECURE:
-                self._rq_secure += 1
-        bucket = index.get(req.row)
-        if bucket is None:
-            index[req.row] = [req]
-        else:
-            bucket.append(req)
+            self._rq_len += 1
+            queue = self._reads[req.traffic is _SECURE]
+        queue.add(req)
         if not self._service_scheduled:
             self._kick()
 
     def free_slots(self, op: OpType) -> int:
         """Queue entries ``op`` requests may still take right now."""
+        lane = self if self._group is None else self._group.leader
         if op is OpType.WRITE:
-            return self._wq_depth - len(self.write_q)
-        return self._rq_depth - len(self.read_q)
+            return self._wq_depth - lane._wq_len
+        return self._rq_depth - lane._rq_len
 
     def enqueue_phase(
         self,
@@ -257,13 +319,17 @@ class Channel:
 
     def _enqueue_blocks(self, blocks, op, app_id, traffic, on_complete) -> None:
         """The body of :meth:`enqueue_phase`, also a lane group's hand-off."""
-        if op is OpType.WRITE:
-            queue, indexes, depth = self.write_q, self._wq_index, self._wq_depth
+        is_write = op is OpType.WRITE
+        if is_write:
+            queues, queued, depth = self._writes, self._wq_len, self._wq_depth
         else:
-            queue, indexes, depth = self.read_q, self._rq_index, self._rq_depth
+            queues, queued, depth = self._reads, self._rq_len, self._rq_depth
         count = len(blocks)
-        if len(queue) + count > depth:
+        if queued + count > depth:
             raise RuntimeError(f"{self.name}: {op.value} queue full")
+        class_queue = queues[traffic is _SECURE]
+        queue = class_queue.reqs
+        indexes = class_queue.index
         num_banks = len(self.banks)
         now = self.engine.now
         seq = self._enq_counter
@@ -286,11 +352,10 @@ class Channel:
             else:
                 bucket.append(req)
         self._enq_counter = seq
-        if traffic is TrafficClass.SECURE:
-            if op is OpType.WRITE:
-                self._wq_secure += count
-            else:
-                self._rq_secure += count
+        if is_write:
+            self._wq_len = queued + count
+        else:
+            self._rq_len = queued + count
         if count and not self._service_scheduled:
             self._kick()
 
@@ -344,7 +409,8 @@ class Channel:
 
     @property
     def queued(self) -> int:
-        return len(self.read_q) + len(self.write_q)
+        lane = self if self._group is None else self._group.leader
+        return lane._rq_len + lane._wq_len
 
     # ------------------------------------------------------------------
     # Service loop
@@ -358,9 +424,9 @@ class Channel:
             # dispatches its own service (and bookings are off).
             group.wake()
             group = None
-        read_q = self.read_q
-        write_q = self.write_q
-        if not (read_q or write_q):
+        rq_len = self._rq_len
+        wq_len = self._wq_len
+        if not (rq_len or wq_len):
             self._service_scheduled = False
             return
         engine = self.engine
@@ -404,7 +470,6 @@ class Channel:
             if last_end > self._bus_free:
                 self._bus_free = last_end
             self.rank.refreshes += count
-            self._refreshes_counter.value += count
             if count > 1:
                 engine._synthesized += count - 1
             resume = max(now, self._bus_free)
@@ -417,57 +482,97 @@ class Channel:
 
         # Queue choice: write-drain hysteresis, plus a starvation bound
         # (a write older than write_timeout forces a drain even below the
-        # high watermark; FIFO append order makes the head the oldest),
-        # else reads, else writes.
-        params = self.params
-        wq_len = len(write_q)
+        # high watermark), else reads, else writes.  The oldest write is
+        # the older class head: ``arrival`` never decreases with
+        # ``_enq_seq``.
         draining = self._draining
-        if draining and wq_len <= params.write_drain_lo:
+        if draining and wq_len <= self._drain_lo:
             draining = self._draining = False
-        if not draining and wq_len >= params.write_drain_hi:
+        if not draining and wq_len >= self._drain_hi:
             draining = self._draining = True
-        if not draining and wq_len and (
-            now - write_q[0].arrival >= params.write_timeout
-        ):
-            draining = self._draining = True
-        if draining and wq_len:
-            queue = write_q
-        elif read_q:
-            queue = read_q
+        if not draining and wq_len:
+            normal, secure = self._writes
+            if normal.reqs:
+                oldest = normal.reqs[0].arrival
+                if secure.reqs and secure.reqs[0].arrival < oldest:
+                    oldest = secure.reqs[0].arrival
+            else:
+                oldest = secure.reqs[0].arrival
+            if now - oldest >= self._write_timeout:
+                draining = self._draining = True
+        if (draining and wq_len) or not rq_len:
+            normal, secure = self._writes
+            self._wq_len = wq_len - 1
         else:
-            queue = write_q
+            normal, secure = self._reads
+            self._rq_len = rq_len - 1
 
-        # Single-class common-case picks, inlined from _pick_request:
-        # depth-1 pop and head row-hit cover most services, and neither
-        # can emit a reorder event (index 0 picks never do).
-        is_write_q = queue is write_q
-        secure_count = self._wq_secure if is_write_q else self._rq_secure
-        qlen = len(queue)
-        if not 0 < secure_count < qlen:
-            if qlen == 1:
-                req = queue.pop()
-            elif self.banks[(r0 := queue[0]).bank].open_row == r0.row:
-                req = r0
-                del queue[0]
+        # Class choice: a contended slot asks the share policy, the older
+        # head's class first; then one FR-FCFS pick within the class.
+        queue = normal
+        reqs = normal.reqs
+        if not reqs:
+            queue = secure
+            reqs = secure.reqs
+        elif secure.reqs:
+            if secure.reqs[0]._enq_seq < reqs[0]._enq_seq:
+                chosen = self.share_policy.pick_between(_SECURE, _NORMAL)
             else:
-                req = None
-            if req is not None:
-                indexes = self._wq_index if is_write_q else self._rq_index
-                index = indexes[req.bank]
-                bucket = index[req.row]
-                if len(bucket) == 1:
-                    del index[req.row]
-                else:
-                    bucket.remove(req)
-                if req.traffic is TrafficClass.SECURE:
-                    if is_write_q:
-                        self._wq_secure -= 1
-                    else:
-                        self._rq_secure -= 1
-            else:
-                req = self._pick_request(queue)
+                chosen = self.share_policy.pick_between(_NORMAL, _SECURE)
+            if chosen is _SECURE:
+                queue = secure
+                reqs = secure.reqs
+            if self._tracer.enabled:
+                self._tracer.instant(
+                    "dram", "class_pick", self.name, now,
+                    {"cls": chosen.value, "contenders": 2},
+                )
+        qlen = len(reqs)
+        if qlen == 1:
+            req = reqs.pop()
+        elif self.banks[(req := reqs[0]).bank].open_row == req.row:
+            # Head row hit: the scan's first probe, and the list's
+            # minimum _enq_seq; index 0 never reorders.
+            del reqs[0]
         else:
-            req = self._pick_request(queue)
+            # Indexed first-ready probe: the minimum-_enq_seq open-row
+            # bucket head is the list's first row hit.  The windowed
+            # scan reaches it exactly when it sits among the oldest
+            # `window` requests, i.e. its _enq_seq is at most
+            # reqs[window - 1]'s; otherwise (or with no hit) the scan
+            # takes the oldest, the list head.
+            req = None
+            best_seq = _NO_PICK
+            for bank, index in queue.probe:
+                # (Rows are ints, so a closed bank's None finds nothing.)
+                if index:
+                    bucket = index.get(bank.open_row)
+                    if bucket:
+                        head = bucket[0]
+                        if head._enq_seq < best_seq:
+                            best_seq = head._enq_seq
+                            req = head
+            window = self._window
+            if req is None or (
+                qlen > window and best_seq > reqs[window - 1]._enq_seq
+            ):
+                req = reqs[0]
+                del reqs[0]
+            elif self._tracer.enabled:
+                # The head is no hit, so the pick is out of order.
+                i = reqs.index(req)
+                self._trace_reorder(i, req.bank, qlen)
+                del reqs[i]
+            else:
+                reqs.remove(req)
+        # The pick heads its row bucket (it is the oldest of its list or
+        # a bucket head).
+        index = queue.index[req.bank]
+        bucket = index[req.row]
+        if len(bucket) == 1:
+            del index[req.row]
+        else:
+            del bucket[0]
 
         bank = self.banks[req.bank]
         bus_free = self._bus_free
@@ -475,7 +580,7 @@ class Channel:
         is_write = req.is_write
         if is_write and self._last_op is OpType.READ:
             floor += self._tRTW
-        data_start, outcome = bank.commit(req, req.arrival, floor=floor)
+        data_start, outcome = bank.commit(req, req.arrival, floor)
         if self._close_page:
             bank.close_after_access()
         if self.command_log is not None:
@@ -490,36 +595,21 @@ class Channel:
 
         self._bus_free = finish
         self._last_op = req.op
-        self._busy_ticks += tburst
 
+        # The request's one statistic (module docstring, "Statistics"):
+        # an inline of LatencyStat.record, whose call overhead was
+        # measurable here.  Latency is positive by construction (finish
+        # > arrival), so the negative-value guard is unnecessary.
         latency = finish - req.arrival
-        secure = req.traffic is TrafficClass.SECURE
-        lat_kind, lat_cls, served = self._lat_by_req[
-            (2 if is_write else 0) + (1 if secure else 0)
-        ]
-        # Inline of LatencyStat.record (x2) and Counter.add (x2): these
-        # four updates run for every serviced request, and the call
-        # overhead alone was measurable.  Latency is positive by
-        # construction (finish > arrival), so the negative-value guard
-        # is unnecessary here.
-        lat_kind.count += 1
-        lat_kind.total += latency
-        bound = lat_kind.min
+        stat = queue.latency
+        stat.count += 1
+        stat.total += latency
+        bound = stat.min
         if bound is None or latency < bound:
-            lat_kind.min = latency
-        bound = lat_kind.max
+            stat.min = latency
+        bound = stat.max
         if bound is None or latency > bound:
-            lat_kind.max = latency
-        lat_cls.count += 1
-        lat_cls.total += latency
-        bound = lat_cls.min
-        if bound is None or latency < bound:
-            lat_cls.min = latency
-        bound = lat_cls.max
-        if bound is None or latency > bound:
-            lat_cls.max = latency
-        self._row_counters[outcome].value += 1
-        served.value += 1
+            stat.max = latency
         if self._tracer.enabled:
             self._tracer.complete(
                 "dram", "write" if is_write else "read", self.name,
@@ -563,7 +653,7 @@ class Channel:
             self._wake_space_waiters()
         # Decide the next request when the bus frees so bursts can chain
         # back-to-back.
-        if read_q or write_q:
+        if self._rq_len or self._wq_len:
             seq = engine._seq
             engine._seq = seq + 1
             engine._push((data_start, seq, self._service, _NO_ARG))
@@ -571,124 +661,6 @@ class Channel:
             self._service_scheduled = False
         if group is not None:
             group.follow(req, bank, data_start, outcome, latency, on_complete)
-
-    def _pick_request(self, queue: List[MemRequest]) -> MemRequest:
-        """Arbitrate traffic classes, then FR-FCFS within the class."""
-        is_write_q = queue is self.write_q
-        secure_count = self._wq_secure if is_write_q else self._rq_secure
-        indexes = self._wq_index if is_write_q else self._rq_index
-        qlen = len(queue)
-        if 0 < secure_count < qlen:
-            # Mixed traffic: the share policy decides the class, then the
-            # windowed scan picks within the filtered candidates (the side
-            # index spans both classes, so it does not apply here).  Both
-            # classes are present by the count check, so the
-            # first-appearance-ordered class list only depends on the
-            # queue head's class.
-            if queue[0].traffic is TrafficClass.SECURE:
-                classes = [TrafficClass.SECURE, TrafficClass.NORMAL]
-            else:
-                classes = [TrafficClass.NORMAL, TrafficClass.SECURE]
-            chosen_cls = self.share_policy.pick_class(classes)
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    "dram", "class_pick", self.name, self.engine.now,
-                    {"cls": chosen_cls.value, "contenders": len(classes)},
-                )
-                candidates = [r for r in queue if r.traffic is chosen_cls]
-                req = candidates[self._scan_pick(candidates)]
-            else:
-                # Tracing off: no reorder event can be emitted, so scan
-                # the queue directly for the first in-class row hit
-                # within the window instead of materializing the
-                # candidate list (same decision as _scan_pick over it).
-                banks = self.banks
-                window = self._window
-                first = None
-                req = None
-                examined = 0
-                for r in queue:
-                    if r.traffic is chosen_cls:
-                        if banks[r.bank].open_row == r.row:
-                            req = r
-                            break
-                        if first is None:
-                            first = r
-                        examined += 1
-                        if examined >= window:
-                            break
-                if req is None:
-                    req = first
-            queue.remove(req)
-        elif qlen == 1:
-            # Depth-1 early-out: any scan returns index 0 and never
-            # emits a reorder event.
-            req = queue.pop()
-        elif self.banks[(r0 := queue[0]).bank].open_row == r0.row:
-            # Head row-hit early-out: the scan's first probe is index 0,
-            # and in the indexed probe the head holds the global minimum
-            # _enq_seq, so both pick it; index 0 never emits a reorder.
-            req = r0
-            del queue[0]
-        else:
-            # Indexed first-ready probe: the minimum-_enq_seq open-row
-            # bucket head is the queue's first row hit (queue position
-            # order == _enq_seq order).  The windowed scan reaches it
-            # exactly when it sits among the oldest `window` requests,
-            # i.e. its _enq_seq is at most queue[window - 1]'s; otherwise
-            # (or with no hit) the scan takes the oldest, the queue head.
-            req = None
-            best_seq = _NO_PICK
-            for bank_idx, bank in enumerate(self.banks):
-                row = bank.open_row
-                if row is not None:
-                    bucket = indexes[bank_idx].get(row)
-                    if bucket:
-                        head = bucket[0]
-                        if head._enq_seq < best_seq:
-                            best_seq = head._enq_seq
-                            req = head
-            window = self._window
-            if req is None or (
-                qlen > window and best_seq > queue[window - 1]._enq_seq
-            ):
-                req = queue[0]
-                del queue[0]
-            elif self._tracer.enabled:
-                i = queue.index(req)
-                if i:
-                    self._trace_reorder(i, req.bank, qlen)
-                del queue[i]
-            else:
-                queue.remove(req)
-
-        index = indexes[req.bank]
-        bucket = index[req.row]
-        if len(bucket) == 1:
-            del index[req.row]
-        else:
-            bucket.remove(req)
-        if req.traffic is TrafficClass.SECURE:
-            if is_write_q:
-                self._wq_secure -= 1
-            else:
-                self._rq_secure -= 1
-        return req
-
-    def _scan_pick(self, queue: List[MemRequest]) -> int:
-        """Windowed first-ready scan: the first row hit among the oldest
-        ``scheduler_window`` requests, else the oldest; an out-of-order
-        pick emits a ``frfcfs_reorder`` trace event."""
-        banks = self.banks
-        qlen = len(queue)
-        limit = qlen if qlen < self._window else self._window
-        for i in range(limit):
-            r = queue[i]
-            if banks[r.bank].open_row == r.row:
-                if i and self._tracer.enabled:
-                    self._trace_reorder(i, r.bank, qlen)
-                return i
-        return 0
 
     def _trace_reorder(self, index: int, bank: int, depth: int) -> None:
         """Emit a ``frfcfs_reorder`` event (an out-of-order pick)."""
@@ -709,18 +681,24 @@ class Channel:
     # Analysis helpers
     # ------------------------------------------------------------------
     def utilization(self) -> float:
-        """Fraction of elapsed time the data bus carried bursts (a live
-        lane group's bus time is the leader's)."""
+        """Fraction of elapsed time the data bus carried bursts: one
+        ``tBURST`` per serviced request (a live lane group's followers
+        share the leader's class queues, so they count its requests)."""
         now = self.engine.now
         if not now:
             return 0.0
-        owner = self if self._group is None else self._group.leader
-        return owner._busy_ticks / now
+        serviced = 0
+        for queues in (self._reads, self._writes):
+            for queue in queues:
+                serviced += queue.latency.count
+        return self._tBURST * serviced / now
 
     def row_hit_rate(self) -> float:
-        hits = self.stats.counter("row_hit").value
-        total = hits + self.stats.counter("row_closed").value + \
-            self.stats.counter("row_conflict").value
+        """Row hits over serviced requests, from the banks' counts (a live
+        lane group's followers read the leader's banks)."""
+        lane = self if self._group is None else self._group.leader
+        hits, closed, conflicts = lane._row_outcomes()
+        total = hits + closed + conflicts
         return hits / total if total else 0.0
 
 
@@ -730,15 +708,12 @@ class LaneGroup:
     ``lanes`` are freshly built channels of one BOB channel, lane ``i``
     being its sub-channel ``i``, built alike (engine, timing, params,
     page policy, tracer).  Lane 0 leads: it holds the queues and runs
-    every service.  The followers' ``read_q``/``write_q`` are the
-    leader's lists, so ``free_slots``, ``can_accept`` and ``queued``
-    answer as their own would.  Their statistics are the leader's
-    objects -- the ``StatSet`` with its counters and latencies, and the
-    pre-bound ``_lat_by_req``, ``_row_counters`` and
-    ``_refreshes_counter`` -- and ``utilization()`` reads the leader's
-    bus time, so ``stats``, ``utilization()`` and ``row_hit_rate()``
-    answer as their own would too: fresh lanes start equal and stay
-    equal while the group is live.  The leader's services take the
+    every service.  The followers' class queues are the leader's
+    (with the latency statistic each records into), and their
+    ``free_slots``, ``can_accept``, ``queued``, ``stats`` and
+    ``row_hit_rate()`` read the leader's queue lengths, statistics and
+    banks, so they answer as their own would: fresh lanes start equal
+    and stay equal while the group is live.  The leader's services take the
     followers' seqs, book or push their completions, and write their
     ``rank.refreshes``, trace events and command logs
     (:meth:`follow`).  A follower holds no requests and schedules no
@@ -775,11 +750,10 @@ class LaneGroup:
             for bank in leader.banks:
                 bank.record_commands = True
         for lane in self.followers:
-            lane.read_q = leader.read_q
-            lane.write_q = leader.write_q
-            # Fresh lanes' statistics are equal, and stay equal while the
-            # group is live: share the leader's objects until wake().
-            lane._bind_stats(leader.stats)
+            # Fresh lanes are equal, and stay equal while the group is
+            # live: share the leader's class queues until wake().
+            lane._reads = leader._reads
+            lane._writes = leader._writes
         leader.engine._lane_groups.append(self)
 
     # ------------------------------------------------------------------
@@ -822,7 +796,8 @@ class LaneGroup:
                outcome: str, latency: int, on_complete) -> None:
         """The followers' side of the slot the leader just served.
 
-        Their statistics are the leader's objects, already updated.  In
+        Their class queues and statistics are the leader's, already
+        updated.  In
         lane order, each follower takes its completion's seq (if
         ``on_complete`` is not ``None``), then its next service's (if the
         leader chained one), as the leader just did: so the slot's seqs,
@@ -897,9 +872,9 @@ class LaneGroup:
 
     def follow_refresh(self, first: int, count: int, resume: int) -> None:
         """The followers' side of a refresh service: ``count`` windows
-        from ``first`` each, then the next service at ``resume``.  The
-        refresh counter is shared; ``rank.refreshes``, command logs and
-        trace events stay per lane."""
+        from ``first`` each, then the next service at ``resume``.  Each
+        follower's ``rank.refreshes`` (its ``refreshes`` statistic),
+        command log and trace events are written per lane."""
         leader = self.leader
         engine = leader.engine
         followers = self.followers
@@ -937,10 +912,10 @@ class LaneGroup:
         Each follower gets a clone of the leader's state -- the queues
         (its own requests, with its own coordinates and its own
         :class:`CompletionGroup`\\ s at the leader's remaining counts),
-        the FR-FCFS indexes, the banks, the rank timers and refresh
-        stream, the bus and drain state, and a copy of the statistics
-        and bus time under its own name -- and its pending service is
-        pushed at its own seq.
+        the FR-FCFS indexes, the queue lengths, the banks (with their row
+        counts), the rank timers and refresh stream, the bus and drain
+        state, and a copy of the statistics under its own name -- and its
+        pending service is pushed at its own seq.
         """
         leader = self.leader
         engine = leader.engine
@@ -1004,21 +979,20 @@ def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:
         clone._enq_seq = req._enq_seq
         return clone
 
-    lane.read_q = [twin(req) for req in leader.read_q]
-    lane.write_q = [twin(req) for req in leader.write_q]
-    for queue, indexes in ((lane.read_q, lane._rq_index),
-                           (lane.write_q, lane._wq_index)):
-        for req in queue:
-            bucket = indexes[req.bank].get(req.row)
-            if bucket is None:
-                indexes[req.bank][req.row] = [req]
-            else:
-                bucket.append(req)
+    def twin_queues(queues):
+        mine = (_ClassQueue(lane.banks), _ClassQueue(lane.banks))
+        for queue, theirs in zip(mine, queues):
+            for req in theirs.reqs:
+                queue.add(twin(req))
+        return mine
+
+    lane._reads = twin_queues(leader._reads)
+    lane._writes = twin_queues(leader._writes)
+    lane._rq_len = leader._rq_len
+    lane._wq_len = leader._wq_len
     lane._enq_counter = leader._enq_counter
+    # ``leader.stats`` derives the leader's values before the copy.
     lane._bind_stats(leader.stats.copy(lane.name))
-    lane._busy_ticks = leader._busy_ticks
-    lane._rq_secure = leader._rq_secure
-    lane._wq_secure = leader._wq_secure
     lane._draining = leader._draining
     lane._bus_free = leader._bus_free
     lane._last_op = leader._last_op

@@ -6,8 +6,8 @@ Two policies from the paper's infrastructure:
   open-page scheduler: among queued requests, prefer one that hits an open
   row buffer, otherwise take the oldest.  The scan is bounded by a window
   for simulation speed, as real schedulers bound their associative search.
-  :class:`~repro.dram.channel.Channel` runs it inline in its service loop
-  (``_pick_request`` / ``_scan_pick``).
+  :class:`~repro.dram.channel.Channel` runs it inline in its service loop,
+  within one traffic class's requests, as an indexed probe.
 
 * **Bandwidth preallocation** (:class:`SharePolicy`) -- the cooperative
   Path ORAM sharing technique of Wang et al. [39] that Section IV adopts
@@ -45,23 +45,42 @@ class SharePolicy:
         }
         self.served: Dict[TrafficClass, int] = {cls: 0 for cls in self.weights}
 
+    def pick_between(self, first: TrafficClass,
+                     second: TrafficClass) -> TrafficClass:
+        """:meth:`pick_class` of ``[first, second]``, allocating nothing:
+        the channel's contended slot, ``first`` being the older head's
+        class."""
+        weights = self.weights
+        if first not in weights:
+            if second not in weights:
+                return first
+            self.served[second] += 1
+            return second
+        if second not in weights:
+            self.served[first] += 1
+            return first
+        credit = self._credit
+        share = self._share
+        a = credit[first] + share[first]
+        if a > 2.0:
+            a = 2.0
+        b = credit[second] + share[second]
+        if b > 2.0:
+            b = 2.0
+        credit[first] = a
+        credit[second] = b
+        if a >= b:  # tie -> first
+            best = first
+            a -= 1.0
+        else:
+            best = second
+            a = b - 1.0
+        credit[best] = a if a > -2.0 else -2.0
+        self.served[best] += 1
+        return best
+
     def pick_class(self, pending: Sequence[TrafficClass]) -> TrafficClass:
         """Choose which class to serve among classes with queued requests."""
-        if len(pending) == 2:
-            # The hot shape (secure + normal contending): same arithmetic
-            # as the generic path below, without the key-function sort.
-            a, b = pending
-            if a in self.weights and b in self.weights:
-                credit = self._credit
-                share = self._share
-                ca = min(credit[a] + share[a], 2.0)
-                cb = min(credit[b] + share[b], 2.0)
-                credit[a] = ca
-                credit[b] = cb
-                best = a if ca >= cb else b  # tie -> earlier in pending
-                credit[best] = max(credit[best] - 1.0, -2.0)
-                self.served[best] += 1
-                return best
         candidates = [cls for cls in pending if cls in self.weights]
         if not candidates:
             # Unconfigured classes fall through in arrival order.
@@ -91,6 +110,10 @@ class SharePolicy:
 
 class SingleClassPolicy:
     """Degenerate share policy when only one traffic class uses a channel."""
+
+    def pick_between(self, first: TrafficClass,
+                     second: TrafficClass) -> TrafficClass:
+        return first
 
     def pick_class(self, pending: Sequence[TrafficClass]) -> TrafficClass:
         return pending[0]

@@ -9,8 +9,8 @@ The paper reports three kinds of numbers and these classes cover them all:
 * traffic accounting such as Table I's extra-message counts --
   :class:`Counter` and :class:`Histogram`.
 
-Recording is on the simulation hot path (every serviced request touches a
-latency stat and two counters), so the primitives carry ``__slots__``,
+Recording is on the simulation hot path (every serviced DRAM request
+touches one latency stat), so the primitives carry ``__slots__``,
 histograms count into a dense list (a few int ops per record, no dict
 lookups), and components are expected to pre-bind the ``record``/``add``
 bound methods they call per event rather than re-resolving stats by name.
@@ -82,6 +82,14 @@ class LatencyStat:
                 self.min = bound
             if self.max is None or bound > self.max:
                 self.max = bound
+
+    def set_merged(self, *parts: "LatencyStat") -> None:
+        """Become the merge of ``parts``: exactly what recording every
+        value recorded in them here would have left."""
+        self.count = self.total = 0
+        self.min = self.max = None
+        for part in parts:
+            self.merge(part)
 
     # -- (de)serialization (sweep result store) -------------------------
     def as_dict(self) -> Dict[str, object]:

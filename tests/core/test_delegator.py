@@ -226,6 +226,25 @@ class TestShortReadMerging:
         assert ctrl.stats.latency("read_phase").count == 1
         assert ctrl.stats.latency("write_phase").count == 1
 
+    def test_shared_remote_window_splits_merged_reads(self, monkeypatch):
+        """Why full merged runs ship more than 3 packets per access:
+        remote reads and writes share ``REMOTE_WINDOW``, so a read phase
+        often finds the previous access's 8 remote writes still holding
+        it; its refused reads leave later, in packets of their own.
+        With room for both, every access's short reads leave in one
+        burst: one packet per normal channel."""
+        counts = {}
+        for window in (16, 32):
+            monkeypatch.setattr(SecureDelegator, "REMOTE_WINDOW", window)
+            result = run_scheme("doram+2", "li", 400,
+                                merge_short_reads=True)
+            counts[window] = (result.s_app["remote_short_reads"],
+                              result.s_app["oram_accesses"])
+        packets, accesses = counts[32]
+        assert packets == 3 * accesses
+        packets, accesses = counts[16]
+        assert packets > 3 * accesses
+
     @staticmethod
     def _run(merge):
         parts = build_doram(split_k=2, merge_short_reads=merge)

@@ -143,8 +143,8 @@ def _channels(eng, depth=64):
 
 class TestEnqueuePhase:
     def _queue_state(self, channel):
-        return [(r.bank, r.row, r.col, r.arrival, r._enq_seq, r.traffic)
-                for r in channel.read_q]
+        return [[(r.bank, r.row, r.col, r.arrival, r._enq_seq, r.traffic)
+                 for r in queue.reqs] for queue in channel._reads]
 
     def test_equals_per_block_enqueue(self):
         blocks = [_placement(0, bank % 3, bank % 2, slot=bank)
@@ -163,10 +163,10 @@ class TestEnqueuePhase:
                         OpType.READ, b.channel, b.subchannel, b.bank, b.row,
                         b.col, 7, TrafficClass.SECURE, 0, done.append,
                     ))
-            index = [{row: [r._enq_seq for r in reqs]
-                      for row, reqs in bank.items()}
-                     for bank in channel._rq_index]
-            before = (self._queue_state(channel), channel._rq_secure, index,
+            index = [[{row: [r._enq_seq for r in reqs]
+                       for row, reqs in bank.items()}
+                      for bank in queue.index] for queue in channel._reads]
+            before = (self._queue_state(channel), channel._rq_len, index,
                       list(eng._queue))
             eng.run()
             states.append((before, done, channel.stats.as_dict()))

@@ -1,7 +1,7 @@
 """Reference DRAM scheduling and rank-fence model: what the tests trust.
 
-``Channel._service`` / ``_pick_request`` / ``_scan_pick`` and
-``Bank.commit`` inline the FR-FCFS scan and the rank fences for speed.
+``Channel._service`` and ``Bank.commit`` inline the FR-FCFS scan (as an
+indexed probe within one traffic class) and the rank fences for speed.
 This module keeps the plain forms they were inlined from, one step per
 function, so each can be read against the JEDEC constraint it encodes
 and checked against the fused code:

@@ -322,8 +322,8 @@ def test_untriggered_group_stays_live(wakes):
 
 def _stat_objects(lane):
     """Every statistic object ``_service`` or a query touches on ``lane``."""
-    return ([stat for triple in lane._lat_by_req for stat in triple]
-            + list(lane._row_counters.values()) + [lane._refreshes_counter]
+    return ([queue.latency for queues in (lane._reads, lane._writes)
+             for queue in queues]
             + list(lane.stats._counters.values())
             + list(lane.stats._latencies.values()))
 
@@ -350,14 +350,17 @@ def test_follower_cost_does_not_grow_with_lanes(lanes, monkeypatch):
             assert lane.stats is leader.stats
             assert all(mine is theirs for mine, theirs in
                        zip(_stat_objects(lane), _stat_objects(leader)))
-            assert lane._busy_ticks == 0
+            # Its bus time and row counts derive from the leader's; its
+            # own banks commit nothing.
+            assert not any(bank.hits or bank.misses or bank.conflicts
+                           for bank in lane.banks)
 
     lazy.at(MID_PHASE_NS, shared)
     eager.at(MID_PHASE_NS, lambda: None)  # the same event census
     for rig in (lazy, eager):
         rig.engine.run()
     shared()
-    assert leader._busy_ticks > 0
+    assert leader.utilization() > 0
     assert counts and all(count == lanes for count in counts)
     assert lazy.outcome() == eager.outcome()
 
@@ -509,8 +512,8 @@ def test_wake_clones_partly_counted_completion_groups():
     def probe(rig):
         seen[rig.engine.lazy_periodic] = rig.live
         _arm(rig)
-        groups = [[req.on_complete for req in lane.read_q]
-                  for lane in rig.lanes]
+        groups = [[req.on_complete for queue in lane._reads
+                   for req in queue.reqs] for lane in rig.lanes]
         seen[rig] = [[g.remaining for g in lane] for lane in groups]
         if rig.engine.lazy_periodic:
             assert len({id(g) for lane in groups for g in lane}) == \

@@ -8,6 +8,7 @@ from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType, TrafficClass
 from repro.dram.scheduler import SharePolicy, SingleClassPolicy
 from repro.dram.timing import DDR3_1600 as T, ChannelParams
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from tests.dram.dram_reference import FrFcfsScheduler
 
@@ -49,6 +50,21 @@ class TestFrFcfs:
             FrFcfsScheduler(window=0)
 
 
+def _serve_one(channel):
+    """Run one service slot of ``channel`` at time 0 (no refresh is due)
+    and return the request it picked: the one no longer queued."""
+    def queued():
+        return [r for queues in (channel._reads, channel._writes)
+                for queue in queues for r in queue.reqs]
+
+    before = queued()
+    channel._service()
+    left = {id(r) for r in queued()}
+    picked = [r for r in before if id(r) not in left]
+    assert len(picked) == 1
+    return picked[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     queued=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
@@ -58,43 +74,91 @@ class TestFrFcfs:
     window=st.integers(1, 30),
 )
 def test_channel_scan_matches_the_reference(queued, open_rows, window):
-    """``Channel._scan_pick`` inlines the reference scan: same pick for
-    any queue, open-row state and window."""
+    """A service slot picks what the reference windowed scan picks, for
+    any single-class queue, open-row state and window."""
     channel = Channel(Engine(), "ch0",
-                      params=ChannelParams(num_banks=4,
+                      params=ChannelParams(num_banks=4, read_queue_depth=40,
                                            scheduler_window=window))
+    queue = [req(row, bank=bank) for bank, row in queued]
+    for r in queue:
+        channel.enqueue(r)
     for bank, row in zip(channel.banks, open_rows):
         bank.open_row = row
-    queue = [req(row, bank=bank) for bank, row in queued]
-    assert channel._scan_pick(queue) == \
-        FrFcfsScheduler(window).pick(queue, channel.banks)
+    expected = queue[FrFcfsScheduler(window).pick(queue, channel.banks)]
+    assert _serve_one(channel) is expected
+
+
+#: Share policies for the contended picks: ``None`` is the channel's
+#: default :class:`SingleClassPolicy`, else ``SharePolicy`` weights.
+POLICIES = [None, (1.0, 1.0), (1.0, 3.0), (3.0, 1.0)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), window=st.integers(1, 24))
-def test_indexed_pick_matches_the_reference(data, window):
-    """``Channel._pick_request`` (the side-index probe, deep queues
-    included) picks what the reference windowed scan picks, request by
-    request as the queue drains, for any open rows."""
+@given(data=st.data(), window=st.integers(1, 24),
+       write=st.booleans(), weights=st.sampled_from(POLICIES),
+       traced=st.booleans())
+def test_indexed_pick_matches_the_reference(data, window, write, weights,
+                                            traced):
+    """Service slots (the side-index probe, deep queues included) pick
+    what the reference picks, request by request as the queue drains,
+    for any open rows, on queues holding either class or both.  The
+    reference: when both classes wait, a twin share policy picks the
+    class, the class of the oldest request first; then
+    ``FrFcfsScheduler`` scans that class's requests.  Traced, the
+    channel's ``class_pick`` and ``frfcfs_reorder`` args are the
+    reference's."""
     depth = 3 * window
     queued = data.draw(st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 4)),
+        st.tuples(st.integers(0, 3), st.integers(0, 4), st.booleans()),
         min_size=1, max_size=depth,
     ))
-    channel = Channel(Engine(), "ch0", params=ChannelParams(
-        num_banks=4, scheduler_window=window, read_queue_depth=depth))
-    for bank, row in queued:
-        channel.enqueue(req(row, bank=bank))
+    if weights is None:
+        policy, twin = None, SingleClassPolicy()
+    else:
+        shares = dict(zip((TrafficClass.SECURE, TrafficClass.NORMAL),
+                          weights))
+        policy, twin = SharePolicy(shares), SharePolicy(shares)
+    engine = Engine()
+    tracer = Tracer({"dram"}) if traced else None
+    channel = Channel(engine, "ch0", share_policy=policy, tracer=tracer,
+                      params=ChannelParams(
+                          num_banks=4, scheduler_window=window,
+                          read_queue_depth=depth, write_queue_depth=depth))
+    op = OpType.WRITE if write else OpType.READ
+    queue = [
+        MemRequest(op, 0, 0, bank=bank, row=row, traffic=(
+            TrafficClass.SECURE if secure else TrafficClass.NORMAL))
+        for bank, row, secure in queued
+    ]
+    for r in queue:
+        channel.enqueue(r)
     for bank in channel.banks:
         bank.open_row = data.draw(st.one_of(st.none(), st.integers(0, 4)))
     reference = FrFcfsScheduler(window)
-    queue = channel.read_q
+    expected_trace = Tracer({"dram"})
+    reference.bind_tracer(expected_trace.category("dram"), "ch0", engine)
     while queue:
-        expected = queue[reference.pick(list(queue), channel.banks)]
-        picked = channel._pick_request(queue)
-        assert picked is expected
-        # The pick's row opens, as its commit would leave it.
-        channel.banks[picked.bank].open_row = picked.row
+        chosen = queue[0].traffic
+        other = next(cls for cls in TrafficClass if cls is not chosen)
+        if any(r.traffic is other for r in queue):
+            chosen = twin.pick_class([chosen, other])
+            expected_trace.instant("dram", "class_pick", "ch0", engine.now,
+                                   {"cls": chosen.value, "contenders": 2})
+        candidates = [r for r in queue if r.traffic is chosen]
+        expected = candidates[reference.pick(candidates, channel.banks)]
+        assert _serve_one(channel) is expected
+        queue.remove(expected)
+        if data.draw(st.booleans()):
+            # Any open rows, not only those the picks' commits leave.
+            bank = channel.banks[data.draw(st.integers(0, 3))]
+            bank.open_row = data.draw(st.one_of(st.none(),
+                                                st.integers(0, 4)))
+    if traced:
+        def decisions(events):
+            return [(e.name, e.args) for e in events
+                    if e.name in ("class_pick", "frfcfs_reorder")]
+
+        assert decisions(tracer.events) == decisions(expected_trace.events)
 
 
 class TestSharePolicy:
@@ -138,6 +202,24 @@ class TestSharePolicy:
     def test_unconfigured_class_falls_through(self):
         policy = SharePolicy({TrafficClass.SECURE: 1.0})
         assert policy.pick_class([TrafficClass.NORMAL]) is TrafficClass.NORMAL
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=st.dictionaries(st.sampled_from(list(TrafficClass)),
+                                st.sampled_from([0.25, 1.0, 3.0]),
+                                min_size=1),
+        firsts=st.lists(st.sampled_from(list(TrafficClass)), max_size=60),
+    )
+    def test_pick_between_is_pick_class_of_the_pair(self, weights, firsts):
+        """The channel's allocation-free two-class entry makes the
+        generic DRR's decisions and leaves its credits and counts."""
+        fast, generic = SharePolicy(weights), SharePolicy(weights)
+        for first in firsts:
+            second = next(cls for cls in TrafficClass if cls is not first)
+            assert fast.pick_between(first, second) is \
+                generic.pick_class([first, second])
+            assert fast._credit == generic._credit
+            assert fast.served == generic.served
 
 
 class TestSingleClassPolicy:
