@@ -9,9 +9,10 @@ and commit the updated ``tests/obs/golden_digests.json`` together with
 the change that moved the digests, explaining why in the commit message.
 Each scheme is run twice and must self-agree before anything is written;
 a mismatch means nondeterminism crept into the model and there is
-nothing sane to pin.  Besides the traced golden schemes' trace digests
-and the golden scenario's, it records every ``SCHEMES`` name's payload
-pin: the digest of its untraced lazy run's canonical result.
+nothing sane to pin.  It records the trace digest of every scheme in
+``trace_pinned_schemes()`` (the golden schemes and every other
+``SCHEMES`` name), the golden scenario's, and every ``SCHEMES`` name's
+payload pin: the digest of its untraced lazy run's canonical result.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ sys.path.insert(
 from repro.core.schemes import SCHEMES  # noqa: E402  (path shim above)
 from repro.obs.golden import (  # noqa: E402
     GOLDEN_BENCHMARK,
-    GOLDEN_SCHEMES,
     GOLDEN_TRACE_LENGTH,
     golden_digest,
     payload_digest,
+    trace_pinned_schemes,
 )
 from repro.scenarios import golden_scenario_digests  # noqa: E402
 
@@ -42,7 +43,7 @@ OUT_PATH = os.path.join(
 
 def main() -> int:
     digests = {}
-    for scheme in GOLDEN_SCHEMES:
+    for scheme in trace_pinned_schemes():
         first = golden_digest(scheme)
         second = golden_digest(scheme)
         if first != second:
