@@ -140,22 +140,6 @@ class SystemConfig:
         return cls(**state)
 
     # ------------------------------------------------------------------
-    def secure_share_policy(self):
-        """The bandwidth-preallocation scheduler policy for channels that
-        carry both secure and normal traffic ([39]; Section IV).
-
-        Built here so every fabric builder (the trace-replay system and
-        the scenario service layer) derives it from the same
-        ``secure_share`` knob instead of re-encoding the split.
-        """
-        from repro.dram.scheduler import SharePolicy
-        from repro.dram.commands import TrafficClass
-
-        return SharePolicy({
-            TrafficClass.SECURE: self.secure_share,
-            TrafficClass.NORMAL: 1.0 - self.secure_share,
-        })
-
     @property
     def effective_s_apps(self) -> int:
         return self.num_s_apps if self.has_s_app else 0
@@ -175,4 +159,57 @@ class SystemConfig:
             treetop_levels=self.oram.treetop_levels,
             subtree_levels=self.oram.subtree_levels,
             utilization=self.oram.utilization,
+        )
+
+
+def apply_overrides(base, overrides: Dict[str, object]):
+    """Rebuild the frozen config dataclass ``base`` with overrides.
+
+    A flat key (``t_cycles``) names a field of ``base``; a dotted key
+    (``oram.leaf_level``) names a field of one of its nested component
+    dataclasses, which is rebuilt -- on top of a flat override of the
+    same component, if any.  Dotted keys survive a JSON round trip as
+    plain scalars, which is why sweep grids, campaign specs and the CLI
+    use them.  ``dataclasses.replace`` re-runs every ``__post_init__``,
+    so an out-of-range value fails with the component's own message; an
+    unknown component or field raises ``ValueError`` naming the known
+    ones.  This is the one grammar of :class:`SystemConfig` (through
+    ``repro.core.schemes.make_config``) and of the scenario layer's
+    ``ScenarioConfig``.
+    """
+    flat: Dict[str, object] = {}
+    nested: Dict[str, Dict[str, object]] = {}
+    for key, value in overrides.items():
+        head, dot, sub = key.partition(".")
+        if not dot:
+            flat[key] = value
+        elif "." in sub:
+            raise ValueError(f"override {key!r} nests more than one level deep")
+        else:
+            nested.setdefault(head, {})[sub] = value
+    _check_fields(base, flat, "")
+    components = sorted(
+        f.name for f in dataclasses.fields(base)
+        if dataclasses.is_dataclass(getattr(base, f.name))
+    )
+    for head, fields in nested.items():
+        if head not in components:
+            raise ValueError(
+                f"unknown override component {head!r} "
+                f"(known: {', '.join(components)})"
+            )
+        current = flat.get(head, getattr(base, head))
+        _check_fields(current, fields, f"{head} ")
+        flat[head] = dataclasses.replace(current, **fields)
+    return dataclasses.replace(base, **flat)
+
+
+def _check_fields(config, fields: Dict[str, object], label: str) -> None:
+    known = {f.name for f in dataclasses.fields(config)}
+    unknown = set(fields) - known
+    if unknown:
+        raise ValueError(
+            f"unknown {label}override field(s) "
+            f"{', '.join(sorted(unknown))} "
+            f"(known: {', '.join(sorted(known))})"
         )

@@ -17,66 +17,13 @@ Scheme strings accepted by :func:`run_scheme` / the CLI / the benches:
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.core.config import SystemConfig
+from repro.core.config import SystemConfig, apply_overrides
 from repro.core.system import SimResult, build_and_run
 
 _DORAM_RE = re.compile(r"^doram(?:\+(\d+))?(?:/(\d+))?$")
-
-
-def _split_overrides(overrides: Dict[str, object]) -> Tuple[
-    Dict[str, object], Dict[str, Dict[str, object]]
-]:
-    """Separate flat ``field=value`` overrides from dotted
-    ``component.field=value`` ones (``oram.leaf_level=21``)."""
-    flat: Dict[str, object] = {}
-    nested: Dict[str, Dict[str, object]] = {}
-    for key, value in overrides.items():
-        if "." in key:
-            head, sub = key.split(".", 1)
-            if "." in sub:
-                raise ValueError(
-                    f"override {key!r} nests more than one level deep"
-                )
-            nested.setdefault(head, {})[sub] = value
-        else:
-            flat[key] = value
-    return flat, nested
-
-
-def _apply_nested(config: SystemConfig,
-                  nested: Dict[str, Dict[str, object]]) -> SystemConfig:
-    """Rebuild nested component dataclasses with dotted overrides.
-
-    ``dataclasses.replace`` re-runs every ``__post_init__`` consistency
-    check, so an out-of-range ``oram.leaf_level`` fails here with the
-    component's own error message -- the same up-front validation flat
-    overrides get.
-    """
-    updates: Dict[str, object] = {}
-    for head, fields in nested.items():
-        current = getattr(config, head, None)
-        if current is None or not dataclasses.is_dataclass(current):
-            raise ValueError(
-                f"unknown override component {head!r} "
-                f"(dotted overrides reach the nested component configs: "
-                f"oram, dram_timing, channel_params, core_params, "
-                f"link_params)"
-            )
-        known = {f.name for f in dataclasses.fields(current)}
-        unknown = set(fields) - known
-        if unknown:
-            raise ValueError(
-                f"unknown {head} override field(s) "
-                f"{', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})"
-            )
-        updates[head] = replace(current, **fields)
-    return replace(config, **updates)
 
 
 def make_config(
@@ -90,20 +37,15 @@ def make_config(
     Overrides are either flat :class:`SystemConfig` fields
     (``t_cycles=60``) or dotted component fields
     (``**{"oram.leaf_level": 21}``) that rebuild the nested component
-    dataclass -- the form the sweep/explore grids use, since dotted
-    keys survive a JSON round trip as plain scalars.
+    dataclass, applied to the scheme's configuration by
+    :func:`~repro.core.config.apply_overrides`.
     """
     scheme = scheme.lower().strip()
-    flat, nested = _split_overrides(overrides)
     common = dict(benchmark=benchmark, trace_length=trace_length)
-    common.update(flat)
-    config = _make_flat_config(scheme, common)
-    if nested:
-        config = _apply_nested(config, nested)
-    return config
+    return apply_overrides(_scheme_config(scheme, common), overrides)
 
 
-def _make_flat_config(scheme: str, common: Dict[str, object]) -> SystemConfig:
+def _scheme_config(scheme: str, common: Dict[str, object]) -> SystemConfig:
 
     if scheme == "1ns":
         return SystemConfig(

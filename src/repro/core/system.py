@@ -242,8 +242,8 @@ class SimResult:
     #: (frontends, controllers, delegator), keyed by component name.
     component_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Events the engine actually dispatched (``events`` is the logical
-    #: census including synthesized periodic occurrences; this one drops
-    #: under lazy periodic mode).  Excluded from equality and from
+    #: census including synthesized occurrences; this one drops under
+    #: lazy periodic mode).  Excluded from equality and from
     #: :meth:`to_json_dict` so serialized results stay identical across
     #: periodic modes.
     raw_events: int = field(default=0, compare=False)
@@ -455,14 +455,15 @@ def build_and_run(config: SystemConfig,
     ``faults=None`` (same trace digest, same serialized result).
 
     ``periodic`` is the engine's periodic mode (:class:`Engine`):
-    ``"eager"`` is the dispatch-per-occurrence census oracle, and the
-    serialized result is identical in both modes.
+    ``"eager"`` books no completion and forms no lane group, so it is
+    the dispatch-per-occurrence census oracle; the serialized result is
+    identical in both modes.
     """
     engine = Engine(tracer=tracer, periodic=periodic)
     if faults is not None:
         faults.bind(engine, tracer)
     geometry = DeviceGeometry()
-    secure_share = config.secure_share_policy()
+    secure_share = SharePolicy.preallocated(config.secure_share)
 
     channels: Dict[Tuple[int, int], Channel] = {}
     bobs: Dict[int, BobChannel] = {}

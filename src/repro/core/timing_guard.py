@@ -10,23 +10,16 @@ demand (Section III-G cites [44], [46]).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.engine import cpu_cycles
-from repro.sim.periodic import PeriodicStream
 from repro.sim.stats import StatSet
 
 
 class RequestPacer:
     """Tracks when the next ORAM request may be emitted.
 
-    The cadence is a response-anchored :class:`PeriodicStream`: the
-    stream's period is the emission interval ``t``, and every response
-    re-anchors (:meth:`PeriodicStream.rebase`) the next occurrence to
-    ``response + t``.  One emission per occurrence means the stream's
-    occurrence count is the emitted-request census -- the frontend never
-    materializes missed slots, so the wire stream stays lazy by
-    construction.
+    The cadence is response-anchored: every response sets the next
+    emission to ``response + t``.  The frontend emits one request per
+    slot and never materializes missed ones.
     """
 
     def __init__(self, t_cycles: int = 50, name: str = "pacer") -> None:
@@ -34,38 +27,25 @@ class RequestPacer:
             raise ValueError("t_cycles must be >= 0")
         self.t_ticks = cpu_cycles(t_cycles)
         self.stats = StatSet(name)
-        # t = 0 degenerates to back-to-back emission; the stream still
-        # needs a positive period for its closed forms.
-        self.stream = PeriodicStream(
-            self.t_ticks if self.t_ticks > 0 else 1, first_due=0
-        )
-        self._last_response: Optional[int] = None
-
-    @property
-    def next_allowed(self) -> int:
-        """Earliest tick the next request may leave the secure engine."""
-        return self.stream.next_due
+        #: Earliest tick the next request may leave the secure engine.
+        self.next_allowed = 0
 
     def response_received(self, time: int) -> int:
         """Record a response; returns the next request's emission time."""
-        self._last_response = time
-        due = time + self.t_ticks
-        self.stream.rebase(due)
-        return due
+        self.next_allowed = time + self.t_ticks
+        return self.next_allowed
 
     def emitted(self, real: bool) -> None:
         """Account one emitted request."""
-        self.stream.occurrences += 1
         self.stats.counter("real" if real else "dummy").add()
 
     def retransmitted(self) -> None:
         """Account one retransmission riding a fixed-rate slot.
 
         A retransmitted secure-link frame replaces what would otherwise
-        be a dummy emission, so it joins the occurrence census without
-        counting as a real or dummy request.
+        be a dummy emission, so it counts as neither a real nor a dummy
+        request.
         """
-        self.stream.occurrences += 1
         self.stats.counter("retransmit").add()
 
     def real_fraction(self) -> float:

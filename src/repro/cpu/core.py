@@ -42,13 +42,6 @@ from repro.trace.trace_format import TraceRecord
 _READ = OpType.READ
 _WRITE = OpType.WRITE
 
-#: Smallest remaining instruction gap worth crunching (see ``_crunch``):
-#: below this the setup cost plus the issue-stop re-run beats the saved
-#: dispatches, so the wakes are dispatched normally.  Purely a
-#: performance knob -- any value yields the same simulation.
-_CRUNCH_MIN_GAP = 32
-
-
 @dataclass(frozen=True)
 class CoreParams:
     """Pipeline parameters (defaults are the paper's Table II)."""
@@ -118,7 +111,7 @@ class Core:
         "_pending", "finished", "finish_time", "_wake_pending_at",
         "_waiting_for_space", "_rob_size", "_fetch_width", "_retire_width",
         "_loads_retired", "_stores_retired", "_loads_issued",
-        "_stores_issued", "_load_to_use", "_crunch_ok",
+        "_stores_issued", "_load_to_use",
     )
 
     def __init__(
@@ -165,21 +158,11 @@ class Core:
         self._loads_issued = self.stats.counter("loads_issued")
         self._stores_issued = self.stats.counter("stores_issued")
         self._load_to_use = self.stats.latency("load_to_use")
-        # Gap crunching (see _crunch) is only sound when synthesized
-        # occurrences are allowed and no per-dispatch engine trace would
-        # miss the skipped wakes.
-        self._crunch_ok = (
-            engine.lazy_periodic and not engine._tracer.enabled
-        )
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Schedule the first wake at time 0."""
         self._schedule_wake(self.engine.now)
-
-    @property
-    def rob_occupancy(self) -> int:
-        return self._instr_fetched - self._retired_idx
 
     # ------------------------------------------------------------------
     # Wake machinery
@@ -354,23 +337,6 @@ class Core:
             # engine seq order of the unfused code.
             if wake_at < now:
                 wake_at = now
-            elif (
-                wake_at > now
-                and gap_remaining >= _CRUNCH_MIN_GAP
-                and not pending
-                and self._crunch_ok
-                and not self._waiting_for_space
-            ):
-                # Quiescent gap: no in-flight op and no space callback
-                # means nothing external can wake or observe this core,
-                # so successive wakes are a closed function of core
-                # state -- crunch them here instead of dispatching each.
-                # The gap floor keeps the crunch out of memory-bound
-                # phases, where its setup cost plus the re-run of the
-                # issue-stopped iteration exceeds the few dispatches it
-                # would save (skipping is always census-safe: the wakes
-                # are simply dispatched like eager mode would).
-                wake_at = self._crunch(wake_at)
             self._wake_pending_at = wake_at
             seq = engine._seq
             engine._seq = seq + 1
@@ -405,144 +371,6 @@ class Core:
                 engine._push((target, seq, self._wake, _NO_ARG))
 
     # ------------------------------------------------------------------
-    # Gap crunching (lazy periodic mode)
-    # ------------------------------------------------------------------
-    def _crunch(self, sim_now: int) -> int:
-        """Fast-forward successive wakes across a quiescent stretch.
-
-        Preconditions (checked by the caller): the pending deque is
-        empty, no space callback is registered, and ``sim_now`` (the next
-        wake) is strictly in the future.  Under those, the only events
-        that can exist before the next *foreign* engine event are this
-        core's own wakes, and each wake's effect is pure arithmetic on
-        the fetch/retire state -- so iterations are simulated locally
-        (one synthesized occurrence each) instead of dispatched.
-
-        Stopping rules keep the observable timeline bit-identical to the
-        eager census:
-
-        * An iteration that would interact with the memory port (issue a
-          request) or finish the trace is *not* simulated; the single
-          real wake this method returns re-runs it at the same tick
-          (retirement at an already-processed tick is idempotent), so
-          issue/arrival stamps, port state reads, and finish bookkeeping
-          happen exactly where eager dispatch put them.
-        * Crunching never crosses the earliest foreign queued event:
-          past it, foreign same-tick FIFO interleavings could differ.
-          The wake pushed for the first not-simulated iteration then
-          occupies the same seq position eager's push would (after all
-          currently queued entries, before anything a later dispatch
-          pushes), so same-tick ordering is preserved too.
-
-        Inside a long gap the iteration pattern reaches a steady state
-        (retire ``w``, fetch ``w``, advance one cycle); once detected it
-        is applied in closed form, making a multi-thousand-instruction
-        gap O(1) instead of O(gap / width).
-        """
-        engine = self.engine
-        limit = engine.peek_time()
-        if limit is not None and sim_now >= limit:
-            return sim_now
-        retired_idx = self._retired_idx
-        retire_time = self._retire_time
-        instr_fetched = self._instr_fetched
-        fetch_time = self._fetch_time
-        gap_remaining = self._gap_remaining
-        mem_op = self._mem_op
-        trace = self._trace
-        rob_size = self._rob_size
-        fetch_width = self._fetch_width
-        retire_width = self._retire_width
-        cyc = CPU_CYCLE_TICKS
-        steady_ok = fetch_width == retire_width and rob_size > fetch_width
-        synthesized = 0
-        try:
-            while True:
-                # -- retirement at sim_now (pending empty -> frontier is
-                # the fetch head); mirrors the _wake retirement pass.
-                gap = instr_fetched - retired_idx
-                if gap > 0:
-                    full = retire_time + -(-gap // retire_width) * cyc
-                    if full <= sim_now:
-                        retired_idx = instr_fetched
-                        retire_time = full
-                    else:
-                        avail = (sim_now - retire_time) // cyc
-                        n = avail * retire_width
-                        if n > gap:
-                            n = gap
-                        if n > 0:
-                            retired_idx += n
-                            retire_time += -(-n // retire_width) * cyc
-                # -- fetch; mirrors the _wake fetch loop up to the first
-                # port interaction.
-                next_wake = None
-                while True:
-                    if mem_op is None and gap_remaining == 0:
-                        if self._trace_exhausted:
-                            break
-                        try:
-                            mem_op = next(trace)
-                        except StopIteration:
-                            self._trace_exhausted = True
-                            break
-                        gap_remaining = mem_op.gap
-                    free = rob_size - (instr_fetched - retired_idx)
-                    if free <= 0:
-                        next_wake = retire_time + cyc
-                        break
-                    if fetch_time > sim_now:
-                        next_wake = fetch_time
-                        break
-                    if gap_remaining > 0:
-                        n = gap_remaining if gap_remaining < free else free
-                        instr_fetched += n
-                        gap_remaining -= n
-                        fetch_time = sim_now + -(-n // fetch_width) * cyc
-                        continue
-                    # A memory op would issue here: stop un-simulated.
-                    return sim_now
-                if next_wake is None:
-                    # Trace drained: the real wake finishes at sim_now.
-                    return sim_now
-                synthesized += 1
-                if limit is not None and next_wake >= limit:
-                    return next_wake
-                sim_now = next_wake
-                if (
-                    steady_ok
-                    and gap_remaining > 3 * fetch_width
-                    and instr_fetched - retired_idx == rob_size
-                    and sim_now - retire_time == cyc
-                    and fetch_time == sim_now
-                ):
-                    # Steady state: each iteration retires and fetches
-                    # exactly one width's worth and advances one cycle.
-                    m = gap_remaining // fetch_width - 2
-                    if limit is not None:
-                        by_time = (limit - 1 - sim_now) // cyc
-                        if by_time < m:
-                            m = by_time
-                    if m > 0:
-                        dn = m * fetch_width
-                        dt = m * cyc
-                        retired_idx += dn
-                        instr_fetched += dn
-                        gap_remaining -= dn
-                        retire_time += dt
-                        fetch_time += dt
-                        sim_now += dt
-                        synthesized += m
-        finally:
-            self._retired_idx = retired_idx
-            self._retire_time = retire_time
-            self._instr_fetched = instr_fetched
-            self._fetch_time = fetch_time
-            self._gap_remaining = gap_remaining
-            self._mem_op = mem_op
-            engine._synthesized += synthesized
-
-    # ------------------------------------------------------------------
     # Retirement accounting
     # ------------------------------------------------------------------
     def _cycles_ticks(self, n_instr: int, width: int) -> int:
@@ -553,10 +381,6 @@ class Core:
     # ------------------------------------------------------------------
     # Callbacks
     # ------------------------------------------------------------------
-    def _read_complete(self, entry: _PendingOp, time: int) -> None:
-        entry.complete = time
-        self._schedule_wake(time)
-
     def _space_available(self) -> None:
         self._waiting_for_space = False
         self._schedule_wake(self.engine.now)

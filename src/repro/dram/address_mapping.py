@@ -31,14 +31,6 @@ class DeviceGeometry:
     lines_per_row: int = 128  # 8 KB row / 64 B line
     num_rows: int = 1 << 16
 
-    @property
-    def lines_per_bank(self) -> int:
-        return self.lines_per_row * self.num_rows
-
-    @property
-    def capacity_lines(self) -> int:
-        return self.lines_per_bank * self.num_banks
-
 
 @dataclass(frozen=True)
 class LineAddress:

@@ -23,7 +23,6 @@ from typing import Optional, Tuple
 
 from repro.dram.commands import MemRequest
 from repro.dram.timing import DDR3Timing
-from repro.sim.periodic import PeriodicStream
 
 
 class Bank:
@@ -232,11 +231,10 @@ class RankTimers:
         #: Ticks of the most recent activates (at most 4 kept).
         self._acts: list = []
         self._last_write_end = -(10**12)
-        #: The refresh deadline as a lazy occurrence stream: one window
-        #: every tREFI, first due one interval in.  The channel's service
-        #: loop consumes overdue windows in closed form (see
-        #: :mod:`repro.sim.periodic`).
-        self.refresh = PeriodicStream(timing.tREFI)
+        #: Start tick of the next refresh window: one window every
+        #: tREFI, the first one interval in.  The channel's service loop
+        #: takes one due window per service and advances this by tREFI.
+        self.refresh = timing.tREFI
         self.refreshes = 0
         self._tRRD = timing.tRRD
         self._tFAW = timing.tFAW

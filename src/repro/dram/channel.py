@@ -194,12 +194,6 @@ class Channel:
         self._tBURST = timing.tBURST
         self._tRTW = timing.tRTW
         self._close_page = page_policy == "close"
-        # Refresh census plumbing: the rank's deadline stream (eager mode
-        # pins it to one window per service dispatch, the pre-lazy
-        # census), plus cached tREFI/tRFC so the catch-up path does
-        # closed-form batches without dict lookups.
-        self._refresh_stream = self.rank.refresh
-        self._refresh_stream.eager = not engine.lazy_periodic
         self._tREFI = timing.tREFI
         self._tRFC = timing.tRFC
         #: The live :class:`LaneGroup` this channel is a lane of, if any.
@@ -435,49 +429,34 @@ class Channel:
         # Refresh first: if the refresh deadline has passed, stall the rank
         # for tRFC with every bank precharged.  The deadline is read
         # directly (one compare on the not-due path, which is every
-        # service but one in ~7.8 us).  All overdue windows are consumed
-        # in one dispatch: the pre-batch code chained one same-tick
-        # service dispatch per window (each window's end lands before
-        # ``now`` except possibly the last), so stats, command log, and
-        # trace entries are reconstructed per window back-dated exactly
-        # where those dispatches put them, and the skipped dispatches are
-        # accounted as synthesized occurrences.  In eager periodic mode
-        # the stream hands over one window at a time, reproducing the
-        # dispatch-per-window census bit-for-bit.
-        stream = self._refresh_stream
-        if now >= stream.next_due:
-            first, count = stream.take_due(now)
-            tRFC = self._tRFC
-            last_start = first + (count - 1) * self._tREFI
-            last_end = last_start + tRFC
+        # service but one in ~7.8 us).  One window per service: the
+        # window starts at its deadline, back-dated if the channel sat
+        # idle past it, and the service scheduled behind it takes the
+        # next window if that one is due too.
+        rank = self.rank
+        start = rank.refresh
+        if now >= start:
+            end = start + self._tRFC
+            rank.refresh = start + self._tREFI
+            rank.refreshes += 1
             log = self.command_log
             if log is not None:
                 from repro.dram.compliance import DramCommand
 
-                start = first
-                for _ in range(count):
-                    log.append(
-                        DramCommand(start, "REF", -1, None, start + tRFC)
-                    )
-                    start += self._tREFI
+                log.append(DramCommand(start, "REF", -1, None, end))
             if self._tracer.enabled:
-                self._tracer.complete_series(
-                    "dram", "refresh", self.name, first, self._tREFI,
-                    count, tRFC,
-                )
+                self._tracer.complete("dram", "refresh", self.name, start,
+                                      self._tRFC)
             for bank in self.banks:
-                bank.force_precharge(last_end)
-            if last_end > self._bus_free:
-                self._bus_free = last_end
-            self.rank.refreshes += count
-            if count > 1:
-                engine._synthesized += count - 1
+                bank.force_precharge(end)
+            if end > self._bus_free:
+                self._bus_free = end
             resume = max(now, self._bus_free)
             seq = engine._seq
             engine._seq = seq + 1
             engine._push((resume, seq, self._service, _NO_ARG))
             if group is not None:
-                group.follow_refresh(first, count, resume)
+                group.follow_refresh(start, resume)
             return
 
         # Queue choice: write-drain hysteresis, plus a starvation bound
@@ -870,34 +849,28 @@ class LaneGroup:
                     },
                 )
 
-    def follow_refresh(self, first: int, count: int, resume: int) -> None:
-        """The followers' side of a refresh service: ``count`` windows
-        from ``first`` each, then the next service at ``resume``.  Each
-        follower's ``rank.refreshes`` (its ``refreshes`` statistic),
-        command log and trace events are written per lane."""
+    def follow_refresh(self, start: int, resume: int) -> None:
+        """The followers' side of a refresh service: the window from
+        ``start``, then the next service at ``resume``.  Each follower's
+        ``rank.refreshes`` (its ``refreshes`` statistic), command log and
+        trace event are written per lane."""
         leader = self.leader
         engine = leader.engine
         followers = self.followers
         n = len(followers)
-        # Each follower's dispatch, plus its count - 1 batched windows.
-        engine._synthesized += n * count
-        tREFI = leader._tREFI
+        # Each follower's dispatch.
+        engine._synthesized += n
         tRFC = leader._tRFC
         tracer = leader._tracer
         for lane in followers:
-            lane.rank.refreshes += count
+            lane.rank.refreshes += 1
             log = lane.command_log
             if log is not None:
                 from repro.dram.compliance import DramCommand
 
-                start = first
-                for _ in range(count):
-                    log.append(DramCommand(start, "REF", -1, None,
-                                           start + tRFC))
-                    start += tREFI
+                log.append(DramCommand(start, "REF", -1, None, start + tRFC))
             if tracer.enabled:
-                tracer.complete_series("dram", "refresh", lane.name, first,
-                                       tREFI, count, tRFC)
+                tracer.complete("dram", "refresh", lane.name, start, tRFC)
         seq = engine._seq
         engine._seq = seq + n
         self._pending = range(seq, seq + n)
@@ -913,7 +886,7 @@ class LaneGroup:
         (its own requests, with its own coordinates and its own
         :class:`CompletionGroup`\\ s at the leader's remaining counts),
         the FR-FCFS indexes, the queue lengths, the banks (with their row
-        counts), the rank timers and refresh stream, the bus and drain
+        counts), the rank timers and refresh deadline, the bus and drain
         state, and a copy of the statistics under its own name -- and its
         pending service is pushed at its own seq.
         """
@@ -1009,5 +982,4 @@ def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:
     rank = lane.rank
     rank._acts = list(leader.rank._acts)
     rank._last_write_end = leader.rank._last_write_end
-    rank.refresh.next_due = leader.rank.refresh.next_due
-    rank.refresh.occurrences = leader.rank.refresh.occurrences
+    rank.refresh = leader.rank.refresh

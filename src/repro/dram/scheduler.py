@@ -45,6 +45,18 @@ class SharePolicy:
         }
         self.served: Dict[TrafficClass, int] = {cls: 0 for cls in self.weights}
 
+    @classmethod
+    def preallocated(cls, secure_share: float) -> "SharePolicy":
+        """Bandwidth preallocation for a channel that carries both secure
+        and normal traffic ([39]; Section IV): ``secure_share`` of the
+        contended slots go to SECURE, the rest to NORMAL.  Every fabric
+        builder (the trace-replay system and the scenario service layer)
+        derives its policy here from its ``secure_share`` knob."""
+        return cls({
+            TrafficClass.SECURE: secure_share,
+            TrafficClass.NORMAL: 1.0 - secure_share,
+        })
+
     def pick_between(self, first: TrafficClass,
                      second: TrafficClass) -> TrafficClass:
         """:meth:`pick_class` of ``[first, second]``, allocating nothing:

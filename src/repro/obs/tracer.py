@@ -112,10 +112,6 @@ class NullTracer:
     def complete(self, cat, name, track, ts, dur, args=None) -> None:
         pass
 
-    def complete_series(self, cat, name, track, first_ts, period, count,
-                        dur, args=None) -> None:
-        pass
-
     def counter(self, cat, name, track, ts, values) -> None:
         pass
 
@@ -193,34 +189,6 @@ class Tracer:
         self.events.append(
             TraceEvent(ts, cat, name, track, PH_COMPLETE, dur, args)
         )
-
-    def complete_series(
-        self,
-        cat: str,
-        name: str,
-        track: str,
-        first_ts: int,
-        period: int,
-        count: int,
-        dur: int,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """``count`` duration events at a fixed cadence (phase ``X``).
-
-        The census layer reconstructs periodic occurrences it elided --
-        e.g. refresh catch-up windows -- in one call; the emitted records
-        are individually identical (same order, same timestamps) to
-        ``count`` separate :meth:`complete` calls at
-        ``first_ts + i * period``, so the canonical trace and its digest
-        cannot tell the difference.
-        """
-        events = self.events
-        ts = first_ts
-        for _ in range(count):
-            events.append(
-                TraceEvent(ts, cat, name, track, PH_COMPLETE, dur, args)
-            )
-            ts += period
 
     def counter(
         self,

@@ -26,7 +26,6 @@ from repro.core.delegator import OramSequencer, SecureDelegator
 from repro.core.frontend import OramFrontend
 from repro.core.system import build_bob_fabric, build_delegated_frontend
 from repro.dram.address_mapping import DeviceGeometry
-from repro.dram.commands import TrafficClass
 from repro.dram.scheduler import SharePolicy
 from repro.obs.snapshot import StatsSampler
 from repro.oram.controller import OramController
@@ -181,10 +180,6 @@ def build_scenario(
     if faults is not None:
         faults.bind(engine, tracer)
     geometry = DeviceGeometry()
-    secure_policy = SharePolicy({
-        TrafficClass.SECURE: config.secure_share,
-        TrafficClass.NORMAL: 1.0 - config.secure_share,
-    })
     channels, bobs = build_bob_fabric(
         engine,
         num_channels=config.num_channels,
@@ -194,7 +189,7 @@ def build_scenario(
         dram_timing=config.dram_timing,
         channel_params=config.channel_params,
         link_params=config.link_params,
-        secure_policy=secure_policy,
+        secure_policy=SharePolicy.preallocated(config.secure_share),
         tracer=tracer,
     )
 

@@ -124,14 +124,14 @@ class Engine:
         per-dispatch events under the ``engine`` category; dispatch
         tracing is opt-in because it emits one event per callback.
 
-        ``periodic`` selects how fixed-cadence model bookkeeping (rank
-        refresh, the secure engine's emitter, core gap crunching) is
-        materialized: ``"lazy"`` (default) lets models fast-forward
-        quiescent stretches in closed form, synthesizing the skipped
-        occurrences into the event census, and lets channels book no-op
-        completions instead of dispatching them; ``"eager"`` forces the
-        one-event-per-occurrence behavior (the census-invariance
-        differential oracle).  Any other value raises ``ValueError``.
+        ``periodic`` selects whether the whole-run loop may elide
+        dispatches that change nothing model-visible: ``"lazy"``
+        (default) lets channels book no-op completions instead of
+        dispatching them and lets lockstep sub-channels run as one lane
+        group, counting each elided occurrence into the event census as
+        synthesized; ``"eager"`` turns both off and dispatches one event
+        per occurrence (the census-invariance differential oracle).  Any
+        other value raises ``ValueError``.
         """
         if periodic not in ("lazy", "eager"):
             raise ValueError(f"unknown periodic mode {periodic!r}")
@@ -144,13 +144,13 @@ class Engine:
         )
         self._seq = 0
         self._events_dispatched = 0
-        #: Occurrences of periodic model work that lazy fast-forwarding
-        #: reconstructed without a dispatch, plus booked no-op
-        #: completions (see ``_ledger``).  Added into
-        #: :attr:`events_dispatched` so the logical census (and every
-        #: serialized SimResult) is identical across periodic modes.
+        #: Occurrences accounted without a dispatch: booked no-op
+        #: completions (see ``_ledger``) and the followers' services of
+        #: a live lane group.  Added into :attr:`events_dispatched` so
+        #: the logical census (and every serialized SimResult) is
+        #: identical across periodic modes.
         self._synthesized = 0
-        #: True when models may fast-forward periodic work (see above).
+        #: True when bookings and lane groups may elide dispatches.
         self.lazy_periodic = periodic == "lazy"
         #: Seqs of cancelled-but-not-yet-popped entries.  The dispatch
         #: loop guards on the set's truthiness, so the no-cancellation
@@ -471,11 +471,11 @@ class Engine:
     def events_dispatched(self) -> int:
         """Logical event census: dispatches plus synthesized occurrences.
 
-        Lazy periodic fast-forwarding and booked no-op completions remove
-        heap events but account every occurrence here, so this census
-        (and the SimResult payloads built from it) is identical whichever
-        ``periodic`` mode ran.  :attr:`raw_events_dispatched` counts
-        actual dispatches only.
+        Booked no-op completions and lane groups remove heap events but
+        account every occurrence here, so this census (and the SimResult
+        payloads built from it) is identical whichever ``periodic`` mode
+        ran.  :attr:`raw_events_dispatched` counts actual dispatches
+        only.
         """
         return self._events_dispatched + self._synthesized
 
@@ -486,23 +486,6 @@ class Engine:
 
     @property
     def events_synthesized(self) -> int:
-        """Occurrences accounted without a dispatch (periodic work and
-        booked completions)."""
+        """Occurrences accounted without a dispatch (booked completions
+        and lane-group followers' services)."""
         return self._synthesized
-
-    def note_synthesized(self, count: int) -> None:
-        """Account ``count`` periodic occurrences handled without a
-        dispatch (see :attr:`events_dispatched`)."""
-        self._synthesized += count
-
-    def peek_time(self) -> Optional[int]:
-        """Tick of the next live queued event, or ``None`` if none remain.
-
-        Cancel tombstones at the head are drained on the way, so a
-        cancelled event never bounds a caller's fast-forward.
-        """
-        cancelled = self._cancelled_seqs
-        queue = self._queue
-        while queue and cancelled and queue[0][1] in cancelled:
-            cancelled.remove(heappop(queue)[1])
-        return queue[0][0] if queue else None

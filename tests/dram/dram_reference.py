@@ -126,7 +126,7 @@ def refresh_window(rank: RankTimers, time: int) -> Optional[Tuple[int, int]]:
     The caller must invoke :func:`complete_refresh` to advance the
     schedule after stalling for the window.
     """
-    due = rank.refresh.next_due
+    due = rank.refresh
     if time >= due:
         return (due, due + rank._tRFC)
     return None
@@ -134,6 +134,4 @@ def refresh_window(rank: RankTimers, time: int) -> Optional[Tuple[int, int]]:
 
 def complete_refresh(rank: RankTimers) -> None:
     rank.refreshes += 1
-    stream = rank.refresh
-    stream.occurrences += 1
-    stream.next_due += rank._tREFI
+    rank.refresh += rank._tREFI

@@ -95,28 +95,6 @@ class TestEmission:
         assert event.ph == PH_COUNTER
         assert event.args == {"depth": 4}
 
-    def test_complete_series_matches_individual_completes(self):
-        # The census layer's batch hook must be indistinguishable from
-        # the per-occurrence calls it replaces.
-        batched = Tracer()
-        batched.complete_series("dram", "refresh", "ch0", 1000, 250, 3, 40)
-        loop = Tracer()
-        for i in range(3):
-            loop.complete("dram", "refresh", "ch0", 1000 + i * 250, 40)
-        assert len(batched) == len(loop) == 3
-        for got, want in zip(batched.events, loop.events):
-            assert (
-                (got.ts, got.cat, got.name, got.track, got.ph, got.dur,
-                 got.args)
-                == (want.ts, want.cat, want.name, want.track, want.ph,
-                    want.dur, want.args)
-            )
-
-    def test_complete_series_zero_count_is_noop(self):
-        tracer = Tracer()
-        tracer.complete_series("dram", "refresh", "ch0", 0, 10, 0, 5)
-        assert len(tracer) == 0
-
     def test_len_and_clear(self):
         tracer = Tracer()
         tracer.instant("dram", "a", "t", 0)

@@ -52,6 +52,16 @@ class TestScenarioPoint:
         assert config.oram.leaf_level == 12
         assert config.arrival.rate_rps == 200_000.0
 
+    def test_unknown_override_names_the_known_fields(self):
+        # The scenario layer shares make_config's override grammar: a
+        # bad key is a ValueError naming what exists, not a TypeError.
+        from repro.scenarios.config import apply_overrides
+
+        with pytest.raises(ValueError, match="rate_rps"):
+            apply_overrides(ScenarioConfig(), {"arrival.nope": 1.0})
+        with pytest.raises(ValueError, match="arrival"):
+            apply_overrides(ScenarioConfig(), {"nope.rate_rps": 1.0})
+
     def test_execute_payload_shape(self):
         payload = _grid()[0].execute(with_digest=True)
         assert payload["point"]["kind"] == "scenario"

@@ -1,24 +1,23 @@
-"""Census invariance: lazy periodic streams change *what is dispatched*,
-never *what happens*.
+"""Census invariance: lazy mode changes *what is dispatched*, never
+*what happens*.
 
-The engine's lazy mode (the default) elides dispatches for periodic
-occurrences it can reconstruct in closed form -- DRAM refresh catch-up
-windows and idle core wakes -- and books them as *synthesized* so the
+The engine's lazy mode (the default) elides two kinds of dispatch:
+booked no-op completions and the followers' services of a live lane
+group.  Each elided occurrence is counted as *synthesized*, so the
 logical event census (``Engine.events_dispatched``) matches the eager
-dispatch-per-occurrence engine exactly.  This suite pins that equivalence
-at every observable layer:
+dispatch-per-occurrence engine exactly.  Everything else -- core wakes,
+refresh windows -- is one dispatch per occurrence in both modes.  This
+suite pins that contract at every observable layer:
 
 * whole-system :class:`SimResult` payloads (fig9 schemes, both periodic
-  modes) are byte-identical;
+  modes) are byte-identical, and booking really elides dispatches;
 * golden trace digests match across eager/lazy;
 * the *implied DRAM command stream* -- the PRE/ACT/RD/WR/REF sequence the
-  protocol referee replays -- is identical even when idle gaps force
-  multi-window refresh catch-up, and still passes the referee;
+  protocol referee replays -- is identical even when idle gaps leave
+  several refresh windows owed, and still passes the referee;
 * channel StatSet snapshots (refresh counters included) are identical;
-* :class:`PeriodicStream`'s closed forms agree with one-at-a-time
-  eager consumption;
-* on an idle-heavy core, lazy mode really elides: it dispatches at most
-  1/20 of the logical events the eager engine dispatches one by one;
+* a single idle-heavy core with no booked completion and no lane group
+  dispatches every logical event in lazy mode too;
 * the multi-tenant golden *scenario* (open-loop service layer) produces
   the committed report and trace digests in both periodic modes.
 
@@ -41,55 +40,10 @@ from repro.dram.timing import DDR3_1600 as T
 from repro.obs.export import trace_digest
 from repro.obs.golden import run_traced
 from repro.sim.engine import Engine
-from repro.sim.periodic import PeriodicStream
 from repro.trace.synthetic import SyntheticTrace, TraceParams, with_copy_seed
 
 FIG9_SCHEMES = ("baseline", "doram", "doram+1")
 TRACE_LENGTH = 300
-
-
-# ---------------------------------------------------------------------------
-# PeriodicStream closed forms vs eager consumption
-# ---------------------------------------------------------------------------
-
-class TestPeriodicStream:
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            PeriodicStream(0)
-
-    def test_first_due_defaults_to_period(self):
-        assert PeriodicStream(10).next_due == 10
-        assert PeriodicStream(10, first_due=3).next_due == 3
-
-    @pytest.mark.parametrize("period,first,now", [
-        (10, 10, 10), (10, 10, 19), (10, 10, 55), (7, 3, 100), (1, 0, 42),
-    ])
-    def test_take_due_matches_one_at_a_time(self, period, first, now):
-        lazy = PeriodicStream(period, first_due=first)
-        eager = PeriodicStream(period, first_due=first, eager=True)
-        start, count = lazy.take_due(now)
-        assert start == first
-        # Eager mode hands over exactly one occurrence per call; the
-        # closed form must equal draining it in a loop.
-        eager_times = []
-        while eager.due(now):
-            t, n = eager.take_due(now)
-            assert n == 1
-            eager_times.append(t)
-        assert count == len(eager_times)
-        assert eager_times == [first + i * period for i in range(count)]
-        assert lazy.next_due == eager.next_due
-        assert lazy.occurrences == eager.occurrences
-
-    def test_not_due_before_deadline(self):
-        stream = PeriodicStream(10)
-        assert not stream.due(9)
-        assert stream.due(10)
-
-    def test_rebase(self):
-        stream = PeriodicStream(10)
-        stream.rebase(77)
-        assert stream.next_due == 77
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +64,8 @@ class TestFig9CensusInvariance:
         assert lazy.to_json_dict() == eager.to_json_dict()
         assert lazy.events == eager.events
         # Eager mode synthesizes nothing; lazy must actually dispatch
-        # fewer raw events (otherwise the census machinery is dead code).
+        # fewer raw events (booked completions; otherwise the census
+        # machinery is dead code).
         assert eager.raw_events == eager.events
         assert lazy.raw_events < eager.raw_events
 
@@ -128,16 +83,15 @@ class TestGoldenDigestInvariance:
 
 
 # ---------------------------------------------------------------------------
-# Idle fast-forward: the census win on a sparse core
+# An idle core: one dispatch per occurrence in both modes
 # ---------------------------------------------------------------------------
 
 def _long_idle(periodic):
     """One MPKI-0.5 core over two channels: ~500 pipeline cycles between
     LLC misses, so nearly every logical event is an idle core wake or a
-    refresh with nothing else due -- what the gap crunch and refresh
-    batching elide.  One core on purpose: co-running cores pin
-    ``Engine.peek_time()`` a cycle ahead and legitimately bound the skip
-    (DESIGN.md section 9a)."""
+    refresh with nothing else due.  Direct channels book no completion
+    (a core's read completion wakes it) and form no lane group, so
+    nothing here may be elided."""
     eng = Engine(periodic=periodic)
     channels = {(0, 0): Channel(eng, "idle0"), (1, 0): Channel(eng, "idle1")}
     params = with_copy_seed(TraceParams(mpki=0.5, seed=11), 0)
@@ -150,13 +104,15 @@ def _long_idle(periodic):
 
 
 class TestLongIdleCensus:
-    def test_lazy_elides_most_dispatches_of_an_idle_core(self):
+    def test_lazy_dispatches_every_idle_occurrence(self):
         eager = _long_idle("eager")
         lazy = _long_idle("lazy")
         assert lazy.events_dispatched == eager.events_dispatched
         assert lazy.now == eager.now
         assert eager.raw_events_dispatched == eager.events_dispatched
-        assert lazy.raw_events_dispatched * 20 <= lazy.events_dispatched
+        # Core wakes and refresh windows are never synthesized.
+        assert lazy.events_synthesized == 0
+        assert lazy.raw_events_dispatched == lazy.events_dispatched
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +121,8 @@ class TestLongIdleCensus:
 
 def _bursty_channel(periodic):
     """A channel fed short bursts separated by multi-tREFI idle gaps, so
-    the first service after each gap owes several refresh windows."""
+    the first service after each gap owes several refresh windows, which
+    it takes one per service."""
     eng = Engine(periodic=periodic)
     channel = Channel(eng, "ch0")
     log = channel.start_command_log()
@@ -180,8 +137,8 @@ def _bursty_channel(periodic):
                 ))
         return feed
 
-    # Gaps of ~2.5x, ~4.2x, and ~1.1x tREFI: catch-up batches of
-    # different depths, plus one ordinary single-window refresh.
+    # Gaps of ~2.5x, ~4.2x, and ~1.1x tREFI: catch-ups of different
+    # depths, plus one ordinary single-window refresh.
     for burst_idx, gap_mult in enumerate((0.0, 2.5, 6.7, 7.8)):
         eng.at(int(T.tREFI * gap_mult), burst(burst_idx * 3))
     eng.run()
@@ -196,7 +153,7 @@ class TestRefreshCatchUpInvariance:
         refs = [c for c in log_eager if c.kind == "REF"]
         assert len(refs) >= 7, "gaps failed to force refresh catch-up"
         # The implied command streams -- including every back-dated REF
-        # window inside the catch-up batches -- must be identical.
+        # window a gap left owed -- must be identical.
         assert log_lazy == log_eager
         # And both must satisfy the independent JEDEC referee.
         checker = ProtocolChecker(T, ch_eager.params.num_banks)
@@ -210,12 +167,9 @@ class TestRefreshCatchUpInvariance:
         assert ch_lazy.rank.refreshes == ch_eager.rank.refreshes
         assert eng_lazy.events_dispatched == eng_eager.events_dispatched
         assert eng_lazy.now == eng_eager.now
-        # The batched windows really were elided from the dispatch count.
-        assert eng_lazy.raw_events_dispatched < eng_eager.raw_events_dispatched
-        assert (
-            eng_lazy.raw_events_dispatched + eng_lazy.events_synthesized
-            == eng_lazy.events_dispatched
-        )
+        # Every owed window is its own service dispatch in both modes.
+        assert (eng_lazy.raw_events_dispatched
+                == eng_eager.raw_events_dispatched)
 
 
 # ---------------------------------------------------------------------------

@@ -136,12 +136,6 @@ class TestRunControl:
         eng.run()
         assert eng.events_dispatched == 4
 
-    def test_peek_time(self):
-        eng = Engine()
-        assert eng.peek_time() is None
-        eng.at(42, lambda: None)
-        assert eng.peek_time() == 42
-
     def test_run_until_past_bound_rejected(self):
         # A bound before ``now`` would move simulated time backwards.
         eng = Engine()
