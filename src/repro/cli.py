@@ -565,7 +565,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     }
     try:
         config = apply_overrides(ScenarioConfig(), overrides)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
     faults = None
@@ -604,7 +604,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         try:
             for point in points:
                 point.resolved_config()
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(str(exc))
         store = _store(args)
         sweep = run_sweep(points, workers=args.workers, store=store)

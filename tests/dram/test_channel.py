@@ -275,9 +275,9 @@ class TestSchedulerEdgeCases:
         assert ProtocolChecker(T, NUM_BANKS).check(log) == []
 
     def test_refresh_catchup_batch_matches_oracle(self):
-        # Idle for several tREFI windows, then a burst: the closed-form
-        # catch-up must book the same back-dated REF series as the eager
-        # one-refresh-per-window oracle.
+        # Idle for several tREFI windows, then a burst: the lazy run
+        # must take the same back-dated REF series, one window per
+        # service, as the eager oracle.
         ops = [(4 * T.tREFI + 17, b % 4, b % 3, b % 2 == 0, False)
                for b in range(6)]
         log = _replay(ops)
