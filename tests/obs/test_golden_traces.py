@@ -1,7 +1,8 @@
 """Golden-trace regression suite.
 
 Two properties of the golden schemes, one of every trace-pinned scheme,
-plus one payload pin per name in ``SCHEMES`` (see ``TestPayloadPins``):
+plus one payload pin per name in ``SCHEMES`` (see ``TestPayloadPins``)
+and the shape pins (see ``TestShapePins``):
 
 1. **Determinism** -- two fresh runs of the same golden configuration
    produce byte-identical canonical traces (same sha256 digest).
@@ -27,6 +28,8 @@ from repro.obs.golden import (
     golden_digest,
     payload_digest,
     run_traced,
+    shape_digests,
+    shape_names,
     trace_pinned_schemes,
 )
 
@@ -114,6 +117,26 @@ class TestPayloadPins:
                 "commit the updated golden_digests.json with an "
                 "explanation."
             )
+
+
+class TestShapePins:
+    """The shapes the ``SCHEMES`` pins do not reach -- several trees or
+    tenants per delegator, several secure channels, split trees with
+    merged short reads, forked paths, fault plans -- are pinned across
+    commits: each entry's result and trace digests, lazy and eager, must
+    equal the committed ones."""
+
+    def test_every_shape_is_pinned(self):
+        assert set(_GOLDEN["shapes"]) == set(shape_names())
+
+    @pytest.mark.parametrize("periodic", ["lazy", "eager"])
+    @pytest.mark.parametrize("name", shape_names())
+    def test_shape_matches_committed_pin(self, name, periodic):
+        assert shape_digests(name, periodic) == _GOLDEN["shapes"][name], (
+            f"{name} ({periodic}): the run's result or trace changed. If "
+            "intentional, run `python tools/regen_goldens.py` and commit "
+            "the updated golden_digests.json with an explanation."
+        )
 
 
 class TestEngineCategory:

@@ -11,8 +11,9 @@ Each scheme is run twice and must self-agree before anything is written;
 a mismatch means nondeterminism crept into the model and there is
 nothing sane to pin.  It records the trace digest of every scheme in
 ``trace_pinned_schemes()`` (the golden schemes and every other
-``SCHEMES`` name), the golden scenario's, and every ``SCHEMES`` name's
-payload pin: the digest of its untraced lazy run's canonical result.
+``SCHEMES`` name), the golden scenario's, every ``SCHEMES`` name's
+payload pin (the digest of its untraced lazy run's canonical result),
+and every shape pin's result and trace digests (``shape_names()``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.obs.golden import (  # noqa: E402
     GOLDEN_TRACE_LENGTH,
     golden_digest,
     payload_digest,
+    shape_digests,
+    shape_names,
     trace_pinned_schemes,
 )
 from repro.scenarios import golden_scenario_digests  # noqa: E402
@@ -61,6 +64,16 @@ def main() -> int:
             return 1
         payloads[scheme] = first
         print(f"payload.{scheme:<10} {first}")
+    shapes = {}
+    for name in shape_names():
+        first = shape_digests(name)
+        if first != shape_digests(name):
+            print(f"FATAL: shape {name} is nondeterministic",
+                  file=sys.stderr)
+            return 1
+        shapes[name] = first
+        for kind, digest in sorted(first.items()):
+            print(f"shape.{name}.{kind} {digest}")
     scenario = golden_scenario_digests()
     if scenario != golden_scenario_digests():
         print("FATAL: golden scenario is nondeterministic", file=sys.stderr)
@@ -73,6 +86,7 @@ def main() -> int:
         "digests": digests,
         "payloads": payloads,
         "scenario": scenario,
+        "shapes": shapes,
     }
     with open(os.path.normpath(OUT_PATH), "w") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
