@@ -1,9 +1,10 @@
 """A BOB memory channel: main controller, duplex link, simple controller.
 
-Normal (non-secure) traffic uses :meth:`BobChannel.submit`: the request
-crosses the down link as a packet (a short command packet for reads, a
-72 B data packet for writes), is queued at the simple controller into one
-of the DRAM sub-channels, and read data returns as a 72 B packet on the
+Normal (non-secure) traffic uses :meth:`BobChannel.enqueue`, which takes
+the same :class:`~repro.dram.commands.MemRequest` a DRAM channel does:
+the request crosses the down link as a packet (a short command packet for
+reads, a 72 B data packet for writes), is queued at the simple controller
+into its DRAM sub-channel, and read data returns as a 72 B packet on the
 up link.  An in-flight window back-pressures the processor side, standing
 in for BOB's credit flow control.
 
@@ -19,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.bob.link import LinkParams, SerialLink, _ARRIVAL_TIME
 from repro.dram.channel import Channel
-from repro.dram.commands import MemRequest, OpType, TrafficClass
+from repro.dram.commands import MemRequest, OpType
 from repro.sim.engine import Engine
 from repro.sim.stats import StatSet
 
@@ -36,7 +37,7 @@ class BobPacketSizes:
 class _NormalOp:
     """Completion chain for one normal-traffic request.
 
-    One instance replaces the two closures the submit path used to
+    One instance replaces the two closures the enqueue path would
     allocate per request (DRAM completion, then up-link delivery for
     reads): the object is handed to the sub-channel as ``on_complete``
     and, for reads, re-used as the up link's delivery callback.
@@ -117,35 +118,23 @@ class BobChannel:
     def notify_on_space(self, callback: Callable[[], None]) -> None:
         self._space_waiters.append(callback)
 
-    def submit(
-        self,
-        op: OpType,
-        subchannel: int,
-        bank: int,
-        row: int,
-        col: int,
-        app_id: int,
-        traffic: TrafficClass = TrafficClass.NORMAL,
-        on_complete: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Send one request through the channel."""
+    def enqueue(self, req: MemRequest) -> None:
+        """Send one request through the channel to sub-channel
+        ``req.subchannel``; ``req.on_complete`` fires once a write reaches
+        the simple controller's DRAM, or a read's data is back up."""
         if self._inflight >= self.window:
             raise RuntimeError(f"bob{self.channel_id}: window full")
         self._inflight += 1
-        if op is OpType.WRITE:
+        if req.is_write:
             # Writes finish at the simple controller; reads owe a data
             # packet on the up link first (see _NormalOp).
             size = self.packet_sizes.write_request
             tag = "wdata"
-            done = _NormalOp(self, on_complete, False)
+            req.on_complete = _NormalOp(self, req.on_complete, False)
         else:
             size = self.packet_sizes.read_request
             tag = "req"
-            done = _NormalOp(self, on_complete, True)
-        req = MemRequest(
-            op, self.channel_id, subchannel, bank, row, col,
-            app_id, traffic, 0, done,
-        )
+            req.on_complete = _NormalOp(self, req.on_complete, True)
         self._packets_down()
         self.down.send(size, self._arrive, tag=tag, arg=req)
 

@@ -19,6 +19,9 @@ These are the "extra messages" of Table I, and the delegator counts them
 so the reproduction can check itself against that table.  Each block's
 message chain is one :class:`_RemoteOp`, which also carries the chain's
 end-to-end integrity check.
+
+The delegator is the block sink of every tree it hosts: their
+controllers hand it each phase (:meth:`SecureDelegator.issue_phase`).
 """
 
 from __future__ import annotations
@@ -309,21 +312,9 @@ class _MergedRead:
             self.delegator._remote_dram(chain)
 
 
-class DelegatorSink(BlockSink):
-    """Routes path blocks: local sub-channels direct, remote via messages."""
-
-    def __init__(self, delegator: "SecureDelegator") -> None:
-        self.delegator = delegator
-
-    def issue_phase(self, placements, op, on_done):
-        return self.delegator.issue_phase(placements, op, on_done)
-
-    def notify_on_space(self, callback: Callable[[], None]) -> None:
-        self.delegator.notify_on_space(callback)
-
-
-class SecureDelegator:
-    """The on-board secure engine of D-ORAM."""
+class SecureDelegator(BlockSink):
+    """The on-board secure engine of D-ORAM, and its trees' block sink:
+    local blocks go to the secure sub-channels, remote ones as messages."""
 
     #: Outstanding remote (cross-channel) block messages allowed at once.
     REMOTE_WINDOW = 16
@@ -360,9 +351,8 @@ class SecureDelegator:
         self._tracer = (
             tracer if tracer is not None else NULL_TRACER
         ).category("sd")
-        self.sink = DelegatorSink(self)
-        #: Set by the system builder once the controller exists (the
-        #: controller needs the sink, the sink needs the delegator).
+        #: Set by the system builder on the first tree the SD hosts (the
+        #: controller takes the delegator as its sink).
         self.sequencer: Optional[OramSequencer] = None
         self._remote_outstanding = 0
         self._space_waiters: List[Callable[[], None]] = []

@@ -7,9 +7,10 @@
 * :class:`BobChannelSink` -- the failover engine under the BOB
   architecture: block accesses cross the serial links as ordinary
   traffic, one packet per block.
-* The D-ORAM delegator's sink lives in :mod:`repro.core.delegator`
-  because local sub-channel traffic and remote split-tree messages need
-  the delegator's link plumbing.
+* The D-ORAM delegator is itself the sink of the trees it hosts
+  (:class:`repro.core.delegator.SecureDelegator`), because local
+  sub-channel traffic and remote split-tree messages need its link
+  plumbing.
 
 The direct and delegator sinks issue a phase with :func:`split_phase`
 and :func:`issue_split`: the phase's channel-local placements are
@@ -228,8 +229,9 @@ class BobChannelSink(BlockSink):
     """Host-side block sink for failover under the BOB architecture.
 
     The fallback Path ORAM engine runs on the processor, so its path
-    blocks cross the serial links as ordinary traffic
-    (:meth:`BobChannel.submit`), tagged ``SECURE`` for the schedulers.
+    blocks cross the serial links as ordinary traffic, one
+    :class:`MemRequest` per block (:meth:`BobChannel.enqueue`), tagged
+    ``SECURE`` for the schedulers.
     Reads are MAC-verified at the host via :class:`GuardedRead` --
     failover must not give up the DRAM-flip protection.
     """
@@ -262,18 +264,20 @@ class BobChannelSink(BlockSink):
                     lambda b=bob, p=placement, g=guard: self._reissue(b, p, g)
                 )
                 on_complete = guard
-            bob.submit(op, placement.subchannel, placement.bank,
-                       placement.row, placement.col, self.app_id,
-                       TrafficClass.SECURE, on_complete)
+            self._send(bob, op, placement, on_complete)
             owed += 1
         return stalled, owed
+
+    def _send(self, bob: BobChannel, op: OpType, p: BlockPlacement,
+              on_complete: Callable[[int], None]) -> None:
+        bob.enqueue(MemRequest(op, p.channel, p.subchannel, p.bank, p.row,
+                               p.col, self.app_id, TrafficClass.SECURE, 0,
+                               on_complete))
 
     def _reissue(self, bob: BobChannel, placement: BlockPlacement,
                  guard: GuardedRead) -> None:
         if bob.can_accept(OpType.READ):
-            bob.submit(OpType.READ, placement.subchannel, placement.bank,
-                       placement.row, placement.col, self.app_id,
-                       TrafficClass.SECURE, guard)
+            self._send(bob, OpType.READ, placement, guard)
         else:
             bob.notify_on_space(
                 lambda: self._reissue(bob, placement, guard)

@@ -5,12 +5,16 @@ routers, DRAM channels (direct-attached or BOB), and whichever protection
 engine the scheme calls for -- runs it until every NS-App core drains its
 trace, and returns a :class:`SimResult` with the measurements every figure
 of the paper is computed from.
+
+The scenario layer shares :func:`build_bob_fabric` and
+:func:`build_delegation`, the one place delegated trees and their
+frontends are built.  Every NS-App port is an :class:`NsRouter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bob.channel import BobChannel
 from repro.core.channel_sharing import sharing_targets
@@ -29,6 +33,7 @@ from repro.dram.channel import Channel, LaneGroup
 from repro.dram.commands import MemRequest, OpType, TrafficClass
 from repro.dram.scheduler import SharePolicy, SingleClassPolicy
 from repro.obs.snapshot import StatsSampler
+from repro.oram.config import OramConfig
 from repro.oram.controller import OramController
 from repro.oram.layout import OramLayout
 from repro.securemem import SecureMemPort
@@ -42,7 +47,7 @@ APP_SLICE_LINES = 1 << 19
 
 
 class _RouterDone:
-    """Per-request completion for the NS-App routers.
+    """Per-request completion for :class:`NsRouter`.
 
     One ``__slots__`` object instead of a closure per issued request; the
     latency-stat update is inlined (latency is non-negative since
@@ -72,31 +77,64 @@ class _RouterDone:
             oc(time)
 
 
-class DirectRouter(MemoryPort):
-    """NS-App port for the direct-attached architecture."""
+class NsRouter(MemoryPort):
+    """NS-App port: ``line_map(line)`` gives ``(channel, subchannel,
+    bank, row, col)``, and ``targets[(channel, subchannel)]`` (a DRAM
+    :class:`Channel`, or the :class:`BobChannel` in front of the
+    sub-channel) takes the request; what a target cannot take yet waits
+    here.  :meth:`direct` and :meth:`bob` own the two line maps."""
 
     def __init__(
         self,
         engine: Engine,
-        channels: Dict[Tuple[int, int], Channel],
-        targets: List[Tuple[int, int]],
+        targets: Dict[Tuple[int, int], object],
+        line_map: Callable[[int], Tuple[int, int, int, int, int]],
         app_id: int,
-        app_slot: int,
-        geometry: DeviceGeometry = DeviceGeometry(),
         hold_cap: int = 16,
     ) -> None:
         self.engine = engine
-        self.channels = channels
+        self.targets = targets
+        self.line_map = line_map
         self.app_id = app_id
-        self.interleaver = ChannelInterleaver(
-            targets, geometry, app_base_line=app_slot * APP_SLICE_LINES
-        )
         self.hold_cap = hold_cap
         self.stats = StatSet(f"router{app_id}")
         self._held: List[MemRequest] = []
         self._space_waiters: List[Callable[[], None]] = []
         self._lat_read = self.stats.latency("read_latency")
         self._lat_write = self.stats.latency("write_latency")
+
+    @classmethod
+    def direct(cls, engine: Engine, channels: Dict[Tuple[int, int], Channel],
+               targets: List[Tuple[int, int]], app_id: int, app_slot: int,
+               geometry: DeviceGeometry = DeviceGeometry(),
+               hold_cap: int = 16) -> "NsRouter":
+        """Direct-attached channels: lines stripe across ``targets``."""
+        interleaver = ChannelInterleaver(
+            targets, geometry, app_base_line=app_slot * APP_SLICE_LINES
+        )
+        return cls(engine, channels, interleaver.map_line, app_id, hold_cap)
+
+    @classmethod
+    def bob(cls, engine: Engine, bobs: Dict[int, BobChannel],
+            allowed_channels: Tuple[int, ...], app_id: int, app_slot: int,
+            geometry: DeviceGeometry = DeviceGeometry(),
+            hold_cap: int = 16) -> "NsRouter":
+        """BOB channels: lines stripe across the allowed channels, then
+        across each channel's sub-channels."""
+        allowed = tuple(allowed_channels)
+        base_line = app_slot * APP_SLICE_LINES
+
+        def line_map(line_addr: int) -> Tuple[int, int, int, int, int]:
+            channel = allowed[line_addr % len(allowed)]
+            stream = line_addr // len(allowed)
+            nsub = len(bobs[channel].subchannels)
+            bank, row, col = decode_line(base_line + stream // nsub,
+                                         geometry)
+            return channel, stream % nsub, bank, row, col
+
+        targets = {(ch, i): bob for ch, bob in bobs.items()
+                   for i in range(len(bob.subchannels))}
+        return cls(engine, targets, line_map, app_id, hold_cap)
 
     def can_accept(self, op: OpType) -> bool:
         return len(self._held) < self.hold_cap
@@ -105,8 +143,7 @@ class DirectRouter(MemoryPort):
         self._space_waiters.append(callback)
 
     def issue(self, op, line_addr, app_id, on_complete) -> None:
-        channel, subchannel, bank, row, col = \
-            self.interleaver.map_line_tuple(line_addr)
+        channel, subchannel, bank, row, col = self.line_map(line_addr)
         done = _RouterDone(
             self._lat_write if op is OpType.WRITE else self._lat_read,
             self.engine.now, on_complete,
@@ -118,94 +155,18 @@ class DirectRouter(MemoryPort):
         self._send_or_hold(req)
 
     def _send_or_hold(self, req: MemRequest) -> None:
-        channel = self.channels[(req.channel, req.subchannel)]
-        if channel.can_accept(req.op):
-            channel.enqueue(req)
+        target = self.targets[(req.channel, req.subchannel)]
+        if target.can_accept(req.op):
+            target.enqueue(req)
             self._wake()
         else:
             self._held.append(req)
-            channel.notify_on_space(self._drain)
+            target.notify_on_space(self._drain)
 
     def _drain(self) -> None:
         held, self._held = self._held, []
         for req in held:
             self._send_or_hold(req)
-
-    def _wake(self) -> None:
-        if self._space_waiters and len(self._held) < self.hold_cap:
-            waiters, self._space_waiters = self._space_waiters, []
-            for callback in waiters:
-                callback()
-
-
-class BobRouter(MemoryPort):
-    """NS-App port for the BOB architecture.
-
-    Lines stripe across the app's allowed channels; within the secure
-    channel they further stripe across its four sub-channels.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        bobs: Dict[int, BobChannel],
-        allowed_channels: Tuple[int, ...],
-        app_id: int,
-        app_slot: int,
-        geometry: DeviceGeometry = DeviceGeometry(),
-        hold_cap: int = 16,
-    ) -> None:
-        self.engine = engine
-        self.bobs = bobs
-        self.allowed = tuple(allowed_channels)
-        self.app_id = app_id
-        self.base_line = app_slot * APP_SLICE_LINES
-        self.geometry = geometry
-        self.hold_cap = hold_cap
-        self.stats = StatSet(f"router{app_id}")
-        self._held: List[Tuple] = []
-        self._space_waiters: List[Callable[[], None]] = []
-        self._lat_read = self.stats.latency("read_latency")
-        self._lat_write = self.stats.latency("write_latency")
-
-    def can_accept(self, op: OpType) -> bool:
-        return len(self._held) < self.hold_cap
-
-    def notify_on_space(self, callback: Callable[[], None]) -> None:
-        self._space_waiters.append(callback)
-
-    def _map(self, line_addr: int) -> Tuple[int, int, int, int, int]:
-        channel = self.allowed[line_addr % len(self.allowed)]
-        stream = line_addr // len(self.allowed)
-        nsub = len(self.bobs[channel].subchannels)
-        subchannel = stream % nsub
-        local = self.base_line + stream // nsub
-        bank, row, col = decode_line(local, self.geometry)
-        return channel, subchannel, bank, row, col
-
-    def issue(self, op, line_addr, app_id, on_complete) -> None:
-        channel, subchannel, bank, row, col = self._map(line_addr)
-        done = _RouterDone(
-            self._lat_write if op is OpType.WRITE else self._lat_read,
-            self.engine.now, on_complete,
-        )
-        self._send_or_hold((op, channel, subchannel, bank, row, col, done))
-
-    def _send_or_hold(self, item: Tuple) -> None:
-        op, channel, subchannel, bank, row, col, done = item
-        bob = self.bobs[channel]
-        if bob.can_accept(op):
-            bob.submit(op, subchannel, bank, row, col, self.app_id,
-                       TrafficClass.NORMAL, done)
-            self._wake()
-        else:
-            self._held.append(item)
-            bob.notify_on_space(self._drain)
-
-    def _drain(self) -> None:
-        held, self._held = self._held, []
-        for item in held:
-            self._send_or_hold(item)
 
     def _wake(self) -> None:
         if self._space_waiters and len(self._held) < self.hold_cap:
@@ -374,53 +335,91 @@ def build_bob_fabric(
     return channels, bobs
 
 
-def build_delegated_frontend(
+def build_delegation(
     engine: Engine,
     bobs: Dict[int, BobChannel],
-    delegator: SecureDelegator,
-    controller: OramController,
-    index: int,
+    delegators: Dict[int, SecureDelegator],
+    tenant_channels: Sequence[int],
+    oram: OramConfig,
     *,
     seed: int,
-    fallback_app_id: int,
-    fork_path: bool,
-    sd_sessions: int,
     t_cycles: int,
-    fallbacks: List[OramController],
+    split_k: int = 0,
+    fork_path: bool = False,
     faults=None,
     tracer=None,
-) -> OramFrontend:
-    """One delegated S-App's CPU side, wired the same way by both builders.
+) -> Tuple[List[OramController], List[OramFrontend], List[OramController]]:
+    """The delegated side of a D-ORAM machine: one ORAM tree per tenant.
 
-    The S-App's fixed-rate frontend ``oram_fe{index}`` rides the secure
-    link session ``sdlink{index}`` to ``delegator``, one of the
-    ``sd_sessions`` sessions sharing it.  Only if the session fails over
-    does it build the host-side engine ``oram{index}.fb``: the same tree
-    as ``controller``, walked over the normal BOB path with ``seed`` and
-    ``fork_path``, its blocks tagged ``fallback_app_id``; its controller
-    is appended to ``fallbacks``.  ``faults`` attaches a fault plan.
-    The caller starts the frontend: start order fixes engine sequence
+    Tenant ``i`` (an S-App or a scenario tenant) lives on the SD
+    ``delegators[tenant_channels[i]]``.  Its tree stacks above the
+    earlier trees on that SD's sub-channels and, with ``split_k`` split
+    levels, on the normal channels' remote region (which every SD
+    shares), ``1 << 16`` lines past its neighbour.  Controller
+    ``oram{i}`` (seed ``seed + 31*i``, the SD as block sink) serves it;
+    each SD's sequencer runs on the first tree it hosts.  Frontend
+    ``oram_fe{i}`` rides session ``sdlink{i}``, which builds the
+    host-side engine ``oram{i}.fb`` (same tree, seed and ``fork_path``,
+    over the normal BOB path, tagged with the SD's app id) only on
+    failover.
+
+    Returns ``(controllers, frontends, fallbacks)``; ``fallbacks`` fills
+    as sessions fail over.  Nothing here schedules an event; the caller
+    starts the frontends in tenant order, which fixes engine sequence
     numbers.
     """
-    def make_fallback() -> OnChipBackend:
-        fb_ctrl = OramController(
-            engine, controller.config, controller.layout,
-            BobChannelSink(bobs, app_id=fallback_app_id, faults=faults),
-            seed=seed, name=f"oram{index}.fb", fork_path=fork_path,
-            tracer=tracer,
+    controllers: List[OramController] = []
+    frontends: List[OramFrontend] = []
+    fallbacks: List[OramController] = []
+    home_base = dict.fromkeys(delegators, 1 << 24)
+    remote_base = 1 << 24
+    for index, sc in enumerate(tenant_channels):
+        sd = delegators[sc]
+        layout = OramLayout(
+            oram,
+            home_targets=[
+                (sc, i) for i in range(len(sd.secure_bob.subchannels))
+            ],
+            base_line=home_base[sc],
+            home_levels=oram.num_levels - split_k,
+            remote_targets=(
+                [(ch, 0) for ch in sorted(sd.normal_bobs)] if split_k
+                else ()
+            ),
+            remote_base_line=remote_base,
         )
-        fallbacks.append(fb_ctrl)
-        return OnChipBackend(engine, fb_ctrl)
+        home_base[sc] += layout.home_lines_per_target + (1 << 16)
+        remote_base += layout.remote_lines_per_target + (1 << 16)
+        tree_seed = seed + 31 * index
+        controller = OramController(
+            engine, oram, layout, sd, seed=tree_seed, name=f"oram{index}",
+            fork_path=fork_path, tracer=tracer,
+        )
+        controllers.append(controller)
+        if sd.sequencer is None:
+            sd.sequencer = OramSequencer(controller)
 
-    session = SecureLinkSession(
-        engine, delegator.secure_bob, delegator, controller,
-        faults=faults, fallback_factory=make_fallback,
-        sd_sessions=sd_sessions, name=f"sdlink{index}",
-    )
-    frontend = OramFrontend(engine, session, t_cycles=t_cycles,
-                            name=f"oram_fe{index}", tracer=tracer)
-    session.bind_pacer(frontend.pacer)
-    return frontend
+        def make_fallback(index=index, layout=layout, tree_seed=tree_seed,
+                          app_id=sd.app_id) -> OnChipBackend:
+            fallback = OramController(
+                engine, oram, layout,
+                BobChannelSink(bobs, app_id=app_id, faults=faults),
+                seed=tree_seed, name=f"oram{index}.fb", fork_path=fork_path,
+                tracer=tracer,
+            )
+            fallbacks.append(fallback)
+            return OnChipBackend(engine, fallback)
+
+        session = SecureLinkSession(
+            engine, sd.secure_bob, sd, controller,
+            faults=faults, fallback_factory=make_fallback,
+            sd_sessions=tenant_channels.count(sc), name=f"sdlink{index}",
+        )
+        frontend = OramFrontend(engine, session, t_cycles=t_cycles,
+                                name=f"oram_fe{index}", tracer=tracer)
+        session.bind_pacer(frontend.pacer)
+        frontends.append(frontend)
+    return controllers, frontends, fallbacks
 
 
 def _ns_allowed_channels(config: SystemConfig, app: int) -> Tuple[int, ...]:
@@ -496,19 +495,16 @@ def build_and_run(config: SystemConfig,
         faults.arm_fabric(channels, bobs)
 
     # -- NS-App ports -------------------------------------------------------
-    ns_ports: Dict[int, MemoryPort] = {}
-    for app in range(config.num_ns_apps):
-        allowed = _ns_allowed_channels(config, app)
+    def router(allowed: Tuple[int, ...], app: int) -> NsRouter:
         if config.arch == "direct":
             targets = [(ch, 0) for ch in allowed]
-            ns_ports[app] = DirectRouter(
-                engine, channels, targets, app, app_slot=app,
-                geometry=geometry,
-            )
-        else:
-            ns_ports[app] = BobRouter(
-                engine, bobs, allowed, app, app_slot=app, geometry=geometry,
-            )
+            return NsRouter.direct(engine, channels, targets, app,
+                                   app_slot=app, geometry=geometry)
+        return NsRouter.bob(engine, bobs, allowed, app, app_slot=app,
+                            geometry=geometry)
+
+    ns_ports = {app: router(_ns_allowed_channels(config, app), app)
+                for app in range(config.num_ns_apps)}
 
     # -- S-App protection engines ----------------------------------------
     s_ports: List[MemoryPort] = []
@@ -544,66 +540,27 @@ def build_and_run(config: SystemConfig,
                 frontends.append(frontend)
                 s_ports.append(frontend)
             else:
-                secure_bob = bobs[config.secure_channel]
                 normal_bobs = {
                     ch: bob for ch, bob in bobs.items()
                     if ch != config.secure_channel
                 }
                 delegator = SecureDelegator(
-                    engine, secure_bob, normal_bobs,
+                    engine, bobs[config.secure_channel], normal_bobs,
                     process_ns=config.sd_process_ns, app_id=s_app_id,
                     merge_short_reads=config.merge_short_reads,
                     tracer=tracer, faults=faults,
                 )
-                remote_targets = [(ch, 0) for ch in sorted(normal_bobs)]
-                # Remote footprint per tree (split levels, per channel).
-                remote_span = sum(
-                    (1 << l) + -(-(1 << l) // max(len(remote_targets), 1))
-                    for l in range(ocfg.num_levels - config.split_k,
-                                   ocfg.num_levels)
-                )
-                home_base = 1 << 24
-                remote_base = 1 << 24
-                for s_index in range(config.num_s_apps):
-                    layout = OramLayout(
-                        ocfg,
-                        home_targets=[
-                            (config.secure_channel, i)
-                            for i in range(config.secure_subchannels)
-                        ],
-                        geometry=geometry,
-                        base_line=home_base,
-                        home_levels=ocfg.num_levels - config.split_k,
-                        remote_targets=(
-                            remote_targets if config.split_k else ()
-                        ),
-                        remote_base_line=remote_base,
-                    )
-                    home_base += layout.home_lines_per_target + (1 << 16)
-                    remote_base += remote_span + (1 << 16)
-                    ctrl = OramController(
-                        engine, ocfg, layout, delegator.sink,
-                        seed=config.seed + 31 * s_index,
-                        name=f"oram{s_index}",
-                        fork_path=config.fork_path,
-                        tracer=tracer,
-                    )
-                    controllers.append(ctrl)
-                delegator.sequencer = OramSequencer(controllers[0])
-                for s_index, ctrl in enumerate(controllers):
-                    frontend = build_delegated_frontend(
-                        engine, bobs, delegator, ctrl, s_index,
-                        seed=config.seed + 31 * s_index,
-                        fallback_app_id=s_app_id,
-                        fork_path=config.fork_path,
-                        sd_sessions=config.num_s_apps,
-                        t_cycles=config.t_cycles,
-                        fallbacks=fallback_controllers,
+                controllers, frontends, fallback_controllers = \
+                    build_delegation(
+                        engine, bobs, {config.secure_channel: delegator},
+                        [config.secure_channel] * config.num_s_apps, ocfg,
+                        seed=config.seed, t_cycles=config.t_cycles,
+                        split_k=config.split_k, fork_path=config.fork_path,
                         faults=faults, tracer=tracer,
                     )
+                for frontend in frontends:
                     frontend.start()
-                    frontends.append(frontend)
-                    s_ports.append(frontend)
+                s_ports.extend(frontends)
         elif config.protection == "securemem":
             interleaver = ChannelInterleaver(
                 sorted(channels.keys()), geometry,
@@ -614,17 +571,8 @@ def build_and_run(config: SystemConfig,
                 seed=config.seed,
             ))
         else:  # "none": the S-App runs unprotected, like an NS-App.
-            if config.arch == "direct":
-                targets = [(ch, 0) for ch in range(config.num_channels)]
-                s_ports.append(DirectRouter(
-                    engine, channels, targets, s_app_id,
-                    app_slot=s_app_id, geometry=geometry,
-                ))
-            else:
-                s_ports.append(BobRouter(
-                    engine, bobs, tuple(range(config.num_channels)),
-                    s_app_id, app_slot=s_app_id, geometry=geometry,
-                ))
+            s_ports.append(router(tuple(range(config.num_channels)),
+                                  s_app_id))
 
     # -- cores ---------------------------------------------------------------
     unfinished = {"count": config.num_ns_apps}

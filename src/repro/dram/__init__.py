@@ -23,7 +23,6 @@ from repro.dram.scheduler import SharePolicy
 from repro.dram.address_mapping import (
     ChannelInterleaver,
     DeviceGeometry,
-    LineAddress,
     decode_line,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "SharePolicy",
     "ChannelInterleaver",
     "DeviceGeometry",
-    "LineAddress",
     "decode_line",
 ]

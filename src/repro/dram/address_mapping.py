@@ -32,17 +32,6 @@ class DeviceGeometry:
     num_rows: int = 1 << 16
 
 
-@dataclass(frozen=True)
-class LineAddress:
-    """A fully decoded physical line location."""
-
-    channel: int
-    subchannel: int
-    bank: int
-    row: int
-    col: int
-
-
 def decode_line(local_line: int, geometry: DeviceGeometry) -> Tuple[int, int, int]:
     """Map a channel-local line index to ``(bank, row, col)``.
 
@@ -79,26 +68,17 @@ class ChannelInterleaver:
         self.targets: List[Tuple[int, int]] = list(targets)
         self.geometry = geometry
         self.app_base_line = app_base_line
-        # Hot-path caches for map_line_tuple (one decode per issued
-        # request; the frozen-dataclass construction and property
-        # indirection were measurable there).
+        # Hot-path caches for map_line (one decode per issued request;
+        # the property indirection was measurable there).
         self._num_targets = len(self.targets)
         self._lines_per_row = geometry.lines_per_row
         self._num_banks = geometry.num_banks
         self._num_rows = geometry.num_rows
 
-    def map_line(self, line_index: int) -> LineAddress:
-        """Stripe ``line_index`` across the allowed targets at line grain."""
-        if line_index < 0:
-            raise ValueError("negative line index")
-        target = self.targets[line_index % len(self.targets)]
-        local = self.app_base_line + line_index // len(self.targets)
-        bank, row, col = decode_line(local, self.geometry)
-        return LineAddress(target[0], target[1], bank, row, col)
-
-    def map_line_tuple(self, line_index: int) -> Tuple[int, int, int, int, int]:
-        """:meth:`map_line` as a plain ``(channel, subchannel, bank, row,
-        col)`` tuple -- same decode, no per-request dataclass allocation."""
+    def map_line(self, line_index: int) -> Tuple[int, int, int, int, int]:
+        """Stripe ``line_index`` across the allowed targets at line grain:
+        ``(channel, subchannel, bank, row, col)``, decoded as
+        :func:`decode_line` does."""
         if line_index < 0:
             raise ValueError("negative line index")
         n = self._num_targets

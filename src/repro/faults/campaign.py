@@ -39,7 +39,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.sweep import STORE_SCHEMA_VERSION
+from repro.analysis.sweep import STORE_SCHEMA_VERSION, canonical_json
 from repro.faults.plan import (
     DelegatorFault,
     DramFault,
@@ -57,10 +57,6 @@ INTENSITY_MODES = ("fixed", "ramp", "uniform")
 
 class CampaignError(ValueError):
     """Invalid campaign spec (bad JSON shape, value, or reference)."""
-
-
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _reject_unknown(doc: Dict[str, object], allowed: Iterable[str],
@@ -552,7 +548,7 @@ class FaultPoint:
             "with_digest": bool(with_digest),
         }
         return hashlib.sha256(
-            _canonical(doc).encode("utf-8")
+            canonical_json(doc).encode("utf-8")
         ).hexdigest()
 
     def execute(self, with_digest: bool = False) -> Dict[str, object]:

@@ -212,6 +212,9 @@ class OramLayout:
             rotated_blocks = -(-buckets // max(len(self.remote_targets), 1))
             bases[level] = (cursor, cursor + per_target_blocks)
             cursor += per_target_blocks + rotated_blocks
+        #: Line-space footprint of the relocated levels on each remote
+        #: target (zero without split levels): the next tree stacks past it.
+        self.remote_lines_per_target = cursor - self.remote_base_line
         return bases
 
     # ------------------------------------------------------------------

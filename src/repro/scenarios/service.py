@@ -3,10 +3,12 @@
 ``run_scenario(ScenarioConfig)`` wires the multi-tenant service machine
 -- the BOB fabric via :func:`repro.core.system.build_bob_fabric`, one
 :class:`~repro.core.delegator.SecureDelegator` per secure channel, one
-ORAM tree + fixed-rate frontend + open-loop :class:`~repro.scenarios.
-tenant.TenantSource` per tenant, and optionally the live admission
-governor -- runs it open-loop to the horizon (plus the drain epilogue),
-and returns a :class:`ScenarioResult` with per-tenant SLO metrics.
+ORAM tree + fixed-rate frontend per tenant via
+:func:`repro.core.system.build_delegation` (the builder ``build_and_run``
+uses for its S-Apps), one open-loop :class:`~repro.scenarios.tenant.
+TenantSource` per tenant, and optionally the live admission governor --
+runs it open-loop to the horizon (plus the drain epilogue), and returns
+a :class:`ScenarioResult` with per-tenant SLO metrics.
 
 Determinism contract (DESIGN.md §11): the result's
 :meth:`ScenarioResult.to_json_dict` payload, its :meth:`ScenarioResult.
@@ -22,14 +24,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.metrics import SLO_QUANTILES, latency_quantiles_ns
-from repro.core.delegator import OramSequencer, SecureDelegator
+from repro.analysis.sweep import canonical_json
+from repro.core.delegator import SecureDelegator
 from repro.core.frontend import OramFrontend
-from repro.core.system import build_bob_fabric, build_delegated_frontend
-from repro.dram.address_mapping import DeviceGeometry
+from repro.core.system import build_bob_fabric, build_delegation
 from repro.dram.scheduler import SharePolicy
 from repro.obs.snapshot import StatsSampler
-from repro.oram.controller import OramController
-from repro.oram.layout import OramLayout
 from repro.scenarios.admission import AdmissionGovernor
 from repro.scenarios.arrivals import derive_seed, make_stream
 from repro.scenarios.config import ScenarioConfig
@@ -43,12 +43,6 @@ SCENARIO_REPORT_VERSION = 1
 #: App-id base for the per-channel delegators (distinct from tenant ids,
 #: which start at 0 -- there are no NS background apps in a scenario).
 _SD_APP_ID_BASE = 1000
-
-
-def _canonical_json(payload: object) -> str:
-    import json
-
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -128,7 +122,7 @@ class ScenarioResult:
         """sha256 over the canonical-JSON report -- the byte-identity
         oracle the acceptance criteria and CI smoke gate pin."""
         return hashlib.sha256(
-            _canonical_json(self.to_json_dict()).encode("utf-8")
+            canonical_json(self.to_json_dict()).encode("utf-8")
         ).hexdigest()
 
 
@@ -179,7 +173,6 @@ def build_scenario(
     engine = Engine(tracer=tracer, periodic=periodic)
     if faults is not None:
         faults.bind(engine, tracer)
-    geometry = DeviceGeometry()
     channels, bobs = build_bob_fabric(
         engine,
         num_channels=config.num_channels,
@@ -211,54 +204,20 @@ def build_scenario(
             faults=faults,
         )
 
-    # One ORAM tree per tenant, stacked per channel so regions never
-    # collide (the multi-S-App layout rule from ``build_and_run``).
-    home_base = {sc: 1 << 24 for sc in secure_set}
-    controllers: Dict[int, OramController] = {}
-    first_controller: Dict[int, OramController] = {}
-    for tenant_id in range(config.num_tenants):
-        sc = config.secure_channel_of(tenant_id)
-        layout = OramLayout(
-            config.oram,
-            home_targets=[
-                (sc, i) for i in range(config.secure_subchannels)
-            ],
-            geometry=geometry,
-            base_line=home_base[sc],
-        )
-        home_base[sc] += layout.home_lines_per_target + (1 << 16)
-        ctrl = OramController(
-            engine, config.oram, layout, delegators[sc].sink,
-            seed=config.seed + 31 * tenant_id,
-            name=f"oram{tenant_id}",
-            tracer=tracer,
-        )
-        controllers[tenant_id] = ctrl
-        first_controller.setdefault(sc, ctrl)
-    for sc, ctrl in first_controller.items():
-        delegators[sc].sequencer = OramSequencer(ctrl)
+    controllers, frontends, _fallbacks = build_delegation(
+        engine, bobs, delegators,
+        [config.secure_channel_of(t) for t in range(config.num_tenants)],
+        config.oram, seed=config.seed, t_cycles=config.t_cycles,
+        faults=faults, tracer=tracer,
+    )
 
     horizon = ns(config.horizon_ns)
     sources: List[TenantSource] = []
-    frontends: List[OramFrontend] = []
     tenant_faults = {
         fault.tenant_id: fault for fault in config.tenant_faults
     }
     monitor = _DrainMonitor(engine, sources)
-    for tenant_id in range(config.num_tenants):
-        sc = config.secure_channel_of(tenant_id)
-        frontend = build_delegated_frontend(
-            engine, bobs, delegators[sc], controllers[tenant_id], tenant_id,
-            seed=config.seed + 31 * tenant_id,
-            fallback_app_id=_SD_APP_ID_BASE + sc,
-            fork_path=False,
-            sd_sessions=len(config.tenants_on(sc)),
-            t_cycles=config.t_cycles,
-            # The SLO report carries no per-engine stats.
-            fallbacks=[],
-            faults=faults, tracer=tracer,
-        )
-        frontends.append(frontend)
+    for tenant_id, frontend in enumerate(frontends):
         stream = make_stream(
             config.arrival, derive_seed(config.seed, tenant_id)
         )

@@ -71,7 +71,8 @@ class SecureMemPort(MemoryPort):
         if not self.can_accept(op):
             raise RuntimeError("secure-memory port window full")
         self._outstanding += 1
-        real = self.interleaver.map_line(line_addr)
+        real_channel, real_sub, bank, row, col = \
+            self.interleaver.map_line(line_addr)
         replicas = len(self.channels)
         state = {"remaining": replicas, "last": 0}
 
@@ -82,10 +83,9 @@ class SecureMemPort(MemoryPort):
                 self._finish(on_complete, op, state["last"])
 
         for (channel_id, subchannel), channel in self.channels.items():
-            if channel_id == real.channel and subchannel == real.subchannel:
+            if channel_id == real_channel and subchannel == real_sub:
                 req = MemRequest(
-                    op, channel_id, subchannel,
-                    real.bank, real.row, real.col,
+                    op, channel_id, subchannel, bank, row, col,
                     app_id=self.app_id, traffic=TrafficClass.SECURE,
                     on_complete=replica_done,
                 )

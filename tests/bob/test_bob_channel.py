@@ -5,7 +5,7 @@ import pytest
 from repro.bob.channel import BobChannel
 from repro.bob.link import LinkParams
 from repro.dram.channel import Channel
-from repro.dram.commands import OpType
+from repro.dram.commands import MemRequest, OpType
 from repro.dram.timing import ChannelParams, DDR3_1600 as T
 from repro.sim.engine import Engine, ns
 
@@ -21,8 +21,8 @@ class TestNormalTraffic:
     def test_read_round_trip_latency(self):
         eng, bob, _ = make_bob()
         done = []
-        bob.submit(OpType.READ, 0, bank=0, row=0, col=0, app_id=0,
-                   on_complete=done.append)
+        bob.enqueue(MemRequest(OpType.READ, 0, 0, bank=0, row=0, col=0,
+                               app_id=0, on_complete=done.append))
         eng.run()
         # down link (16 B) + DRAM closed-row access + up link (72 B).
         link = LinkParams()
@@ -38,7 +38,8 @@ class TestNormalTraffic:
         # round trip pays exactly 2 x 7.5 ns latency + serialization.
         eng, bob, _ = make_bob()
         done = []
-        bob.submit(OpType.READ, 0, 0, 0, 0, 0, on_complete=done.append)
+        bob.enqueue(MemRequest(OpType.READ, 0, 0, 0, 0, 0, 0,
+                               on_complete=done.append))
         eng.run()
         direct = T.tRCD + T.tCL + T.tBURST
         overhead_ns = (done[0] - direct) / 16
@@ -47,18 +48,19 @@ class TestNormalTraffic:
     def test_write_has_no_response_packet(self):
         eng, bob, _ = make_bob()
         done = []
-        bob.submit(OpType.WRITE, 0, 0, 0, 0, 0, on_complete=done.append)
+        bob.enqueue(MemRequest(OpType.WRITE, 0, 0, 0, 0, 0, 0,
+                               on_complete=done.append))
         eng.run()
         assert bob.stats.counter("packets_up").value == 0
         assert done  # completes at DRAM write
 
     def test_window_backpressure(self):
         eng, bob, _ = make_bob(window=2)
-        bob.submit(OpType.READ, 0, 0, 0, 0, 0)
-        bob.submit(OpType.READ, 0, 0, 0, 1, 0)
+        bob.enqueue(MemRequest(OpType.READ, 0, 0, 0, 0, 0, 0))
+        bob.enqueue(MemRequest(OpType.READ, 0, 0, 0, 0, 1, 0))
         assert not bob.can_accept(OpType.READ)
         with pytest.raises(RuntimeError):
-            bob.submit(OpType.READ, 0, 0, 0, 2, 0)
+            bob.enqueue(MemRequest(OpType.READ, 0, 0, 0, 0, 2, 0))
         woken = []
         bob.notify_on_space(lambda: woken.append(eng.now))
         eng.run()
@@ -68,7 +70,7 @@ class TestNormalTraffic:
     def test_multi_subchannel_dispatch(self):
         eng, bob, subs = make_bob(nsub=4)
         for i in range(4):
-            bob.submit(OpType.READ, i, 0, 0, 0, 0)
+            bob.enqueue(MemRequest(OpType.READ, 0, i, 0, 0, 0, 0))
         eng.run()
         for sub in subs:
             assert sub.stats.counter("reads_serviced").value == 1
@@ -79,8 +81,8 @@ class TestNormalTraffic:
         eng, bob, subs = make_bob(params=params, window=64)
         done = []
         for i in range(8):
-            bob.submit(OpType.READ, 0, 0, i, 0, 0,
-                       on_complete=lambda t: done.append(t))
+            bob.enqueue(MemRequest(OpType.READ, 0, 0, 0, i, 0, 0,
+                                   on_complete=lambda t: done.append(t)))
         eng.run()
         assert len(done) == 8  # held packets eventually serviced
 
@@ -106,7 +108,7 @@ class TestRawPipes:
         eng, bob, _ = make_bob()
         order = []
         bob.send_down(72, lambda t: order.append(("raw", t)))
-        bob.submit(OpType.READ, 0, 0, 0, 0, 0)
+        bob.enqueue(MemRequest(OpType.READ, 0, 0, 0, 0, 0, 0))
         eng.run()
         # The read's 16 B packet serialized after the raw 72 B one.
         raw_time = order[0][1]

@@ -45,7 +45,7 @@ def build_doram(split_k=0, leaf_level=9, merge_short_reads=False,
         home_levels=cfg.num_levels - split_k,
         remote_targets=[(1, 0), (2, 0), (3, 0)] if split_k else (),
     )
-    controller = OramController(eng, cfg, layout, sd.sink, seed=1)
+    controller = OramController(eng, cfg, layout, sd, seed=1)
     sd.sequencer = OramSequencer(controller)
     return eng, sd, controller, secure_bob, normal_bobs
 

@@ -44,15 +44,15 @@ class TestDecodeLine:
 class TestChannelInterleaver:
     def test_round_robin_over_targets(self):
         il = ChannelInterleaver([(0, 0), (1, 0), (2, 0)])
-        channels = [il.map_line(i).channel for i in range(6)]
+        channels = [il.map_line(i)[0] for i in range(6)]
         assert channels == [0, 1, 2, 0, 1, 2]
 
     def test_local_index_advances_per_round(self):
         il = ChannelInterleaver([(0, 0), (1, 0)])
         a = il.map_line(0)
         b = il.map_line(2)
-        assert (a.channel, b.channel) == (0, 0)
-        assert b.col == a.col + 1  # consecutive local lines
+        assert (a[0], b[0]) == (0, 0)
+        assert b[4] == a[4] + 1  # consecutive local lines (column)
 
     def test_base_line_offsets_apps(self):
         low = ChannelInterleaver([(0, 0)], app_base_line=0)
@@ -69,7 +69,7 @@ class TestChannelInterleaver:
 
     def test_single_channel_mask(self):
         il = ChannelInterleaver([(2, 0)])
-        assert all(il.map_line(i).channel == 2 for i in range(10))
+        assert all(il.map_line(i)[0] == 2 for i in range(10))
 
 
 class TestBuildAppInterleavers:
@@ -83,5 +83,5 @@ class TestBuildAppInterleavers:
 
     def test_respects_per_app_targets(self):
         ils = build_app_interleavers({0: [(0, 0)], 1: [(1, 0), (2, 0)]})
-        assert ils[0].map_line(5).channel == 0
-        assert ils[1].map_line(0).channel in (1, 2)
+        assert ils[0].map_line(5)[0] == 0
+        assert ils[1].map_line(0)[0] in (1, 2)

@@ -127,8 +127,8 @@ def test_lane_group_lanes_derive_what_they_serviced(seed, wake_ns, probe_ns,
     def submit(lane, bank, row, write):
         op = OpType.WRITE if write else OpType.READ
         if bob.can_accept(op):
-            bob.submit(op, lane, bank, row, 0, 1,
-                       on_complete=rig.note("ns"))
+            bob.enqueue(MemRequest(op, 0, lane, bank, row, 0, 1,
+                                   on_complete=rig.note("ns")))
 
     def probe():
         assert rig.live

@@ -416,8 +416,8 @@ def _enqueue(source):
     def trigger(rig):
         lane = rig.lanes[2]
         if source == "ns_submit":
-            rig.bobs[0].submit(OpType.READ, 2, 1, 5, 0, 1,
-                               on_complete=rig.note("ns"))
+            rig.bobs[0].enqueue(MemRequest(OpType.READ, 0, 2, 1, 5, 0, 1,
+                                           on_complete=rig.note("ns")))
         elif source == "guarded_reissue":
             # GuardedRead re-issues a flipped block through this call.
             enqueue_or_hold(lane, MemRequest(

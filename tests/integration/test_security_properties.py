@@ -85,7 +85,7 @@ class TestTimingChannel:
         sd = SecureDelegator(eng, bob, {}, process_ns=5.0)
         cfg = OramConfig(leaf_level=8, treetop_levels=3, subtree_levels=3)
         layout = OramLayout(cfg, [(0, i) for i in range(4)])
-        controller = OramController(eng, cfg, layout, sd.sink, seed=seed)
+        controller = OramController(eng, cfg, layout, sd, seed=seed)
         sd.sequencer = OramSequencer(controller)
 
         from repro.core.frontend import OramFrontend

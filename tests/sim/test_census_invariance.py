@@ -31,7 +31,7 @@ import os
 import pytest
 
 from repro.core.schemes import run_scheme
-from repro.core.system import DirectRouter
+from repro.core.system import NsRouter
 from repro.cpu.core import Core
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType
@@ -96,8 +96,8 @@ def _long_idle(periodic):
     channels = {(0, 0): Channel(eng, "idle0"), (1, 0): Channel(eng, "idle1")}
     params = with_copy_seed(TraceParams(mpki=0.5, seed=11), 0)
     trace = SyntheticTrace(params, 1500).generate()
-    router = DirectRouter(eng, channels, targets=[(0, 0), (1, 0)],
-                          app_id=0, app_slot=0)
+    router = NsRouter.direct(eng, channels, targets=[(0, 0), (1, 0)],
+                             app_id=0, app_slot=0)
     Core(eng, 0, trace, router).start()
     eng.run()
     return eng
