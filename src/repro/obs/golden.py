@@ -17,7 +17,9 @@ in either periodic mode, without committing a trace.
 A shape pin is one named run of a shape the ``SCHEMES`` pins do not
 reach -- several S-Apps or tenants on one delegator, several secure
 channels, split trees with merged short reads, forked paths, a fault
-plan -- declared in :data:`SHAPE_RUNS` or :data:`SHAPE_SCENARIOS`.  Its
+plan, ORAM phases on a live lane group and a lane group woken by a
+stalled phase -- declared in :data:`SHAPE_RUNS` or
+:data:`SHAPE_SCENARIOS`.  Its
 result digest (an untraced run's) and its trace digest are pinned, in
 either periodic mode.
 
@@ -70,16 +72,35 @@ SHAPE_RUNS: Dict[str, Tuple[str, Dict[str, object], Optional[Dict]]] = {
     "doram-2s-sd-crash": ("doram", {"num_s_apps": 2}, _SD_CRASH_PLAN),
     # Per-block ``GuardedRead`` issue on every faulted sub-channel.
     "doram-dram-flip": ("doram", {}, _DRAM_FLIP_PLAN),
+    # No NS traffic reaches the secure channel (``/0``), so its
+    # sub-channels' lane group stays live: ORAM phases on a live group.
+    "doram/0-2s-fork": (
+        "doram/0", {"num_s_apps": 2, "fork_path": True}, None,
+    ),
+    "doram+2/0-merge": ("doram+2/0", {"merge_short_reads": True}, None),
+    # Failover while the group is live; ``oram{i}.fb`` shares the
+    # tree's layout.
+    "doram/0-2s-sd-crash": ("doram/0", {"num_s_apps": 2}, _SD_CRASH_PLAN),
 }
 
 #: Scenario shape pins: overrides on
-#: :func:`repro.scenarios.service.golden_scenario_config`.
+#: :func:`repro.scenarios.service.golden_scenario_config`, in the dotted
+#: grammar of :func:`repro.core.config.apply_overrides`.
 SHAPE_SCENARIOS: Dict[str, Dict[str, object]] = {
     "scenario-2sd-3t": {"secure_channels": (0, 1), "num_tenants": 3},
     # ``sd2`` hosts no tenant; the sampler still reports it.
     "scenario-3sd-2t-snap": {
         "secure_channels": (0, 1, 2), "num_tenants": 2,
         "snapshot_interval_ns": 2000.0,
+    },
+    # 4-deep queues: the first read phase stalls, and the stalled pump's
+    # ``notify_on_space`` wakes the lane group mid-phase.
+    "scenario-l10-q4": {
+        "oram.leaf_level": 10,
+        "channel_params.read_queue_depth": 4,
+        "channel_params.write_queue_depth": 4,
+        "channel_params.write_drain_hi": 4,
+        "channel_params.write_drain_lo": 2,
     },
 }
 
@@ -145,15 +166,14 @@ def shape_digests(name: str, periodic: str = "lazy") -> Dict[str, str]:
     (``"payload"``, or ``"report"`` for a scenario) and a traced run's
     ``"trace"`` digest."""
     if name in SHAPE_SCENARIOS:
-        import dataclasses
-
+        from repro.core.config import apply_overrides
         from repro.scenarios.service import (
             golden_scenario_config,
             run_scenario,
         )
 
-        config = dataclasses.replace(golden_scenario_config(),
-                                     **SHAPE_SCENARIOS[name])
+        config = apply_overrides(golden_scenario_config(),
+                                 SHAPE_SCENARIOS[name])
         tracer = Tracer()
         run_scenario(config, tracer=tracer, periodic=periodic)
         result = run_scenario(config, periodic=periodic)

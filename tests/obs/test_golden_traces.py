@@ -122,7 +122,8 @@ class TestPayloadPins:
 class TestShapePins:
     """The shapes the ``SCHEMES`` pins do not reach -- several trees or
     tenants per delegator, several secure channels, split trees with
-    merged short reads, forked paths, fault plans -- are pinned across
+    merged short reads, forked paths, fault plans, ORAM phases on a live
+    lane group and a group woken by a stalled phase -- are pinned across
     commits: each entry's result and trace digests, lazy and eager, must
     equal the committed ones."""
 
