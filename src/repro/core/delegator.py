@@ -22,6 +22,19 @@ end-to-end integrity check.
 
 The delegator is the block sink of every tree it hosts: their
 controllers hand it each phase (:meth:`SecureDelegator.issue_phase`).
+
+Lane shares.  While the secure channel's sub-channels run as a live
+:class:`~repro.dram.channel.LaneGroup` and a tree's layout mirrors across
+them (its home targets are exactly the group's lanes, in lane order, and
+``bucket_size`` is a multiple of their number), the delegator places
+each path once, as a :class:`~repro.oram.layout.LaneShare` of lane 0's
+blocks, and hands each phase's share to the group in one
+:meth:`~repro.dram.channel.LaneGroup.enqueue_phases` call.  If the group
+wakes while a share is still being issued (a stall's
+``notify_on_space``, an NS enqueue, a fault arm, a service outside the
+lazy loop), the rest of it is expanded into every lane's blocks and
+issued per sub-channel.  Completions and the owed count are per lane
+either way.
 """
 
 from __future__ import annotations
@@ -38,10 +51,15 @@ from repro.core.sinks import (
     notify_once,
     split_phase,
 )
-from repro.dram.commands import MemRequest, OpType, TrafficClass
+from repro.dram.commands import (
+    CompletionGroup,
+    MemRequest,
+    OpType,
+    TrafficClass,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.oram.controller import BlockSink, OramController
-from repro.oram.layout import BlockPlacement
+from repro.oram.layout import BlockPlacement, LaneShare, OramLayout
 from repro.sim.engine import Engine, ns
 from repro.sim.stats import StatSet
 
@@ -365,6 +383,9 @@ class SecureDelegator(BlockSink):
         self._sessions: Dict[object, _SdSession] = {}
         self._stall_buffer: Deque = deque()
         self._stall_wake_scheduled = False
+        #: ``layout -> whether it mirrors across the lane group``,
+        #: decided once per layout (:meth:`path_placements`).
+        self._mirroring: Dict[OramLayout, bool] = {}
 
     @property
     def backlog(self) -> int:
@@ -472,6 +493,27 @@ class SecureDelegator(BlockSink):
     # ------------------------------------------------------------------
     # Path traffic: local sub-channels, then split-tree messages
     # ------------------------------------------------------------------
+    def path_placements(self, layout: OramLayout,
+                        leaf: int) -> List[BlockPlacement]:
+        """A :class:`LaneShare` of ``leaf``'s path while the secure
+        sub-channels' lane group is live and ``layout`` mirrors across
+        its lanes, else every block (module docstring, "Lane shares")."""
+        group = self.secure_bob.subchannels[0]._group
+        if group is not None:
+            mirroring = self._mirroring.get(layout)
+            if mirroring is None:
+                # The group's lanes are the secure channel's sub-channels
+                # (``build_bob_fabric``), lane i being sub-channel i.
+                channel = self.secure_bob.channel_id
+                mirroring = self._mirroring[layout] = (
+                    layout.mirrors
+                    and layout.home_targets
+                    == [(channel, i) for i in range(len(group.lanes))]
+                )
+            if mirroring:
+                return layout.lane_share(leaf)
+        return layout.path_placements(leaf)
+
     def issue_phase(
         self,
         placements: List[BlockPlacement],
@@ -480,16 +522,23 @@ class SecureDelegator(BlockSink):
     ) -> Tuple[List[BlockPlacement], int]:
         """Issue what fits of a phase; returns ``(stalled, owed)``.
 
-        Local blocks go to the secure sub-channels, one
-        ``enqueue_phase`` per sub-channel (:func:`split_phase`).  Remote
-        (split-tree) blocks are the deepest levels, so they follow every
-        local one in path order; they are sent one message chain each,
-        while the remote window has room.  The SD MAC-checks every path
-        block it reads: a sub-channel that carries a DRAM fault site
-        gets per-block :class:`GuardedRead` completions, which re-issue a
+        Local blocks go to the secure sub-channels: a lane share's in one
+        call to their live group (:meth:`_issue_share`), anything else one
+        ``enqueue_phase`` per sub-channel (:func:`split_phase`), after
+        expanding a share whose group has woken.  Remote (split-tree)
+        blocks are the deepest levels, so they follow every local one in
+        path order; they are sent one message chain each, while the
+        remote window has room.  The SD MAC-checks every path block it
+        reads: a sub-channel that carries a DRAM fault site gets
+        per-block :class:`GuardedRead` completions, which re-issue a
         flipped block while the read phase stays open.
         """
         subchannels = self.secure_bob.subchannels
+        if placements.__class__ is LaneShare:
+            group = subchannels[0]._group
+            if group is not None:
+                return self._issue_share(placements, group, op, on_done)
+            placements = placements.expand()
         targets, stalled, remote = split_phase(
             placements, op, lambda key: subchannels[key[1]]
         )
@@ -498,12 +547,62 @@ class SecureDelegator(BlockSink):
             targets, op, on_done, self.app_id,
             not stalled and len(remote) <= room, self._faults,
         )
+        return stalled, owed + self._issue_remote(remote, op, on_done,
+                                                  stalled)
+
+    def _issue_share(
+        self,
+        share: LaneShare,
+        group,
+        op: OpType,
+        on_done: Callable[[int], None],
+    ) -> Tuple[LaneShare, int]:
+        """Issue what fits of a lane share on its live lane group.
+
+        Every lane has the leader's free slots, so each takes the same
+        prefix of its blocks: the leader queues that prefix of the share
+        (:meth:`~repro.dram.channel.LaneGroup.enqueue_phases`) and every
+        lane mirrors it.  A READ issue that leaves nothing stalled owes
+        one :class:`CompletionGroup` per lane, anything else one
+        completion per block on every lane.  The stalled rest stays a
+        share, so the next pump expands it if the group woke meanwhile.
+        """
+        local = share
+        remote: List[BlockPlacement] = []
+        if share.layout.split_k:
+            local = [p for p in share if not p.remote]
+            remote = [p for p in share if p.remote]
+        free = group.leader.free_slots(op)
+        stalled = LaneShare(share.layout, local[free:])
+        taken = local[:free] if stalled else local
+        owed = 0
+        if taken:
+            lanes = len(group.lanes)
+            room = self.REMOTE_WINDOW - self._remote_outstanding
+            if op is OpType.READ and not stalled and len(remote) <= room:
+                done = CompletionGroup(len(taken), on_done)
+                owed = lanes
+            else:
+                done = on_done
+                owed = lanes * len(taken)
+            group.enqueue_phases(taken, op, self.app_id,
+                                 TrafficClass.SECURE, done)
+        return stalled, owed + self._issue_remote(remote, op, on_done,
+                                                  stalled)
+
+    def _issue_remote(self, remote: List[BlockPlacement], op: OpType,
+                      on_done: Callable[[int], None],
+                      stalled: List[BlockPlacement]) -> int:
+        """Send each remote block's message chain while the window has
+        room, appending the rest to ``stalled``; returns the number
+        sent."""
+        sent = 0
         for placement in remote:
             if self.try_remote(placement, op, on_done):
-                owed += 1
+                sent += 1
             else:
                 stalled.append(placement)
-        return stalled, owed
+        return sent
 
     # ------------------------------------------------------------------
     # Remote split-tree traffic (Section III-C)

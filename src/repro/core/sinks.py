@@ -20,7 +20,12 @@ that fits its free queue slots -- what a per-block
 the loop runs -- and each target then gets one
 :meth:`~repro.dram.channel.Channel.enqueue_phase` call.  Targets are
 issued in order of first appearance, so their service kicks take the
-same engine sequence numbers the per-block loop gave them.
+same engine sequence numbers the per-block loop gave them.  A live lane
+group's sub-channels never get here with mirrored shares: the delegator
+hands such a group one lane share per phase
+(:meth:`repro.core.delegator.SecureDelegator.issue_phase`), so a phase
+that reaches a grouped sub-channel through :func:`issue_split` wakes the
+group.
 """
 
 from __future__ import annotations
@@ -105,26 +110,10 @@ def issue_split(
     are issued per block under :class:`GuardedRead`, which MAC-checks
     each block and re-issues a flipped one on its own; a channel without
     a site never flips a burst, so it needs no guard.
-
-    When the targets are exactly a live lane group's lanes, in lane
-    order, the group takes all their shares in one call
-    (:meth:`~repro.dram.channel.LaneGroup.enqueue_phases`); shares that
-    do not mirror wake it, and the targets are issued one by one.  A
-    lane with a fault site is never in a live group.
     """
     reading = op is OpType.READ
     secure = TrafficClass.SECURE
     one_each = reading and share  # one completion per channel
-    group = _lane_group(targets)
-    if group is not None:
-        shares = [blocks for _channel, blocks in targets]
-        completions = [
-            CompletionGroup(len(blocks), on_done) if one_each else on_done
-            for blocks in shares
-        ]
-        if group.enqueue_phases(shares, op, app_id, secure, completions):
-            return sum(1 if one_each else len(blocks)
-                       for blocks in shares if blocks)
     owed = 0
     for channel, blocks in targets:
         if not blocks:
@@ -147,20 +136,6 @@ def issue_split(
             channel.enqueue_phase(blocks, op, app_id, secure, on_done)
             owed += len(blocks)
     return owed
-
-
-def _lane_group(targets: List[Tuple[Channel, List[BlockPlacement]]]):
-    """The live lane group whose lanes are exactly ``targets``'
-    channels, in lane order, or ``None``."""
-    if len(targets) < 2:
-        return None
-    group = targets[0][0]._group
-    if group is None or len(group.lanes) != len(targets):
-        return None
-    for lane, (channel, _blocks) in zip(group.lanes, targets):
-        if lane is not channel:
-            return None
-    return group
 
 
 def enqueue_or_hold(channel: Channel, req: MemRequest) -> None:

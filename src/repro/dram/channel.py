@@ -71,17 +71,21 @@ Lane groups
 -----------
 The sub-channels of a secure BOB channel receive identical request
 streams while only the delegator's ORAM traffic reaches them: every
-bucket puts one block at the same bank, row and column on each.  A
-:class:`LaneGroup` simulates such lockstep sub-channels ("lanes") once:
-the leader (lane 0) queues, picks, commits and times each request, and
-then produces for every follower the seqs, completions, trace events
-and census that the follower's own service would have produced.  The
+line of a bucket puts one block at the same bank, row and column on
+each.  A :class:`LaneGroup` simulates such lockstep sub-channels
+("lanes") once.  The delegator hands it one lane share per ORAM phase,
+lane 0's blocks only (:meth:`LaneGroup.enqueue_phases`), so the lanes
+mirror by construction and nothing is compared per phase.  The leader
+(lane 0) queues, picks, commits and times each request, and then
+produces for every follower the seqs, completions, trace events and
+census that the follower's own service would have produced.  The
 followers' statistics are the leader's objects while the group is live,
 and a slot's seqs and no-op completions are taken and booked in one
 step, so a slot costs the same for 2 lanes as for 16.  The group splits
-for good (:meth:`LaneGroup.wake`) the moment an input could make the
-lanes differ, or anything could observe one lane's dispatch at a time.
-DESIGN.md section 9a has the exactness argument.
+for good (:meth:`LaneGroup.wake`) the moment any other input reaches a
+lane (which could make the lanes differ), or anything could observe one
+lane's dispatch at a time.  DESIGN.md section 9a has the exactness
+argument.
 """
 
 from __future__ import annotations
@@ -304,8 +308,8 @@ class Channel:
         service kick end up exactly as ``enqueue`` of each request in turn
         would leave them.  The caller sizes ``blocks`` to
         :meth:`free_slots`; overfilling raises.  Like :meth:`enqueue`,
-        it wakes a live lane group first: a group takes mirrored shares
-        only through :meth:`LaneGroup.enqueue_phases`.
+        it wakes a live lane group first: a group takes ORAM phases only
+        as lane shares, through :meth:`LaneGroup.enqueue_phases`.
         """
         if self._group is not None:
             self._group.wake()
@@ -738,27 +742,26 @@ class LaneGroup:
     # ------------------------------------------------------------------
     # Hand-off
     # ------------------------------------------------------------------
-    def enqueue_phases(self, shares, op: OpType, app_id: int,
-                       traffic: TrafficClass, completions) -> bool:
-        """Queue a phase's mirrored shares, ``shares[i]`` for lane ``i``.
+    def enqueue_phases(self, blocks, op: OpType, app_id: int,
+                       traffic: TrafficClass, on_complete) -> None:
+        """Queue one ORAM phase's lane share: lane 0's ``blocks``, which
+        every lane mirrors.
 
-        The shares mirror when they have equal lengths and equal
-        ``bank``, ``row`` and ``col`` at each position, the traffic is
-        ``SECURE`` (a single class, so no lane consults its share policy,
-        which sub-channels may share), and ``completions`` are one
-        callable or :class:`CompletionGroup`\\ s with one callback and
-        count.  Then the leader queues one request per block and every
-        lane that would have kicked its service takes its kick seq, in
-        lane order.  Otherwise the group wakes, nothing is queued, and
-        the call returns False: the caller issues one
-        :meth:`Channel.enqueue_phase` per lane.
+        The caller (the secure delegator) guarantees the mirror by
+        construction: each block stands for one block at the same
+        ``bank``, ``row`` and ``col`` on every lane, in the same order;
+        ``on_complete`` stands for one completion of the same kind per
+        lane (a :class:`CompletionGroup` of ``len(blocks)``, or a
+        callable per block); and ``traffic`` is ``SECURE``, a single
+        class, so no lane consults its share policy (which sub-channels
+        may share).  The leader queues one request per block, and every
+        follower that would have kicked its service takes its kick seq,
+        in lane order.  Like :meth:`Channel.enqueue_phase`, the caller
+        sizes ``blocks`` to :meth:`Channel.free_slots`.
         """
-        if not _mirrored(shares, traffic, completions):
-            self.wake()
-            return False
         leader = self.leader
-        kick = bool(shares[0]) and not leader._service_scheduled
-        leader._enqueue_blocks(shares[0], op, app_id, traffic, completions[0])
+        kick = bool(blocks) and not leader._service_scheduled
+        leader._enqueue_blocks(blocks, op, app_id, traffic, on_complete)
         if kick:
             # The followers' kicks, right behind the leader's.
             engine = leader.engine
@@ -766,7 +769,6 @@ class LaneGroup:
             engine._seq = seq + len(self.followers)
             self._pending = range(seq, engine._seq)
             self._pending_time = max(leader._bus_free, engine.now)
-        return True
 
     # ------------------------------------------------------------------
     # The followers' side of one group service
@@ -904,34 +906,6 @@ class LaneGroup:
             if scheduled:
                 engine._push((self._pending_time, self._pending[subchannel - 1],
                               lane._service, _NO_ARG))
-
-
-def _mirrored(shares, traffic: TrafficClass, completions) -> bool:
-    """Whether per-lane phase shares mirror (:meth:`LaneGroup.enqueue_phases`)."""
-    if traffic is not TrafficClass.SECURE:
-        return False
-    size = len(shares[0])
-    first = completions[0]
-    grouped = first.__class__ is CompletionGroup
-    for blocks, done in zip(shares, completions):
-        if len(blocks) != size:
-            return False
-        if grouped:
-            if (done.__class__ is not CompletionGroup
-                    or done.callback is not first.callback
-                    or done.remaining != first.remaining):
-                return False
-        elif done is not first:
-            return False
-    for column in zip(*shares):
-        lead = column[0]
-        bank = lead.bank
-        row = lead.row
-        col = lead.col
-        for block in column:
-            if block.bank != bank or block.row != row or block.col != col:
-                return False
-    return True
 
 
 def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:

@@ -96,7 +96,8 @@ def check_fault_invariants(
 
     report = InvariantReport(scheme=scheme, plan=plan)
     controller = FaultController(plan, capture_commands=True)
-    tracer = Tracer()
+    # The link audit (check 3) reads link events only.
+    tracer = Tracer(("link",))
 
     # 1. Termination: build_and_run raises on deadlock or an exhausted
     # recovery bound; both are invariant violations, not crashes.

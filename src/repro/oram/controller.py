@@ -13,6 +13,13 @@ The two protocol phases are exposed separately (``begin_read`` /
 ``begin_write``) because D-ORAM's delegator sends the response packet as
 soon as the read phase finishes and overlaps the write phase with the
 response's link flight (Section III-B).
+
+The controller gets each path's placements from its sink
+(:meth:`BlockSink.path_placements`): every block by default, or a
+:class:`~repro.oram.layout.LaneShare` from the secure delegator while
+its sub-channels run as a live lane group.  The fork-path filter and the
+phase copies keep a share one, and block counts count every lane's
+(:func:`~repro.oram.layout.block_count`).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.dram.commands import OpType, ignore_completion
 from repro.obs.tracer import NULL_TRACER
 from repro.oram.config import OramConfig
-from repro.oram.layout import BlockPlacement, OramLayout
+from repro.oram.layout import BlockPlacement, OramLayout, block_count
 from repro.oram.protocol import ProtocolState
 from repro.sim.engine import Engine
 from repro.sim.stats import StatSet
@@ -41,6 +48,13 @@ class BlockSink:
     (:class:`~repro.dram.commands.CompletionGroup`).  WRITE phases pass
     :func:`~repro.dram.commands.ignore_completion`.
     """
+
+    def path_placements(self, layout: OramLayout,
+                        leaf: int) -> List[BlockPlacement]:
+        """The placements ``issue_phase`` will get for an access to
+        ``leaf``'s path: by default every block
+        (:meth:`OramLayout.path_placements`)."""
+        return layout.path_placements(leaf)
 
     def issue_phase(
         self,
@@ -133,23 +147,26 @@ class OramController:
                 "oram", "access", self.name, self.engine.now,
                 {"real": int(self._access_real), "leaf": leaf},
             )
-        self._placements = self.layout.path_placements(leaf)
+        placements = self.sink.path_placements(self.layout, leaf)
+        self._placements = placements
         if self.fork_path:
-            buckets = frozenset(p.bucket for p in self._placements)
+            buckets = frozenset(p.bucket for p in placements)
             overlap = buckets & self._prev_buckets
             self._prev_buckets = buckets
             if overlap:
-                skip = [p for p in self._placements if p.bucket in overlap]
-                self.stats.counter("fork_skipped_blocks").add(len(skip))
                 # Read phase skips the still-buffered buckets; the write
                 # phase rewrites the full path as the protocol requires.
-                self._read_placements = [
-                    p for p in self._placements if p.bucket not in overlap
-                ]
+                # (``copy`` and slice assignment keep a lane share one.)
+                read = placements.copy()
+                read[:] = [p for p in placements if p.bucket not in overlap]
+                self.stats.counter("fork_skipped_blocks").add(
+                    block_count(placements) - block_count(read)
+                )
+                self._read_placements = read
             else:
-                self._read_placements = self._placements
+                self._read_placements = placements
         else:
-            self._read_placements = self._placements
+            self._read_placements = placements
         self._start_phase("read", on_done)
 
     def begin_write(self, on_done: Callable[[int], None]) -> None:
@@ -166,7 +183,7 @@ class OramController:
         self._phase_start = self.engine.now
         self._phase_done_cb = on_done
         source = self._read_placements if phase == "read" else self._placements
-        self._pending = list(source)
+        self._pending = source.copy()
         self._outstanding = 0
         self._pump()
 
@@ -226,7 +243,8 @@ class OramController:
             self._tracer.complete(
                 "oram", f"{phase}_phase", self.name, self._phase_start,
                 elapsed,
-                {"blocks": len(blocks), "real": int(self._access_real)},
+                {"blocks": block_count(blocks),
+                 "real": int(self._access_real)},
             )
         if cb is not None:
             cb(self.engine.now)

@@ -18,6 +18,16 @@ split of Section III-C:
 
 The layout is pure arithmetic over bucket indices -- the 4 GB tree is
 never materialized.
+
+A path is placed either in full (:meth:`OramLayout.path_placements`: one
+:class:`BlockPlacement` per block) or, when the layout mirrors (Z a
+multiple of two or more home targets, so each line of a home bucket holds
+one block on every target at the same bank, row and column), as a
+:class:`LaneShare` (:meth:`OramLayout.lane_share`): one placement per
+home line, lane 0's, standing for the line's block on every lane.  The
+secure delegator issues a lane share to a live lane group of the home
+sub-channels and expands it back (:meth:`LaneShare.expand`) if the group
+has woken; each form has its own bounded per-bucket cache.
 """
 
 from __future__ import annotations
@@ -77,10 +87,59 @@ class BlockPlacement:
         )
 
 
-#: Upper bound on memoized placements per layout, counted in blocks
-#: (dominated by the hot root levels; ~100 B per placement keeps the
-#: worst case around 25 MB).  The cache is keyed per bucket, so it holds
-#: up to this many blocks over ``bucket_size`` times fewer keys.
+class LaneShare(list):
+    """Lane 0's blocks of one ORAM path, each standing for every lane's.
+
+    Built by :meth:`OramLayout.lane_share` for a mirroring layout: one
+    placement per home line, in path order (the line's slot-``0``,
+    ``lanes``, ``2 * lanes``, ... block, on home target 0), then the
+    path's remote (split-tree) blocks, one entry each.  A home entry
+    stands for the ``lanes`` blocks of its line, which sit at the same
+    bank, row and column on every lane.  A list, so the ORAM controller
+    filters and copies it as it does full placements; :meth:`copy` keeps
+    the marking (slicing does not).
+    """
+
+    __slots__ = ("layout", "lanes")
+
+    def __init__(self, layout: "OramLayout", blocks=()) -> None:
+        list.__init__(self, blocks)
+        self.layout = layout
+        self.lanes = len(layout.home_targets)
+
+    def copy(self) -> "LaneShare":
+        return LaneShare(self.layout, self)
+
+    def expand(self) -> List[BlockPlacement]:
+        """Every lane's blocks of this share, in path order: a home
+        entry's line is ``bucket_placements(bucket)[slot:slot + lanes]``,
+        a remote entry itself."""
+        lanes = self.lanes
+        bucket_placements = self.layout.bucket_placements
+        blocks: List[BlockPlacement] = []
+        for placement in self:
+            if placement.remote:
+                blocks.append(placement)
+            else:
+                slot = placement.slot
+                blocks += bucket_placements(placement.bucket)[slot:slot + lanes]
+        return blocks
+
+
+def block_count(placements: Sequence[BlockPlacement]) -> int:
+    """The blocks ``placements`` stand for: one each, except that a
+    :class:`LaneShare`'s home entry stands for one block on every lane."""
+    if placements.__class__ is not LaneShare:
+        return len(placements)
+    lanes = placements.lanes
+    return sum(1 if p.remote else lanes for p in placements)
+
+
+#: Upper bound on memoized placements per layout and form (full or lane
+#: share), counted in blocks (dominated by the hot root levels; ~100 B
+#: per placement keeps the worst case around 25 MB each).  Each cache is
+#: keyed per bucket, so it holds up to this many placements over fewer
+#: keys.
 _PLACE_CACHE_LIMIT = 1 << 18
 
 
@@ -130,7 +189,12 @@ class OramLayout:
         self.remote_base_line = remote_base_line
         if self.split_k > 0 and not self.remote_targets:
             raise ValueError("tree split requires remote targets")
-        self._blocks_per_target = -(-config.bucket_size // len(self.home_targets))
+        lanes = len(self.home_targets)
+        self._blocks_per_target = -(-config.bucket_size // lanes)
+        #: True when every home line holds one block on each home target
+        #: (``bucket_size`` a multiple of two or more targets): a path
+        #: then has a :meth:`lane_share`.
+        self.mirrors = lanes >= 2 and config.bucket_size % lanes == 0
         # Precompute per-segment bucket-count prefix for the subtree packing.
         self._segment_offsets = self._build_segments()
         # Per-remote-level line-base offsets.
@@ -140,6 +204,13 @@ class OramLayout:
         self._bucket_cache_limit = max(
             1, _PLACE_CACHE_LIMIT // config.bucket_size
         )
+        #: ``bucket -> tuple of its lane-share entries`` (mirroring only).
+        self._lane_cache: dict = {}
+        self._lane_cache_limit = max(
+            1, _PLACE_CACHE_LIMIT // self._blocks_per_target
+        )
+        self._all_slots = range(config.bucket_size)
+        self._lane_slots = range(0, config.bucket_size, lanes)
         # Hot-path caches: placement construction runs per path bucket and
         # chased these through two dataclasses before.
         self._bucket_size = config.bucket_size
@@ -257,26 +328,36 @@ class OramLayout:
         tree cannot exhaust memory; once full, cold (deep) buckets are
         computed fresh.
         """
-        cache = self._bucket_cache
-        placements = cache.get(bucket)
-        if placements is not None:
-            return placements
+        placements = self._bucket_cache.get(bucket)
+        if placements is None:
+            placements = self._place(bucket, self._all_slots,
+                                     self._bucket_cache,
+                                     self._bucket_cache_limit)
+        return placements
+
+    def _place(self, bucket: int, slots: range, cache: dict,
+               limit: int) -> Tuple[BlockPlacement, ...]:
+        """Place ``slots`` of a home bucket (every block of a remote
+        one), memoized in ``cache`` while it holds fewer than ``limit``
+        buckets."""
         level = self.tree.level_of(bucket)
         if level < self._treetop_levels:
             placements = ()
         elif level < self.home_levels:
-            placements = self._place_home(bucket, level)
+            placements = self._place_home(bucket, level, slots)
         else:
             placements = self._place_remote(bucket, level)
-        if len(cache) < self._bucket_cache_limit:
+        if len(cache) < limit:
             cache[bucket] = placements
         return placements
 
-    def _place_home(self, bucket: int, level: int) -> Tuple[BlockPlacement, ...]:
+    def _place_home(self, bucket: int, level: int,
+                    slots: range) -> Tuple[BlockPlacement, ...]:
         """Slot ``s`` sits on ``home_targets[s % n]`` at line ``base +
         packed * blocks_per_target + s // n``: one line per ``n`` slots
         (one per bucket in the paper's Z = 4 over four sub-channels),
-        decoded once and shared by those slots."""
+        decoded once and shared by those slots.  Places ``slots`` only:
+        every slot, or (lane share) the first of each line."""
         targets = self.home_targets
         n = len(targets)
         # Inline of :meth:`packed_index` (the level is already known) and
@@ -295,7 +376,7 @@ class OramLayout:
         lines_per_row = self._lines_per_row
         num_banks = self._num_banks
         placements = []
-        for slot in range(self._bucket_size):
+        for slot in slots:
             offset = slot % n
             if not offset:
                 row_group, col = divmod(line + slot // n, lines_per_row)
@@ -336,6 +417,22 @@ class OramLayout:
         for bucket in self.tree.path_buckets(leaf):
             placements.extend(bucket_placements(bucket))
         return placements
+
+    def lane_share(self, leaf: int) -> LaneShare:
+        """``leaf``'s path as a :class:`LaneShare` (mirroring layouts
+        only): its :meth:`LaneShare.expand` is :meth:`path_placements`."""
+        if not self.mirrors:
+            raise ValueError("a lane share needs a mirroring layout")
+        share = LaneShare(self)
+        extend = share.extend
+        cache = self._lane_cache
+        for bucket in self.tree.path_buckets(leaf):
+            entries = cache.get(bucket)
+            if entries is None:
+                entries = self._place(bucket, self._lane_slots, cache,
+                                      self._lane_cache_limit)
+            extend(entries)
+        return share
 
     # ------------------------------------------------------------------
     # Space accounting (Table I)

@@ -16,13 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bob.link import LinkParams
+from repro.core.delegator import SecureDelegator
 from repro.core.schemes import run_scheme
-from repro.core.sinks import (
-    BobChannelSink,
-    enqueue_or_hold,
-    issue_split,
-    split_phase,
-)
+from repro.core.sinks import BobChannelSink, enqueue_or_hold
 from repro.core.system import build_bob_fabric
 from repro.dram.channel import Channel, LaneGroup
 from repro.dram.commands import MemRequest, OpType, ignore_completion
@@ -207,9 +203,10 @@ MID_PHASE_NS = 2 * GAP_NS + 5
 
 
 class Rig:
-    """One secure BOB channel's sub-channels, fed ORAM path phases
-    through ``split_phase``/``issue_split`` the way the delegator feeds
-    them: a read phase, then a write phase, every ``GAP_NS``."""
+    """One secure BOB channel's sub-channels, fed ORAM path phases by a
+    secure delegator the way a tree's controller feeds it -- a lane share
+    per phase while the group is live, every lane's blocks once it has
+    woken -- a read phase, then a write phase, every ``GAP_NS``."""
 
     def __init__(self, periodic, lanes=4, depth=64, tracer=None, phases=16,
                  seed=3, log=True):
@@ -234,6 +231,7 @@ class Rig:
             OramConfig(leaf_level=10),
             home_targets=[(0, i) for i in range(lanes)],
         )
+        self.sd = SecureDelegator(engine, bobs[0], {1: bobs[1]}, app_id=9)
         self.done = []
         rng = random.Random(seed)
         for i in range(phases):
@@ -243,18 +241,16 @@ class Rig:
                       lambda leaf=leaf, op=op: self.issue(leaf, op))
 
     def issue(self, leaf, op, placements=None):
-        lanes = self.lanes
+        """Issue one phase of ``leaf``'s path: the placements the
+        delegator chooses, or the given (full) ``placements``."""
         if placements is None:
-            placements = self.layout.path_placements(leaf)
-        targets, stalled, _remote = split_phase(
-            placements, op, lambda key: lanes[key[1]]
-        )
+            placements = self.sd.path_placements(self.layout, leaf)
         if op is OpType.READ:
             def done(t, leaf=leaf):
                 self.done.append(("phase", leaf, t, self.engine.now))
         else:
             done = ignore_completion
-        issue_split(targets, op, done, 9, not stalled)
+        self.sd.issue_phase(placements, op, done)
 
     def note(self, tag):
         """A completion callback that records its own firing."""
@@ -446,7 +442,8 @@ def _arm(rig):
 
 
 def _mismatch(rig):
-    """A phase whose share on lane 3 sits one row off."""
+    """A phase of full placements whose blocks on lane 3 sit one row
+    off, issued per lane."""
     placements = [
         p if p.subchannel != 3 else BlockPlacement(
             p.bucket, p.slot, p.channel, 3, p.bank, p.row + 1, p.col,
@@ -457,7 +454,8 @@ def _mismatch(rig):
 
 
 def _subset(rig):
-    """A phase that reaches only lanes 0 and 1."""
+    """A phase of full placements that reaches only lanes 0 and 1,
+    issued per lane."""
     placements = [p for p in rig.layout.path_placements(13)
                   if p.subchannel < 2]
     rig.issue(13, OpType.READ, placements)
@@ -495,7 +493,9 @@ def test_trigger_wakes_the_group(name, wakes):
 
 
 def test_three_lanes_never_mirror(wakes):
-    """Z = 4 over three sub-channels: lane 0 takes two blocks a bucket."""
+    """Z = 4 over three sub-channels: lane 0 takes two blocks a bucket,
+    so the layout never mirrors, every phase is issued per lane, and the
+    first wakes the group."""
     lazy, eager = _pair(lanes=3)
     lazy.engine.run()
     eager.engine.run()

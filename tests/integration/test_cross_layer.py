@@ -6,7 +6,7 @@ itself; these tests pin them to each other so a drift in one is caught.
 
 from repro.dram.commands import OpType
 from repro.oram.config import OramConfig
-from repro.oram.controller import OramController
+from repro.oram.controller import BlockSink, OramController
 from repro.oram.layout import OramLayout
 from repro.oram.path_oram import PathOram
 from repro.sim.engine import Engine
@@ -14,7 +14,7 @@ from repro.sim.engine import Engine
 CFG = OramConfig(leaf_level=7, treetop_levels=2, subtree_levels=3)
 
 
-class _CollectingSink:
+class _CollectingSink(BlockSink):
     def __init__(self, engine):
         self.engine = engine
         self.ops = []

@@ -4,14 +4,14 @@ import pytest
 
 from repro.dram.commands import OpType
 from repro.oram.config import OramConfig
-from repro.oram.controller import OramController
+from repro.oram.controller import BlockSink, OramController
 from repro.oram.layout import OramLayout
 from repro.sim.engine import Engine
 
 HOME = [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
-class CountingSink:
+class CountingSink(BlockSink):
     def __init__(self, engine):
         self.engine = engine
         self.reads = []

@@ -6,14 +6,14 @@ import pytest
 
 from repro.dram.commands import OpType
 from repro.oram.config import OramConfig
-from repro.oram.controller import OramController
+from repro.oram.controller import BlockSink, OramController
 from repro.oram.layout import OramLayout
 from repro.sim.engine import Engine
 
 HOME = [(0, 0), (0, 1), (0, 2), (0, 3)]
 
 
-class RecordingSink:
+class RecordingSink(BlockSink):
     """Sink that completes reads after a fixed delay, capacity-limited."""
 
     def __init__(self, engine: Engine, latency: int = 100,
