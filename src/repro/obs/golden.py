@@ -17,9 +17,9 @@ in either periodic mode, without committing a trace.
 A shape pin is one named run of a shape the ``SCHEMES`` pins do not
 reach -- several S-Apps or tenants on one delegator, several secure
 channels, split trees with merged short reads, forked paths, a fault
-plan, ORAM phases on a live lane group and a lane group woken by a
-stalled phase -- declared in :data:`SHAPE_RUNS` or
-:data:`SHAPE_SCENARIOS`.  Its
+plan, ORAM phases on a live lane group, a lane group woken by a
+stalled phase, three split levels and the tree-top ablation's depths --
+declared in :data:`SHAPE_RUNS` or :data:`SHAPE_SCENARIOS`.  Its
 result digest (an untraced run's) and its trace digest are pinned, in
 either periodic mode.
 
@@ -81,6 +81,15 @@ SHAPE_RUNS: Dict[str, Tuple[str, Dict[str, object], Optional[Dict]]] = {
     # Failover while the group is live; ``oram{i}.fb`` shares the
     # tree's layout.
     "doram/0-2s-sd-crash": ("doram/0", {"num_s_apps": 2}, _SD_CRASH_PLAN),
+    # Three split levels (24-26 of a 27-level tree), all deeper than
+    # the first subtree segment.
+    "doram+3": ("doram+3", {}, None),
+    # The tree-top ablation's depths, which move the first subtree
+    # segment.
+    "doram-tt0": ("doram", {"oram.treetop_levels": 0}, None),
+    "baseline-tt6": ("baseline", {"oram.treetop_levels": 6}, None),
+    # Lane shares on a live group with the segment moved.
+    "doram/0-tt6": ("doram/0", {"oram.treetop_levels": 6}, None),
 }
 
 #: Scenario shape pins: overrides on
