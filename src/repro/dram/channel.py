@@ -67,6 +67,21 @@ keeps ``_service_scheduled`` set while it wakes space waiters, so a
 waiter that enqueues here joins the chain instead of kicking a second
 one, and clears it only when nothing is left to serve.
 
+Service runs
+------------
+Inside the untraced whole-run lazy loop (the engine's ledger is a
+list), a slot whose next service would be the engine's next pop -- its
+tick strictly before the queue head's, or the queue empty, once
+cancelled entries due by then are dropped -- serves that slot in the
+same dispatch instead of pushing it.  The service keeps the seq it
+took, sets ``engine.now``, records the slot as the latest continued one
+(``engine._slot``: the exit event if the slot stops or raises) and
+counts one synthesized occurrence, as a booked completion does.  No
+event could run between the two slots, so nothing can tell the run
+from one dispatch per slot (DESIGN.md section 9a).  A stopped engine,
+``run(until=)``, ``max_events``, ``step()``, the ``engine`` trace
+category and ``periodic="eager"`` push every service.
+
 Lane groups
 -----------
 The sub-channels of a secure BOB channel receive identical request
@@ -414,236 +429,272 @@ class Channel:
     # Service loop
     # ------------------------------------------------------------------
     def _service(self) -> None:
-        # ``_service_scheduled`` stays set until the chain ends (see the
-        # module docstring, "One service chain").
+        # ``_service_scheduled`` stays set until the chain ends (module
+        # docstring, "One service chain"), and one dispatch may serve a
+        # run of slots ("Service runs").
+        engine = self.engine
+        ledger = engine._ledger
         group = self._group
-        if group is not None and self.engine._ledger is None:
+        if group is not None and ledger is None:
             # Outside the untraced whole-run lazy loop every lane
             # dispatches its own service (and bookings are off).
             group.wake()
             group = None
-        rq_len = self._rq_len
-        wq_len = self._wq_len
-        if not (rq_len or wq_len):
-            self._service_scheduled = False
-            return
-        engine = self.engine
-        now = engine.now
-
-        # Refresh first: if the refresh deadline has passed, stall the rank
-        # for tRFC with every bank precharged.  The deadline is read
-        # directly (one compare on the not-due path, which is every
-        # service but one in ~7.8 us).  One window per service: the
-        # window starts at its deadline, back-dated if the channel sat
-        # idle past it, and the service scheduled behind it takes the
-        # next window if that one is due too.
+        # Invariant over a run: nothing a slot calls out to (a space
+        # waiter, a fault site) reconfigures the channel, and a live
+        # group's slots call out to nothing.
+        heap = engine._queue
+        cancelled = engine._cancelled_seqs
+        tracer = self._tracer
+        traced = tracer.enabled
+        log = self.command_log
+        faults = self._faults
+        close_page = self._close_page
+        banks = self.banks
         rank = self.rank
-        start = rank.refresh
-        if now >= start:
-            end = start + self._tRFC
-            rank.refresh = start + self._tREFI
-            rank.refreshes += 1
-            log = self.command_log
-            if log is not None:
-                from repro.dram.compliance import DramCommand
+        tBURST = self._tBURST
+        now = engine.now
+        while True:
+            rq_len = self._rq_len
+            wq_len = self._wq_len
+            if not (rq_len or wq_len):
+                self._service_scheduled = False
+                return
 
-                log.append(DramCommand(start, "REF", -1, None, end))
-            if self._tracer.enabled:
-                self._tracer.complete("dram", "refresh", self.name, start,
-                                      self._tRFC)
-            for bank in self.banks:
-                bank.force_precharge(end)
-            if end > self._bus_free:
-                self._bus_free = end
-            resume = max(now, self._bus_free)
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._push((resume, seq, self._service, _NO_ARG))
-            if group is not None:
-                group.follow_refresh(start, resume)
-            return
+            # Refresh first: if the refresh deadline has passed, stall the
+            # rank for tRFC with every bank precharged.  The deadline is
+            # read directly (one compare on the not-due path, which is
+            # every slot but one in ~7.8 us).  One window per slot: the
+            # window starts at its deadline, back-dated if the channel sat
+            # idle past it, and the slot behind it takes the next window
+            # if that one is due too.
+            start = rank.refresh
+            if now >= start:
+                end = start + self._tRFC
+                rank.refresh = start + self._tREFI
+                rank.refreshes += 1
+                if log is not None:
+                    from repro.dram.compliance import DramCommand
 
-        # Queue choice: write-drain hysteresis, plus a starvation bound
-        # (a write older than write_timeout forces a drain even below the
-        # high watermark), else reads, else writes.  The oldest write is
-        # the older class head: ``arrival`` never decreases with
-        # ``_enq_seq``.
-        draining = self._draining
-        if draining and wq_len <= self._drain_lo:
-            draining = self._draining = False
-        if not draining and wq_len >= self._drain_hi:
-            draining = self._draining = True
-        if not draining and wq_len:
-            normal, secure = self._writes
-            if normal.reqs:
-                oldest = normal.reqs[0].arrival
-                if secure.reqs and secure.reqs[0].arrival < oldest:
-                    oldest = secure.reqs[0].arrival
+                    log.append(DramCommand(start, "REF", -1, None, end))
+                if traced:
+                    tracer.complete("dram", "refresh", self.name, start,
+                                    self._tRFC)
+                for bank in banks:
+                    bank.force_precharge(end)
+                bus_free = self._bus_free
+                if end > bus_free:
+                    self._bus_free = bus_free = end
+                after = bus_free if bus_free > now else now
+                seq = engine._seq
+                engine._seq = seq + 1
+                if group is not None:
+                    group.follow_refresh(start, after)
             else:
-                oldest = secure.reqs[0].arrival
-            if now - oldest >= self._write_timeout:
-                draining = self._draining = True
-        if (draining and wq_len) or not rq_len:
-            normal, secure = self._writes
-            self._wq_len = wq_len - 1
-        else:
-            normal, secure = self._reads
-            self._rq_len = rq_len - 1
+                # Queue choice: write-drain hysteresis, plus a starvation
+                # bound (a write older than write_timeout forces a drain
+                # even below the high watermark), else reads, else
+                # writes.  The oldest write is the older class head:
+                # ``arrival`` never decreases with ``_enq_seq``.
+                draining = self._draining
+                if draining and wq_len <= self._drain_lo:
+                    draining = self._draining = False
+                if not draining and wq_len >= self._drain_hi:
+                    draining = self._draining = True
+                if not draining and wq_len:
+                    normal, secure = self._writes
+                    if normal.reqs:
+                        oldest = normal.reqs[0].arrival
+                        if secure.reqs and secure.reqs[0].arrival < oldest:
+                            oldest = secure.reqs[0].arrival
+                    else:
+                        oldest = secure.reqs[0].arrival
+                    if now - oldest >= self._write_timeout:
+                        draining = self._draining = True
+                if (draining and wq_len) or not rq_len:
+                    normal, secure = self._writes
+                    self._wq_len = wq_len - 1
+                else:
+                    normal, secure = self._reads
+                    self._rq_len = rq_len - 1
 
-        # Class choice: a contended slot asks the share policy, the older
-        # head's class first; then one FR-FCFS pick within the class.
-        queue = normal
-        reqs = normal.reqs
-        if not reqs:
-            queue = secure
-            reqs = secure.reqs
-        elif secure.reqs:
-            if secure.reqs[0]._enq_seq < reqs[0]._enq_seq:
-                chosen = self.share_policy.pick_between(_SECURE, _NORMAL)
-            else:
-                chosen = self.share_policy.pick_between(_NORMAL, _SECURE)
-            if chosen is _SECURE:
-                queue = secure
-                reqs = secure.reqs
-            if self._tracer.enabled:
-                self._tracer.instant(
-                    "dram", "class_pick", self.name, now,
-                    {"cls": chosen.value, "contenders": 2},
+                # Class choice: a contended slot asks the share policy,
+                # the older head's class first; then one FR-FCFS pick
+                # within the class.
+                queue = normal
+                reqs = normal.reqs
+                if not reqs:
+                    queue = secure
+                    reqs = secure.reqs
+                elif secure.reqs:
+                    if secure.reqs[0]._enq_seq < reqs[0]._enq_seq:
+                        chosen = self.share_policy.pick_between(_SECURE,
+                                                                _NORMAL)
+                    else:
+                        chosen = self.share_policy.pick_between(_NORMAL,
+                                                                _SECURE)
+                    if chosen is _SECURE:
+                        queue = secure
+                        reqs = secure.reqs
+                    if traced:
+                        tracer.instant(
+                            "dram", "class_pick", self.name, now,
+                            {"cls": chosen.value, "contenders": 2},
+                        )
+                qlen = len(reqs)
+                if qlen == 1:
+                    req = reqs.pop()
+                elif banks[(req := reqs[0]).bank].open_row == req.row:
+                    # Head row hit: the scan's first probe, and the list's
+                    # minimum _enq_seq; index 0 never reorders.
+                    del reqs[0]
+                else:
+                    # Indexed first-ready probe: the minimum-_enq_seq
+                    # open-row bucket head is the list's first row hit.
+                    # The windowed scan reaches it exactly when it sits
+                    # among the oldest `window` requests, i.e. its
+                    # _enq_seq is at most reqs[window - 1]'s; otherwise
+                    # (or with no hit) the scan takes the oldest, the
+                    # list head.
+                    req = None
+                    best_seq = _NO_PICK
+                    for bank, index in queue.probe:
+                        # (Rows are ints, so a closed bank's None finds
+                        # nothing.)
+                        if index:
+                            bucket = index.get(bank.open_row)
+                            if bucket:
+                                head = bucket[0]
+                                if head._enq_seq < best_seq:
+                                    best_seq = head._enq_seq
+                                    req = head
+                    window = self._window
+                    if req is None or (
+                        qlen > window and best_seq > reqs[window - 1]._enq_seq
+                    ):
+                        req = reqs[0]
+                        del reqs[0]
+                    elif traced:
+                        # The head is no hit, so the pick is out of order.
+                        i = reqs.index(req)
+                        self._trace_reorder(i, req.bank, qlen)
+                        del reqs[i]
+                    else:
+                        reqs.remove(req)
+                # The pick heads its row bucket (it is the oldest of its
+                # list or a bucket head).
+                index = queue.index[req.bank]
+                bucket = index[req.row]
+                if len(bucket) == 1:
+                    del index[req.row]
+                else:
+                    del bucket[0]
+
+                bank = banks[req.bank]
+                bus_free = self._bus_free
+                floor = bus_free if bus_free > now else now
+                is_write = req.is_write
+                if is_write and self._last_op is OpType.READ:
+                    floor += self._tRTW
+                data_start, outcome = bank.commit(req, req.arrival, floor)
+                if close_page:
+                    bank.close_after_access()
+                if log is not None:
+                    from repro.dram.compliance import DramCommand
+
+                    log.extend(
+                        DramCommand(t, kind, req.bank, row)
+                        for kind, t, row in bank.last_commands
+                    )
+                finish = data_start + tBURST
+                self._bus_free = finish
+                self._last_op = req.op
+
+                # The request's one statistic (module docstring,
+                # "Statistics"): an inline of LatencyStat.record, whose
+                # call overhead was measurable here.  Latency is positive
+                # by construction (finish > arrival), so the
+                # negative-value guard is unnecessary.
+                latency = finish - req.arrival
+                stat = queue.latency
+                stat.count += 1
+                stat.total += latency
+                bound = stat.min
+                if bound is None or latency < bound:
+                    stat.min = latency
+                bound = stat.max
+                if bound is None or latency > bound:
+                    stat.max = latency
+                if traced:
+                    tracer.complete(
+                        "dram", "write" if is_write else "read", self.name,
+                        data_start, tBURST,
+                        {
+                            "bank": req.bank,
+                            "row": req.row,
+                            "outcome": outcome,
+                            "app": req.app_id,
+                            "cls": req.traffic.value,
+                            "lat": latency,
+                        },
+                    )
+                # Inline of Engine.call_at / Engine.at: both times are >=
+                # now by construction (data_start is floored at now,
+                # finish is later still), so the past-schedule guards
+                # cannot fire.
+                on_complete = req.on_complete
+                if on_complete is not None:
+                    if faults is not None and not is_write:
+                        # Transient flip of this read's data burst: marks
+                        # the completion's owner (who MAC-verifies) before
+                        # it fires.
+                        faults.maybe_flip(on_complete)
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                    if on_complete.__class__ is CompletionGroup:
+                        # Counted down at service time: only the last
+                        # member serviced carries the group's callback.
+                        left = on_complete.remaining - 1
+                        on_complete.remaining = left
+                        on_complete = on_complete.callback if not left \
+                            else ignore_completion
+                    if ledger is None or on_complete is not ignore_completion:
+                        engine._push((finish, seq, on_complete, finish))
+                    elif group is None:
+                        # A no-op completion: booked at the seq its event
+                        # would have taken and counted as a synthesized
+                        # occurrence.
+                        engine.book(finish, seq, on_complete)
+                    # (A live group's follow() books every lane's at once.)
+
+                if self._space_waiters:
+                    self._wake_space_waiters()
+                # Decide the next request when the bus frees so bursts
+                # can chain back-to-back.
+                after = data_start
+                if self._rq_len or self._wq_len:
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                else:
+                    self._service_scheduled = False
+                if group is not None:
+                    group.follow(req, bank, data_start, outcome, latency,
+                                 on_complete)
+                if not self._service_scheduled:
+                    return
+            # The next slot: served in this dispatch when its service
+            # would be the engine's next pop, else pushed.
+            if ledger is None or engine._stopped or (
+                heap and heap[0][0] <= after and not (
+                    cancelled and heap[0][1] in cancelled
+                    and engine._discard_cancelled(after)
                 )
-        qlen = len(reqs)
-        if qlen == 1:
-            req = reqs.pop()
-        elif self.banks[(req := reqs[0]).bank].open_row == req.row:
-            # Head row hit: the scan's first probe, and the list's
-            # minimum _enq_seq; index 0 never reorders.
-            del reqs[0]
-        else:
-            # Indexed first-ready probe: the minimum-_enq_seq open-row
-            # bucket head is the list's first row hit.  The windowed
-            # scan reaches it exactly when it sits among the oldest
-            # `window` requests, i.e. its _enq_seq is at most
-            # reqs[window - 1]'s; otherwise (or with no hit) the scan
-            # takes the oldest, the list head.
-            req = None
-            best_seq = _NO_PICK
-            for bank, index in queue.probe:
-                # (Rows are ints, so a closed bank's None finds nothing.)
-                if index:
-                    bucket = index.get(bank.open_row)
-                    if bucket:
-                        head = bucket[0]
-                        if head._enq_seq < best_seq:
-                            best_seq = head._enq_seq
-                            req = head
-            window = self._window
-            if req is None or (
-                qlen > window and best_seq > reqs[window - 1]._enq_seq
             ):
-                req = reqs[0]
-                del reqs[0]
-            elif self._tracer.enabled:
-                # The head is no hit, so the pick is out of order.
-                i = reqs.index(req)
-                self._trace_reorder(i, req.bank, qlen)
-                del reqs[i]
-            else:
-                reqs.remove(req)
-        # The pick heads its row bucket (it is the oldest of its list or
-        # a bucket head).
-        index = queue.index[req.bank]
-        bucket = index[req.row]
-        if len(bucket) == 1:
-            del index[req.row]
-        else:
-            del bucket[0]
-
-        bank = self.banks[req.bank]
-        bus_free = self._bus_free
-        floor = bus_free if bus_free > now else now
-        is_write = req.is_write
-        if is_write and self._last_op is OpType.READ:
-            floor += self._tRTW
-        data_start, outcome = bank.commit(req, req.arrival, floor)
-        if self._close_page:
-            bank.close_after_access()
-        if self.command_log is not None:
-            from repro.dram.compliance import DramCommand
-
-            self.command_log.extend(
-                DramCommand(t, kind, req.bank, row)
-                for kind, t, row in bank.last_commands
-            )
-        tburst = self._tBURST
-        finish = data_start + tburst
-
-        self._bus_free = finish
-        self._last_op = req.op
-
-        # The request's one statistic (module docstring, "Statistics"):
-        # an inline of LatencyStat.record, whose call overhead was
-        # measurable here.  Latency is positive by construction (finish
-        # > arrival), so the negative-value guard is unnecessary.
-        latency = finish - req.arrival
-        stat = queue.latency
-        stat.count += 1
-        stat.total += latency
-        bound = stat.min
-        if bound is None or latency < bound:
-            stat.min = latency
-        bound = stat.max
-        if bound is None or latency > bound:
-            stat.max = latency
-        if self._tracer.enabled:
-            self._tracer.complete(
-                "dram", "write" if is_write else "read", self.name,
-                data_start, tburst,
-                {
-                    "bank": req.bank,
-                    "row": req.row,
-                    "outcome": outcome,
-                    "app": req.app_id,
-                    "cls": req.traffic.value,
-                    "lat": latency,
-                },
-            )
-        # Inline of Engine.call_at / Engine.at: both times are >= now by
-        # construction (data_start is floored at now, finish is later
-        # still), so the past-schedule guards cannot fire.
-        on_complete = req.on_complete
-        if on_complete is not None:
-            if self._faults is not None and not is_write:
-                # Transient flip of this read's data burst: marks the
-                # completion's owner (who MAC-verifies) before it fires.
-                self._faults.maybe_flip(on_complete)
-            seq = engine._seq
-            engine._seq = seq + 1
-            if on_complete.__class__ is CompletionGroup:
-                # Counted down at service time: only the last member
-                # serviced carries the group's callback.
-                left = on_complete.remaining - 1
-                on_complete.remaining = left
-                on_complete = on_complete.callback if not left \
-                    else ignore_completion
-            if engine._ledger is None or on_complete is not ignore_completion:
-                engine._push((finish, seq, on_complete, finish))
-            elif group is None:
-                # A no-op completion: booked at the seq its event would
-                # have taken and counted as a synthesized occurrence.
-                engine.book(finish, seq, on_complete)
-            # (A live group's follow() books every lane's at once.)
-
-        if self._space_waiters:
-            self._wake_space_waiters()
-        # Decide the next request when the bus frees so bursts can chain
-        # back-to-back.
-        if self._rq_len or self._wq_len:
-            seq = engine._seq
-            engine._seq = seq + 1
-            engine._push((data_start, seq, self._service, _NO_ARG))
-        else:
-            self._service_scheduled = False
-        if group is not None:
-            group.follow(req, bank, data_start, outcome, latency, on_complete)
+                engine._push((after, seq, self._service, _NO_ARG))
+                return
+            engine.now = now = after
+            engine._slot = (after, seq)
+            engine._synthesized += 1
 
     def _trace_reorder(self, index: int, bank: int, depth: int) -> None:
         """Emit a ``frfcfs_reorder`` event (an out-of-order pick)."""

@@ -27,7 +27,14 @@ one block on every target at the same bank, row and column), as a
 home line, lane 0's, standing for the line's block on every lane.  The
 secure delegator issues a lane share to a live lane group of the home
 sub-channels and expands it back (:meth:`LaneShare.expand`) if the group
-has woken; each form has its own bounded per-bucket cache.
+has woken.
+
+Each form memoizes a bucket's placements only on the levels a random
+path revisits: the tree-top levels and the first subtree segment, levels
+``0 .. treetop_levels + subtree_levels - 1``.  A bucket at level ``l``
+lies on a uniformly random path with probability ``2^-l`` (Path ORAM),
+so deeper buckets are placed afresh, and each memo holds fewer than
+``2^(treetop_levels + subtree_levels)`` buckets however long the run.
 """
 
 from __future__ import annotations
@@ -135,14 +142,6 @@ def block_count(placements: Sequence[BlockPlacement]) -> int:
     return sum(1 if p.remote else lanes for p in placements)
 
 
-#: Upper bound on memoized placements per layout and form (full or lane
-#: share), counted in blocks (dominated by the hot root levels; ~100 B
-#: per placement keeps the worst case around 25 MB each).  Each cache is
-#: keyed per bucket, so it holds up to this many placements over fewer
-#: keys.
-_PLACE_CACHE_LIMIT = 1 << 18
-
-
 class OramLayout:
     """Bucket/slot -> device-coordinate mapping for one ORAM tree."""
 
@@ -197,24 +196,26 @@ class OramLayout:
         self.mirrors = lanes >= 2 and config.bucket_size % lanes == 0
         # Precompute per-segment bucket-count prefix for the subtree packing.
         self._segment_offsets = self._build_segments()
+        self._home_lines = self._build_home_lines()
         # Per-remote-level line-base offsets.
         self._remote_level_bases = self._build_remote_bases()
-        #: ``bucket -> tuple of its placements`` (empty when cached).
+        #: Levels numbered below this one are memoized (module docstring).
+        self._memo_levels = min(
+            config.treetop_levels + config.subtree_levels, config.num_levels
+        )
+        #: ``bucket -> tuple of its placements``, memoized levels only.
         self._bucket_cache: dict = {}
-        self._bucket_cache_limit = max(
-            1, _PLACE_CACHE_LIMIT // config.bucket_size
-        )
-        #: ``bucket -> tuple of its lane-share entries`` (mirroring only).
+        #: ``bucket -> tuple of its lane-share entries`` (mirroring only),
+        #: memoized levels only.
         self._lane_cache: dict = {}
-        self._lane_cache_limit = max(
-            1, _PLACE_CACHE_LIMIT // self._blocks_per_target
-        )
         self._all_slots = range(config.bucket_size)
         self._lane_slots = range(0, config.bucket_size, lanes)
         # Hot-path caches: placement construction runs per path bucket and
         # chased these through two dataclasses before.
         self._bucket_size = config.bucket_size
         self._treetop_levels = config.treetop_levels
+        self._leaf_level = config.leaf_level
+        self._num_leaves = config.num_leaves
         self._lines_per_row = geometry.lines_per_row
         self._num_banks = geometry.num_banks
         self._num_rows = geometry.num_rows
@@ -241,6 +242,26 @@ class OramLayout:
             offset += buckets
             level += height
         return segments
+
+    def _build_home_lines(self) -> List[Optional[Tuple[int, int, int]]]:
+        """Per level, how its home buckets map to lines: ``(depth, size,
+        line_base)`` such that bucket ``b`` with subtree root ``r = b >>
+        depth`` starts at line ``line_base + (r * size + b - (r <<
+        depth)) * blocks_per_target`` -- :meth:`packed_index` with the
+        level's segment folded in.  ``None`` on tree-top and remote
+        levels."""
+        table: List[Optional[Tuple[int, int, int]]] = [None] * (
+            self.config.num_levels
+        )
+        for top, height, offset in self._segment_offsets:
+            size = (1 << height) - 1
+            for depth in range(height):
+                base = offset - (1 << top) * size + (1 << depth) - 1
+                table[top + depth] = (
+                    depth, size,
+                    self.base_line + base * self._blocks_per_target,
+                )
+        return table
 
     def _segment_of(self, level: int) -> Tuple[int, int, int]:
         for top, height, offset in reversed(self._segment_offsets):
@@ -323,56 +344,46 @@ class OramLayout:
         empty for tree-top-cached buckets.
 
         The mapping is a pure function of the bucket and placements are
-        treated as immutable, so it is memoized per bucket: every access
-        recomputes the same root levels.  The cache is bounded so a huge
-        tree cannot exhaust memory; once full, cold (deep) buckets are
-        computed fresh.
+        treated as immutable, so a bucket on a memoized level (module
+        docstring) is placed once.
         """
-        placements = self._bucket_cache.get(bucket)
-        if placements is None:
-            placements = self._place(bucket, self._all_slots,
-                                     self._bucket_cache,
-                                     self._bucket_cache_limit)
-        return placements
-
-    def _place(self, bucket: int, slots: range, cache: dict,
-               limit: int) -> Tuple[BlockPlacement, ...]:
-        """Place ``slots`` of a home bucket (every block of a remote
-        one), memoized in ``cache`` while it holds fewer than ``limit``
-        buckets."""
         level = self.tree.level_of(bucket)
         if level < self._treetop_levels:
-            placements = ()
-        elif level < self.home_levels:
-            placements = self._place_home(bucket, level, slots)
-        else:
-            placements = self._place_remote(bucket, level)
-        if len(cache) < limit:
-            cache[bucket] = placements
+            return ()
+        if level >= self._memo_levels:
+            return self._place(bucket, level, self._all_slots)
+        placements = self._bucket_cache.get(bucket)
+        if placements is None:
+            placements = self._bucket_cache[bucket] = self._place(
+                bucket, level, self._all_slots)
         return placements
 
-    def _place_home(self, bucket: int, level: int,
-                    slots: range) -> Tuple[BlockPlacement, ...]:
-        """Slot ``s`` sits on ``home_targets[s % n]`` at line ``base +
+    def _place(self, bucket: int, level: int,
+               slots: range) -> Tuple[BlockPlacement, ...]:
+        """The one placement routine: ``slots`` of a home bucket at
+        ``level`` (every slot, or for a lane share the first of each
+        line), or every block of a remote one.
+
+        Home slot ``s`` sits on ``home_targets[s % n]`` at line ``base +
         packed * blocks_per_target + s // n``: one line per ``n`` slots
         (one per bucket in the paper's Z = 4 over four sub-channels),
-        decoded once and shared by those slots.  Places ``slots`` only:
-        every slot, or (lane share) the first of each line."""
+        decoded once and shared by those slots.  A remote bucket follows
+        Fig. 7: slot 0 rotates across the remote targets, slot ``j > 0``
+        sits on target ``(j - 1) mod n``."""
+        home = self._home_lines[level]
+        if home is None:
+            return self._place_remote(bucket, level)
         targets = self.home_targets
         n = len(targets)
-        # Inline of :meth:`packed_index` (the level is already known) and
-        # of :func:`decode_line` (the line index is positive by
-        # construction: ``base_line`` sits above the NS-App slices).
-        top, height, seg_offset = self._segment_of(level)
-        depth = level - top
-        subtree_root = bucket >> depth
-        packed = (
-            seg_offset
-            + (subtree_root - (1 << top)) * ((1 << height) - 1)
-            + (1 << depth) - 1
-            + (bucket - (subtree_root << depth))
-        )
-        line = self.base_line + packed * self._blocks_per_target
+        # Inline of :meth:`packed_index` (the level's segment is folded
+        # into ``home``) and of :func:`decode_line` (the line index is
+        # positive by construction: ``base_line`` sits above the NS-App
+        # slices).
+        depth, size, line_base = home
+        root = bucket >> depth
+        line = line_base + (
+            root * size + bucket - (root << depth)
+        ) * self._blocks_per_target
         lines_per_row = self._lines_per_row
         num_banks = self._num_banks
         placements = []
@@ -408,31 +419,40 @@ class OramLayout:
             ))
         return tuple(placements)
 
+    def _path(self, leaf: int, memo: dict, slots: range, out: list) -> list:
+        """Append ``slots`` of every bucket on ``leaf``'s path to ``out``,
+        bucket by bucket from the first level below the tree-top cache:
+        memoized in ``memo`` on the memoized levels, placed afresh
+        below them."""
+        if not 0 <= leaf < self._num_leaves:
+            raise ValueError(f"leaf {leaf} out of range")
+        node = self._num_leaves + leaf
+        leaf_level = self._leaf_level
+        place = self._place
+        memo_levels = self._memo_levels
+        for level in range(self._treetop_levels, memo_levels):
+            bucket = node >> (leaf_level - level)
+            placements = memo.get(bucket)
+            if placements is None:
+                placements = memo[bucket] = place(bucket, level, slots)
+            out += placements
+        for level in range(memo_levels, leaf_level + 1):
+            out += place(node >> (leaf_level - level), level, slots)
+        return out
+
     # ------------------------------------------------------------------
     def path_placements(self, leaf: int) -> List[BlockPlacement]:
         """Every DRAM block touched by an access to ``leaf``'s path, bucket
         by bucket from the root, each bucket in slot order."""
-        placements: List[BlockPlacement] = []
-        bucket_placements = self.bucket_placements
-        for bucket in self.tree.path_buckets(leaf):
-            placements.extend(bucket_placements(bucket))
-        return placements
+        return self._path(leaf, self._bucket_cache, self._all_slots, [])
 
     def lane_share(self, leaf: int) -> LaneShare:
         """``leaf``'s path as a :class:`LaneShare` (mirroring layouts
         only): its :meth:`LaneShare.expand` is :meth:`path_placements`."""
         if not self.mirrors:
             raise ValueError("a lane share needs a mirroring layout")
-        share = LaneShare(self)
-        extend = share.extend
-        cache = self._lane_cache
-        for bucket in self.tree.path_buckets(leaf):
-            entries = cache.get(bucket)
-            if entries is None:
-                entries = self._place(bucket, self._lane_slots, cache,
-                                      self._lane_cache_limit)
-            extend(entries)
-        return share
+        return self._path(leaf, self._lane_cache, self._lane_slots,
+                          LaneShare(self))
 
     # ------------------------------------------------------------------
     # Space accounting (Table I)

@@ -127,11 +127,13 @@ class Engine:
         ``periodic`` selects whether the whole-run loop may elide
         dispatches that change nothing model-visible: ``"lazy"``
         (default) lets channels book no-op completions instead of
-        dispatching them and lets lockstep sub-channels run as one lane
-        group, counting each elided occurrence into the event census as
-        synthesized; ``"eager"`` turns both off and dispatches one event
-        per occurrence (the census-invariance differential oracle).  Any
-        other value raises ``ValueError``.
+        dispatching them, lets lockstep sub-channels run as one lane
+        group, and lets a channel serve a run of back-to-back slots in
+        one dispatch while its next service would be the next pop,
+        counting each elided occurrence into the event census as
+        synthesized; ``"eager"`` turns all three off and dispatches one
+        event per occurrence (the census-invariance differential
+        oracle).  Any other value raises ``ValueError``.
         """
         if periodic not in ("lazy", "eager"):
             raise ValueError(f"unknown periodic mode {periodic!r}")
@@ -145,12 +147,14 @@ class Engine:
         self._seq = 0
         self._events_dispatched = 0
         #: Occurrences accounted without a dispatch: booked no-op
-        #: completions (see ``_ledger``) and the followers' services of
-        #: a live lane group.  Added into :attr:`events_dispatched` so
-        #: the logical census (and every serialized SimResult) is
-        #: identical across periodic modes.
+        #: completions (see ``_ledger``), the followers' services of a
+        #: live lane group, and the continued slots of a service run
+        #: (see ``_slot``).  Added into :attr:`events_dispatched` so the
+        #: logical census (and every serialized SimResult) is identical
+        #: across periodic modes.
         self._synthesized = 0
-        #: True when bookings and lane groups may elide dispatches.
+        #: True when bookings, lane groups and service runs may elide
+        #: dispatches.
         self.lazy_periodic = periodic == "lazy"
         #: Seqs of cancelled-but-not-yet-popped entries.  The dispatch
         #: loop guards on the set's truthiness, so the no-cancellation
@@ -165,6 +169,14 @@ class Engine:
         #: and settled when :meth:`run` exits.
         self._ledger: Optional[List[Booking]] = None
         self._ledger_cap = _LEDGER_CAP
+        #: ``(time, seq)`` of the latest continued slot: a service a
+        #: channel served in the dispatch before it instead of pushing
+        #: it, which it may do only while the ledger is a list and the
+        #: service would be the next pop.  Occurrences are handled in
+        #: increasing ``(time, seq)`` order, dispatched or continued, so
+        #: the later of this and the dispatched event is the one a run
+        #: stopped or raised in.
+        self._slot: Tuple[int, int] = (-1, -1)
         #: Live lane groups (``repro.dram.channel.LaneGroup``): lockstep
         #: channels that run their lanes' services in one dispatch.
         #: Each has a ``wake()`` that splits it into per-lane events; the
@@ -317,7 +329,8 @@ class Engine:
             # general loop below stays the single source of truth for
             # `until`/`max_events`/tracing semantics.  In lazy mode this
             # is also the only loop that lets models book no-op
-            # completions instead of pushing them (settled on exit).
+            # completions instead of pushing them (settled on exit) and
+            # lets a channel serve its next slot without a dispatch.
             ledger = [] if self.lazy_periodic else None
             self._ledger = ledger
             drained = False
@@ -350,9 +363,11 @@ class Engine:
                     for group in list(self._lane_groups):
                         group.wake()
                 if ledger:
-                    # Stop or exception: (time, seq) is the exit event.
+                    # Stop or exception: the exit event is the dispatched
+                    # one, or a slot it continued into.
                     self._settle_ledger(
-                        ledger, None if drained else (time, seq)
+                        ledger,
+                        None if drained else max((time, seq), self._slot),
                     )
             return
         try:
@@ -455,6 +470,20 @@ class Engine:
                 late += 1
         self._synthesized -= late
 
+    def _discard_cancelled(self, time: int) -> bool:
+        """Drop the cancelled entries heading the queue at or before
+        ``time``, as the dispatch loop drops them on reaching them; True
+        when no live entry is left at or before ``time``."""
+        queue = self._queue
+        cancelled = self._cancelled_seqs
+        while queue and queue[0][0] <= time:
+            seq = queue[0][1]
+            if seq not in cancelled:
+                return False
+            heappop(queue)
+            cancelled.remove(seq)
+        return True
+
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
         self._stopped = True
@@ -471,10 +500,10 @@ class Engine:
     def events_dispatched(self) -> int:
         """Logical event census: dispatches plus synthesized occurrences.
 
-        Booked no-op completions and lane groups remove heap events but
-        account every occurrence here, so this census (and the SimResult
-        payloads built from it) is identical whichever ``periodic`` mode
-        ran.  :attr:`raw_events_dispatched` counts actual dispatches
+        Booked no-op completions, lane groups and service runs remove
+        heap events but account every occurrence here, so this census
+        (and the SimResult payloads built from it) is identical whichever
+        ``periodic`` mode ran.  :attr:`raw_events_dispatched` counts actual dispatches
         only.
         """
         return self._events_dispatched + self._synthesized
@@ -486,6 +515,6 @@ class Engine:
 
     @property
     def events_synthesized(self) -> int:
-        """Occurrences accounted without a dispatch (booked completions
-        and lane-group followers' services)."""
+        """Occurrences accounted without a dispatch (booked completions,
+        lane-group followers' services and continued service slots)."""
         return self._synthesized

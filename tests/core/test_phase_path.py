@@ -336,6 +336,15 @@ class TestDelegatorPhase:
         assert owed == len(phase) - len(remote) + 1
 
 
+def _fields(placement):
+    """A placement's coordinates (placements compare by identity)."""
+    if placement is None:
+        return None
+    return (placement.bucket, placement.slot, placement.channel,
+            placement.subchannel, placement.bank, placement.row,
+            placement.col, placement.remote, placement.target)
+
+
 class TestBucketPlacements:
     def _layout(self, targets=4):
         cfg = OramConfig(leaf_level=10, treetop_levels=2, subtree_levels=3)
@@ -345,7 +354,8 @@ class TestBucketPlacements:
     def test_place_reads_the_bucket_function(self, targets):
         """Slot ``s`` of a home bucket sits on target ``s % n`` at line
         ``base + packed * blocks_per_target + s // n``; with two targets
-        a bucket spans two lines."""
+        a bucket spans two lines.  Buckets 200 and 2047 lie past the
+        memoized levels, so each call places them afresh."""
         cfg, layout = self._layout(targets)
         per_target = -(-cfg.bucket_size // targets)
         for bucket in (1, 3, 4, 9, 200, 2047):
@@ -354,7 +364,8 @@ class TestBucketPlacements:
             if not placements:
                 assert singles == [None] * cfg.bucket_size
                 continue
-            assert list(placements) == singles
+            assert [_fields(p) for p in placements] == \
+                [_fields(p) for p in singles]
             for slot, p in enumerate(placements):
                 line = (layout.base_line
                         + layout.packed_index(bucket) * per_target
@@ -373,6 +384,11 @@ class TestBucketPlacements:
         ]
 
     def test_cache_is_keyed_per_bucket(self):
-        _cfg, layout = self._layout()
+        """The memo holds the path's buckets on the levels below the
+        tree-top cache and above ``treetop_levels + subtree_levels``
+        (levels 2-4 here), one entry per bucket."""
+        cfg, layout = self._layout()
         layout.path_placements(5)
-        assert set(layout._bucket_cache) == set(layout.tree.path_buckets(5))
+        bound = cfg.treetop_levels + cfg.subtree_levels
+        assert set(layout._bucket_cache) == set(
+            layout.tree.path_buckets(5)[cfg.treetop_levels:bound])
