@@ -4,8 +4,10 @@ USIMM drives its memory system with a per-core reorder-buffer (ROB) model:
 instructions retire in order at the retire width, a load blocks retirement
 until its data returns, stores drain through the write queue, and fetch
 stalls when the ROB is full.  :class:`~repro.cpu.core.Core` reproduces that
-model event-driven, and :class:`~repro.cpu.cache.LastLevelCache` provides
-the 4 MB LLC in front of it (traces can be either pre- or post-LLC).
+model event-driven.  Every scheme feeds its cores post-LLC miss streams,
+as the paper's MSC traces are, so none builds a cache;
+:class:`~repro.cpu.cache.LastLevelCache` is a standalone filter that turns
+a pre-LLC record stream into the miss stream a 4 MB LLC would emit.
 """
 
 from repro.cpu.core import Core, CoreParams
