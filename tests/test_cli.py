@@ -562,6 +562,28 @@ class TestSweepQueueModes:
         assert code == 2
         assert "needs a result store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--figures", "fig10", "--benchmarks", "li",
+         "--trace-length", "150"],
+        ["chaos", "--campaign", CI_SMOKE_CAMPAIGN],
+    ], ids=["sweep", "chaos"])
+    def test_queue_manifest_clash_exits_2(self, argv, capsys, tmp_path):
+        """A queue directory that declares another sweep is refused
+        with one line, before any point is simulated."""
+        from repro.analysis.sweep import ResultStore, RunPoint
+        from repro.analysis.workqueue import WorkQueue
+
+        queue = str(tmp_path / "q")
+        store = str(tmp_path / "store")
+        WorkQueue.create(queue, [RunPoint("baseline", "li", 150)])
+        code = main(argv + ["--workers", "1", "--queue", queue,
+                            "--store", store])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "already declares a different sweep" in err
+        assert err.count("\n") == 1
+        assert len(ResultStore(store)) == 0
+
     def test_status_on_missing_queue_fails_fast(self, capsys, tmp_path):
         assert main(["sweep", "--status", str(tmp_path / "nope")]) == 2
         assert capsys.readouterr().err.startswith("doram: error:")
