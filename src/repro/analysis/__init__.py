@@ -18,10 +18,6 @@
 * :mod:`~repro.analysis.workqueue` -- lease-arbitrated multi-worker
   drains of one sweep, private for ``workers > 1`` or shared through a
   queue directory (``doram sweep --queue/--join``);
-* :mod:`~repro.analysis.model` -- the closed-form queueing approximation
-  of the D-ORAM pipeline plus its per-family calibration;
-* :mod:`~repro.analysis.explore` -- analytical triage + selective
-  simulation of configuration grids (``doram explore``);
 * :mod:`~repro.analysis.trajectory` -- the ``BENCH_*.json`` append
   rules and ``python -m repro.analysis.trajectory --check``.  It is not
   imported here, so the ``-m`` form does not import it twice.
@@ -34,9 +30,7 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.profiling import ProfileResult, profile_ratio
 from repro.analysis import experiments
-from repro.analysis.model import CalibratedModel, DoramModel, fit_families
 from repro.analysis.workqueue import DrainResult, QueueStats, WorkQueue
-from repro.analysis.explore import ExploreResult, build_grid, explore
 
 __all__ = [
     "normalized_times",
@@ -45,13 +39,7 @@ __all__ = [
     "ProfileResult",
     "profile_ratio",
     "experiments",
-    "CalibratedModel",
-    "DoramModel",
-    "fit_families",
     "DrainResult",
     "QueueStats",
     "WorkQueue",
-    "ExploreResult",
-    "build_grid",
-    "explore",
 ]

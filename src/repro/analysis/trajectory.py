@@ -1,13 +1,12 @@
 """Append-only benchmark trajectories (``BENCH_*.json``) and their schema.
 
 A trajectory is a JSON array of records, one per measurement, that
-builds a history across commits: ``BENCH_explore.json``
-(:func:`repro.analysis.explore.bench_record`) and ``BENCH_chaos.json``
-(:func:`repro.faults.campaign.bench_records`).  ``BENCH_sim.json`` and
-``BENCH_sweep.json`` are frozen history; ``--check`` still replays
-them.  :func:`append` writes atomically (tmp +
-``os.replace``), and a corrupt or missing file restarts the trajectory
-instead of crashing.
+builds a history across commits: ``BENCH_chaos.json``
+(:func:`repro.faults.campaign.bench_records`, appended by ``doram chaos
+--bench-out``).  ``BENCH_sim.json``, ``BENCH_sweep.json`` and
+``BENCH_explore.json`` are frozen history; ``--check`` still replays
+them.  :func:`append` writes atomically (tmp + ``os.replace``), and a
+corrupt or missing file restarts the trajectory instead of crashing.
 
 :func:`validate` rejects malformed appends before they land: every
 record needs the base keys, workload rows need their per-workload
@@ -48,14 +47,9 @@ BASE_KEYS = ("label", "wall_s")
 
 #: Extra required keys per ``workload``.  A workload not listed here
 #: only needs :data:`BASE_KEYS` -- the schema constrains the rows the
-#: program and its benchmarks append, it does not enumerate every
-#: experiment anyone may ever record.
+#: program appends, it does not enumerate every experiment anyone may
+#: ever record.
 WORKLOAD_KEYS = {
-    "explore": ("config", "trace_length", "grid_points", "simulated",
-                "sim_fraction", "des_points_skipped_frac", "budget_frac",
-                "rounds", "frontier_size", "latency_err_mean",
-                "latency_err_p95", "goodput_err_mean",
-                "goodput_err_p95"),
     # BENCH_chaos.json: one row per campaign cell; recovery_p99_ns is
     # -1.0 (never null) when no fault onset had a recovery witness.
     "chaos_point": ("config", "campaign", "availability", "goodput_rps",

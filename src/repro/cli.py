@@ -8,15 +8,14 @@ Subcommands
 ``exp EXPERIMENT``   regenerate a paper exhibit or ablation from the
                      experiment registry (or ``all``) and print its
                      checks; exit 1 if one fails
+``sweep``            the same exhibits through the resumable sweep runner:
+                     a result store, local workers or a shared work queue
+``report``           render every exhibit as the EXPERIMENTS.md report
 ``profile BENCH``    print the T25mix/T33 profiling decision for a benchmark
 ``perf SCHEME``      cProfile one scheme run and print the hottest functions
 ``faults``           arm a fault plan and run the invariant harness
 ``serve``            run the multi-tenant open-loop service scenario and
                      print its per-tenant SLO report (or sweep a grid)
-``explore``          analytical triage + selective simulation of a
-                     configuration grid: recover the latency/goodput
-                     Pareto surface while simulating only the model's
-                     predicted frontier band
 ``chaos``            drain a seeded fault campaign (fault intensity x
                      scheme x workload) under the invariant harness and
                      score availability / goodput-under-faults;
@@ -28,11 +27,11 @@ parent where its default is the same everywhere, one ``_add_*`` helper
 where the default differs by subcommand.  A run's configuration is
 exactly its arguments; nothing here reads the environment.
 
-``sweep`` and ``chaos`` speak the distributed work-queue protocol
-(``explore`` declares and drains queues too): ``--queue DIR`` declares
-the sweep and drains it with ``--workers`` local workers, ``--join DIR
---worker-id ID`` attaches one extra worker (on this or any host sharing
-the filesystem), and ``--status DIR`` prints drain progress
+``sweep`` and ``chaos`` speak the distributed work-queue protocol:
+``--queue DIR`` declares the sweep and drains it with ``--workers``
+local workers, ``--join DIR --worker-id ID`` attaches one extra worker
+(on this or any host sharing the filesystem), and ``--status DIR``
+prints drain progress
 (done/leased/pending/failed, per-worker throughput).  Without
 ``--queue``, ``--workers N > 1`` drains a private queue in a temporary
 directory; ``--workers 1`` runs serially in-process.
@@ -750,83 +749,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if violated else 0
 
 
-def cmd_explore(args: argparse.Namespace) -> int:
-    """Analytical triage + selective simulation (the Pareto surface)."""
-    import time as _time
-
-    from repro.analysis.explore import (
-        GRID_PRESETS,
-        bench_record,
-        build_grid,
-        explore,
-        write_report,
-    )
-    from repro.analysis.workqueue import WorkQueueError
-
-    if args.grid not in GRID_PRESETS:
-        return _fail(f"unknown grid preset {args.grid!r} "
-                     f"(known: {', '.join(GRID_PRESETS)})")
-    error = (_validate_point(None, args.benchmark, args.trace_length)
-             or _sweep_error(args))
-    if error is None and not 0.0 < args.budget_frac <= 1.0:
-        error = f"--budget-frac must be in (0, 1] (got {args.budget_frac:g})"
-    if error:
-        return _fail(error)
-    points = build_grid(args.grid, args.trace_length, args.benchmark)
-    store = _store(args)
-
-    started = _time.monotonic()
-    try:
-        result = explore(
-            points,
-            store=store,
-            workers=args.workers,
-            queue_root=args.queue or None,
-            budget_frac=args.budget_frac,
-            anchors_per_family=args.anchors,
-            band_frac=args.band_frac,
-            max_rounds=args.max_rounds,
-            seed=args.seed,
-            timeout_s=args.timeout or None,
-            progress=_progress(args),
-        )
-    except WorkQueueError as exc:
-        return _fail(str(exc))
-    wall_s = _time.monotonic() - started
-
-    print(f"explore: grid={result.grid_points} "
-          f"simulated={result.simulated} "
-          f"({result.sim_fraction:.1%}; skipped "
-          f"{result.des_points_skipped_frac:.1%}) "
-          f"rounds={result.rounds} wall={wall_s:.1f}s")
-    print(f"  model-vs-sim error: latency mean "
-          f"{result.latency_error['mean']:.3f} "
-          f"p95 {result.latency_error['p95']:.3f}; goodput mean "
-          f"{result.goodput_error['mean']:.3f} "
-          f"p95 {result.goodput_error['p95']:.3f}")
-    print(f"  frontier ({len(result.frontier)} point(s)):")
-    for row in result.frontier:
-        print(f"    {row['label']}: lat={row['latency_us']:.3f}us "
-              f"goodput={row['goodput_rps']:.3e}/s "
-              f"[{row['bottleneck']}-bound]")
-    if result.failed:
-        print(f"  {len(result.failed)} point(s) failed:", file=sys.stderr)
-        for label, reason in sorted(result.failed.items()):
-            print(f"    {label}: {reason}", file=sys.stderr)
-    write_report(result, out_json=args.out_json or None,
-                 out_md=args.out_md or None)
-    for path in (args.out_json, args.out_md):
-        if path:
-            print(f"wrote {path}")
-    if args.bench_out:
-        from repro.analysis.trajectory import append
-
-        append(bench_record(result, args.label, args.grid,
-                            args.trace_length, wall_s), args.bench_out)
-        print(f"appended {args.bench_out}")
-    return 1 if result.failed else 0
-
-
 def cmd_schemes(_args: argparse.Namespace) -> int:
     print("canonical schemes:", ", ".join(SCHEMES))
     print("parameterized    : doram+K, doram/C, doram+K/C")
@@ -890,23 +812,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="declare the work in this work-queue directory "
                             "and drain it with --workers local workers "
                             "(other hosts may join)")
-    # The queue modes ``sweep`` and ``chaos`` share.
-    queue_modes = _parent()
-    queue_modes.add_argument("--join", default="",
-                             help="join an existing work-queue directory "
-                                  "as one worker and drain until done")
-    queue_modes.add_argument("--worker-id", default="",
-                             help="stable owner id for --join (default: "
-                                  "host-pid)")
-    queue_modes.add_argument("--status", default="",
-                             help="print a work-queue directory's drain "
-                                  "progress and exit")
-    bench_out = _parent()
-    bench_out.add_argument("--bench-out", default="",
-                           help="append trajectory records to this "
-                                "BENCH_*.json file")
-    bench_out.add_argument("--label", default="local",
-                           help="bench record label (default local)")
+    drain.add_argument("--join", default="",
+                       help="join an existing work-queue directory "
+                            "as one worker and drain until done")
+    drain.add_argument("--worker-id", default="",
+                       help="stable owner id for --join (default: "
+                            "host-pid)")
+    drain.add_argument("--status", default="",
+                       help="print a work-queue directory's drain "
+                            "progress and exit")
 
     p_run = sub.add_parser("run", parents=[faults],
                            help="simulate one scheme")
@@ -942,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_exp)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[benchmarks, drain, queue_modes],
+        "sweep", parents=[benchmarks, drain],
         help="regenerate figures via the resumable sweep runner",
     )
     p_sweep.add_argument("--figures", default="all",
@@ -1031,33 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store(p_serve, "none")
     p_serve.set_defaults(func=cmd_serve)
 
-    p_explore = sub.add_parser(
-        "explore", parents=[drain, bench_out],
-        help="recover the latency/goodput Pareto surface of a config "
-             "grid, simulating only the model's predicted frontier band",
-    )
-    p_explore.add_argument("--grid", default="smoke",
-                           help="grid preset: smoke, fig9, full")
-    _add_benchmark(p_explore, "li")
-    _add_trace_length(p_explore, 300)
-    _add_store(p_explore, None)
-    p_explore.add_argument("--budget-frac", type=float, default=0.2,
-                           help="max fraction of the grid the DES may "
-                                "simulate (default 0.2)")
-    p_explore.add_argument("--anchors", type=int, default=3,
-                           help="calibration anchors per model family")
-    p_explore.add_argument("--band-frac", type=float, default=0.08,
-                           help="predicted-frontier band width")
-    p_explore.add_argument("--max-rounds", type=int, default=4)
-    p_explore.add_argument("--seed", type=int, default=1)
-    p_explore.add_argument("--out-json", default="",
-                           help="write the Pareto surface JSON here")
-    p_explore.add_argument("--out-md", default="",
-                           help="write the markdown report here")
-    p_explore.set_defaults(func=cmd_explore)
-
     p_chaos = sub.add_parser(
-        "chaos", parents=[drain, queue_modes, bench_out],
+        "chaos", parents=[drain],
         help="drain a seeded fault campaign (fault-intensity x scheme x "
              "workload grid) and score availability under faults",
     )
@@ -1081,6 +970,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--out", default="",
                          help="write the markdown availability table "
                               "to this file")
+    p_chaos.add_argument("--bench-out", default="",
+                         help="append trajectory records to this "
+                              "BENCH_*.json file")
+    p_chaos.add_argument("--label", default="local",
+                         help="bench record label (default local)")
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_schemes = sub.add_parser("schemes", help="list schemes/benchmarks")

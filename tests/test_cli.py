@@ -38,10 +38,6 @@ OPTION_STRINGS = {
              "--horizon-us --json --leaf-level --queue-cap --rate --seed "
              "--slo-target-ns --store --sweep-rates --sweep-tenants "
              "--tenants --workers --write-fraction",
-    "explore": "--anchors --band-frac --bench-out --benchmark "
-               "--budget-frac --grid --label --max-rounds --out-json "
-               "--out-md --queue --seed --store --timeout --trace-length "
-               "--verbose --workers",
     "chaos": "--bench-out --campaign --digest --dry-run --join --label "
              "--out --queue --seed --status --store --timeout --verbose "
              "--worker-id --workers",
@@ -65,8 +61,6 @@ DEFAULTS = {
     "perf": {"trace_length": 2000, "benchmark": "libq"},
     "faults": {"trace_length": 300, "benchmark": "libq"},
     "serve": {"store": "none", "workers": CPUS},
-    "explore": {"trace_length": 300, "store": None, "benchmark": "li",
-                "workers": CPUS},
     "chaos": {"store": "none", "workers": CPUS},
     "schemes": {},
     "report": {"trace_length": 2500, "benchmarks": ""},
@@ -172,8 +166,7 @@ class TestParser:
         assert options == set(OPTION_STRINGS[command].split())
 
     @pytest.mark.parametrize("command, store", [
-        ("sweep", None), ("explore", None),
-        ("serve", "none"), ("chaos", "none"),
+        ("sweep", None), ("serve", "none"), ("chaos", "none"),
     ])
     def test_sweep_option_defaults(self, command, store):
         args = build_parser().parse_args([command])
@@ -365,7 +358,6 @@ class TestValidation:
         ["sweep", "--figures", "fig9"],
         ["chaos", "--campaign", CI_SMOKE_CAMPAIGN],
         ["serve"],
-        ["explore"],
     ])
     def test_workers_below_one_are_refused(self, argv, capsys):
         assert main(argv + ["--workers", "0"]) == 2
@@ -538,7 +530,8 @@ class TestServeCommand:
 
 
 class TestSweepQueueModes:
-    """``doram sweep --queue/--join/--status`` (the distributed drain)."""
+    """``--queue/--join/--status``, the distributed drain, of ``doram
+    sweep`` (and of ``doram chaos`` for the manifest clash)."""
 
     def test_modes_are_mutually_exclusive(self, capsys):
         assert main(["sweep", "--queue", "a", "--status", "b"]) == 2
@@ -609,75 +602,3 @@ class TestSweepQueueModes:
                      "--worker-id", "late"]) == 0
         joined = capsys.readouterr().out
         assert "worker late: 0 completed" in joined
-
-
-class TestExploreCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["explore"])
-        assert args.grid == "smoke"
-        assert args.benchmark == "li"
-        assert args.budget_frac == 0.2
-        assert args.anchors == 3
-        assert args.band_frac == 0.08
-        assert args.max_rounds == 4
-        assert args.seed == 1
-        # --store defaults to the shared resumable store, like sweep.
-        assert args.store is None
-        assert args.queue == ""
-
-    def test_rejects_unknown_grid(self, capsys):
-        assert main(["explore", "--grid", "galaxy"]) == 2
-        assert "unknown grid preset" in capsys.readouterr().err
-
-    def test_rejects_bad_budget(self, capsys):
-        assert main(["explore", "--budget-frac", "0"]) == 2
-        assert "--budget-frac" in capsys.readouterr().err
-
-    def test_rejects_unknown_benchmark(self, capsys):
-        assert main(["explore", "--benchmark", "zz"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
-
-    def test_queue_manifest_clash_exits_2(self, capsys, tmp_path):
-        """A batch directory that declares another sweep is refused
-        with one line, as sweep and chaos refuse it."""
-        from repro.analysis.sweep import RunPoint
-        from repro.analysis.workqueue import WorkQueue
-
-        queue = tmp_path / "q"
-        WorkQueue.create(str(queue / "batch-000"),
-                         [RunPoint("baseline", "li", 150)])
-        code = main(["explore", "--trace-length", "150",
-                     "--workers", "1", "--store", "none",
-                     "--queue", str(queue)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "already declares a different sweep" in err
-        assert err.count("\n") == 1
-
-    def test_smoke_explore_writes_reports_and_bench(
-        self, capsys, tmp_path
-    ):
-        import json
-
-        out_json = tmp_path / "surface.json"
-        out_md = tmp_path / "surface.md"
-        bench = tmp_path / "BENCH_explore.json"
-        code = main(["explore", "--grid", "smoke",
-                     "--trace-length", "150", "--workers", "1",
-                     "--budget-frac", "0.5",
-                     "--store", str(tmp_path / "store"),
-                     "--out-json", str(out_json),
-                     "--out-md", str(out_md),
-                     "--bench-out", str(bench), "--label", "citest"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "explore: grid=16" in out
-        assert "frontier" in out
-        assert "model-vs-sim error" in out
-        doc = json.loads(out_json.read_text())
-        assert doc["simulated"] <= doc["budget"]
-        assert "Pareto" in out_md.read_text()
-        rows = json.loads(bench.read_text())
-        assert rows[0]["workload"] == "explore"
-        assert rows[0]["label"] == "citest"
-        assert 0.0 < rows[0]["sim_fraction"] <= 0.5

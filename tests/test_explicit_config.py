@@ -3,7 +3,7 @@
 No file under ``src/`` touches ``os.environ``, ``getenv``, ``putenv`` or
 ``sys.path``: a run's configuration is exactly its arguments, and the
 package imports the same from a checkout or an installed copy.  Neither
-does a benchmark script outside ``benchmarks/e2e``.
+does an example script under ``examples/``.
 
 There is one simulator path.  The only engine knob, the periodic mode,
 is an argument (``Engine(periodic=...)``, forwarded by ``run_scheme`` and
@@ -27,7 +27,7 @@ from repro.sim.engine import Engine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-BENCHMARKS = os.path.join(ROOT, "benchmarks")
+EXAMPLES = os.path.join(ROOT, "examples")
 
 _ENV_READ = re.compile(r"os\.environ|getenv|putenv|sys\.path")
 
@@ -51,13 +51,14 @@ def test_src_reads_no_environment_and_no_import_path():
 
 
 def test_benchmark_scripts_read_no_environment():
-    """Outside the ``e2e`` harness (which records the host's settings),
-    a benchmark script's scale is its own constants; the repo root's
-    ``conftest.py`` puts ``src/`` on the path."""
-    assert _env_reads(
-        os.path.join(BENCHMARKS, name)
-        for name in sorted(os.listdir(BENCHMARKS)) if name.endswith(".py")
-    ) == []
+    """An example script takes its scale from its own constants, not
+    from the environment.  (The ``benchmarks/e2e`` harness reads the
+    environment to record the host's settings.)"""
+    scripts = [os.path.join(EXAMPLES, name)
+               for name in sorted(os.listdir(EXAMPLES))
+               if name.endswith(".py")]
+    assert scripts
+    assert _env_reads(scripts) == []
 
 
 #: Variables that selected the removed backends and the periodic mode.
