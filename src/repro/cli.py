@@ -991,9 +991,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status when stdout's reader goes away (``doram ... | head``):
+#: 128 + SIGPIPE, what a shell reports for such a writer.  It is neither
+#: a failed check (1) nor a usage error (2).
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        status = args.func(args)
+        # Flush here, so a short output whose reader left fails inside
+        # the handler below rather than at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the interpreter's
+        # flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -198,6 +198,24 @@ class TestExecution:
         assert "doram+K" in out
         assert "mu(24.0)" in out
 
+    def test_reader_gone_exits_141_without_a_traceback(self):
+        """``doram ... | head``: when stdout's reader has left, the
+        command exits with 128 + SIGPIPE and says nothing on stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "schemes"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=ROOT, timeout=120,
+                env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
     def test_run_command(self, capsys):
         assert main(["run", "doram", "--benchmark", "li",
                      "--trace-length", "400"]) == 0
