@@ -19,7 +19,7 @@ Run:  python examples/multi_tenant_secure.py
 """
 
 from repro.core import run_scheme, split_space_shares
-from repro.core.hardware import size_delegator
+from repro.core.hardware import PAPER_BUDGET_MM2, size_delegator
 from repro.oram.config import OramConfig
 
 TRACE = 1000
@@ -43,12 +43,14 @@ def capacity_story() -> None:
           f"spreads out.\n")
 
     budget = size_delegator(tree, recursive_position_map=True)
+    flat = size_delegator(tree)
     print(f"SD hardware check (Section III-E): with a recursive position "
           f"map the SD needs {budget.sram_bytes / 1024:.0f} KB of SRAM, "
-          f"~{budget.area_mm2:.2f} mm^2 -- inside the paper's 1 mm^2 "
-          f"envelope. (A flat map for a 4 GB tree would need "
-          f"{size_delegator(tree).position_map_bytes / 2**20:.0f} MB and "
-          f"does not fit; see repro.oram.recursive.)\n")
+          f"~{budget.area_mm2:.2f} mm^2, against the paper's "
+          f"{PAPER_BUDGET_MM2:g} mm^2 envelope. (A flat map for a 4 GB "
+          f"tree needs {flat.position_map_bytes / 2**20:.0f} MB, "
+          f"~{flat.area_mm2:.0f} mm^2: the budget closes only with Path "
+          f"ORAM's recursive position map.)\n")
 
 
 def corun_story() -> None:

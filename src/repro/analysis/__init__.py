@@ -1,7 +1,7 @@
 """Result processing: metrics, profiling, and experiment drivers.
 
-* :mod:`~repro.analysis.metrics` -- slowdowns, normalization, geometric
-  means (the paper's summary statistics);
+* :mod:`~repro.analysis.metrics` -- best/worst/geometric-mean summaries
+  (the paper's summary statistics) and SLO quantiles;
 * :mod:`~repro.analysis.profiling` -- the T25mix/T33 latency profiling of
   Section III-D / Fig. 12;
 * :mod:`~repro.analysis.experiments` -- the experiment registry: one
@@ -23,18 +23,12 @@
   imported here, so the ``-m`` form does not import it twice.
 """
 
-from repro.analysis.metrics import (
-    normalized_times,
-    slowdown,
-    summarize_best_worst_gmean,
-)
+from repro.analysis.metrics import summarize_best_worst_gmean
 from repro.analysis.profiling import ProfileResult, profile_ratio
 from repro.analysis import experiments
 from repro.analysis.workqueue import DrainResult, QueueStats, WorkQueue
 
 __all__ = [
-    "normalized_times",
-    "slowdown",
     "summarize_best_worst_gmean",
     "ProfileResult",
     "profile_ratio",

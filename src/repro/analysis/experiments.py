@@ -84,10 +84,6 @@ def cached_run(
     return _run_cache[key]
 
 
-def clear_cache() -> None:
-    _run_cache.clear()
-
-
 def prime_cache(results: Mapping[RunPoint, SimResult]) -> int:
     """Load sweep results into the :func:`cached_run` memo.
 

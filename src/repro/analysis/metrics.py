@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.sim.stats import Histogram, geomean
 
@@ -32,23 +32,6 @@ def latency_quantiles_ns(
         quantile_label(q): hist.quantile(q) / ticks_per_ns
         for q in quantiles
     }
-
-
-def slowdown(value: float, reference: float) -> float:
-    """``value / reference`` with a guard against empty references."""
-    if reference <= 0:
-        raise ValueError("reference must be positive")
-    return value / reference
-
-
-def normalized_times(
-    times: Mapping[str, float], reference_key: str
-) -> Dict[str, float]:
-    """Normalize a ``{scheme: time}`` mapping to one scheme (= 1.0)."""
-    if reference_key not in times:
-        raise KeyError(f"reference {reference_key!r} missing")
-    ref = times[reference_key]
-    return {key: slowdown(value, ref) for key, value in times.items()}
 
 
 def summarize_best_worst_gmean(

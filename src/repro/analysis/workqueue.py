@@ -335,9 +335,6 @@ class WorkQueue:
         return cls(root, manifest)
 
     # -- lease primitives ------------------------------------------------
-    def key_for(self, point: RunPoint) -> str:
-        return self._keys[point]
-
     def lease_path(self, key: str) -> str:
         return os.path.join(self.root, LEASE_DIR, f"{key}.lease")
 
@@ -442,26 +439,6 @@ class WorkQueue:
 
     def failure(self, key: str) -> Optional[Dict[str, object]]:
         return _read_json(self._failed_marker(key))
-
-    def clear_failure(self, key: str) -> None:
-        """Forget a permanent failure (and its attempts) so the point
-        re-dispatches -- the resume path after a bug fix."""
-        try:
-            os.unlink(self._failed_marker(key))
-        except OSError:
-            pass
-        prefix = f"{key}.attempt-"
-        failed_dir = os.path.join(self.root, FAILED_DIR)
-        try:
-            names = os.listdir(failed_dir)
-        except OSError:
-            return
-        for name in names:
-            if name.startswith(prefix):
-                try:
-                    os.unlink(os.path.join(failed_dir, name))
-                except OSError:
-                    pass
 
     # -- worker status ----------------------------------------------------
     def _worker_status_path(self, owner: str) -> str:

@@ -155,10 +155,6 @@ class SerialLink:
             )
         return arrive
 
-    def queue_delay(self) -> int:
-        """Current backlog delay a new packet would see (ticks)."""
-        return max(0, self._busy_until - self.engine.now)
-
     def utilization(self) -> float:
         """Approximate busy fraction: bytes clocked / elapsed capacity.
 

@@ -2,8 +2,9 @@
 
 The pieces map one-to-one onto Section III:
 
-* :mod:`~repro.core.packets` -- the 72 B fixed-format secure packet and
-  the short split-tree read packet (III-B, III-C);
+* :mod:`~repro.core.config` -- among the system parameters, the wire
+  sizes of the 72 B fixed-format secure packet (``PACKET_BYTES``) and the
+  short split-tree read packet (``SHORT_PACKET_BYTES``) (III-B, III-C);
 * :mod:`~repro.core.timing_guard` -- the fixed-rate request pacer
   (``t = 50`` cycles) that closes the timing channel (III-B step 2);
 * :mod:`~repro.core.delegator` -- the secure delegator in the BOB unit
@@ -19,7 +20,6 @@ The pieces map one-to-one onto Section III:
 """
 
 from repro.core.config import SystemConfig, PACKET_BYTES, SHORT_PACKET_BYTES
-from repro.core.packets import SecurePacket, PacketType
 from repro.core.timing_guard import RequestPacer
 from repro.core.tree_split import split_space_shares, split_extra_messages, TABLE_I
 from repro.core.channel_sharing import (
@@ -35,8 +35,6 @@ __all__ = [
     "SystemConfig",
     "PACKET_BYTES",
     "SHORT_PACKET_BYTES",
-    "SecurePacket",
-    "PacketType",
     "RequestPacer",
     "split_space_shares",
     "split_extra_messages",

@@ -140,14 +140,6 @@ class SystemConfig:
         return cls(**state)
 
     # ------------------------------------------------------------------
-    @property
-    def effective_s_apps(self) -> int:
-        return self.num_s_apps if self.has_s_app else 0
-
-    @property
-    def total_cores(self) -> int:
-        return self.num_ns_apps + self.effective_s_apps
-
     def effective_oram(self) -> OramConfig:
         """ORAM geometry after D-ORAM+k expansion (4 -> 4*2^k GB)."""
         if self.split_k == 0:

@@ -7,7 +7,8 @@ unit".  This module makes that budget explicit and checkable: it sizes
 each SD structure from the ORAM configuration and flags configurations
 whose on-delegator state outgrows the paper's envelope (the practical
 limit that motivates both the tree-top cache depth and, for huge trees,
-the recursive position map of :mod:`repro.oram.recursive`).
+Path ORAM's recursive position map, which stores the map in smaller
+ORAMs until the top one fits on chip; Stefanov et al., CCS'13, Sec. 4).
 
 Densities are rough 32 nm figures (SRAM ~0.6 mm^2 per MB including
 overhead; one AES-128 round-pipelined core ~0.02 mm^2), adequate for a
@@ -47,10 +48,6 @@ class DelegatorBudget:
     def area_mm2(self) -> float:
         sram = self.sram_bytes / 2**20 * SRAM_MM2_PER_MB
         return sram + self.aes_cores * AES_CORE_MM2 + CONTROL_MM2
-
-    @property
-    def fits_paper_budget(self) -> bool:
-        return self.area_mm2 <= PAPER_BUDGET_MM2
 
 
 def size_delegator(

@@ -223,9 +223,6 @@ class SimResult:
             raise ValueError("run had no NS-Apps")
         return sum(self.ns_finish.values()) / len(self.ns_finish)
 
-    def ns_max_time(self) -> float:
-        return max(self.ns_finish.values())
-
     def ns_mean_ns(self) -> float:
         return self.ns_mean_time() / TICKS_PER_NS
 

@@ -47,8 +47,3 @@ class RequestPacer:
         request.
         """
         self.stats.counter("retransmit").add()
-
-    def real_fraction(self) -> float:
-        real = self.stats.counter("real").value
-        total = real + self.stats.counter("dummy").value
-        return real / total if total else 0.0

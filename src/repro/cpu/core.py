@@ -407,11 +407,3 @@ class Core:
         self.stats.counter("instructions").add(self._instr_fetched)
         if self.on_finish is not None:
             self.on_finish(self.finish_time)
-
-    # ------------------------------------------------------------------
-    def ipc(self) -> float:
-        """Retired instructions per CPU cycle (needs a finished core)."""
-        if not self.finish_time:
-            return 0.0
-        cycles = self.finish_time / CPU_CYCLE_TICKS
-        return self._instr_fetched / cycles if cycles else 0.0

@@ -1,11 +1,12 @@
-"""Cryptographic primitives for the secure channel and the ORAM tree.
+"""Cryptographic primitives for the functional ORAM tree.
 
-The paper's Eq. (1) one-time-pad packet encryption is AES in counter mode
-over a pre-shared ``(K, N0)``; :mod:`repro.crypto.aes` implements AES-128
-from scratch (validated against FIPS-197), :mod:`repro.crypto.otp` builds
-the OTP stream and packet sealing on top, and :mod:`repro.crypto.codec`
-provides the encrypted/authenticated bucket representation the functional
-Path ORAM stores in untrusted memory.
+:mod:`repro.crypto.aes` implements AES-128 from scratch (validated
+against FIPS-197) with a CTR-mode keystream -- the construction of the
+paper's Eq. (1) one-time pad, ``AES(K, N0, SeqNum)`` -- and
+:mod:`repro.crypto.codec` uses it for the encrypted, authenticated bucket
+images the functional Path ORAM stores in untrusted memory.  The secure
+link's packet sealing is charged in time only: ``PACKET_BYTES`` on the
+wire and the processing delays of the CPU-side session and the delegator.
 
 MACs use HMAC-SHA256 from the standard library -- the paper's
 authentication/integrity bits "adopt the similar designs in previous
@@ -13,17 +14,13 @@ studies" without fixing a construction, so a standard MAC is faithful.
 """
 
 from repro.crypto.aes import AES128
-from repro.crypto.otp import OtpEngine, OtpStream
 from repro.crypto.mac import mac_tag, mac_verify
-from repro.crypto.codec import BucketCodec, PlainCodec, EncryptedBucketCodec
+from repro.crypto.codec import BucketCodec, EncryptedBucketCodec
 
 __all__ = [
     "AES128",
-    "OtpEngine",
-    "OtpStream",
     "mac_tag",
     "mac_verify",
     "BucketCodec",
-    "PlainCodec",
     "EncryptedBucketCodec",
 ]

@@ -22,13 +22,12 @@ loop of every functional-durability check.  The byte-wise FIPS-197
 cipher it replaced lives on in ``tests/crypto/aes_reference.py``, where
 the tests compare the two on random keys, blocks and counters, beside
 the FIPS-197 Appendix C and SP 800-38A F.5.1 known answers.  CTR mode
-only encrypts, so :meth:`AES128.decrypt_block` stays on the
-byte-wise inverse cipher.
+only encrypts, so there is no inverse cipher.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 # ---------------------------------------------------------------------------
 # GF(2^8) arithmetic and table construction
@@ -41,17 +40,6 @@ def _xtime(a: int) -> int:
     if a & 0x100:
         a ^= 0x11B
     return a & 0xFF
-
-
-def gf_mul(a: int, b: int) -> int:
-    """Full GF(2^8) multiplication (used by InvMixColumns and tests)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
 
 
 def _build_sbox() -> List[int]:
@@ -76,9 +64,6 @@ def _build_sbox() -> List[int]:
 
 
 SBOX: List[int] = _build_sbox()
-INV_SBOX: List[int] = [0] * 256
-for _i, _v in enumerate(SBOX):
-    INV_SBOX[_v] = _i
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 _M32 = 0xFFFFFFFF
@@ -104,11 +89,7 @@ _S16: List[int] = [_s << 16 for _s in SBOX]
 _S8: List[int] = [_s << 8 for _s in SBOX]
 
 class AES128:
-    """AES with a 128-bit key: ``encrypt_block`` / ``decrypt_block``.
-
-    Encryption runs on 32-bit column words; decryption keeps the
-    specification's 16-byte column-major state.
-    """
+    """AES with a 128-bit key, encrypting on 32-bit column words."""
 
     BLOCK_BYTES = 16
 
@@ -169,64 +150,12 @@ class AES128:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: List[int], rk: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        # state[col*4 + row]; row r rotates right by r.
-        for row in range(1, 4):
-            values = [state[col * 4 + row] for col in range(4)]
-            values = values[-row:] + values[:-row]
-            for col in range(4):
-                state[col * 4 + row] = values[col]
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for col in range(4):
-            a = state[col * 4: col * 4 + 4]
-            state[col * 4 + 0] = (gf_mul(a[0], 14) ^ gf_mul(a[1], 11)
-                                  ^ gf_mul(a[2], 13) ^ gf_mul(a[3], 9))
-            state[col * 4 + 1] = (gf_mul(a[0], 9) ^ gf_mul(a[1], 14)
-                                  ^ gf_mul(a[2], 11) ^ gf_mul(a[3], 13))
-            state[col * 4 + 2] = (gf_mul(a[0], 13) ^ gf_mul(a[1], 9)
-                                  ^ gf_mul(a[2], 14) ^ gf_mul(a[3], 11))
-            state[col * 4 + 3] = (gf_mul(a[0], 11) ^ gf_mul(a[1], 13)
-                                  ^ gf_mul(a[2], 9) ^ gf_mul(a[3], 14))
-
-    # ------------------------------------------------------------------
     def encrypt_block(self, plaintext: bytes) -> bytes:
         if len(plaintext) != 16:
             raise ValueError("AES block must be 16 bytes")
         return self._encrypt_int(
             int.from_bytes(plaintext, "big")
         ).to_bytes(16, "big")
-
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        round_keys = [
-            [b for w in words for b in w.to_bytes(4, "big")]
-            for words in self._round_words
-        ]
-        state = list(ciphertext)
-        self._add_round_key(state, round_keys[10])
-        for round_no in range(9, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, round_keys[round_no])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, round_keys[0])
-        return bytes(state)
 
     # ------------------------------------------------------------------
     def keystream(self, nonce: int, counter: int, length: int) -> bytes:

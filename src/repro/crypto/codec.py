@@ -6,11 +6,9 @@ list of ``(block_id, leaf, data)`` tuples into the fixed-size byte image a
 bucket occupies (real blocks are indistinguishable from dummy padding) and
 back.
 
-* :class:`PlainCodec` -- fixed-size serialization without encryption, for
-  tests that inspect structure.
-* :class:`EncryptedBucketCodec` -- AES-CTR encryption with a fresh
-  per-write counter plus an HMAC tag per bucket; both the probabilistic
-  re-encryption and the integrity check the paper calls for.
+:class:`EncryptedBucketCodec` uses AES-CTR encryption with a fresh
+per-write counter plus an HMAC tag per bucket: both the probabilistic
+re-encryption and the integrity check the paper calls for.
 """
 
 from __future__ import annotations
@@ -21,13 +19,22 @@ from typing import List, Optional, Tuple
 
 from repro.crypto.aes import AES128
 from repro.crypto.mac import mac_tag, mac_verify
-from repro.crypto.otp import xor_bytes
 
 #: (block_id, leaf, data) with block_id == _DUMMY_ID marking padding.
 BucketTuples = List[Tuple[int, int, bytes]]
 
 _DUMMY_ID = 0xFFFFFFFFFFFFFFFF
 _HEADER = struct.Struct(">QQ")  # block_id, leaf
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings (single big-int op, not a
+    per-byte loop -- this runs on every bucket image sealed or opened)."""
+    if len(a) != len(b):
+        raise ValueError("xor operands must have equal length")
+    return (
+        int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    ).to_bytes(len(a), "big")
 
 
 @lru_cache(maxsize=8)
@@ -86,16 +93,6 @@ def _deserialize(raw: bytes, bucket_size: int, block_bytes: int) -> BucketTuples
             continue
         blocks.append((block_id, leaf, chunk[_HEADER.size:]))
     return blocks
-
-
-class PlainCodec(BucketCodec):
-    """Fixed-size serialization only (no confidentiality)."""
-
-    def encode_bucket(self, bucket, blocks, bucket_size, block_bytes):
-        return _serialize(blocks, bucket_size, block_bytes)
-
-    def decode_bucket(self, bucket, raw, bucket_size, block_bytes):
-        return _deserialize(raw, bucket_size, block_bytes)
 
 
 class EncryptedBucketCodec(BucketCodec):

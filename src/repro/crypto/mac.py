@@ -1,10 +1,10 @@
-"""Message authentication for packets and tree buckets.
+"""Message authentication for tree buckets.
 
 HMAC-SHA256 truncated to the caller's tag size.  The paper requires
-authentication (reject injected packets) and integrity/freshness (reject
+authentication (reject injected data) and integrity/freshness (reject
 replays) but cites prior work for the construction, so a standard HMAC is
-a faithful substitute; sequence-number binding for freshness lives in the
-callers (:class:`repro.crypto.otp.OtpEngine`, the bucket codec).
+a faithful substitute; freshness binding lives in the caller (the bucket
+codec binds its write counter and bucket index into the tag).
 """
 
 from __future__ import annotations

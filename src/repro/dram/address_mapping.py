@@ -20,7 +20,7 @@ placement is the subtree layout in :mod:`repro.oram.layout`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,3 @@ class ChannelInterleaver:
             (row_group // self._num_banks) % self._num_rows,
             col,
         )
-
-
-def build_app_interleavers(
-    app_targets: Dict[int, Sequence[Tuple[int, int]]],
-    geometry: DeviceGeometry = DeviceGeometry(),
-    lines_per_app: int = 1 << 20,
-) -> Dict[int, ChannelInterleaver]:
-    """Create one interleaver per application with disjoint base offsets.
-
-    ``app_targets`` maps ``app_id`` to the (channel, subchannel) pairs the
-    app may allocate on; ``lines_per_app`` sizes each app's slice of the
-    channel-local line space (default 64 MB of lines, ample for traces).
-    """
-    interleavers: Dict[int, ChannelInterleaver] = {}
-    for slot, (app_id, targets) in enumerate(sorted(app_targets.items())):
-        interleavers[app_id] = ChannelInterleaver(
-            targets, geometry, app_base_line=slot * lines_per_app
-        )
-    return interleavers

@@ -19,7 +19,7 @@ Two policies from the paper's infrastructure:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.dram.commands import TrafficClass
 
@@ -59,9 +59,15 @@ class SharePolicy:
 
     def pick_between(self, first: TrafficClass,
                      second: TrafficClass) -> TrafficClass:
-        """:meth:`pick_class` of ``[first, second]``, allocating nothing:
-        the channel's contended slot, ``first`` being the older head's
-        class."""
+        """The class to serve in the channel's contended slot, ``first``
+        being the older head's class; allocates nothing.
+
+        Each configured class earns its share and the winner pays one
+        slot (ties go to ``first``); credits are clamped to [-2, 2].  An
+        unconfigured class contends for nothing: the configured one is
+        served without touching a credit, so a class running alone does
+        not bank debt (or surplus) against an absent one.
+        """
         weights = self.weights
         if first not in weights:
             if second not in weights:
@@ -91,34 +97,6 @@ class SharePolicy:
         self.served[best] += 1
         return best
 
-    def pick_class(self, pending: Sequence[TrafficClass]) -> TrafficClass:
-        """Choose which class to serve among classes with queued requests."""
-        candidates = [cls for cls in pending if cls in self.weights]
-        if not candidates:
-            # Unconfigured classes fall through in arrival order.
-            return pending[0]
-        if len(candidates) == 1:
-            # Work-conserving bypass: an uncontended slot costs no credit,
-            # so a class running alone does not bank debt (or surplus)
-            # against classes that were absent.
-            self.served[candidates[0]] += 1
-            return candidates[0]
-        # Contended slot: every pending class earns its share, the winner
-        # pays one slot.  Credits stay bounded by construction (shares sum
-        # to <= 1 and the winner pays 1), but clamp anyway for safety.
-        for cls in candidates:
-            self._credit[cls] = min(self._credit[cls] + self._share[cls], 2.0)
-        best = max(candidates, key=lambda cls: (self._credit[cls],
-                                                -candidates.index(cls)))
-        self._credit[best] = max(self._credit[best] - 1.0, -2.0)
-        self.served[best] += 1
-        return best
-
-    def served_fraction(self, cls: TrafficClass) -> float:
-        """Fraction of slots actually served to ``cls`` (for tests/analysis)."""
-        total = sum(self.served.values())
-        return self.served.get(cls, 0) / total if total else 0.0
-
 
 class SingleClassPolicy:
     """Degenerate share policy when only one traffic class uses a channel."""
@@ -126,6 +104,3 @@ class SingleClassPolicy:
     def pick_between(self, first: TrafficClass,
                      second: TrafficClass) -> TrafficClass:
         return first
-
-    def pick_class(self, pending: Sequence[TrafficClass]) -> TrafficClass:
-        return pending[0]

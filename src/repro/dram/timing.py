@@ -61,22 +61,6 @@ class DDR3Timing:
         if self.tFAW < self.tRRD:
             raise ValueError("tFAW must cover at least one tRRD window")
 
-    # Derived figures used by analysis and docs -------------------------
-    @property
-    def row_hit_latency(self) -> int:
-        """Column command to last data beat for a row-buffer hit (read)."""
-        return self.tCL + self.tBURST
-
-    @property
-    def row_closed_latency(self) -> int:
-        """ACT + column + data for an access to a precharged bank."""
-        return self.tRCD + self.tCL + self.tBURST
-
-    @property
-    def row_conflict_latency(self) -> int:
-        """PRE + ACT + column + data for a row-buffer conflict."""
-        return self.tRP + self.tRCD + self.tCL + self.tBURST
-
 
 #: The paper's device (Table II: DDR3-1600, defaults "strictly enforced
 #: in USIMM").

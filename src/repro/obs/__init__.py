@@ -24,7 +24,6 @@ or from the shell: ``doram trace doram --out doram.trace.json``.
 from repro.obs.export import (
     canonical_line,
     chrome_trace,
-    render_jsonl,
     trace_digest,
     write_chrome_trace,
     write_jsonl,
@@ -51,7 +50,6 @@ __all__ = [
     "canonical_line",
     "check_fixed_rate",
     "chrome_trace",
-    "render_jsonl",
     "secure_link_packets",
     "trace_digest",
     "write_chrome_trace",

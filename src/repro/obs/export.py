@@ -19,7 +19,6 @@ Three consumers, three forms:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from typing import Dict, Iterable, List, Sequence
 
@@ -133,12 +132,3 @@ def write_chrome_trace(
     with open(path, "w") as fp:
         json.dump(doc, fp)
     return len(events)
-
-
-def render_jsonl(events: Iterable[TraceEvent]) -> str:
-    """The canonical JSONL stream as one string (tests, small traces)."""
-    out = io.StringIO()
-    for line in canonical_lines(events):
-        out.write(line)
-        out.write("\n")
-    return out.getvalue()

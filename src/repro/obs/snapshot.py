@@ -63,13 +63,3 @@ class StatsSampler:
                 tracer.counter("stats", "snapshot", track, now, values)
         self.rows.append(row)
         self.engine.after(self.interval, self._sample)
-
-    # ------------------------------------------------------------------
-    def series(self, track: str, name: str) -> List[Tuple[int, Number]]:
-        """Extract one ``(ts, value)`` series for plotting."""
-        out: List[Tuple[int, Number]] = []
-        for row in self.rows:
-            values = row.get(track)
-            if isinstance(values, dict) and name in values:
-                out.append((row["ts"], values[name]))
-        return out

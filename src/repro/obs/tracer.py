@@ -103,9 +103,6 @@ class NullTracer:
     def category(self, cat: str) -> "NullTracer":
         return self
 
-    def wants(self, cat: str) -> bool:
-        return False
-
     def instant(self, cat, name, track, ts, args=None) -> None:
         pass
 
@@ -150,9 +147,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Wiring helpers
     # ------------------------------------------------------------------
-    def wants(self, cat: str) -> bool:
-        return cat in self.categories
-
     def category(self, cat: str):
         """The tracer a component should hold for category ``cat``.
 
@@ -207,11 +201,3 @@ class Tracer:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-
-
-def coerce(tracer: Optional[Union[Tracer, NullTracer]]):
-    """Normalize an optional tracer argument to a usable instance."""
-    return tracer if tracer is not None else NULL_TRACER

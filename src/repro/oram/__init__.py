@@ -23,7 +23,6 @@ from repro.oram.stash import Stash, StashOverflow
 from repro.oram.protocol import ProtocolState
 from repro.oram.path_oram import PathOram
 from repro.oram.layout import OramLayout, BlockPlacement
-from repro.oram.recursive import RecursivePathOram
 
 __all__ = [
     "OramConfig",
@@ -36,5 +35,4 @@ __all__ = [
     "PathOram",
     "OramLayout",
     "BlockPlacement",
-    "RecursivePathOram",
 ]

@@ -81,17 +81,6 @@ class OramConfig:
         """Block transfers per read (or write) phase -- 84 by default."""
         return self.levels_fetched * self.bucket_size
 
-    def scaled(self, leaf_level: int) -> "OramConfig":
-        """A copy with a smaller tree (testing / fast simulation)."""
-        return OramConfig(
-            leaf_level=leaf_level,
-            bucket_size=self.bucket_size,
-            block_bytes=self.block_bytes,
-            treetop_levels=min(self.treetop_levels, leaf_level),
-            subtree_levels=min(self.subtree_levels, leaf_level + 1),
-            utilization=self.utilization,
-        )
-
 
 #: The paper's configuration (Section IV): 4 GB tree, L=23, Z=4.
 PAPER_ORAM = OramConfig()

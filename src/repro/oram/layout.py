@@ -328,10 +328,6 @@ class OramLayout:
     # ------------------------------------------------------------------
     # Public mapping
     # ------------------------------------------------------------------
-    def is_cached(self, bucket: int) -> bool:
-        """True when the bucket lives in the tree-top cache (no DRAM)."""
-        return self.tree.level_of(bucket) < self.config.treetop_levels
-
     def place(self, bucket: int, slot: int) -> Optional[BlockPlacement]:
         """Placement of one block; ``None`` for tree-top-cached buckets."""
         if not 0 <= slot < self._bucket_size:

@@ -60,7 +60,6 @@ class PathOram:
         codec: Optional[object] = None,
         stash_capacity: Optional[int] = 500,
         trace_hook: Optional[Callable[[str, int], None]] = None,
-        external_positions: bool = False,
     ) -> None:
         if config.leaf_level > 16:
             raise ValueError(
@@ -69,10 +68,6 @@ class PathOram:
             )
         self.config = config
         self.geometry = TreeGeometry(config)
-        #: When ``external_positions`` is set the caller manages leaves
-        #: (the recursive construction stores them in a higher ORAM) and
-        #: the internal position map is unused.
-        self.external_positions = external_positions
         self.state = ProtocolState(config, seed=seed, lazy=False)
         self.stash = Stash(stash_capacity)
         self.codec = codec
@@ -109,45 +104,6 @@ class PathOram:
         self._read_path(leaf)
         self._write_path(leaf)
         self.accesses += 1
-
-    def access_at(
-        self,
-        block_id: int,
-        old_leaf: int,
-        new_leaf: int,
-        mutate: Optional[Callable[[bytes], bytes]] = None,
-    ) -> bytes:
-        """Protocol access with caller-managed positions.
-
-        The recursive position-map construction
-        (:class:`repro.oram.recursive.RecursivePathOram`) stores this
-        ORAM's leaf assignments in a *higher* ORAM, so it supplies the
-        block's current leaf and its fresh replacement here instead of
-        consulting the internal map.  ``mutate``, if given, transforms
-        the block's current contents in the same access (used to splice
-        one position-map entry without a second path access).  Returns
-        the block's contents *before* mutation.
-        """
-        if not self.external_positions:
-            raise RuntimeError(
-                "access_at requires external_positions=True"
-            )
-        if not 0 <= block_id < self.config.num_user_blocks:
-            raise ValueError(f"block id {block_id} out of range")
-        self._read_path(old_leaf)
-        entry = self.stash.get(block_id)
-        if entry is None:
-            data = bytes(self.config.block_bytes)
-        else:
-            data = entry[1].data  # type: ignore[union-attr]
-        new_data = mutate(data) if mutate is not None else data
-        if len(new_data) != self.config.block_bytes:
-            raise ValueError("mutate must preserve the block size")
-        self.stash.put(block_id, new_leaf,
-                       Block(block_id, new_leaf, new_data))
-        self._write_path(old_leaf)
-        self.accesses += 1
-        return data
 
     # ------------------------------------------------------------------
     # Protocol steps
@@ -243,13 +199,12 @@ class PathOram:
                         f"block {block.block_id} in bucket {bucket} "
                         f"off its assigned path (leaf {block.leaf})"
                     )
-                if not self.external_positions:
-                    mapped = self.state.position_map.lookup(block.block_id)
-                    if mapped != block.leaf:
-                        raise AssertionError(
-                            f"block {block.block_id} leaf tag {block.leaf} "
-                            f"disagrees with position map {mapped}"
-                        )
+                mapped = self.state.position_map.lookup(block.block_id)
+                if mapped != block.leaf:
+                    raise AssertionError(
+                        f"block {block.block_id} leaf tag {block.leaf} "
+                        f"disagrees with position map {mapped}"
+                    )
         for block_id, leaf, _payload in self.stash.items():
             if block_id in seen:
                 raise AssertionError(

@@ -60,11 +60,6 @@ class LazyPositionMap:
     def __len__(self) -> int:
         return self.num_blocks
 
-    @property
-    def touched(self) -> int:
-        """Entries materialized so far."""
-        return len(self._map)
-
     def _check(self, block_id: int) -> None:
         if not 0 <= block_id < self.num_blocks:
             raise ValueError(f"block {block_id} out of range")

@@ -10,7 +10,7 @@ Section III-C is designed to avoid.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 
 class StashOverflow(RuntimeError):
@@ -47,22 +47,6 @@ class Stash:
     def pop(self, block_id: int) -> Tuple[int, object]:
         return self._blocks.pop(block_id)
 
-    def update_leaf(self, block_id: int, leaf: int) -> None:
-        _old, payload = self._blocks[block_id]
-        self._blocks[block_id] = (leaf, payload)
-
     def items(self) -> Iterator[Tuple[int, int, object]]:
         """Yield ``(block_id, leaf, payload)`` snapshots."""
         return ((b, lp[0], lp[1]) for b, lp in list(self._blocks.items()))
-
-    def evictable_for(self, shares_bucket) -> List[int]:
-        """Block ids whose assigned leaf satisfies ``shares_bucket(leaf)``.
-
-        The caller (eviction logic) supplies a predicate closed over the
-        current path and level.
-        """
-        return [
-            block_id
-            for block_id, (leaf, _payload) in self._blocks.items()
-            if shares_bucket(leaf)
-        ]

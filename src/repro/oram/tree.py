@@ -53,19 +53,6 @@ class TreeGeometry:
             leaf_b, level
         )
 
-    def leaf_range(self, bucket: int) -> range:
-        """Leaves whose paths pass through ``bucket``."""
-        level = self.level_of(bucket)
-        span = 1 << (self.leaf_level - level)
-        first = (bucket - (1 << level)) * span
-        return range(first, first + span)
-
-    def buckets_at_level(self, level: int) -> range:
-        """Heap indices of every bucket at ``level``."""
-        if not 0 <= level <= self.leaf_level:
-            raise ValueError(f"level {level} out of range")
-        return range(1 << level, 1 << (level + 1))
-
     def iter_buckets(self) -> Iterator[int]:
         return iter(range(1, self.num_buckets + 1))
 

@@ -17,7 +17,6 @@ from repro.scenarios.arrivals import (
     PoissonArrivals,
     derive_seed,
     make_stream,
-    merge_streams,
 )
 from repro.scenarios.admission import AdmissionGovernor
 from repro.scenarios.config import (
@@ -62,7 +61,6 @@ __all__ = [
     "golden_scenario_config",
     "golden_scenario_digests",
     "make_stream",
-    "merge_streams",
     "run_scenario",
     "scenario_grid",
     "slo_rows",

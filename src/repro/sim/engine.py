@@ -8,7 +8,7 @@ of dict ordering or hash seeds.
 Scheduling forms
 ----------------
 :meth:`Engine.at` / :meth:`Engine.after` schedule a no-argument callback;
-:meth:`Engine.call_at` / :meth:`Engine.call_after` schedule ``callback(arg)``
+:meth:`Engine.call_at` schedules ``callback(arg)`` at an absolute time,
 so hot callers (DRAM completion, link delivery) don't have to allocate a
 closure per request just to carry one value.  Every scheduling call
 returns a handle accepted by :meth:`Engine.cancel`.
@@ -105,7 +105,7 @@ class Engine:
 
     Components schedule callbacks with :meth:`at` (absolute time) or
     :meth:`after` (relative delay) -- or the allocation-free
-    :meth:`call_at` / :meth:`call_after` ``(callback, arg)`` forms -- and
+    :meth:`call_at` ``(callback, arg)`` form -- and
     the engine dispatches them in ``(time, scheduling order)`` order.  A
     callback may schedule further events, including at the current time.
 
@@ -231,18 +231,6 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = (time, seq, callback, arg)
-        self._push(entry)
-        return entry
-
-    def call_after(
-        self, delay: int, callback: Callable[[object], None], arg
-    ) -> EventHandle:
-        """Schedule ``callback(arg)`` ``delay`` ticks from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (self.now + delay, seq, callback, arg)
         self._push(entry)
         return entry
 

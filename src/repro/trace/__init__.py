@@ -13,7 +13,7 @@ programs suffer more from ORAM co-run) are preserved; absolute
 per-benchmark slowdowns are not expected to match the paper's.
 """
 
-from repro.trace.trace_format import TraceRecord, read_trace, write_trace
+from repro.trace.trace_format import TraceRecord
 from repro.trace.synthetic import SyntheticTrace, TraceParams
 from repro.trace.benchmarks import (
     BENCHMARKS,
@@ -21,18 +21,13 @@ from repro.trace.benchmarks import (
     benchmark_by_code,
     benchmark_trace,
 )
-from repro.trace.usimm import read_usimm_trace, sniff_usimm
 
 __all__ = [
     "TraceRecord",
-    "read_trace",
-    "write_trace",
     "SyntheticTrace",
     "TraceParams",
     "BENCHMARKS",
     "BenchmarkSpec",
     "benchmark_by_code",
     "benchmark_trace",
-    "read_usimm_trace",
-    "sniff_usimm",
 ]

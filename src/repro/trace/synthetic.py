@@ -79,9 +79,10 @@ class SyntheticTrace:
         base_mean = max(base_mean, 1.0)
         position = rng.randrange(p.working_set_lines)
 
-        # Per-record inline of _geometric with the log denominators
-        # precomputed (base_mean is always > 0; the burst mean may be 0,
-        # in which case _geometric returns 0 without consuming a draw).
+        # Gaps are geometric on {0, 1, ...} with mean m, by inverse-CDF
+        # sampling: int(log(u) / log(1 - 1/(m+1))) for uniform u, with
+        # the denominators precomputed.  base_mean is always > 0; a burst
+        # mean of 0 gives gap 0 without consuming a draw.
         uniform = rng.random
         randrange = rng.randrange
         burst_prob = p.burst_prob
@@ -110,27 +111,6 @@ class SyntheticTrace:
                 position = randrange(working_set)
             is_write = uniform() < write_fraction
             yield TraceRecord(gap=gap, is_write=is_write, line_addr=position)
-
-    # ------------------------------------------------------------------
-    def measured_mpki(self) -> float:
-        """MPKI of the generated stream (for calibration tests)."""
-        instructions = 0
-        accesses = 0
-        for rec in self.generate():
-            instructions += rec.instructions
-            accesses += 1
-        return 1000.0 * accesses / instructions if instructions else 0.0
-
-
-def _geometric(rng: random.Random, mean: float) -> int:
-    """Geometric-ish integer with the given mean (>= 0)."""
-    if mean <= 0:
-        return 0
-    # Inverse-CDF sampling of a geometric distribution on {0, 1, ...}
-    # with success probability 1/(mean+1).
-    u = rng.random()
-    p_success = 1.0 / (mean + 1.0)
-    return int(log(max(u, 1e-300)) / log(1.0 - p_success))
 
 
 def with_copy_seed(params: TraceParams, copy_index: int) -> TraceParams:

@@ -1,18 +1,12 @@
-"""Trace records and a USIMM-style on-disk format.
+"""Trace records.
 
-A record is "``gap`` non-memory instructions, then one memory access".
-The text format is one record per line::
-
-    <gap> R|W <hex line address>
-
-which mirrors USIMM's trace input closely enough that real MSC traces can
-be converted with a one-line awk script should they be available.
+A record is "``gap`` non-memory instructions, then one memory access",
+the shape of a USIMM trace line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -28,34 +22,3 @@ class TraceRecord:
             raise ValueError("gap must be non-negative")
         if self.line_addr < 0:
             raise ValueError("line address must be non-negative")
-
-    @property
-    def instructions(self) -> int:
-        """Instructions this record accounts for (gap + the access)."""
-        return self.gap + 1
-
-
-def write_trace(records: Iterable[TraceRecord], fp: IO[str]) -> int:
-    """Serialize records; returns the number written."""
-    count = 0
-    for rec in records:
-        op = "W" if rec.is_write else "R"
-        fp.write(f"{rec.gap} {op} {rec.line_addr:x}\n")
-        count += 1
-    return count
-
-
-def read_trace(fp: IO[str]) -> Iterator[TraceRecord]:
-    """Parse the text format back into records (ignores blank lines)."""
-    for line_no, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[1] not in ("R", "W"):
-            raise ValueError(f"malformed trace line {line_no}: {line!r}")
-        yield TraceRecord(
-            gap=int(parts[0]),
-            is_write=(parts[1] == "W"),
-            line_addr=int(parts[2], 16),
-        )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import experiments
+from tests.analysis.run_memo import clear_cache
 
 TRACE = 500
 BENCHES = ("li", "bl")
@@ -10,7 +11,7 @@ BENCHES = ("li", "bl")
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    experiments.clear_cache()
+    clear_cache()
     yield
 
 

@@ -2,30 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    normalized_times,
-    slowdown,
-    summarize_best_worst_gmean,
-)
-
-
-class TestSlowdown:
-    def test_basic(self):
-        assert slowdown(150, 100) == 1.5
-
-    def test_zero_reference(self):
-        with pytest.raises(ValueError):
-            slowdown(1, 0)
-
-
-class TestNormalize:
-    def test_reference_becomes_one(self):
-        out = normalized_times({"a": 200, "b": 100}, "b")
-        assert out == {"a": 2.0, "b": 1.0}
-
-    def test_missing_reference(self):
-        with pytest.raises(KeyError):
-            normalized_times({"a": 1}, "zzz")
+from repro.analysis.metrics import summarize_best_worst_gmean
 
 
 class TestSummary:

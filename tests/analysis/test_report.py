@@ -2,19 +2,26 @@
 
 import contextlib
 import io
+import os
 
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis.report import generate_report
+from repro.analysis.report import (
+    REPORT_BEGIN,
+    REPORT_END,
+    _DEVIATIONS,
+    render_report,
+)
 from repro.cli import main
+from tests.analysis.run_memo import clear_cache
 
 
 @pytest.fixture(scope="module")
 def exp_all():
     """``doram exp all`` at li/400: ``(exit status, stdout)``.  Its sweep
     primes the run memo, so the report below simulates nothing."""
-    experiments.clear_cache()
+    clear_cache()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(["exp", "all", "--benchmarks", "li",
@@ -24,7 +31,9 @@ def exp_all():
 
 @pytest.fixture(scope="module")
 def report_text(exp_all):
-    return generate_report(benchmarks=("li",), trace_length=400)
+    outputs = {name: exp.driver(("li",), 400)
+               for name, exp in experiments.EXPERIMENTS.items()}
+    return render_report(outputs, ("li",), 400)
 
 
 class TestChecksEnforced:
@@ -67,3 +76,17 @@ class TestReport:
         for line in report_text.splitlines():
             if line.startswith("|") and not line.startswith("|---"):
                 assert line.endswith("|")
+
+
+class TestDeviationLedger:
+    def test_experiments_md_carries_the_ledger_verbatim(self):
+        """The generated part of EXPERIMENTS.md ends with the deviation
+        ledger exactly as ``doram report`` renders it, so the two cannot
+        drift apart by an edit to one of them.  Runs no simulation."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        with open(os.path.join(root, "EXPERIMENTS.md")) as fp:
+            lines = fp.read().splitlines(keepends=True)
+        begin = [line.strip() for line in lines].index(REPORT_BEGIN)
+        end = [line.strip() for line in lines].index(REPORT_END)
+        assert "".join(lines[begin + 1:end]).endswith(_DEVIATIONS)

@@ -25,7 +25,6 @@ from repro.analysis import sweep as sweep_mod
 from repro.analysis.experiments import (
     EXPERIMENTS,
     cached_run,
-    clear_cache,
     figure_points,
     points_for_figures,
     prime_cache,
@@ -37,6 +36,7 @@ from repro.analysis.sweep import (
     dedup_points,
     run_sweep,
 )
+from tests.analysis.run_memo import clear_cache
 
 LENGTH = 100
 BENCH = ["li"]

@@ -39,6 +39,11 @@ def _points(n=4):
     return [RunPoint("baseline", "li", LENGTH, segment=i) for i in range(n)]
 
 
+def key_for(queue: WorkQueue, point: RunPoint) -> str:
+    """The lease/marker key the queue files ``point`` under."""
+    return queue._keys[point]
+
+
 def _store_bytes(store: ResultStore):
     out = {}
     for key in store.keys():
@@ -56,7 +61,7 @@ class TestLeases:
     def test_two_workers_race_one_claim(self, tmp_path):
         """Exactly one of many concurrent claimants wins the lease."""
         queue = WorkQueue.create(str(tmp_path / "q"), _points(1))
-        key = queue.key_for(queue.points[0])
+        key = key_for(queue, queue.points[0])
         barrier = threading.Barrier(8)
         wins = []
 
@@ -78,7 +83,7 @@ class TestLeases:
     def test_fresh_lease_is_not_stale(self, tmp_path):
         queue = WorkQueue.create(str(tmp_path / "q"), _points(1),
                                  lease_ttl_s=30.0)
-        key = queue.key_for(queue.points[0])
+        key = key_for(queue, queue.points[0])
         assert queue.claim(key, "w0")
         assert not queue.break_if_stale(key)
         assert not queue.claim(key, "w1")
@@ -86,7 +91,7 @@ class TestLeases:
     def test_stale_lease_is_broken_and_reclaimable(self, tmp_path):
         queue = WorkQueue.create(str(tmp_path / "q"), _points(1),
                                  lease_ttl_s=5.0)
-        key = queue.key_for(queue.points[0])
+        key = key_for(queue, queue.points[0])
         assert queue.claim(key, "w0")
         past = time.time() - 60.0
         os.utime(queue.lease_path(key), (past, past))
@@ -96,7 +101,7 @@ class TestLeases:
     def test_heartbeat_keeps_a_lease_live(self, tmp_path):
         queue = WorkQueue.create(str(tmp_path / "q"), _points(1),
                                  lease_ttl_s=5.0)
-        key = queue.key_for(queue.points[0])
+        key = key_for(queue, queue.points[0])
         assert queue.claim(key, "w0")
         past = time.time() - 60.0
         os.utime(queue.lease_path(key), (past, past))
@@ -121,7 +126,7 @@ class TestManifest:
         WorkQueue.create(str(tmp_path / "q"), points)
         queue = WorkQueue.join(str(tmp_path / "q"))
         assert queue.points == points
-        assert [queue.key_for(p) for p in queue.points] == \
+        assert [key_for(queue, p) for p in queue.points] == \
             [p.key() for p in points]
 
     def test_recreate_identical_is_idempotent(self, tmp_path):
@@ -168,7 +173,7 @@ class TestDrain:
                                  lease_ttl_s=5.0)
         # "w-dead" claimed a point and was SIGKILLed: lease on disk,
         # no heartbeat, no payload.
-        dead_key = queue.key_for(points[1])
+        dead_key = key_for(queue, points[1])
         assert queue.claim(dead_key, "w-dead")
         past = time.time() - 60.0
         os.utime(queue.lease_path(dead_key), (past, past))
@@ -191,7 +196,7 @@ class TestDrain:
         done = run_sweep([points[0]], workers=1, store=queue.store)
         assert done.simulated == 1
         # Point 2 is held live by another worker.
-        held_key = queue.key_for(points[2])
+        held_key = key_for(queue, points[2])
         assert queue.claim(held_key, "w-other")
 
         ran = []
@@ -261,34 +266,14 @@ class TestDrain:
         _payloads, failed = queue.collect()
         assert points[0] in failed
 
-    def test_clear_failure_re_dispatches_the_point(self, tmp_path,
-                                                   monkeypatch):
-        points = _points(1)
-        monkeypatch.setattr(
-            wq_mod, "execute_point",
-            lambda point, with_digest=False, timeout_s=None:
-                (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        queue = WorkQueue.create(str(tmp_path / "q"), points)
-        queue.drain(owner="wA")
-        key = queue.key_for(points[0])
-        assert queue.failure(key) is not None
-
-        monkeypatch.undo()
-        queue.clear_failure(key)
-        assert queue.attempt_count(key) == 0
-        drain = queue.drain(owner="wA")
-        assert drain.completed == 1
-        assert queue.collect()[1] == {}
-
     def test_stats_readout(self, tmp_path):
         points = _points(4)
         queue = WorkQueue.create(str(tmp_path / "q"), points)
         # one done, one leased, one failed, one pending
         done = run_sweep([points[0]], workers=1, store=queue.store)
         assert done.simulated == 1
-        queue.claim(queue.key_for(points[1]), "w0")
-        queue.mark_failed(queue.key_for(points[2]), "w0", "boom")
+        queue.claim(key_for(queue, points[1]), "w0")
+        queue.mark_failed(key_for(queue, points[2]), "w0", "boom")
 
         stats = queue.stats()
         assert (stats.total, stats.done, stats.leased,

@@ -44,20 +44,6 @@ class TestSerialLink:
         # Second packet waits for the first to clock out.
         assert arrivals[1][1] - arrivals[0][1] == LinkParams().serialization(72)
 
-    def test_idle_link_resets_backlog(self):
-        eng = Engine()
-        link = SerialLink(eng, "l")
-        link.send(72, lambda t: None)
-        eng.run()
-        assert link.queue_delay() == 0
-
-    def test_backlog_visible(self):
-        eng = Engine()
-        link = SerialLink(eng, "l")
-        for _ in range(10):
-            link.send(72, lambda t: None)
-        assert link.queue_delay() == 10 * LinkParams().serialization(72)
-
     def test_stats(self):
         eng = Engine()
         link = SerialLink(eng, "l")

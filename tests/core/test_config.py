@@ -70,10 +70,6 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_total_cores(self):
-        assert SystemConfig().total_cores == 8
-        assert SystemConfig(has_s_app=False).total_cores == 7
-
     def test_effective_oram_expansion(self):
         cfg = SystemConfig(arch="bob", oram_placement="delegated", split_k=2)
         expanded = cfg.effective_oram()

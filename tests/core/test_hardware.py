@@ -17,18 +17,18 @@ class TestSizing:
         # 1 mm^2 envelope the paper cites.
         budget = size_delegator(OramConfig())
         assert budget.position_map_bytes > 50 * 2**20
-        assert not budget.fits_paper_budget
+        assert budget.area_mm2 > PAPER_BUDGET_MM2
 
     def test_recursive_map_fits_budget(self):
         # With the position map recursed into the tree, the SD carries
         # only stash + tree-top + top map and fits comfortably.
         budget = size_delegator(OramConfig(), recursive_position_map=True)
-        assert budget.fits_paper_budget
+        assert budget.area_mm2 <= PAPER_BUDGET_MM2
         assert budget.area_mm2 < PAPER_BUDGET_MM2
 
     def test_small_tree_fits_either_way(self):
-        budget = size_delegator(OramConfig().scaled(16))
-        assert budget.fits_paper_budget
+        budget = size_delegator(OramConfig(leaf_level=16))
+        assert budget.area_mm2 <= PAPER_BUDGET_MM2
 
     def test_treetop_bytes_grow_with_cached_levels(self):
         shallow = size_delegator(OramConfig(treetop_levels=1))
@@ -36,8 +36,8 @@ class TestSizing:
         assert deep.treetop_bytes > shallow.treetop_bytes
 
     def test_area_components_additive(self):
-        budget = size_delegator(OramConfig().scaled(10))
-        more_aes = size_delegator(OramConfig().scaled(10), aes_cores=10)
+        budget = size_delegator(OramConfig(leaf_level=10))
+        more_aes = size_delegator(OramConfig(leaf_level=10), aes_cores=10)
         assert more_aes.area_mm2 > budget.area_mm2
 
     def test_validation(self):

@@ -21,11 +21,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SystemConfig(num_s_apps=0)
 
-    def test_total_cores(self):
-        cfg = SystemConfig(num_s_apps=2, num_ns_apps=2)
-        assert cfg.total_cores == 4
-        assert cfg.effective_s_apps == 2
-
 
 class TestTwoSApps:
     @pytest.fixture(scope="class")

@@ -23,15 +23,6 @@ class TestRequestPacer:
         b.emitted(real=False)
         assert a.response_received(500) == b.response_received(500)
 
-    def test_real_fraction(self):
-        pacer = RequestPacer()
-        for real in (True, True, False, True):
-            pacer.emitted(real)
-        assert pacer.real_fraction() == 0.75
-
-    def test_real_fraction_empty(self):
-        assert RequestPacer().real_fraction() == 0.0
-
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             RequestPacer(t_cycles=-1)

@@ -86,10 +86,6 @@ class TestBasicExecution:
         _, _, _, finish = run_core([R(5), R(5)], latency=10)
         assert len(finish) == 1
 
-    def test_ipc_sane(self):
-        _, _, core, _ = run_core([R(99, addr=i) for i in range(10)], latency=40)
-        assert 0.1 < core.ipc() <= 4.0
-
 
 class TestMemoryLevelParallelism:
     def test_independent_reads_overlap(self):

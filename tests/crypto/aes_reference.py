@@ -12,9 +12,20 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.crypto.aes import gf_mul
-
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
+
+
+def gf_mul(a: int, b: int) -> int:
+    """GF(2^8) multiplication modulo x^8+x^4+x^3+x+1, shift and add."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return result
 
 
 def exhaustive_sbox() -> List[int]:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, INV_SBOX, SBOX, gf_mul
+from repro.crypto.aes import AES128, SBOX
 from tests.crypto import aes_reference as ref
+from tests.crypto.aes_reference import gf_mul
 
 _blocks = st.binary(min_size=16, max_size=16)
 
@@ -38,16 +39,12 @@ class TestSbox:
     def test_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
 
-    def test_inverse_consistent(self):
-        assert all(INV_SBOX[SBOX[i]] == i for i in range(256))
-
     def test_no_fixed_points(self):
         assert all(SBOX[i] != i for i in range(256))
 
     def test_matches_exhaustive_inverse_scan(self):
         # The log/antilog derivation against the 255x255 inverse search.
         assert SBOX == ref.SBOX
-        assert INV_SBOX == [ref.SBOX.index(v) for v in range(256)]
 
 
 class TestCipher:
@@ -57,18 +54,6 @@ class TestCipher:
 
     def test_fips197_appendix_c(self):
         assert AES128(self.KEY).encrypt_block(self.PT) == self.CT
-
-    def test_decrypt_inverts(self):
-        aes = AES128(self.KEY)
-        assert aes.decrypt_block(self.CT) == self.PT
-
-    def test_round_trip_random_blocks(self):
-        import random
-        rng = random.Random(1)
-        aes = AES128(bytes(rng.randrange(256) for _ in range(16)))
-        for _ in range(10):
-            block = bytes(rng.randrange(256) for _ in range(16))
-            assert aes.decrypt_block(aes.encrypt_block(block)) == block
 
     def test_key_sensitivity(self):
         ct1 = AES128(b"\x00" * 16).encrypt_block(self.PT)

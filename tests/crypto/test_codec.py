@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.crypto.codec import (
-    CodecError,
-    EncryptedBucketCodec,
-    PlainCodec,
-)
+from repro.crypto.codec import CodecError, EncryptedBucketCodec, xor_bytes
+from tests.crypto.plain_codec import PlainCodec
 
 Z, BLOCK = 4, 64
 
@@ -93,3 +90,13 @@ class TestEncryptedCodec:
     def test_wrong_key_size(self):
         with pytest.raises(ValueError):
             EncryptedBucketCodec(b"short")
+
+
+class TestXor:
+    def test_involution(self):
+        a, b = b"hello!", b"worldx"
+        assert xor_bytes(xor_bytes(a, b), b) == a
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            xor_bytes(b"ab", b"abc")

@@ -7,6 +7,8 @@ function, so each can be read against the JEDEC constraint it encodes
 and checked against the fused code:
 
 * :class:`FrFcfsScheduler` -- first-ready FCFS over a bounded window;
+* :func:`pick_class` -- the share policies' class pick over any number
+  of pending classes, the N-class form of ``pick_between``;
 * :func:`classify` -- the row-buffer outcome of the next access to a bank;
 * the :class:`~repro.dram.bank.RankTimers` fences: :func:`activate_slot`
   and :func:`note_activate` (tRRD / tFAW), :func:`note_write_end` and
@@ -19,7 +21,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.dram.bank import Bank, RankTimers
-from repro.dram.commands import MemRequest
+from repro.dram.commands import MemRequest, TrafficClass
+from repro.dram.scheduler import SingleClassPolicy
 
 
 def classify(bank: Bank, row: int) -> str:
@@ -81,6 +84,39 @@ class FrFcfsScheduler:
                     )
                 return i
         return 0
+
+
+def pick_class(policy, pending: Sequence[TrafficClass]) -> TrafficClass:
+    """Choose which class to serve among classes with queued requests.
+
+    A :class:`~repro.dram.scheduler.SingleClassPolicy` serves the first.
+    A :class:`~repro.dram.scheduler.SharePolicy` runs deficit round-robin
+    on its own credits and served counts, so ``pick_between(a, b)`` must
+    leave them as ``pick_class(policy, [a, b])`` does.
+    """
+    if isinstance(policy, SingleClassPolicy):
+        return pending[0]
+    candidates = [cls for cls in pending if cls in policy.weights]
+    if not candidates:
+        # Unconfigured classes fall through in arrival order.
+        return pending[0]
+    if len(candidates) == 1:
+        # Work-conserving bypass: an uncontended slot costs no credit,
+        # so a class running alone does not bank debt (or surplus)
+        # against classes that were absent.
+        policy.served[candidates[0]] += 1
+        return candidates[0]
+    # Contended slot: every pending class earns its share, the winner
+    # pays one slot.  Credits stay bounded by construction (shares sum
+    # to <= 1 and the winner pays 1), but clamp anyway for safety.
+    credit, share = policy._credit, policy._share
+    for cls in candidates:
+        credit[cls] = min(credit[cls] + share[cls], 2.0)
+    best = max(candidates, key=lambda cls: (credit[cls],
+                                            -candidates.index(cls)))
+    credit[best] = max(credit[best] - 1.0, -2.0)
+    policy.served[best] += 1
+    return best
 
 
 # -- activates ------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Address mapping: decode, interleaving, per-app channel masks."""
+"""Address mapping: decode, interleaving, channel masks."""
 
 import pytest
 
 from repro.dram.address_mapping import (
     ChannelInterleaver,
     DeviceGeometry,
-    build_app_interleavers,
     decode_line,
 )
 
@@ -70,18 +69,3 @@ class TestChannelInterleaver:
     def test_single_channel_mask(self):
         il = ChannelInterleaver([(2, 0)])
         assert all(il.map_line(i)[0] == 2 for i in range(10))
-
-
-class TestBuildAppInterleavers:
-    def test_disjoint_slices(self):
-        ils = build_app_interleavers(
-            {0: [(0, 0)], 1: [(0, 0)]}, lines_per_app=1000
-        )
-        a = ils[0].map_line(0)
-        b = ils[1].map_line(0)
-        assert a != b
-
-    def test_respects_per_app_targets(self):
-        ils = build_app_interleavers({0: [(0, 0)], 1: [(1, 0), (2, 0)]})
-        assert ils[0].map_line(5)[0] == 0
-        assert ils[1].map_line(0)[0] in (1, 2)

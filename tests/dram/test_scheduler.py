@@ -10,7 +10,7 @@ from repro.dram.scheduler import SharePolicy, SingleClassPolicy
 from repro.dram.timing import DDR3_1600 as T, ChannelParams
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
-from tests.dram.dram_reference import FrFcfsScheduler
+from tests.dram.dram_reference import FrFcfsScheduler, pick_class
 
 
 def req(row, bank=0, traffic=TrafficClass.NORMAL):
@@ -141,7 +141,7 @@ def test_indexed_pick_matches_the_reference(data, window, write, weights,
         chosen = queue[0].traffic
         other = next(cls for cls in TrafficClass if cls is not chosen)
         if any(r.traffic is other for r in queue):
-            chosen = twin.pick_class([chosen, other])
+            chosen = pick_class(twin, [chosen, other])
             expected_trace.instant("dram", "class_pick", "ch0", engine.now,
                                    {"cls": chosen.value, "contenders": 2})
         candidates = [r for r in queue if r.traffic is chosen]
@@ -165,7 +165,7 @@ class TestSharePolicy:
     def test_5050_alternates(self):
         policy = SharePolicy()
         pending = [TrafficClass.SECURE, TrafficClass.NORMAL]
-        picks = [policy.pick_class(pending) for _ in range(100)]
+        picks = [pick_class(policy, pending) for _ in range(100)]
         secure = picks.count(TrafficClass.SECURE)
         assert secure == 50
 
@@ -175,8 +175,9 @@ class TestSharePolicy:
         )
         pending = [TrafficClass.SECURE, TrafficClass.NORMAL]
         for _ in range(400):
-            policy.pick_class(pending)
-        assert policy.served_fraction(TrafficClass.SECURE) == pytest.approx(
+            pick_class(policy, pending)
+        secure = policy.served[TrafficClass.SECURE]
+        assert secure / sum(policy.served.values()) == pytest.approx(
             0.25, abs=0.02
         )
 
@@ -184,15 +185,16 @@ class TestSharePolicy:
         policy = SharePolicy()
         # Only NORMAL has pending work; it must always be served.
         for _ in range(10):
-            assert policy.pick_class([TrafficClass.NORMAL]) is TrafficClass.NORMAL
+            assert pick_class(policy, [TrafficClass.NORMAL]) \
+                is TrafficClass.NORMAL
 
     def test_idle_class_does_not_bank_unbounded_credit(self):
         policy = SharePolicy()
         for _ in range(100):
-            policy.pick_class([TrafficClass.NORMAL])
+            pick_class(policy, [TrafficClass.NORMAL])
         # SECURE was absent; when it returns, it should not monopolize.
         pending = [TrafficClass.SECURE, TrafficClass.NORMAL]
-        picks = [policy.pick_class(pending) for _ in range(20)]
+        picks = [pick_class(policy, pending) for _ in range(20)]
         assert picks.count(TrafficClass.NORMAL) >= 8
 
     def test_bad_weights_rejected(self):
@@ -201,7 +203,7 @@ class TestSharePolicy:
 
     def test_unconfigured_class_falls_through(self):
         policy = SharePolicy({TrafficClass.SECURE: 1.0})
-        assert policy.pick_class([TrafficClass.NORMAL]) is TrafficClass.NORMAL
+        assert pick_class(policy, [TrafficClass.NORMAL]) is TrafficClass.NORMAL
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -217,7 +219,7 @@ class TestSharePolicy:
         for first in firsts:
             second = next(cls for cls in TrafficClass if cls is not first)
             assert fast.pick_between(first, second) is \
-                generic.pick_class([first, second])
+                pick_class(generic, [first, second])
             assert fast._credit == generic._credit
             assert fast.served == generic.served
 
@@ -225,6 +227,9 @@ class TestSharePolicy:
 class TestSingleClassPolicy:
     def test_first_pending_wins(self):
         policy = SingleClassPolicy()
-        assert policy.pick_class(
-            [TrafficClass.NORMAL, TrafficClass.SECURE]
+        assert pick_class(
+            policy, [TrafficClass.NORMAL, TrafficClass.SECURE]
+        ) is TrafficClass.NORMAL
+        assert policy.pick_between(
+            TrafficClass.NORMAL, TrafficClass.SECURE
         ) is TrafficClass.NORMAL

@@ -32,14 +32,6 @@ class TestDDR3Defaults:
         with pytest.raises(ValueError):
             DDR3Timing(tFAW=mem_cycles(1), tRRD=mem_cycles(5))
 
-    def test_derived_latencies_ordered(self):
-        t = DDR3_1600
-        assert t.row_hit_latency < t.row_closed_latency < t.row_conflict_latency
-
-    def test_row_hit_latency_value(self):
-        # CL + burst = 11 + 4 memory cycles = 18.75 ns = 300 ticks.
-        assert DDR3_1600.row_hit_latency == mem_cycles(15)
-
 
 class TestChannelParams:
     def test_defaults_match_table2(self):

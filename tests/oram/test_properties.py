@@ -4,12 +4,13 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crypto.codec import EncryptedBucketCodec, PlainCodec
+from repro.crypto.codec import EncryptedBucketCodec
 from repro.oram.config import OramConfig
 from repro.oram.path_oram import PathOram
 from repro.oram.protocol import greedy_evict
 from repro.oram.stash import Stash
 from repro.oram.tree import TreeGeometry
+from tests.oram.tree_reference import leaf_range
 
 SMALL = OramConfig(leaf_level=5, treetop_levels=1, subtree_levels=2)
 
@@ -143,5 +144,5 @@ def test_bucket_on_path_consistent_with_leaf_range(
     leaf = int(leaf_frac * cfg.num_leaves)
     level = int(level_frac * (leaf_level + 1))
     bucket = g.bucket_on_path(leaf, level)
-    assert leaf in g.leaf_range(bucket)
+    assert leaf in leaf_range(g, bucket)
     assert g.level_of(bucket) == level

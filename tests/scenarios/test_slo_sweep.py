@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.report import slo_markdown
 from repro.analysis.sweep import ResultStore, execute_point, run_sweep
 from repro.analysis.workqueue import WorkQueue
 from repro.scenarios import (
@@ -115,15 +114,6 @@ class TestSloSweep:
             assert row["worst_p50_ns"] <= row["worst_p99_ns"] \
                 <= row["worst_p999_ns"]
             assert row["report_digest"]
-
-    def test_slo_markdown_renders(self, tmp_path):
-        result = run_sweep(_grid(), workers=1,
-                               store=ResultStore(str(tmp_path)),
-                               timeout_s=300.0)
-        text = slo_markdown(slo_rows(result))
-        assert text.startswith("|")
-        assert "goodput" in text
-        assert text.count("\n") >= 3  # header + rule + 2 data rows
 
 
 @pytest.mark.slow

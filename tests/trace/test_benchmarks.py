@@ -52,7 +52,7 @@ class TestTraceGeneration:
     def test_mpki_approximately_honored(self):
         spec = benchmark_by_code("mu")
         records = list(benchmark_trace("mu", 10_000))
-        instructions = sum(r.instructions for r in records)
+        instructions = sum(r.gap + 1 for r in records)
         measured = 1000.0 * len(records) / instructions
         assert measured == pytest.approx(spec.mpki, rel=0.12)
 

@@ -1,16 +1,11 @@
-"""Trace record format and (de)serialization."""
-
-import io
+"""Trace record format."""
 
 import pytest
 
-from repro.trace.trace_format import TraceRecord, read_trace, write_trace
+from repro.trace.trace_format import TraceRecord
 
 
 class TestTraceRecord:
-    def test_instruction_count(self):
-        assert TraceRecord(9, False, 0).instructions == 10
-
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             TraceRecord(-1, False, 0)
@@ -23,30 +18,3 @@ class TestTraceRecord:
         rec = TraceRecord(1, True, 2)
         with pytest.raises(AttributeError):
             rec.gap = 5
-
-
-class TestRoundTrip:
-    def test_write_then_read(self):
-        records = [
-            TraceRecord(10, False, 0xABC),
-            TraceRecord(0, True, 0),
-            TraceRecord(250, False, 0xDEADBEEF),
-        ]
-        buf = io.StringIO()
-        assert write_trace(records, buf) == 3
-        buf.seek(0)
-        assert list(read_trace(buf)) == records
-
-    def test_blank_lines_and_comments_skipped(self):
-        buf = io.StringIO("# header\n\n5 R a\n\n")
-        assert list(read_trace(buf)) == [TraceRecord(5, False, 10)]
-
-    def test_malformed_line_raises_with_line_number(self):
-        buf = io.StringIO("5 X a\n")
-        with pytest.raises(ValueError, match="line 1"):
-            list(read_trace(buf))
-
-    def test_wrong_field_count_raises(self):
-        buf = io.StringIO("5 R\n")
-        with pytest.raises(ValueError):
-            list(read_trace(buf))
