@@ -1,18 +1,19 @@
 """The experiment registry: every paper exhibit and ablation, declared once.
 
 :data:`EXPERIMENTS` holds one :class:`Experiment` per Section V exhibit
-(:data:`ALL_FIGURES`) and per design-choice ablation
-(:data:`ALL_ABLATIONS`): its title, the numbers the paper states, the
-run-points it needs, its driver, its one table and its named
-:class:`Check` s.  ``doram exp``, ``sweep`` and ``report`` loop over it
-and regenerate through :func:`run_figures`: :func:`figure_points`
-declares every run as a :class:`~repro.analysis.sweep.RunPoint`, the
-sweep runner executes them (serial, or a work-queue drain) and primes
-the :func:`cached_run` memo, and the drivers then find every run cached.
-Called directly, a driver simulates any missing run through that memo;
-the exhibits overlap heavily (Fig. 9's D-ORAM/X is the best point of
-Fig. 11's c sweep, Fig. 13 reuses Fig. 9's runs, and the ablations share
-their defaults' runs).
+(:data:`ALL_FIGURES`) and per design-choice ablation: its title, the
+numbers the paper states, the run-points it needs, its driver, its one
+table and its named :class:`Check` s.  ``doram exp``, ``sweep`` and
+``report`` loop over it and regenerate through :func:`run_figures`:
+:func:`figure_points` declares every run as a
+:class:`~repro.analysis.sweep.RunPoint`, the sweep runner executes them
+(serial, or a work-queue drain), and the drivers then read every run
+from the sweep's results (:func:`runs_from`).  The sweep is the only
+executor: a driver takes its runs as an argument, and a run it did not
+declare is a ``KeyError``, not a silent simulation.  The exhibits
+overlap heavily (Fig. 9's D-ORAM/X is the best point of Fig. 11's c
+sweep, Fig. 13 reuses Fig. 9's runs, and the ablations share their
+defaults' runs).
 
 Scale: the paper simulates 500 M-instruction traces; every driver takes
 ``trace_length`` memory accesses per core as an argument (default
@@ -38,7 +39,6 @@ from repro.analysis.sweep import (
     dedup_points,
     run_sweep,
 )
-from repro.core.schemes import run_scheme
 from repro.core.system import SimResult
 from repro.core.tree_split import (
     TABLE_I,
@@ -58,46 +58,19 @@ DEFAULT_TRACE_LENGTH = 2500
 #: All Table III benchmark codes, in the paper's order.
 ALL_BENCHMARKS: Tuple[str, ...] = tuple(b.code for b in BENCHMARKS)
 
-_run_cache: Dict[tuple, SimResult] = {}
+#: A driver's runs: ``run(scheme, benchmark, trace_length, segment=0,
+#: **overrides)`` returns that point's :class:`SimResult`.
+Run = Callable[..., SimResult]
 
 
-def cached_run(
-    scheme: str,
-    benchmark: str,
-    trace_length: int = DEFAULT_TRACE_LENGTH,
-    segment: int = 0,
-    **overrides,
-) -> SimResult:
-    """Memoised :func:`~repro.core.schemes.run_scheme`.
-
-    This is the thin serial fallback behind the sweep runner: a sweep
-    primes this memo (:func:`prime_cache`), so figure drivers hit it for
-    every declared point and only simulate here when called without a
-    sweep.
-    """
-    key = (scheme, benchmark, trace_length, segment,
-           tuple(sorted(overrides.items())))
-    if key not in _run_cache:
-        _run_cache[key] = run_scheme(
-            scheme, benchmark, trace_length, segment=segment, **overrides
-        )
-    return _run_cache[key]
-
-
-def prime_cache(results: Mapping[RunPoint, SimResult]) -> int:
-    """Load sweep results into the :func:`cached_run` memo.
-
-    Returns the number of newly primed entries.  Existing entries are
-    left alone (an in-process run and its store round trip are
-    bit-identical, so either is valid).
-    """
-    primed = 0
-    for point, result in results.items():
-        key = point.cache_key()
-        if key not in _run_cache:
-            _run_cache[key] = result
-            primed += 1
-    return primed
+def runs_from(results: Mapping[RunPoint, SimResult]) -> Run:
+    """The :data:`Run` that reads each point's result from ``results``;
+    a point not in it raises ``KeyError``."""
+    def run(scheme: str, benchmark: str, trace_length: int,
+            segment: int = 0, **overrides) -> SimResult:
+        return results[RunPoint(scheme, benchmark, trace_length, segment,
+                                tuple(overrides.items()))]
+    return run
 
 
 def _benchmarks(benchmarks: Optional[Sequence[str]]) -> Tuple[str, ...]:
@@ -112,6 +85,7 @@ FIG4_SCHEMES = ("baseline", "securemem", "7ns-4ch", "7ns-3ch")
 
 
 def fig4(
+    run: Run,
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, float]]:
@@ -125,8 +99,8 @@ def fig4(
     for scheme in FIG4_SCHEMES:
         rows: Dict[str, float] = {}
         for code in codes:
-            solo = cached_run("1ns", code, trace_length)
-            corun = cached_run(scheme, code, trace_length)
+            solo = run("1ns", code, trace_length)
+            corun = run(scheme, code, trace_length)
             rows[code] = corun.ns_mean_time() / solo.ns_mean_time()
         best, worst, gmean_v = summarize_best_worst_gmean(
             [rows[c] for c in codes]
@@ -183,14 +157,15 @@ FIG8_SCHEMES = ("1ns", "7ns-4ch", "7ns-3ch", "doram")
 
 
 def fig8(
+    run: Run,
     benchmark: str = FIG8_BENCHMARK,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, float]:
     """Latency under channel partitioning and secure-channel contention."""
-    solo = cached_run("1ns", benchmark, trace_length)
-    four = cached_run("7ns-4ch", benchmark, trace_length)
-    three = cached_run("7ns-3ch", benchmark, trace_length)
-    doram = cached_run("doram", benchmark, trace_length)
+    solo = run("1ns", benchmark, trace_length)
+    four = run("7ns-4ch", benchmark, trace_length)
+    three = run("7ns-3ch", benchmark, trace_length)
+    doram = run("doram", benchmark, trace_length)
 
     # Secure vs normal channel latency under D-ORAM (Fig. 8(c)).
     secure_rows = [
@@ -222,6 +197,7 @@ def _c_sweep(row: Mapping[str, float]) -> List[float]:
 
 
 def fig11(
+    run: Run,
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
     c_values: Sequence[int] = tuple(range(8)),
@@ -234,22 +210,22 @@ def fig11(
     codes = _benchmarks(benchmarks)
     out: Dict[str, Dict[str, float]] = {}
     for code in codes:
-        base = cached_run("baseline", code, trace_length).ns_mean_time()
+        base = run("baseline", code, trace_length).ns_mean_time()
         row: Dict[str, float] = {}
         best_c, best_time = None, None
         for c in c_values:
             # c = 7 admits every NS-App, which is plain D-ORAM; use the
-            # same cache entry Fig. 9 uses.
+            # same run Fig. 9 uses.
             scheme = "doram" if c == 7 else f"doram/{c}"
-            time_c = cached_run(scheme, code, trace_length).ns_mean_time()
+            time_c = run(scheme, code, trace_length).ns_mean_time()
             row[f"c{c}"] = time_c / base
             if best_time is None or time_c < best_time:
                 best_c, best_time = c, time_c
         row["7ns-3ch"] = (
-            cached_run("7ns-3ch", code, trace_length).ns_mean_time() / base
+            run("7ns-3ch", code, trace_length).ns_mean_time() / base
         )
         row["7ns-4ch"] = (
-            cached_run("7ns-4ch", code, trace_length).ns_mean_time() / base
+            run("7ns-4ch", code, trace_length).ns_mean_time() / base
         )
         row["best_c"] = float(best_c)
         out[code] = row
@@ -257,23 +233,24 @@ def fig11(
 
 
 def fig9(
+    run: Run,
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, float]]:
     """Normalized execution time: D-ORAM, D-ORAM/X, D-ORAM+1, D-ORAM+1/4.
 
     D-ORAM/X is the best point of the Fig. 11 sweep (the paper's
-    definition), so this reuses those runs through the cache.
+    definition), so this reuses those runs.
     """
     codes = _benchmarks(benchmarks)
-    sweep = fig11(codes, trace_length)
+    sweep = fig11(run, codes, trace_length)
     out: Dict[str, Dict[str, float]] = {}
     for code in codes:
-        base = cached_run("baseline", code, trace_length).ns_mean_time()
+        base = run("baseline", code, trace_length).ns_mean_time()
         row = out[code] = {"baseline": 1.0, "doram": sweep[code]["c7"],
                            "doram_x": min(_c_sweep(sweep[code]))}
         for scheme in ("doram+1", "doram+1/4"):
-            row[scheme] = (cached_run(scheme, code, trace_length)
+            row[scheme] = (run(scheme, code, trace_length)
                            .ns_mean_time() / base)
     out["gmean"] = {key: geomean([out[code][key] for code in codes])
                     for key in out[codes[0]]}
@@ -282,6 +259,7 @@ def fig9(
 
 
 def fig10(
+    run: Run,
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
     k_values: Sequence[int] = (1, 2, 3),
@@ -291,12 +269,11 @@ def fig10(
     codes = _benchmarks(benchmarks)
     out: Dict[str, Dict[str, float]] = {}
     for code in codes:
-        base = cached_run("doram", code, trace_length).ns_mean_time()
+        base = run("doram", code, trace_length).ns_mean_time()
         row = {"doram": 1.0}
         for k in k_values:
             row[f"k{k}"] = (
-                cached_run(f"doram+{k}", code, trace_length).ns_mean_time()
-                / base
+                run(f"doram+{k}", code, trace_length).ns_mean_time() / base
             )
         out[code] = row
     avg_row = {"doram": 1.0}
@@ -308,6 +285,7 @@ def fig10(
 
 
 def fig12(
+    run: Run,
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, object]]:
@@ -317,11 +295,11 @@ def fig12(
     c >= 4) matches the sweep's best configuration.
     """
     codes = _benchmarks(benchmarks)
-    sweep = fig11(codes, trace_length)
+    sweep = fig11(run, codes, trace_length)
     out: Dict[str, Dict[str, object]] = {}
     for code in codes:
         profile: ProfileResult = profile_ratio(
-            code, trace_length=trace_length, segment=1, runner=cached_run
+            code, trace_length=trace_length, segment=1, runner=run
         )
         best_c = int(sweep[code]["best_c"])
         # The measured preference compares the average of the small-c
@@ -344,6 +322,7 @@ def fig12(
 
 
 def fig13(
+    run: Run,
     benchmarks: Optional[Sequence[str]] = None,
     trace_length: int = DEFAULT_TRACE_LENGTH,
 ) -> Dict[str, Dict[str, float]]:
@@ -351,15 +330,15 @@ def fig13(
     codes = _benchmarks(benchmarks)
     out: Dict[str, Dict[str, float]] = {}
     for code in codes:
-        base = cached_run("baseline", code, trace_length)
+        base = run("baseline", code, trace_length)
         row: Dict[str, float] = {}
         for label, scheme in (("doram+1", "doram+1"), ("doram/4", "doram/4")):
-            run = cached_run(scheme, code, trace_length)
+            result = run(scheme, code, trace_length)
             row[f"{label}_read"] = (
-                run.read_latency_ns() / base.read_latency_ns()
+                result.read_latency_ns() / base.read_latency_ns()
             )
             row[f"{label}_write"] = (
-                run.write_latency_ns() / base.write_latency_ns()
+                result.write_latency_ns() / base.write_latency_ns()
             )
         out[code] = row
     out["gmean"] = {
@@ -440,9 +419,10 @@ Note = Union[Check, Callable[[Any], str]]
 class Experiment:
     """One paper exhibit or ablation.
 
-    ``points(benchmarks, trace_length)`` declares every simulation that
-    ``driver(benchmarks, trace_length)`` performs; ``table(output)`` is
-    the one table it shows; ``notes`` are the lines under that table.
+    ``points(benchmarks, trace_length)`` declares every run that
+    ``driver(run, benchmarks, trace_length)`` reads through ``run``;
+    ``table(output)`` is the one table it shows; ``notes`` are the lines
+    under that table.
     """
 
     name: str
@@ -450,7 +430,7 @@ class Experiment:
     #: What the paper states about it, or ``""``.
     paper: str
     points: Callable[[Optional[Sequence[str]], int], List[RunPoint]]
-    driver: Callable[[Optional[Sequence[str]], int], Any]
+    driver: Callable[[Run, Optional[Sequence[str]], int], Any]
     table: Callable[[Any], Table]
     notes: Tuple[Note, ...] = ()
 
@@ -528,13 +508,13 @@ def _ablation(
             for scheme, overrides in runs
         ]
 
-    def driver(_benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH):
-        ref = (cached_run(reference, ABLATION_BENCHMARK, trace_length)
+    def driver(run, _benchmarks, trace_length):
+        ref = (run(reference, ABLATION_BENCHMARK, trace_length)
                if reference else None)
         out = {}
         for label, scheme, overrides in variants:
-            result = cached_run(scheme, ABLATION_BENCHMARK, trace_length,
-                                **overrides)
+            result = run(scheme, ABLATION_BENCHMARK, trace_length,
+                         **overrides)
             out[label] = {col: _COLUMNS[col](result, ref) for col in columns}
         return out
 
@@ -558,7 +538,7 @@ _FIGURES = (
     Experiment(
         "table1", "Table I — tree-split space shares & extra messages", "",
         lambda benchmarks=None, trace_length=None: [],
-        lambda benchmarks=None, trace_length=None: table1(),
+        lambda _run, _benchmarks, _trace_length: table1(),
         lambda rows: (
             ["k", "paper secure", "model secure", "layout secure",
              "paper normal", "model normal", "extra msgs (ch0)"],
@@ -576,8 +556,8 @@ _FIGURES = (
         lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: [
             RunPoint(scheme, fig8_benchmark(benchmarks), trace_length)
             for scheme in FIG8_SCHEMES],
-        lambda benchmarks=None, trace_length=DEFAULT_TRACE_LENGTH: fig8(
-            fig8_benchmark(benchmarks), trace_length),
+        lambda run, benchmarks, trace_length: fig8(
+            run, fig8_benchmark(benchmarks), trace_length),
         lambda out: (["quantity", "latency (ns)"],
                      [[key, value] for key, value in out.items()]),
         (Check("fewer channels slower; secure channel slowest under D-ORAM",
@@ -784,9 +764,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
 #: The paper's Section V exhibits (and Fig. 4's motivation), in order.
 ALL_FIGURES: Tuple[str, ...] = tuple(exp.name for exp in _FIGURES)
 
-#: The design-choice ablations, in order.
-ALL_ABLATIONS: Tuple[str, ...] = tuple(exp.name for exp in _ABLATIONS)
-
 
 # ---------------------------------------------------------------------------
 # Sweep integration
@@ -801,8 +778,7 @@ def figure_points(
     """Every simulation experiment ``figure`` needs, as run-points.
 
     The companion test suite cross-checks these declarations against
-    the drivers: priming a sweep of exactly these points must leave the
-    driver zero simulations to run.
+    the drivers: each driver runs over exactly these points' results.
     """
     if figure not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {figure!r} "
@@ -837,14 +813,13 @@ def run_figures(
 
     Returns ``({name: driver_output}, sweep_result)``.  The sweep
     options mean what they mean to
-    :func:`~repro.analysis.sweep.run_sweep`.  The drivers consume the
-    primed memo, so after the sweep they are pure arithmetic.
+    :func:`~repro.analysis.sweep.run_sweep`.  The drivers read the
+    sweep's results (:func:`runs_from`), so after the sweep they are
+    pure arithmetic.
 
     Raises :class:`~repro.analysis.sweep.SweepFailure` if any point
     failed even after the sweep's bounded retry: the drivers need every
-    declared point, and silently re-simulating a failed point inline
-    (via the :func:`cached_run` fallback) would hide the failure and
-    hang the exact way the sweep timeout exists to prevent.
+    declared point.
     """
     points = points_for_figures(figures, benchmarks, trace_length)
     sweep_result = run_sweep(
@@ -853,9 +828,9 @@ def run_figures(
     )
     if sweep_result.failed:
         raise SweepFailure(sweep_result)
-    prime_cache(sweep_result.results())
+    run = runs_from(sweep_result.results())
     outputs = {
-        figure: EXPERIMENTS[figure].driver(benchmarks, trace_length)
+        figure: EXPERIMENTS[figure].driver(run, benchmarks, trace_length)
         for figure in figures
     }
     return outputs, sweep_result

@@ -83,8 +83,8 @@ def profile_ratio(
     """Run the three profiling configurations and apply the c rule.
 
     ``runner`` abstracts how the simulations execute; Fig. 12 passes
-    the experiments memo (``cached_run``) so sweep-primed profiling
-    runs are reused instead of re-simulated.
+    its swept runs (:func:`repro.analysis.experiments.runs_from`), so
+    the profiling runs are read from the sweep instead of re-simulated.
     """
     solo = runner(
         "1ns", benchmark, trace_length, segment=segment,

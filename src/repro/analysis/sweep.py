@@ -111,11 +111,6 @@ class RunPoint:
             canonical_json(doc).encode("utf-8")
         ).hexdigest()
 
-    def cache_key(self) -> tuple:
-        """The in-memory memo key :func:`experiments.cached_run` uses."""
-        return (self.scheme, self.benchmark, self.trace_length,
-                self.segment, self.overrides)
-
 
 def dedup_points(points: Iterable[RunPoint]) -> List[RunPoint]:
     """Order-preserving dedup (figures overlap heavily)."""
@@ -219,34 +214,6 @@ class ResultStore:
 
     def __len__(self) -> int:
         return len(self.keys())
-
-    def stats(self) -> Dict[str, object]:
-        """Store occupancy summary for ``doram sweep --status``.
-
-        One directory walk: entry count and total payload bytes.  Cheap
-        enough to poll during a long distributed drain.
-        """
-        entries = 0
-        total_bytes = 0
-        for sub in os.listdir(self.root):
-            subdir = os.path.join(self.root, sub)
-            if not os.path.isdir(subdir):
-                continue
-            for name in os.listdir(subdir):
-                if not name.endswith(".json"):
-                    continue
-                entries += 1
-                try:
-                    total_bytes += os.path.getsize(
-                        os.path.join(subdir, name)
-                    )
-                except OSError:
-                    pass
-        return {
-            "root": self.root,
-            "entries": entries,
-            "bytes": total_bytes,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -154,18 +154,3 @@ class SerialLink:
                  arrive if arg is _ARRIVAL_TIME else arg)
             )
         return arrive
-
-    def utilization(self) -> float:
-        """Approximate busy fraction: bytes clocked / elapsed capacity.
-
-        Uses the cached byte counter (no per-call stats lookup) and
-        clamps to ``[0, 1]``: before any time has elapsed there is no
-        capacity to fill, and a packet accepted at tick 0 can make the
-        byte count exceed the elapsed-capacity product.
-        """
-        now = self.engine.now
-        if now <= 0:
-            return 0.0
-        capacity = self.params.bytes_per_ns * now / TICKS_PER_NS
-        util = self._bytes.value / capacity
-        return 1.0 if util > 1.0 else util

@@ -9,8 +9,10 @@ Subcommands
                      experiment registry (or ``all``) and print its
                      checks; exit 1 if one fails
 ``sweep``            the same exhibits through the resumable sweep runner:
-                     a result store, local workers or a shared work queue
-``report``           render every exhibit as the EXPERIMENTS.md report
+                     a result store, local workers or a shared work queue;
+                     exit 1 if a check fails
+``report``           render every exhibit as the EXPERIMENTS.md report;
+                     exit 1 if a check fails
 ``profile BENCH``    print the T25mix/T33 profiling decision for a benchmark
 ``perf SCHEME``      cProfile one scheme run and print the hottest functions
 ``faults``           arm a fault plan and run the invariant harness
@@ -327,21 +329,9 @@ def _sweep_failed(sweep, store) -> int:
     return 1
 
 
-def _regenerate(args: argparse.Namespace, names, show) -> int:
-    """Regenerate ``names`` serially with no store, ``show(outputs,
-    benchmarks)`` them, and exit 1 if a point or a check failed."""
-    from repro.analysis.sweep import SweepFailure
-
-    benchmarks, error = _parse_benchmarks(args.benchmarks)
-    error = error or _validate_point(None, None, args.trace_length)
-    if error:
-        return _fail(error)
-    try:
-        outputs, _sweep = experiments.run_figures(
-            names, benchmarks, args.trace_length)
-    except SweepFailure as failure:
-        return _sweep_failed(failure.sweep_result, None)
-    show(outputs, benchmarks)
+def _check_gate(outputs) -> int:
+    """The exit status of ``exp``, ``sweep`` and ``report``: each failed
+    check of ``outputs`` is printed on stderr, and any one makes it 1."""
     failed = [text for name, output in outputs.items()
               for text, ok in experiments.EXPERIMENTS[name].verdicts(output)
               if not ok]
@@ -350,11 +340,29 @@ def _regenerate(args: argparse.Namespace, names, show) -> int:
     return 1 if failed else 0
 
 
+def _regenerate(args: argparse.Namespace, names, show) -> int:
+    """Regenerate ``names`` serially with no store, ``show(outputs,
+    sweep, benchmarks)`` them, and exit 1 if a point or a check failed."""
+    from repro.analysis.sweep import SweepFailure
+
+    benchmarks, error = _parse_benchmarks(args.benchmarks)
+    error = error or _validate_point(None, None, args.trace_length)
+    if error:
+        return _fail(error)
+    try:
+        outputs, sweep = experiments.run_figures(
+            names, benchmarks, args.trace_length)
+    except SweepFailure as failure:
+        return _sweep_failed(failure.sweep_result, None)
+    show(outputs, sweep, benchmarks)
+    return _check_gate(outputs)
+
+
 def cmd_exp(args: argparse.Namespace) -> int:
     """Regenerate experiments and print them; exit 1 if a check fails."""
     names = _experiment_names(args.experiment)[0]
 
-    def show(outputs, _benchmarks):
+    def show(outputs, _sweep, _benchmarks):
         for name in names:
             _print_experiment(name, outputs[name])
     return _regenerate(args, names, show)
@@ -424,7 +432,8 @@ def _queue_modes(args: argparse.Namespace) -> Optional[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Resumable regeneration of one or more figures."""
+    """Resumable regeneration of one or more figures; exit 1 if a point
+    or a check failed."""
     from repro.analysis.sweep import SweepFailure
     from repro.analysis.workqueue import WorkQueueError
 
@@ -461,7 +470,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _print_sweep_summary(sweep, store)
     for name in names:
         _print_experiment(name, outputs[name])
-    return 0
+    return _check_gate(outputs)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -517,8 +526,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(f"--output {args.output}: {exc}")
 
-    def show(outputs, benchmarks):
-        text = render_report(outputs, benchmarks, args.trace_length)
+    def show(outputs, sweep, benchmarks):
+        text = render_report(outputs, sweep, benchmarks, args.trace_length)
         if not args.output:
             print(text)
             return

@@ -19,6 +19,11 @@ PACKET_BYTES = 72
 #: (Section III-C).
 SHORT_PACKET_BYTES = 16
 
+#: CPU-side processing time of one secure packet (ns): the S-App sees a
+#: response this long after it arrives, and the fixed-rate pacer's next
+#: slot follows ``t`` cycles later.
+CPU_PROCESS_NS = 2.0
+
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.bob.channel import BobChannel
-from repro.core.config import PACKET_BYTES
+from repro.core.config import CPU_PROCESS_NS, PACKET_BYTES
 from repro.oram.controller import OramController
 from repro.sim.engine import Engine, ns
 from repro.sim.stats import StatSet
@@ -158,7 +158,6 @@ class SecureLinkSession:
         faults=None,
         fallback_factory: Optional[Callable[[], object]] = None,
         sd_sessions: int = 1,
-        cpu_process_ns: float = 2.0,
         name: str = "sdlink",
     ) -> None:
         self.engine = engine
@@ -167,7 +166,7 @@ class SecureLinkSession:
         self.controller = controller
         self.faults = faults
         self.fallback_factory = fallback_factory
-        self.cpu_process_ticks = ns(cpu_process_ns)
+        self.cpu_process_ticks = ns(CPU_PROCESS_NS)
         self.name = name
         self.stats = StatSet(name)
         #: Per-attempt response deadline; ``None`` arms no timer.

@@ -117,7 +117,6 @@ def run_scheme(
     scheme: str,
     benchmark: str = "libq",
     trace_length: int = 8000,
-    max_events: Optional[int] = None,
     tracer=None,
     snapshot_interval_ns: Optional[float] = None,
     faults=None,
@@ -131,6 +130,6 @@ def run_scheme(
     go to :class:`SystemConfig`.
     """
     config = make_config(scheme, benchmark, trace_length, **overrides)
-    return build_and_run(config, max_events=max_events, tracer=tracer,
+    return build_and_run(config, tracer=tracer,
                          snapshot_interval_ns=snapshot_interval_ns,
                          faults=faults, periodic=periodic)

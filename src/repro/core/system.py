@@ -431,7 +431,6 @@ def _ns_allowed_channels(config: SystemConfig, app: int) -> Tuple[int, ...]:
 
 
 def build_and_run(config: SystemConfig,
-                  max_events: Optional[int] = None,
                   tracer=None,
                   snapshot_interval_ns: Optional[float] = None,
                   faults=None,
@@ -459,7 +458,7 @@ def build_and_run(config: SystemConfig,
     if faults is not None:
         faults.bind(engine, tracer)
     geometry = DeviceGeometry()
-    secure_share = SharePolicy.preallocated(config.secure_share)
+    secure_share = SharePolicy(config.secure_share)
 
     channels: Dict[Tuple[int, int], Channel] = {}
     bobs: Dict[int, BobChannel] = {}
@@ -633,7 +632,7 @@ def build_and_run(config: SystemConfig,
         sampler.start()
 
     # -- simulate -------------------------------------------------------------
-    engine.run(max_events=max_events)
+    engine.run()
     ns_cores = cores[: config.num_ns_apps]
     if any(not c.finished for c in ns_cores):
         stuck = [c.name for c in ns_cores if not c.finished]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.crypto.aes import AES128
 from repro.crypto.mac import mac_tag, mac_verify

@@ -4,8 +4,7 @@ A bank tracks its open row and the JEDEC timestamps needed to decide when
 the *data burst* of the next access can start.  The channel's service
 loop picks a request with FR-FCFS (probing :attr:`Bank.open_row` for row
 hits), then calls :meth:`Bank.commit`, which advances the state machine
-and returns the actual data-start time; under the close-page policy
-:meth:`Bank.close_after_access` follows.
+and returns the actual data-start time.
 
 The model back-dates PRECHARGE/ACTIVATE preparation as early as the bank
 and rank constraints allow (but never before the request's arrival), which
@@ -187,21 +186,9 @@ class Bank:
         return data_start, outcome
 
     def force_precharge(self, time: int) -> None:
-        """Close the row (refresh or page-close policy)."""
+        """Close the row (a refresh precharges every bank)."""
         self.open_row = None
         self._act_ready = max(self._act_ready, time)
-
-    def close_after_access(self) -> int:
-        """Close-page policy: precharge at the earliest legal tick after
-        the access just committed (honoring tRAS/tWR/tRTP recovery).
-        Returns the PRECHARGE time and appends it to the command record
-        when recording is on."""
-        pre_time = self._pre_ready
-        self.open_row = None
-        self._act_ready = max(self._act_ready, pre_time + self._tRP)
-        if self.record_commands:
-            self.last_commands.append(("PRE", pre_time, None))
-        return pre_time
 
 
 class RankTimers:

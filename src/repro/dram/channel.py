@@ -79,8 +79,8 @@ took, sets ``engine.now``, records the slot as the latest continued one
 counts one synthesized occurrence, as a booked completion does.  No
 event could run between the two slots, so nothing can tell the run
 from one dispatch per slot (DESIGN.md section 9a).  A stopped engine,
-``run(until=)``, ``max_events``, ``step()``, the ``engine`` trace
-category and ``periodic="eager"`` push every service.
+``step()`` (which a run with the ``engine`` trace category dispatches
+through) and ``periodic="eager"`` push every service.
 
 Lane groups
 -----------
@@ -164,15 +164,11 @@ class Channel:
         params: ChannelParams = DEFAULT_CHANNEL_PARAMS,
         share_policy: Optional[SharePolicy] = None,
         tracer=None,
-        page_policy: str = "open",
     ) -> None:
-        if page_policy not in ("open", "close"):
-            raise ValueError(f"unknown page policy {page_policy!r}")
         self.engine = engine
         self.name = name
         self.timing = timing
         self.params = params
-        self.page_policy = page_policy
         #: Optional protocol-compliance log of ``DramCommand`` entries;
         #: enabled via :meth:`start_command_log`.
         self.command_log = None
@@ -212,7 +208,6 @@ class Channel:
         self._write_timeout = params.write_timeout
         self._tBURST = timing.tBURST
         self._tRTW = timing.tRTW
-        self._close_page = page_policy == "close"
         self._tREFI = timing.tREFI
         self._tRFC = timing.tRFC
         #: The live :class:`LaneGroup` this channel is a lane of, if any.
@@ -449,7 +444,6 @@ class Channel:
         traced = tracer.enabled
         log = self.command_log
         faults = self._faults
-        close_page = self._close_page
         banks = self.banks
         rank = self.rank
         tBURST = self._tBURST
@@ -597,8 +591,6 @@ class Channel:
                 if is_write and self._last_op is OpType.READ:
                     floor += self._tRTW
                 data_start, outcome = bank.commit(req, req.arrival, floor)
-                if close_page:
-                    bank.close_after_access()
                 if log is not None:
                     from repro.dram.compliance import DramCommand
 
@@ -741,7 +733,7 @@ class LaneGroup:
 
     ``lanes`` are freshly built channels of one BOB channel, lane ``i``
     being its sub-channel ``i``, built alike (engine, timing, params,
-    page policy, tracer).  Lane 0 leads: it holds the queues and runs
+    tracer).  Lane 0 leads: it holds the queues and runs
     every service.  The followers' class queues are the leader's
     (with the latency statistic each records into), and their
     ``free_slots``, ``can_accept``, ``queued``, ``stats`` and
@@ -763,7 +755,6 @@ class LaneGroup:
             if (lane.engine is not leader.engine
                     or lane.timing != leader.timing
                     or lane.params != leader.params
-                    or lane.page_policy != leader.page_policy
                     or lane._tracer is not leader._tracer):
                 raise ValueError(f"{lane.name}: lanes must be built alike")
             if (lane._enq_counter or lane._group is not None

@@ -186,11 +186,3 @@ class ProtocolChecker:
             else:
                 fail(f"@{cmd.time}: unknown command kind {cmd.kind!r}")
         return self.violations
-
-    # ------------------------------------------------------------------
-    def summarize(self, commands: Sequence[DramCommand]) -> Dict[str, int]:
-        """Command-mix accounting (tests sanity-check coverage with it)."""
-        out: Dict[str, int] = {}
-        for cmd in commands:
-            out[cmd.kind] = out.get(cmd.kind, 0) + 1
-        return out

@@ -19,64 +19,36 @@ Two policies from the paper's infrastructure:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.dram.commands import TrafficClass
 
 
 class SharePolicy:
-    """Deficit round-robin between traffic classes.
+    """Deficit round-robin between the secure and the normal class.
 
-    ``weights`` maps each :class:`TrafficClass` to its guaranteed share;
-    the paper uses 50/50 (``{SECURE: 1, NORMAL: 1}``).  Classes with no
-    queued work donate their slot, so the policy is work-conserving.
+    ``secure_share`` of the contended slots go to SECURE and the rest to
+    NORMAL; the paper preallocates 50 % ([39]; Section IV).  Every
+    fabric builder (the trace-replay system and the scenario service
+    layer) builds its policy from its ``secure_share`` knob.  The channel
+    asks only when both classes wait; otherwise it serves the class that
+    waits, so the policy is work-conserving.
     """
 
-    def __init__(self, weights: Optional[Dict[TrafficClass, float]] = None) -> None:
-        if weights is None:
-            weights = {TrafficClass.SECURE: 1.0, TrafficClass.NORMAL: 1.0}
-        if not weights or any(w <= 0 for w in weights.values()):
-            raise ValueError("weights must be positive")
-        self.weights = dict(weights)
-        total = sum(self.weights.values())
-        self._share = {cls: w / total for cls, w in self.weights.items()}
-        self._credit: Dict[TrafficClass, float] = {
-            cls: 0.0 for cls in self.weights
-        }
-        self.served: Dict[TrafficClass, int] = {cls: 0 for cls in self.weights}
-
-    @classmethod
-    def preallocated(cls, secure_share: float) -> "SharePolicy":
-        """Bandwidth preallocation for a channel that carries both secure
-        and normal traffic ([39]; Section IV): ``secure_share`` of the
-        contended slots go to SECURE, the rest to NORMAL.  Every fabric
-        builder (the trace-replay system and the scenario service layer)
-        derives its policy here from its ``secure_share`` knob."""
-        return cls({
-            TrafficClass.SECURE: secure_share,
-            TrafficClass.NORMAL: 1.0 - secure_share,
-        })
+    def __init__(self, secure_share: float) -> None:
+        # The shares the weights form gave, ``s / (s + (1 - s))`` and
+        # ``(1 - s) / (s + (1 - s))``: for ``s`` in (0, 1) the rounded
+        # sum is exactly 1.0, so each is bit-identical to these.
+        self._share = {TrafficClass.SECURE: secure_share,
+                       TrafficClass.NORMAL: 1.0 - secure_share}
+        self._credit = {TrafficClass.SECURE: 0.0, TrafficClass.NORMAL: 0.0}
 
     def pick_between(self, first: TrafficClass,
                      second: TrafficClass) -> TrafficClass:
         """The class to serve in the channel's contended slot, ``first``
         being the older head's class; allocates nothing.
 
-        Each configured class earns its share and the winner pays one
-        slot (ties go to ``first``); credits are clamped to [-2, 2].  An
-        unconfigured class contends for nothing: the configured one is
-        served without touching a credit, so a class running alone does
-        not bank debt (or surplus) against an absent one.
+        Each class earns its share and the winner pays one slot (ties go
+        to ``first``); credits are clamped to [-2, 2].
         """
-        weights = self.weights
-        if first not in weights:
-            if second not in weights:
-                return first
-            self.served[second] += 1
-            return second
-        if second not in weights:
-            self.served[first] += 1
-            return first
         credit = self._credit
         share = self._share
         a = credit[first] + share[first]
@@ -94,7 +66,6 @@ class SharePolicy:
             best = second
             a = b - 1.0
         credit[best] = a if a > -2.0 else -2.0
-        self.served[best] += 1
         return best
 
 

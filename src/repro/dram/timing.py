@@ -8,7 +8,7 @@ configuration, which Table II of the paper adopts.  One memory-bus cycle at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.engine import mem_cycles, ns
 
@@ -91,10 +91,6 @@ class ChannelParams:
     write_timeout: int = 12800
     #: FR-FCFS scan window (bounded for simulation speed).
     scheduler_window: int = 24
-
-    @property
-    def lines_per_row(self) -> int:
-        return self.row_bytes // self.line_bytes
 
     def __post_init__(self) -> None:
         if self.write_drain_lo >= self.write_drain_hi:

@@ -22,7 +22,6 @@ from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.plan import (
-    DelegatorFault,
     DramFault,
     FaultPlan,
     LinkFault,

@@ -19,7 +19,7 @@ and the stash stays within its bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.crypto.codec import CodecError, EncryptedBucketCodec
 from repro.faults.plan import site_rng

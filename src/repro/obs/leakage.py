@@ -50,7 +50,6 @@ def check_fixed_rate(
     events: Sequence[TraceEvent],
     secure_channel: int = 0,
     t_cycles: int = 50,
-    cpu_process_ns: float = 2.0,
     packet_bytes: Optional[int] = None,
 ) -> List[str]:
     """Verify the fixed-rate / fixed-size secure-link property.
@@ -60,17 +59,17 @@ def check_fixed_rate(
     1. every request packet (down) and response packet (up) is exactly
        ``packet_bytes`` long;
     2. request ``k+1`` leaves exactly ``cpu_cycles(t_cycles) +
-       ns(cpu_process_ns)`` ticks after response ``k`` arrived at the
+       ns(CPU_PROCESS_NS)`` ticks after response ``k`` arrived at the
        processor (the pacer's deterministic emission rule);
     3. requests and responses strictly alternate (one outstanding).
 
     Returns human-readable violation strings; empty means the property
     holds for every packet in the trace.
     """
+    # The import is deferred so that ``repro.obs`` stays importable
+    # from any layer (repro.core itself imports repro.obs.tracer).
+    from repro.core.config import CPU_PROCESS_NS, PACKET_BYTES
     if packet_bytes is None:
-        # The import is deferred so that ``repro.obs`` stays importable
-        # from any layer (repro.core itself imports repro.obs.tracer).
-        from repro.core.config import PACKET_BYTES
         packet_bytes = PACKET_BYTES
 
     down, up = secure_link_packets(events, secure_channel)
@@ -99,7 +98,7 @@ def check_fixed_rate(
             f"{len(down)} requests vs {len(up)} responses"
         )
 
-    expected_gap = cpu_cycles(t_cycles) + ns(cpu_process_ns)
+    expected_gap = cpu_cycles(t_cycles) + ns(CPU_PROCESS_NS)
     pairs = min(len(up), len(down) - 1)
     for i in range(pairs):
         response_arrival = up[i].args["arrive"]
@@ -109,7 +108,7 @@ def check_fixed_rate(
             violations.append(
                 f"request {i + 1} left {gap} ticks after response {i} "
                 f"arrived; the fixed rate requires exactly {expected_gap} "
-                f"(t={t_cycles} cycles + {cpu_process_ns} ns processing)"
+                f"(t={t_cycles} cycles + {CPU_PROCESS_NS} ns processing)"
             )
     return violations
 
@@ -118,7 +117,6 @@ def check_recovery_discipline(
     events: Sequence[TraceEvent],
     secure_channel: int = 0,
     t_cycles: int = 50,
-    cpu_process_ns: float = 2.0,
     deadline_ns: float = 5000.0,
     packet_bytes: Optional[int] = None,
 ) -> List[str]:
@@ -143,8 +141,8 @@ def check_recovery_discipline(
     slots, itself a wire-deterministic event.  Returns violation
     strings; empty means the discipline holds.
     """
+    from repro.core.config import CPU_PROCESS_NS, PACKET_BYTES
     if packet_bytes is None:
-        from repro.core.config import PACKET_BYTES
         packet_bytes = PACKET_BYTES
 
     down, up = secure_link_packets(events, secure_channel)
@@ -161,7 +159,7 @@ def check_recovery_discipline(
                     f"{packet_bytes} B"
                 )
 
-    slot_gap = cpu_cycles(t_cycles) + ns(cpu_process_ns)
+    slot_gap = cpu_cycles(t_cycles) + ns(CPU_PROCESS_NS)
     deadline_ticks = ns(deadline_ns)
     slot_times = {e.args["arrive"] + slot_gap for e in up}
     sent_times = [e.args["sent"] for e in down]

@@ -81,6 +81,3 @@ class OramConfig:
         """Block transfers per read (or write) phase -- 84 by default."""
         return self.levels_fetched * self.bucket_size
 
-
-#: The paper's configuration (Section IV): 4 GB tree, L=23, Z=4.
-PAPER_ORAM = OramConfig()

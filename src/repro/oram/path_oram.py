@@ -16,7 +16,7 @@ pattern).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.oram.config import OramConfig
 from repro.oram.protocol import ProtocolState, greedy_evict

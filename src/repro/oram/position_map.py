@@ -18,7 +18,7 @@ use recursive ORAM).
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 
 class DensePositionMap:

@@ -16,7 +16,7 @@ and the timing controller.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.oram.config import OramConfig
 from repro.oram.position_map import DensePositionMap, LazyPositionMap

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.metrics import SLO_QUANTILES, latency_quantiles_ns
 from repro.analysis.sweep import canonical_json
@@ -182,7 +182,7 @@ def build_scenario(
         dram_timing=config.dram_timing,
         channel_params=config.channel_params,
         link_params=config.link_params,
-        secure_policy=SharePolicy.preallocated(config.secure_share),
+        secure_policy=SharePolicy(config.secure_share),
         tracer=tracer,
     )
 
@@ -303,8 +303,6 @@ class _TenantSampler:
 def run_scenario(
     config: ScenarioConfig,
     tracer=None,
-    max_events: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
     faults=None,
     periodic: str = "lazy",
 ) -> ScenarioResult:
@@ -343,13 +341,7 @@ def run_scenario(
     else:
         engine.at(horizon, engine.stop)
 
-    if progress is not None:
-        progress(
-            f"serving {config.num_tenants} tenants for "
-            f"{config.horizon_ns / 1e3:.0f} us "
-            f"({config.arrival.kind} @ {config.arrival.rate_rps:g} rps)"
-        )
-    engine.run(max_events=max_events)
+    engine.run()
 
     # -- collect ----------------------------------------------------------
     horizon_s = config.horizon_ns * 1e-9

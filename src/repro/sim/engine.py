@@ -72,9 +72,6 @@ _NULL_DISPATCH_TRACER = _NullDispatchTracer()
 #: Sentinel ``arg`` marking a no-argument callback (``at``/``after`` form).
 _NO_ARG = object()
 
-#: Dispatch budget stand-in for "no ``max_events`` bound".
-_NO_LIMIT = 1 << 62
-
 #: Ledger length that triggers pruning of settled bookings (see
 #: :meth:`Engine.book`).
 _LEDGER_CAP = 1024
@@ -276,94 +273,38 @@ class Engine:
             return True
         return False
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` ticks pass, or ``stop()``.
+    def run(self) -> None:
+        """Run until the queue drains or :meth:`stop` fires.
 
-        Parameters
-        ----------
-        until:
-            Absolute tick bound; events strictly after it stay queued and
-            ``now`` is advanced to ``until`` -- unless :meth:`stop` fired,
-            in which case time freezes at the stop point.  A bound before
-            ``now`` raises ``ValueError``: like scheduling in the past
-            (:meth:`at`), it would move simulated time backwards.
-        max_events:
-            Safety valve for tests; dispatching is capped at exactly
-            ``max_events`` events and a ``RuntimeError`` is raised when
-            more remain, so an accidental event livelock fails loudly
-            instead of hanging.
+        A run with the ``engine`` trace category on dispatches through
+        :meth:`step`, which emits each dispatch event.  Every other run
+        takes the whole-run loop below.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run until {until} < now {self.now}")
         self._stopped = False
+        if self._tracer.enabled:
+            while self.step() and not self._stopped:
+                pass
+            return
         # The dispatch loop binds everything it touches every iteration
-        # to locals (heap, heappop, tracer guard, dispatch budget) and
-        # drains each tick as a same-tick batch, so the `until` bound and
-        # `self.now` are only touched when time advances.  The running
+        # to locals and drains each tick as a same-tick batch, so
+        # `self.now` is only touched when time advances.  The running
         # event count lives in a local and is written back on exit (no
-        # mid-callback reader exists; `events_dispatched` is a
-        # post-run measurement).
+        # mid-callback reader exists; `events_dispatched` is a post-run
+        # measurement).  In lazy mode models may book no-op completions
+        # instead of pushing them (settled on exit), and a channel may
+        # serve its next slot without a dispatch.
         queue = self._queue
         pop = heappop
         no_arg = _NO_ARG
         cancelled = self._cancelled_seqs  # same set object for the run
-        tracer = self._tracer
-        traced = tracer.enabled
         dispatched = self._events_dispatched
-        limit = _NO_LIMIT if max_events is None else dispatched + max_events
-        if until is None and max_events is None and not traced:
-            # The production shape (whole-run, tracing off): same loop
-            # minus the three per-event guards that cannot fire.  The
-            # general loop below stays the single source of truth for
-            # `until`/`max_events`/tracing semantics.  In lazy mode this
-            # is also the only loop that lets models book no-op
-            # completions instead of pushing them (settled on exit) and
-            # lets a channel serve its next slot without a dispatch.
-            ledger = [] if self.lazy_periodic else None
-            self._ledger = ledger
-            drained = False
-            time = seq = 0
-            try:
-                while queue:
-                    time = queue[0][0]
-                    self.now = time
-                    while True:
-                        _t, seq, callback, arg = pop(queue)
-                        if cancelled and seq in cancelled:
-                            cancelled.remove(seq)
-                        else:
-                            dispatched += 1
-                            if arg is no_arg:
-                                callback()
-                            else:
-                                callback(arg)
-                            if self._stopped:
-                                return
-                        if not queue or queue[0][0] != time:
-                            break
-                drained = True
-            finally:
-                self._events_dispatched = dispatched
-                self._ledger = None
-                if not drained:
-                    # A resumed run and `pending` must see every lane's
-                    # own pending events.
-                    for group in list(self._lane_groups):
-                        group.wake()
-                if ledger:
-                    # Stop or exception: the exit event is the dispatched
-                    # one, or a slot it continued into.
-                    self._settle_ledger(
-                        ledger,
-                        None if drained else max((time, seq), self._slot),
-                    )
-            return
+        ledger = [] if self.lazy_periodic else None
+        self._ledger = ledger
+        drained = False
+        time = seq = 0
         try:
             while queue:
                 time = queue[0][0]
-                if until is not None and time > until:
-                    self.now = until
-                    return
                 self.now = time
                 # Same-tick FIFO batch: heap order is (time, seq), so
                 # events a callback schedules for this same tick join
@@ -372,34 +313,32 @@ class Engine:
                     _t, seq, callback, arg = pop(queue)
                     if cancelled and seq in cancelled:
                         cancelled.remove(seq)
-                    elif dispatched >= limit:
-                        heappush(queue, (_t, seq, callback, arg))
-                        raise RuntimeError(
-                            f"exceeded max_events={max_events}; "
-                            "possible livelock"
-                        )
                     else:
                         dispatched += 1
-                        if traced:
-                            tracer.instant(
-                                "engine", "dispatch", "engine", time,
-                                {"seq": seq,
-                                 "fn": _callback_label(callback)},
-                            )
                         if arg is no_arg:
                             callback()
                         else:
                             callback(arg)
                         if self._stopped:
-                            # Freeze time at the stop point: no `until`
-                            # fixup on the way out.
                             return
                     if not queue or queue[0][0] != time:
                         break
-            if until is not None and self.now < until:
-                self.now = until
+            drained = True
         finally:
             self._events_dispatched = dispatched
+            self._ledger = None
+            if not drained:
+                # A resumed run and `pending` must see every lane's
+                # own pending events.
+                for group in list(self._lane_groups):
+                    group.wake()
+            if ledger:
+                # Stop or exception: the exit event is the dispatched
+                # one, or a slot it continued into.
+                self._settle_ledger(
+                    ledger,
+                    None if drained else max((time, seq), self._slot),
+                )
 
     def book(self, time: int, seq: int, callback: Callable[[int], None],
              count: int = 1, stride: int = 1) -> None:

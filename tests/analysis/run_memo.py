@@ -1,9 +1,18 @@
-"""Reset of the experiment drivers' run memo, for tests that must
-simulate afresh."""
+"""A memoized ``run_scheme``, the ``run`` of tests that call experiment
+drivers directly: each point simulates once per test session."""
 
-from repro.analysis import experiments
+from repro.analysis.sweep import RunPoint
+from repro.core import schemes
+
+_runs = {}
 
 
-def clear_cache() -> None:
-    """Forget every memoized run, so the next driver call simulates."""
-    experiments._run_cache.clear()
+def run_scheme(scheme, benchmark, trace_length, segment=0, **overrides):
+    """:func:`repro.core.schemes.run_scheme` of the point, simulated on
+    its first call and remembered."""
+    point = RunPoint(scheme, benchmark, trace_length, segment,
+                     tuple(overrides.items()))
+    if point not in _runs:
+        _runs[point] = schemes.run_scheme(
+            scheme, benchmark, trace_length, segment=segment, **overrides)
+    return _runs[point]

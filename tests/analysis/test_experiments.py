@@ -1,42 +1,24 @@
-"""Experiment drivers: structure and caching (tiny scale)."""
+"""Experiment drivers: structure (tiny scale)."""
 
 import pytest
 
 from repro.analysis import experiments
-from tests.analysis.run_memo import clear_cache
+from tests.analysis.run_memo import run_scheme
 
 TRACE = 500
 BENCHES = ("li", "bl")
 
 
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_cache()
-    yield
-
-
-class TestCache:
-    def test_cached_run_reuses(self):
-        a = experiments.cached_run("1ns", "li", TRACE)
-        b = experiments.cached_run("1ns", "li", TRACE)
-        assert a is b
-
-    def test_cache_keys_on_scheme(self):
-        a = experiments.cached_run("1ns", "li", TRACE)
-        b = experiments.cached_run("7ns-4ch", "li", TRACE)
-        assert a is not b
-
-
 class TestFig4:
     def test_structure(self):
-        data = experiments.fig4(BENCHES, TRACE)
+        data = experiments.fig4(run_scheme, BENCHES, TRACE)
         assert set(data) == set(experiments.FIG4_SCHEMES)
         for rows in data.values():
             assert {"best", "worst", "gmean"} <= set(rows)
             assert rows["best"] <= rows["gmean"] <= rows["worst"]
 
     def test_corun_always_slower_than_solo(self):
-        data = experiments.fig4(BENCHES, TRACE)
+        data = experiments.fig4(run_scheme, BENCHES, TRACE)
         for scheme, rows in data.items():
             for code in BENCHES:
                 assert rows[code] > 1.0, (scheme, code)
@@ -55,13 +37,14 @@ class TestTable1:
 
 class TestFig9Fig11:
     def test_fig11_sweep_structure(self):
-        data = experiments.fig11(("li",), TRACE, c_values=(0, 4, 7))
+        data = experiments.fig11(run_scheme, ("li",), TRACE,
+                                  c_values=(0, 4, 7))
         row = data["li"]
         assert {"c0", "c4", "c7", "7ns-3ch", "7ns-4ch", "best_c"} <= set(row)
         assert row["best_c"] in (0.0, 4.0, 7.0)
 
     def test_fig9_normalized_to_baseline(self):
-        data = experiments.fig9(("li",), TRACE)
+        data = experiments.fig9(run_scheme, ("li",), TRACE)
         assert data["li"]["baseline"] == 1.0
         assert "gmean" in data
         # D-ORAM/X is the min over the sweep, so <= plain D-ORAM.
@@ -70,7 +53,7 @@ class TestFig9Fig11:
 
 class TestFig10:
     def test_relative_to_doram(self):
-        data = experiments.fig10(("li",), TRACE, k_values=(1,))
+        data = experiments.fig10(run_scheme, ("li",), TRACE, k_values=(1,))
         assert data["li"]["doram"] == 1.0
         assert data["li"]["k1"] > 0
         assert "gmean" in data
@@ -78,6 +61,6 @@ class TestFig10:
 
 class TestFig13:
     def test_latency_ratios_positive(self):
-        data = experiments.fig13(("li",), TRACE)
+        data = experiments.fig13(run_scheme, ("li",), TRACE)
         for key, value in data["li"].items():
             assert value > 0

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.analysis import experiments
+from repro.analysis import sweep as sweep_mod
 from repro.analysis.report import (
     REPORT_BEGIN,
     REPORT_END,
@@ -14,14 +15,28 @@ from repro.analysis.report import (
     render_report,
 )
 from repro.cli import main
-from tests.analysis.run_memo import clear_cache
 
 
 @pytest.fixture(scope="module")
-def exp_all():
-    """``doram exp all`` at li/400: ``(exit status, stdout)``.  Its sweep
-    primes the run memo, so the report below simulates nothing."""
-    clear_cache()
+def simulate_once():
+    """Each point simulates once for the module: ``doram exp all`` and
+    the report below sweep the same points."""
+    payloads = {}
+    simulate = sweep_mod._simulate_point
+
+    def memo(point, with_digest=False):
+        if (point, with_digest) not in payloads:
+            payloads[point, with_digest] = simulate(point, with_digest)
+        return payloads[point, with_digest]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep_mod, "_simulate_point", memo)
+        yield
+
+
+@pytest.fixture(scope="module")
+def exp_all(simulate_once):
+    """``doram exp all`` at li/400: ``(exit status, stdout)``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = main(["exp", "all", "--benchmarks", "li",
@@ -30,10 +45,10 @@ def exp_all():
 
 
 @pytest.fixture(scope="module")
-def report_text(exp_all):
-    outputs = {name: exp.driver(("li",), 400)
-               for name, exp in experiments.EXPERIMENTS.items()}
-    return render_report(outputs, ("li",), 400)
+def report_text(simulate_once):
+    outputs, sweep = experiments.run_figures(
+        tuple(experiments.EXPERIMENTS), ("li",), 400)
+    return render_report(outputs, sweep, ("li",), 400)
 
 
 class TestChecksEnforced:

@@ -8,11 +8,11 @@ The contract under test (see DESIGN.md "Sweep runner"):
   loses only the unfinished points, and a warm store re-simulates
   nothing;
 * the trace length is an argument, never the environment: with
-  ``DORAM_TRACE_LENGTH`` set, ``cached_run`` runs at the length it is
+  ``DORAM_TRACE_LENGTH`` set, ``run_scheme`` runs at the length it is
   passed and ``figure_points`` declares ``DEFAULT_TRACE_LENGTH``;
 * :func:`~repro.analysis.experiments.figure_points` declares *every*
-  run each registered experiment's driver performs -- primed drivers
-  never simulate.
+  run each registered experiment's driver performs -- a driver runs over
+  exactly its declared points' results.
 """
 
 import json
@@ -24,10 +24,9 @@ from repro.analysis import experiments
 from repro.analysis import sweep as sweep_mod
 from repro.analysis.experiments import (
     EXPERIMENTS,
-    cached_run,
     figure_points,
     points_for_figures,
-    prime_cache,
+    runs_from,
 )
 from repro.analysis.sweep import (
     ResultStore,
@@ -36,17 +35,11 @@ from repro.analysis.sweep import (
     dedup_points,
     run_sweep,
 )
-from tests.analysis.run_memo import clear_cache
+from repro.core import schemes
+from tests.analysis.run_memo import run_scheme
 
 LENGTH = 100
 BENCH = ["li"]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 def _fig9_points():
@@ -283,7 +276,7 @@ class TestCachedRunEnv:
 
     def test_explicit_length_beats_env(self, monkeypatch):
         monkeypatch.setenv("DORAM_TRACE_LENGTH", "70")
-        run = cached_run("1ns", "li", trace_length=LENGTH)
+        run = schemes.run_scheme("1ns", "li", trace_length=LENGTH)
         assert run.config.trace_length == LENGTH
 
 
@@ -293,28 +286,24 @@ class TestCachedRunEnv:
 
 
 class TestFigureCoverage:
-    def test_primed_drivers_never_simulate(self, monkeypatch):
+    def test_primed_drivers_never_simulate(self):
         """figure_points must declare every run each registered
-        experiment's driver performs, exhibits and ablations alike."""
+        experiment's driver performs, exhibits and ablations alike: each
+        driver runs over exactly its declared points' results, where an
+        undeclared run is a KeyError."""
         points = points_for_figures(list(EXPERIMENTS), BENCH, LENGTH)
-        sweep = run_sweep(points, workers=1, store=None)
-        prime_cache(sweep.results())
-        monkeypatch.setattr(
-            experiments, "run_scheme",
-            lambda *a, **k: pytest.fail(
-                f"undeclared simulation: {a} {k}"
-            ),
-        )
-        for experiment in EXPERIMENTS.values():
-            experiment.driver(BENCH, LENGTH)
+        results = run_sweep(points, workers=1, store=None).results()
+        for name, experiment in EXPERIMENTS.items():
+            declared = {point: results[point]
+                        for point in figure_points(name, BENCH, LENGTH)}
+            experiment.driver(runs_from(declared), BENCH, LENGTH)
 
     def test_run_figures_outputs_match_serial_drivers(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         outputs, sweep = experiments.run_figures(
             ["fig9"], BENCH, LENGTH, workers=1, store=store
         )
-        clear_cache()
-        direct = experiments.fig9(BENCH, LENGTH)
+        direct = experiments.fig9(run_scheme, BENCH, LENGTH)
         assert json.dumps(outputs["fig9"], sort_keys=True) == \
             json.dumps(direct, sort_keys=True)
         assert sweep.simulated == len(_fig9_points())

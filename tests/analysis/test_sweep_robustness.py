@@ -15,9 +15,8 @@ The contract (DESIGN.md "Fault model & recovery", sweep hardening):
   or drained, then records it in ``SweepResult.failed`` and keeps going
   -- a bad point costs its own result, not the sweep;
 * ``run_figures`` refuses to evaluate drivers over a partial sweep
-  (:class:`~repro.analysis.sweep.SweepFailure`), because the
-  ``cached_run`` fallback would silently re-simulate the failed point
-  inline.
+  (:class:`~repro.analysis.sweep.SweepFailure`): the drivers need every
+  declared point.
 """
 
 import time

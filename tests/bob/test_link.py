@@ -52,10 +52,3 @@ class TestSerialLink:
         eng.run()
         assert link.stats.counter("packets").value == 2
         assert link.stats.counter("bytes").value == 88
-
-    def test_utilization(self):
-        eng = Engine()
-        link = SerialLink(eng, "l")
-        link.send(72, lambda t: None)
-        eng.run()
-        assert 0.0 < link.utilization() <= 1.0

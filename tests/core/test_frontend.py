@@ -40,7 +40,8 @@ def make_frontend(latency=1000, t_cycles=50, queue_depth=8):
 class TestFixedRateEmission:
     def test_dummies_flow_without_app_requests(self):
         eng, backend, fe = make_frontend(latency=1000, t_cycles=50)
-        eng.run(until=10_000)
+        eng.at(10_000, eng.stop)
+        eng.run()
         # Period = latency + t = 1000 + 250 ticks.
         assert len(backend.submissions) >= 7
         assert all(b is None for b in backend.submissions)
@@ -55,21 +56,24 @@ class TestFixedRateEmission:
             original(block_id, on_response)
 
         backend.submit = tracking_submit
-        eng.run(until=6_000)
+        eng.at(6_000, eng.stop)
+        eng.run()
         gaps = {b - a for a, b in zip(times, times[1:])}
         assert gaps == {1000 + cpu_cycles(50)}
 
     def test_real_requests_take_priority_over_dummies(self):
         eng, backend, fe = make_frontend()
         fe.issue(OpType.READ, 42, 7, lambda t: None)
-        eng.run(until=3_000)
+        eng.at(3_000, eng.stop)
+        eng.run()
         reals = [b for b in backend.submissions if b is not None]
         assert reals == [42]
 
     def test_real_fraction_tracked(self):
         eng, backend, fe = make_frontend()
         fe.issue(OpType.READ, 1, 7, lambda t: None)
-        eng.run(until=10_000)
+        eng.at(10_000, eng.stop)
+        eng.run()
         real = fe.pacer.stats.counter("real").value
         dummy = fe.pacer.stats.counter("dummy").value
         assert 0.0 < real / (real + dummy) < 1.0
@@ -80,20 +84,23 @@ class TestAppInterface:
         eng, backend, fe = make_frontend(latency=500)
         done: List[int] = []
         fe.issue(OpType.READ, 5, 7, done.append)
-        eng.run(until=2_000)
+        eng.at(2_000, eng.stop)
+        eng.run()
         assert len(done) == 1
 
     def test_write_does_not_call_back(self):
         eng, backend, fe = make_frontend(latency=500)
         done: List[int] = []
         fe.issue(OpType.WRITE, 5, 7, done.append)
-        eng.run(until=3_000)
+        eng.at(3_000, eng.stop)
+        eng.run()
         assert done == []  # stores retire at issue; no data to return
 
     def test_line_address_maps_into_user_blocks(self):
         eng, backend, fe = make_frontend()
         fe.issue(OpType.READ, backend.num_user_blocks + 3, 7, lambda t: None)
-        eng.run(until=2_000)
+        eng.at(2_000, eng.stop)
+        eng.run()
         reals = [b for b in backend.submissions if b is not None]
         assert reals == [3]
 
@@ -110,13 +117,15 @@ class TestAppInterface:
         fe.issue(OpType.READ, 1, 7, None)
         woken: List[int] = []
         fe.notify_on_space(lambda: woken.append(eng.now))
-        eng.run(until=5_000)
+        eng.at(5_000, eng.stop)
+        eng.run()
         assert woken
 
     def test_requests_served_fifo(self):
         eng, backend, fe = make_frontend(latency=100, t_cycles=10)
         for addr in (10, 11, 12):
             fe.issue(OpType.READ, addr, 7, None)
-        eng.run(until=5_000)
+        eng.at(5_000, eng.stop)
+        eng.run()
         reals = [b for b in backend.submissions if b is not None]
         assert reals == [10, 11, 12]

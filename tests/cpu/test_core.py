@@ -46,7 +46,7 @@ def run_core(records, latency=100, params=CoreParams(), port_cls=FixedLatencyPor
     core = Core(eng, 0, iter(records), port, params=params,
                 on_finish=finish.append)
     core.start()
-    eng.run(max_events=1_000_000)
+    eng.run()
     return eng, port, core, finish
 
 
@@ -117,10 +117,10 @@ class TestBackpressure:
         port = FixedLatencyPort(eng, latency=10, accept=False)
         core = Core(eng, 0, iter([R(0)]), port)
         core.start()
-        eng.run(max_events=10_000)
+        eng.run()
         assert port.issued == []
         port.release()
-        eng.run(max_events=10_000)
+        eng.run()
         assert len(port.issued) == 1
         assert core.finished
 

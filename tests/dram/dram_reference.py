@@ -91,20 +91,16 @@ def pick_class(policy, pending: Sequence[TrafficClass]) -> TrafficClass:
 
     A :class:`~repro.dram.scheduler.SingleClassPolicy` serves the first.
     A :class:`~repro.dram.scheduler.SharePolicy` runs deficit round-robin
-    on its own credits and served counts, so ``pick_between(a, b)`` must
-    leave them as ``pick_class(policy, [a, b])`` does.
+    on its own credits, so ``pick_between(a, b)`` must leave them as
+    ``pick_class(policy, [a, b])`` does.
     """
     if isinstance(policy, SingleClassPolicy):
         return pending[0]
-    candidates = [cls for cls in pending if cls in policy.weights]
-    if not candidates:
-        # Unconfigured classes fall through in arrival order.
-        return pending[0]
+    candidates = list(pending)
     if len(candidates) == 1:
         # Work-conserving bypass: an uncontended slot costs no credit,
         # so a class running alone does not bank debt (or surplus)
-        # against classes that were absent.
-        policy.served[candidates[0]] += 1
+        # against a class that was absent.
         return candidates[0]
     # Contended slot: every pending class earns its share, the winner
     # pays one slot.  Credits stay bounded by construction (shares sum
@@ -115,7 +111,6 @@ def pick_class(policy, pending: Sequence[TrafficClass]) -> TrafficClass:
     best = max(candidates, key=lambda cls: (credit[cls],
                                             -candidates.index(cls)))
     credit[best] = max(credit[best] - 1.0, -2.0)
-    policy.served[best] += 1
     return best
 
 

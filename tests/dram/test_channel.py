@@ -145,7 +145,7 @@ class TestStatsAndSharing:
         assert ch.stats.latency("normal_read_latency").count == 0
 
     def test_share_policy_interleaves_classes(self):
-        eng, ch = make_channel(share_policy=SharePolicy())
+        eng, ch = make_channel(share_policy=SharePolicy(0.5))
         order = []
         # Two batches on different banks so neither is row-hit-favored.
         for i in range(8):
@@ -189,15 +189,14 @@ EDGE_CASE_PARAMS = ChannelParams(read_queue_depth=8, write_queue_depth=8,
                                  write_drain_hi=6, write_drain_lo=2)
 
 
-def _replay(ops, *, periodic="lazy", page_policy="open"):
+def _replay(ops, *, periodic="lazy"):
     """Run one request mix through a fresh channel; return its command log.
 
     ``ops`` is a list of ``(gap, bank, row, is_write, secure)`` tuples;
     arrivals are cumulative.  The mixes here never fill a queue.
     """
     eng = Engine(periodic=periodic)
-    channel = Channel(eng, "ch0", params=EDGE_CASE_PARAMS,
-                      page_policy=page_policy)
+    channel = Channel(eng, "ch0", params=EDGE_CASE_PARAMS)
     log = channel.start_command_log()
     now = 0
     for gap, bank, row, is_write, secure in ops:
@@ -235,18 +234,6 @@ class TestSchedulerEdgeCases:
         wr, rd = cmds
         # JEDEC: READ CAS >= WRITE data end + tWTR.
         assert rd.time >= wr.time + T.tCWL + T.tBURST + T.tWTR
-
-    def test_trtp_read_to_precharge_tie(self):
-        # Close-page policy precharges immediately after each access;
-        # the PRE after a read is fenced by tRTP (and tRAS) exactly.
-        log = _replay([(0, 0, 0, False, False), (0, 0, 1, False, False)],
-                      page_policy="close")
-        rd = next(c for c in log if c.kind == "RD")
-        pre = next(c for c in log if c.kind == "PRE" and c.time > rd.time)
-        assert pre.time >= rd.time + T.tRTP
-        act = next(c for c in log if c.kind == "ACT")
-        assert pre.time >= act.time + T.tRAS
-        assert ProtocolChecker(T, NUM_BANKS).check(log) == []
 
     def test_trtp_binds_on_open_page_conflict(self):
         # Open page: a second read hits the open row tRAS after the

@@ -73,16 +73,15 @@ def check(lane, tracer):
         st.tuples(st.integers(0, REFRESH_NS), st.integers(0, 3),
                   st.integers(0, 3), st.booleans(), st.booleans()),
         min_size=1, max_size=120),
-    page=st.sampled_from(["open", "close"]),
     probe_ns=st.integers(0, REFRESH_NS),
 )
-def test_one_channel_derives_what_it_serviced(requests, page, probe_ns):
-    """Random reads and writes of both classes, open or close page, past
-    a refresh window; checked mid-run and at the end."""
+def test_one_channel_derives_what_it_serviced(requests, probe_ns):
+    """Random reads and writes of both classes past a refresh window;
+    checked mid-run and at the end."""
     tracer = Tracer({"dram"})
     engine = Engine()
-    channel = Channel(engine, "ch0", share_policy=SharePolicy(),
-                      tracer=tracer, page_policy=page,
+    channel = Channel(engine, "ch0", share_policy=SharePolicy(0.5),
+                      tracer=tracer,
                       params=ChannelParams(
                           num_banks=4, read_queue_depth=8,
                           write_queue_depth=8, write_drain_hi=6,

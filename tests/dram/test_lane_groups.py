@@ -532,29 +532,6 @@ def test_wake_clones_partly_counted_completion_groups():
 
 # -- dispatch outside the untraced whole-run lazy loop -----------------------
 
-def test_run_until_wakes(wakes):
-    lazy, eager = _pair()
-    for rig in (lazy, eager):
-        rig.engine.run(until=ns(MID_PHASE_NS))
-    assert lazy.outcome() == eager.outcome()
-    assert not lazy.live and wakes == [False]
-    for rig in (lazy, eager):
-        rig.engine.run()
-    assert lazy.outcome() == eager.outcome()
-
-
-def test_max_events_wakes():
-    lazy, eager = _pair()
-    for rig in (lazy, eager):
-        with pytest.raises(RuntimeError, match="max_events"):
-            rig.engine.run(max_events=200)
-    assert lazy.outcome() == eager.outcome()
-    assert not lazy.live
-    for rig in (lazy, eager):
-        rig.engine.run()
-    assert lazy.outcome() == eager.outcome()
-
-
 def test_step_wakes():
     lazy, eager = _pair()
     for _ in range(150):

@@ -40,9 +40,6 @@ class TestChannelParams:
         assert p.num_ranks == 1
         assert p.line_bytes == 64
 
-    def test_lines_per_row(self):
-        assert DEFAULT_CHANNEL_PARAMS.lines_per_row == 128
-
     def test_drain_hysteresis_ordering_enforced(self):
         with pytest.raises(ValueError):
             ChannelParams(write_drain_hi=10, write_drain_lo=10)

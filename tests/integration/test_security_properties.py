@@ -84,7 +84,8 @@ class TestRequestTypeHiding:
         eng, _, frontend = _secure_link(tracer=tracer)
         frontend.start()
         eng.after(100, lambda: frontend.issue(op, 3, 7, None))
-        eng.run(until=100_000)
+        eng.at(100_000, eng.stop)
+        eng.run()
         packets = [(e.track, e.name, e.ts, e.args["bytes"])
                    for e in tracer.events if e.cat == "link"]
         real = sum(e.args["real"] for e in tracer.events
@@ -124,7 +125,8 @@ class TestTimingChannel:
         for block in real_blocks:
             eng.after(100, lambda b=block: frontend.issue(
                 OpType.READ, b, 7, lambda t: None))
-        eng.run(until=400_000)
+        eng.at(400_000, eng.stop)
+        eng.run()
         return times
 
     def test_emission_times_independent_of_demand(self):

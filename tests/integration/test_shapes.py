@@ -3,13 +3,14 @@
 These are the reproduction's contract: absolute numbers may drift with
 the synthetic traces and the event-driven DRAM model, but orderings and
 rough factors must match Section V.  Each test states the claim it
-guards.  Scale: ~1500 accesses/core (seconds per sim); results are
-cached across tests in this module.
+guards.  Scale: ~1500 accesses/core (seconds per sim); each run is
+simulated once and shared across tests (``tests/analysis/run_memo.py``).
 """
 
 import pytest
 
 from repro.analysis import experiments
+from tests.analysis.run_memo import run_scheme
 
 TRACE = 1500
 BENCH = "li"          # streaming, memory-intensive: a sensitive workload
@@ -17,7 +18,7 @@ BENCH_B = "mu"        # pointer-chasing counterpart
 
 
 def run(scheme, bench=BENCH):
-    return experiments.cached_run(scheme, bench, TRACE)
+    return run_scheme(scheme, bench, TRACE)
 
 
 class TestFig4Motivation:
@@ -62,7 +63,8 @@ class TestFig9Headline:
         assert doram / base < 0.97
 
     def test_doram_x_at_least_as_good_as_doram(self):
-        sweep = experiments.fig11((BENCH,), TRACE, c_values=(0, 2, 4, 7))
+        sweep = experiments.fig11(run_scheme, (BENCH,), TRACE,
+                                  c_values=(0, 2, 4, 7))
         row = sweep[BENCH]
         best = min(row[f"c{c}"] for c in (0, 2, 4, 7))
         assert best <= row["c7"] + 1e-9

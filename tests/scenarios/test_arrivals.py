@@ -81,19 +81,6 @@ def test_strictly_increasing_integer_ticks(kind, seed):
     assert all(t < SHORT_HORIZON for t in times)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=seeds, start=st.integers(min_value=0, max_value=10**6))
-def test_start_tick_offsets_the_whole_stream(seed, start):
-    """Shifting the origin shifts every occurrence by exactly that much
-    (the draws themselves do not depend on the origin) -- poisson only;
-    the modulated kinds anchor their state clocks to absolute time."""
-    base = make_stream(_spec("poisson"), seed, start_tick=0)
-    moved = make_stream(_spec("poisson"), seed, start_tick=start)
-    base_times = take_until(base, SHORT_HORIZON)
-    moved_times = take_until(moved, SHORT_HORIZON + start)
-    assert moved_times == [t + start for t in base_times]
-
-
 # ---------------------------------------------------------------------------
 # Rate tracking
 # ---------------------------------------------------------------------------

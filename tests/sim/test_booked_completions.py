@@ -144,18 +144,6 @@ class TestNeverBooks:
             channel.enqueue(_write(bank=bank))
         return eng
 
-    def test_run_until(self):
-        eng = self._channel_with_writes()
-        eng.run(until=10**6)
-        assert eng.events_synthesized == 0
-        assert eng.raw_events_dispatched == eng.events_dispatched
-
-    def test_max_events(self):
-        eng = self._channel_with_writes()
-        eng.run(max_events=10**6)
-        assert eng.events_synthesized == 0
-        assert eng.raw_events_dispatched == eng.events_dispatched
-
     def test_step(self):
         eng = self._channel_with_writes()
         while eng.step():

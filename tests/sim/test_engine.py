@@ -94,18 +94,6 @@ class TestScheduling:
 
 
 class TestRunControl:
-    def test_run_until_leaves_future_events_queued(self):
-        eng = Engine()
-        fired = []
-        eng.at(10, lambda: fired.append(10))
-        eng.at(100, lambda: fired.append(100))
-        eng.run(until=50)
-        assert fired == [10]
-        assert eng.now == 50
-        assert eng.pending == 1
-        eng.run()
-        assert fired == [10, 100]
-
     def test_stop_halts_dispatch(self):
         eng = Engine()
         fired = []
@@ -118,14 +106,6 @@ class TestRunControl:
         assert fired == ["stop"]
         assert eng.pending == 1
 
-    def test_max_events_guard(self):
-        eng = Engine()
-        def rearm():
-            eng.after(1, rearm)
-        eng.at(0, rearm)
-        with pytest.raises(RuntimeError, match="max_events"):
-            eng.run(max_events=100)
-
     def test_step_returns_false_on_empty(self):
         assert Engine().step() is False
 
@@ -135,38 +115,3 @@ class TestRunControl:
             eng.at(i, lambda: None)
         eng.run()
         assert eng.events_dispatched == 4
-
-    def test_run_until_past_bound_rejected(self):
-        # A bound before ``now`` would move simulated time backwards.
-        eng = Engine()
-        fired = []
-        eng.at(10, lambda: fired.append(10))
-        eng.at(20, lambda: fired.append(20))
-        eng.run(until=15)
-        assert eng.now == 15
-        with pytest.raises(ValueError, match="until"):
-            eng.run(until=5)
-        assert eng.now == 15
-        assert eng.pending == 1
-        eng.run()
-        assert fired == [10, 20]
-
-    def test_run_until_before_stop_point_rejected(self):
-        eng = Engine()
-        eng.at(3, eng.stop)
-        eng.at(7, lambda: None)
-        eng.run()
-        assert eng.now == 3
-        with pytest.raises(ValueError, match="until"):
-            eng.run(until=1)
-        assert eng.now == 3
-        assert eng.pending == 1
-
-    def test_run_until_now_is_allowed(self):
-        eng = Engine()
-        fired = []
-        eng.at(5, lambda: fired.append(5))
-        eng.run(until=5)
-        eng.run(until=5)
-        assert fired == [5]
-        assert eng.now == 5

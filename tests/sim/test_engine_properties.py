@@ -42,7 +42,7 @@ def test_runs_are_deterministic(plan):
 
 @settings(max_examples=60, deadline=None)
 @given(plan=schedules, cut=st.integers(min_value=0, max_value=1000))
-def test_run_until_is_a_prefix_of_full_run(plan, cut):
+def test_stop_is_a_prefix_of_full_run(plan, cut):
     def schedule(eng, fired):
         for delay, tag in plan:
             eng.at(delay, lambda d=delay, t=tag: fired.append((d, t)))
@@ -53,7 +53,9 @@ def test_run_until_is_a_prefix_of_full_run(plan, cut):
 
     part_eng, part = Engine(), []
     schedule(part_eng, part)
-    part_eng.run(until=cut)
+    # Scheduled last, the stop fires after every event due at `cut`.
+    part_eng.at(cut, part_eng.stop)
+    part_eng.run()
     prefix = [e for e in full if e[0] <= cut]
     assert part == prefix
     # Resuming completes the identical sequence.

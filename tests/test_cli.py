@@ -275,8 +275,9 @@ class TestExecution:
 
 
 class TestExperimentChecks:
-    """``doram exp`` and ``doram report`` enforce the registry's checks
-    (``tests/analysis/test_report.py`` runs ``exp all`` at li/400)."""
+    """``doram exp``, ``sweep`` and ``report`` enforce the registry's
+    checks (``tests/analysis/test_report.py`` runs ``exp all`` at
+    li/400)."""
 
     @pytest.fixture
     def table1_only(self, monkeypatch):
@@ -293,8 +294,10 @@ class TestExperimentChecks:
         return force_failure
 
     @pytest.mark.parametrize("argv", [["exp", "table1"], ["exp", "all"],
-                                      ["report"]],
-                             ids=["exp-table1", "exp-all", "report"])
+                                      ["report"],
+                                      ["sweep", "--figures", "table1",
+                                       "--workers", "1", "--store", "none"]],
+                             ids=["exp-table1", "exp-all", "report", "sweep"])
     def test_a_failed_check_exits_1(self, argv, table1_only, capsys):
         assert main(argv) == 0
         assert "NOT reproduced" not in capsys.readouterr().out
