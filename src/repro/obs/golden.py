@@ -23,6 +23,9 @@ declared in :data:`SHAPE_RUNS` or :data:`SHAPE_SCENARIOS`.  Its
 result digest (an untraced run's) and its trace digest are pinned, in
 either periodic mode.
 
+A command-log pin hashes every channel's captured DRAM command log in
+one run of a :data:`COMMAND_LOG_PINS` shape, in either periodic mode.
+
 When a timing change is *intentional*, regenerate the committed digests
 with ``python tools/regen_goldens.py`` and include the updated
 ``tests/obs/golden_digests.json`` in the same commit, explaining the
@@ -92,6 +95,11 @@ SHAPE_RUNS: Dict[str, Tuple[str, Dict[str, object], Optional[Dict]]] = {
     "doram/0-tt6": ("doram/0", {"oram.treetop_levels": 6}, None),
 }
 
+#: Shape pins whose command logs are pinned too: a woken lane group, each
+#: lane logging its own commands (``doram-dram-flip``), and a live one,
+#: its followers' logs written from the leader's (``doram/0-2s-fork``).
+COMMAND_LOG_PINS: Tuple[str, ...] = ("doram-dram-flip", "doram/0-2s-fork")
+
 #: Scenario shape pins: overrides on
 #: :func:`repro.scenarios.service.golden_scenario_config`, in the dotted
 #: grammar of :func:`repro.core.config.apply_overrides`.
@@ -154,15 +162,14 @@ def payload_digest(scheme: str, periodic: str = "lazy") -> str:
 
     result = run_scheme(scheme, GOLDEN_BENCHMARK, GOLDEN_TRACE_LENGTH,
                         periodic=periodic)
-    return _result_digest(result)
+    return _digest(result.to_json_dict())
 
 
-def _result_digest(result) -> str:
-    """sha256 of a ``SimResult``'s canonical JSON."""
+def _digest(payload) -> str:
+    """sha256 of ``payload``'s canonical JSON."""
     from repro.analysis.sweep import canonical_json
 
-    payload = canonical_json(result.to_json_dict())
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def shape_names() -> Tuple[str, ...]:
@@ -189,21 +196,34 @@ def shape_digests(name: str, periodic: str = "lazy") -> Dict[str, str]:
         return {"report": result.report_digest(),
                 "trace": trace_digest(tracer.events)}
 
+    tracer = Tracer()
+    _run_shape(name, periodic, tracer)
+    result, _faults = _run_shape(name, periodic)
+    return {"payload": _digest(result.to_json_dict()),
+            "trace": trace_digest(tracer.events)}
+
+
+def command_log_digest(name: str, periodic: str = "lazy") -> str:
+    """One command-log pin: the digest of every channel's command log,
+    entries as plain lists, in a run of shape pin ``name`` that captures
+    commands (under an empty plan if the pin has none)."""
+    _result, faults = _run_shape(name, periodic, capture=True)
+    return _digest({channel: [list(entry) for entry in log]
+                    for channel, log in faults.command_logs.items()})
+
+
+def _run_shape(name: str, periodic: str, tracer=None, capture=False):
+    """One run of scheme shape pin ``name``: ``(result, faults)``, the
+    fault controller ``None`` unless the pin has a plan or captures."""
     from repro.core.schemes import run_scheme
     from repro.faults.inject import FaultController
     from repro.faults.plan import FaultPlan
 
     scheme, overrides, plan = SHAPE_RUNS[name]
-
-    def run(tracer=None):
-        # A fault controller is single-run: one per simulation.
-        faults = (FaultController(FaultPlan.from_json_dict(plan))
-                  if plan is not None else None)
-        return run_scheme(scheme, GOLDEN_BENCHMARK, GOLDEN_TRACE_LENGTH,
-                          tracer=tracer, faults=faults, periodic=periodic,
-                          **overrides)
-
-    tracer = Tracer()
-    run(tracer)
-    return {"payload": _result_digest(run()),
-            "trace": trace_digest(tracer.events)}
+    # A fault controller is single-run: one per simulation.
+    faults = (FaultController(FaultPlan.from_json_dict(plan or {}), capture)
+              if plan is not None or capture else None)
+    result = run_scheme(scheme, GOLDEN_BENCHMARK, GOLDEN_TRACE_LENGTH,
+                        tracer=tracer, faults=faults, periodic=periodic,
+                        **overrides)
+    return result, faults

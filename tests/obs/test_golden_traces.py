@@ -1,8 +1,9 @@
 """Golden-trace regression suite.
 
 Two properties of the golden schemes, one of every trace-pinned scheme,
-plus one payload pin per name in ``SCHEMES`` (see ``TestPayloadPins``)
-and the shape pins (see ``TestShapePins``):
+plus one payload pin per name in ``SCHEMES`` (see ``TestPayloadPins``),
+the shape pins (see ``TestShapePins``) and the command-log pins (see
+``TestCommandLogPins``):
 
 1. **Determinism** -- two fresh runs of the same golden configuration
    produce byte-identical canonical traces (same sha256 digest).
@@ -22,9 +23,11 @@ import pytest
 
 from repro.core.schemes import SCHEMES
 from repro.obs.golden import (
+    COMMAND_LOG_PINS,
     GOLDEN_BENCHMARK,
     GOLDEN_SCHEMES,
     GOLDEN_TRACE_LENGTH,
+    command_log_digest,
     golden_digest,
     payload_digest,
     run_traced,
@@ -138,6 +141,30 @@ class TestShapePins:
             "intentional, run `python tools/regen_goldens.py` and commit "
             "the updated golden_digests.json with an explanation."
         )
+
+
+class TestCommandLogPins:
+    """The DRAM command logs the compliance referee replays are pinned
+    across commits on two shapes: ``doram-dram-flip``, whose armed flips
+    wake the secure channel's lane group so each lane logs its own
+    commands, and ``doram/0-2s-fork`` under a capture-only empty plan,
+    whose group stays live so the followers' logs are written from the
+    leader's.  Every channel's log, lazy and eager, must hash to the
+    committed digest."""
+
+    def test_every_pin_is_committed(self):
+        assert set(_GOLDEN["command_logs"]) == set(COMMAND_LOG_PINS)
+
+    @pytest.mark.parametrize("periodic", ["lazy", "eager"])
+    @pytest.mark.parametrize("name", COMMAND_LOG_PINS)
+    def test_command_logs_match_committed_pin(self, name, periodic):
+        assert command_log_digest(name, periodic) == \
+            _GOLDEN["command_logs"][name], (
+                f"{name} ({periodic}): a captured command log changed. If "
+                "intentional, run `python tools/regen_goldens.py` and "
+                "commit the updated golden_digests.json with an "
+                "explanation."
+            )
 
 
 class TestEngineCategory:

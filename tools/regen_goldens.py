@@ -13,7 +13,8 @@ nothing sane to pin.  It records the trace digest of every scheme in
 ``trace_pinned_schemes()`` (the golden schemes and every other
 ``SCHEMES`` name), the golden scenario's, every ``SCHEMES`` name's
 payload pin (the digest of its untraced lazy run's canonical result),
-and every shape pin's result and trace digests (``shape_names()``).
+every shape pin's result and trace digests (``shape_names()``), and
+every command-log pin (``COMMAND_LOG_PINS``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ sys.path.insert(
 
 from repro.core.schemes import SCHEMES  # noqa: E402  (path shim above)
 from repro.obs.golden import (  # noqa: E402
+    COMMAND_LOG_PINS,
     GOLDEN_BENCHMARK,
     GOLDEN_TRACE_LENGTH,
+    command_log_digest,
     golden_digest,
     payload_digest,
     shape_digests,
@@ -74,6 +77,15 @@ def main() -> int:
         shapes[name] = first
         for kind, digest in sorted(first.items()):
             print(f"shape.{name}.{kind} {digest}")
+    command_logs = {}
+    for name in COMMAND_LOG_PINS:
+        first = command_log_digest(name)
+        if first != command_log_digest(name):
+            print(f"FATAL: {name}'s command logs are nondeterministic",
+                  file=sys.stderr)
+            return 1
+        command_logs[name] = first
+        print(f"command_logs.{name} {first}")
     scenario = golden_scenario_digests()
     if scenario != golden_scenario_digests():
         print("FATAL: golden scenario is nondeterministic", file=sys.stderr)
@@ -82,6 +94,7 @@ def main() -> int:
         print(f"scenario.{kind:<8} {digest}")
     doc = {
         "benchmark": GOLDEN_BENCHMARK,
+        "command_logs": command_logs,
         "trace_length": GOLDEN_TRACE_LENGTH,
         "digests": digests,
         "payloads": payloads,
