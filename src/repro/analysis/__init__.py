@@ -7,9 +7,9 @@
 * :mod:`~repro.analysis.experiments` -- the experiment registry: one
   record per paper exhibit and per ablation (title, the paper's
   numbers, run-points, driver, table, checks), which ``doram exp``,
-  ``sweep`` and ``report`` loop over (runs are memoised per process so
-  Figs. 9, 11 and 13 reuse each other's runs; each driver takes its
-  trace length as an argument);
+  ``sweep`` and ``report`` loop over (one sweep runs the union of their
+  points, so Figs. 9, 11 and 13 share runs; each driver reads its runs
+  from the sweep's results and takes its trace length as an argument);
 * :mod:`~repro.analysis.report` -- renders the registry's tables and
   checks as EXPERIMENTS.md;
 * :mod:`~repro.analysis.sweep` -- run-points, the content-addressed

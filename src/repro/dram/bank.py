@@ -37,8 +37,7 @@ class Bank:
         "hits",
         "misses",
         "conflicts",
-        "record_commands",
-        "last_commands",
+        "log",
         "_tRCD",
         "_tRP",
         "_tRC",
@@ -65,12 +64,10 @@ class Bank:
         self.hits = 0
         self.misses = 0
         self.conflicts = 0
-        #: When set (protocol-compliance replay), :meth:`commit` records
-        #: the implied command schedule into :attr:`last_commands` as
-        #: ``(kind, time, row)`` tuples.  Off by default -- zero cost on
-        #: the hot path.
-        self.record_commands = False
-        self.last_commands: list = []
+        #: The command log :meth:`commit` appends the implied commands to,
+        #: as ``(time, kind, bank, row, None)`` tuples, while its channel
+        #: captures (``Channel.start_command_log``); ``None`` otherwise.
+        self.log: Optional[list] = None
         # Hot-path timing caches (see module docstring).
         self._tRCD = timing.tRCD
         self._tRP = timing.tRP
@@ -156,15 +153,14 @@ class Bank:
         if data_start < floor:
             data_start = floor
         col_time = data_start - cas
-        if self.record_commands:
-            self.last_commands = []
+        log = self.log
+        if log is not None:
+            bank = req.bank
             if pre_time is not None:
-                self.last_commands.append(("PRE", pre_time, None))
+                log.append((pre_time, "PRE", bank, None, None))
             if outcome != "hit":
-                self.last_commands.append(("ACT", act_time, row))
-            self.last_commands.append(
-                ("WR" if is_write else "RD", col_time, row)
-            )
+                log.append((act_time, "ACT", bank, row, None))
+            log.append((col_time, "WR" if is_write else "RD", bank, row, None))
         if is_write:
             # Write recovery fences the next precharge after the data burst.
             write_end = data_start + self._tBURST

@@ -169,8 +169,8 @@ class Channel:
         self.name = name
         self.timing = timing
         self.params = params
-        #: Optional protocol-compliance log of ``DramCommand`` entries;
-        #: enabled via :meth:`start_command_log`.
+        #: Optional protocol-compliance log of ``(time, kind, bank, row,
+        #: end)`` tuples; enabled via :meth:`start_command_log`.
         self.command_log = None
         #: Fault-injection site (``repro.faults``); ``None`` keeps the
         #: service loop on its zero-overhead fast branch.
@@ -402,18 +402,15 @@ class Channel:
 
     def start_command_log(self) -> list:
         """Record every implied DRAM command (PRE/ACT/RD/WR/REF) from now
-        on, for replay through :class:`repro.dram.compliance.ProtocolChecker`.
-        Returns the live log list."""
-        from repro.dram.compliance import DramCommand  # noqa: F401
-
-        self.command_log = []
-        for bank in self.banks:
-            bank.record_commands = True
-        if self._group is not None:
-            # The leader's banks commit for every lane of a live group.
-            for bank in self._group.leader.banks:
-                bank.record_commands = True
-        return self.command_log
+        on, as tuples of :class:`repro.dram.compliance.DramCommand`'s
+        fields for its ``ProtocolChecker``.  Returns the live log list."""
+        self.command_log = log = []
+        if self._group is None:
+            for bank in self.banks:
+                bank.log = log
+        else:
+            self._group._route_logs()
+        return log
 
     @property
     def queued(self) -> int:
@@ -468,9 +465,7 @@ class Channel:
                 rank.refresh = start + self._tREFI
                 rank.refreshes += 1
                 if log is not None:
-                    from repro.dram.compliance import DramCommand
-
-                    log.append(DramCommand(start, "REF", -1, None, end))
+                    log.append((start, "REF", -1, None, end))
                 if traced:
                     tracer.complete("dram", "refresh", self.name, start,
                                     self._tRFC)
@@ -591,13 +586,6 @@ class Channel:
                 if is_write and self._last_op is OpType.READ:
                     floor += self._tRTW
                 data_start, outcome = bank.commit(req, req.arrival, floor)
-                if log is not None:
-                    from repro.dram.compliance import DramCommand
-
-                    log.extend(
-                        DramCommand(t, kind, req.bank, row)
-                        for kind, t, row in bank.last_commands
-                    )
                 finish = data_start + tBURST
                 self._bus_free = finish
                 self._last_op = req.op
@@ -770,16 +758,21 @@ class LaneGroup:
         self._pending_time = 0
         for lane in self.lanes:
             lane._group = self
-        if any(lane.command_log is not None for lane in self.lanes):
-            # The leader's banks commit for every lane.
-            for bank in leader.banks:
-                bank.record_commands = True
+        self._route_logs()
         for lane in self.followers:
             # Fresh lanes are equal, and stay equal while the group is
             # live: share the leader's class queues until wake().
             lane._reads = leader._reads
             lane._writes = leader._writes
         leader.engine._lane_groups.append(self)
+
+    def _route_logs(self) -> None:
+        """Point the leader's banks, which commit for every lane, at the
+        first capturing lane's log (:meth:`follow` copies to the rest)."""
+        log = next((lane.command_log for lane in self.lanes
+                    if lane.command_log is not None), None)
+        for bank in self.leader.banks:
+            bank.log = log
 
     # ------------------------------------------------------------------
     # Hand-off
@@ -830,7 +823,7 @@ class LaneGroup:
         included; any other is pushed once per follower.  Command logs
         and (traced) the leader's ``frfcfs_reorder``, if any, then the
         burst are written per lane.  ``bank`` is the leader's committed
-        bank; its ``last_commands`` are every lane's.
+        bank; the entries it just logged are every lane's.
         """
         leader = self.leader
         engine = leader.engine
@@ -838,7 +831,7 @@ class LaneGroup:
         n = len(followers)
         # The followers' dispatches of this slot.
         engine._synthesized += n
-        if bank.record_commands or leader._tracer.enabled:
+        if bank.log is not None or leader._tracer.enabled:
             self._log_and_trace(req, bank, data_start, outcome, latency)
         stride = (on_complete is not None) + leader._service_scheduled
         seq = engine._seq
@@ -860,7 +853,8 @@ class LaneGroup:
 
     def _log_and_trace(self, req: MemRequest, bank: Bank, data_start: int,
                        outcome: str, latency: int) -> None:
-        """The followers' command-log entries and trace events of a slot."""
+        """The followers' command-log entries (those the leader's ``bank``
+        just logged, shared) and trace events of a slot."""
         leader = self.leader
         tracer = leader._tracer
         traced = tracer.enabled
@@ -869,14 +863,15 @@ class LaneGroup:
             leader._reorder = None
             tburst = leader._tBURST
             burst = "write" if req.is_write else "read"
+        source = bank.log
+        if source is not None:
+            # The slot's entries: its CAS, behind an ACT unless the row
+            # hit, behind a PRE on a conflict.
+            entries = source[-1 - (outcome != "hit") - (outcome == "conflict"):]
         for lane in self.followers:
-            if lane.command_log is not None:
-                from repro.dram.compliance import DramCommand
-
-                lane.command_log.extend(
-                    DramCommand(t, kind, req.bank, row)
-                    for kind, t, row in bank.last_commands
-                )
+            log = lane.command_log
+            if log is not None and log is not source:
+                log.extend(entries)
             if traced:
                 if reorder is not None:
                     tracer.instant("dram", "frfcfs_reorder", lane.name,
@@ -910,9 +905,7 @@ class LaneGroup:
             lane.rank.refreshes += 1
             log = lane.command_log
             if log is not None:
-                from repro.dram.compliance import DramCommand
-
-                log.append(DramCommand(start, "REF", -1, None, start + tRFC))
+                log.append((start, "REF", -1, None, start + tRFC))
             if tracer.enabled:
                 tracer.complete("dram", "refresh", lane.name, start, tRFC)
         seq = engine._seq
@@ -940,7 +933,7 @@ class LaneGroup:
             lane._group = None
         engine._lane_groups.remove(self)
         for bank in leader.banks:
-            bank.record_commands = leader.command_log is not None
+            bank.log = leader.command_log
         scheduled = leader._service_scheduled
         for subchannel, lane in enumerate(self.followers, 1):
             _clone_lane(leader, lane, subchannel)
@@ -985,7 +978,6 @@ def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:
     lane._draining = leader._draining
     lane._bus_free = leader._bus_free
     lane._last_op = leader._last_op
-    recording = lane.command_log is not None
     for mine, theirs in zip(lane.banks, leader.banks):
         mine.open_row = theirs.open_row
         mine._act_time = theirs._act_time
@@ -994,7 +986,7 @@ def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:
         mine.hits = theirs.hits
         mine.misses = theirs.misses
         mine.conflicts = theirs.conflicts
-        mine.record_commands = recording
+        mine.log = lane.command_log
     rank = lane.rank
     rank._acts = list(leader.rank._acts)
     rank._last_write_end = leader.rank._last_write_end

@@ -27,17 +27,15 @@ REF       treated as closing every bank at the window end
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.dram.timing import DDR3Timing
 
 
 class DramCommand(NamedTuple):
-    """One command on the (implied) command bus.
-
-    A named tuple (not a frozen dataclass): a captured channel records
-    one per implied command, and the tuple is about three times cheaper
-    to build."""
+    """One command on the (implied) command bus: the row type of a
+    hand-built stream.  A captured channel logs plain tuples of the same
+    fields, one append per implied command; the checker reads either."""
 
     time: int
     #: ``"PRE" | "ACT" | "RD" | "WR" | "REF"``
@@ -53,18 +51,6 @@ class ProtocolViolation(AssertionError):
     """A command stream broke a JEDEC timing or state rule."""
 
 
-class _BankState:
-    __slots__ = ("open_row", "act_time", "pre_time",
-                 "last_read_cas", "last_write_end")
-
-    def __init__(self) -> None:
-        self.open_row: Optional[int] = None
-        self.act_time = -(10 ** 12)
-        self.pre_time = -(10 ** 12)
-        self.last_read_cas = -(10 ** 12)
-        self.last_write_end = -(10 ** 12)
-
-
 class ProtocolChecker:
     """Replay a command stream and collect (or raise on) violations.
 
@@ -78,25 +64,36 @@ class ProtocolChecker:
     def __init__(self, timing: DDR3Timing, num_banks: int = 8) -> None:
         self.timing = timing
         self.num_banks = num_banks
-        self.violations: List[str] = []
 
     # ------------------------------------------------------------------
     def check(self, commands: Sequence[DramCommand],
               strict: bool = True) -> List[str]:
-        """Validate a stream; returns the violation list.
+        """Validate one stream; returns its violations.
 
+        Each entry is a ``(time, kind, bank, row, end)`` tuple: a
+        :class:`DramCommand`, or the plain tuple a captured channel logs.
         ``strict=True`` raises :class:`ProtocolViolation` on the first
         rule broken instead of accumulating.
         """
         t = self.timing
-        banks: Dict[int, _BankState] = {
-            b: _BankState() for b in range(self.num_banks)
-        }
+        tRP, tRC, tRRD, tFAW = t.tRP, t.tRC, t.tRRD, t.tFAW
+        tRCD, tWTR, tRAS, tRTP, tWR = t.tRCD, t.tWTR, t.tRAS, t.tRTP, t.tWR
+        write_span = t.tCWL + t.tBURST
+        num_banks = self.num_banks
+        banks = range(num_banks)
+        never = -(10 ** 12)
+        # Per-bank state, indexed by bank.
+        open_row: List[Optional[int]] = [None] * num_banks
+        act_time = [never] * num_banks
+        pre_time = [never] * num_banks
+        last_read_cas = [never] * num_banks
+        last_write_end = [never] * num_banks
         rank_acts: List[int] = []
-        rank_write_end = -(10 ** 12)
+        rank_write_end = never
+        violations: List[str] = []
 
         def fail(message: str) -> None:
-            self.violations.append(message)
+            violations.append(message)
             if strict:
                 raise ProtocolViolation(message)
 
@@ -105,84 +102,79 @@ class ProtocolChecker:
         # committed just before the refresh was detected may carry
         # timestamps inside the window.  The bank-closing effect only
         # matters once the window ends.
-        def bus_order(c: DramCommand) -> int:
-            if c.kind == "REF" and c.end is not None:
-                return c.end
-            return c.time
-
-        for cmd in sorted(commands, key=bus_order):
-            if cmd.kind == "REF":
-                closing = cmd.end if cmd.end is not None else cmd.time
-                for state in banks.values():
-                    state.open_row = None
-                    state.pre_time = max(state.pre_time, closing - t.tRP)
+        keys = [end if kind == "REF" and end is not None else time
+                for time, kind, _bank, _row, end in commands]
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            time, kind, bank, row, end = commands[i]
+            if kind == "REF":
+                closed = (end if end is not None else time) - tRP
+                open_row = [None] * num_banks
+                pre_time = [p if p > closed else closed for p in pre_time]
                 continue
-            if cmd.bank not in banks:
-                fail(f"@{cmd.time}: command to bank {cmd.bank} "
-                     f"outside 0..{self.num_banks - 1}")
+            if bank not in banks:
+                fail(f"@{time}: command to bank {bank} "
+                     f"outside 0..{num_banks - 1}")
                 continue
-            state = banks[cmd.bank]
 
-            if cmd.kind == "ACT":
-                if state.open_row is not None:
-                    fail(f"@{cmd.time}: ACT bank {cmd.bank} while row "
-                         f"{state.open_row} still open (missing PRE)")
-                if cmd.time - state.pre_time < t.tRP:
-                    fail(f"@{cmd.time}: ACT bank {cmd.bank} violates tRP "
-                         f"(PRE at {state.pre_time})")
-                if cmd.time - state.act_time < t.tRC:
-                    fail(f"@{cmd.time}: ACT bank {cmd.bank} violates tRC "
-                         f"(previous ACT at {state.act_time})")
-                if rank_acts and cmd.time - rank_acts[-1] < t.tRRD:
-                    fail(f"@{cmd.time}: ACT violates tRRD "
+            if kind == "ACT":
+                if open_row[bank] is not None:
+                    fail(f"@{time}: ACT bank {bank} while row "
+                         f"{open_row[bank]} still open (missing PRE)")
+                if time - pre_time[bank] < tRP:
+                    fail(f"@{time}: ACT bank {bank} violates tRP "
+                         f"(PRE at {pre_time[bank]})")
+                if time - act_time[bank] < tRC:
+                    fail(f"@{time}: ACT bank {bank} violates tRC "
+                         f"(previous ACT at {act_time[bank]})")
+                if rank_acts and time - rank_acts[-1] < tRRD:
+                    fail(f"@{time}: ACT violates tRRD "
                          f"(last rank ACT at {rank_acts[-1]})")
-                if len(rank_acts) >= 4 and \
-                        cmd.time - rank_acts[-4] < t.tFAW:
-                    fail(f"@{cmd.time}: 5th ACT inside the tFAW window "
+                if len(rank_acts) >= 4 and time - rank_acts[-4] < tFAW:
+                    fail(f"@{time}: 5th ACT inside the tFAW window "
                          f"(4 activates back at {rank_acts[-4]})")
-                rank_acts.append(cmd.time)
+                rank_acts.append(time)
                 if len(rank_acts) > 4:
-                    rank_acts.pop(0)
-                state.open_row = cmd.row
-                state.act_time = cmd.time
+                    del rank_acts[0]
+                open_row[bank] = row
+                act_time[bank] = time
 
-            elif cmd.kind in ("RD", "WR"):
-                if state.open_row is None:
-                    fail(f"@{cmd.time}: {cmd.kind} bank {cmd.bank} with "
+            elif kind == "RD" or kind == "WR":
+                if open_row[bank] is None:
+                    fail(f"@{time}: {kind} bank {bank} with "
                          f"no open row (CAS before ACT)")
-                elif state.open_row != cmd.row:
-                    fail(f"@{cmd.time}: {cmd.kind} bank {cmd.bank} row "
-                         f"{cmd.row} but row {state.open_row} is open")
-                if cmd.time - state.act_time < t.tRCD:
-                    fail(f"@{cmd.time}: {cmd.kind} bank {cmd.bank} "
-                         f"violates tRCD (ACT at {state.act_time})")
-                if cmd.kind == "RD":
-                    if cmd.time - rank_write_end < t.tWTR:
-                        fail(f"@{cmd.time}: RD violates tWTR "
+                elif open_row[bank] != row:
+                    fail(f"@{time}: {kind} bank {bank} row "
+                         f"{row} but row {open_row[bank]} is open")
+                if time - act_time[bank] < tRCD:
+                    fail(f"@{time}: {kind} bank {bank} "
+                         f"violates tRCD (ACT at {act_time[bank]})")
+                if kind == "RD":
+                    if time - rank_write_end < tWTR:
+                        fail(f"@{time}: RD violates tWTR "
                              f"(write data ended at {rank_write_end})")
-                    state.last_read_cas = cmd.time
+                    last_read_cas[bank] = time
                 else:
-                    write_end = cmd.time + t.tCWL + t.tBURST
-                    state.last_write_end = max(state.last_write_end,
-                                               write_end)
-                    rank_write_end = max(rank_write_end, write_end)
+                    write_end = time + write_span
+                    if write_end > last_write_end[bank]:
+                        last_write_end[bank] = write_end
+                    if write_end > rank_write_end:
+                        rank_write_end = write_end
 
-            elif cmd.kind == "PRE":
-                if state.open_row is None:
-                    fail(f"@{cmd.time}: PRE bank {cmd.bank} already "
-                         f"precharged")
-                if cmd.time - state.act_time < t.tRAS:
-                    fail(f"@{cmd.time}: PRE bank {cmd.bank} violates tRAS "
-                         f"(ACT at {state.act_time})")
-                if cmd.time - state.last_read_cas < t.tRTP:
-                    fail(f"@{cmd.time}: PRE bank {cmd.bank} violates tRTP "
-                         f"(RD CAS at {state.last_read_cas})")
-                if cmd.time - state.last_write_end < t.tWR:
-                    fail(f"@{cmd.time}: PRE bank {cmd.bank} violates tWR "
-                         f"(write data ended at {state.last_write_end})")
-                state.open_row = None
-                state.pre_time = cmd.time
+            elif kind == "PRE":
+                if open_row[bank] is None:
+                    fail(f"@{time}: PRE bank {bank} already precharged")
+                if time - act_time[bank] < tRAS:
+                    fail(f"@{time}: PRE bank {bank} violates tRAS "
+                         f"(ACT at {act_time[bank]})")
+                if time - last_read_cas[bank] < tRTP:
+                    fail(f"@{time}: PRE bank {bank} violates tRTP "
+                         f"(RD CAS at {last_read_cas[bank]})")
+                if time - last_write_end[bank] < tWR:
+                    fail(f"@{time}: PRE bank {bank} violates tWR "
+                         f"(write data ended at {last_write_end[bank]})")
+                open_row[bank] = None
+                pre_time[bank] = time
 
             else:
-                fail(f"@{cmd.time}: unknown command kind {cmd.kind!r}")
-        return self.violations
+                fail(f"@{time}: unknown command kind {kind!r}")
+        return violations

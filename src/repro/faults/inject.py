@@ -212,8 +212,8 @@ class FaultController:
         self.stats = StatSet("faults")
         #: Recovery-side StatSets registered by sessions/guards.
         self.registered: Dict[str, object] = {}
-        #: ``channel name -> DramCommand list`` when capturing for the
-        #: compliance referee.
+        #: ``channel name -> command log`` (``DramCommand``-shaped tuples)
+        #: when capturing for the compliance referee.
         self.command_logs: Dict[str, list] = {}
         self._sd_site: Optional[SdFaultSite] = None
 

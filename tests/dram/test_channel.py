@@ -4,7 +4,7 @@ import pytest
 
 from repro.dram.channel import Channel
 from repro.dram.commands import MemRequest, OpType, TrafficClass
-from repro.dram.compliance import ProtocolChecker
+from repro.dram.compliance import DramCommand, ProtocolChecker
 from repro.dram.scheduler import SharePolicy
 from repro.dram.timing import ChannelParams, DDR3_1600 as T
 from repro.sim.engine import Engine
@@ -190,7 +190,8 @@ EDGE_CASE_PARAMS = ChannelParams(read_queue_depth=8, write_queue_depth=8,
 
 
 def _replay(ops, *, periodic="lazy"):
-    """Run one request mix through a fresh channel; return its command log.
+    """Run one request mix through a fresh channel; return its command log
+    as :class:`DramCommand` rows.
 
     ``ops`` is a list of ``(gap, bank, row, is_write, secure)`` tuples;
     arrivals are cumulative.  The mixes here never fill a queue.
@@ -208,7 +209,7 @@ def _replay(ops, *, periodic="lazy"):
         )
         eng.at(now, lambda r=req: channel.enqueue(r))
     eng.run()
-    return log
+    return [DramCommand._make(entry) for entry in log]
 
 
 class TestSchedulerEdgeCases:

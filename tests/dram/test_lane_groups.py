@@ -316,6 +316,19 @@ def test_untriggered_group_stays_live(wakes):
         0.5 * eager.engine.raw_events_dispatched
 
 
+def test_a_follower_captures_alone():
+    """Only lane 2 captures: while the group is live the leader's banks
+    log into lane 2's list, which must equal the per-lane oracle's."""
+    lazy, eager = _pair(log=False)
+    logs = [rig.lanes[2].start_command_log() for rig in (lazy, eager)]
+    lazy.engine.run()
+    eager.engine.run()
+    assert lazy.live
+    assert logs[0] == logs[1] != []
+    assert all(lane.command_log is None
+               for rig in (lazy, eager) for lane in rig.lanes[:2])
+
+
 def _stat_objects(lane):
     """Every statistic object ``_service`` or a query touches on ``lane``."""
     return ([queue.latency for queues in (lane._reads, lane._writes)

@@ -67,8 +67,8 @@ def command_mix(commands):
     """Command-mix accounting: how many commands of each kind a stream
     holds (the tests sanity-check coverage with it)."""
     out = {}
-    for cmd in commands:
-        out[cmd.kind] = out.get(cmd.kind, 0) + 1
+    for _time, kind, *_ in commands:
+        out[kind] = out.get(kind, 0) + 1
     return out
 
 
@@ -221,6 +221,107 @@ class TestCheckerCatchesViolations:
         assert ProtocolChecker(T).check(cmds) == []
 
 
+# ---------------------------------------------------------------------------
+# One-entry mutations of a captured stream
+# ---------------------------------------------------------------------------
+
+def _moved(stream, i, time):
+    """``stream`` with entry ``i`` moved to ``time``."""
+    mutant = list(stream)
+    mutant[i] = (time,) + tuple(stream[i][1:])
+    return mutant
+
+
+def _acts(stream):
+    return [i for i, (_time, kind, *_) in enumerate(stream) if kind == "ACT"]
+
+
+def _act_inside_trrd(stream):
+    """The first ACT that tRRD bound exactly, one tick earlier."""
+    acts = _acts(stream)
+    i = next(b for a, b in zip(acts, acts[1:])
+             if stream[b][0] == stream[a][0] + T.tRRD)
+    return _moved(stream, i, stream[i][0] - 1)
+
+
+def _act_inside_tfaw(stream):
+    """The first ACT that tFAW bound exactly, one tick earlier."""
+    acts = _acts(stream)
+    i = next(b for a, b in zip(acts, acts[4:])
+             if stream[b][0] == stream[a][0] + T.tFAW)
+    return _moved(stream, i, stream[i][0] - 1)
+
+
+def _pre_dropped(stream):
+    """The stream without its first PRE."""
+    i = next(i for i, (_time, kind, *_) in enumerate(stream) if kind == "PRE")
+    return stream[:i] + stream[i + 1:]
+
+
+def _rd_inside_trcd(stream):
+    """The first RD, moved one tick before its bank's ACT + tRCD."""
+    i = next(i for i, (_time, kind, *_) in enumerate(stream) if kind == "RD")
+    act = next(c for c in reversed(stream[:i])
+               if c[1] == "ACT" and c[2] == stream[i][2])
+    return _moved(stream, i, act[0] + T.tRCD - 1)
+
+
+def _ref_end_moved(stream):
+    """The first refresh window, its end one tick later."""
+    i = next(i for i, (_time, kind, *_) in enumerate(stream) if kind == "REF")
+    ref = stream[i]
+    return stream[:i] + [tuple(ref[:4]) + (ref[4] + 1,)] + stream[i + 1:]
+
+
+#: Each mutation with the exact violations the referee reports on it.
+CAPTURED_MUTANTS = [
+    (_act_inside_trrd, ["@99: ACT violates tRRD (last rank ACT at 0)"]),
+    (_act_inside_tfaw,
+     ["@3219: 5th ACT inside the tFAW window (4 activates back at 2740)"]),
+    (_pre_dropped, ["@780: ACT bank 7 while row 5 still open (missing PRE)"]),
+    (_rd_inside_trcd, ["@219: RD bank 7 violates tRCD (ACT at 0)"]),
+    (_ref_end_moved, [
+        "@128960: ACT bank 7 while row 2 still open (missing PRE)",
+        "@129180: WR bank 7 with no open row (CAS before ACT)",
+        "@129660: PRE bank 7 already precharged",
+    ]),
+]
+
+
+@pytest.fixture(scope="module")
+def captured():
+    """A real captured stream in command-bus order: 800 mixed reads and
+    writes on one channel, long enough to take one refresh window."""
+    _channel, log = _run_policy(ops=_mixed_ops(n=800))
+    return sorted(log, key=lambda c: c[4] if c[1] == "REF" else c[0])
+
+
+class TestRefereeBitesOnCapturedStreams:
+    def test_capture_is_compliant(self, captured):
+        assert ProtocolChecker(T).check(captured) == []
+        assert command_mix(captured)["REF"] == 1
+
+    @pytest.mark.parametrize("row", [tuple, DramCommand._make],
+                             ids=["tuple", "DramCommand"])
+    @pytest.mark.parametrize(
+        "mutate, expected", CAPTURED_MUTANTS,
+        ids=[mutate.__name__.strip("_") for mutate, _ in CAPTURED_MUTANTS],
+    )
+    def test_one_entry_mutation_is_reported(self, captured, mutate,
+                                            expected, row):
+        stream = [row(entry) for entry in mutate(captured)]
+        assert ProtocolChecker(T).check(stream, strict=False) == expected
+        with pytest.raises(ProtocolViolation) as raised:
+            ProtocolChecker(T).check(stream)
+        assert str(raised.value) == expected[0]
+
+    def test_each_call_reports_only_its_own_stream(self, captured):
+        checker = ProtocolChecker(T)
+        bad = _pre_dropped(captured)
+        assert checker.check(bad, strict=False) != []
+        assert checker.check(captured, strict=False) == []
+
+
 class TestLoggingIsInert:
     def test_no_log_by_default(self):
         engine = Engine()
@@ -228,7 +329,7 @@ class TestLoggingIsInert:
         channel.enqueue(MemRequest(OpType.READ, 0, 0, bank=0, row=0))
         engine.run()
         assert channel.command_log is None
-        assert all(not b.record_commands for b in channel.banks)
+        assert all(b.log is None for b in channel.banks)
 
     def test_logging_does_not_change_timing(self):
         done_plain, done_logged = [], []

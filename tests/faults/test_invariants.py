@@ -23,6 +23,8 @@ from repro.faults import (  # noqa: E402
     LinkFault,
     RecoveryParams,
 )
+from repro.dram.channel import Channel  # noqa: E402
+from repro.dram.compliance import DramCommand  # noqa: E402
 from repro.faults.invariants import check_fault_invariants  # noqa: E402
 
 # Bounded rule strategies.  Rates are kept low enough that a 300-access
@@ -109,3 +111,22 @@ class TestHarnessReporting:
         assert not report.ok
         assert "simulation did not complete" in report.violations[0]
         assert "FAILED" in report.describe()
+
+    def test_referee_names_only_the_channel_at_fault(self, monkeypatch):
+        """One channel's captured log opens with a CAS before any ACT:
+        the per-channel labelling loop reports it once, under that
+        channel's name, and no later channel repeats it."""
+        start = Channel.start_command_log
+
+        def start_with_a_stray_cas(channel):
+            log = start(channel)
+            if channel.name == "ch0.0":
+                log.append(DramCommand(0, "RD", 0, 1))
+            return log
+
+        monkeypatch.setattr(Channel, "start_command_log",
+                            start_with_a_stray_cas)
+        report = check_fault_invariants(FaultPlan(), functional_ops=20)
+        assert report.violations == [
+            "dram ch0.0: @0: RD bank 0 with no open row (CAS before ACT)"
+        ]

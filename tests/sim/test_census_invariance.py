@@ -156,7 +156,7 @@ class TestRefreshCatchUpInvariance:
         eng_eager, ch_eager, log_eager = _bursty_channel("eager")
         eng_lazy, ch_lazy, log_lazy = _bursty_channel("lazy")
 
-        refs = [c for c in log_eager if c.kind == "REF"]
+        refs = [c for c in log_eager if c[1] == "REF"]
         assert len(refs) >= 7, "gaps failed to force refresh catch-up"
         # The implied command streams -- including every back-dated REF
         # window a gap left owed -- must be identical.
