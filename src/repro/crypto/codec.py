@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.aes import AES128
 from repro.crypto.mac import mac_tag, mac_verify
@@ -104,6 +104,14 @@ class EncryptedBucketCodec(BucketCodec):
     the image head (an observer learns only write recency, which it can
     see anyway) and bound into the MAC together with the bucket index, so
     images cannot be swapped between buckets undetected.
+
+    A pad depends only on the key and the counter, so the codec keeps,
+    per bucket index, the ``(counter, pad)`` of the last image it sealed
+    there, and a decode that has verified the MAC opens an image carrying
+    that counter with the kept pad instead of running AES again.  Any
+    other image (an older one, or one another codec with the same key
+    sealed) gets its pad regenerated.  The pads stay on the trusted side
+    with the key, one per bucket index sealed.
     """
 
     MAC_BYTES = 16
@@ -114,6 +122,8 @@ class EncryptedBucketCodec(BucketCodec):
         self._aes = AES128(key)
         self._mac_key = key + b"bucket-mac"
         self._write_counter = 0
+        # Bucket index -> (counter, pad) of the last image sealed there.
+        self._pads: Dict[int, Tuple[int, bytes]] = {}
 
     def image_bytes(self, bucket_size: int, block_bytes: int) -> int:
         """Size of the stored image for geometry checks."""
@@ -124,6 +134,7 @@ class EncryptedBucketCodec(BucketCodec):
         counter = self._write_counter
         self._write_counter += 1
         pad = self._aes.keystream(counter, 0, len(plain))
+        self._pads[bucket] = (counter, pad)
         cipher = xor_bytes(plain, pad)
         head = counter.to_bytes(8, "big")
         tag = mac_tag(self._mac_key,
@@ -141,6 +152,10 @@ class EncryptedBucketCodec(BucketCodec):
                           head + bucket.to_bytes(8, "big") + cipher, tag):
             raise CodecError(f"bucket {bucket}: MAC check failed")
         counter = int.from_bytes(head, "big")
-        pad = self._aes.keystream(counter, 0, len(cipher))
+        kept = self._pads.get(bucket)
+        if kept and kept[0] == counter and len(kept[1]) == len(cipher):
+            pad = kept[1]
+        else:
+            pad = self._aes.keystream(counter, 0, len(cipher))
         plain = xor_bytes(cipher, pad)
         return _deserialize(plain, bucket_size, block_bytes)

@@ -54,6 +54,8 @@ class ResilientPathOram(PathOram):
     ) -> None:
         if not 0.0 <= flip_rate < 1.0:
             raise ValueError("flip_rate must be in [0, 1)")
+        if retry_limit < 0:
+            raise ValueError("retry_limit must be >= 0")
         super().__init__(
             config, seed=seed, codec=EncryptedBucketCodec(key),
             stash_capacity=stash_capacity,

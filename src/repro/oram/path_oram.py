@@ -41,7 +41,7 @@ class PathOram:
     Parameters
     ----------
     config:
-        Geometry; use small ``leaf_level`` values (<= 14) -- the bucket
+        Geometry; use small ``leaf_level`` values (<= 16) -- the bucket
         array is fully materialized.
     codec:
         Optional bucket codec (see :class:`repro.crypto.codec.BucketCodec`)
@@ -131,13 +131,18 @@ class PathOram:
         return data
 
     def _read_path(self, leaf: int) -> None:
-        """Fetch every bucket on the path; real blocks land in the stash."""
+        """Fetch every bucket on the path; real blocks land in the stash.
+
+        Each bucket is opened here and sealed once, by :meth:`_write_path`
+        (which rewrites every bucket on the path), as in Path ORAM's
+        read-path / write-path pair: the image left in place until then
+        is never read.
+        """
         for bucket in self.geometry.path_buckets(leaf):
             if self.trace_hook:
                 self.trace_hook("read", bucket)
             for block in self._decode(bucket, self._buckets[bucket]):
                 self.stash.put(block.block_id, block.leaf, block)
-            self._buckets[bucket] = self._encode(bucket, [])
 
     def _write_path(self, leaf: int) -> None:
         """Greedy write-back along the path, padded with dummies."""

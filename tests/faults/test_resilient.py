@@ -18,6 +18,12 @@ class TestResilientPathOram:
         with pytest.raises(ValueError):
             ResilientPathOram(CONFIG, flip_rate=1.0)
 
+    def test_rejects_negative_retry_limit(self):
+        # retry_limit=-1 would allow zero fetches: the first clean read
+        # would fail as if every fetch had been flipped.
+        with pytest.raises(ValueError, match="retry_limit"):
+            ResilientPathOram(CONFIG, retry_limit=-1)
+
     def test_clean_run_injects_nothing(self):
         oram = ResilientPathOram(CONFIG, seed=3, flip_rate=0.0)
         stats = durability_check(oram, num_ops=100, seed=3)
