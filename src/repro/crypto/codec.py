@@ -108,10 +108,12 @@ class EncryptedBucketCodec(BucketCodec):
     A pad depends only on the key and the counter, so the codec keeps,
     per bucket index, the ``(counter, pad)`` of the last image it sealed
     there, and a decode that has verified the MAC opens an image carrying
-    that counter with the kept pad instead of running AES again.  Any
-    other image (an older one, or one another codec with the same key
-    sealed) gets its pad regenerated.  The pads stay on the trusted side
-    with the key, one per bucket index sealed.
+    that counter with the kept pad instead of running AES again.  An
+    image whose counter is below the kept one is an older image of that
+    bucket put back (a replay: its MAC verifies), and is rejected before
+    any pad is made.  Any other image (say, one that another codec with
+    the same key sealed) gets its pad regenerated.  The pads stay on the
+    trusted side with the key, one per bucket index sealed.
     """
 
     MAC_BYTES = 16
@@ -153,6 +155,8 @@ class EncryptedBucketCodec(BucketCodec):
             raise CodecError(f"bucket {bucket}: MAC check failed")
         counter = int.from_bytes(head, "big")
         kept = self._pads.get(bucket)
+        if kept and counter < kept[0]:
+            raise CodecError(f"bucket {bucket}: replayed image")
         if kept and kept[0] == counter and len(kept[1]) == len(cipher):
             pad = kept[1]
         else:

@@ -23,8 +23,8 @@ what per-block ``enqueue()`` calls would leave.  Completions that do
 nothing (:func:`~repro.dram.commands.ignore_completion`, and the members
 of a :class:`~repro.dram.commands.CompletionGroup` other than the last
 serviced) take the sequence number their event would have taken and are
-booked in the engine's census instead of pushed when the engine allows
-it (``Engine.book``; DESIGN.md section 9a).
+booked in the engine's ledger instead of pushed when the engine allows
+it (the entry ``Engine.book`` makes; DESIGN.md section 9a).
 
 FR-FCFS indexing
 ----------------
@@ -91,16 +91,22 @@ each.  A :class:`LaneGroup` simulates such lockstep sub-channels
 ("lanes") once.  The delegator hands it one lane share per ORAM phase,
 lane 0's blocks only (:meth:`LaneGroup.enqueue_phases`), so the lanes
 mirror by construction and nothing is compared per phase.  The leader
-(lane 0) queues, picks, commits and times each request, and then
-produces for every follower the seqs, completions, trace events and
-census that the follower's own service would have produced.  The
-followers' statistics are the leader's objects while the group is live,
-and a slot's seqs and no-op completions are taken and booked in one
-step, so a slot costs the same for 2 lanes as for 16.  The group splits
-for good (:meth:`LaneGroup.wake`) the moment any other input reaches a
-lane (which could make the lanes differ), or anything could observe one
-lane's dispatch at a time.  DESIGN.md section 9a has the exactness
-argument.
+(lane 0) queues, picks, commits and times each request, and its slot is
+every lane's: in lane order each of the k lanes takes its completion's
+seq, if any, then its next service's, if any, so the slot takes its
+seqs as one progression of stride 1 or 2 in one ``engine._seq`` step.
+A no-op completion is one ledger booking of all k lanes, any other is
+pushed once per lane, the k - 1 follower dispatches are counted in the
+census, and the followers' pending services are two ints (the first
+seq and the stride), pushed only if the group wakes.  A plain channel
+is the one-lane case of the same slot.  The followers' statistics are
+the leader's objects while the group is live, so a slot costs the same
+for 2 lanes as for 16; only their command-log copies and trace events
+are written per lane, when a lane captures or the ``dram`` category is
+traced.  The group splits for good (:meth:`LaneGroup.wake`) the moment
+any other input reaches a lane (which could make the lanes differ), or
+anything could observe one lane's dispatch at a time.  DESIGN.md
+section 9a has the exactness argument.
 """
 
 from __future__ import annotations
@@ -422,8 +428,9 @@ class Channel:
     # ------------------------------------------------------------------
     def _service(self) -> None:
         # ``_service_scheduled`` stays set until the chain ends (module
-        # docstring, "One service chain"), and one dispatch may serve a
-        # run of slots ("Service runs").
+        # docstring, "One service chain"), one dispatch may serve a run
+        # of slots ("Service runs"), and each slot is every lane's
+        # ("Lane groups"; a plain channel is the one-lane case).
         engine = self.engine
         ledger = engine._ledger
         group = self._group
@@ -433,8 +440,9 @@ class Channel:
             group.wake()
             group = None
         # Invariant over a run: nothing a slot calls out to (a space
-        # waiter, a fault site) reconfigures the channel, and a live
-        # group's slots call out to nothing.
+        # waiter, a fault site) reconfigures the channel, a fault site's
+        # flip does not read the census, and a live group's slots call
+        # out to nothing.
         heap = engine._queue
         cancelled = engine._cancelled_seqs
         tracer = self._tracer
@@ -445,236 +453,289 @@ class Channel:
         rank = self.rank
         tBURST = self._tBURST
         now = engine.now
-        while True:
-            rq_len = self._rq_len
-            wq_len = self._wq_len
-            if not (rq_len or wq_len):
-                self._service_scheduled = False
-                return
+        if group is None:
+            lanes = 1
+            per_lane = False
+        else:
+            lanes = len(group.lanes)
+            followers = lanes - 1
+            # The followers' command-log copies and trace events.
+            per_lane = traced or banks[0].log is not None
+        # The run's census adds, written back on every exit (a stop or an
+        # exception included) and before a space waiter runs.
+        synthesized = 0
+        try:
+            while True:
+                rq_len = self._rq_len
+                wq_len = self._wq_len
+                if not (rq_len or wq_len):
+                    self._service_scheduled = False
+                    return
 
-            # Refresh first: if the refresh deadline has passed, stall the
-            # rank for tRFC with every bank precharged.  The deadline is
-            # read directly (one compare on the not-due path, which is
-            # every slot but one in ~7.8 us).  One window per slot: the
-            # window starts at its deadline, back-dated if the channel sat
-            # idle past it, and the slot behind it takes the next window
-            # if that one is due too.
-            start = rank.refresh
-            if now >= start:
-                end = start + self._tRFC
-                rank.refresh = start + self._tREFI
-                rank.refreshes += 1
-                if log is not None:
-                    log.append((start, "REF", -1, None, end))
-                if traced:
-                    tracer.complete("dram", "refresh", self.name, start,
-                                    self._tRFC)
-                for bank in banks:
-                    bank.force_precharge(end)
-                bus_free = self._bus_free
-                if end > bus_free:
-                    self._bus_free = bus_free = end
-                after = bus_free if bus_free > now else now
-                seq = engine._seq
-                engine._seq = seq + 1
-                if group is not None:
-                    group.follow_refresh(start, after)
-            else:
-                # Queue choice: write-drain hysteresis, plus a starvation
-                # bound (a write older than write_timeout forces a drain
-                # even below the high watermark), else reads, else
-                # writes.  The oldest write is the older class head:
-                # ``arrival`` never decreases with ``_enq_seq``.
-                draining = self._draining
-                if draining and wq_len <= self._drain_lo:
-                    draining = self._draining = False
-                if not draining and wq_len >= self._drain_hi:
-                    draining = self._draining = True
-                if not draining and wq_len:
-                    normal, secure = self._writes
-                    if normal.reqs:
-                        oldest = normal.reqs[0].arrival
-                        if secure.reqs and secure.reqs[0].arrival < oldest:
-                            oldest = secure.reqs[0].arrival
-                    else:
-                        oldest = secure.reqs[0].arrival
-                    if now - oldest >= self._write_timeout:
-                        draining = self._draining = True
-                if (draining and wq_len) or not rq_len:
-                    normal, secure = self._writes
-                    self._wq_len = wq_len - 1
+                # Refresh first: if the refresh deadline has passed, stall
+                # the rank for tRFC with every bank precharged.  The
+                # deadline is read directly (one compare on the not-due
+                # path, which is every slot but one in ~7.8 us).  One
+                # window per slot: the window starts at its deadline,
+                # back-dated if the channel sat idle past it, and the slot
+                # behind it takes the next window if that one is due too.
+                start = rank.refresh
+                if now >= start:
+                    end = start + self._tRFC
+                    rank.refresh = start + self._tREFI
+                    rank.refreshes += 1
+                    if log is not None:
+                        log.append((start, "REF", -1, None, end))
+                    if traced:
+                        tracer.complete("dram", "refresh", self.name, start,
+                                        self._tRFC)
+                    for bank in banks:
+                        bank.force_precharge(end)
+                    bus_free = self._bus_free
+                    if end > bus_free:
+                        self._bus_free = bus_free = end
+                    after = bus_free if bus_free > now else now
+                    # Each lane takes its next service's seq.
+                    seq = base = engine._seq
+                    stride = more = 1
+                    if group is not None:
+                        group.follow_refresh(start)
                 else:
-                    normal, secure = self._reads
-                    self._rq_len = rq_len - 1
-
-                # Class choice: a contended slot asks the share policy,
-                # the older head's class first; then one FR-FCFS pick
-                # within the class.
-                queue = normal
-                reqs = normal.reqs
-                if not reqs:
-                    queue = secure
-                    reqs = secure.reqs
-                elif secure.reqs:
-                    if secure.reqs[0]._enq_seq < reqs[0]._enq_seq:
-                        chosen = self.share_policy.pick_between(_SECURE,
-                                                                _NORMAL)
+                    # Queue choice: write-drain hysteresis, plus a
+                    # starvation bound (a write older than write_timeout
+                    # forces a drain even below the high watermark), else
+                    # reads, else writes.  The oldest write is the older
+                    # class head: ``arrival`` never decreases with
+                    # ``_enq_seq``.
+                    draining = self._draining
+                    if draining and wq_len <= self._drain_lo:
+                        draining = self._draining = False
+                    if not draining and wq_len >= self._drain_hi:
+                        draining = self._draining = True
+                    if not draining and wq_len:
+                        normal, secure = self._writes
+                        if normal.reqs:
+                            oldest = normal.reqs[0].arrival
+                            if secure.reqs and secure.reqs[0].arrival < oldest:
+                                oldest = secure.reqs[0].arrival
+                        else:
+                            oldest = secure.reqs[0].arrival
+                        if now - oldest >= self._write_timeout:
+                            draining = self._draining = True
+                    if (draining and wq_len) or not rq_len:
+                        normal, secure = self._writes
+                        self._wq_len = wq_len - 1
                     else:
-                        chosen = self.share_policy.pick_between(_NORMAL,
-                                                                _SECURE)
-                    if chosen is _SECURE:
+                        normal, secure = self._reads
+                        self._rq_len = rq_len - 1
+
+                    # Class choice: a contended slot asks the share policy,
+                    # the older head's class first; then one FR-FCFS pick
+                    # within the class.
+                    queue = normal
+                    reqs = normal.reqs
+                    if not reqs:
                         queue = secure
                         reqs = secure.reqs
-                    if traced:
-                        tracer.instant(
-                            "dram", "class_pick", self.name, now,
-                            {"cls": chosen.value, "contenders": 2},
-                        )
-                qlen = len(reqs)
-                if qlen == 1:
-                    req = reqs.pop()
-                elif banks[(req := reqs[0]).bank].open_row == req.row:
-                    # Head row hit: the scan's first probe, and the list's
-                    # minimum _enq_seq; index 0 never reorders.
-                    del reqs[0]
-                else:
-                    # Indexed first-ready probe: the minimum-_enq_seq
-                    # open-row bucket head is the list's first row hit.
-                    # The windowed scan reaches it exactly when it sits
-                    # among the oldest `window` requests, i.e. its
-                    # _enq_seq is at most reqs[window - 1]'s; otherwise
-                    # (or with no hit) the scan takes the oldest, the
-                    # list head.
-                    req = None
-                    best_seq = _NO_PICK
-                    for bank, index in queue.probe:
-                        # (Rows are ints, so a closed bank's None finds
-                        # nothing.)
-                        if index:
-                            bucket = index.get(bank.open_row)
-                            if bucket:
-                                head = bucket[0]
-                                if head._enq_seq < best_seq:
-                                    best_seq = head._enq_seq
-                                    req = head
-                    window = self._window
-                    if req is None or (
-                        qlen > window and best_seq > reqs[window - 1]._enq_seq
-                    ):
-                        req = reqs[0]
+                    elif secure.reqs:
+                        if secure.reqs[0]._enq_seq < reqs[0]._enq_seq:
+                            chosen = self.share_policy.pick_between(_SECURE,
+                                                                    _NORMAL)
+                        else:
+                            chosen = self.share_policy.pick_between(_NORMAL,
+                                                                    _SECURE)
+                        if chosen is _SECURE:
+                            queue = secure
+                            reqs = secure.reqs
+                        if traced:
+                            tracer.instant(
+                                "dram", "class_pick", self.name, now,
+                                {"cls": chosen.value, "contenders": 2},
+                            )
+                    qlen = len(reqs)
+                    if qlen == 1:
+                        req = reqs.pop()
+                    elif banks[(req := reqs[0]).bank].open_row == req.row:
+                        # Head row hit: the scan's first probe, and the
+                        # list's minimum _enq_seq; index 0 never reorders.
                         del reqs[0]
-                    elif traced:
-                        # The head is no hit, so the pick is out of order.
-                        i = reqs.index(req)
-                        self._trace_reorder(i, req.bank, qlen)
-                        del reqs[i]
                     else:
-                        reqs.remove(req)
-                # The pick heads its row bucket (it is the oldest of its
-                # list or a bucket head).
-                index = queue.index[req.bank]
-                bucket = index[req.row]
-                if len(bucket) == 1:
-                    del index[req.row]
-                else:
-                    del bucket[0]
+                        # Indexed first-ready probe: the minimum-_enq_seq
+                        # open-row bucket head is the list's first row hit.
+                        # The windowed scan reaches it exactly when it sits
+                        # among the oldest `window` requests, i.e. its
+                        # _enq_seq is at most reqs[window - 1]'s; otherwise
+                        # (or with no hit) the scan takes the oldest, the
+                        # list head.
+                        req = None
+                        best_seq = _NO_PICK
+                        for bank, index in queue.probe:
+                            # (Rows are ints, so a closed bank's None finds
+                            # nothing.)
+                            if index:
+                                bucket = index.get(bank.open_row)
+                                if bucket:
+                                    head = bucket[0]
+                                    if head._enq_seq < best_seq:
+                                        best_seq = head._enq_seq
+                                        req = head
+                        window = self._window
+                        if req is None or (
+                            qlen > window
+                            and best_seq > reqs[window - 1]._enq_seq
+                        ):
+                            req = reqs[0]
+                            del reqs[0]
+                        elif traced:
+                            # The head is no hit, so the pick is out of
+                            # order.
+                            i = reqs.index(req)
+                            self._trace_reorder(i, req.bank, qlen)
+                            del reqs[i]
+                        else:
+                            reqs.remove(req)
+                    # The pick heads its row bucket (it is the oldest of its
+                    # list or a bucket head).
+                    index = queue.index[req.bank]
+                    bucket = index[req.row]
+                    if len(bucket) == 1:
+                        del index[req.row]
+                    else:
+                        del bucket[0]
 
-                bank = banks[req.bank]
-                bus_free = self._bus_free
-                floor = bus_free if bus_free > now else now
-                is_write = req.is_write
-                if is_write and self._last_op is OpType.READ:
-                    floor += self._tRTW
-                data_start, outcome = bank.commit(req, req.arrival, floor)
-                finish = data_start + tBURST
-                self._bus_free = finish
-                self._last_op = req.op
+                    bank = banks[req.bank]
+                    bus_free = self._bus_free
+                    floor = bus_free if bus_free > now else now
+                    is_write = req.is_write
+                    if is_write and self._last_op is OpType.READ:
+                        floor += self._tRTW
+                    data_start, outcome = bank.commit(req, req.arrival, floor)
+                    finish = data_start + tBURST
+                    self._bus_free = finish
+                    self._last_op = req.op
 
-                # The request's one statistic (module docstring,
-                # "Statistics"): an inline of LatencyStat.record, whose
-                # call overhead was measurable here.  Latency is positive
-                # by construction (finish > arrival), so the
-                # negative-value guard is unnecessary.
-                latency = finish - req.arrival
-                stat = queue.latency
-                stat.count += 1
-                stat.total += latency
-                bound = stat.min
-                if bound is None or latency < bound:
-                    stat.min = latency
-                bound = stat.max
-                if bound is None or latency > bound:
-                    stat.max = latency
-                if traced:
-                    tracer.complete(
-                        "dram", "write" if is_write else "read", self.name,
-                        data_start, tBURST,
-                        {
-                            "bank": req.bank,
-                            "row": req.row,
-                            "outcome": outcome,
-                            "app": req.app_id,
-                            "cls": req.traffic.value,
-                            "lat": latency,
-                        },
-                    )
-                # Inline of Engine.call_at / Engine.at: both times are >=
-                # now by construction (data_start is floored at now,
-                # finish is later still), so the past-schedule guards
-                # cannot fire.
-                on_complete = req.on_complete
-                if on_complete is not None:
-                    if faults is not None and not is_write:
-                        # Transient flip of this read's data burst: marks
-                        # the completion's owner (who MAC-verifies) before
-                        # it fires.
-                        faults.maybe_flip(on_complete)
-                    seq = engine._seq
-                    engine._seq = seq + 1
-                    if on_complete.__class__ is CompletionGroup:
-                        # Counted down at service time: only the last
-                        # member serviced carries the group's callback.
-                        left = on_complete.remaining - 1
-                        on_complete.remaining = left
-                        on_complete = on_complete.callback if not left \
-                            else ignore_completion
-                    if ledger is None or on_complete is not ignore_completion:
-                        engine._push((finish, seq, on_complete, finish))
-                    elif group is None:
-                        # A no-op completion: booked at the seq its event
-                        # would have taken and counted as a synthesized
-                        # occurrence.
-                        engine.book(finish, seq, on_complete)
-                    # (A live group's follow() books every lane's at once.)
+                    # The request's one statistic (module docstring,
+                    # "Statistics"): an inline of LatencyStat.record, whose
+                    # call overhead was measurable here.  Latency is
+                    # positive by construction (finish > arrival), so the
+                    # negative-value guard is unnecessary.
+                    latency = finish - req.arrival
+                    stat = queue.latency
+                    stat.count += 1
+                    stat.total += latency
+                    bound = stat.min
+                    if bound is None or latency < bound:
+                        stat.min = latency
+                    bound = stat.max
+                    if bound is None or latency > bound:
+                        stat.max = latency
+                    if traced:
+                        tracer.complete(
+                            "dram", "write" if is_write else "read",
+                            self.name, data_start, tBURST,
+                            {
+                                "bank": req.bank,
+                                "row": req.row,
+                                "outcome": outcome,
+                                "app": req.app_id,
+                                "cls": req.traffic.value,
+                                "lat": latency,
+                            },
+                        )
+                    if per_lane:
+                        group._log_and_trace(req, bank, data_start, outcome,
+                                             latency)
 
-                if self._space_waiters:
-                    self._wake_space_waiters()
-                # Decide the next request when the bus frees so bursts
-                # can chain back-to-back.
-                after = data_start
-                if self._rq_len or self._wq_len:
-                    seq = engine._seq
-                    engine._seq = seq + 1
-                else:
-                    self._service_scheduled = False
+                    # Each lane takes its completion's seq, if it has one,
+                    # then its next service's, if the queue is not empty:
+                    # ``stride`` seqs per lane from ``base``, in lane order,
+                    # taken in one step below.  Completions are pushed
+                    # inline (``finish`` is after ``now``, so
+                    # Engine.call_at's past-schedule guard cannot fire).
+                    more = self._rq_len or self._wq_len
+                    seq = base = engine._seq
+                    on_complete = req.on_complete
+                    if on_complete is None:
+                        stride = 1 if more else 0
+                    else:
+                        stride = 2 if more else 1
+                        if faults is not None and not is_write:
+                            # Transient flip of this read's data burst:
+                            # marks the completion's owner (who
+                            # MAC-verifies) before it fires.
+                            faults.maybe_flip(on_complete)
+                        if on_complete.__class__ is CompletionGroup:
+                            # Counted down at service time: only the last
+                            # member serviced carries the group's callback.
+                            left = on_complete.remaining - 1
+                            on_complete.remaining = left
+                            on_complete = on_complete.callback if not left \
+                                else ignore_completion
+                        if on_complete is not ignore_completion \
+                                or ledger is None:
+                            engine._push((finish, seq, on_complete, finish))
+                            if group is not None:
+                                for owed in range(seq + stride,
+                                                  base + lanes * stride,
+                                                  stride):
+                                    engine._push((finish, owed, on_complete,
+                                                  finish))
+                        elif len(ledger) < engine._ledger_cap:
+                            # Every lane's no-op completion: one booking at
+                            # the seqs their events would have taken, as
+                            # Engine.book would append it.
+                            ledger.append((finish, seq, on_complete, lanes,
+                                           stride))
+                            synthesized += lanes
+                        else:
+                            # A booking that would overfill the ledger
+                            # goes through Engine.book, which prunes.
+                            engine.book(finish, seq, on_complete, lanes,
+                                        stride)
+                        seq += 1
+                    if self._space_waiters:
+                        # A plain channel's (a live group has none): the
+                        # waiters take their seqs after the completion's
+                        # and may queue here, so the next service's seq
+                        # follows theirs.
+                        engine._seq = seq
+                        engine._synthesized += synthesized
+                        synthesized = 0
+                        self._wake_space_waiters()
+                        seq = base = engine._seq
+                        more = self._rq_len or self._wq_len
+                        stride = 1 if more else 0
+                    # Decide the next request when the bus frees so bursts
+                    # can chain back-to-back.
+                    after = data_start
+                engine._seq = base + lanes * stride
                 if group is not None:
-                    group.follow(req, bank, data_start, outcome, latency,
-                                 on_complete)
-                if not self._service_scheduled:
+                    # The followers' dispatches of this slot, and their
+                    # next services (if any), right behind the leader's
+                    # ``(after, seq)``: pushed only by a wake.
+                    synthesized += followers
+                    group._pending_time = after
+                    group._pending_first = seq + stride
+                    group._pending_stride = stride
+                if not more:
+                    self._service_scheduled = False
                     return
-            # The next slot: served in this dispatch when its service
-            # would be the engine's next pop, else pushed.
-            if ledger is None or engine._stopped or (
-                heap and heap[0][0] <= after and not (
-                    cancelled and heap[0][1] in cancelled
-                    and engine._discard_cancelled(after)
-                )
-            ):
-                engine._push((after, seq, self._service, _NO_ARG))
-                return
-            engine.now = now = after
-            engine._slot = (after, seq)
-            engine._synthesized += 1
+                # The next slot: served in this dispatch when its service
+                # would be the engine's next pop, else pushed.
+                if ledger is None or engine._stopped or (
+                    heap and heap[0][0] <= after and not (
+                        cancelled and heap[0][1] in cancelled
+                        and engine._discard_cancelled(after)
+                    )
+                ):
+                    engine._push((after, seq, self._service, _NO_ARG))
+                    return
+                engine.now = now = after
+                engine._slot = (after, seq)
+                synthesized += 1
+        finally:
+            if synthesized:
+                engine._synthesized += synthesized
 
     def _trace_reorder(self, index: int, bank: int, depth: int) -> None:
         """Emit a ``frfcfs_reorder`` event (an out-of-order pick)."""
@@ -727,12 +788,16 @@ class LaneGroup:
     ``free_slots``, ``can_accept``, ``queued``, ``stats`` and
     ``row_hit_rate()`` read the leader's queue lengths, statistics and
     banks, so they answer as their own would: fresh lanes start equal
-    and stay equal while the group is live.  The leader's services take the
-    followers' seqs, book or push their completions, and write their
-    ``rank.refreshes``, trace events and command logs
-    (:meth:`follow`).  A follower holds no requests and schedules no
-    service while the group is live; :meth:`wake` gives it its own state
-    and its own copies of the statistics, under its own names.
+    and stay equal while the group is live.  Each of the leader's slots
+    is every lane's (:meth:`Channel._service`): it takes the followers'
+    seqs with its own, books or pushes their completions with its own,
+    counts their dispatches and records their pending services.  Per
+    lane it writes only their command logs and trace events
+    (:meth:`_log_and_trace`) and, for a refresh, their
+    ``rank.refreshes`` (:meth:`follow_refresh`).  A follower holds no
+    requests and schedules no service while the group is live;
+    :meth:`wake` gives it its own state and its own copies of the
+    statistics, under its own names.
     """
 
     def __init__(self, lanes: List[Channel]) -> None:
@@ -751,11 +816,13 @@ class LaneGroup:
         self.lanes = list(lanes)
         self.leader = leader
         self.followers = self.lanes[1:]
-        #: Seqs of the followers' pending services, taken right behind
-        #: the leader's and valid while it is scheduled; pushed (at
-        #: ``_pending_time``) only if the group wakes.
-        self._pending: range = range(0)
+        #: The followers' pending services, valid while the leader's is
+        #: scheduled: at ``_pending_time``, follower ``i`` (from 1) at seq
+        #: ``_pending_first + (i - 1) * _pending_stride``, taken right
+        #: behind the leader's; pushed only if the group wakes.
         self._pending_time = 0
+        self._pending_first = 0
+        self._pending_stride = 1
         for lane in self.lanes:
             lane._group = self
         self._route_logs()
@@ -768,7 +835,8 @@ class LaneGroup:
 
     def _route_logs(self) -> None:
         """Point the leader's banks, which commit for every lane, at the
-        first capturing lane's log (:meth:`follow` copies to the rest)."""
+        first capturing lane's log (:meth:`_log_and_trace` copies to the
+        rest)."""
         log = next((lane.command_log for lane in self.lanes
                     if lane.command_log is not None), None)
         for bank in self.leader.banks:
@@ -802,59 +870,18 @@ class LaneGroup:
             engine = leader.engine
             seq = engine._seq
             engine._seq = seq + len(self.followers)
-            self._pending = range(seq, engine._seq)
             self._pending_time = max(leader._bus_free, engine.now)
+            self._pending_first = seq
+            self._pending_stride = 1
 
     # ------------------------------------------------------------------
-    # The followers' side of one group service
+    # The followers' per-lane writes of a slot
     # ------------------------------------------------------------------
-    def follow(self, req: MemRequest, bank: Bank, data_start: int,
-               outcome: str, latency: int, on_complete) -> None:
-        """The followers' side of the slot the leader just served.
-
-        Their class queues and statistics are the leader's, already
-        updated.  In
-        lane order, each follower takes its completion's seq (if
-        ``on_complete`` is not ``None``), then its next service's (if the
-        leader chained one), as the leader just did: so the slot's seqs,
-        the leader's first, form one arithmetic progression, and the
-        followers' are taken in one step.  A no-op completion is one
-        booking (:meth:`Engine.book`) for every lane, the leader's
-        included; any other is pushed once per follower.  Command logs
-        and (traced) the leader's ``frfcfs_reorder``, if any, then the
-        burst are written per lane.  ``bank`` is the leader's committed
-        bank; the entries it just logged are every lane's.
-        """
-        leader = self.leader
-        engine = leader.engine
-        followers = self.followers
-        n = len(followers)
-        # The followers' dispatches of this slot.
-        engine._synthesized += n
-        if bank.log is not None or leader._tracer.enabled:
-            self._log_and_trace(req, bank, data_start, outcome, latency)
-        stride = (on_complete is not None) + leader._service_scheduled
-        seq = engine._seq
-        end = seq + n * stride
-        engine._seq = end
-        if on_complete is not None:
-            finish = data_start + leader._tBURST
-            if on_complete is ignore_completion:
-                # The leader's completion seq is one stride back.
-                engine.book(finish, seq - stride, on_complete, n + 1, stride)
-            else:
-                push = engine._push
-                for owed in range(seq, end, stride):
-                    push((finish, owed, on_complete, finish))
-            seq += 1
-        if leader._service_scheduled:
-            self._pending = range(seq, end, stride)
-            self._pending_time = data_start
-
     def _log_and_trace(self, req: MemRequest, bank: Bank, data_start: int,
                        outcome: str, latency: int) -> None:
         """The followers' command-log entries (those the leader's ``bank``
-        just logged, shared) and trace events of a slot."""
+        just logged, shared) and trace events of a slot; the slot calls
+        this only when a lane captures or the ``dram`` category is on."""
         leader = self.leader
         tracer = leader._tracer
         traced = tracer.enabled
@@ -888,30 +915,20 @@ class LaneGroup:
                     },
                 )
 
-    def follow_refresh(self, start: int, resume: int) -> None:
-        """The followers' side of a refresh service: the window from
-        ``start``, then the next service at ``resume``.  Each follower's
-        ``rank.refreshes`` (its ``refreshes`` statistic), command log and
-        trace event are written per lane."""
+    def follow_refresh(self, start: int) -> None:
+        """The followers' side of a refresh slot, the window from
+        ``start``: each follower's ``rank.refreshes`` (its ``refreshes``
+        statistic), command log and trace event, written per lane."""
         leader = self.leader
-        engine = leader.engine
-        followers = self.followers
-        n = len(followers)
-        # Each follower's dispatch.
-        engine._synthesized += n
         tRFC = leader._tRFC
         tracer = leader._tracer
-        for lane in followers:
+        for lane in self.followers:
             lane.rank.refreshes += 1
             log = lane.command_log
             if log is not None:
                 log.append((start, "REF", -1, None, start + tRFC))
             if tracer.enabled:
                 tracer.complete("dram", "refresh", lane.name, start, tRFC)
-        seq = engine._seq
-        engine._seq = seq + n
-        self._pending = range(seq, seq + n)
-        self._pending_time = resume
 
     # ------------------------------------------------------------------
     # Wake
@@ -935,12 +952,13 @@ class LaneGroup:
         for bank in leader.banks:
             bank.log = leader.command_log
         scheduled = leader._service_scheduled
+        seq = self._pending_first
         for subchannel, lane in enumerate(self.followers, 1):
             _clone_lane(leader, lane, subchannel)
             lane._service_scheduled = scheduled
             if scheduled:
-                engine._push((self._pending_time, self._pending[subchannel - 1],
-                              lane._service, _NO_ARG))
+                engine._push((self._pending_time, seq, lane._service, _NO_ARG))
+                seq += self._pending_stride
 
 
 def _clone_lane(leader: Channel, lane: Channel, subchannel: int) -> None:

@@ -15,7 +15,6 @@ pattern).
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List, Optional
 
 from repro.oram.config import OramConfig
@@ -72,7 +71,6 @@ class PathOram:
         self.stash = Stash(stash_capacity)
         self.codec = codec
         self.trace_hook = trace_hook
-        self._rng = random.Random(seed ^ 0xB10C)
 
         # Bucket store, heap-indexed 1..num_buckets.  Entry: encoded bytes
         # when a codec is set, else a plain list of Blocks.

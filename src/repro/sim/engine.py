@@ -352,6 +352,8 @@ class Engine:
         all of them when :meth:`run` settles the ledger.  Bookings timed
         before ``now`` are pruned once the ledger outgrows its cap, which
         doubles past the live bookings so pruning stays amortized O(1).
+        A DRAM slot appends its booking itself while the ledger is below
+        its cap, exactly as this would (``Channel._service``).
         """
         ledger = self._ledger
         ledger.append((time, seq, callback, count, stride))

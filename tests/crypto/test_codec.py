@@ -109,7 +109,8 @@ def keystreams(monkeypatch):
 
 class TestKeystreamReuse:
     """A decode opens the last image a codec sealed at a bucket with the
-    pad that sealed it; every other image gets its pad regenerated."""
+    pad that sealed it, rejects an older image of that bucket as a replay
+    without making a pad, and regenerates the pad of any other image."""
 
     def make(self):
         return EncryptedBucketCodec(b"T" * 16)
@@ -128,14 +129,19 @@ class TestKeystreamReuse:
         assert other.decode_bucket(5, raw, Z, BLOCK) == blocks(2)
         assert len(keystreams) == 2
 
-    def test_older_image_regenerates_its_own_pad(self, keystreams):
+    def test_older_image_is_rejected_without_keystream(self, keystreams):
+        # Untrusted memory puts an older image of bucket 5 back: its MAC
+        # verifies (it binds the counter and the bucket index), but its
+        # counter is below the kept one, so it is rejected before any
+        # pad is made, and the latest image still opens with the kept pad.
         codec = self.make()
         old = codec.encode_bucket(5, blocks(1), Z, BLOCK)
         new = codec.encode_bucket(5, blocks(3), Z, BLOCK)
-        assert codec.decode_bucket(5, old, Z, BLOCK) == blocks(1)
-        assert len(keystreams) == 3
+        with pytest.raises(CodecError, match="bucket 5: replayed image"):
+            codec.decode_bucket(5, old, Z, BLOCK)
+        assert len(keystreams) == 2
         assert codec.decode_bucket(5, new, Z, BLOCK) == blocks(3)
-        assert len(keystreams) == 3
+        assert len(keystreams) == 2
 
     def test_same_counter_other_geometry_regenerates(self, keystreams):
         # Two codecs with one key seal bucket 5 at counter 0, at

@@ -341,15 +341,23 @@ def _stat_objects(lane):
 def test_follower_cost_does_not_grow_with_lanes(lanes, monkeypatch):
     """While the group is live a follower has no statistic object of its
     own to write (they are the leader's) and no bus time of its own, and
-    each slot's no-op completions are one ledger booking of all lanes."""
+    each slot's no-op completions are one ledger booking of all lanes.
+    The slot appends its booking to the ledger itself, so the ledger's
+    entries are observed where the run settles them.  The ledger never
+    fills here (no booking goes through ``Engine.book``, which would
+    prune it), so it holds every booking the run made."""
     counts = []
-    book = Engine.book
+    settle = Engine._settle_ledger
 
-    def recording_book(self, time, seq, callback, count=1, stride=1):
-        counts.append(count)
-        book(self, time, seq, callback, count, stride)
+    def recording_settle(self, ledger, exit_event):
+        counts.extend(booking[3] for booking in ledger)
+        settle(self, ledger, exit_event)
 
-    monkeypatch.setattr(Engine, "book", recording_book)
+    def no_book(self, *args):
+        raise AssertionError("the ledger filled: pruned bookings go unseen")
+
+    monkeypatch.setattr(Engine, "_settle_ledger", recording_settle)
+    monkeypatch.setattr(Engine, "book", no_book)
     lazy, eager = _pair(lanes=lanes, log=False)
     leader = lazy.lanes[0]
 
@@ -583,6 +591,24 @@ def test_stop_wakes_so_pending_and_resume_match(wakes, log=True):
 
 def test_stop_without_logs_wakes_so_pending_and_resume_match(wakes):
     test_stop_wakes_so_pending_and_resume_match(wakes, log=False)
+
+
+@pytest.mark.parametrize("log", [True, False], ids=["logs", "no_logs"])
+@pytest.mark.parametrize("lanes", [2, 4])
+def test_stop_leaves_the_per_lane_seq_layout(lanes, log):
+    """The seqs a live group's slots take for every lane -- completions
+    pushed or booked, the followers' pending services -- are the ones
+    the per-lane services take: stopped mid phase, the queue holds the
+    same ``(time, seq)`` entries as eager's, and the next seq is equal."""
+    lazy, eager = _pair(lanes=lanes, log=log)
+    for rig in (lazy, eager):
+        rig.at(MID_PHASE_NS, rig.engine.stop)
+        rig.engine.run()
+    layouts = [sorted(entry[:2] for entry in rig.engine._queue)
+               for rig in (lazy, eager)]
+    assert layouts[0] == layouts[1]
+    assert len(layouts[0]) > lanes
+    assert lazy.engine._seq == eager.engine._seq
 
 
 def test_exception_wakes_so_pending_and_resume_match(log=True):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.codec import EncryptedBucketCodec
+from repro.crypto.codec import CodecError, EncryptedBucketCodec
 from repro.oram.config import OramConfig
 from repro.oram.path_oram import PathOram
 from repro.oram.stash import StashOverflow
@@ -121,6 +121,18 @@ class TestWithCrypto:
         for bucket in oram.geometry.iter_buckets():
             image = oram._buckets[bucket]
             assert payload not in image
+
+    def test_replayed_bucket_image_is_rejected(self):
+        oram = make_oram(codec=EncryptedBucketCodec(b"K" * 16))
+        oram.write(5, b"\x77" * 64)
+        earlier = list(oram._buckets)
+        oram.write(5, b"\x88" * 64)
+        # Untrusted memory puts the root's earlier image back.  Every
+        # access reads and reseals the root, so the next one reaches it.
+        assert oram._buckets[1] != earlier[1]
+        oram._buckets[1] = earlier[1]
+        with pytest.raises(CodecError, match="bucket 1: replayed image"):
+            oram.read(5)
 
     def test_plain_codec_round_trip(self):
         oram = make_oram(codec=PlainCodec())
