@@ -1,29 +1,27 @@
-"""Resumable experiment sweeps with an on-disk result store.
+"""Resumable sweeps with an on-disk result store.
 
-Every paper exhibit is a set of *independent* simulations -- one
-``run_scheme`` call per ``(scheme, benchmark, trace-segment, config
-override)`` point -- so a full figure sweep parallelizes trivially.
-This module provides the three pieces the figure drivers build on:
+Every paper exhibit, SLO sweep and chaos campaign is a set of
+*independent* simulations, so a sweep parallelizes trivially.  This
+module provides the three pieces every sweep builds on:
 
-* :class:`RunPoint` -- a picklable, hashable declaration of one
-  simulation.  Its :meth:`RunPoint.key` is a sha256 over the *resolved*
-  :class:`~repro.core.config.SystemConfig` (canonical JSON), the trace
-  length, and :data:`STORE_SCHEMA_VERSION` -- content addressing, so
-  scheme aliases (``baseline`` / ``1s7ns``) or reordered overrides that
-  resolve to the same machine share one store entry, and any change to
-  the config schema or result format retires old entries wholesale.
+* :class:`SweepPoint` -- the point protocol of :class:`RunPoint` (one
+  ``run_scheme`` call per ``(scheme, benchmark, trace-segment, config
+  override)``), ``ScenarioPoint`` and ``FaultPoint``: one payload
+  builder, :meth:`SweepPoint.execute`, and one key, :func:`content_key`
+  of what a payload depends on -- for a run point the *resolved*
+  ``SystemConfig``, so scheme aliases (``baseline`` / ``1s7ns``) or
+  reordered overrides that build the same machine share one entry.
 
 * :class:`ResultStore` -- a directory of one canonical-JSON file per
-  run, written atomically (tmp + ``os.replace``), so an interrupted
-  sweep leaves only complete entries and the next invocation resumes
-  where it died instead of re-simulating.
+  point, written by :func:`write_json_atomic`, so an interrupted sweep
+  leaves only complete entries and the next invocation resumes where it
+  died instead of re-simulating.
 
 * :func:`run_sweep` -- the one sweep entry point.  ``workers=1`` runs
   the store misses serially in-process (the reference execution);
   ``workers > 1`` or ``queue=DIR`` drains them through a
   :class:`~repro.analysis.workqueue.WorkQueue`.  Every path returns the
-  *serialized* payload (:meth:`SimResult.to_json_dict` + optionally the
-  PR-1 trace digest); the simulator is deterministic given a config,
+  *serialized* payload; the simulator is deterministic given a config,
   and payloads are exact-integer state, so a parallel sweep is
   bit-identical to a serial one -- enforced by
   ``tests/analysis/test_sweep.py``.
@@ -59,19 +57,71 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def content_key(body: Dict[str, object], with_digest: bool) -> str:
+    """A point's content address: sha256 over ``body`` (everything its
+    payload depends on), :data:`STORE_SCHEMA_VERSION` and the digest
+    flag.  Every point kind's ``key`` is this function."""
+    doc = dict(body, schema=STORE_SCHEMA_VERSION,
+               with_digest=bool(with_digest))
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def pairs_from_json(pairs) -> Tuple[Tuple[str, object], ...]:
+    """Manifest ``[[field, value], ...]`` back to override pairs (a JSON
+    list value back to the tuple it was)."""
+    return tuple((k, tuple(v) if isinstance(v, list) else v)
+                 for k, v in pairs)
+
+
 # ---------------------------------------------------------------------------
-# Run points
+# Sweep points
 # ---------------------------------------------------------------------------
+
+
+class SweepPoint:
+    """The point protocol: one independent simulation in a sweep.
+
+    A point kind is a frozen dataclass subclass that sets :attr:`kind`
+    and supplies ``label``, ``key(with_digest)`` (through
+    :func:`content_key`), ``run(tracer)`` (its payload fields,
+    ``"result"`` among them) and ``to_manifest()`` /
+    ``from_manifest(doc)``, whose doc carries ``kind``.
+    """
+
+    #: The manifest tag naming this point kind.
+    kind = ""
+
+    def execute(self, with_digest: bool = False) -> Dict[str, object]:
+        """The store payload: the schema, the manifest doc as
+        ``"point"``, the fields :meth:`run` returns and, ``with_digest``,
+        the sha256 digest of the run's trace."""
+        tracer = None
+        if with_digest:
+            from repro.obs.tracer import Tracer
+
+            tracer = Tracer()
+        payload: Dict[str, object] = {
+            "schema": STORE_SCHEMA_VERSION,
+            "point": self.to_manifest(),
+        }
+        payload.update(self.run(tracer))
+        if tracer is not None:
+            from repro.obs.export import trace_digest
+
+            payload["trace_digest"] = trace_digest(tracer.events)
+        return payload
 
 
 @dataclass(frozen=True)
-class RunPoint:
-    """One independent simulation in a sweep.
+class RunPoint(SweepPoint):
+    """One ``run_scheme`` simulation (kind ``run``).
 
     ``overrides`` is a sorted tuple of ``(field, value)`` pairs applied
     to :func:`~repro.core.schemes.make_config`; values must be
     picklable and JSON-safe (the usual scalars).
     """
+
+    kind = "run"
 
     scheme: str
     benchmark: str
@@ -100,22 +150,44 @@ class RunPoint:
         )
 
     def key(self, with_digest: bool = False) -> str:
-        """Content address: sha256 of the resolved config + schema."""
-        doc = {
-            "schema": STORE_SCHEMA_VERSION,
+        """Content address over the resolved config."""
+        return content_key({
             "config": self.resolved_config().to_json_dict(),
             "trace_length": self.trace_length,
-            "with_digest": bool(with_digest),
+        }, with_digest)
+
+    def run(self, tracer) -> Dict[str, object]:
+        result = run_scheme(
+            self.scheme, self.benchmark, self.trace_length,
+            segment=self.segment, tracer=tracer, **dict(self.overrides),
+        )
+        return {"result": result.to_json_dict()}
+
+    def to_manifest(self) -> Dict[str, object]:
+        return {
+            "kind": self.kind,
+            "scheme": self.scheme,
+            "benchmark": self.benchmark,
+            "trace_length": self.trace_length,
+            "segment": self.segment,
+            "overrides": [list(kv) for kv in self.overrides],
         }
-        return hashlib.sha256(
-            canonical_json(doc).encode("utf-8")
-        ).hexdigest()
+
+    @classmethod
+    def from_manifest(cls, doc: Dict[str, object]) -> "RunPoint":
+        return cls(
+            scheme=doc["scheme"],
+            benchmark=doc["benchmark"],
+            trace_length=doc["trace_length"],
+            segment=doc.get("segment", 0),
+            overrides=pairs_from_json(doc.get("overrides", ())),
+        )
 
 
-def dedup_points(points: Iterable[RunPoint]) -> List[RunPoint]:
+def dedup_points(points: Iterable[SweepPoint]) -> List[SweepPoint]:
     """Order-preserving dedup (figures overlap heavily)."""
     seen = set()
-    out: List[RunPoint] = []
+    out: List[SweepPoint] = []
     for point in points:
         if point not in seen:
             seen.add(point)
@@ -128,13 +200,49 @@ def dedup_points(points: Iterable[RunPoint]) -> List[RunPoint]:
 # ---------------------------------------------------------------------------
 
 
+def write_json_atomic(path: str, payload: object) -> None:
+    """Durably replace ``path`` with ``payload``'s canonical JSON.
+
+    The tmp name is unique per call (``mkstemp``), not per
+    ``(pid, key)``: two threads of one process writing the same path
+    used to race on a shared tmp path, and one could rename the other's
+    half-written file into place.  The data is fsynced before the
+    rename and the directory entry after it, so a crash at any point
+    leaves either the old file or the complete new one -- never a torn
+    file.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as fp:
+            fp.write(canonical_json(payload))
+            fp.flush()
+            os.fsync(fp.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class ResultStore:
-    """Content-addressed directory of run payloads.
+    """Content-addressed directory of point payloads.
 
     Layout: ``<root>/<key[:2]>/<key>.json`` -- one canonical-JSON file
-    per run, fanned out over 256 subdirectories so large sweeps do not
-    create giant flat directories.  Writes are atomic (same-directory
-    tmp file + ``os.replace``), so readers never observe a torn file
+    per point, fanned out over 256 subdirectories so large sweeps do not
+    create giant flat directories.  Writes are atomic
+    (:func:`write_json_atomic`), so readers never observe a torn file
     and a killed sweep leaves only complete entries behind.
     """
 
@@ -158,41 +266,17 @@ class ResultStore:
         except (OSError, ValueError):
             return None
 
-    def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Durably persist one entry.
+    def lookup(self, key: str) -> Optional[Dict[str, object]]:
+        """A store hit (``run_sweep``'s and ``doram chaos report``'s):
+        the payload under ``key`` if it has this build's schema."""
+        cached = self.get(key)
+        if cached is None or cached.get("schema") != STORE_SCHEMA_VERSION:
+            return None
+        return cached
 
-        The tmp name is unique per call (``mkstemp``), not per
-        ``(pid, key)``: two threads of one process storing the same key
-        used to race on a shared tmp path, and one could rename the
-        other's half-written file into place.  The data is fsynced
-        before the rename and the directory entry after it, so a crash
-        at any point leaves either the old entry or the complete new
-        one -- never a torn file.
-        """
-        path = self.path_for(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-        try:
-            with os.fdopen(fd, "w") as fp:
-                fp.write(canonical_json(payload))
-                fp.flush()
-                os.fsync(fp.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+    def put(self, key: str, payload: Dict[str, object]) -> None:
+        """Durably persist one entry (:func:`write_json_atomic`)."""
+        write_json_atomic(self.path_for(key), payload)
 
     def delete(self, key: str) -> bool:
         try:
@@ -223,49 +307,6 @@ class ResultStore:
 
 class PointTimeout(RuntimeError):
     """A run point exceeded its wall-clock budget inside a worker."""
-
-
-def _simulate_point(point: RunPoint,
-                    with_digest: bool = False) -> Dict[str, object]:
-    tracer = None
-    if with_digest:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer()
-    result = run_scheme(
-        point.scheme, point.benchmark, point.trace_length,
-        segment=point.segment, tracer=tracer, **dict(point.overrides),
-    )
-    payload: Dict[str, object] = {
-        "schema": STORE_SCHEMA_VERSION,
-        "point": {
-            "scheme": point.scheme,
-            "benchmark": point.benchmark,
-            "trace_length": point.trace_length,
-            "segment": point.segment,
-            "overrides": [list(kv) for kv in point.overrides],
-        },
-        "result": result.to_json_dict(),
-    }
-    if tracer is not None:
-        from repro.obs.export import trace_digest
-
-        payload["trace_digest"] = trace_digest(tracer.events)
-    return payload
-
-
-def _run_point(point, with_digest: bool) -> Dict[str, object]:
-    """Dispatch one point to its simulator.
-
-    Points that carry their own ``execute`` method (the scenario layer's
-    ``ScenarioPoint``) run it; plain :class:`RunPoint` instances go
-    through the module-global :func:`_simulate_point`, which tests
-    monkeypatch -- the late global lookup is deliberate.
-    """
-    execute = getattr(point, "execute", None)
-    if execute is not None:
-        return execute(with_digest)
-    return _simulate_point(point, with_digest)
 
 
 def _run_with_deadline_main_thread(
@@ -301,7 +342,7 @@ def _run_with_deadline_main_thread(
     timer.daemon = True
     timer.start()
     try:
-        result = _run_point(point, with_digest)
+        result = point.execute(with_digest)
     except KeyboardInterrupt:
         if fired.is_set():
             raise PointTimeout(
@@ -342,7 +383,7 @@ def _run_with_deadline_worker_thread(
 
     def _call() -> None:
         try:
-            box["result"] = _run_point(point, with_digest)
+            box["result"] = point.execute(with_digest)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             box["error"] = exc
 
@@ -362,20 +403,17 @@ def _run_with_deadline_worker_thread(
 
 
 def execute_point(
-    point: RunPoint,
+    point: SweepPoint,
     with_digest: bool = False,
     timeout_s: Optional[float] = None,
 ) -> Dict[str, object]:
     """Simulate one point and return its serialized payload.
 
     The serial loop and every work-queue drain run points through this
-    one call.  ``with_digest`` additionally runs the PR-1 tracer and
-    embeds the sha256 trace digest, so equivalence tests can compare
-    event-level behaviour across worker layouts, not just aggregates.
-
-    ``point`` is usually a :class:`RunPoint`, but any object exposing
-    ``key``/``label``/``execute`` works (see :func:`_run_point`); the
-    sweep machinery -- store, retry, timeout -- is point-kind agnostic.
+    one call, which runs :meth:`SweepPoint.execute`.  ``with_digest``
+    additionally runs the tracer and embeds the sha256 trace digest, so
+    equivalence tests can compare event-level behaviour across worker
+    layouts, not just aggregates.
 
     ``timeout_s`` arms a wall-clock budget and raises
     :class:`PointTimeout` when it expires.  The budget is enforced from
@@ -386,7 +424,7 @@ def execute_point(
     deadline.
     """
     if timeout_s is None:
-        return _run_point(point, with_digest)
+        return point.execute(with_digest)
     if threading.current_thread() is threading.main_thread():
         return _run_with_deadline_main_thread(point, with_digest, timeout_s)
     return _run_with_deadline_worker_thread(point, with_digest, timeout_s)
@@ -396,7 +434,7 @@ def execute_point(
 class SweepResult:
     """Payloads plus execution accounting for one sweep invocation."""
 
-    payloads: Dict[RunPoint, Dict[str, object]]
+    payloads: Dict[SweepPoint, Dict[str, object]]
     #: Points simulated in this invocation (store misses).
     simulated: int = 0
     #: Points served from the store without running.
@@ -406,7 +444,7 @@ class SweepResult:
     store_root: Optional[str] = None
     #: Points that failed even after the bounded retry, keyed to the
     #: final failure reason (``"ExcType: message"``).
-    failed: Dict[RunPoint, str] = field(default_factory=dict)
+    failed: Dict[SweepPoint, str] = field(default_factory=dict)
     #: Second attempts performed (at most one per point).
     retried: int = 0
 
@@ -418,8 +456,9 @@ class SweepResult:
     def points_per_s(self) -> float:
         return self.total / self.wall_s if self.wall_s > 0 else 0.0
 
-    def results(self) -> Dict[RunPoint, SimResult]:
-        """Deserialize every payload back to a :class:`SimResult`."""
+    def results(self) -> Dict[SweepPoint, SimResult]:
+        """Deserialize every :class:`RunPoint` payload back to a
+        :class:`SimResult`."""
         return {
             point: SimResult.from_json_dict(payload["result"])
             for point, payload in self.payloads.items()
@@ -449,7 +488,7 @@ def _failure_reason(exc: BaseException) -> str:
 
 
 def run_sweep(
-    points: Iterable[RunPoint],
+    points: Iterable[SweepPoint],
     workers: int = 1,
     store: Optional[ResultStore] = None,
     resume: bool = True,
@@ -506,16 +545,17 @@ def run_sweep(
         )
         if store is None:
             store = work_queue.store
-    payloads: Dict[RunPoint, Dict[str, object]] = {}
-    failed: Dict[RunPoint, str] = {}
+    payloads: Dict[SweepPoint, Dict[str, object]] = {}
+    failed: Dict[SweepPoint, str] = {}
     retried = 0
     keys = {point: point.key(with_digest) for point in points}
 
-    todo: List[RunPoint] = []
+    todo: List[SweepPoint] = []
     hits = 0
     for point in points:
-        cached = store.get(keys[point]) if (store and resume) else None
-        if cached is not None and cached.get("schema") == STORE_SCHEMA_VERSION:
+        cached = (store.lookup(keys[point])
+                  if store is not None and resume else None)
+        if cached is not None:
             payloads[point] = cached
             hits += 1
         else:
@@ -523,7 +563,7 @@ def run_sweep(
     if progress and hits:
         progress(f"store: {hits}/{len(points)} points already simulated")
 
-    def _record(point: RunPoint, payload: Dict[str, object]) -> None:
+    def _record(point: SweepPoint, payload: Dict[str, object]) -> None:
         payloads[point] = payload
         if store is not None:
             store.put(keys[point], payload)
@@ -541,10 +581,10 @@ def run_sweep(
         # store file as done, so resume=False needs a store of its own.
         direct = store is not None and resume
         if direct:
-            # Drop the misses' torn files so their points re-run, as
-            # the serial loop would.
+            # Drop the misses' files (torn, or of another schema) so
+            # their points re-run, as the serial loop would.
             for point in todo:
-                if keys[point] in store and store.get(keys[point]) is None:
+                if keys[point] in store and store.lookup(keys[point]) is None:
                     store.delete(keys[point])
         private_root = None
         try:

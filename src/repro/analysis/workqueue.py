@@ -39,17 +39,19 @@ temporary directory for ``workers > 1``, or the shared queue ``DIR`` for
   on it, and the drain surfaces it exactly like
   :attr:`~repro.analysis.sweep.SweepResult.failed`.
 
-Nothing here imports the simulator directly -- points execute through
-:func:`~repro.analysis.sweep.execute_point`, so scenario points and
-test doubles work unchanged.
+Nothing here imports the simulator or knows a point kind: points
+execute through :func:`~repro.analysis.sweep.execute_point`, and a
+manifest holds each point's ``to_manifest()`` doc, read back by the
+class its ``kind`` names.  Files are written by the store's durable
+:func:`~repro.analysis.sweep.write_json_atomic`.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import socket
-import tempfile
 import threading
 import time
 import uuid
@@ -58,15 +60,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.sweep import (
     ResultStore,
-    RunPoint,
+    SweepPoint,
     _failure_reason,
     canonical_json,
     dedup_points,
     execute_point,
+    write_json_atomic,
 )
 
-#: Bump when the manifest layout changes shape.
-MANIFEST_SCHEMA_VERSION = 1
+#: Bump when the manifest layout changes shape (2: every point doc
+#: carries its ``kind``).
+MANIFEST_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 LEASE_DIR = "leases"
@@ -100,24 +104,6 @@ class WorkQueueError(RuntimeError):
     """Queue-directory misuse: missing/yet-unwritten/foreign manifest."""
 
 
-def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(canonical_json(payload))
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _read_json(path: str) -> Optional[Dict[str, object]]:
     """A JSON file's content, or ``None`` if it is missing or torn."""
     try:
@@ -127,60 +113,40 @@ def _read_json(path: str) -> Optional[Dict[str, object]]:
         return None
 
 
-#: Non-RunPoint sweep axes a manifest can round-trip, keyed by the
-#: ``kind`` tag their ``to_manifest`` emits.  Values are lazy import
-#: targets so the queue layer never pays for (or cycles with) the
-#: heavier point modules.
+def _read_manifest(root: str) -> Dict[str, object]:
+    """The manifest of the queue at ``root``; a missing or torn one is a
+    :class:`WorkQueueError`."""
+    path = os.path.join(root, MANIFEST_NAME)
+    if not os.path.exists(path):
+        raise WorkQueueError(
+            f"no sweep manifest at {path}; create the queue first "
+            f"(doram sweep --queue {root} ...)"
+        )
+    manifest = _read_json(path)
+    if manifest is None:
+        raise WorkQueueError(f"corrupt sweep manifest at {path}")
+    return manifest
+
+
+#: Point classes by manifest ``kind``, as lazy import targets: the
+#: scenario and campaign layers import the sweep layer, not the reverse.
 _POINT_KINDS: Dict[str, Tuple[str, str]] = {
     "chaos": ("repro.faults.campaign", "FaultPoint"),
+    "run": ("repro.analysis.sweep", "RunPoint"),
     "scenario": ("repro.scenarios.sweep", "ScenarioPoint"),
 }
 
 
-def _point_to_manifest(point) -> Dict[str, object]:
-    to_manifest = getattr(point, "to_manifest", None)
-    if to_manifest is not None:
-        doc = to_manifest()
-        if doc.get("kind") not in _POINT_KINDS:
-            raise WorkQueueError(
-                f"point {point!r} emits unregistered manifest kind "
-                f"{doc.get('kind')!r}"
-            )
-        return doc
-    return {
-        "scheme": point.scheme,
-        "benchmark": point.benchmark,
-        "trace_length": point.trace_length,
-        "segment": point.segment,
-        "overrides": [[k, v] for k, v in point.overrides],
-    }
-
-
-def _point_from_manifest(doc: Dict[str, object]):
-    kind = doc.get("kind")
-    if kind is not None:
-        try:
-            module_name, class_name = _POINT_KINDS[kind]
-        except KeyError:
-            raise WorkQueueError(
-                f"manifest names unknown point kind {kind!r} "
-                f"(registered: {', '.join(sorted(_POINT_KINDS))})"
-            ) from None
-        import importlib
-
-        cls = getattr(importlib.import_module(module_name), class_name)
-        return cls.from_manifest(doc)
-    overrides = tuple(
-        (k, tuple(v) if isinstance(v, list) else v)
-        for k, v in doc.get("overrides", ())
-    )
-    return RunPoint(
-        scheme=doc["scheme"],
-        benchmark=doc["benchmark"],
-        trace_length=doc["trace_length"],
-        segment=doc.get("segment", 0),
-        overrides=overrides,
-    )
+def _point_from_manifest(doc: Dict[str, object]) -> SweepPoint:
+    try:
+        module_name, class_name = _POINT_KINDS[doc.get("kind")]
+    except KeyError:
+        raise WorkQueueError(
+            f"manifest names unknown point kind {doc.get('kind')!r} "
+            f"(registered: {', '.join(sorted(_POINT_KINDS))})"
+        ) from None
+    cls = getattr(importlib.import_module(module_name), class_name)
+    return cls.from_manifest(doc)
 
 
 def default_owner() -> str:
@@ -237,7 +203,7 @@ class DrainResult:
     #: Second attempts this worker performed.
     retried: int = 0
     #: Permanent failures recorded, keyed to the final reason.
-    failed: Dict[RunPoint, str] = field(default_factory=dict)
+    failed: Dict[SweepPoint, str] = field(default_factory=dict)
     wall_s: float = 0.0
 
 
@@ -251,7 +217,7 @@ class WorkQueue:
         if not os.path.isabs(store_root):
             store_root = os.path.join(root, store_root)
         self.store = ResultStore(store_root)
-        self.points: List[RunPoint] = [
+        self.points: List[SweepPoint] = [
             _point_from_manifest(doc) for doc in manifest["points"]
         ]
         self.with_digest: bool = bool(manifest.get("with_digest", False))
@@ -262,7 +228,7 @@ class WorkQueue:
         self.lease_ttl_s: float = float(
             manifest.get("lease_ttl_s", DEFAULT_LEASE_TTL_S)
         )
-        self._keys: Dict[RunPoint, str] = {
+        self._keys: Dict[SweepPoint, str] = {
             point: point.key(self.with_digest) for point in self.points
         }
         for sub in (LEASE_DIR, FAILED_DIR, WORKER_DIR):
@@ -273,7 +239,7 @@ class WorkQueue:
     def create(
         cls,
         root: str,
-        points: Iterable[RunPoint],
+        points: Iterable[SweepPoint],
         store_root: str = "store",
         with_digest: bool = False,
         timeout_s: Optional[float] = None,
@@ -295,42 +261,27 @@ class WorkQueue:
             "timeout_s": timeout_s,
             "max_attempts": int(max_attempts),
             "lease_ttl_s": float(lease_ttl_s),
-            "points": [_point_to_manifest(p) for p in points],
+            "points": [p.to_manifest() for p in points],
         }
         path = os.path.join(root, MANIFEST_NAME)
-        if os.path.exists(path):
-            with open(path) as fp:
-                existing = json.load(fp)
-            if canonical_json(existing) != canonical_json(manifest):
-                raise WorkQueueError(
-                    f"{root} already declares a different sweep; use a "
-                    f"fresh queue directory or delete the old manifest"
-                )
-        else:
-            _atomic_write_json(path, manifest)
+        if not os.path.exists(path):
+            write_json_atomic(path, manifest)
+        elif canonical_json(_read_manifest(root)) != canonical_json(manifest):
+            raise WorkQueueError(
+                f"{root} already declares a different sweep; use a "
+                f"fresh queue directory or delete the old manifest"
+            )
         return cls(root, manifest)
 
     @classmethod
     def join(cls, root: str) -> "WorkQueue":
         """Open an existing queue directory (worker side)."""
-        path = os.path.join(root, MANIFEST_NAME)
-        try:
-            with open(path) as fp:
-                manifest = json.load(fp)
-        except OSError:
-            raise WorkQueueError(
-                f"no sweep manifest at {path}; create the queue first "
-                f"(doram sweep --queue {root} ...)"
-            ) from None
-        except ValueError:
-            raise WorkQueueError(
-                f"corrupt sweep manifest at {path}"
-            ) from None
+        manifest = _read_manifest(root)
         if manifest.get("schema") != MANIFEST_SCHEMA_VERSION:
             raise WorkQueueError(
-                f"manifest schema {manifest.get('schema')!r} at {path} "
-                f"does not match this build "
-                f"({MANIFEST_SCHEMA_VERSION})"
+                f"manifest schema {manifest.get('schema')!r} at "
+                f"{os.path.join(root, MANIFEST_NAME)} does not match this "
+                f"build ({MANIFEST_SCHEMA_VERSION})"
             )
         return cls(root, manifest)
 
@@ -415,7 +366,7 @@ class WorkQueue:
         own marker.
         """
         name = f"{key}.attempt-{owner}-{uuid.uuid4().hex[:8]}"
-        _atomic_write_json(
+        write_json_atomic(
             os.path.join(self.root, FAILED_DIR, name),
             {"owner": owner, "reason": reason, "time": time.time()},
         )
@@ -430,7 +381,7 @@ class WorkQueue:
         return sum(1 for name in names if name.startswith(prefix))
 
     def mark_failed(self, key: str, owner: str, reason: str) -> None:
-        _atomic_write_json(self._failed_marker(key), {
+        write_json_atomic(self._failed_marker(key), {
             "owner": owner,
             "reason": reason,
             "attempts": self.attempt_count(key),
@@ -447,7 +398,7 @@ class WorkQueue:
     def write_worker_status(self, owner: str, result: DrainResult,
                             started: float) -> None:
         elapsed = max(time.time() - started, 1e-9)
-        _atomic_write_json(self._worker_status_path(owner), {
+        write_json_atomic(self._worker_status_path(owner), {
             "owner": owner,
             "pid": os.getpid(),
             "host": socket.gethostname(),
@@ -577,7 +528,7 @@ class WorkQueue:
 
     def _run_leased_point(
         self,
-        point: RunPoint,
+        point: SweepPoint,
         key: str,
         owner: str,
         result: DrainResult,
@@ -630,14 +581,14 @@ class WorkQueue:
     # -- collection --------------------------------------------------------
     def collect(
         self,
-    ) -> Tuple[Dict[RunPoint, Dict[str, object]], Dict[RunPoint, str]]:
+    ) -> Tuple[Dict[SweepPoint, Dict[str, object]], Dict[SweepPoint, str]]:
         """Payloads and permanent failures of the manifest's points,
         read back from the store and failure markers.
 
         Points still pending or leased appear in neither mapping.
         """
-        payloads: Dict[RunPoint, Dict[str, object]] = {}
-        failed: Dict[RunPoint, str] = {}
+        payloads: Dict[SweepPoint, Dict[str, object]] = {}
+        failed: Dict[SweepPoint, str] = {}
         for point in self.points:
             key = self._keys[point]
             payload = self.store.get(key)
@@ -667,7 +618,8 @@ def drain_local(
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     poll_interval_s: float = POLL_INTERVAL_S,
-) -> Tuple[Dict[RunPoint, Dict[str, object]], Dict[RunPoint, str], int]:
+) -> Tuple[Dict[SweepPoint, Dict[str, object]], Dict[SweepPoint, str],
+           int]:
     """Drain ``queue`` with ``workers`` local workers, then collect it.
 
     This process drains in-process beside ``workers - 1`` forked child

@@ -696,7 +696,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         payloads = {}
         missing = []
         for point in points:
-            cached = store.get(point.key(args.digest))
+            cached = store.lookup(point.key(args.digest))
             if cached is None:
                 missing.append(point.label)
             else:

@@ -1,24 +1,24 @@
 """Seeded, resumable chaos campaigns: CampaignSpec -> FaultPlan stream.
 
-A campaign turns the PR 5 fault DSL into a *measured resilience
-surface* (ROADMAP item 4): a :class:`CampaignSpec` names parameterized
-fault-intensity distributions per site class (link corrupt/drop/delay,
-DRAM bit-flips, delegator stall/crash), and deterministically
-materializes one :class:`~repro.faults.plan.FaultPlan` per campaign
-index.  Each plan's seed is ``derive_seed(spec.seed, index)`` -- the
-same splitmix-style mixing discipline as ``repro.scenarios.arrivals``
-uses per tenant -- so campaign points never perturb each other: adding
+A campaign turns the fault-plan DSL into a *measured resilience
+surface*: a :class:`CampaignSpec` holds fault-plan rule docs per site
+class (link corrupt/drop/delay, DRAM bit-flips, delegator stall/crash)
+whose fields in :data:`VARYING` may hold an :class:`Intensity`, and
+deterministically materializes one :class:`~repro.faults.plan.FaultPlan`
+per campaign index through :meth:`FaultPlan.from_json_dict`.  Each
+plan's seed is ``derive_seed(spec.seed, index)`` -- the same
+splitmix-style mixing discipline as ``repro.scenarios.arrivals`` uses
+per tenant -- so campaign points never perturb each other: adding
 point 7 cannot move point 3's fault schedule, and a resumed or
 distributed drain sees byte-identical plans.
 
 :class:`FaultPoint` is the sweep axis: one (campaign index, scheme,
-workload) cell, duck-typed to the ``repro.analysis.sweep`` point
-protocol (``key``/``label``/``execute``), so campaign grids drain
-through ``run_sweep`` and the lease-arbitrated work queue unchanged.
-``execute`` runs the PR 5 invariant harness as the oracle, then the
-multi-tenant scenario under the armed plan, and scores it with
-:mod:`repro.analysis.availability`; the stored payload embeds all
-three verdicts.
+workload) cell, the ``chaos`` kind of the sweep point protocol, so
+campaign grids drain through ``run_sweep`` and the lease-arbitrated
+work queue unchanged.  Its ``run`` executes the invariant harness as
+the oracle, then the multi-tenant scenario under the armed plan, and
+scores it with :mod:`repro.analysis.availability`; the stored payload
+embeds all three verdicts.
 
 Intensity distributions (:class:`Intensity`):
 
@@ -33,26 +33,43 @@ Intensity distributions (:class:`Intensity`):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.sweep import STORE_SCHEMA_VERSION, canonical_json
+from repro.analysis.sweep import SweepPoint, content_key
+from repro.core.schemes import make_config
 from repro.faults.plan import (
-    DelegatorFault,
-    DramFault,
     FaultPlan,
     FaultPlanError,
-    LinkFault,
     RecoveryParams,
     site_rng,
 )
 from repro.scenarios.arrivals import derive_seed
+from repro.trace.benchmarks import benchmark_by_code
 
 #: Intensity distribution modes.
 INTENSITY_MODES = ("fixed", "ramp", "uniform")
+
+#: The only rule fields that take an :class:`Intensity`, with the site
+#: of their ``uniform`` draws (``{i}``: the rule's place in its section).
+VARYING: Dict[str, Dict[str, str]] = {
+    "link": {"rate": "link{i}"},
+    "dram": {"rate": "dram{i}"},
+    "delegator": {"start_ns": "sd{i}.start", "duration_ns": "sd{i}.dur"},
+}
+
+#: Where a campaign rule's default differs from its plan rule's: a link
+#: rule hits the downlinks, a DRAM rule every channel.
+RULE_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "link": {"link": "bob*.down"},
+    "dram": {"channel": "ch*"},
+    "delegator": {},
+}
+
+#: One campaign rule: sorted ``(field, value)`` pairs of a plan rule doc.
+Rule = Tuple[Tuple[str, object], ...]
 
 
 class CampaignError(ValueError):
@@ -116,6 +133,10 @@ class Intensity:
 
     @classmethod
     def from_json(cls, doc, what: str) -> "Intensity":
+        """A number (fixed), a ``{lo, hi, mode}`` object, or an
+        :class:`Intensity` already."""
+        if isinstance(doc, cls):
+            return doc
         if isinstance(doc, (int, float)) and not isinstance(doc, bool):
             return cls(lo=float(doc))
         _reject_unknown(doc, ("lo", "hi", "mode"), what)
@@ -125,139 +146,57 @@ class Intensity:
                    mode=doc.get("mode", "ramp" if "hi" in doc else "fixed"))
 
 
-def _intensity(value) -> Intensity:
-    if isinstance(value, Intensity):
-        return value
-    return Intensity.from_json(value, "intensity")
-
-
 # ---------------------------------------------------------------------------
-# Per-site-class fault specs
+# Campaign rules
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """A link fault family whose rate varies across the campaign."""
-
-    kind: str = "corrupt"
-    link: str = "bob*.down"
-    tag: str = "*"
-    rate: Intensity = field(default_factory=lambda: Intensity(0.0))
-    delay_ns: float = 0.0
-    start_ns: float = 0.0
-    stop_ns: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _intensity(self.rate))
-        # Materialize the extreme points now so a bad spec fails at
-        # load, not at drain time (rate bounds, kind, site grammar).
-        for probe in (self.rate.lo, self.rate.hi):
-            self.materialize(probe)
-
-    def materialize(self, rate: float) -> LinkFault:
-        return LinkFault(
-            kind=self.kind, link=self.link, tag=self.tag, rate=rate,
-            delay_ns=self.delay_ns, start_ns=self.start_ns,
-            stop_ns=self.stop_ns,
-        )
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind, "link": self.link, "tag": self.tag,
-            "rate": self.rate.to_json_dict(), "delay_ns": self.delay_ns,
-            "start_ns": self.start_ns, "stop_ns": self.stop_ns,
-        }
-
-    _FIELDS = ("kind", "link", "tag", "rate", "delay_ns", "start_ns",
-               "stop_ns")
-
-    @classmethod
-    def from_json_dict(cls, doc: Dict[str, object]) -> "LinkSpec":
-        _reject_unknown(doc, cls._FIELDS, "link spec")
-        kw = dict(doc)
-        if "rate" in kw:
-            kw["rate"] = Intensity.from_json(kw["rate"], "link rate")
-        return cls(**kw)
+def _rule(section: str, rule) -> Rule:
+    """A campaign rule (a plan rule doc, or its pairs) in stored form:
+    the campaign defaults under the given fields, each varying field an
+    :class:`Intensity`, list values as tuples.  The rule is parsed at
+    both ends of its intensities, so a bad one fails at load, not at
+    drain time."""
+    if not isinstance(rule, (dict, tuple)):
+        raise CampaignError(f"each {section} rule must be a JSON object")
+    doc = dict(RULE_DEFAULTS[section], **dict(rule))
+    varying = VARYING[section]
+    for name, value in doc.items():
+        if name in varying:
+            doc[name] = Intensity.from_json(value, f"{section} {name}")
+        elif isinstance(value, (dict, Intensity)):
+            raise CampaignError(
+                f"{section} rule field {name!r} cannot vary across "
+                f"points (only {', '.join(varying)} can)"
+            )
+        elif isinstance(value, list):
+            doc[name] = tuple(value)
+    rule = tuple(sorted(doc.items()))
+    for end in ("lo", "hi"):
+        FaultPlan.from_json_dict({section: [_plan_rule(
+            section, 0, rule, lambda intensity, _site: getattr(intensity, end)
+        )]})
+    return rule
 
 
-@dataclass(frozen=True)
-class DramSpec:
-    """A DRAM bit-flip family whose rate varies across the campaign."""
-
-    channel: str = "ch*"
-    rate: Intensity = field(default_factory=lambda: Intensity(0.0))
-    start_ns: float = 0.0
-    stop_ns: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _intensity(self.rate))
-        for probe in (self.rate.lo, self.rate.hi):
-            self.materialize(probe)
-
-    def materialize(self, rate: float) -> DramFault:
-        return DramFault(
-            channel=self.channel, rate=rate, start_ns=self.start_ns,
-            stop_ns=self.stop_ns,
-        )
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "channel": self.channel, "rate": self.rate.to_json_dict(),
-            "start_ns": self.start_ns, "stop_ns": self.stop_ns,
-        }
-
-    _FIELDS = ("channel", "rate", "start_ns", "stop_ns")
-
-    @classmethod
-    def from_json_dict(cls, doc: Dict[str, object]) -> "DramSpec":
-        _reject_unknown(doc, cls._FIELDS, "dram spec")
-        kw = dict(doc)
-        if "rate" in kw:
-            kw["rate"] = Intensity.from_json(kw["rate"], "dram rate")
-        return cls(**kw)
+def _plan_rule(section: str, i: int, rule: Rule,
+               value: Callable[[Intensity, str], float]) -> Dict[str, object]:
+    """The plan rule doc of campaign rule ``i``: each :class:`Intensity`
+    replaced by ``value(intensity, site)``.  A crash keeps no duration
+    (its plan rule's is 0)."""
+    doc = {
+        name: (value(v, VARYING[section][name].format(i=i))
+               if isinstance(v, Intensity) else v)
+        for name, v in rule
+    }
+    if doc.get("kind") == "crash":
+        doc.pop("duration_ns", None)
+    return doc
 
 
-@dataclass(frozen=True)
-class DelegatorSpec:
-    """A delegator stall/crash whose onset (and length) vary."""
-
-    kind: str = "stall"
-    start_ns: Intensity = field(default_factory=lambda: Intensity(0.0))
-    duration_ns: Intensity = field(default_factory=lambda: Intensity(0.0))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_ns", _intensity(self.start_ns))
-        object.__setattr__(self, "duration_ns",
-                           _intensity(self.duration_ns))
-        for start, duration in ((self.start_ns.lo, self.duration_ns.lo),
-                                (self.start_ns.hi, self.duration_ns.hi)):
-            self.materialize(start, duration)
-
-    def materialize(self, start_ns: float,
-                    duration_ns: float) -> DelegatorFault:
-        return DelegatorFault(
-            kind=self.kind, start_ns=start_ns,
-            duration_ns=duration_ns if self.kind == "stall" else 0.0,
-        )
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "start_ns": self.start_ns.to_json_dict(),
-            "duration_ns": self.duration_ns.to_json_dict(),
-        }
-
-    _FIELDS = ("kind", "start_ns", "duration_ns")
-
-    @classmethod
-    def from_json_dict(cls, doc: Dict[str, object]) -> "DelegatorSpec":
-        _reject_unknown(doc, cls._FIELDS, "delegator spec")
-        kw = dict(doc)
-        for key in ("start_ns", "duration_ns"):
-            if key in kw:
-                kw[key] = Intensity.from_json(kw[key], f"delegator {key}")
-        return cls(**kw)
+def _rule_json(rule: Rule) -> Dict[str, object]:
+    return {name: v.to_json_dict() if isinstance(v, Intensity) else v
+            for name, v in rule}
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +224,10 @@ class CampaignSpec:
     #: workload axis value.
     scenario: Tuple[Tuple[str, object], ...] = ()
     workloads: Tuple[Tuple[Tuple[str, object], ...], ...] = ((),)
-    link: Tuple[LinkSpec, ...] = ()
-    dram: Tuple[DramSpec, ...] = ()
-    delegator: Tuple[DelegatorSpec, ...] = ()
+    #: Fault-plan rule docs per section, stored as :data:`Rule` pairs.
+    link: Tuple[Rule, ...] = ()
+    dram: Tuple[Rule, ...] = ()
+    delegator: Tuple[Rule, ...] = ()
     recovery: RecoveryParams = field(default_factory=RecoveryParams)
     #: Availability SLO deadline (request sojourn bound), ns.
     slo_ns: float = 2000.0
@@ -306,9 +246,10 @@ class CampaignSpec:
             tuple(tuple(sorted(tuple(wl))) for wl in self.workloads)
             or ((),),
         )
-        object.__setattr__(self, "link", tuple(self.link))
-        object.__setattr__(self, "dram", tuple(self.dram))
-        object.__setattr__(self, "delegator", tuple(self.delegator))
+        for section in VARYING:
+            object.__setattr__(self, section, tuple(
+                _rule(section, r) for r in getattr(self, section)
+            ))
         if not self.name or not isinstance(self.name, str):
             raise CampaignError("campaign name must be a non-empty string")
         if self.points < 1:
@@ -323,8 +264,15 @@ class CampaignSpec:
             raise CampaignError(
                 "trace_length and functional_ops must be >= 1"
             )
-        if sum(1 for s in self.delegator if s.kind == "crash") > 1:
-            raise CampaignError("at most one delegator crash spec")
+        # Every cell's oracle runs the benchmark under its scheme.
+        try:
+            benchmark_by_code(self.benchmark)
+            for scheme in self.schemes:
+                make_config(scheme, self.benchmark, self.trace_length)
+        except (AttributeError, KeyError, ValueError) as exc:
+            raise CampaignError(
+                f"campaign {self.name!r}: {exc.args[0]}"
+            ) from None
         # Every workload must resolve to a valid ScenarioConfig, and
         # every index to a valid FaultPlan: campaign loading is the
         # one-line-exit-2 boundary, the drain loop never validates.
@@ -340,35 +288,21 @@ class CampaignSpec:
             raise CampaignError(
                 f"point index {index} out of range [0, {self.points})"
             )
-        seed = self.seed
+        doc: Dict[str, object] = {
+            "seed": derive_seed(self.seed, index),
+            "recovery": vars(self.recovery),
+        }
+        for section in VARYING:
+            doc[section] = [
+                _plan_rule(
+                    section, i, rule,
+                    lambda intensity, site: intensity.value(
+                        self.seed, site, index, self.points),
+                )
+                for i, rule in enumerate(getattr(self, section))
+            ]
         try:
-            return FaultPlan(
-                seed=derive_seed(self.seed, index),
-                link=tuple(
-                    s.materialize(
-                        s.rate.value(seed, f"link{i}", index, self.points)
-                    )
-                    for i, s in enumerate(self.link)
-                ),
-                dram=tuple(
-                    s.materialize(
-                        s.rate.value(seed, f"dram{i}", index, self.points)
-                    )
-                    for i, s in enumerate(self.dram)
-                ),
-                delegator=tuple(
-                    s.materialize(
-                        s.start_ns.value(
-                            seed, f"sd{i}.start", index, self.points
-                        ),
-                        s.duration_ns.value(
-                            seed, f"sd{i}.dur", index, self.points
-                        ),
-                    )
-                    for i, s in enumerate(self.delegator)
-                ),
-                recovery=self.recovery,
-            )
+            return FaultPlan.from_json_dict(doc)
         except FaultPlanError as exc:
             raise CampaignError(
                 f"campaign {self.name!r} point {index} materializes an "
@@ -430,9 +364,9 @@ class CampaignSpec:
             "schemes": list(self.schemes),
             "scenario": dict(self.scenario),
             "workloads": [dict(wl) for wl in self.workloads],
-            "link": [s.to_json_dict() for s in self.link],
-            "dram": [s.to_json_dict() for s in self.dram],
-            "delegator": [s.to_json_dict() for s in self.delegator],
+            "link": [_rule_json(r) for r in self.link],
+            "dram": [_rule_json(r) for r in self.dram],
+            "delegator": [_rule_json(r) for r in self.delegator],
             "recovery": asdict(self.recovery),
             "slo_ns": self.slo_ns,
             "benchmark": self.benchmark,
@@ -467,18 +401,9 @@ class CampaignSpec:
                     _pairs(wl, f"workload {i}")
                     for i, wl in enumerate(workloads)
                 ),
-                link=tuple(
-                    LinkSpec.from_json_dict(s)
-                    for s in doc.get("link", ())
-                ),
-                dram=tuple(
-                    DramSpec.from_json_dict(s)
-                    for s in doc.get("dram", ())
-                ),
-                delegator=tuple(
-                    DelegatorSpec.from_json_dict(s)
-                    for s in doc.get("delegator", ())
-                ),
+                link=tuple(doc.get("link", ())),
+                dram=tuple(doc.get("dram", ())),
+                delegator=tuple(doc.get("delegator", ())),
                 recovery=recovery,
                 slo_ns=float(doc.get("slo_ns", 2000.0)),
                 benchmark=doc.get("benchmark", "libq"),
@@ -511,8 +436,10 @@ class CampaignSpec:
 
 
 @dataclass(frozen=True)
-class FaultPoint:
-    """One campaign cell, duck-typed to the sweep point protocol."""
+class FaultPoint(SweepPoint):
+    """One campaign cell (kind ``chaos``): oracle, scenario and scorer."""
+
+    kind = "chaos"
 
     spec: CampaignSpec
     index: int
@@ -531,28 +458,18 @@ class FaultPoint:
     def key(self, with_digest: bool = False) -> str:
         """Content address over everything the payload depends on."""
         spec = self.spec
-        doc = {
-            "schema": STORE_SCHEMA_VERSION,
-            "chaos": {
-                "campaign": spec.name,
-                "plan": spec.plan_for(self.index).to_json_dict(),
-                "scenario": spec.scenario_config(
-                    self.workload
-                ).to_json_dict(),
-                "scheme": self.scheme,
-                "benchmark": spec.benchmark,
-                "trace_length": spec.trace_length,
-                "functional_ops": spec.functional_ops,
-                "slo_ns": spec.slo_ns,
-            },
-            "with_digest": bool(with_digest),
-        }
-        return hashlib.sha256(
-            canonical_json(doc).encode("utf-8")
-        ).hexdigest()
+        return content_key({"chaos": {
+            "campaign": spec.name,
+            "plan": spec.plan_for(self.index).to_json_dict(),
+            "scenario": spec.scenario_config(self.workload).to_json_dict(),
+            "scheme": self.scheme,
+            "benchmark": spec.benchmark,
+            "trace_length": spec.trace_length,
+            "functional_ops": spec.functional_ops,
+            "slo_ns": spec.slo_ns,
+        }}, with_digest)
 
-    def execute(self, with_digest: bool = False) -> Dict[str, object]:
-        """Oracle + scenario + scorer; the stored campaign payload."""
+    def run(self, tracer) -> Dict[str, object]:
         from repro.analysis.availability import score_scenario
         from repro.faults.inject import FaultController
         from repro.faults.invariants import check_fault_invariants
@@ -560,27 +477,17 @@ class FaultPoint:
 
         spec = self.spec
         plan = spec.plan_for(self.index)
-
         invariants = check_fault_invariants(
             plan, scheme=self.scheme, benchmark=spec.benchmark,
             trace_length=spec.trace_length,
             functional_ops=spec.functional_ops,
         )
-
-        tracer = None
-        if with_digest:
-            from repro.obs.tracer import Tracer
-
-            tracer = Tracer()
-        config = spec.scenario_config(self.workload)
         result = run_scenario(
-            config, tracer=tracer, faults=FaultController(plan)
+            spec.scenario_config(self.workload), tracer=tracer,
+            faults=FaultController(plan),
         )
         availability = score_scenario(result, plan, spec.slo_ns)
-
-        payload: Dict[str, object] = {
-            "schema": STORE_SCHEMA_VERSION,
-            "point": self.to_manifest(),
+        return {
             "plan": plan.to_json_dict(),
             "invariants": {
                 "ok": invariants.ok,
@@ -594,16 +501,11 @@ class FaultPoint:
             "availability": availability.to_json_dict(),
             "report_digest": result.report_digest(),
         }
-        if tracer is not None:
-            from repro.obs.export import trace_digest
-
-            payload["trace_digest"] = trace_digest(tracer.events)
-        return payload
 
     # -- work-queue manifests -----------------------------------------
     def to_manifest(self) -> Dict[str, object]:
         return {
-            "kind": "chaos",
+            "kind": self.kind,
             "spec": self.spec.to_json_dict(),
             "index": self.index,
             "scheme": self.scheme,

@@ -1,39 +1,40 @@
 """Scenario sweep points: tenant-count x arrival-rate grids.
 
-A :class:`ScenarioPoint` plugs the service layer into the sweep runner
-(:func:`repro.analysis.sweep.run_sweep`): it is hashable,
-content-addresses itself over the *resolved*
-:class:`~repro.scenarios.config.ScenarioConfig`, carries its own
-``execute`` method, which the generalized ``execute_point`` dispatches
-to, and round-trips through a work-queue manifest (kind
-``"scenario"``).  Store entries therefore share the RunPoint machinery
--- atomic writes, resume, queue-drained parallel workers, per-point
-timeouts -- without the analysis layer importing the scenario layer.
+A :class:`ScenarioPoint` (kind ``"scenario"``) is the service layer's
+point kind of the sweep point protocol
+(:class:`repro.analysis.sweep.SweepPoint`): it content-addresses itself
+over the *resolved* :class:`~repro.scenarios.config.ScenarioConfig` and
+runs :func:`~repro.scenarios.service.run_scenario`, so its store entries
+share the run points' machinery -- payload envelope, atomic writes,
+resume, queue-drained parallel workers, per-point timeouts -- without
+the analysis layer importing the scenario layer.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.sweep import (
-    STORE_SCHEMA_VERSION,
+    SweepPoint,
     SweepResult,
-    canonical_json,
+    content_key,
+    pairs_from_json,
 )
 from repro.scenarios.config import ScenarioConfig, apply_overrides
 from repro.scenarios.service import ScenarioResult, run_scenario
 
 
 @dataclass(frozen=True)
-class ScenarioPoint:
+class ScenarioPoint(SweepPoint):
     """One independent scenario run in a sweep.
 
     ``overrides`` is a sorted tuple of ``(field, value)`` pairs applied
     to the default :class:`ScenarioConfig`; ``arrival.<field>`` dotted
     keys reach the nested spec.  Values must be picklable and JSON-safe.
     """
+
+    kind = "scenario"
 
     overrides: Tuple[Tuple[str, object], ...] = ()
 
@@ -52,55 +53,27 @@ class ScenarioPoint:
         return apply_overrides(ScenarioConfig(), dict(self.overrides))
 
     def key(self, with_digest: bool = False) -> str:
-        """Content address: sha256 of the resolved config + schema."""
-        doc = {
-            "schema": STORE_SCHEMA_VERSION,
-            "scenario": self.resolved_config().to_json_dict(),
-            "with_digest": bool(with_digest),
-        }
-        return hashlib.sha256(
-            canonical_json(doc).encode("utf-8")
-        ).hexdigest()
+        """Content address over the resolved config."""
+        return content_key(
+            {"scenario": self.resolved_config().to_json_dict()}, with_digest
+        )
 
-    def execute(self, with_digest: bool = False) -> Dict[str, object]:
-        """Run the scenario and return its serialized store payload.
-
-        The sweep runner's ``execute_point`` calls this (instead of
-        ``_simulate_point``) for any point that provides it; the payload
-        mirrors the RunPoint shape so store tooling stays generic.
-        """
-        tracer = None
-        if with_digest:
-            from repro.obs.tracer import Tracer
-
-            tracer = Tracer()
+    def run(self, tracer) -> Dict[str, object]:
         result = run_scenario(self.resolved_config(), tracer=tracer)
-        payload: Dict[str, object] = {
-            "schema": STORE_SCHEMA_VERSION,
-            "point": self.to_manifest(),
+        return {
             "result": result.to_json_dict(),
             "report_digest": result.report_digest(),
         }
-        if tracer is not None:
-            from repro.obs.export import trace_digest
 
-            payload["trace_digest"] = trace_digest(tracer.events)
-        return payload
-
-    # -- work-queue manifests -----------------------------------------
     def to_manifest(self) -> Dict[str, object]:
-        """The ``"point"`` doc every payload of this point carries."""
         return {
-            "kind": "scenario",
+            "kind": self.kind,
             "overrides": [list(kv) for kv in self.overrides],
         }
 
     @classmethod
     def from_manifest(cls, doc: Dict[str, object]) -> "ScenarioPoint":
-        return cls(overrides=tuple(
-            (k, tuple(v) if isinstance(v, list) else v)
-            for k, v in doc["overrides"]
-        ))
+        return cls(overrides=pairs_from_json(doc["overrides"]))
 
 
 def scenario_grid(

@@ -7,13 +7,13 @@ import os
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis import sweep as sweep_mod
 from repro.analysis.report import (
     REPORT_BEGIN,
     REPORT_END,
     _DEVIATIONS,
     render_report,
 )
+from repro.analysis.sweep import RunPoint
 from repro.cli import main
 
 
@@ -21,16 +21,18 @@ from repro.cli import main
 def simulate_once():
     """Each point simulates once for the module: ``doram exp all`` and
     the report below sweep the same points."""
-    payloads = {}
-    simulate = sweep_mod._simulate_point
+    fields = {}
+    run = RunPoint.run
 
-    def memo(point, with_digest=False):
-        if (point, with_digest) not in payloads:
-            payloads[point, with_digest] = simulate(point, with_digest)
-        return payloads[point, with_digest]
+    def memo(point, tracer):
+        if tracer is not None:  # a trace cannot be replayed from a memo
+            return run(point, tracer)
+        if point not in fields:
+            fields[point] = run(point, tracer)
+        return fields[point]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep_mod, "_simulate_point", memo)
+        patch.setattr(RunPoint, "run", memo)
         yield
 
 

@@ -195,6 +195,19 @@ class TestResume:
         assert warm.simulated == 0
         assert warm.store_hits == len(dedup_points(points))
 
+    def test_store_hits_never_list_the_store(self, tmp_path, monkeypatch):
+        """A store hit is one file read: a warm sweep must not walk the
+        store's directories (``len(store)``) once per point."""
+        point = RunPoint("baseline", "li", LENGTH)
+        store = ResultStore(str(tmp_path / "store"))
+        run_sweep([point], workers=1, store=store)
+        monkeypatch.setattr(
+            ResultStore, "keys",
+            lambda self: pytest.fail("run_sweep listed the store"),
+        )
+        warm = run_sweep([point], workers=1, store=store)
+        assert warm.store_hits == 1
+
     def test_no_resume_refreshes_but_ignores_entries(self, tmp_path):
         point = RunPoint("baseline", "li", LENGTH)
         store = ResultStore(str(tmp_path / "store"))

@@ -100,8 +100,7 @@ class TestTornWrites:
 class TestPointTimeout:
     def test_timeout_interrupts_a_wedged_point(self, monkeypatch):
         monkeypatch.setattr(
-            sweep_mod, "_simulate_point",
-            lambda point, with_digest=False: time.sleep(5.0),
+            RunPoint, "run", lambda point, tracer: time.sleep(5.0),
         )
         started = time.monotonic()
         with pytest.raises(PointTimeout):
@@ -113,8 +112,7 @@ class TestPointTimeout:
         the main thread; the deadline mechanism must still fire there
         (work-queue drains run points from worker loops and threads)."""
         monkeypatch.setattr(
-            sweep_mod, "_simulate_point",
-            lambda point, with_digest=False: time.sleep(5.0),
+            RunPoint, "run", lambda point, tracer: time.sleep(5.0),
         )
         box = {}
 
@@ -180,10 +178,10 @@ class TestPointTimeout:
     def test_errors_raised_off_main_thread_propagate(self, monkeypatch):
         """A point that *fails* under a deadline must surface its own
         error, not a timeout."""
-        def _broken(point, with_digest=False):
+        def _broken(point, tracer):
             raise RuntimeError("inner failure")
 
-        monkeypatch.setattr(sweep_mod, "_simulate_point", _broken)
+        monkeypatch.setattr(RunPoint, "run", _broken)
         box = {}
 
         def _run():
@@ -212,15 +210,15 @@ class TestBoundedRetry:
     ):
         point = _point()
         attempts = []
-        real = sweep_mod._simulate_point
+        real = RunPoint.run
 
-        def _flaky(p, with_digest=False):
+        def _flaky(p, tracer):
             attempts.append(p)
             if len(attempts) == 1:
                 raise RuntimeError("transient worker wobble")
-            return real(p, with_digest)
+            return real(p, tracer)
 
-        monkeypatch.setattr(sweep_mod, "_simulate_point", _flaky)
+        monkeypatch.setattr(RunPoint, "run", _flaky)
         store = ResultStore(str(tmp_path / "store"))
         sweep = run_sweep([point], workers=1, store=store)
         assert len(attempts) == 2
@@ -232,10 +230,10 @@ class TestBoundedRetry:
     def test_persistent_failure_is_recorded_not_raised(self, monkeypatch):
         point = _point()
 
-        def _always(p, with_digest=False):
+        def _always(p, tracer):
             raise RuntimeError("deterministic bug")
 
-        monkeypatch.setattr(sweep_mod, "_simulate_point", _always)
+        monkeypatch.setattr(RunPoint, "run", _always)
         sweep = run_sweep([point], workers=1, store=None)
         assert sweep.retried == 1
         assert point in sweep.failed
@@ -245,8 +243,7 @@ class TestBoundedRetry:
 
     def test_timeout_in_serial_sweep_is_surfaced(self, monkeypatch):
         monkeypatch.setattr(
-            sweep_mod, "_simulate_point",
-            lambda point, with_digest=False: time.sleep(5.0),
+            RunPoint, "run", lambda point, tracer: time.sleep(5.0),
         )
         point = _point()
         started = time.monotonic()
@@ -258,24 +255,24 @@ class TestBoundedRetry:
     def test_one_bad_point_does_not_sink_the_sweep(self, monkeypatch):
         good = _point()
         bad = RunPoint("doram", "li", LENGTH)
-        real = sweep_mod._simulate_point
+        real = RunPoint.run
 
-        def _selective(p, with_digest=False):
+        def _selective(p, tracer):
             if p == bad:
                 raise RuntimeError("only this point is broken")
-            return real(p, with_digest)
+            return real(p, tracer)
 
-        monkeypatch.setattr(sweep_mod, "_simulate_point", _selective)
+        monkeypatch.setattr(RunPoint, "run", _selective)
         sweep = run_sweep([good, bad], workers=1, store=None)
         assert good in sweep.payloads
         assert bad in sweep.failed
         assert sweep.simulated == 1
 
     def test_run_figures_refuses_a_partial_sweep(self, monkeypatch):
-        def _always(p, with_digest=False):
+        def _always(p, tracer):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(sweep_mod, "_simulate_point", _always)
+        monkeypatch.setattr(RunPoint, "run", _always)
         with pytest.raises(SweepFailure) as excinfo:
             experiments.run_figures(["fig9"], ["li"], LENGTH, workers=1,
                                     store=None)

@@ -20,11 +20,8 @@ from repro.cli import main
 from repro.faults.campaign import (
     CampaignError,
     CampaignSpec,
-    DelegatorSpec,
-    DramSpec,
     FaultPoint,
     Intensity,
-    LinkSpec,
     bench_records,
     chaos_rows,
     render_markdown,
@@ -65,8 +62,8 @@ _INTENSITY = st.one_of(
 _SPECS = st.builds(
     lambda points, seed, link_rate, dram_rate: _spec(
         points=points, seed=seed,
-        link=(LinkSpec(kind="corrupt", rate=link_rate),),
-        dram=(DramSpec(rate=dram_rate),),
+        link=({"kind": "corrupt", "rate": link_rate},),
+        dram=({"rate": dram_rate},),
     ),
     points=st.integers(1, 5),
     seed=st.integers(0, 2**32),
@@ -94,7 +91,7 @@ class TestDeterminism:
                          for i in range(spec.points)]
 
     def test_adding_points_never_moves_earlier_plans(self):
-        base = _spec(points=2, dram=(DramSpec(rate=Intensity(0.01)),))
+        base = _spec(points=2, dram=({"rate": Intensity(0.01)},))
         grown = dataclasses.replace(base, points=5)
         for i in range(base.points):
             assert grown.plan_for(i) == base.plan_for(i)
@@ -102,7 +99,7 @@ class TestDeterminism:
     def test_ramp_hits_both_endpoints(self):
         spec = _spec(
             points=3,
-            link=(LinkSpec(rate=Intensity(0.0, 0.08, "ramp")),),
+            link=({"rate": Intensity(0.0, 0.08, "ramp")},),
         )
         rates = [spec.plan_for(i).link[0].rate for i in range(3)]
         assert rates == [0.0, 0.04, 0.08]
@@ -110,13 +107,13 @@ class TestDeterminism:
     def test_uniform_draw_is_point_local(self):
         spec = _spec(
             points=4,
-            dram=(DramSpec(rate=Intensity(0.001, 0.02, "uniform")),),
+            dram=({"rate": Intensity(0.001, 0.02, "uniform")},),
         )
         # The draw for point i depends only on (seed, site, i): the
         # same index re-queried from a fresh spec object matches.
         again = _spec(
             points=4,
-            dram=(DramSpec(rate=Intensity(0.001, 0.02, "uniform")),),
+            dram=({"rate": Intensity(0.001, 0.02, "uniform")},),
         )
         assert [spec.plan_for(i).dram[0].rate for i in range(4)] \
             == [again.plan_for(i).dram[0].rate for i in range(4)]
@@ -142,36 +139,52 @@ class TestValidation:
             Intensity(lo=0.1, mode="gaussian")
 
     def test_bad_fault_rate_fails_at_load_not_drain(self):
-        # rate hi=1.5 is an invalid LinkFault: the LinkSpec probe at
+        # rate hi=1.5 is an invalid LinkFault: the rule probe at
         # construction time must catch it, before any grid exists.
         from repro.faults.plan import FaultPlanError
 
         with pytest.raises(FaultPlanError):
-            LinkSpec(rate=Intensity(0.0, 1.5, "ramp"))
+            _spec(link=({"rate": Intensity(0.0, 1.5, "ramp")},))
 
     def test_bad_scenario_override_rejected(self):
         with pytest.raises(CampaignError, match="overrides"):
             _spec(scenario=(("no_such_field", 1),))
 
     def test_two_crash_specs_rejected(self):
-        crash = DelegatorSpec(kind="crash",
-                              start_ns=Intensity(5000.0))
+        crash = {"kind": "crash", "start_ns": Intensity(5000.0)}
         with pytest.raises(CampaignError, match="crash"):
             _spec(delegator=(crash, crash))
+
+    def test_a_fixed_field_cannot_vary(self):
+        with pytest.raises(CampaignError, match="cannot vary"):
+            _spec(link=({"kind": "delay",
+                         "delay_ns": Intensity(10.0, 50.0, "ramp")},))
+
+    def test_rules_take_plan_rule_fields_and_campaign_defaults(self):
+        spec = _spec(link=({"kind": "drop", "tag": "raw",
+                            "packets": [3]},),
+                     dram=({"reads": [1, 2]},))
+        plan = spec.plan_for(0)
+        assert plan.link[0].link == "bob*.down"
+        assert plan.link[0].packets == (3,)
+        assert plan.dram[0].channel == "ch*"
+        assert plan.dram[0].reads == (1, 2)
+        assert CampaignSpec.from_json_dict(
+            json.loads(json.dumps(spec.to_json_dict()))
+        ) == spec
 
     def test_overlapping_stalls_rejected_per_point(self):
         # Both stalls materialize to the same window at every point:
         # plan validation fires inside spec construction.
-        stall = DelegatorSpec(kind="stall",
-                              start_ns=Intensity(1000.0),
-                              duration_ns=Intensity(500.0))
+        stall = {"kind": "stall", "start_ns": Intensity(1000.0),
+                 "duration_ns": Intensity(500.0)}
         with pytest.raises(CampaignError, match="point 0"):
             _spec(delegator=(stall, stall))
 
 
 class TestSweepProtocol:
     def test_manifest_round_trip(self):
-        spec = _spec(dram=(DramSpec(rate=Intensity(0.005)),),
+        spec = _spec(dram=({"rate": Intensity(0.005)},),
                      workloads=((("arrival.rate_rps", 150_000.0),), ()))
         for point in spec.grid():
             doc = json.loads(json.dumps(point.to_manifest()))
@@ -183,7 +196,7 @@ class TestSweepProtocol:
     def test_key_distinguishes_every_axis(self):
         spec = _spec(points=2, schemes=("doram", "baseline"),
                      workloads=((("arrival.rate_rps", 150_000.0),), ()),
-                     dram=(DramSpec(rate=Intensity(0.0, 0.01, "ramp")),))
+                     dram=({"rate": Intensity(0.0, 0.01, "ramp")},))
         keys = {p.key() for p in spec.grid()}
         assert len(keys) == 2 * 2 * 2
         point = spec.grid()[0]
@@ -211,7 +224,7 @@ class TestArmedEmptyCell:
 
     def test_execute_is_deterministic(self):
         spec = _spec(points=1,
-                     dram=(DramSpec(rate=Intensity(0.005)),))
+                     dram=({"rate": Intensity(0.005)},))
         point = spec.grid()[0]
         first = json.dumps(point.execute(), sort_keys=True)
         second = json.dumps(point.execute(), sort_keys=True)
@@ -258,6 +271,28 @@ class TestCli:
                                    "link": [{"kind": "meteor"}]}))
         assert main(["chaos", "--campaign", str(bad)]) == 2
         assert "doram: error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("schemes", ["doram", "nosuchscheme"]),
+        ("benchmark", "nosuchbench"),
+    ])
+    def test_unknown_scheme_or_benchmark_is_exit_2(
+        self, field, value, tmp_path, capsys
+    ):
+        """A name no cell can run is rejected at load: the dry run and
+        a drain both exit 2 with one line, before any cell simulates."""
+        with open(self.SPEC) as fp:
+            doc = json.load(fp)
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        store = tmp_path / "store"
+        for extra in (["--dry-run"], ["--workers", "1", "--store",
+                                      str(store)]):
+            assert main(["chaos", "--campaign", str(bad)] + extra) == 2
+            err = capsys.readouterr().err
+            assert "nosuch" in err and err.count("\n") == 1
+        assert not store.exists()
 
     def test_queue_flags_mutually_exclusive(self, capsys):
         assert main(["chaos", "--campaign", self.SPEC,

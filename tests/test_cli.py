@@ -461,12 +461,12 @@ class TestSweepFailureSurfacing:
     def test_failed_points_exit_nonzero_with_reasons(
         self, capsys, monkeypatch
     ):
-        from repro.analysis import sweep as sweep_mod
+        from repro.analysis.sweep import RunPoint
 
-        def _always(point, with_digest=False):
+        def _always(point, tracer):
             raise RuntimeError("injected sweep failure")
 
-        monkeypatch.setattr(sweep_mod, "_simulate_point", _always)
+        monkeypatch.setattr(RunPoint, "run", _always)
         code = main(["sweep", "--figures", "fig9", "--benchmarks", "li",
                      "--trace-length", "100", "--workers", "1",
                      "--store", "none"])
@@ -550,6 +550,14 @@ class TestServeCommand:
         assert "2 simulated" in out
 
 
+#: A queue-declaring drain of each subcommand that speaks the queue.
+QUEUE_DRAINS = [
+    ["sweep", "--figures", "fig10", "--benchmarks", "li",
+     "--trace-length", "150"],
+    ["chaos", "--campaign", CI_SMOKE_CAMPAIGN],
+]
+
+
 class TestSweepQueueModes:
     """``--queue/--join/--status``, the distributed drain, of ``doram
     sweep`` (and of ``doram chaos`` for the manifest clash)."""
@@ -576,11 +584,7 @@ class TestSweepQueueModes:
         assert code == 2
         assert "needs a result store" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--figures", "fig10", "--benchmarks", "li",
-         "--trace-length", "150"],
-        ["chaos", "--campaign", CI_SMOKE_CAMPAIGN],
-    ], ids=["sweep", "chaos"])
+    @pytest.mark.parametrize("argv", QUEUE_DRAINS, ids=["sweep", "chaos"])
     def test_queue_manifest_clash_exits_2(self, argv, capsys, tmp_path):
         """A queue directory that declares another sweep is refused
         with one line, before any point is simulated."""
@@ -595,6 +599,24 @@ class TestSweepQueueModes:
         assert code == 2
         err = capsys.readouterr().err
         assert "already declares a different sweep" in err
+        assert err.count("\n") == 1
+        assert len(ResultStore(store)) == 0
+
+    @pytest.mark.parametrize("argv", QUEUE_DRAINS, ids=["sweep", "chaos"])
+    def test_torn_queue_manifest_exits_2(self, argv, capsys, tmp_path):
+        """A torn manifest is refused with one line, as ``--join``
+        refuses it, before any point is simulated."""
+        from repro.analysis.sweep import ResultStore
+
+        queue = tmp_path / "q"
+        queue.mkdir()
+        (queue / "manifest.json").write_text('{"schema": 2, "poi')
+        store = str(tmp_path / "store")
+        code = main(argv + ["--workers", "1", "--queue", str(queue),
+                            "--store", store])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "corrupt sweep manifest" in err
         assert err.count("\n") == 1
         assert len(ResultStore(store)) == 0
 
